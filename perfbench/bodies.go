@@ -8,6 +8,14 @@ import (
 	"repro/internal/serve"
 )
 
+// deadlockPercent is the share, in percent, of serving sessions that run
+// Listing 1, on pool-closed and front-closed alike. It is the deadlock
+// injection rate of the repository's committed serving acceptance runs
+// (loadgen -inject 0.05: the CI serving smoke, the nightly soak and the
+// serve section of BENCH_table1.json), so the detector's alarm path
+// carries the weight it carries there.
+const deadlockPercent = 5
+
 // noopBody is the empty session: all of its cost is the serving layers'.
 func noopBody(*core.Task) error { return nil }
 

@@ -14,16 +14,15 @@ type metricDef struct {
 // endToEndMetrics are reported by every workload with tracing off. Each
 // is meaningful on every workload (main.go says what an operation is on
 // each), because every run reports all of them. The tail percentile is
-// p90: it is the highest with ten samples beyond it on table1 (about a
-// hundred runs), and on this benchmark's 2-CPU VM the p99 of the serving
-// workloads moved by 30-45% between runs.
+// p90: on this benchmark's 2-CPU VM the p99 of the serving workloads
+// moved by 30-45% between runs.
 var endToEndMetrics = []metricDef{
 	{"setup_s", "s", "lower"},
 	{"full_geomean_s", "s", "lower"},
 	{"heap_mb", "MB", "lower"},
-	{"throughput_per_s", "1/s", "higher"},
-	{"latency_p50_ms", "ms", "lower"},
-	{"latency_p90_ms", "ms", "lower"},
+	{"throughput_per_cpu_s", "1/cpu-s", "higher"},
+	{"op_time_p50_ms", "ms", "lower"},
+	{"op_time_p90_ms", "ms", "lower"},
 }
 
 // table1Programs are the paper's nine Table-1 benchmarks, in its order.

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -16,8 +15,10 @@ import (
 )
 
 // frontTracedPercent is how many of every hundred front-closed requests
-// ask for the session's event log back with the verdict.
-const frontTracedPercent = 10
+// ask for the session's event log back with the verdict. No committed
+// run of the repository sets a traced share, so the event-log path gets
+// the rate of the other rare path, Listing 1.
+const frontTracedPercent = deadlockPercent
 
 // frontWarmup is the number of requests each connection runs during
 // set-up.
@@ -29,8 +30,8 @@ const frontWarmup = 200
 // about 30 ms; with one request in a thousand of it, throughput and p99
 // swung by 20-50% between runs.)
 var frontKinds = []sessionKind{
-	{"noop", noopBody, serve.VerdictClean, 70},
-	{"Deadlock", listing1Body, serve.VerdictDeadlock, 30},
+	{"noop", noopBody, serve.VerdictClean, 100 - deadlockPercent},
+	{"Deadlock", listing1Body, serve.VerdictDeadlock, deadlockPercent},
 }
 
 // frontLoop is one connection's closed loop: it keeps one request in
@@ -45,12 +46,11 @@ type frontLoop struct {
 
 	bodyStart, bodyEnd atomic.Int64 // stamped on the server side
 
-	win                                *windows
-	lat                                *latencies
-	submit, overhead, deliver, traceKB *sample
-	log                                *spanLog
-	done, deadlocks, wrong, refused    int64
-	msgs                               []string
+	lat                             *latencies
+	traceKB                         *sample
+	log                             *spanLog
+	done, deadlocks, wrong, refused int64
+	msgs                            notes
 }
 
 // frontEnv is one live front with its clients.
@@ -85,15 +85,12 @@ func runFrontClosed(cfg config) (*report, error) {
 		seed := cfg.seed*7919 + int64(i)
 		rng := rand.New(rand.NewSource(seed))
 		loops[i] = &frontLoop{
-			id:       i,
-			kinds:    kindDeck(rng, kinds),
-			traced:   newDeck(rng, 100-frontTracedPercent, frontTracedPercent),
-			lat:      newLatencies(len(kinds), seed),
-			submit:   newSample(seed),
-			overhead: newSample(seed),
-			deliver:  newSample(seed),
-			traceKB:  newSample(seed),
-			log:      newSpanLog(maxSpans / n),
+			id:      i,
+			kinds:   kindDeck(rng, kinds),
+			traced:  newDeck(rng, 100-frontTracedPercent, frontTracedPercent),
+			lat:     newLatencies(len(kinds), seed),
+			traceKB: newSample(seed),
+			log:     newSpanLog(maxSpans / n),
 		}
 	}
 
@@ -137,7 +134,7 @@ func runFrontClosed(cfg config) (*report, error) {
 		for i, l := range loops {
 			warm[i] = &frontLoop{id: l.id, c: env.clients[i], kinds: l.kinds, traced: l.traced, lat: newLatencies(len(kinds), 0)}
 		}
-		runLoops(warm, func(l *frontLoop) {
+		runAll(warm, func(l *frontLoop) {
 			for j := 0; j < frontWarmup; j++ {
 				l.one(kinds, clk, false)
 			}
@@ -162,17 +159,14 @@ func runFrontClosed(cfg config) (*report, error) {
 	pool := env.f.Pool()
 	before := snapPool(pool)
 	heap.set(0)
-	start := time.Now()
-	begin := clk.now()
-	end := begin + int64(cfg.dur)
-	runLoops(loops, func(l *frontLoop) {
-		l.win = newWindows(cfg.dur)
-		for now := begin; now < end; now = clk.now() {
+	cpu0 := cpuSeconds()
+	end := clk.now() + int64(cfg.dur)
+	runAll(loops, func(l *frontLoop) {
+		for clk.now() < end {
 			l.one(kinds, clk, cfg.trace)
-			l.win.add(clk.now() - begin)
 		}
 	})
-	elapsed := time.Since(start)
+	cpuS := cpuSeconds() - cpu0
 	heap.set(-1)
 	after := snapPool(pool)
 	heapMB := heap.close()
@@ -192,10 +186,6 @@ func runFrontClosed(cfg config) (*report, error) {
 		tot.refused += l.refused
 		tot.msgs = append(tot.msgs, l.msgs...)
 		tot.lat.merge(l.lat)
-		tot.win.merge(l.win)
-		tot.submit.merge(l.submit)
-		tot.overhead.merge(l.overhead)
-		tot.deliver.merge(l.deliver)
 		tot.traceKB.merge(l.traceKB)
 		logs = append(logs, l.log)
 	}
@@ -213,16 +203,25 @@ func runFrontClosed(cfg config) (*report, error) {
 		rep.problem("%d trace events dropped", dropped)
 	}
 	rep.setE2E("heap_mb", heapMB[0])
-	rep.setE2E("throughput_per_s", tot.win.rate(float64(tot.done), elapsed))
+	rep.setE2E("throughput_per_cpu_s", float64(tot.done)/cpuS)
 	tot.lat.setE2E(rep)
 	if !cfg.trace {
 		return rep, nil
 	}
-	for name, s := range map[string]*sample{
-		"front.submit_us": tot.submit, "front.overhead_us": tot.overhead, "front.deliver_us": tot.deliver,
+	// The front's overhead is the request's self time: its round trip
+	// less the body the server ran.
+	var submit, overhead, deliver []float64
+	eachRequest(logs, func(r request) {
+		req, b := r.get(spanRequest), r.get(spanBody)
+		submit = append(submit, us(r.get(spanClientSubmit).dur()))
+		overhead = append(overhead, us(selfTime(req, []span{b})))
+		deliver = append(deliver, us(time.Duration(req.end-b.end)))
+	})
+	for name, xs := range map[string][]float64{
+		"front.submit_us": submit, "front.overhead_us": overhead, "front.deliver_us": deliver,
 	} {
-		rep.setLayer(name+".p50", quantile(s.xs, 0.5))
-		rep.setLayer(name+".p99", quantile(s.xs, 0.99))
+		rep.setLayer(name+".p50", quantile(xs, 0.5))
+		rep.setLayer(name+".p99", quantile(xs, 0.99))
 	}
 	rep.setLayer("front.rejects", float64(tot.refused))
 	rep.setLayer("trace.kb_per_session.p50", quantile(tot.traceKB.xs, 0.5))
@@ -241,21 +240,8 @@ func runFrontClosed(cfg config) (*report, error) {
 // loopName is the registry name of kind k's body for loop l.
 func loopName(k sessionKind, l *frontLoop) string { return fmt.Sprintf("%s@%d", k.name, l.id) }
 
-// runLoops runs f once per loop, each on its own goroutine, and waits.
-func runLoops(loops []*frontLoop, f func(*frontLoop)) {
-	var wg sync.WaitGroup
-	for _, l := range loops {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			f(l)
-		}()
-	}
-	wg.Wait()
-}
-
 // one sends one request of a seeded kind, waits for its verdict, and
-// checks it. With traced set it records the request's spans and stages.
+// checks it. With traced set it records the request's spans.
 func (l *frontLoop) one(kinds []sessionKind, clk clock, traced bool) {
 	k := l.kinds.draw()
 	kind := kinds[k]
@@ -266,7 +252,7 @@ func (l *frontLoop) one(kinds []sessionKind, clk clock, traced bool) {
 	if err != nil {
 		l.refused++
 		l.lat.fail()
-		l.note("%s: refused: %v", kind.name, err)
+		l.msgs.add("%s: refused: %v", kind.name, err)
 		return
 	}
 	<-rs.Done()
@@ -278,24 +264,20 @@ func (l *frontLoop) one(kinds []sessionKind, clk clock, traced bool) {
 	if v := rs.Verdict(); v != kind.want {
 		l.wrong++
 		l.lat.fail()
-		l.note("%s: verdict %s, want %s (err: %v)", kind.name, v, kind.want, rs.Err())
+		l.msgs.add("%s: verdict %s, want %s (err: %v)", kind.name, v, kind.want, rs.Err())
 		return
 	}
 	tr := rs.Trace()
 	if wantTrace && len(tr) == 0 {
 		l.wrong++
 		l.lat.fail()
-		l.note("%s: traced session returned no event log", kind.name)
+		l.msgs.add("%s: traced session returned no event log", kind.name)
 		return
 	}
 	l.lat.ok(k, time.Duration(t2-t0))
 	if !traced {
 		return
 	}
-	bs, be := l.bodyStart.Load(), l.bodyEnd.Load()
-	l.submit.add(us(time.Duration(t1 - t0)))
-	l.overhead.add(us(selfTime(span{start: t0, end: t2}, []span{{start: bs, end: be}})))
-	l.deliver.add(us(time.Duration(t2 - be)))
 	if wantTrace {
 		l.traceKB.add(float64(len(tr)) / 1024)
 	}
@@ -304,13 +286,6 @@ func (l *frontLoop) one(kinds []sessionKind, clk clock, traced bool) {
 		l.log.add(req, spanRequest, spanNone, t0, t2)
 		l.log.add(req, spanClientSubmit, spanRequest, t0, t1)
 		l.log.add(req, spanRemoteDone, spanRequest, t1, t2)
-		l.log.add(req, spanBody, spanRemoteDone, bs, be)
-	}
-}
-
-// note keeps the first few check failures for the report.
-func (l *frontLoop) note(format string, args ...any) {
-	if len(l.msgs) < 5 {
-		l.msgs = append(l.msgs, fmt.Sprintf(format, args...))
+		l.log.add(req, spanBody, spanRemoteDone, l.bodyStart.Load(), l.bodyEnd.Load())
 	}
 }

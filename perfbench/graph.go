@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/graph"
@@ -16,14 +14,14 @@ import (
 const (
 	dagNodes = 32
 	// ppgEvery makes every fourth graph of the sequence the PPG ladder
-	// and the rest random DAGs, so the latency median lies inside the
-	// random-DAG mode rather than between the two.
+	// and the rest random DAGs, so the operation-time median lies inside
+	// the random-DAG mode rather than between the two.
 	ppgEvery = 4
 	// countedGraphs is how many graphs, from the start of the seed's
 	// sequence, graph.node_retries and graph.cascade_canceled sum over,
 	// so that both repeat exactly for a seed.
 	countedGraphs = 100
-	graphWarmup   = 8
+	graphWarmup   = 64
 )
 
 const (
@@ -36,6 +34,7 @@ type graphRec struct {
 	k          int64
 	kind       int
 	t0, t1     int64
+	cpu        time.Duration // process CPU time over the run
 	res        *graph.GraphResult
 	mismatches int
 	alarms     int64 // detector verdicts the run must have produced
@@ -103,17 +102,22 @@ func (s *graphSeq) build(k int64) (*graph.Graph, int, func(*graphRec)) {
 func (s *graphSeq) run(pool *serve.Pool, clk clock, k int64) *graphRec {
 	g, kind, check := s.build(k)
 	r := &graphRec{k: k, kind: kind}
+	c0 := cpuSeconds()
 	r.t0 = clk.now()
 	res, _ := g.Run(context.Background(), pool) // a doomed node's failure is expected
 	r.t1 = clk.now()
+	r.cpu = time.Duration((cpuSeconds() - c0) * 1e9)
 	r.res = res
 	check(r)
 	return r
 }
 
-// runGraphDAG runs one graph.Graph at a time per runner goroutine, one
-// runner per CPU, on a shared pool: seeded random DAGs with doomed and
-// flaky nodes, and every fourth graph a PPG ladder checked bitwise.
+// runGraphDAG runs one graph.Graph at a time on a pool with a session
+// slot per CPU: seeded random DAGs with doomed and flaky nodes, and every
+// fourth graph a PPG ladder checked bitwise. With a single runner the
+// process's CPU time over a Graph.Run is that graph's own cost; with one
+// runner per CPU a graph's latency was mostly a wait for the other
+// runner's nodes.
 func runGraphDAG(cfg config) (*report, error) {
 	rep := newReport()
 	clk := newClock()
@@ -122,9 +126,9 @@ func runGraphDAG(cfg config) (*report, error) {
 	base := runtime.NumGoroutine()
 	pool, setupS, err := timeSetup(func() (*serve.Pool, error) {
 		seq.ppgRef = ppg.RunSequential(seq.ppgCfg)
-		// The queue holds every node of every runner's graph, so
-		// admission never pushes back.
-		p := serve.New(serve.WithMaxSessions(n), serve.WithQueueDepth(n*dagNodes))
+		// The queue holds every node of a graph, so admission never
+		// pushes back.
+		p := serve.New(serve.WithMaxSessions(n), serve.WithQueueDepth(dagNodes))
 		warm := &graphSeq{seed: -cfg.seed - 1, ppgCfg: seq.ppgCfg, ppgRef: seq.ppgRef}
 		for k := int64(0); k < graphWarmup; k++ {
 			if r := warm.run(p, clk, k); r.mismatches > 0 {
@@ -139,41 +143,20 @@ func runGraphDAG(cfg config) (*report, error) {
 	}
 	rep.setE2E("setup_s", setupS)
 
-	accs := make([]*graphAcc, n)
-	for i := range accs {
-		accs[i] = &graphAcc{
-			lat:    newLatencies(2, cfg.seed+int64(i)),
-			win:    newWindows(cfg.dur),
-			nodeUS: newSample(int64(i)),
-			gapMS:  newSample(int64(i)),
-			log:    newSpanLog(maxSpans / n),
-		}
+	tot := &graphAcc{
+		lat:   newLatencies(2, cfg.seed),
+		gapMS: newSample(cfg.seed),
+		log:   newSpanLog(maxSpans),
 	}
 	heap := newHeapSampler(1)
 	before := snapPool(pool)
 	heap.set(0)
-	var (
-		next atomic.Int64
-		wg   sync.WaitGroup
-	)
-	start := time.Now()
-	begin := clk.now()
-	end := begin + int64(cfg.dur)
-	for _, a := range accs {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for clk.now() < end || next.Load() < countedGraphs {
-				r := seq.run(pool, clk, next.Add(1)-1)
-				a.add(r, clk, cfg.trace)
-				for range r.res.Nodes {
-					a.win.add(r.t1 - begin)
-				}
-			}
-		}()
+	cpu0 := cpuSeconds()
+	end := clk.now() + int64(cfg.dur)
+	for k := int64(0); clk.now() < end || k < countedGraphs; k++ {
+		tot.add(seq.run(pool, clk, k), clk, cfg.trace)
 	}
-	wg.Wait()
-	elapsed := time.Since(start)
+	cpuS := cpuSeconds() - cpu0
 	heap.set(-1)
 	after := snapPool(pool)
 	heapMB := heap.close()
@@ -182,22 +165,7 @@ func runGraphDAG(cfg config) (*report, error) {
 		rep.problem("%d goroutines leaked past Pool.Close", leaked)
 	}
 
-	tot := accs[0]
 	logs := []*spanLog{tot.log}
-	for _, a := range accs[1:] {
-		tot.nodes += a.nodes
-		tot.alarms += a.alarms
-		tot.retries += a.retries
-		tot.canceled += a.canceled
-		tot.admission += a.admission
-		tot.mismatches += a.mismatches
-		tot.msgs = append(tot.msgs, a.msgs...)
-		tot.lat.merge(a.lat)
-		tot.win.merge(a.win)
-		tot.nodeUS.merge(a.nodeUS)
-		tot.gapMS.merge(a.gapMS)
-		logs = append(logs, a.log)
-	}
 	rep.attempted = tot.nodes
 	rep.failed = tot.mismatches
 	for _, m := range tot.msgs {
@@ -211,13 +179,21 @@ func runGraphDAG(cfg config) (*report, error) {
 		rep.problem("%d admission retries; the pool queue must absorb every node", tot.admission)
 	}
 	rep.setE2E("heap_mb", heapMB[0])
-	rep.setE2E("throughput_per_s", tot.win.rate(float64(tot.nodes), elapsed))
+	rep.setE2E("throughput_per_cpu_s", float64(tot.nodes)/cpuS)
 	tot.lat.setE2E(rep)
 	if !cfg.trace {
 		return rep, nil
 	}
-	rep.setLayer("graph.node_us.p50", quantile(tot.nodeUS.xs, 0.5))
-	rep.setLayer("graph.node_us.p99", quantile(tot.nodeUS.xs, 0.99))
+	var nodeUS []float64
+	eachRequest(logs, func(r request) {
+		for _, s := range r {
+			if s.layer == spanGraphNode {
+				nodeUS = append(nodeUS, us(s.dur()))
+			}
+		}
+	})
+	rep.setLayer("graph.node_us.p50", quantile(nodeUS, 0.5))
+	rep.setLayer("graph.node_us.p99", quantile(nodeUS, 0.99))
 	rep.setLayer("graph.sched_gap_ms.p50", quantile(tot.gapMS.xs, 0.5))
 	rep.setLayer("graph.node_retries", float64(tot.retries))
 	rep.setLayer("graph.cascade_canceled", float64(tot.canceled))
@@ -234,16 +210,15 @@ func runGraphDAG(cfg config) (*report, error) {
 	return rep, nil
 }
 
-// graphAcc folds one runner's graph results as they complete, so no
-// GraphResult outlives its check.
+// graphAcc folds graph results as they complete, so no GraphResult
+// outlives its check.
 type graphAcc struct {
 	nodes, alarms, retries, canceled, admission, mismatches int64
 
-	msgs          []string
-	lat           *latencies
-	win           *windows
-	nodeUS, gapMS *sample
-	log           *spanLog
+	msgs  notes
+	lat   *latencies
+	gapMS *sample
+	log   *spanLog
 }
 
 func (a *graphAcc) add(r *graphRec, clk clock, traced bool) {
@@ -257,28 +232,23 @@ func (a *graphAcc) add(r *graphRec, clk clock, traced bool) {
 	if r.mismatches > 0 {
 		a.mismatches += int64(r.mismatches)
 		a.lat.fail()
-		if len(a.msgs) < 5 {
-			a.msgs = append(a.msgs, r.msg)
-		}
+		a.msgs.add("%s", r.msg)
 	} else {
-		a.lat.ok(r.kind, time.Duration(r.t1-r.t0))
+		a.lat.ok(r.kind, r.cpu)
 	}
 	if !traced {
 		return
 	}
 	a.gapMS.add(ms(r.res.Elapsed - r.res.CriticalPathTime))
-	keep := a.log.room(1 + len(r.res.Nodes))
-	req := uint32(r.k)
-	if keep {
-		a.log.add(req, spanGraphRun, spanNone, r.t0, r.t1)
+	if !a.log.room(1 + len(r.res.Nodes)) {
+		return
 	}
+	req := uint32(r.k)
+	a.log.add(req, spanGraphRun, spanNone, r.t0, r.t1)
 	for _, nr := range r.res.Nodes {
 		if nr.Start.IsZero() || nr.End.IsZero() {
 			continue // canceled before launch
 		}
-		a.nodeUS.add(us(nr.End.Sub(nr.Start)))
-		if keep {
-			a.log.add(req, spanGraphNode, spanGraphRun, clk.at(nr.Start), clk.at(nr.End))
-		}
+		a.log.add(req, spanGraphNode, spanGraphRun, clk.at(nr.Start), clk.at(nr.End))
 	}
 }

@@ -29,39 +29,52 @@
 //   - pool-closed: one caller per CPU calls serve.Pool.Submit and then
 //     Session.Wait, on a pool with one session slot per caller, for a
 //     seeded mix of a no-op body, an 8-child fan and the paper's
-//     Listing 1.
+//     Listing 1 (deadlockPercent of the sessions, see bodies.go).
 //   - front-closed: one loopback connection per CPU, each its own tenant,
 //     to a self-hosted front.Front; each connection sends a seeded mix of
-//     a no-op body and Listing 1, a tenth of the requests asking for
-//     their event log, and waits for every verdict before the next.
-//   - graph-dag: one runner per CPU runs graph.Graph after graph.Graph on
-//     a shared pool: seeded 32-node random DAGs with doomed and flaky
-//     nodes, and every fourth graph a PPG ladder.
+//     a no-op body and Listing 1 (deadlockPercent again), the same share
+//     of requests asking for their event log, and waits for every
+//     verdict before the next.
+//   - graph-dag: one runner runs graph.Graph after graph.Graph on a pool
+//     with a session slot per CPU: seeded 32-node random DAGs with doomed
+//     and flaky nodes, and every fourth graph a PPG ladder.
 //
 // # End-to-end metrics
 //
 // Measured with tracing off; an operation is a program run (table1), a
 // session (pool-closed), a request (front-closed) or a graph
-// (graph-dag).
+// (graph-dag). An operation's time is its wall-clock latency on
+// pool-closed (Submit to the return of Wait) and front-closed
+// (Client.Submit to the verdict's arrival), and the process's CPU time
+// over Runtime.Run (table1) or Graph.Run (graph-dag), which run one at a
+// time.
 //
-//   - setup_s: median of three set-ups, each building the inputs and
-//     reference outputs, the pool or the front and its clients, and then
-//     running a fixed warm-up.
+//   - setup_s: the CPU time of one set-up, median of five, each building
+//     the inputs and reference outputs, the pool or the front and its
+//     clients, and then running a fixed warm-up.
 //   - full_geomean_s: geometric mean, over the workload's operation kinds,
 //     of each kind's median operation time, all in Full mode. On table1
-//     this is the paper's verified time; core.overhead_x in the traced
-//     run divides it by the Unverified one.
+//     this is the paper's verified time, in CPU seconds.
 //   - heap_mb: Go heap objects averaged over the measured phase, sampled
 //     every 10 ms through runtime/metrics (table1: Full runs only).
-//   - throughput_per_s: the median over one-second windows of sessions
-//     completed (pool-closed), verdicts received (front-closed) or graph
-//     nodes reaching a terminal state (graph-dag); on table1 the median
-//     over rounds of program runs per second of run time.
-//   - latency_p50_ms, latency_p90_ms: Submit to the return of Wait;
-//     Client.Submit to the verdict's arrival; Graph.Run. A failed or
-//     refused operation counts as slower than any percentile. On table1
-//     the percentiles run over the nine programs' median Runtime.Run
-//     times.
+//   - throughput_per_cpu_s: sessions completed (pool-closed), verdicts
+//     received (front-closed) or graph nodes reaching a terminal state
+//     (graph-dag) per second of the process's CPU time over the measured
+//     phase; on table1 the median over rounds of program runs per CPU
+//     second of those runs.
+//   - op_time_p50_ms, op_time_p90_ms: percentiles of operation times. A
+//     failed or refused operation counts as slower than any percentile.
+//     On table1 they run over the nine programs' median times.
+//
+// CPU time leaves out the time a shared machine's host takes a virtual
+// CPU away (steal). On the 2-vCPU VM this benchmark was tuned on, steal
+// came in bursts of 20-35% lasting 30-60 s. During them the table1 runs'
+// wall-clock times grew by up to 70% and the graph-dag p90 latency by up
+// to 75%, while their CPU times moved by under 15%; front-closed
+// wall-clock throughput halved and its set-up wall time grew 2.5-fold.
+// The latency of the short pool and front operations moved by under 20%
+// at p90, so they keep the wall clock, and the traced run reports
+// wall-clock times for every layer.
 //
 // # Traced run
 //

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -13,11 +12,13 @@ import (
 )
 
 // poolKinds is the pool-closed mix: tiny bodies, so the per-session cost
-// of admission, runtime build and verdict dominates.
+// of admission, runtime build and verdict dominates. Listing 1 takes
+// deadlockPercent of the sessions; the two clean bodies split the rest
+// evenly.
 var poolKinds = []sessionKind{
-	{"noop", noopBody, serve.VerdictClean, 45},
-	{"fan8", fanBody, serve.VerdictClean, 45},
-	{"listing1", listing1Body, serve.VerdictDeadlock, 10},
+	{"noop", noopBody, serve.VerdictClean, 100 - deadlockPercent},
+	{"fan8", fanBody, serve.VerdictClean, 100 - deadlockPercent},
+	{"listing1", listing1Body, serve.VerdictDeadlock, 2 * deadlockPercent},
 }
 
 // poolWarmup is the number of sessions each caller runs during set-up,
@@ -29,7 +30,6 @@ const poolWarmup = 500
 type poolCaller struct {
 	id       int
 	kinds    *deck
-	win      *windows
 	lat      *latencies
 	log      *spanLog
 	next     uint32
@@ -37,9 +37,7 @@ type poolCaller struct {
 	wrong    int64
 	refused  int64
 	alarms   int64 // listing1 sessions submitted
-	msgs     []string
-	// traced-run stage samples, microseconds
-	admit, queue, start, body, verdict []float64
+	msgs     notes
 }
 
 // stamps is one traced session's body interval, written by the wrapped
@@ -65,7 +63,7 @@ func runPoolClosed(cfg config) (*report, error) {
 		for i := range callers {
 			callers[i] = newPoolCaller(i, cfg.seed*7919+int64(i)+1<<40, kinds, n)
 		}
-		runCallers(callers, func(c *poolCaller) {
+		runAll(callers, func(c *poolCaller) {
 			for j := 0; j < poolWarmup; j++ {
 				c.one(p, kinds, clk, false)
 			}
@@ -90,17 +88,14 @@ func runPoolClosed(cfg config) (*report, error) {
 	heap := newHeapSampler(1)
 	before := snapPool(pool)
 	heap.set(0)
-	start := time.Now()
-	begin := clk.now()
-	end := begin + int64(cfg.dur)
-	runCallers(callers, func(c *poolCaller) {
-		c.win = newWindows(cfg.dur)
-		for now := begin; now < end; now = clk.now() {
+	cpu0 := cpuSeconds()
+	end := clk.now() + int64(cfg.dur)
+	runAll(callers, func(c *poolCaller) {
+		for clk.now() < end {
 			c.one(pool, kinds, clk, cfg.trace)
-			c.win.add(clk.now() - begin)
 		}
 	})
-	elapsed := time.Since(start)
+	cpuS := cpuSeconds() - cpu0
 	heap.set(-1)
 	after := snapPool(pool)
 	heapMB := heap.close()
@@ -110,12 +105,10 @@ func runPoolClosed(cfg config) (*report, error) {
 	}
 
 	lat := newLatencies(len(kinds), 0)
-	win := newWindows(cfg.dur)
 	var sessions, refused, alarms int64
 	logs := make([]*spanLog, n)
 	for i, c := range callers {
 		lat.merge(c.lat)
-		win.merge(c.win)
 		sessions += c.sessions
 		refused += c.refused
 		alarms += c.alarms
@@ -131,20 +124,25 @@ func runPoolClosed(cfg config) (*report, error) {
 		rep.problem("core.alarms %d, want %d (one per Listing-1 session)", got, alarms)
 	}
 	rep.setE2E("heap_mb", heapMB[0])
-	rep.setE2E("throughput_per_s", win.rate(float64(sessions), elapsed))
+	rep.setE2E("throughput_per_cpu_s", float64(sessions)/cpuS)
 	lat.setE2E(rep)
 	if !cfg.trace {
 		return rep, nil
 	}
 
+	// Session.Wait's self time, less the queue wait, is two gaps: from
+	// the end of the queue wait to the body's start (runtime build and
+	// dispatch) and from the body's end to Wait's return (unwind,
+	// classification, slot release).
 	var admit, queue, st, body, verdict []float64
-	for _, c := range callers {
-		admit = append(admit, c.admit...)
-		queue = append(queue, c.queue...)
-		st = append(st, c.start...)
-		body = append(body, c.body...)
-		verdict = append(verdict, c.verdict...)
-	}
+	eachRequest(logs, func(r request) {
+		sub, wait, q, b := r.get(spanPoolSubmit), r.get(spanSessionWait), r.get(spanQueue), r.get(spanBody)
+		admit = append(admit, us(sub.dur()))
+		queue = append(queue, us(q.dur()))
+		st = append(st, us(time.Duration(b.start-q.end)))
+		body = append(body, us(b.dur()))
+		verdict = append(verdict, us(time.Duration(wait.end-b.end)))
+	})
 	for name, xs := range map[string][]float64{
 		"serve.admit_us": admit, "serve.queue_us": queue, "serve.start_us": st,
 		"serve.body_us": body, "serve.verdict_us": verdict,
@@ -174,22 +172,8 @@ func newPoolCaller(id int, seed int64, kinds []sessionKind, callers int) *poolCa
 	}
 }
 
-// runCallers runs f once per caller, each on its own goroutine, and
-// waits for all of them.
-func runCallers(callers []*poolCaller, f func(*poolCaller)) {
-	var wg sync.WaitGroup
-	for _, c := range callers {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			f(c)
-		}()
-	}
-	wg.Wait()
-}
-
 // one submits one session of a seeded kind, waits for its verdict, and
-// checks it. With traced set it records the session's spans and stages.
+// checks it. With traced set it records the session's spans.
 func (c *poolCaller) one(p *serve.Pool, kinds []sessionKind, clk clock, traced bool) {
 	k := c.kinds.draw()
 	kind := kinds[k]
@@ -210,7 +194,7 @@ func (c *poolCaller) one(p *serve.Pool, kinds []sessionKind, clk clock, traced b
 	if err != nil {
 		c.refused++
 		c.lat.fail()
-		c.note("%s: refused: %v", kind.name, err)
+		c.msgs.add("%s: refused: %v", kind.name, err)
 		return
 	}
 	s.Wait()
@@ -222,11 +206,11 @@ func (c *poolCaller) one(p *serve.Pool, kinds []sessionKind, clk clock, traced b
 	if v := s.Verdict(); v != kind.want {
 		c.wrong++
 		c.lat.fail()
-		c.note("%s: verdict %s, want %s (err: %v)", kind.name, v, kind.want, s.Err())
+		c.msgs.add("%s: verdict %s, want %s (err: %v)", kind.name, v, kind.want, s.Err())
 		return
 	}
 	c.lat.ok(k, time.Duration(t2-t0))
-	if !traced || !c.log.room(4) {
+	if !traced || !c.log.room(5) {
 		return
 	}
 	c.next++
@@ -234,18 +218,6 @@ func (c *poolCaller) one(p *serve.Pool, kinds []sessionKind, clk clock, traced b
 	c.log.add(req, spanRequest, spanNone, t0, t2)
 	c.log.add(req, spanPoolSubmit, spanRequest, t0, t1)
 	c.log.add(req, spanSessionWait, spanRequest, t1, t2)
+	c.log.add(req, spanQueue, spanSessionWait, t1, t1+int64(s.QueueLatency()))
 	c.log.add(req, spanBody, spanSessionWait, st.start, st.end)
-	q := s.QueueLatency()
-	c.admit = append(c.admit, us(time.Duration(t1-t0)))
-	c.queue = append(c.queue, us(q))
-	c.start = append(c.start, us(time.Duration(st.start-t1)-q))
-	c.body = append(c.body, us(time.Duration(st.end-st.start)))
-	c.verdict = append(c.verdict, us(time.Duration(t2-st.end)))
-}
-
-// note keeps the first few check failures for the report.
-func (c *poolCaller) note(format string, args ...any) {
-	if len(c.msgs) < 5 {
-		c.msgs = append(c.msgs, fmt.Sprintf(format, args...))
-	}
 }

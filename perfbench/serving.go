@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"time"
 
+	"repro/internal/harness"
 	"repro/internal/sched"
 	"repro/internal/serve"
 )
@@ -31,7 +32,7 @@ func (r *report) setSched(a, b poolSnap) {
 	r.setLayer("sched.workers_spawned", float64(b.sched.Spawned+b.sched.Thieves-a.sched.Spawned-a.sched.Thieves))
 }
 
-// latencies collects one kind-tagged latency sample per operation.
+// latencies collects one kind-tagged operation time per operation.
 type latencies struct {
 	all    *sample   // ms, +Inf for a failed or refused operation
 	byKind []*sample // seconds, successful operations only
@@ -59,8 +60,8 @@ func (l *latencies) merge(o *latencies) {
 	}
 }
 
-// setE2E reports the latency metrics and full_geomean_s, the geometric
-// mean over kinds of each kind's median latency.
+// setE2E reports the operation-time percentiles and full_geomean_s, the
+// geometric mean over kinds of each kind's median operation time.
 func (l *latencies) setE2E(r *report) {
 	var meds []float64
 	var n int64
@@ -71,12 +72,12 @@ func (l *latencies) setE2E(r *report) {
 			r.note("kind %d: median %.4g ms, p90 %.4g ms over %d", k, meds[len(meds)-1]*1e3, quantile(s.xs, 0.9)*1e3, s.n)
 		}
 	}
-	r.setE2E("full_geomean_s", geomean(meds))
-	r.setE2E("latency_p50_ms", quantile(l.all.xs, 0.5))
-	r.setE2E("latency_p90_ms", quantile(l.all.xs, 0.90))
+	r.setE2E("full_geomean_s", harness.Geomean(meds))
+	r.setE2E("op_time_p50_ms", quantile(l.all.xs, 0.5))
+	r.setE2E("op_time_p90_ms", quantile(l.all.xs, 0.90))
 	r.samples["full_geomean_s"] = n
-	r.samples["latency_p50_ms"] = l.all.n
-	r.samples["latency_p90_ms"] = l.all.n
+	r.samples["op_time_p50_ms"] = l.all.n
+	r.samples["op_time_p90_ms"] = l.all.n
 }
 
 // workers is the number of concurrent submitters or connections a

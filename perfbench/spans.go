@@ -17,6 +17,7 @@ const (
 	spanRuntimeRun         // core.Runtime.Run
 	spanPoolSubmit         // serve.Pool.Submit
 	spanSessionWait        // serve.Session.Wait
+	spanQueue              // serve.Session.QueueLatency, from Submit's return
 	spanBody               // the benchmark's wrapped session body
 	spanClientSubmit       // front.Client.Submit
 	spanRemoteDone         // receive from front.RemoteSession.Done
@@ -30,6 +31,7 @@ var layerNames = [...]string{
 	spanRuntimeRun:   "core.Runtime.Run",
 	spanPoolSubmit:   "serve.Pool.Submit",
 	spanSessionWait:  "serve.Session.Wait",
+	spanQueue:        "serve.queue",
 	spanBody:         "body",
 	spanClientSubmit: "front.Client.Submit",
 	spanRemoteDone:   "front.RemoteSession.Done",
@@ -47,6 +49,8 @@ type span struct {
 	layer      layer
 	parent     layer
 }
+
+func (s span) dur() time.Duration { return time.Duration(s.end - s.start) }
 
 // clock is the monotonic time base every span of a run is stamped on.
 type clock struct{ base time.Time }
@@ -73,6 +77,36 @@ func (l *spanLog) room(n int) bool { return len(l.spans)+n <= l.limit }
 
 func (l *spanLog) add(req uint32, ly, parent layer, start, end int64) {
 	l.spans = append(l.spans, span{start: start, end: end, req: req, layer: ly, parent: parent})
+}
+
+// eachRequest calls f with the spans of each request, in the order the
+// logs hold them. A goroutine records a request's spans one after
+// another, so they sit together in its log.
+func eachRequest(logs []*spanLog, f func(request)) {
+	for _, l := range logs {
+		for i := 0; i < len(l.spans); {
+			j := i + 1
+			for j < len(l.spans) && l.spans[j].req == l.spans[i].req {
+				j++
+			}
+			f(l.spans[i:j])
+			i = j
+		}
+	}
+}
+
+// request is the spans of one request.
+type request []span
+
+// get returns the request's span of layer ly; a request records each
+// layer once.
+func (r request) get(ly layer) span {
+	for _, s := range r {
+		if s.layer == ly {
+			return s
+		}
+	}
+	panic(fmt.Sprintf("perfbench: request %d has no %s span", r[0].req, layerNames[ly]))
 }
 
 // selfTime is a span's duration minus the part of it its children cover.

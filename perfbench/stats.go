@@ -1,12 +1,15 @@
 package main
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
 	"runtime/metrics"
 	"sort"
+	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 )
 
@@ -61,49 +64,28 @@ func (s *sample) merge(o *sample) {
 	s.n += o.n
 }
 
-// windows counts completions in each one-second window of a measured
-// phase. Its rate is the median full window, so a stall that empties a
-// window or two (a descheduled virtual CPU, a GC pause) moves it far less
-// than it moves the phase's mean.
-type windows struct{ counts []float64 }
-
-func newWindows(phase time.Duration) *windows {
-	return &windows{counts: make([]float64, int(phase/time.Second)+1)}
-}
-
-// add counts one completion at ns nanoseconds into the phase.
-func (w *windows) add(ns int64) {
-	if i := int(ns / 1e9); i < len(w.counts) {
-		w.counts[i]++
-	}
-}
-
-func (w *windows) merge(o *windows) {
-	for i := range w.counts {
-		w.counts[i] += o.counts[i]
-	}
-}
-
-// rate is completions per second: the median over the full windows, or
-// the mean over the phase when it is shorter than one window.
-func (w *windows) rate(total float64, elapsed time.Duration) float64 {
-	full := w.counts[:len(w.counts)-1]
-	if len(full) == 0 {
-		return total / elapsed.Seconds()
-	}
-	return median(append([]float64(nil), full...))
-}
-
-// geomean is the geometric mean of positive values.
-func geomean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
+// runAll runs f once per element of xs, each on its own goroutine, and
+// waits for all of them.
+func runAll[T any](xs []T, f func(T)) {
+	var wg sync.WaitGroup
 	for _, x := range xs {
-		s += math.Log(x)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			f(x)
+		}()
 	}
-	return math.Exp(s / float64(len(xs)))
+	wg.Wait()
+}
+
+// notes keeps the first few check failures one goroutine saw, for the
+// report.
+type notes []string
+
+func (n *notes) add(format string, args ...any) {
+	if len(*n) < 5 {
+		*n = append(*n, fmt.Sprintf(format, args...))
+	}
 }
 
 func ms(d time.Duration) float64 { return float64(d) / 1e6 }
@@ -209,24 +191,41 @@ func settleGoroutines(base int) int {
 	}
 }
 
-// timeSetup runs setup three times, tearing down all but the last, and
-// returns the last instance with the median set-up time in seconds.
+// setupReps is how many times a run sets its workload up; setup_s is the
+// median.
+const setupReps = 5
+
+// timeSetup runs setup setupReps times, tearing down all but the last,
+// and returns the last instance with the median CPU time of a set-up, in
+// seconds.
 func timeSetup[T any](setup func() (T, error), teardown func(T)) (T, float64, error) {
 	var (
 		inst  T
 		times []float64
 	)
-	for i := 0; i < 3; i++ {
+	for i := 0; i < setupReps; i++ {
 		if i > 0 {
 			teardown(inst)
 		}
-		start := time.Now()
+		start := cpuSeconds()
 		v, err := setup()
 		if err != nil {
 			return inst, 0, err
 		}
-		times = append(times, time.Since(start).Seconds())
+		times = append(times, cpuSeconds()-start)
 		inst = v
 	}
 	return inst, median(times), nil
+}
+
+// cpuSeconds is the CPU time, user plus system, that the process's
+// threads have run. The kernel leaves out time a virtual CPU spent
+// descheduled by its host (steal), which on a shared machine stretches
+// every wall-clock figure by whatever the neighbours are doing.
+func cpuSeconds() float64 {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		panic(fmt.Sprintf("perfbench: getrusage: %v", err)) // cannot fail for RUSAGE_SELF
+	}
+	return float64(ru.Utime.Nano()+ru.Stime.Nano()) / 1e9
 }
