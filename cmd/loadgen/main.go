@@ -597,8 +597,8 @@ func main() {
 	pool.Close()
 	elapsed := time.Since(start)
 
-	// Drain check: after Close every pool goroutine (session supervisors,
-	// workers, cleaner) must be gone. Allow the runtime a moment to reap.
+	// Drain check: after Close every pool goroutine (scheduler workers,
+	// cleaner) must be gone. Allow the runtime a moment to reap.
 	leaked := -1
 	for wait := time.Now().Add(5 * time.Second); time.Now().Before(wait); time.Sleep(10 * time.Millisecond) {
 		if g := runtime.NumGoroutine(); g <= goroutinesBefore {

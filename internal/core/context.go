@@ -86,10 +86,10 @@ func (r *Runtime) RunContext(ctx context.Context, main TaskFunc) error {
 		// Cancelled before the root task ever started: nothing ran.
 		return &CanceledError{Cause: context.Cause(ctx)}
 	}
-	// The store is sequenced before the root task's goroutine starts
-	// (inside Run), which is the happens-before edge making the scope
-	// visible to every task in the tree without per-wait synchronization
-	// beyond the pointer load.
+	// The store is sequenced before the root task's body runs (inside Run,
+	// on this goroutine) and so before every spawn, which is the
+	// happens-before edge making the scope visible to every task in the
+	// tree without per-wait synchronization beyond the pointer load.
 	r.runWaitsCanceled.Store(false)
 	r.run.Store(&runScope{ctx: ctx, done: done})
 	err := r.Run(main)

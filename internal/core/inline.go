@@ -149,22 +149,12 @@ func (t *Task) asyncInline(name string, f TaskFunc, moved []Movable) (*Task, err
 }
 
 // startTaskInline is startTask's inline twin: identical accounting
-// (wait-group, task counter, idle watch, EvTaskStart), then the body runs
-// on the host's goroutine instead of being handed to the executor. On
-// migration the task moves to the normal executor path with its
-// bookkeeping already done — runTask pairs the wg.Add performed here.
+// (beginTask), then the body runs on the host's goroutine instead of being
+// handed to the executor. On migration the task moves to the normal
+// executor path with its bookkeeping already done — runTask pairs the
+// wg.Add beginTask performed.
 func (r *Runtime) startTaskInline(host, t *Task, f TaskFunc) {
-	r.wg.Add(1)
-	r.tasks.Add(1)
-	if m := cmet(); m != nil {
-		m.spawnsInline.Inc()
-	}
-	if r.idle != nil {
-		r.idle.taskStarted()
-	}
-	if r.events != nil {
-		r.logEventArg(EvTaskStart, t, nil, host.id, "inline")
-	}
+	r.beginTask(t, true)
 	t.inline = inlineSpeculative
 	t.inlineHost = host
 	t.inlineDepth = host.inlineDepth + 1
@@ -176,11 +166,7 @@ func (r *Runtime) startTaskInline(host, t *Task, f TaskFunc) {
 		if m := cmet(); m != nil {
 			m.inlineMigrated.Inc()
 		}
-		if r.exec == nil {
-			r.startGoroutine(t, f)
-			return
-		}
-		r.exec(func() { r.runTask(t, f) })
+		r.dispatch(t, f)
 		return
 	}
 	r.completeTask(t, err)

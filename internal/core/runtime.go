@@ -331,7 +331,11 @@ func (r *Runtime) Stats() Stats {
 // failed tasks, or nil if the program completed cleanly.
 //
 // Run corresponds to the paper's Init procedure followed by program
-// completion. Note that under Unverified and Ownership modes a deadlocked
+// completion. As in Init, the root task runs on the thread that starts
+// the program: main executes on the goroutine that called Run, with the
+// same accounting as any spawned task (task count, metrics, idle watch,
+// EvTaskStart), and never passes through the executor — only the tasks it
+// spawns do. Note that under Unverified and Ownership modes a deadlocked
 // program never terminates and Run never returns; use RunDetached with a
 // deadline context to demonstrate that behaviour safely, or RunContext
 // for cooperative caller-side cancellation (see context.go).
@@ -346,7 +350,8 @@ func (r *Runtime) Run(main TaskFunc) error {
 	r.spawnClosed = false // re-arm the goroutine freelist for this run
 	r.spawnMu.Unlock()
 	root := r.newTask("main", nil)
-	r.startTask(root, main)
+	r.beginTask(root, false)
+	r.runTask(root, main)
 	r.wg.Wait()
 	// The tree is unwound: release every parked spawn goroutine, so a
 	// finished runtime provably holds none.

@@ -164,6 +164,11 @@ func TestWithExecutor(t *testing.T) {
 		go f()
 	}))
 	err := run(t, rt, func(tk *Task) error {
+		// The root body runs on Run's own goroutine (the paper's Init),
+		// so it starts before the executor has seen a single job.
+		if n := dispatched.Load(); n != 0 {
+			return fmt.Errorf("root body started after %d executor dispatches, want 0", n)
+		}
 		for i := 0; i < 4; i++ {
 			if _, e := tk.Async(func(c *Task) error { return nil }); e != nil {
 				return e
@@ -174,8 +179,12 @@ func TestWithExecutor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dispatched.Load() != 5 {
-		t.Fatalf("executor dispatched %d tasks, want 5", dispatched.Load())
+	// Only the four children pass through the executor.
+	if dispatched.Load() != 4 {
+		t.Fatalf("executor dispatched %d tasks, want 4", dispatched.Load())
+	}
+	if n := rt.Stats().Tasks; n != 5 {
+		t.Fatalf("runtime counted %d tasks, want 5 (root included)", n)
 	}
 }
 

@@ -389,16 +389,30 @@ func (r *Runtime) releaseTask(t *Task) {
 	r.taskPool.Put(t)
 }
 
-// startTask hands the task body to the executor. With the default executor
-// (r.exec == nil) the pair lands on a recycled goroutine from the
-// runtime's spawn freelist (see spawner.go) — no closure, and in steady
-// state no goroutine creation either. A custom executor receives the
-// classic func() wrapper, since its interface demands one.
+// startTask opens the task's accounting and hands its body to the
+// executor. With the default executor (r.exec == nil) the pair lands on a
+// recycled goroutine from the runtime's spawn freelist (see spawner.go) —
+// no closure, and in steady state no goroutine creation either. A custom
+// executor receives the classic func() wrapper, since its interface
+// demands one.
 func (r *Runtime) startTask(t *Task, f TaskFunc) {
+	r.beginTask(t, false)
+	r.dispatch(t, f)
+}
+
+// beginTask opens a task's accounting — wait-group, task counter, spawn
+// metric, idle watch, EvTaskStart — which completeTask later pairs. Every
+// start path calls it: startTask, startTaskInline, and Run for the root,
+// whose body then runs on Run's own goroutine.
+func (r *Runtime) beginTask(t *Task, inline bool) {
 	r.wg.Add(1)
 	r.tasks.Add(1)
 	if m := cmet(); m != nil {
-		m.spawnsScheduled.Inc()
+		if inline {
+			m.spawnsInline.Inc()
+		} else {
+			m.spawnsScheduled.Inc()
+		}
 	}
 	if r.idle != nil {
 		r.idle.taskStarted()
@@ -408,8 +422,16 @@ func (r *Runtime) startTask(t *Task, f TaskFunc) {
 		if t.parent != nil {
 			parent = t.parent.id
 		}
-		r.logEventArg(EvTaskStart, t, nil, parent, "")
+		detail := ""
+		if inline {
+			detail = "inline"
+		}
+		r.logEventArg(EvTaskStart, t, nil, parent, detail)
 	}
+}
+
+// dispatch places an already-begun task's body on the executor.
+func (r *Runtime) dispatch(t *Task, f TaskFunc) {
 	if r.exec == nil {
 		r.startGoroutine(t, f)
 		return

@@ -106,9 +106,13 @@ func TestWriteDeadlineNeverReadingListener(t *testing.T) {
 		if tc, ok := nc.(*net.TCPConn); ok {
 			tc.SetReadBuffer(1 << 10)
 		}
-		// Never read again; keep the conn open so writes stall rather
-		// than fail with a reset.
-		select {}
+		// Never read again, but keep the conn open so writes stall
+		// rather than fail with a reset. The close after the test ends
+		// also keeps nc reachable until then: a conn nothing references
+		// is finalized by the GC, which closes the socket under the
+		// client.
+		<-t.Context().Done()
+		nc.Close()
 	})
 	c, err := DialOpts(addr, "k", DialOptions{WriteTimeout: 200 * time.Millisecond})
 	if err != nil {
@@ -141,6 +145,12 @@ func TestWriteDeadlineNeverReadingListener(t *testing.T) {
 		}
 		if err == nil {
 			t.Fatal("submit succeeded against a never-reading server")
+		}
+		if !errors.Is(err, context.DeadlineExceeded) {
+			// Only the admission wait's own deadline may repeat the loop;
+			// anything else (a reset, a lost conn) would spin here until
+			// the outer deadline without ever reaching the write timeout.
+			t.Fatalf("submit = %v, want the admission deadline or ErrWriteTimeout", err)
 		}
 	}
 	t.Fatal("write deadline never fired against a never-reading server")

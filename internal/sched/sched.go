@@ -761,6 +761,18 @@ func (t *Tenant) Execute(f func()) {
 	})
 }
 
+// Run runs f on the calling goroutine, accounted as one job of this
+// tenant: submitted, and in flight until f returns, exactly as if it had
+// come through Execute. It is for work that already holds a pool worker
+// — a serving session's root task runs on the session's own job — so the
+// tenant still counts one job per task.
+func (t *Tenant) Run(f func()) {
+	t.submitted.Add(1)
+	t.inflight.Add(1)
+	defer t.inflight.Add(-1)
+	f()
+}
+
 // ExecuteBatch submits every job in fs through the pool's vectorized
 // path (Elastic.ExecuteBatch), attributed to this tenant. Pairs with
 // core.WithBatchExecutor.

@@ -3,6 +3,9 @@ package serve
 import (
 	"context"
 	"errors"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -130,5 +133,101 @@ func TestQueuedCancelReleasesCapacityAndNeverRuns(t *testing.T) {
 	case <-ran:
 		t.Fatal("canceled queued session ran its body late")
 	default:
+	}
+}
+
+// A queued session is only an entry in its tenant's queue: it holds no
+// goroutine until a slot is granted (its ctx is watched by
+// context.AfterFunc, which parks no goroutine for a cancelable ctx).
+// 256 sessions queued behind one held slot must therefore cost far
+// fewer than 256 goroutines.
+func TestQueuedSessionsHoldNoGoroutines(t *testing.T) {
+	const queued = 256
+	pool := NewPool(Config{MaxSessions: 1, QueueDepth: queued})
+	defer pool.Close()
+	gate := make(chan struct{})
+	release := sync.OnceFunc(func() { close(gate) })
+	defer release() // before Close, even when the test fails early
+	hold, err := pool.Submit(t.Context(), "hold", func(_ *core.Task) error { <-gate; return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitInFlight(t, pool, 1)
+
+	before := runtime.NumGoroutine()
+	sessions := make([]*Session, queued)
+	for i := range sessions {
+		if sessions[i], err = pool.Submit(t.Context(), "", cleanProg); err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+	}
+	if ps := pool.Stats(); ps.Waiting != queued {
+		t.Fatalf("waiting %d, want %d", ps.Waiting, queued)
+	}
+	if grew := runtime.NumGoroutine() - before; grew >= queued/8 {
+		t.Fatalf("%d queued sessions added %d goroutines, want far fewer than %d", queued, grew, queued)
+	}
+
+	release()
+	if err := hold.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	for i, s := range sessions {
+		if err := s.Wait(); err != nil {
+			t.Fatalf("queued session %d: %v", i, err)
+		}
+	}
+}
+
+// dyingCtx is alive for its first Err check — Submit's dead-on-arrival
+// test — and canceled from then on: a session whose ctx ends after it is
+// admitted but before its root task starts.
+type dyingCtx struct {
+	context.Context
+	done   chan struct{}
+	once   sync.Once
+	checks atomic.Int32
+}
+
+func (c *dyingCtx) Done() <-chan struct{} { return c.done }
+
+func (c *dyingCtx) Err() error {
+	if c.checks.Add(1) == 1 {
+		return nil
+	}
+	c.once.Do(func() { close(c.done) })
+	return context.Canceled
+}
+
+// The root task runs on the session's own job and is accounted on the
+// session's tenant only when it runs: a session whose ctx ends before its
+// root starts builds a runtime that runs nothing, and its tenant must
+// read zero submitted, zero in flight — not one job for a root that
+// never ran.
+func TestCanceledBeforeRootExactAccounting(t *testing.T) {
+	pool := NewPool(Config{MaxSessions: 1})
+	defer pool.Close()
+	ran := false
+	s, err := pool.Submit(&dyingCtx{Context: context.Background(), done: make(chan struct{})}, "dying",
+		func(_ *core.Task) error { ran = true; return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Wait(); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err %v, want context.Canceled", err)
+	}
+	if ran {
+		t.Fatal("root body ran under a dead ctx")
+	}
+	if s.Verdict() != VerdictCanceled {
+		t.Fatalf("verdict %s, want canceled", s.Verdict())
+	}
+	if s.Runtime() == nil {
+		t.Fatal("admitted session built no runtime")
+	}
+	st, _ := s.Stats()
+	submitted, inflight := s.SchedStats()
+	if submitted != st.Tasks || st.Tasks != 0 || inflight != 0 {
+		t.Fatalf("tenant submitted %d (in flight %d), runtime ran %d: want 0, 0, 0", submitted, inflight, st.Tasks)
 	}
 }

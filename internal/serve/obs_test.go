@@ -15,7 +15,7 @@ import (
 
 // TestSessionStatsNonBlockingRace covers the Stats footgun fix: Stats on
 // an unfinished session must return (zero, false) immediately instead of
-// blocking, and concurrent Stats calls racing the supervisor's final
+// blocking, and concurrent Stats calls racing the session job's final
 // stats write must be race-free (the done-channel receive orders the
 // read). Run under -race by the tier-1 suite.
 func TestSessionStatsNonBlockingRace(t *testing.T) {

@@ -4,41 +4,43 @@
 // per-session verdicts behind.
 //
 // The paper's runtime verifies one program; a server verifies thousands at
-// once. Giving every session its own sched.Elastic would multiply worker
-// and cleaner goroutines by the session count and defeat worker reuse
-// across sessions, so the Pool owns a single Elastic and injects a
-// per-session accounting view of it (sched.Tenant) into each session's
-// core.Runtime via the executor seam (core.WithExecutor). Isolation is
-// preserved because everything the detector and the ownership policy
-// touch — task registries, promise owners, error lists, event collectors —
-// lives in the per-session Runtime; the scheduler only donates goroutines,
-// and the paper's §6.3 unbounded-growth requirement holds globally, so one
-// session's blocked tasks can never starve another's.
+// once. The Pool owns a single sched.Elastic, and every admitted session
+// is one job on it: the job builds the session's core.Runtime and calls
+// RunContext, so the root task runs on that worker (as the paper's Init
+// runs the root on the thread that starts the program), while the tasks
+// it spawns reach the same Elastic through the executor seam
+// (core.WithExecutor), counted by the session's sched.Tenant. No goroutine
+// is started per session. Isolation is preserved because everything the
+// detector and the ownership policy touch — task registries, promise
+// owners, error lists, event collectors — lives in the per-session
+// Runtime; the scheduler only donates goroutines. A session job blocked in
+// a Get or in RunContext's final wait is one more blocked job, for which
+// the Elastic grows a worker, so the paper's §6.3 unbounded-growth
+// requirement holds globally and one session's blocked tasks can never
+// starve another's.
 //
 // Admission is two-stage and QoS-aware: at most MaxSessions sessions run
 // concurrently; behind them, waiting sessions queue PER FAIRNESS TENANT
 // (at most QueueDepth each), and freed slots are granted across the
 // tenant queues in weighted deficit round-robin order (sched.FairQueue),
-// so a backlogged heavy tenant cannot starve a light one — each tenant's
-// admission rate tracks its configured weight while it stays backlogged.
-// Anything beyond a tenant's queue bound is rejected synchronously with
-// ErrPoolSaturated — the caller, not the pool, owns retry policy. With
-// deadline-aware admission enabled, a Submit whose ctx deadline cannot
-// be met from the pool's own observed latency windows is rejected with
-// ErrDeadlineInfeasible instead of being queued to fail: shedding at the
-// door is cheaper than a cancellation mid-queue, and the signal
-// (Pool.Observe) is the same windowed p99 the operator dashboards.
+// so a backlogged heavy tenant cannot starve a light one. A queued
+// session is only a queue entry and holds no goroutine. Anything beyond a
+// tenant's queue bound is rejected synchronously with ErrPoolSaturated —
+// the caller, not the pool, owns retry policy. With deadline-aware
+// admission enabled, a Submit whose ctx deadline cannot be met from the
+// pool's own observed latency windows (Pool.Observe) is rejected with
+// ErrDeadlineInfeasible instead of being queued to fail.
 //
-// Every Submit carries a context covering the whole session: the
-// admission wait (a queued session whose ctx ends aborts without
-// running) and the execution (a running session is cancelled through the
-// runtime's structured-cancellation scope); either way it completes with
-// VerdictCanceled. Shutdown is ordered: Close stops admission, promptly
-// fails still-queued sessions with ErrPoolClosed, drains running
-// sessions, then closes the shared scheduler, which itself blocks until
-// every worker and the cleaner goroutine have exited. After Close
-// returns the pool has provably released every goroutine it created (the
-// race tests assert this against runtime.NumGoroutine).
+// Every Submit carries a context covering the whole session: a queued
+// session whose ctx ends leaves the queue without running (the ctx is
+// watched with context.AfterFunc), and a running session is cancelled
+// through the runtime's structured-cancellation scope; either way it
+// completes with VerdictCanceled. Close stops admission, fails every
+// still-queued session with ErrPoolClosed, waits for the running session
+// jobs, then closes the shared scheduler, which blocks until every worker
+// and the cleaner goroutine have exited. After Close returns the pool has
+// provably released every goroutine it created (the race tests assert
+// this against runtime.NumGoroutine).
 package serve
 
 import (
@@ -105,42 +107,16 @@ type Config struct {
 	Chaos *chaos.Injector
 }
 
-// pendState is a queued session's admission outcome, guarded by Pool.mu.
-type pendState uint8
-
-const (
-	pendQueued   pendState = iota // waiting in its tenant's FIFO
-	pendAdmitted                  // granted a slot by the WDRR dispatch
-	pendAborted                   // ctx ended or pool closed while queued
-)
-
-// pending is one session waiting for admission: an entry in its tenant's
-// fair queue plus the channel the dispatcher closes to grant it a slot.
-// Aborted entries stay in the queue (removal from a FIFO's middle is
-// O(n)) and are skipped by the dispatcher; the live count lives in
-// Pool.queued / Pool.tenantQueued.
-type pending struct {
-	s      *Session
-	tenant string
-	state  pendState
-	admit  chan struct{}
-}
-
 // Pool runs sessions. Create with New (options) or NewPool (resolved
 // Config), submit with Submit, shut down with Close.
 type Pool struct {
 	cfg  Config
 	exec *sched.Elastic
 
-	// closeCh is closed by the first Close, BEFORE the drain: queued
-	// sessions blocked waiting for a slot select on it and abort promptly
-	// with ErrPoolClosed instead of riding out the whole drain.
-	closeCh chan struct{}
-
 	mu           sync.Mutex
 	closed       bool
 	running      int                        // sessions holding a slot
-	fq           *sched.FairQueue[*pending] // per-tenant FIFOs, WDRR dispatch
+	fq           *sched.FairQueue[*Session] // per-tenant FIFOs, WDRR dispatch
 	queued       int                        // live queued sessions, all tenants
 	tenantQueued map[string]int             // live queued per tenant (saturation bound)
 	drain        sync.WaitGroup
@@ -184,8 +160,7 @@ func NewPool(cfg Config) *Pool {
 	p := &Pool{
 		cfg:          cfg,
 		exec:         sched.NewElastic(cfg.IdleTimeout),
-		closeCh:      make(chan struct{}),
-		fq:           sched.NewFairQueue[*pending](),
+		fq:           sched.NewFairQueue[*Session](),
 		tenantQueued: make(map[string]int),
 	}
 	for tenant, w := range cfg.TenantWeights {
@@ -217,11 +192,11 @@ func NewPool(cfg Config) *Pool {
 // WithTenant picks the fairness tenant (queueing, WDRR weight, metrics
 // label), and WithDeadlineAdmission overrides the pool's admission-check
 // default for this session. Submit never blocks on session execution: if
-// a slot is free and no one is waiting, the session starts right away;
-// if its tenant's queue has room it waits for a WDRR admission grant in
-// the background; otherwise Submit fails fast — ErrPoolSaturated on a
-// full tenant queue, ErrDeadlineInfeasible when admission control
-// computes the ctx deadline cannot be met.
+// a slot is free and no one is waiting, the session's job goes to the
+// scheduler right away; if its tenant's queue has room it waits there
+// for a WDRR admission grant; otherwise Submit fails fast —
+// ErrPoolSaturated on a full tenant queue, ErrDeadlineInfeasible when
+// admission control computes the ctx deadline cannot be met.
 func (p *Pool) Submit(ctx context.Context, name string, main core.TaskFunc, opts ...Option) (*Session, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -261,6 +236,7 @@ func (p *Pool) Submit(ctx context.Context, name string, main core.TaskFunc, opts
 		tenant:   tenant,
 		tlabel:   boundTenantLabel(tenant),
 		ctx:      ctx,
+		main:     main,
 		tenantAc: st,
 		queuedAt: time.Now(),
 		done:     make(chan struct{}),
@@ -269,7 +245,6 @@ func (p *Pool) Submit(ctx context.Context, name string, main core.TaskFunc, opts
 			core.WithBatchExecutor(st.ExecuteBatch)),
 	}
 
-	var pend *pending
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
@@ -281,26 +256,35 @@ func (p *Pool) Submit(ctx context.Context, name string, main core.TaskFunc, opts
 		p.reject(rejectSaturated)
 		return nil, fmt.Errorf("%w: injected: %w", ErrPoolSaturated, chaos.ErrInjected)
 	}
-	if p.running < p.cfg.MaxSessions && p.queued == 0 {
+	runNow := p.running < p.cfg.MaxSessions && p.queued == 0
+	switch {
+	case runNow:
 		p.running++ // slot free, nobody waiting: run immediately
-	} else if p.tenantQueued[tenant] < p.cfg.QueueDepth {
-		pend = &pending{s: s, tenant: tenant, admit: make(chan struct{})}
-		p.fq.Push(tenant, pend)
+	case p.tenantQueued[tenant] < p.cfg.QueueDepth:
+		s.waiting = true
+		p.fq.Push(tenant, s)
 		p.queued++
 		p.tenantQueued[tenant]++
-	} else {
+		if ctx.Done() != nil {
+			// The watch runs on its own goroutine and takes p.mu, so it
+			// cannot act before this Submit has finished its accounting.
+			s.unwatch = context.AfterFunc(ctx, func() { p.abortQueued(s) })
+		}
+	default:
 		p.mu.Unlock()
 		p.reject(rejectSaturated)
 		return nil, ErrPoolSaturated
 	}
 	p.drain.Add(1)
+	p.submitted.Add(1)
 	p.mu.Unlock()
 
-	p.submitted.Add(1)
 	if m := pmet(); m != nil {
 		m.submitted.Inc()
 	}
-	go p.runSession(s, main, pend)
+	if runNow {
+		p.start(s)
+	}
 	return s, nil
 }
 
@@ -321,95 +305,80 @@ func (p *Pool) reject(reason string) {
 	}
 }
 
-// dispatchLocked grants freed slots to waiting sessions in WDRR order.
-// Caller holds p.mu. Aborted entries are skipped (their supervising
-// goroutines already completed them); a closed pool grants nothing —
-// Close fails the whole queue itself.
-func (p *Pool) dispatchLocked() {
-	if p.closed {
-		return
-	}
-	for p.running < p.cfg.MaxSessions {
-		e, ok := p.fq.Pop()
-		if !ok {
-			return
-		}
-		if e.state != pendQueued {
-			continue
-		}
-		e.state = pendAdmitted
-		p.queued--
-		p.tenantQueued[e.tenant]--
-		p.running++
-		close(e.admit)
-	}
+// start hands a session holding a slot to the shared scheduler as one
+// job. Never called with p.mu held: Execute may start a worker.
+func (p *Pool) start(s *Session) {
+	p.exec.Execute(func() { p.runSession(s) })
 }
 
-// abortQueued moves a still-queued entry to aborted and returns err; if
-// the WDRR dispatch admitted it first, returns nil — the session holds a
-// slot and must run (its dead ctx will cancel it immediately).
-func (p *Pool) abortQueued(e *pending, err error) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if e.state != pendQueued {
+// dispatchLocked grants freed slots to waiting sessions in WDRR order and
+// returns them for the caller to start once it has released p.mu. Caller
+// holds p.mu. A closed pool grants nothing — Close fails the whole queue
+// itself.
+func (p *Pool) dispatchLocked() (granted []*Session) {
+	if p.closed {
 		return nil
 	}
-	e.state = pendAborted
-	p.queued--
-	p.tenantQueued[e.tenant]--
-	return err
+	for p.running < p.cfg.MaxSessions {
+		s, ok := p.fq.Pop()
+		if !ok {
+			break
+		}
+		if !s.waiting {
+			continue // aborted by its ctx watch
+		}
+		p.leaveQueueLocked(s)
+		p.running++
+		granted = append(granted, s)
+	}
+	return granted
 }
 
-// releaseSlot returns a finished session's slot and hands it to the next
+// leaveQueueLocked takes a waiting session out of the admission
+// accounting and stops its ctx watch (a no-op when the watch is what
+// fired). Caller holds p.mu. The entry itself stays in the FairQueue
+// (removal from a FIFO's middle is O(n)) and is skipped there.
+func (p *Pool) leaveQueueLocked(s *Session) {
+	s.waiting = false
+	if s.unwatch != nil {
+		s.unwatch()
+	}
+	p.queued--
+	p.tenantQueued[s.tenant]--
+}
+
+// abortQueued is a queued session's ctx watch: a session still waiting
+// for a slot leaves the queue and completes canceled without running. A
+// session the dispatcher granted first runs instead (its dead ctx cancels
+// it at once); one Close already failed is left alone.
+func (p *Pool) abortQueued(s *Session) {
+	p.mu.Lock()
+	if !s.waiting {
+		p.mu.Unlock()
+		return
+	}
+	p.leaveQueueLocked(s)
+	p.mu.Unlock()
+	p.finishUnrun(s, &core.CanceledError{Cause: context.Cause(s.ctx)})
+}
+
+// releaseSlot returns a finished session's slot and starts the next
 // waiting session in WDRR order.
 func (p *Pool) releaseSlot() {
 	p.mu.Lock()
 	p.running--
-	p.dispatchLocked()
+	granted := p.dispatchLocked()
 	p.mu.Unlock()
+	for _, s := range granted {
+		p.start(s)
+	}
 }
 
-// runSession is the session's supervising goroutine: wait for a WDRR
-// admission grant if the session was queued, build the isolated runtime,
-// run the program, record the verdict, release the slot. A queued
-// session stops waiting the moment its ctx ends or the pool starts
-// closing — it then completes with VerdictCanceled without ever running.
-func (p *Pool) runSession(s *Session, main core.TaskFunc, pend *pending) {
+// runSession is an admitted session's job on the shared scheduler: build
+// the isolated runtime, run the program with its root task on this
+// worker, record the verdict, release the slot.
+func (p *Pool) runSession(s *Session) {
 	defer p.drain.Done()
-	if pend != nil {
-		var aborted error
-		// Check the close signal on its own first: if Close already ran,
-		// abort deterministically even when a grant happens to be pending.
-		select {
-		case <-p.closeCh:
-			aborted = p.abortQueued(pend, ErrPoolClosed)
-		default:
-			select {
-			case <-pend.admit: // granted a slot by dispatchLocked
-			case <-s.ctx.Done():
-				aborted = p.abortQueued(pend, &core.CanceledError{Cause: context.Cause(s.ctx)})
-			case <-p.closeCh:
-				aborted = p.abortQueued(pend, ErrPoolClosed)
-			}
-		}
-		if aborted != nil {
-			p.finishUnrun(s, aborted)
-			return
-		}
-		// Admitted — but if Close landed concurrently the select may have
-		// picked the grant over closeCh at random. Re-check and hand the
-		// slot back: a queued session must not start work after shutdown
-		// began.
-		select {
-		case <-p.closeCh:
-			p.mu.Lock()
-			p.running--
-			p.mu.Unlock()
-			p.finishUnrun(s, ErrPoolClosed)
-			return
-		default:
-		}
-	}
 	cur := p.inflight.Add(1)
 	for {
 		old := p.peak.Load()
@@ -428,7 +397,7 @@ func (p *Pool) runSession(s *Session, main core.TaskFunc, pend *pending) {
 	// cancellation, so the verdict, the runtime stats, and the tenant's
 	// scheduler accounting below are exact — no abandoned goroutine can
 	// mutate them later.
-	err := rt.RunContext(s.ctx, main)
+	err := rt.RunContext(s.ctx, s.root)
 	s.finishedAt = time.Now()
 	s.err = err
 	s.verdict = Classify(err)
@@ -448,9 +417,9 @@ func (p *Pool) runSession(s *Session, main core.TaskFunc, pend *pending) {
 		}
 	}
 	// Release the slot BEFORE signalling completion: a caller that Waits
-	// and immediately Submits must find the slot free, not race this
-	// goroutine for it and get a spurious ErrPoolSaturated. The inflight
-	// decrement above precedes the release, so Peak can never read above
+	// and immediately Submits must find the slot free, not race this job
+	// for it and get a spurious ErrPoolSaturated. The inflight decrement
+	// above precedes the release, so Peak can never read above
 	// MaxSessions.
 	p.releaseSlot()
 	close(s.done)
@@ -461,6 +430,7 @@ func (p *Pool) runSession(s *Session, main core.TaskFunc, pend *pending) {
 // held a slot and never built a runtime; it completes with the abort
 // error and VerdictCanceled.
 func (p *Pool) finishUnrun(s *Session, err error) {
+	defer p.drain.Done()
 	now := time.Now()
 	s.startedAt, s.finishedAt = now, now
 	s.err = err
@@ -473,19 +443,28 @@ func (p *Pool) finishUnrun(s *Session, err error) {
 	close(s.done)
 }
 
-// Close stops admission, promptly fails every session still waiting in
-// the admission queues with ErrPoolClosed (VerdictCanceled — queued work
-// does NOT ride out the drain), waits for every running session to
-// finish, and then shuts down the shared scheduler (which blocks until
-// all of its workers and its cleaner goroutine have exited). Idempotent;
-// concurrent Close calls all block until the drain completes.
+// Close stops admission, fails every session still waiting in the
+// admission queues with ErrPoolClosed (VerdictCanceled — queued work does
+// NOT ride out the drain), waits for every running session to finish,
+// and then shuts down the shared scheduler (which blocks until all of its
+// workers and its cleaner goroutine have exited). Idempotent; concurrent
+// Close calls all block until the drain completes.
 func (p *Pool) Close() {
+	var aborted []*Session
 	p.mu.Lock()
 	if !p.closed {
 		p.closed = true
-		close(p.closeCh)
+		for _, s := range p.fq.Drain() {
+			if s.waiting {
+				p.leaveQueueLocked(s)
+				aborted = append(aborted, s)
+			}
+		}
 	}
 	p.mu.Unlock()
+	for _, s := range aborted {
+		p.finishUnrun(s, ErrPoolClosed)
+	}
 	p.drain.Wait()
 	p.exec.Close()
 }

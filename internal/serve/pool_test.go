@@ -299,7 +299,7 @@ func TestClassify(t *testing.T) {
 }
 
 func TestPoolWaitThenSubmitFindsFreedSlot(t *testing.T) {
-	// Regression: the supervisor used to release its slot only after
+	// Regression: the session used to release its slot only after
 	// signalling Done, so Wait-then-Submit on a full, queueless pool could
 	// race the release and get a spurious ErrPoolSaturated.
 	pool := NewPool(Config{MaxSessions: 1, QueueDepth: 0})

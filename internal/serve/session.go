@@ -117,9 +117,16 @@ type Session struct {
 	// admission-queue wait and the execution (Runtime.RunContext).
 	ctx context.Context
 
+	main        core.TaskFunc
 	runtimeOpts []core.Option
 	rt          *core.Runtime
 	tenantAc    *sched.Tenant // shared-scheduler accounting view
+
+	// Admission-queue state, guarded by Pool.mu: whether the session is
+	// waiting in its tenant's queue for a slot, and the stop func of its
+	// ctx watch (nil when it never queued or its ctx cannot end).
+	waiting bool
+	unwatch func() bool
 
 	queuedAt   time.Time
 	startedAt  time.Time
@@ -129,6 +136,16 @@ type Session struct {
 	err     error
 	verdict Verdict
 	stats   core.Stats
+}
+
+// root is the session's root task: main, accounted on the session's
+// scheduler tenant like every task it spawns. The root runs on the
+// session's own job instead of passing through the tenant's Execute, so it
+// is accounted here, exactly when it runs — a session whose ctx ends
+// before its root starts has submitted nothing, as it has run nothing.
+func (s *Session) root(t *core.Task) (err error) {
+	s.tenantAc.Run(func() { err = s.main(t) })
+	return err
 }
 
 // ID returns the session's pool-unique identifier.
@@ -168,7 +185,7 @@ func (s *Session) Verdict() Verdict {
 // and false WITHOUT blocking. (The historical signature blocked on the
 // session's done channel, so a "quick peek" at a session that had not
 // completed — or never would — hung the caller; and returning the live
-// struct instead would race the supervisor's final stats write. The
+// struct instead would race the session job's final stats write. The
 // guarded snapshot is both prompt and race-free: the done-channel
 // receive orders this read after runSession's write.)
 func (s *Session) Stats() (core.Stats, bool) {
@@ -193,7 +210,7 @@ func (s *Session) Runtime() *core.Runtime {
 // server dashboards while the session runs; after Wait/Done inflight
 // trends to zero. Unlike the pre-completion Stats footgun, a live read
 // here is safe by construction: both figures are single atomic counters
-// on the tenant, not a struct snapshot racing the supervisor's final
+// on the tenant, not a struct snapshot racing the session job's final
 // write — though a mid-run read is, necessarily, already stale when it
 // returns.
 func (s *Session) SchedStats() (submitted, inflight int64) {
