@@ -69,16 +69,22 @@ func (a *PromiseArena[T]) New(t *Task) *Promise[T] {
 // It returns true only when the promise was actually accepted, which
 // requires BOTH of:
 //
-//   - The promise is fulfilled. An owned, unfulfilled promise is live
-//     policy state; reusing it would corrupt rule bookkeeping.
+//   - The promise is fulfilled and its setter is done with it. An owned,
+//     unfulfilled promise is live policy state; reusing it would corrupt
+//     rule bookkeeping. And Set still signals the wake gate after the
+//     fulfilled store a reader can already see, so the arena waits for
+//     the gate's signalled sentinel, the setter's last access.
 //   - The runtime is Unverified. Under the verified modes a fulfilled
 //     promise must stay fulfilled-and-ownerless FOREVER: Algorithm 2's
 //     double-read of the owner field tolerates a stale waitingOn
-//     precisely because a fulfilled promise can never be re-owned
-//     (DESIGN.md's variant of the Task.gen ABA argument — promises have
-//     no generation counter, adding one would put a word and a fence on
-//     the Set/Get hot path, so the arena refuses instead). Unverified
-//     mode has no owner fields and no detector, so reuse is safe there.
+//     precisely because a fulfilled promise can never be re-owned. A
+//     reused promise could be owned by the same task again, and the
+//     double-read would then vouch for a waitingOn value read while that
+//     task did not own it (pointer ABA). Promises carry no generation
+//     counter to tell the two lives apart — one would put a word and a
+//     fence on the Set/Get hot path — so the arena refuses instead.
+//     Unverified mode has no owner fields and no detector, so reuse is
+//     safe there.
 //
 // A false return is not an error — the promise simply stays on its slab
 // until the arena as a whole is dropped. The caller must guarantee no
@@ -86,7 +92,7 @@ func (a *PromiseArena[T]) New(t *Task) *Promise[T] {
 // straggler Get on a recycled promise is a use-after-reuse bug, exactly
 // like reading any other recycled object.
 func (a *PromiseArena[T]) Recycle(p *Promise[T]) bool {
-	if a.r.mode != Unverified || !p.s.fulfilled() {
+	if a.r.mode != Unverified || !p.s.wake.signalled() {
 		return false
 	}
 	a.free = append(a.free, p)

@@ -102,7 +102,9 @@ func TestArenaRecycleRefusedWhenVerified(t *testing.T) {
 }
 
 // TestArenaRecycleRefusedUnfulfilled: an unfulfilled promise is live
-// state in every mode; recycling it would corrupt a pending waiter.
+// state in every mode; recycling it would corrupt a pending waiter. So is
+// a promise a reader already sees fulfilled whose setter has not yet
+// signalled its wake gate: reuse would race the setter's signal.
 func TestArenaRecycleRefusedUnfulfilled(t *testing.T) {
 	rt := NewRuntime(WithMode(Unverified))
 	err := run(t, rt, func(tk *Task) error {
@@ -111,7 +113,20 @@ func TestArenaRecycleRefusedUnfulfilled(t *testing.T) {
 		if arena.Recycle(p) {
 			return errors.New("Recycle accepted an unfulfilled promise")
 		}
-		return p.Set(tk, 1)
+		if err := p.Set(tk, 1); err != nil {
+			return err
+		}
+		q := arena.New(tk)
+		q.s.claim()
+		q.s.state.Store(stateFulfilled) // publish stopped before its signal
+		if arena.Recycle(q) {
+			return errors.New("Recycle accepted a promise its setter has not finished publishing")
+		}
+		q.s.wake.signal()
+		if !arena.Recycle(q) {
+			return errors.New("Recycle refused a fully published promise")
+		}
+		return nil
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -47,7 +47,6 @@ func (t0 *Task) verifyAwait(p0 *pstate) error {
 			// is being made; commit to the wait.
 			return nil
 		}
-		gen := ti.gen.Load()
 		pnext := ti.waitingOn.Load() // line 9
 		if pnext == nil {
 			// t_{i+1} is not blocked: progress is being made.
@@ -56,14 +55,8 @@ func (t0 *Task) verifyAwait(p0 *pstate) error {
 		// Line 11: double-read of the owner. If the owner of p_i changed
 		// between line 6/13 and here, the prefix of the chain is stale —
 		// the promise moved to a new task or was fulfilled, so progress is
-		// being made and the check can be abandoned safely. The generation
-		// re-read closes the pointer-ABA hole WithTaskPooling opens: a
-		// recycled handle can legitimately own p_i again as a NEW task, and
-		// pointer equality alone would vouch for a waitingOn value read
-		// from the OLD incarnation. An unchanged generation proves ti was
-		// never recycled between the two reads, restoring the unpooled
-		// guarantee that pnext was really ti's edge while it owned p_i.
-		if pi.owner.Load() != ti || ti.gen.Load() != gen {
+		// being made and the check can be abandoned safely.
+		if pi.owner.Load() != ti {
 			return nil
 		}
 		pi = pnext

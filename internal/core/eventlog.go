@@ -223,10 +223,9 @@ func (r *Runtime) logEventArg(kind EventKind, t *Task, s *pstate, arg uint64, de
 }
 
 // flushStage delivers the task's staged events to the collector and
-// resets the buffer, keeping its capacity (the buffer rides through the
-// task pool under WithTaskPooling). Entries are not zeroed on the hot
-// path — the array pins at most stageCap events' strings until they are
-// overwritten, and releaseTask scrubs it before a handle crosses tasks.
+// resets the buffer, keeping its capacity. Entries are not zeroed on the
+// hot path — the array pins at most stageCap events' strings until they
+// are overwritten or the task is collected.
 func (r *Runtime) flushStage(t *Task) {
 	if len(t.stage) == 0 {
 		return

@@ -40,8 +40,7 @@ type gate struct {
 // from nil fails forever), so a second signal finds the sentinel and does
 // nothing. Note that a waiter whose wait() lands after the signal is
 // admitted via the sentinel without ever installing a channel, so the
-// displaced pointer says nothing about whether waiters exist — liveness
-// tracking (task pooling's waited flag) must be kept outside the gate.
+// displaced pointer says nothing about whether waiters exist.
 func (g *gate) signal() {
 	if old := g.ch.Swap(closedGateChan); old != nil && old != closedGateChan {
 		close(*old)
@@ -67,7 +66,3 @@ func (g *gate) wait() <-chan struct{} {
 // signalled reports whether signal has run. Note the one-sidedness: false
 // may be stale, true is definitive (Swap is the linearization point).
 func (g *gate) signalled() bool { return g.ch.Load() == closedGateChan }
-
-// reset returns the gate to its unsignalled state. Only for object reuse
-// (task pooling) on gates no goroutine can still be watching.
-func (g *gate) reset() { g.ch.Store(nil) }

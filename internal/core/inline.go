@@ -117,10 +117,7 @@ func (t *Task) markDirty() {
 // that prefix must be idempotent or absent. Promise operations themselves
 // are never repeated — the first one ends the restartable phase. Do not
 // recover() panics of type inlineMigrate inside the body; a body that
-// swallows the migration signal fails with an error. Under
-// WithTaskPooling the returned handle may already be recycled when
-// AsyncInline returns (the body may have completed inline); programs that
-// join through promises — the paper's model — are unaffected.
+// swallows the migration signal fails with an error.
 func (t *Task) AsyncInline(f TaskFunc, moved ...Movable) (*Task, error) {
 	return t.asyncInline("", f, moved)
 }

@@ -365,37 +365,6 @@ func TestWithInlineSpawnRoutesAsync(t *testing.T) {
 	}
 }
 
-// TestInlineWithTaskPooling: inline completion under WithTaskPooling must
-// scrub and recycle the task handle without corrupting a subsequent spawn.
-func TestInlineWithTaskPooling(t *testing.T) {
-	for _, mode := range allModes() {
-		t.Run(mode.String(), func(t *testing.T) {
-			rt := NewRuntime(WithMode(mode), WithTaskPooling(true))
-			err := run(t, rt, func(tk *Task) error {
-				for i := 0; i < 200; i++ {
-					p := NewPromise[int](tk)
-					if _, e := tk.AsyncInline(func(c *Task) error {
-						return p.Set(c, i)
-					}, p); e != nil {
-						return e
-					}
-					v, e := p.Get(tk)
-					if e != nil {
-						return e
-					}
-					if v != i {
-						return fmt.Errorf("iteration %d read %d", i, v)
-					}
-				}
-				return nil
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-}
-
 // TestInlineCancelWithdrawsHostEdges: a committed inline wait abandoned
 // by context cancellation must withdraw the child's edge AND every host
 // edge, closing each trace block with a "cancel" wake — verified against

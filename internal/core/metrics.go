@@ -18,7 +18,6 @@ type coreMetrics struct {
 	spawnsInline    *obs.Counter // AsyncInline attempts (completed or migrated)
 	inlineMigrated  *obs.Counter // inline attempts restarted on the scheduler
 	spawnsBatch     *obs.Counter // AsyncBatch children
-	spawnsPooled    *obs.Counter // spawns that reused a recycled Task handle
 	blocks          *obs.Counter // waits that actually parked (blockOn entries)
 	arenaSlabs      *obs.Counter // PromiseArena slab allocations
 	arenaRecycled   *obs.Counter // promises accepted back by Arena.Recycle
@@ -52,7 +51,6 @@ func init() {
 			spawnsInline:    reg.Counter("core_spawns_inline_total"),
 			inlineMigrated:  reg.Counter("core_spawns_inline_migrated_total"),
 			spawnsBatch:     reg.Counter("core_spawns_batch_total"),
-			spawnsPooled:    reg.Counter("core_spawns_pooled_total"),
 			blocks:          reg.Counter("core_blocks_total"),
 			arenaSlabs:      reg.Counter("core_arena_slab_allocs_total"),
 			arenaRecycled:   reg.Counter("core_arena_recycled_total"),

@@ -157,32 +157,6 @@ func WithBatchExecutor(exec func([]func())) Option {
 // operation may execute twice. Off by default.
 func WithInlineSpawn(on bool) Option { return func(r *Runtime) { r.inlineSpawn = on } }
 
-// WithTaskPooling recycles terminated Task objects through a per-runtime
-// sync.Pool, eliminating the Task allocation from the steady-state spawn
-// path (QSort-style spawn storms reuse a small working set of handles).
-//
-// Constraint: with pooling on, a *Task handle must not be used for the
-// FIRST time after the task has terminated — the runtime may have reused
-// the object for a later spawn. A Wait that begins before termination is
-// safe: Wait marks the handle before touching the termination gate, and
-// the runtime never recycles a marked handle (such tasks are left to the
-// garbage collector). Programs that join through promises — the paper's
-// model — are unaffected either way.
-// The deadlock detector stays precise: recycling happens strictly after
-// the terminating task has been cleared from every promise's owner field
-// (finishTask), and Algorithm 2 re-reads a per-handle generation counter
-// around its waitingOn read, so a pointer recycled mid-traversal cannot
-// smuggle a stale edge through the double-read owner check.
-func WithTaskPooling(on bool) Option {
-	return func(r *Runtime) {
-		if on {
-			r.taskPool = &sync.Pool{New: func() any { return new(Task) }}
-		} else {
-			r.taskPool = nil
-		}
-	}
-}
-
 // WithIdleWatch installs the whole-program quiescence detector the paper
 // contrasts with in §1 (the Go runtime's strategy): onQuiescent fires when
 // every live task is blocked on a promise, receiving the number of blocked
@@ -230,7 +204,6 @@ type Runtime struct {
 	exec        func(func()) // nil selects the built-in goroutine-per-task start
 	execBatch   func([]func())
 	inlineSpawn bool
-	taskPool    *sync.Pool
 	registry    *traceRegistry
 	gdet        *globalDetector
 	idle        *idleWatch

@@ -225,21 +225,106 @@ func TestTaskIdentity(t *testing.T) {
 	}
 }
 
+// TestTaskWaitReturnsError: a task handle stays valid after its task
+// ends, whichever spawn path created it. Each body fulfils its join
+// promise and then fails with its own sentinel. Once the join is observed
+// fulfilled — and more tasks have been spawned and finished since, so a
+// runtime that recycled handles would have handed this one out again —
+// Wait must return that body's sentinel, and ID and Name must be the ones
+// the handle had at spawn.
 func TestTaskWaitReturnsError(t *testing.T) {
-	rt := NewRuntime()
-	sentinel := errors.New("child failed")
-	err := run(t, rt, func(tk *Task) error {
-		c, e := tk.Async(func(c *Task) error { return sentinel })
-		if e != nil {
-			return e
+	type child struct {
+		name     string
+		join     *Promise[int]
+		sentinel error
+		task     *Task
+		id       uint64
+	}
+	newChild := func(tk *Task, name string) *child {
+		return &child{name: name, join: NewPromise[int](tk), sentinel: errors.New(name + " failed")}
+	}
+	body := func(k *child) TaskFunc {
+		return func(c *Task) error {
+			if err := k.join.Set(c, 1); err != nil {
+				return err
+			}
+			return k.sentinel
 		}
-		if w := c.Wait(); !errors.Is(w, sentinel) {
-			return fmt.Errorf("wait = %v", w)
-		}
-		return nil // swallow: the runtime still records it
-	})
-	if !errors.Is(err, sentinel) {
-		t.Fatalf("runtime did not record child error: %v", err)
+	}
+	cases := []struct {
+		name  string
+		spawn func(tk *Task) ([]*child, error)
+	}{
+		{"async", func(tk *Task) ([]*child, error) {
+			k := newChild(tk, "async-child")
+			var err error
+			k.task, err = tk.AsyncNamed(k.name, body(k), k.join)
+			return []*child{k}, err
+		}},
+		{"inline", func(tk *Task) ([]*child, error) {
+			k := newChild(tk, "inline-child")
+			var err error
+			k.task, err = tk.AsyncInlineNamed(k.name, body(k), k.join)
+			if err == nil && !k.join.Fulfilled() {
+				err = errors.New("AsyncInline returned before its non-blocking body completed")
+			}
+			return []*child{k}, err
+		}},
+		{"batch", func(tk *Task) ([]*child, error) {
+			var kids []*child
+			var specs []SpawnSpec
+			for i := 0; i < 3; i++ {
+				k := newChild(tk, fmt.Sprintf("batch-child-%d", i))
+				kids = append(kids, k)
+				specs = append(specs, SpawnSpec{Name: k.name, Body: body(k), Moved: []Movable{k.join}})
+			}
+			ts, err := tk.AsyncBatch(specs)
+			for i := range ts {
+				kids[i].task = ts[i]
+			}
+			return kids, err
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var kids []*child
+			err := run(t, NewRuntime(), func(tk *Task) error {
+				var e error
+				if kids, e = tc.spawn(tk); e != nil {
+					return e
+				}
+				for _, k := range kids {
+					k.id = k.task.ID()
+					if _, e := k.join.Get(tk); e != nil {
+						return e
+					}
+				}
+				for i := 0; i < 8; i++ {
+					p := NewPromise[int](tk)
+					if _, e := tk.Async(func(c *Task) error { return p.Set(c, i) }, p); e != nil {
+						return e
+					}
+					if _, e := p.Get(tk); e != nil {
+						return e
+					}
+				}
+				for _, k := range kids {
+					if w := k.task.Wait(); !errors.Is(w, k.sentinel) {
+						return fmt.Errorf("%s: Wait = %v, want %v", k.name, w, k.sentinel)
+					}
+					if k.task.ID() != k.id || k.task.Name() != k.name {
+						return fmt.Errorf("%s: handle became %d %q after its task ended, was %d",
+							k.name, k.task.ID(), k.task.Name(), k.id)
+					}
+				}
+				return nil // swallow: the runtime still records them
+			})
+			for _, k := range kids {
+				if !errors.Is(err, k.sentinel) {
+					t.Fatalf("runtime did not record %v: %v", k.sentinel, err)
+				}
+			}
+		})
 	}
 }
 

@@ -51,12 +51,6 @@ type Task struct {
 	done gate
 	err  error
 
-	// gen counts recycles of this Task object (WithTaskPooling). The
-	// lock-free detector snapshots it around its waitingOn read so a
-	// handle that was recycled mid-traversal — same pointer, different
-	// task — cannot satisfy the double-read owner check by pointer ABA.
-	gen atomic.Uint32
-
 	// stage is the task's trace staging buffer (see logEventArg): events
 	// this task emits accumulate here and flush to the collector in
 	// chunks. Confined to the task's goroutine (with the parent-to-child
@@ -71,15 +65,6 @@ type Task struct {
 	inline      uint8 // inlineNone / inlineSpeculative / inlineDirty / ...
 	inlineHost  *Task // the task whose goroutine this body is borrowing
 	inlineDepth uint8 // nesting depth of inline spawns, capped at maxInlineDepth
-
-	// waited is set (sticky) as the very first action of Wait. Under
-	// WithTaskPooling the terminating goroutine reads it after signalling
-	// done and refuses to recycle a handle that anyone waited on. The
-	// flag — not the gate's channel — carries this information because a
-	// Wait landing after the signal is admitted via the gate's sentinel
-	// without ever installing a channel; the unconditional store is what
-	// makes "Wait began before termination" observable.
-	waited atomic.Bool
 }
 
 // ID returns the task's unique identifier within its runtime.
@@ -110,9 +95,8 @@ func (t *Task) Runtime() *Runtime { return t.rt }
 // that wants detector-visible joins should await a promise the task sets
 // (see collections.Future and collections.Finish).
 //
-// Under WithTaskPooling, Wait is safe if it begins before the task
-// terminates (a waited-on handle is never recycled), but must not be a
-// handle's first use after termination; see the option's documentation.
+// A handle stays valid after its task terminates: Wait on a finished
+// task returns its error at once.
 //
 // Under staged tracing, Wait does not flush the CALLING task's staging
 // buffer before blocking — Wait receives only the awaited handle, so
@@ -122,11 +106,6 @@ func (t *Task) Runtime() *Runtime { return t.rt }
 // the caller is itself a task to close that gap. Policy-visible waits
 // (Get/Await), the paper's model, always flush first.
 func (t *Task) Wait() error {
-	// The waited store MUST precede any gate access: it is the seq-cst
-	// marker the terminating goroutine checks before recycling the
-	// handle, and it covers waiters admitted through the gate's sentinel
-	// (who never install a channel) just as well as blocked ones.
-	t.waited.Store(true)
 	<-t.done.wait()
 	return t.err
 }
@@ -338,55 +317,13 @@ func invokeTask(f TaskFunc, t *Task) (err error) {
 	return f(t)
 }
 
-// newTask allocates (or, under WithTaskPooling, recycles) a task handle.
+// newTask allocates a task handle.
 func (r *Runtime) newTask(name string, parent *Task) *Task {
-	id := r.nextTask.Add(1)
-	var t *Task
-	if r.taskPool != nil {
-		t = r.taskPool.Get().(*Task)
-		// A recycled handle still carries its old rt; a pool-fresh one
-		// (New) is zero. That distinction is exactly "did pooling save
-		// the allocation", which is what the pooled-spawn counter means.
-		if m := cmet(); m != nil && t.rt != nil {
-			m.spawnsPooled.Inc()
-		}
-	} else {
-		t = &Task{}
-	}
-	t.rt, t.id, t.name, t.parent = r, id, name, parent
+	t := &Task{rt: r, id: r.nextTask.Add(1), name: name, parent: parent}
 	if r.registry != nil {
 		r.registry.addTask(t)
 	}
 	return t
-}
-
-// releaseTask scrubs a terminated task and returns it to the pool. Only
-// called under WithTaskPooling, after every runtime-internal use of the
-// handle is finished. The owned entries are nilled so a pooled task does
-// not pin the last promises it touched.
-func (r *Runtime) releaseTask(t *Task) {
-	t.gen.Add(1)
-	t.parent = nil
-	t.name = ""
-	t.waitingOn.Store(nil)
-	for i := range t.owned {
-		t.owned[i] = nil
-	}
-	t.owned = t.owned[:0]
-	t.ownedCount = 0
-	t.err = nil
-	t.inline, t.inlineHost, t.inlineDepth = inlineNone, nil, 0
-	// The staging buffer was flushed at task end; scrub the retained
-	// entries (they pin event strings) and keep the capacity — the
-	// buffer is part of the recycled block, so a pooled task's
-	// steady-state tracing allocates no buffers either.
-	stage := t.stage[:cap(t.stage)]
-	for i := range stage {
-		stage[i] = Event{}
-	}
-	t.stage = stage[:0]
-	t.done.reset()
-	r.taskPool.Put(t)
 }
 
 // startTask opens the task's accounting and hands its body to the
@@ -447,8 +384,7 @@ func (r *Runtime) runTask(t *Task, f TaskFunc) {
 }
 
 // completeTask is a task's termination protocol: enforce rule 3, publish
-// the result, pair the accounting startTask/startTaskInline opened, and
-// recycle the handle if pooling is on.
+// the result, and pair the accounting startTask/startTaskInline opened.
 func (r *Runtime) completeTask(t *Task, err error) {
 	defer r.wg.Done()
 	if r.idle != nil {
@@ -473,16 +409,6 @@ func (r *Runtime) completeTask(t *Task, err error) {
 	}
 	if err != nil {
 		r.record(err)
-	}
-	// Recycle only handles nobody ever waited on. Any Wait that began
-	// before this load stored the sticky waited flag as its first action
-	// (seq-cst, so this load observes it), and that waiter will still
-	// read t.err after waking — such a task is left to the garbage
-	// collector instead of being scrubbed under the waiter's feet. A
-	// Wait beginning after this load is a first use of the handle after
-	// termination, which WithTaskPooling documents as invalid.
-	if r.taskPool != nil && !t.waited.Load() {
-		r.releaseTask(t)
 	}
 }
 

@@ -121,7 +121,8 @@ func SpawnFixture(t *core.Task) (func(int) error, error) {
 // the parent's goroutine, so the whole spawn+join costs no context
 // switch. The body closure is hoisted out of the step — it captures the
 // promise cell, which the step rewrites per iteration before spawning —
-// so the steady-state iteration allocates only the promise itself.
+// so the steady-state iteration allocates no closure: only the promise
+// and the child task, plus its owned-list seed under the policy modes.
 func SpawnInlineFixture(t *core.Task) (func(int) error, error) {
 	var p *core.Promise[struct{}]
 	body := func(c *core.Task) error { return p.Set(c, struct{}{}) }
@@ -144,9 +145,10 @@ const BatchWidth = 64
 // call — each setting its own moved promise — then joins through the
 // promises. Specs, bodies, and moved sets are hoisted and reused across
 // iterations (each body captures its slot index into the promise array),
-// so the iteration's allocations are the promises plus AsyncBatch's own
-// children slice. MeasureMicros divides this row by BatchWidth: it reads
-// as amortized cost per spawn, directly comparable to the spawn row.
+// so the iteration's allocations are the promises, the child tasks and
+// their owned-list seeds, plus AsyncBatch's own children slice.
+// MeasureMicros divides this row by BatchWidth: it reads as amortized
+// cost per spawn, directly comparable to the spawn row.
 func SpawnBatchFixture(t *core.Task) (func(int) error, error) {
 	var (
 		proms [BatchWidth]*core.Promise[struct{}]
@@ -199,7 +201,7 @@ func SetGetSlabFixture(t *core.Task) (func(int) error, error) {
 
 // MeasureMicros runs the fast-path microbenchmarks — fulfilled-promise
 // Get, Set/Get round-trip, spawn+join with one moved promise, the
-// pooled, inline, and batched spawn variants, the slab-allocated
+// inline and batched spawn variants, the slab-allocated
 // Set/Get round-trip, and the Set/Get round-trip with binary tracing
 // active — across the requested modes. Options are built per
 // measurement so stateful fixtures (the trace sink) are never shared
@@ -226,16 +228,10 @@ func MeasureMicros(modes []core.Mode) ([]Micro, error) {
 			{"setget", microIters, 0, nil, nil, SetGetFixture},
 			{"setget-slab", microIters, 0, nil, nil, SetGetSlabFixture},
 			{"spawn", microIters / 4, 0, nil, nil, SpawnFixture},
-			{"spawn-pooled", microIters / 4, 0, func() []core.Option {
-				return []core.Option{core.WithTaskPooling(true)}
-			}, nil, SpawnFixture},
 			// The floor-breaking rows: inline run-to-completion (no context
 			// switch at all) and the amortized per-spawn cost of a
-			// 64-wide AsyncBatch. Both use task pooling, as real
-			// fan-out-heavy callers would.
-			{"spawn-inline", microIters / 4, 0, func() []core.Option {
-				return []core.Option{core.WithTaskPooling(true)}
-			}, nil, SpawnInlineFixture},
+			// 64-wide AsyncBatch.
+			{"spawn-inline", microIters / 4, 0, nil, nil, SpawnInlineFixture},
 			// spawn-batch runs on the elastic scheduler with the vectorized
 			// submit — the serving configuration, and the place batching
 			// structurally wins: a worker drains its deque back-to-back, so
@@ -246,7 +242,6 @@ func MeasureMicros(modes []core.Mode) ([]Micro, error) {
 				pool := sched.NewElastic(100 * time.Millisecond)
 				cleanups = append(cleanups, pool.Close)
 				return []core.Option{
-					core.WithTaskPooling(true),
 					core.WithExecutor(pool.Execute),
 					core.WithBatchExecutor(pool.ExecuteBatch),
 				}

@@ -7,20 +7,24 @@ import (
 	"repro/internal/testutil"
 )
 
+// TestSumMatchesSequentialAllModes checks the reduction against the
+// sequential reference in every mode, at the small configuration and at
+// a wider, shallower one that inlines every other grandchild.
 func TestSumMatchesSequentialAllModes(t *testing.T) {
-	cfg := Small()
-	want := RunSequential(cfg)
+	cfgs := []Config{Small(), {Rounds: 6, Width: 32, Work: 32, InlineEvery: 2}}
 	for _, mode := range testutil.AllModes() {
 		t.Run(mode.String(), func(t *testing.T) {
-			rt := core.NewRuntime(core.WithMode(mode))
-			var got uint64
-			testutil.MustSucceed(t, rt, func(tk *core.Task) error {
-				var err error
-				got, err = Run(tk, cfg)
-				return err
-			})
-			if got != want {
-				t.Fatalf("sum = %d, want %d", got, want)
+			for _, cfg := range cfgs {
+				rt := core.NewRuntime(core.WithMode(mode))
+				var got uint64
+				testutil.MustSucceed(t, rt, func(tk *core.Task) error {
+					var err error
+					got, err = Run(tk, cfg)
+					return err
+				})
+				if want := RunSequential(cfg); got != want {
+					t.Fatalf("%+v: sum = %d, want %d", cfg, got, want)
+				}
 			}
 		})
 	}
@@ -33,24 +37,6 @@ func TestInlineDisabledStillMatches(t *testing.T) {
 	cfg.InlineEvery = 0
 	want := RunSequential(cfg)
 	rt := core.NewRuntime(core.WithMode(core.Full))
-	var got uint64
-	testutil.MustSucceed(t, rt, func(tk *core.Task) error {
-		var err error
-		got, err = Run(tk, cfg)
-		return err
-	})
-	if got != want {
-		t.Fatalf("sum = %d, want %d", got, want)
-	}
-}
-
-// TestPooledRuntime runs the workload under the spawn configuration the
-// serving layer uses (task pooling), across a few waves, to catch
-// recycling bugs in the batch path.
-func TestPooledRuntime(t *testing.T) {
-	cfg := Config{Rounds: 6, Width: 32, Work: 32, InlineEvery: 2}
-	want := RunSequential(cfg)
-	rt := core.NewRuntime(core.WithMode(core.Full), core.WithTaskPooling(true))
 	var got uint64
 	testutil.MustSucceed(t, rt, func(tk *core.Task) error {
 		var err error
