@@ -47,3 +47,24 @@ func TestInlineDisabledStillMatches(t *testing.T) {
 		t.Fatalf("sum = %d, want %d", got, want)
 	}
 }
+
+// TestPooledRuntime reuses one Full-mode runtime for several runs of the
+// wide configuration, as a pooled runtime would be, to catch state that
+// leaks from one run into the next (spawn freelist, promise arena, task
+// and error accounting).
+func TestPooledRuntime(t *testing.T) {
+	cfg := Config{Rounds: 6, Width: 32, Work: 32, InlineEvery: 2}
+	want := RunSequential(cfg)
+	rt := core.NewRuntime(core.WithMode(core.Full))
+	for run := 0; run < 3; run++ {
+		var got uint64
+		testutil.MustSucceed(t, rt, func(tk *core.Task) error {
+			var err error
+			got, err = Run(tk, cfg)
+			return err
+		})
+		if got != want {
+			t.Fatalf("run %d: sum = %d, want %d", run, got, want)
+		}
+	}
+}
