@@ -180,7 +180,7 @@ var (
 // re-derives a run's verdict from its trace alone (cmd/tracecheck is the
 // command-line form).
 type (
-	// TraceSink receives drained trace-event batches.
+	// TraceSink receives trace-event batches from the collector.
 	TraceSink = trace.Sink
 	// TraceMemSink retains trace events in memory.
 	TraceMemSink = trace.MemSink

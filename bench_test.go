@@ -118,10 +118,10 @@ func BenchmarkMicro_SetGet(b *testing.B) {
 }
 
 // BenchmarkMicro_SetGetTraced is BenchmarkMicro_SetGet with every event
-// streamed through the lock-free trace collector into the binary encoder
-// (sunk into io.Discard): the marginal cost of recording a verifiable
-// trace. Compare against BenchmarkMicro_SetGet/full; the same pair is
-// tracked as "setget-traced" in BENCH_table1.json.
+// staged per task and delivered through the trace collector into the
+// binary encoder (sunk into io.Discard): the marginal cost of recording
+// a verifiable trace. Compare against BenchmarkMicro_SetGet/full; the
+// same pair is tracked as "setget-traced" in BENCH_table1.json.
 func BenchmarkMicro_SetGetTraced(b *testing.B) {
 	for _, mode := range []core.Mode{core.Unverified, core.Full} {
 		b.Run(mode.String(), func(b *testing.B) {

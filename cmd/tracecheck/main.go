@@ -13,8 +13,8 @@
 //     unfulfilled promises and must precede that task's task-end record;
 //   - a terminated run must have unwound completely: every started task
 //     ended, no task left blocked, every wake preceded by a fulfilment;
-//   - gap records (collector overflow) demote the verdict to
-//     best-effort.
+//   - gap records demote the verdict to best-effort (only older
+//     trace files have them: the collector no longer drops events).
 //
 // Usage:
 //

@@ -1,19 +1,18 @@
 package core
 
 import (
-	"runtime"
 	"strings"
 
 	"repro/internal/trace"
 )
 
 // The runtime's event log is backed by the internal/trace subsystem: a
-// lock-free, sharded collector in place of the seed's single mutexed
-// ring. Writers (every task goroutine) append to per-shard chunks with
-// one atomic reservation and one publishing store; a background
-// collector drains retired chunks into the configured sinks. The Event
-// and EventKind names below are aliases so existing call sites and the
-// public facade keep working.
+// collector that stamps each event with a global sequence number and
+// delivers it synchronously to the configured sinks under one mutex.
+// With streaming-only tracing each task stages its events and delivers
+// them in batches (see logEventArg), so it takes that lock once per
+// batch. The Event and EventKind names below are aliases so existing
+// call sites and the public facade keep working.
 
 // EventKind classifies an entry in the runtime's event log.
 type EventKind = trace.Kind
@@ -74,10 +73,7 @@ func (r *Runtime) ensureTracer() *tracer {
 }
 
 // startTracer builds the collector once all options have registered
-// their sinks. Called from NewRuntime. A cleanup tied to the Runtime
-// closes the collector (stopping its background goroutine) when the
-// runtime is garbage collected, so runtimes that never call TraceClose
-// do not leak; TraceClose remains the deterministic path.
+// their sinks. Called from NewRuntime.
 func (r *Runtime) startTracer() {
 	tr := r.events
 	sinks := tr.extra
@@ -85,16 +81,15 @@ func (r *Runtime) startTracer() {
 		sinks = append([]trace.Sink{tr.mem}, tr.extra...)
 	}
 	tr.staged = tr.mem == nil
-	tr.c = trace.New(trace.Options{Sinks: sinks})
-	runtime.AddCleanup(r, func(c *trace.Collector) { c.Close() }, tr.c)
+	tr.c = trace.New(sinks...)
 }
 
 // WithEventLog retains the most recent `capacity` policy events (promise
 // allocation, moves, sets, blocks, wakes, task boundaries, alarms) for
 // post-mortem inspection via Runtime.Events / Runtime.EventLog. capacity
-// <= 0 selects 4096. Unlike the seed's mutexed ring, recording is
-// lock-free and sharded (see internal/trace); the retained window is
-// enforced by the in-memory sink, not by the recording path.
+// <= 0 selects 4096. Every event is delivered to the in-memory sink as
+// it is logged, so Runtime.Events is current mid-run; the retained
+// window is enforced by the sink, not by the recording path.
 func WithEventLog(capacity int) Option {
 	if capacity <= 0 {
 		capacity = 4096
@@ -120,10 +115,11 @@ func TraceTo(sink trace.Sink) Option {
 	}
 }
 
-// TraceFlush drains everything recorded so far into the sinks. Precise
-// once the program is quiescent (e.g. after Run returns); mid-run it is
-// advisory — concurrent events may or may not be included, but nothing
-// is lost or duplicated.
+// TraceFlush returns the first sink error, if any. The collector
+// delivers synchronously, so once the program is quiescent (e.g. after
+// Run returns) every event is already in the sinks; mid-run, a running
+// task's staged events (at most stageCap) reach them at its next block
+// or at its end.
 func (r *Runtime) TraceFlush() error {
 	if r.events == nil {
 		return nil
@@ -131,9 +127,9 @@ func (r *Runtime) TraceFlush() error {
 	return r.events.c.Flush()
 }
 
-// TraceClose performs a final drain and closes every sink (flushing
-// file sinks to disk). Idempotent. The runtime must not record further
-// events afterwards, so call it only after Run has returned.
+// TraceClose closes every sink (flushing file sinks to disk).
+// Idempotent. The runtime must not record further events afterwards,
+// so call it only after Run has returned.
 func (r *Runtime) TraceClose() error {
 	if r.events == nil {
 		return nil
@@ -141,9 +137,10 @@ func (r *Runtime) TraceClose() error {
 	return r.events.c.Close()
 }
 
-// EventsDropped returns the number of events the collector had to drop
-// (ring overflow under sustained producer pressure). Zero means the
-// trace is complete; tier-1 tests assert exactly that.
+// EventsDropped returns the number of events logged after TraceClose,
+// which the collector counts instead of delivering. The collector never
+// drops an event before Close (a slow sink makes writers wait), so zero
+// means the trace is complete; tier-1 tests assert exactly that.
 func (r *Runtime) EventsDropped() uint64 {
 	if r.events == nil {
 		return 0
@@ -157,7 +154,6 @@ func (r *Runtime) Events() []Event {
 	if r.events == nil || r.events.mem == nil {
 		return nil
 	}
-	r.events.c.Flush()
 	return r.events.mem.Snapshot()
 }
 

@@ -178,10 +178,8 @@ func TestEventLogLastCapacityWins(t *testing.T) {
 	}
 }
 
-// TestEventLogNeverDrops asserts the overflow policy's healthy case:
-// concurrent emission from many tasks, across many chunk retirements,
-// with zero events dropped (Stats.EventsDropped is the counter the
-// ring-overflow policy increments instead of ever blocking a writer).
+// TestEventLogNeverDrops asserts that concurrent emission from many
+// tasks loses nothing: zero events dropped and no gap record.
 func TestEventLogNeverDrops(t *testing.T) {
 	rt := NewRuntime(WithEventLog(0))
 	const workers, perWorker = 8, 1200

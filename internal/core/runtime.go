@@ -169,8 +169,9 @@ func WithIdleWatch(onQuiescent func(liveTasks int)) Option {
 
 // WithTracing enables the live task/promise registry used by Snapshot and
 // DOT export. It takes a global lock on creation/termination paths, so it
-// is a debugging aid, not for benchmarking. (For scalable event tracing,
-// see WithEventLog and TraceTo, which are lock-free on the hot path.)
+// is a debugging aid, not for benchmarking. (For event tracing, see
+// WithEventLog and TraceTo, which take no registry lock; TraceTo stages
+// events per task and delivers them in batches.)
 func WithTracing(on bool) Option {
 	return func(r *Runtime) {
 		if on {
@@ -186,9 +187,10 @@ type Stats struct {
 	Tasks int64 // tasks spawned (always counted)
 	Gets  int64 // Get operations (only with WithEventCounting)
 	Sets  int64 // Set/SetError operations (only with WithEventCounting)
-	// EventsDropped counts trace events lost to collector overflow.
-	// Always 0 when tracing is off, and 0 on any healthy traced run —
-	// the tier-1 tests assert exactly that.
+	// EventsDropped counts trace events logged after TraceClose (the
+	// collector never drops one before). Always 0 when tracing is off,
+	// and 0 on any healthy traced run — the tier-1 tests assert exactly
+	// that.
 	EventsDropped int64
 }
 

@@ -398,8 +398,8 @@ func (r *Runtime) completeTask(t *Task, err error) {
 			detail = err.Error()
 		}
 		// Logged — and the staging buffer drained — before the done
-		// signal, so a waiter woken by Wait observes the task's complete
-		// event stream after one TraceFlush.
+		// signal, so a waiter woken by Wait finds the task's complete
+		// event stream already in the sinks.
 		r.logEvent(EvTaskEnd, t, nil, detail)
 		r.flushStageIfStaged(t)
 	}

@@ -247,10 +247,10 @@ func MeasureMicros(modes []core.Mode) ([]Micro, error) {
 				}
 			}, nil, SpawnBatchFixture},
 			// The trace-overhead row: the same Set/Get round-trip with every
-			// event streamed through the lock-free collector and the binary
-			// encoder (the encoding happens on the background drain
-			// goroutine, so the figure includes its allocations — that is
-			// the honest whole-subsystem cost per operation).
+			// event staged per task and delivered through the collector to
+			// the binary encoder. Delivery and encoding run on the emitting
+			// task's goroutine, so the figure includes their allocations —
+			// the whole-subsystem cost per operation.
 			{"setget-traced", microIters, 0, func() []core.Option {
 				return []core.Option{core.TraceTo(trace.NewWriterSink(io.Discard))}
 			}, nil, SetGetFixture},

@@ -261,7 +261,6 @@ func TestCancelMidFlightStealHeavyExactAccounting(t *testing.T) {
 		if runtime.NumGoroutine() <= before {
 			return
 		}
-		runtime.GC()
 		time.Sleep(5 * time.Millisecond)
 	}
 	t.Fatalf("goroutines leaked through Pool.Close: %d, baseline %d", runtime.NumGoroutine(), before)

@@ -107,9 +107,9 @@ func TestPoolStatsEventsDroppedAggregate(t *testing.T) {
 		t.Fatalf("pool EventsDropped = %d, want sum of sessions %d", got, want)
 	}
 	// The aggregate counter feeds straight into the snapshot — a nonzero
-	// sum must surface. (Real overflow needs >64Ki buffered events with a
-	// stalled drain, which is exactly the nondeterminism a unit test
-	// can't stage; bump the accumulator directly instead.)
+	// sum must surface. (A real drop needs an event logged after
+	// TraceClose, which a pool session never does; bump the accumulator
+	// directly instead.)
 	pool.dropped.Add(7)
 	if got := pool.Stats().EventsDropped; got != want+7 {
 		t.Fatalf("pool EventsDropped = %d after +7, want %d", got, want+7)

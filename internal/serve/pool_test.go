@@ -142,7 +142,6 @@ func TestPoolMixedSessionsIsolationAndDrain(t *testing.T) {
 		if runtime.NumGoroutine() <= before {
 			return
 		}
-		runtime.GC() // nudge AddCleanup-based collector shutdown for any stragglers
 		time.Sleep(5 * time.Millisecond)
 	}
 	t.Fatalf("goroutines leaked through Pool.Close: %d, baseline %d", runtime.NumGoroutine(), before)

@@ -1,139 +1,41 @@
 package trace
 
 import (
-	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 )
 
-// Options configures a Collector. The zero value selects defaults.
-type Options struct {
-	// Shards is the number of writer lanes (rounded up to a power of
-	// two). 0 selects GOMAXPROCS, capped at 32. Events are laned by task
-	// ID, so the per-task stream stays in one shard.
-	Shards int
-	// RetireRing is the capacity, in chunks, of the retired-chunk
-	// hand-off ring. 0 selects 256 (64 Ki events buffered). When the ring
-	// overflows the oldest retired chunk is dropped and counted.
-	RetireRing int
-	// Manual disables the background drain goroutine; retired chunks are
-	// then drained only by Flush and Close. Used by tests that need a
-	// deterministic overflow, and by recorders that flush at known
-	// points.
-	Manual bool
-	// Sinks receive the drained batches. Batches are sorted by Seq
-	// within themselves; the stream across batches is near-sorted (see
-	// SortBySeq).
-	Sinks []Sink
-}
-
-// Collector is the lock-free sharded event collector: writers Emit
-// concurrently with one atomic sequence fetch, one slot reservation, and
-// one publishing store — never a lock, never a block. A background
-// goroutine (lazily started on the first chunk retirement) drains
-// retired chunks into the configured sinks in Seq-sorted batches.
+// Collector assigns every event its global sequence number and delivers
+// it to the sinks under one mutex. Delivery is synchronous: when Emit or
+// EmitStamped returns, the sinks have the events, so a collector never
+// buffers, never drops an event before Close, and starts no goroutine.
+// The overflow policy is back-pressure: a slow sink makes writers wait
+// for the lock. The runtime's per-task staging keeps that lock off the
+// per-event path (one EmitStamped per staged batch).
 type Collector struct {
 	seq     atomic.Uint64 // the global sequence counter: the total order
-	dropped atomic.Uint64 // events lost to retire-ring overflow
-	gap     atomic.Uint64 // dropped events not yet materialized as a gap record
+	dropped atomic.Uint64 // events emitted after Close
 
-	mask   uint64
-	shards []shard
-	ring   retireRing
-
-	notify   chan struct{}
-	stop     chan struct{}
-	stopped  chan struct{}
-	manual   bool
-	started  atomic.Bool
-	shutdown atomic.Bool // set by Close: late Emits are counted, not stored
-
-	startOnce sync.Once
-	closeOnce sync.Once
-
-	mu      sync.Mutex // serializes drains and sink access
-	sinks   []Sink
-	scratch []Event // reusable delivery batch (guarded by mu; sinks copy)
-	err     error
-	closed  bool
+	mu     sync.Mutex // serializes delivery and sink access
+	sinks  []Sink
+	one    [1]Event // Emit's one-event batch (guarded by mu; sinks copy)
+	err    error
+	closed bool
 }
 
-// New creates a collector delivering to opts.Sinks.
-func New(opts Options) *Collector {
-	n := opts.Shards
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-		if n > 32 {
-			n = 32
-		}
-	}
-	shards := 1
-	for shards < n {
-		shards <<= 1
-	}
-	ringCap := opts.RetireRing
-	if ringCap <= 0 {
-		ringCap = 256
-	}
-	c := &Collector{
-		mask:    uint64(shards - 1),
-		shards:  make([]shard, shards),
-		notify:  make(chan struct{}, 1),
-		stop:    make(chan struct{}),
-		stopped: make(chan struct{}),
-		manual:  opts.Manual,
-		sinks:   append([]Sink(nil), opts.Sinks...),
-	}
-	c.ring.slots = make([]atomic.Pointer[chunk], ringCap)
-	return c
+// New creates a collector delivering to sinks.
+func New(sinks ...Sink) *Collector {
+	return &Collector{sinks: append([]Sink(nil), sinks...)}
 }
 
-// Emit records one event, assigning its global sequence number. Safe for
-// any number of concurrent callers; the hot path is three atomic
-// operations (sequence fetch, slot reservation, publishing store) plus
-// the field writes — no locks, and no allocation except when a 256-event
-// chunk fills and its replacement is allocated.
+// Emit stamps e with the next sequence number and delivers it. Safe for
+// any number of concurrent callers.
 func (c *Collector) Emit(e Event) {
-	if c.shutdown.Load() {
-		// Emitting after Close is a contract violation (see TraceClose).
-		// The accounting here and at retirement is best-effort, not a
-		// guarantee: a writer parked across the entire Close (past the
-		// flag store, the final drain, and the ring sweep) can still
-		// park events in a chunk nobody reads or counts. The contract —
-		// quiesce before Close — is what rules that out; these checks
-		// only turn the common misuses into counted drops.
-		c.dropped.Add(1)
-		if m := tmet(); m != nil {
-			m.drops.Inc()
-		}
-		return
-	}
-	if m := tmet(); m != nil {
-		m.emitted.Inc()
-	}
 	e.Seq = c.seq.Add(1)
-	sh := &c.shards[e.TaskID&c.mask]
-	for {
-		ch := sh.cur.Load()
-		if ch == nil {
-			sh.cur.CompareAndSwap(nil, new(chunk))
-			continue
-		}
-		i := ch.alloc.Add(1) - 1
-		if i < chunkEvents {
-			s := &ch.slots[i]
-			s.ev = e
-			s.seq.Store(e.Seq) // release: publishes s.ev to the collector
-			if i == chunkEvents-1 {
-				c.retire(sh, ch) // eager hand-off of the now-full chunk
-			}
-			return
-		}
-		// Chunk full and our reservation overflowed: retire it (one
-		// writer wins the swap) and retry on the fresh chunk.
-		c.retire(sh, ch)
-	}
+	c.mu.Lock()
+	c.one[0] = e
+	c.deliverLocked(c.one[:])
+	c.mu.Unlock()
 }
 
 // NextSeq reserves and returns the next global sequence number, for
@@ -144,216 +46,37 @@ func (c *Collector) Emit(e Event) {
 // but readers sort by Seq.
 func (c *Collector) NextSeq() uint64 { return c.seq.Add(1) }
 
-// EmitStamped records a batch of pre-stamped events (Seq already
-// assigned via NextSeq) that all belong to one task, and therefore one
-// shard. This is the flush half of the staging protocol: slot
-// reservation is batched — one atomic add reserves as many slots as fit
-// in the shard's current chunk — so the per-event hot-path cost
-// collapses to the sequence fetch and two plain copies. Each filled slot
-// is still published individually through its seq store, preserving the
-// slot-seq protocol the drain side (and the offline verifier's
-// completeness) depends on.
+// EmitStamped delivers a batch of pre-stamped events: Seq already
+// assigned via NextSeq, in ascending order (one task's staged events).
+// The collector does not retain evs.
 func (c *Collector) EmitStamped(evs []Event) {
 	if len(evs) == 0 {
 		return
 	}
-	if c.shutdown.Load() {
-		c.dropped.Add(uint64(len(evs)))
-		if m := tmet(); m != nil {
-			m.drops.Add(int64(len(evs)))
-		}
-		return
-	}
 	if m := tmet(); m != nil {
-		m.emitted.Add(int64(len(evs)))
 		m.flushes.Inc()
 	}
-	// Direct path: a staged batch is already in ascending Seq order, so
-	// when the delivery lock is free it can go straight to the sinks —
-	// no chunk traffic, no retire ring, no drain-goroutine round trip.
-	// Contention (another flusher, the background drain, a Flush) falls
-	// back to the lock-free chunk path below, so no writer ever waits.
-	if c.mu.TryLock() {
-		c.writeLocked(evs)
-		c.mu.Unlock()
-		return
-	}
-	sh := &c.shards[evs[0].TaskID&c.mask]
-	for len(evs) > 0 {
-		ch := sh.cur.Load()
-		if ch == nil {
-			sh.cur.CompareAndSwap(nil, new(chunk))
-			continue
-		}
-		n := uint32(len(evs))
-		i := ch.alloc.Add(n) - n
-		if i >= chunkEvents {
-			// Chunk already full and our whole reservation overflowed:
-			// retire it (one writer wins the swap) and retry.
-			c.retire(sh, ch)
-			continue
-		}
-		take := chunkEvents - i
-		if take > n {
-			take = n
-		}
-		for k := uint32(0); k < take; k++ {
-			s := &ch.slots[i+k]
-			s.ev = evs[k]
-			s.seq.Store(evs[k].Seq) // release: publishes s.ev per slot
-		}
-		if i+take == chunkEvents {
-			c.retire(sh, ch) // eager hand-off of the now-full chunk
-		}
-		evs = evs[take:]
-	}
+	c.mu.Lock()
+	c.deliverLocked(evs)
+	c.mu.Unlock()
 }
 
-// retire swaps a fresh chunk into the shard and hands the full one to
-// the collector. Exactly one caller wins the CAS per chunk; losers just
-// reload.
-func (c *Collector) retire(sh *shard, ch *chunk) {
-	if sh.cur.Load() != ch {
-		return // already retired by another writer
-	}
-	if !sh.cur.CompareAndSwap(ch, new(chunk)) {
-		return
-	}
-	if c.shutdown.Load() {
-		// Nobody will drain a chunk retired after Close: count it
-		// instead of parking it in the ring as a silent loss.
-		c.countDropped(ch)
-		return
-	}
-	c.ring.push(ch, c.countDropped)
-	if !c.manual {
-		c.startOnce.Do(func() {
-			if c.shutdown.Load() {
-				return // Close already ran; don't start an undrainable loop
-			}
-			c.started.Store(true)
-			go c.loop()
-		})
-		select {
-		case c.notify <- struct{}{}:
-		default:
-		}
-	}
-}
-
-// countDropped accounts a chunk lost to ring overflow: its undelivered
-// events are added to the dropped total and to the pending gap, which
-// the next delivered batch materializes as a KindGap record. The
-// drained read may lag a concurrent Flush that is mid-peek on this
-// chunk, in which case events that were in fact delivered are counted
-// as dropped too — an over-count, deliberately erring in the safe
-// direction: a trace is never reported more complete than it is.
-func (c *Collector) countDropped(ch *chunk) {
-	n := uint64(ch.published() - ch.drained.Load())
-	if n == 0 {
-		return
-	}
-	c.dropped.Add(n)
-	c.gap.Add(n)
-	if m := tmet(); m != nil {
-		m.drops.Add(int64(n))
-	}
-}
-
-// loop is the background collector: it drains retired chunks whenever a
-// writer retires one, and exits at Close.
-func (c *Collector) loop() {
-	defer close(c.stopped)
-	for {
-		select {
-		case <-c.notify:
-			c.mu.Lock()
-			c.drainRetiredLocked()
-			c.mu.Unlock()
-		case <-c.stop:
-			return
-		}
-	}
-}
-
-// drainRetiredLocked delivers every retired chunk. Caller holds c.mu.
-func (c *Collector) drainRetiredLocked() {
-	for {
-		ch := c.ring.pop()
-		if ch == nil {
-			return
-		}
-		c.deliverChunkLocked(ch)
-	}
-}
-
-// deliverChunkLocked collects a chunk's published-but-undelivered slots
-// into one batch and hands it to the sinks. The spin on an unpublished
-// slot covers a writer between its reservation and its publishing store;
-// it is bounded by that writer's next few instructions.
-func (c *Collector) deliverChunkLocked(ch *chunk) {
-	n := ch.published()
-	start := ch.drained.Load()
-	if start >= n {
-		return
-	}
-	// The delivery batch is a reusable scratch slice (sinks copy what
-	// they keep), so steady-state draining allocates nothing beyond what
-	// the sinks themselves do.
-	batch := c.scratch[:0]
-	for i := start; i < n; i++ {
-		s := &ch.slots[i]
-		for s.seq.Load() == 0 {
-			runtime.Gosched()
-		}
-		batch = append(batch, s.ev)
-	}
-	ch.drained.Store(n)
-	c.deliverLocked(batch)
-}
-
-// deliverLocked materializes any pending gap record, sorts the batch,
-// and writes it to every sink. A nil batch still delivers a pending gap
-// (the Flush/Close path uses that to record drops that were never
-// followed by a surviving chunk). The batch's backing array is retained
-// as the next drain's scratch, so callers must pass either the scratch
-// itself or a batch they no longer own.
+// deliverLocked writes batch to every sink, remembering the first sink
+// error, or counts it as dropped after Close. Caller holds c.mu.
 func (c *Collector) deliverLocked(batch []Event) {
-	if batch != nil {
-		// Remember the backing array for the next drain. The scratch pins
-		// at most one chunk's worth of events between deliveries; sinks
-		// copy, so handing them the scratch is safe.
-		c.scratch = batch[:0]
-	}
-	c.writeLocked(batch)
-}
-
-// writeLocked is deliverLocked without the scratch capture, for batches
-// the collector must not retain (EmitStamped's direct path delivers the
-// runtime's staging buffers in place). It remembers the first sink
-// error. Caller holds c.mu.
-func (c *Collector) writeLocked(batch []Event) {
-	if g := c.gap.Swap(0); g > 0 {
-		batch = append(batch, Event{
-			Seq:    c.seq.Add(1),
-			Kind:   KindGap,
-			Arg:    g,
-			Detail: fmt.Sprintf("%d events dropped (collector overflow)", g),
-		})
-	}
-	if len(batch) == 0 {
-		return
-	}
+	m := tmet()
 	if c.closed {
-		// The sinks are gone; a batch surfacing now (a straggler chunk
-		// drained by a late Flush) is lost — but counted, never silent.
+		// Emitting after Close is a contract violation (see TraceClose):
+		// the sinks are gone, so the batch is counted, never silent.
 		c.dropped.Add(uint64(len(batch)))
-		if m := tmet(); m != nil {
+		if m != nil {
 			m.drops.Add(int64(len(batch)))
 		}
 		return
 	}
-	SortBySeq(batch)
+	if m != nil {
+		m.emitted.Add(int64(len(batch)))
+	}
 	for _, s := range c.sinks {
 		if err := s.WriteEvents(batch); err != nil && c.err == nil {
 			c.err = err
@@ -361,75 +84,29 @@ func (c *Collector) writeLocked(batch []Event) {
 	}
 }
 
-// Flush synchronously drains everything recorded so far — retired chunks
-// and the published prefix of every shard's current chunk — into the
-// sinks. It is precise once writers are quiescent (e.g. after
-// Runtime.Run returns); mid-run it is advisory: events being written
-// concurrently may or may not be included, but nothing is lost or
-// duplicated. It returns the first sink error, if any.
-func (c *Collector) Flush() error {
+// Flush returns the first sink error, if any. Delivery is synchronous,
+// so once it returns every event whose Emit or EmitStamped has returned
+// is in the sinks.
+func (c *Collector) Flush() error { return c.Err() }
+
+// Close closes every sink. Idempotent; returns the first recorded error.
+// Events emitted afterwards are counted by Dropped, not delivered.
+func (c *Collector) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if !c.closed {
-		c.flushLocked()
-	}
-	return c.err
-}
-
-func (c *Collector) flushLocked() {
-	c.drainRetiredLocked()
-	for i := range c.shards {
-		if ch := c.shards[i].cur.Load(); ch != nil {
-			c.deliverChunkLocked(ch)
-		}
-	}
-	// A gap with no following batch (everything after the drop was also
-	// dropped) still must reach the stream.
-	c.deliverLocked(nil)
-}
-
-// Close stops the background goroutine, performs a final drain, and
-// closes every sink. Idempotent; returns the first recorded error.
-func (c *Collector) Close() error {
-	c.closeOnce.Do(func() {
-		c.shutdown.Store(true)
-		// stop is closed unconditionally: a drain loop whose lazy start
-		// raced this Close (retire passed the shutdown check, spawned
-		// after the started.Load below) then exits on its first select
-		// instead of leaking. The wait is only for a loop known started.
-		close(c.stop)
-		if c.started.Load() {
-			<-c.stopped
-		}
-		c.mu.Lock()
-		c.flushLocked()
-		// Sweep the ring for stranded chunks: a pusher preempted between
-		// its tail reservation and its slot store, whose index a dropper
-		// then claimed (swapping nil and counting nothing), leaves its
-		// chunk in a slot the head has already passed. Writers are
-		// quiescent at Close and the drain loop is stopped, so every
-		// remaining non-nil slot is such a strand — deliver it (readers
-		// order by Seq) rather than lose it silently.
-		for i := range c.ring.slots {
-			if ch := c.ring.slots[i].Swap(nil); ch != nil {
-				c.deliverChunkLocked(ch)
-			}
-		}
+		c.closed = true
 		for _, s := range c.sinks {
 			if err := s.Close(); err != nil && c.err == nil {
 				c.err = err
 			}
 		}
-		c.closed = true
-		c.mu.Unlock()
-	})
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	}
 	return c.err
 }
 
-// Dropped returns the number of events lost to retired-ring overflow.
-// Zero means the trace is complete.
+// Dropped returns the number of events emitted after Close. Zero means
+// the trace is complete.
 func (c *Collector) Dropped() uint64 { return c.dropped.Load() }
 
 // Err returns the first sink error encountered while delivering.

@@ -1,18 +1,16 @@
-// Package trace is the runtime's scalable tracing subsystem: a
-// lock-free, sharded event collector, a compact binary trace format, and
-// an offline verifier that re-derives the detector's verdict from the
-// trace alone.
+// Package trace is the runtime's tracing subsystem: an event collector,
+// a compact binary trace format, and an offline verifier that re-derives
+// the detector's verdict from the trace alone.
 //
-// The subsystem replaces the seed's single mutex-guarded event ring with
-// three cooperating pieces:
+// Three pieces cooperate:
 //
-//   - Collector (collector.go, ring.go): writers append events to
-//     per-shard fixed-size chunks with one atomic reservation and one
-//     atomic publish — no locks, no channels on the hot path. Full
-//     chunks are retired onto a bounded lock-free ring drained by a
-//     background goroutine; if the drainer falls behind, the oldest
-//     retired chunk is dropped (counted, and marked in the stream with a
-//     KindGap record) rather than ever blocking a writer.
+//   - Collector (collector.go): stamps each event with a global
+//     sequence number and delivers it to the sinks under one mutex. The
+//     runtime stages each task's events locally and hands them over in
+//     batches of at most 32, so a staged task takes the lock once per
+//     batch rather than once per event. A slow sink applies
+//     back-pressure to writers instead of dropping events: the
+//     verifier's value rests on a complete stream.
 //
 //   - Binary format (encode.go, sink.go): events are varint-packed
 //     records behind a Sink interface. MemSink retains events in memory

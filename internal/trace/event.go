@@ -21,11 +21,11 @@ const (
 	KindTaskStart
 	KindTaskEnd
 	KindAlarm
-	// KindGap marks a hole in the stream: Arg events were dropped
-	// because the collector fell behind and the retired-chunk ring
-	// overflowed (drop-oldest policy). A trace containing gaps is
-	// complete in order but not in content; the verifier reports it as
-	// best-effort.
+	// KindGap marks a hole in the stream: Arg events were dropped. The
+	// Collector drops no event before Close and never writes it; the
+	// kind stays because trace files from earlier, lossy collectors may
+	// contain it. A trace containing gaps is complete in order but not
+	// in content; the verifier reports it as best-effort.
 	KindGap
 	// KindMeta is free-form stream metadata (Detail), e.g. the runtime
 	// configuration ("mode=full detector=lockfree tracking=list") or a

@@ -7,10 +7,11 @@ import (
 )
 
 // traceMetrics is the trace subsystem's resolved metric set, shared by
-// every Collector in the process: events accepted by the collector,
+// every Collector in the process: events delivered to sinks,
 // staged-batch flushes (EmitStamped calls — the staging protocol's
 // amortization unit), and drops. Drops mirror the per-collector
-// Dropped() counter so a lossy collector shows up on a scrape without
+// Dropped() counter (events emitted after Close) so a caller that
+// breaks the quiesce-before-close contract shows up on a scrape without
 // anyone polling sessions. Nil when observability is off (one atomic
 // load + branch per site); single padded-atomic adds when on.
 type traceMetrics struct {

@@ -6,12 +6,13 @@ import (
 	"sync"
 )
 
-// Sink receives drained event batches from a Collector. WriteEvents is
-// called with batches sorted by Seq within themselves; the stream across
+// Sink receives event batches from a Collector. WriteEvents is called
+// with batches sorted by Seq within themselves; the stream across
 // batches is near-sorted (readers recover total order via SortBySeq).
-// Implementations must be safe for sequential calls from different
-// goroutines (the collector serializes deliveries, but background drains
-// and explicit Flushes come from different goroutines).
+// The collector serializes calls under its lock, but they come from
+// whichever goroutine emitted the batch. WriteEvents must copy what it
+// keeps (the batch is reused) and must not call back into the
+// collector; its latency is paid by the emitting writers.
 type Sink interface {
 	WriteEvents(batch []Event) error
 	Close() error

@@ -3,35 +3,24 @@ package trace
 import (
 	"sync"
 	"testing"
+	"time"
 )
 
-// TestEmitStampedDeliversAll drives the staged-emission API through both
-// of its delivery paths — the direct-to-sinks fast path and the chunk
-// fallback, forced deterministically by holding the delivery lock so
-// TryLock fails (batches bigger than a chunk also straddle chunk
-// boundaries there) — and checks that every stamped event arrives
-// exactly once, in recoverable total order, alongside interleaved
-// direct Emits.
+// TestEmitStampedDeliversAll drives the staged-emission API interleaved
+// with direct Emits and checks that every stamped event arrives exactly
+// once, in recoverable total order.
 func TestEmitStampedDeliversAll(t *testing.T) {
 	mem := NewMemSink(0)
-	c := New(Options{Sinks: []Sink{mem}, Manual: true, Shards: 1})
+	c := New(mem)
 
-	const directPerBatch, batches, batchLen = 16, 6, chunkEvents + 37 // straddles chunks
+	const directPerBatch, batches, batchLen = 16, 6, 293
 	total := batches * (batchLen + directPerBatch)
 	for b := 0; b < batches; b++ {
 		batch := make([]Event, batchLen)
 		for i := range batch {
 			batch[i] = Event{Seq: c.NextSeq(), Kind: KindSet, TaskID: 7}
 		}
-		if b%2 == 0 {
-			// Force the lock-free chunk fallback: with the delivery lock
-			// held, the direct path's TryLock fails.
-			c.mu.Lock()
-			c.EmitStamped(batch)
-			c.mu.Unlock()
-		} else {
-			c.EmitStamped(batch)
-		}
+		c.EmitStamped(batch)
 		for i := 0; i < directPerBatch; i++ {
 			c.Emit(Event{Kind: KindNewPromise, TaskID: 7})
 		}
@@ -65,11 +54,10 @@ func TestEmitStampedDeliversAll(t *testing.T) {
 }
 
 // TestEmitStampedConcurrent hammers stamped batches from many writers
-// (same shard and different shards) racing the background drain; nothing
-// may be lost or duplicated.
+// at once; nothing may be lost or duplicated.
 func TestEmitStampedConcurrent(t *testing.T) {
 	mem := NewMemSink(0)
-	c := New(Options{Sinks: []Sink{mem}, Shards: 4, RetireRing: 4096})
+	c := New(mem)
 
 	const writers, perWriter, batchLen = 8, 60, 16
 	var wg sync.WaitGroup
@@ -113,7 +101,7 @@ func TestEmitStampedConcurrent(t *testing.T) {
 // closed sinks.
 func TestEmitStampedAfterCloseCounts(t *testing.T) {
 	mem := NewMemSink(0)
-	c := New(Options{Sinks: []Sink{mem}})
+	c := New(mem)
 	batch := []Event{{Seq: c.NextSeq(), Kind: KindSet, TaskID: 1}}
 	c.EmitStamped(batch)
 	if err := c.Close(); err != nil {
@@ -129,5 +117,67 @@ func TestEmitStampedAfterCloseCounts(t *testing.T) {
 	}
 	if got := len(mem.Snapshot()); got != 1 {
 		t.Fatalf("delivered %d, want only the pre-close event", got)
+	}
+}
+
+// slowSink parks its first WriteEvents until release fires, then
+// forwards every batch to the embedded MemSink.
+type slowSink struct {
+	*MemSink
+	once    sync.Once
+	entered chan struct{}
+	release <-chan time.Time
+}
+
+func (s *slowSink) WriteEvents(batch []Event) error {
+	s.once.Do(func() {
+		close(s.entered)
+		<-s.release
+	})
+	return s.MemSink.WriteEvents(batch)
+}
+
+// TestSlowSinkBackPressure parks one writer inside a slow sink's first
+// write and then emits far more staged events than any bounded buffer
+// would hold: the other writers must wait for the sink, and every event
+// must reach it. A collector that drops on overflow fails here.
+func TestSlowSinkBackPressure(t *testing.T) {
+	sink := &slowSink{
+		MemSink: NewMemSink(0),
+		entered: make(chan struct{}),
+		release: time.After(300 * time.Millisecond),
+	}
+	c := New(sink)
+	parked := make(chan struct{})
+	first := []Event{{Seq: c.NextSeq(), Kind: KindSet, TaskID: 1}}
+	go func() {
+		defer close(parked)
+		c.EmitStamped(first)
+	}()
+	<-sink.entered
+
+	const batches, batchLen = 320, 256
+	for b := 0; b < batches; b++ {
+		batch := make([]Event, batchLen)
+		for i := range batch {
+			batch[i] = Event{Seq: c.NextSeq(), Kind: KindSet, TaskID: 2}
+		}
+		c.EmitStamped(batch)
+	}
+	<-parked
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if d := c.Dropped(); d != 0 {
+		t.Fatalf("dropped %d events", d)
+	}
+	evs := sink.Snapshot()
+	if want := 1 + batches*batchLen; len(evs) != want {
+		t.Fatalf("delivered %d events, want %d", len(evs), want)
+	}
+	for i, e := range evs {
+		if e.Seq != uint64(i+1) {
+			t.Fatalf("event %d has seq %d: lost or duplicated", i, e.Seq)
+		}
 	}
 }

@@ -24,7 +24,7 @@ type Alarm struct {
 // Report is the verifier's verdict over one trace.
 type Report struct {
 	Events     int
-	Dropped    uint64 // events lost to collector overflow (from gap records)
+	Dropped    uint64 // events lost, from gap records (older trace files only)
 	Complete   bool   // no gap records: the trace holds every emitted event
 	Terminated bool   // a KindRunEnd record was seen: the run finished
 	TaskErrors uint64 // from KindRunEnd's Arg
