@@ -155,9 +155,6 @@ var (
 	// (pairs with WithExecutor; sched.Elastic.ExecuteBatch is the intended
 	// implementation).
 	WithBatchExecutor = core.WithBatchExecutor
-	// WithInlineSpawn routes every Async through the inline
-	// run-to-completion path (see Task.AsyncInline for the contract).
-	WithInlineSpawn = core.WithInlineSpawn
 	// WithTracing enables Snapshot/DOT debugging.
 	WithTracing = core.WithTracing
 	// WithIdleWatch installs the whole-program quiescence comparator (§1).

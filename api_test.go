@@ -391,15 +391,14 @@ func TestFacadeSessionGraph(t *testing.T) {
 	}
 }
 
-// TestFacadeSpawnFastPaths exercises the PR-6 surface through the facade:
-// inline spawn (per-call and runtime-wide), batched spawn, and arena
-// promises.
+// TestFacadeSpawnFastPaths exercises the spawn fast paths through the
+// facade: arena promises and batched spawn.
 func TestFacadeSpawnFastPaths(t *testing.T) {
-	rt := repro.NewRuntime(repro.WithInlineSpawn(true))
+	rt := repro.NewRuntime()
 	err := rt.Run(func(tk *repro.Task) error {
 		arena := repro.NewPromiseArena[int](tk)
 		p := arena.New(tk)
-		if _, err := tk.AsyncInline(func(c *repro.Task) error {
+		if _, err := tk.Async(func(c *repro.Task) error {
 			return p.Set(c, 1)
 		}, p); err != nil {
 			return err

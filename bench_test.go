@@ -314,18 +314,6 @@ func BenchmarkMicro_SpawnNoMove(b *testing.B) {
 	}
 }
 
-// BenchmarkMicro_SpawnInline is BenchmarkMicro_Spawn through the
-// inline run-to-completion path (Task.AsyncInline): the child's body
-// runs on the parent's goroutine, so the spawn+join pays no context
-// switch. Tracked as "spawn-inline" in BENCH_table1.json.
-func BenchmarkMicro_SpawnInline(b *testing.B) {
-	for _, mode := range []core.Mode{core.Unverified, core.Full} {
-		b.Run(mode.String(), func(b *testing.B) {
-			benchFixture(b, harness.SpawnInlineFixture, core.WithMode(mode))
-		})
-	}
-}
-
 // BenchmarkMicro_SpawnBatch spawns harness.BatchWidth (64) children per
 // iteration through ONE Task.AsyncBatch call and joins through their
 // promises; reported ns/op is per BATCH — divide by 64 to compare with
@@ -357,51 +345,6 @@ func BenchmarkMicro_SetGetSlab(b *testing.B) {
 	for _, mode := range []core.Mode{core.Unverified, core.Ownership, core.Full} {
 		b.Run(mode.String(), func(b *testing.B) {
 			benchFixture(b, harness.SetGetSlabFixture, core.WithMode(mode))
-		})
-	}
-}
-
-// TestInlineSpawnAllocs pins the inline spawn path's allocation budget:
-// an AsyncInline whose body sets one moved promise, joined through that
-// promise, is one object cheaper than the scheduled spawn
-// TestSpawnPathAllocs pins — there is no body closure and no wakeup
-// channel (the join's Get always lands on a fulfilled promise), leaving
-// the promise and the task block, plus the child's owned-list seed under
-// the policy modes. Half-an-alloc slack covers owned-list growth
-// straddling a measurement window.
-func TestInlineSpawnAllocs(t *testing.T) {
-	for _, cfg := range []struct {
-		mode  core.Mode
-		limit float64
-	}{
-		{core.Unverified, 2.5},
-		{core.Ownership, 3.5},
-		{core.Full, 3.5},
-	} {
-		t.Run(cfg.mode.String(), func(t *testing.T) {
-			rt := core.NewRuntime(core.WithMode(cfg.mode))
-			if err := rt.Run(func(task *core.Task) error {
-				step, err := harness.SpawnInlineFixture(task)
-				if err != nil {
-					return err
-				}
-				for i := 0; i < 200; i++ {
-					if err := step(i); err != nil {
-						return err
-					}
-				}
-				got := testing.AllocsPerRun(500, func() {
-					if err := step(0); err != nil {
-						t.Error(err)
-					}
-				})
-				if got > cfg.limit {
-					t.Errorf("inline spawn: %v allocs/op, want <= %v", got, cfg.limit)
-				}
-				return nil
-			}); err != nil {
-				t.Fatal(err)
-			}
 		})
 	}
 }

@@ -58,7 +58,6 @@ func main() {
 	tasks := flag.Int("tasks", 100, "tasks per generated program")
 	promises := flag.Int("promises", 200, "promises per generated program")
 	maxCycle := flag.Int("cycle", 6, "maximum injected cycle length")
-	inline := flag.Float64("inline", 0, "probability that an eligible spawn site (leaf and ring tasks) uses AsyncInline")
 	record := flag.String("record", "", "record every trial's trace into this directory and re-verify it offline")
 	replayFile := flag.String("replay", "", "replay one recorded trace: regenerate the program, re-run, compare verdicts")
 	verbose := flag.Bool("v", false, "log every trial")
@@ -76,8 +75,8 @@ func main() {
 
 	fmt.Printf("promisefuzz: base seed %d, %d trials per family\n", *base, *trials)
 	fails := 0
-	fails += fuzzClean(*base, *trials, *tasks, *promises, *inline, *record, *verbose)
-	fails += fuzzCycles(*base, *trials, *tasks, *promises, *maxCycle, *inline, *record, *verbose)
+	fails += fuzzClean(*base, *trials, *tasks, *promises, *record, *verbose)
+	fails += fuzzCycles(*base, *trials, *tasks, *promises, *maxCycle, *record, *verbose)
 	if fails > 0 {
 		fmt.Printf("FAIL: %d violations\n", fails)
 		os.Exit(1)
@@ -192,13 +191,12 @@ func runTrial(record, family string, cfg randprog.Config, cname string, opts []c
 	return fails
 }
 
-func fuzzClean(base int64, trials, tasks, promises int, inline float64, record string, verbose bool) (fails int) {
+func fuzzClean(base int64, trials, tasks, promises int, record string, verbose bool) (fails int) {
 	for i := 0; i < trials; i++ {
 		seed := base + int64(i)
 		cfg := randprog.Config{
 			Seed: seed, Tasks: tasks, Promises: promises,
 			MaxAwaits: 3, AwaitProb: 0.8, Work: 100,
-			InlineProb: inline,
 		}
 		for _, c := range configs() {
 			fails += runTrial(record, "clean", cfg, c.name, c.opts, "clean", func(err error) string {
@@ -215,7 +213,7 @@ func fuzzClean(base int64, trials, tasks, promises int, inline float64, record s
 	return fails
 }
 
-func fuzzCycles(base int64, trials, tasks, promises, maxCycle int, inline float64, record string, verbose bool) (fails int) {
+func fuzzCycles(base int64, trials, tasks, promises, maxCycle int, record string, verbose bool) (fails int) {
 	detectors := []struct {
 		name string
 		opts []core.Option
@@ -228,8 +226,7 @@ func fuzzCycles(base int64, trials, tasks, promises, maxCycle int, inline float6
 		cfg := randprog.Config{
 			Seed: seed, Tasks: tasks, Promises: promises,
 			MaxAwaits: 3, AwaitProb: 0.8, Work: 100,
-			CycleLen:   1 + i%maxCycle,
-			InlineProb: inline,
+			CycleLen: 1 + i%maxCycle,
 		}
 		for _, c := range detectors {
 			fails += runTrial(record, "cycle", cfg, c.name, c.opts, "deadlock", func(err error) string {

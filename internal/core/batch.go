@@ -30,12 +30,7 @@ type SpawnSpec struct {
 // code would have started the children preceding the bad one). A promise
 // listed by two specs is moved by the earlier one; the later listing is
 // skipped, exactly like a duplicate within one spawn.
-//
-// AsyncBatch never runs bodies inline (batches are fan-outs, inline
-// would serialize them); under WithInlineSpawn it is the way to say
-// "these N really are concurrent".
 func (t *Task) AsyncBatch(specs []SpawnSpec) ([]*Task, error) {
-	t.markDirty() // spawning is runtime-visible: an inline spawner cannot restart
 	if len(specs) == 0 {
 		return nil, nil
 	}

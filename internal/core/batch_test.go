@@ -192,41 +192,6 @@ func TestAsyncBatchVectorizedSubmit(t *testing.T) {
 	}
 }
 
-// TestAsyncBatchNeverInline: under WithInlineSpawn, AsyncBatch is the
-// escape hatch that guarantees real concurrency — children of one batch
-// can depend on each other without the serialized-inline execution
-// wedging the fan-out.
-func TestAsyncBatchNeverInline(t *testing.T) {
-	rt := NewRuntime(WithMode(Full), WithInlineSpawn(true))
-	err := run(t, rt, func(tk *Task) error {
-		g := NewPromiseNamed[int](tk, "g")
-		h := NewPromiseNamed[int](tk, "h")
-		if _, e := tk.AsyncBatch([]SpawnSpec{
-			{Name: "relay", Body: func(c *Task) error {
-				v, e := g.Get(c)
-				if e != nil {
-					return e
-				}
-				return h.Set(c, v+1)
-			}, Moved: []Movable{h}},
-			{Name: "source", Body: func(c *Task) error { return g.Set(c, 1) }, Moved: []Movable{g}},
-		}); e != nil {
-			return e
-		}
-		v, e := h.Get(tk)
-		if e != nil {
-			return e
-		}
-		if v != 2 {
-			return fmt.Errorf("h = %d, want 2", v)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestAsyncBatchTraceRoundTrip: a traced batch fan-out re-verifies clean,
 // with one task-start per child attributed to the batching parent.
 func TestAsyncBatchTraceRoundTrip(t *testing.T) {

@@ -147,7 +147,10 @@ func TestGetContextDeadlockBeatsDeadline(t *testing.T) {
 		if time.Since(start) > 30*time.Second {
 			return errors.New("the detector waited for the deadline")
 		}
-		return nil // root dies owning p: the cascade unblocks t2
+		// Returned, not swallowed: when root is the waiter that closes
+		// the cycle, e is the only record of the DeadlockError. Root
+		// still dies owning p, so the cascade unblocks t2 either way.
+		return e
 	})
 	var dl *DeadlockError
 	if !errors.As(err, &dl) {

@@ -15,8 +15,6 @@ import (
 // row then re-pins for the installed case.
 type coreMetrics struct {
 	spawnsScheduled *obs.Counter // startTask spawns (classic executor path)
-	spawnsInline    *obs.Counter // AsyncInline attempts (completed or migrated)
-	inlineMigrated  *obs.Counter // inline attempts restarted on the scheduler
 	spawnsBatch     *obs.Counter // AsyncBatch children
 	blocks          *obs.Counter // waits that actually parked (blockOn entries)
 	arenaSlabs      *obs.Counter // PromiseArena slab allocations
@@ -48,8 +46,6 @@ func init() {
 		alarms := reg.CounterVec("core_alarms_total", "class")
 		coreMet.Store(&coreMetrics{
 			spawnsScheduled: reg.Counter("core_spawns_scheduled_total"),
-			spawnsInline:    reg.Counter("core_spawns_inline_total"),
-			inlineMigrated:  reg.Counter("core_spawns_inline_migrated_total"),
 			spawnsBatch:     reg.Counter("core_spawns_batch_total"),
 			blocks:          reg.Counter("core_blocks_total"),
 			arenaSlabs:      reg.Counter("core_arena_slab_allocs_total"),

@@ -3,6 +3,9 @@ package core
 import (
 	"errors"
 	"fmt"
+	"runtime"
+	"sort"
+	"strings"
 	"testing"
 	"time"
 )
@@ -464,5 +467,190 @@ func TestFlatten(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// classifyVerdict reduces a run error to a canonical, schedule-independent
+// description of every policy/detector verdict it carries: deadlock cycles
+// as sorted task->promise hops, ownership blame by task and promise name.
+func classifyVerdict(err error) string {
+	if err == nil {
+		return "ok"
+	}
+	var parts []string
+	var dl *DeadlockError
+	if errors.As(err, &dl) {
+		hops := make([]string, 0, len(dl.Cycle))
+		for _, n := range dl.Cycle {
+			hops = append(hops, n.TaskName+"->"+n.PromiseLabel)
+		}
+		sort.Strings(hops)
+		parts = append(parts, "deadlock{"+strings.Join(hops, ",")+"}")
+	}
+	var om *OmittedSetError
+	if errors.As(err, &om) {
+		labels := make([]string, 0, len(om.Promises))
+		for _, p := range om.Promises {
+			labels = append(labels, p.Label())
+		}
+		sort.Strings(labels)
+		parts = append(parts, fmt.Sprintf("omitted{%s:%s}", om.TaskName, strings.Join(labels, ",")))
+	}
+	var ds *DoubleSetError
+	if errors.As(err, &ds) {
+		parts = append(parts, fmt.Sprintf("double{%s:%s}", ds.TaskName, ds.PromiseLabel))
+	}
+	var ow *OwnershipError
+	if errors.As(err, &ow) {
+		parts = append(parts, fmt.Sprintf("ownership{%s %s:%s}", ow.Op, ow.TaskName, ow.PromiseLabel))
+	}
+	var bp *BrokenPromiseError
+	if errors.As(err, &bp) {
+		parts = append(parts, "broken{"+bp.PromiseLabel+"}")
+	}
+	if len(parts) == 0 {
+		return "error{" + err.Error() + "}"
+	}
+	sort.Strings(parts)
+	return strings.Join(parts, "+")
+}
+
+// TestClassifiedVerdicts pins the classified verdict of each
+// verdict-bearing program shape under Ownership and under Full with both
+// detectors: the policy checks must name the same task and promise
+// whichever detector is configured, and the deadlock must be reported
+// with its exact two-hop cycle.
+func TestClassifiedVerdicts(t *testing.T) {
+	configs := []struct {
+		name string
+		opts []Option
+	}{
+		{"ownership", []Option{WithMode(Ownership)}},
+		{"full-lockfree", []Option{WithMode(Full), WithDetector(DetectLockFree)}},
+		{"full-globallock", []Option{WithMode(Full), WithDetector(DetectGlobalLock)}},
+	}
+	programs := []struct {
+		name string
+		want string
+		prog TaskFunc
+	}{
+		{"clean-fanout", "ok", func(tk *Task) error {
+			const n = 4
+			ps := make([]*Promise[int], n)
+			for i := range ps {
+				ps[i] = NewPromiseNamed[int](tk, fmt.Sprintf("p%d", i))
+			}
+			for i := range ps {
+				if _, e := tk.AsyncNamed(fmt.Sprintf("w%d", i), func(c *Task) error {
+					return ps[i].Set(c, i)
+				}, ps[i]); e != nil {
+					return e
+				}
+			}
+			for i, p := range ps {
+				v, e := p.Get(tk)
+				if e != nil {
+					return e
+				}
+				if v != i {
+					return fmt.Errorf("p%d = %d", i, v)
+				}
+			}
+			return nil
+		}},
+		{"omitted-set", "broken{leaked}+omitted{leaker:leaked}", func(tk *Task) error {
+			p := NewPromiseNamed[int](tk, "leaked")
+			if _, e := tk.AsyncNamed("leaker", func(c *Task) error {
+				return nil // takes ownership, never sets
+			}, p); e != nil {
+				return e
+			}
+			_, e := p.Get(tk)
+			return e
+		}},
+		{"double-set", "double{setter:twice}", func(tk *Task) error {
+			p := NewPromiseNamed[int](tk, "twice")
+			if _, e := tk.AsyncNamed("setter", func(c *Task) error {
+				if e := p.Set(c, 1); e != nil {
+					return e
+				}
+				return p.Set(c, 2)
+			}, p); e != nil {
+				return e
+			}
+			_, e := p.Get(tk)
+			return e
+		}},
+		{"set-without-ownership", "ownership{set thief:mine}", func(tk *Task) error {
+			p := NewPromiseNamed[int](tk, "mine")
+			done := NewPromiseNamed[int](tk, "done")
+			if _, e := tk.AsyncNamed("thief", func(c *Task) error {
+				se := p.Set(c, 99) // p was never moved to the child
+				if e := done.Set(c, 1); e != nil {
+					return e
+				}
+				return se
+			}, done); e != nil {
+				return e
+			}
+			// Join before the legitimate Set so the thief's verdict is
+			// deterministically "set without ownership", never a racy
+			// double-set against an already-fulfilled promise.
+			if _, e := done.Get(tk); e != nil {
+				return e
+			}
+			return p.Set(tk, 1)
+		}},
+		{"move-without-ownership", "ownership{move mover:stolen}", func(tk *Task) error {
+			p := NewPromiseNamed[int](tk, "stolen")
+			if _, e := tk.AsyncNamed("mover", func(c *Task) error {
+				// The child tries to move a promise it does not own.
+				_, e := c.AsyncNamed("inner", func(g *Task) error {
+					return nil
+				}, p)
+				return e
+			}); e != nil {
+				return e
+			}
+			return p.Set(tk, 1)
+		}},
+		{"deadlock-cycle", "broken{q}+deadlock{a->p,main->q}+omitted{a:q}", func(tk *Task) error {
+			p := NewPromiseNamed[int](tk, "p")
+			q := NewPromiseNamed[int](tk, "q")
+			if _, e := tk.AsyncNamed("a", func(c *Task) error {
+				// Close the cycle only once main has passed its own
+				// detector check and parked on q, so a is always the
+				// task that alarms and the verdict does not depend on
+				// the schedule.
+				for q.s.wake.ch.Load() == nil {
+					runtime.Gosched()
+				}
+				v, e := p.Get(c)
+				if e != nil {
+					return e
+				}
+				return q.Set(c, v)
+			}, q); e != nil {
+				return e
+			}
+			_, e := q.Get(tk) // main awaits q; a awaits p; p owned by main
+			if e == nil {
+				return errors.New("cycle-closing Get returned nil")
+			}
+			_ = p.Set(tk, 1)
+			return e
+		}},
+	}
+	for _, tc := range programs {
+		for _, cfg := range configs {
+			if tc.name == "deadlock-cycle" && cfg.name == "ownership" {
+				continue // the cycle hangs without a detector (Listing 1)
+			}
+			t.Run(tc.name+"/"+cfg.name, func(t *testing.T) {
+				if got := classifyVerdict(run(t, NewRuntime(cfg.opts...), tc.prog)); got != tc.want {
+					t.Fatalf("verdict %s, want %s", got, tc.want)
+				}
+			})
+		}
 	}
 }

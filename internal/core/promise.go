@@ -136,7 +136,6 @@ func NewPromiseNamed[T any](t *Task, label string) *Promise[T] {
 // constructor above and the slab allocator (arena.go), so a slab promise
 // is indistinguishable from a heap one to the policy and the detector.
 func initPromise[T any](p *Promise[T], t *Task, label string) {
-	t.markDirty() // creation is runtime-visible: an inline task cannot restart
 	r := t.rt
 	p.s.id = r.nextPromise.Add(1)
 	p.s.label = label
@@ -262,13 +261,6 @@ func awaitState(t *Task, s *pstate, ctx context.Context) error {
 	// run scope) has ended never blocks and never logs a block/wake pair.
 	if err := r.canceled(t, s, ctx); err != nil {
 		return err
-	}
-	// Inline hook: a task executing on a borrowed goroutine either
-	// migrates here (still clean — no edge, no block record exists yet,
-	// so the scheduled re-run is indistinguishable) or commits the wait
-	// with host edges published (see inline.go).
-	if t.inline != inlineNone {
-		return r.awaitInline(t, s, ctx)
 	}
 	// Near-miss path: spin briefly before paying for a real block. Spin
 	// succeeding is observably the fast path (no waits-for edge existed,
@@ -513,7 +505,6 @@ func (p *Promise[T]) MustSet(t *Task, v T) {
 // claims the completion. On return with nil error the caller must complete
 // the promise (write payload, publish).
 func (p *Promise[T]) beginSet(t *Task) error {
-	t.markDirty() // fulfilment is runtime-visible: an inline task cannot restart
 	r := t.rt
 	if r.countEvents {
 		r.sets.Add(1)

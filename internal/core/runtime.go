@@ -130,10 +130,12 @@ func WithAlarmHandler(f func(error)) Option { return func(r *Runtime) { r.onAlar
 // WithExecutor replaces the task executor. The default (nil) starts one
 // goroutine per task, which is the unbounded-growth execution strategy the
 // paper requires (there is no a-priori bound on simultaneously blocked
-// tasks); it is also the fastest spawn path, because the runtime starts
-// the goroutine with the task and body as plain arguments instead of
-// allocating a capturing closure for the executor. See the sched package
-// for an elastic pool alternative.
+// tasks). It is also the fastest spawn path: the task and body are handed
+// to a parked goroutine from the runtime's freelist (see spawner.go) with
+// no allocation, and only when none is parked does a new goroutine start,
+// paying for the hidden closure a `go` statement with arguments allocates.
+// A custom executor always receives a capturing func() wrapper. See the
+// sched package for an elastic pool alternative.
 func WithExecutor(exec func(func())) Option { return func(r *Runtime) { r.exec = exec } }
 
 // WithBatchExecutor installs a vectorized submit used by Task.AsyncBatch
@@ -146,16 +148,6 @@ func WithExecutor(exec func(func())) Option { return func(r *Runtime) { r.exec =
 func WithBatchExecutor(exec func([]func())) Option {
 	return func(r *Runtime) { r.execBatch = exec }
 }
-
-// WithInlineSpawn redirects every Async/AsyncNamed/MustAsync through the
-// inline run-to-completion path (Task.AsyncInline): the child's body
-// executes on the caller's goroutine until its first blocking wait, then
-// migrates to the scheduler if still clean or commits the wait in place
-// with full detector visibility. Spawns of short non-blocking tasks then
-// cost no context switch at all. AsyncInline's contract applies to every
-// spawn — in particular, a body's side effects before its first promise
-// operation may execute twice. Off by default.
-func WithInlineSpawn(on bool) Option { return func(r *Runtime) { r.inlineSpawn = on } }
 
 // WithIdleWatch installs the whole-program quiescence detector the paper
 // contrasts with in §1 (the Go runtime's strategy): onQuiescent fires when
@@ -205,7 +197,6 @@ type Runtime struct {
 	onAlarm     func(error)
 	exec        func(func()) // nil selects the built-in goroutine-per-task start
 	execBatch   func([]func())
-	inlineSpawn bool
 	registry    *traceRegistry
 	gdet        *globalDetector
 	idle        *idleWatch
@@ -325,7 +316,7 @@ func (r *Runtime) Run(main TaskFunc) error {
 	r.spawnClosed = false // re-arm the goroutine freelist for this run
 	r.spawnMu.Unlock()
 	root := r.newTask("main", nil)
-	r.beginTask(root, false)
+	r.beginTask(root)
 	r.runTask(root, main)
 	r.wg.Wait()
 	// The tree is unwound: release every parked spawn goroutine, so a

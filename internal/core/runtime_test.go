@@ -261,15 +261,6 @@ func TestTaskWaitReturnsError(t *testing.T) {
 			k.task, err = tk.AsyncNamed(k.name, body(k), k.join)
 			return []*child{k}, err
 		}},
-		{"inline", func(tk *Task) ([]*child, error) {
-			k := newChild(tk, "inline-child")
-			var err error
-			k.task, err = tk.AsyncInlineNamed(k.name, body(k), k.join)
-			if err == nil && !k.join.Fulfilled() {
-				err = errors.New("AsyncInline returned before its non-blocking body completed")
-			}
-			return []*child{k}, err
-		}},
 		{"batch", func(tk *Task) ([]*child, error) {
 			var kids []*child
 			var specs []SpawnSpec

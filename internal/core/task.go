@@ -57,14 +57,6 @@ type Task struct {
 	// hand-off at spawn); nil until the task's first event, and nil
 	// forever when tracing is off or unstaged.
 	stage []Event
-
-	// Inline run-to-completion state (see inline.go). All three fields are
-	// confined to the goroutine currently executing the task — the host's
-	// goroutine during an inline attempt — so they are plain fields. Zero
-	// for every scheduled task.
-	inline      uint8 // inlineNone / inlineSpeculative / inlineDirty / ...
-	inlineHost  *Task // the task whose goroutine this body is borrowing
-	inlineDepth uint8 // nesting depth of inline spawns, capped at maxInlineDepth
 }
 
 // ID returns the task's unique identifier within its runtime.
@@ -204,17 +196,6 @@ func (t *Task) MustAsync(f TaskFunc, moved ...Movable) *Task {
 }
 
 func (t *Task) async(name string, f TaskFunc, moved []Movable) (*Task, error) {
-	if t.rt.inlineSpawn {
-		return t.asyncInline(name, f, moved)
-	}
-	return t.asyncScheduled(name, f, moved)
-}
-
-// asyncScheduled is the classic spawn: hand the body to the executor (or
-// the goroutine freelist) unconditionally. AsyncInline's depth-cap
-// fallback lands here too, bypassing the WithInlineSpawn dispatch.
-func (t *Task) asyncScheduled(name string, f TaskFunc, moved []Movable) (*Task, error) {
-	t.markDirty() // a spawn is runtime-visible: an inline spawner cannot restart
 	r := t.rt
 	child := r.newTask(name, t)
 	if r.mode >= Ownership && len(moved) > 0 {
@@ -333,23 +314,23 @@ func (r *Runtime) newTask(name string, parent *Task) *Task {
 // executor receives the classic func() wrapper, since its interface
 // demands one.
 func (r *Runtime) startTask(t *Task, f TaskFunc) {
-	r.beginTask(t, false)
-	r.dispatch(t, f)
+	r.beginTask(t)
+	if r.exec == nil {
+		r.startGoroutine(t, f)
+		return
+	}
+	r.exec(func() { r.runTask(t, f) })
 }
 
 // beginTask opens a task's accounting — wait-group, task counter, spawn
-// metric, idle watch, EvTaskStart — which completeTask later pairs. Every
-// start path calls it: startTask, startTaskInline, and Run for the root,
-// whose body then runs on Run's own goroutine.
-func (r *Runtime) beginTask(t *Task, inline bool) {
+// metric, idle watch, EvTaskStart — which runTask later pairs. startTask
+// calls it, and so does Run for the root, whose body then runs on Run's
+// own goroutine.
+func (r *Runtime) beginTask(t *Task) {
 	r.wg.Add(1)
 	r.tasks.Add(1)
 	if m := cmet(); m != nil {
-		if inline {
-			m.spawnsInline.Inc()
-		} else {
-			m.spawnsScheduled.Inc()
-		}
+		m.spawnsScheduled.Inc()
 	}
 	if r.idle != nil {
 		r.idle.taskStarted()
@@ -359,33 +340,15 @@ func (r *Runtime) beginTask(t *Task, inline bool) {
 		if t.parent != nil {
 			parent = t.parent.id
 		}
-		detail := ""
-		if inline {
-			detail = "inline"
-		}
-		r.logEventArg(EvTaskStart, t, nil, parent, detail)
+		r.logEventArg(EvTaskStart, t, nil, parent, "")
 	}
 }
 
-// dispatch places an already-begun task's body on the executor.
-func (r *Runtime) dispatch(t *Task, f TaskFunc) {
-	if r.exec == nil {
-		r.startGoroutine(t, f)
-		return
-	}
-	r.exec(func() { r.runTask(t, f) })
-}
-
-// runTask is the body wrapper every scheduled task runs: invoke the body
-// on this goroutine, then complete. Inline tasks skip runTask (their body
-// ran via invokeInline) and call completeTask directly.
+// runTask is the body wrapper every task runs: invoke the body on this
+// goroutine, then the termination protocol — enforce rule 3, publish the
+// result, and pair the accounting beginTask (or startTaskBatch) opened.
 func (r *Runtime) runTask(t *Task, f TaskFunc) {
-	r.completeTask(t, invokeTask(f, t))
-}
-
-// completeTask is a task's termination protocol: enforce rule 3, publish
-// the result, and pair the accounting startTask/startTaskInline opened.
-func (r *Runtime) completeTask(t *Task, err error) {
+	err := invokeTask(f, t)
 	defer r.wg.Done()
 	if r.idle != nil {
 		defer r.idle.taskFinished()

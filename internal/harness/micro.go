@@ -116,26 +116,6 @@ func SpawnFixture(t *core.Task) (func(int) error, error) {
 	}, nil
 }
 
-// SpawnInlineFixture is SpawnFixture through the inline
-// run-to-completion path: the child's body (a single Set) executes on
-// the parent's goroutine, so the whole spawn+join costs no context
-// switch. The body closure is hoisted out of the step — it captures the
-// promise cell, which the step rewrites per iteration before spawning —
-// so the steady-state iteration allocates no closure: only the promise
-// and the child task, plus its owned-list seed under the policy modes.
-func SpawnInlineFixture(t *core.Task) (func(int) error, error) {
-	var p *core.Promise[struct{}]
-	body := func(c *core.Task) error { return p.Set(c, struct{}{}) }
-	return func(int) error {
-		p = core.NewPromise[struct{}](t)
-		if _, err := t.AsyncInline(body, p); err != nil {
-			return err
-		}
-		_, err := p.Get(t)
-		return err
-	}, nil
-}
-
 // BatchWidth is the fan-out of the spawn-batch micro. 64 is large enough
 // that per-batch costs are visibly amortized and small enough to be a
 // realistic fan-out unit.
@@ -201,9 +181,9 @@ func SetGetSlabFixture(t *core.Task) (func(int) error, error) {
 
 // MeasureMicros runs the fast-path microbenchmarks — fulfilled-promise
 // Get, Set/Get round-trip, spawn+join with one moved promise, the
-// inline and batched spawn variants, the slab-allocated
-// Set/Get round-trip, and the Set/Get round-trip with binary tracing
-// active — across the requested modes. Options are built per
+// batched spawn variant, the slab-allocated Set/Get round-trip, and the
+// Set/Get round-trip with binary tracing active — across the requested
+// modes. Options are built per
 // measurement so stateful fixtures (the trace sink) are never shared
 // between runtimes. Rows with div > 1 perform div logical operations
 // per step and are reported amortized (figures divided by div).
@@ -228,11 +208,8 @@ func MeasureMicros(modes []core.Mode) ([]Micro, error) {
 			{"setget", microIters, 0, nil, nil, SetGetFixture},
 			{"setget-slab", microIters, 0, nil, nil, SetGetSlabFixture},
 			{"spawn", microIters / 4, 0, nil, nil, SpawnFixture},
-			// The floor-breaking rows: inline run-to-completion (no context
-			// switch at all) and the amortized per-spawn cost of a
-			// 64-wide AsyncBatch.
-			{"spawn-inline", microIters / 4, 0, nil, nil, SpawnInlineFixture},
-			// spawn-batch runs on the elastic scheduler with the vectorized
+			// The floor-breaking row: the amortized per-spawn cost of a
+			// 64-wide AsyncBatch. spawn-batch runs on the elastic scheduler with the vectorized
 			// submit — the serving configuration, and the place batching
 			// structurally wins: a worker drains its deque back-to-back, so
 			// consecutive batch children run WITHOUT a park/wake context

@@ -41,18 +41,6 @@ type Config struct {
 	AwaitProb float64 `json:"await_prob"` // probability that a task performs awaits at all
 	Work      int     `json:"work"`       // busy-work iterations per task (simulated compute)
 	CycleLen  int     `json:"cycle_len"`  // 0 = clean program; >= 1 injects a deadlock ring
-
-	// InlineProb is the probability that an ELIGIBLE spawn site uses
-	// AsyncInline instead of Async. Eligible sites are leaf tasks and ring
-	// tasks: their first blocking wait (if any) happens while the child is
-	// still clean, so an inline attempt either completes on the spot or
-	// migrates to the scheduler — either way the program's verdict is
-	// identical to the all-scheduled run, which is exactly the property
-	// the fuzzer checks. Non-leaf tasks are never inlined: spawning marks
-	// a task dirty, and a later dirty wait on a promise homed in the
-	// captive spawn chain would be a REAL deadlock of the inline
-	// execution that the scheduled program does not have.
-	InlineProb float64 `json:"inline_prob,omitempty"`
 }
 
 // metaPrefix tags a trace meta record as a randprog fingerprint.
@@ -104,11 +92,6 @@ type Program struct {
 	subtree [][]int
 	// ring promises/tasks for the injected cycle, if any.
 	cycleLen int
-	// inlineTask[i] / inlineRing[i]: spawn task i (or ring task i) with
-	// AsyncInline. Decided at generation time from a separate rng stream
-	// so InlineProb never perturbs the base program's shape.
-	inlineTask []bool
-	inlineRing []bool
 }
 
 // Generate builds a program from cfg. It panics on nonsensical
@@ -181,22 +164,6 @@ func Generate(cfg Config) *Program {
 			t.awaits = append(t.awaits, rng.Intn(limit))
 		}
 	}
-	// Inline-spawn decisions, drawn from an independent stream (salted
-	// seed) so the same Seed generates the same base program whether or
-	// not InlineProb is set — the fuzzer compares runs across that knob.
-	p.inlineTask = make([]bool, cfg.Tasks)
-	p.inlineRing = make([]bool, cfg.CycleLen)
-	if cfg.InlineProb > 0 {
-		irng := rand.New(rand.NewSource(cfg.Seed ^ 0x1e71e5))
-		for i := 1; i < cfg.Tasks; i++ {
-			if len(p.tasks[i].children) == 0 && irng.Float64() < cfg.InlineProb {
-				p.inlineTask[i] = true
-			}
-		}
-		for i := range p.inlineRing {
-			p.inlineRing[i] = irng.Float64() < cfg.InlineProb
-		}
-	}
 	return p
 }
 
@@ -246,11 +213,7 @@ func (p *Program) runTask(t *core.Task, id int, proms []*core.Promise[int]) erro
 	for ci, c := range plan.children {
 		c := c
 		mv := movableIdx{proms, plan.moves[ci]}
-		spawn := t.AsyncNamed
-		if p.inlineTask[c] {
-			spawn = t.AsyncInlineNamed
-		}
-		if _, err := spawn(fmt.Sprintf("rt-%d", c), func(ct *core.Task) error {
+		if _, err := t.AsyncNamed(fmt.Sprintf("rt-%d", c), func(ct *core.Task) error {
 			return p.runTask(ct, c, proms)
 		}, mv); err != nil {
 			return err
@@ -281,11 +244,7 @@ func (p *Program) spawnRing(root *core.Task) error {
 	}
 	for i := 0; i < n; i++ {
 		i := i
-		spawn := root.AsyncNamed
-		if p.inlineRing[i] {
-			spawn = root.AsyncInlineNamed
-		}
-		if _, err := spawn(fmt.Sprintf("ring-task-%d", i), func(c *core.Task) error {
+		if _, err := root.AsyncNamed(fmt.Sprintf("ring-task-%d", i), func(c *core.Task) error {
 			if _, err := ring[(i+1)%n].Get(c); err != nil {
 				return err
 			}

@@ -2,6 +2,8 @@ package randprog
 
 import (
 	"errors"
+	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -220,68 +222,42 @@ func TestLargeCleanProgram(t *testing.T) {
 	}
 }
 
-// TestInlineProbPreservesShape: InlineProb draws from an independent rng
-// stream, so it may flip spawn sites to AsyncInline but must never change
-// the generated program's structure.
-func TestInlineProbPreservesShape(t *testing.T) {
-	base := DefaultConfig(11)
-	inl := base
-	inl.InlineProb = 0.9
-	a, b := Generate(base), Generate(inl)
-	for i := range a.tasks {
-		if a.tasks[i].parent != b.tasks[i].parent ||
-			len(a.tasks[i].keeps) != len(b.tasks[i].keeps) ||
-			len(a.tasks[i].awaits) != len(b.tasks[i].awaits) {
-			t.Fatalf("task %d shape changed under InlineProb", i)
-		}
-	}
-	some := false
-	for i := 1; i < len(b.tasks); i++ {
-		if b.inlineTask[i] {
-			some = true
-			if len(b.tasks[i].children) > 0 {
-				t.Fatalf("non-leaf task %d marked inline", i)
-			}
-		}
-	}
-	if !some {
-		t.Fatal("InlineProb 0.9 selected no inline spawn sites")
-	}
-}
-
-// TestInlineProbVerdictNeutral: the differential property the fuzzer
-// leans on — the same seed must produce the same verdict with inline
-// spawns forced on: clean programs stay clean, injected rings still alarm.
-func TestInlineProbVerdictNeutral(t *testing.T) {
-	for _, det := range []core.DetectorKind{core.DetectLockFree, core.DetectGlobalLock} {
-		t.Run(det.String(), func(t *testing.T) {
-			clean := Config{Seed: 23, Tasks: 60, Promises: 120, MaxAwaits: 3, AwaitProb: 0.8, Work: 20, InlineProb: 1}
-			rt := core.NewRuntime(core.WithMode(core.Full), core.WithDetector(det))
-			if err := rt.Run(Generate(clean).Main()); err != nil {
-				t.Fatalf("clean program with forced inline spawns failed: %v", err)
-			}
-			cyc := clean
-			cyc.CycleLen = 3
-			rt = core.NewRuntime(core.WithMode(core.Full), core.WithDetector(det))
-			err := rt.Run(Generate(cyc).Main())
-			var dl *core.DeadlockError
-			if !errors.As(err, &dl) {
-				t.Fatalf("injected ring with inline spawns not detected: %v", err)
-			}
-		})
-	}
-}
-
-// TestInlineProbRoundTripsThroughMeta: InlineProb must survive the
-// record/replay meta round-trip like every other knob.
-func TestInlineProbRoundTripsThroughMeta(t *testing.T) {
+// TestConfigRoundTripsThroughMeta: every knob must survive the
+// record/replay meta round-trip.
+func TestConfigRoundTripsThroughMeta(t *testing.T) {
 	cfg := DefaultConfig(5)
-	cfg.InlineProb = 0.25
+	cfg.CycleLen = 3
 	got, ok, err := ConfigFromMeta(cfg.MetaJSON())
 	if err != nil || !ok {
 		t.Fatalf("ConfigFromMeta = %v, %v", ok, err)
 	}
 	if got != cfg {
 		t.Fatalf("round-trip changed config: %+v != %+v", got, cfg)
+	}
+}
+
+// TestLegacyInlineMetaStillReplays: traces recorded while randprog had
+// an inline-spawn knob carry an "inline_prob" key in their meta record.
+// Such a record must still decode, and regenerate exactly the program the
+// same record without the key does: the knob drew from its own rng
+// stream, so it never shaped the program.
+func TestLegacyInlineMetaStillReplays(t *testing.T) {
+	cfg := DefaultConfig(5)
+	cfg.CycleLen = 3
+	plain := cfg.MetaJSON()
+	old := strings.TrimSuffix(plain, "}") + `,"inline_prob":0.5}`
+	want, _, err := ConfigFromMeta(plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, ok, err := ConfigFromMeta(old)
+	if err != nil || !ok {
+		t.Fatalf("ConfigFromMeta(%s) = %v, %v", old, ok, err)
+	}
+	if got != want {
+		t.Fatalf("decoded %+v, want %+v", got, want)
+	}
+	if !reflect.DeepEqual(Generate(got), Generate(want)) {
+		t.Fatal("a meta record with inline_prob regenerates a different program")
 	}
 }

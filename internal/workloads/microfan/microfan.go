@@ -1,13 +1,10 @@
 // Package microfan is a fan-out-heavy microbenchmark workload: repeated
 // waves of wide, short-lived children whose useful work is a few hundred
 // nanoseconds each, so nearly the entire runtime cost is the spawn/join
-// machinery itself. It is the workload shape the PR-6 fast paths exist
-// for, and it exercises all three together:
+// machinery itself. It is the workload shape the spawn fast paths exist
+// for, and it exercises both together:
 //
 //   - each wave is submitted as ONE AsyncBatch (vectorized spawn);
-//   - a fraction of the children delegate their leaf computation to an
-//     AsyncInline grandchild, which runs to completion on the child's
-//     goroutine (no context switch);
 //   - the wave's result promises are carved from a PromiseArena and
 //     recycled after the wave is reduced (effective in Unverified mode;
 //     the verified modes refuse recycling and pay one slab allocation per
@@ -30,22 +27,18 @@ type Config struct {
 	Rounds int // number of sequential waves
 	Width  int // children per wave (one AsyncBatch)
 	Work   int // leaf work per child, in xorshift iterations
-	// InlineEvery routes every k-th child of a wave through an inline
-	// grandchild (0 disables inlining). 4 means a quarter of all leaf
-	// computations run on borrowed goroutines.
-	InlineEvery int
 }
 
 // Small is the test-sized configuration.
-func Small() Config { return Config{Rounds: 8, Width: 16, Work: 64, InlineEvery: 4} }
+func Small() Config { return Config{Rounds: 8, Width: 16, Work: 64} }
 
 // Default is the benchmark configuration: ~12,800 spawns of ~256-step
 // leaves, small enough to stay responsive in a serving mix.
-func Default() Config { return Config{Rounds: 200, Width: 64, Work: 256, InlineEvery: 4} }
+func Default() Config { return Config{Rounds: 200, Width: 64, Work: 256} }
 
 // Paper-scale: there is no published counterpart (the workload is not
 // from the paper); this is simply a heavier instance for standalone runs.
-func Paper() Config { return Config{Rounds: 1000, Width: 128, Work: 256, InlineEvery: 4} }
+func Paper() Config { return Config{Rounds: 1000, Width: 128, Work: 256} }
 
 // leaf is the deterministic per-child computation: a short xorshift walk
 // seeded by the child's global index, cheap enough that spawn overhead
@@ -84,24 +77,12 @@ func Run(t *core.Task, cfg Config) (uint64, error) {
 	var sum uint64
 	for r := 0; r < cfg.Rounds; r++ {
 		for k := 0; k < cfg.Width; k++ {
-			k := k
 			idx := r*cfg.Width + k
 			p := arena.New(t)
 			proms[k], moved[k][0] = p, p
-			body := func(c *core.Task) error { return p.Set(c, leaf(idx, cfg.Work)) }
-			if cfg.InlineEvery > 0 && k%cfg.InlineEvery == 0 {
-				// Delegate the leaf to an inline grandchild: the child's only
-				// job is the spawn, the grandchild runs to completion on the
-				// child's goroutine.
-				inner := body
-				body = func(c *core.Task) error {
-					_, err := c.AsyncInlineNamed("leaf", inner, p)
-					return err
-				}
-			}
 			specs[k] = core.SpawnSpec{
 				Name:  fmt.Sprintf("mf-%d-%d", r, k),
-				Body:  body,
+				Body:  func(c *core.Task) error { return p.Set(c, leaf(idx, cfg.Work)) },
 				Moved: moved[k][:],
 			}
 		}

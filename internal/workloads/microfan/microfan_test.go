@@ -9,9 +9,9 @@ import (
 
 // TestSumMatchesSequentialAllModes checks the reduction against the
 // sequential reference in every mode, at the small configuration and at
-// a wider, shallower one that inlines every other grandchild.
+// a wider, shallower one.
 func TestSumMatchesSequentialAllModes(t *testing.T) {
-	cfgs := []Config{Small(), {Rounds: 6, Width: 32, Work: 32, InlineEvery: 2}}
+	cfgs := []Config{Small(), {Rounds: 6, Width: 32, Work: 32}}
 	for _, mode := range testutil.AllModes() {
 		t.Run(mode.String(), func(t *testing.T) {
 			for _, cfg := range cfgs {
@@ -30,30 +30,12 @@ func TestSumMatchesSequentialAllModes(t *testing.T) {
 	}
 }
 
-// TestInlineDisabledStillMatches pins the InlineEvery knob: with and
-// without inline grandchildren the reduction is identical.
-func TestInlineDisabledStillMatches(t *testing.T) {
-	cfg := Small()
-	cfg.InlineEvery = 0
-	want := RunSequential(cfg)
-	rt := core.NewRuntime(core.WithMode(core.Full))
-	var got uint64
-	testutil.MustSucceed(t, rt, func(tk *core.Task) error {
-		var err error
-		got, err = Run(tk, cfg)
-		return err
-	})
-	if got != want {
-		t.Fatalf("sum = %d, want %d", got, want)
-	}
-}
-
 // TestPooledRuntime reuses one Full-mode runtime for several runs of the
 // wide configuration, as a pooled runtime would be, to catch state that
 // leaks from one run into the next (spawn freelist, promise arena, task
 // and error accounting).
 func TestPooledRuntime(t *testing.T) {
-	cfg := Config{Rounds: 6, Width: 32, Work: 32, InlineEvery: 2}
+	cfg := Config{Rounds: 6, Width: 32, Work: 32}
 	want := RunSequential(cfg)
 	rt := core.NewRuntime(core.WithMode(core.Full))
 	for run := 0; run < 3; run++ {
