@@ -515,12 +515,14 @@ func classifyVerdict(err error) string {
 	return strings.Join(parts, "+")
 }
 
-// TestClassifiedVerdicts pins the classified verdict of each
+// TestInlineDifferentialVerdicts pins the classified verdict of each
 // verdict-bearing program shape under Ownership and under Full with both
 // detectors: the policy checks must name the same task and promise
 // whichever detector is configured, and the deadlock must be reported
-// with its exact two-hop cycle.
-func TestClassifiedVerdicts(t *testing.T) {
+// with its exact two-hop cycle. The name is kept from when the table
+// also ran every program under inline spawning and compared the two
+// verdicts; inline spawning is gone and the programs are scheduled-only.
+func TestInlineDifferentialVerdicts(t *testing.T) {
 	configs := []struct {
 		name string
 		opts []Option
