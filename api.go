@@ -83,9 +83,6 @@ type (
 	EventKind = core.EventKind
 	// SpawnSpec describes one child of a Task.AsyncBatch fan-out.
 	SpawnSpec = core.SpawnSpec
-	// PromiseArena is a slab allocator for promises of one payload type;
-	// see Task-side NewPromiseArena.
-	PromiseArena[T any] = core.PromiseArena[T]
 
 	// CanceledError reports a wait or run abandoned because its context
 	// was canceled or reached its deadline (not an alarm: cancellation
@@ -129,8 +126,6 @@ const (
 const (
 	// TrackList is the exact O(1)-discharge list. The default.
 	TrackList = core.TrackList
-	// TrackListLazy is the paper's literal lazy-removal list.
-	TrackListLazy = core.TrackListLazy
 	// TrackCounter keeps a count only (no blame, no cascade).
 	TrackCounter = core.TrackCounter
 )
@@ -503,14 +498,4 @@ func NewPromise[T any](t *Task) *Promise[T] { return core.NewPromise[T](t) }
 // NewPromiseNamed allocates a labelled promise owned by t.
 func NewPromiseNamed[T any](t *Task, label string) *Promise[T] {
 	return core.NewPromiseNamed[T](t, label)
-}
-
-// NewPromiseArena creates a slab allocator for promises of one payload
-// type, bound to t's runtime: Arena.New promises are ordinary owned,
-// policy-checked promises carved out of shared slabs (amortized
-// 1/arenaBlock heap allocations each), and fulfilled promises can be
-// recycled in Unverified mode. See core.PromiseArena for the lifetime and
-// confinement rules.
-func NewPromiseArena[T any](t *Task) *PromiseArena[T] {
-	return core.NewPromiseArena[T](t)
 }

@@ -391,23 +391,11 @@ func TestFacadeSessionGraph(t *testing.T) {
 	}
 }
 
-// TestFacadeSpawnFastPaths exercises the spawn fast paths through the
-// facade: arena promises and batched spawn.
+// TestFacadeSpawnFastPaths exercises the batched spawn fast path through
+// the facade.
 func TestFacadeSpawnFastPaths(t *testing.T) {
 	rt := repro.NewRuntime()
 	err := rt.Run(func(tk *repro.Task) error {
-		arena := repro.NewPromiseArena[int](tk)
-		p := arena.New(tk)
-		if _, err := tk.Async(func(c *repro.Task) error {
-			return p.Set(c, 1)
-		}, p); err != nil {
-			return err
-		}
-		if _, err := p.Get(tk); err != nil {
-			return err
-		}
-		arena.Recycle(p)
-
 		q := repro.NewPromise[int](tk)
 		r := repro.NewPromise[int](tk)
 		children, err := tk.AsyncBatch([]repro.SpawnSpec{

@@ -250,7 +250,7 @@ func BenchmarkAblation_OwnedTracking(b *testing.B) {
 	for _, cfg := range []struct {
 		label string
 		kind  core.OwnedTracking
-	}{{"list", core.TrackList}, {"lazy", core.TrackListLazy}, {"counter", core.TrackCounter}} {
+	}{{"list", core.TrackList}, {"counter", core.TrackCounter}} {
 		b.Run(cfg.label, func(b *testing.B) {
 			benchProgram(b, "SmithWaterman", workloads.ScaleSmall,
 				core.WithMode(core.Full), core.WithOwnedTracking(cfg.kind))
@@ -334,52 +334,6 @@ func BenchmarkMicro_SpawnBatch(b *testing.B) {
 			defer pool.Close()
 			benchFixture(b, harness.SpawnBatchFixture, core.WithMode(mode),
 				core.WithExecutor(pool.Execute), core.WithBatchExecutor(pool.ExecuteBatch))
-		})
-	}
-}
-
-// BenchmarkMicro_SetGetSlab is BenchmarkMicro_SetGet with the promise
-// carved from a core.PromiseArena (recycled in Unverified mode,
-// bump-allocated from slabs otherwise). Tracked as "setget-slab".
-func BenchmarkMicro_SetGetSlab(b *testing.B) {
-	for _, mode := range []core.Mode{core.Unverified, core.Ownership, core.Full} {
-		b.Run(mode.String(), func(b *testing.B) {
-			benchFixture(b, harness.SetGetSlabFixture, core.WithMode(mode))
-		})
-	}
-}
-
-// TestSlabAllocs pins the arena's promise: a Set/Get round-trip on a
-// slab promise averages below one allocation — zero steady-state in
-// Unverified mode (the fulfilled promise recycles), 1/64th of a slab
-// otherwise (recycling is refused under the verified modes; see
-// PromiseArena.Recycle).
-func TestSlabAllocs(t *testing.T) {
-	for _, mode := range []core.Mode{core.Unverified, core.Ownership, core.Full} {
-		t.Run(mode.String(), func(t *testing.T) {
-			rt := core.NewRuntime(core.WithMode(mode))
-			if err := rt.Run(func(task *core.Task) error {
-				step, err := harness.SetGetSlabFixture(task)
-				if err != nil {
-					return err
-				}
-				for i := 0; i < 200; i++ {
-					if err := step(i); err != nil {
-						return err
-					}
-				}
-				got := testing.AllocsPerRun(640, func() {
-					if err := step(0); err != nil {
-						t.Error(err)
-					}
-				})
-				if got >= 0.5 {
-					t.Errorf("slab Set/Get: %v allocs/op, want < 0.5", got)
-				}
-				return nil
-			}); err != nil {
-				t.Fatal(err)
-			}
 		})
 	}
 }

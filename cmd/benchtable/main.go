@@ -31,7 +31,8 @@
 // regressions; allocation counts are deterministic, so for them best-of is
 // exact. -alloccap "name=N,name=N" additionally enforces absolute
 // allocs/op ceilings per micro name (across every mode), so a hot path's
-// allocation budget is pinned even when the committed baseline drifts.
+// allocation budget is pinned even when the committed baseline drifts; a
+// name that matches no baseline micro row is a usage error (exit 2).
 //
 // -history FILE appends a compact record of each measured run (the micro
 // section plus the Table-1 geomeans) to FILE as a JSON array, giving the
@@ -136,8 +137,13 @@ func appendHistory(path string, entry historyEntry) error {
 }
 
 // parseAllocCaps parses the -alloccap spec "name=N[,name=N...]" into a
-// per-micro-name ceiling map.
-func parseAllocCaps(spec string) (map[string]float64, error) {
+// per-micro-name ceiling map. Every name must match a row of the baseline
+// micros: a cap on a name nothing measures would silently pin nothing.
+func parseAllocCaps(spec string, baseline []harness.Micro) (map[string]float64, error) {
+	known := map[string]bool{}
+	for _, m := range baseline {
+		known[m.Name] = true
+	}
 	caps := map[string]float64{}
 	for _, part := range strings.Split(spec, ",") {
 		part = strings.TrimSpace(part)
@@ -151,6 +157,9 @@ func parseAllocCaps(spec string) (map[string]float64, error) {
 		v, err := strconv.ParseFloat(part[i+1:], 64)
 		if err != nil || v < 0 {
 			return nil, fmt.Errorf("bad alloc cap %q", part)
+		}
+		if !known[part[:i]] {
+			return nil, fmt.Errorf("alloc cap %q names no micro row in the baseline", part)
 		}
 		caps[part[:i]] = v
 	}
@@ -244,7 +253,7 @@ func main() {
 	jsonOut := flag.String("json", "", "also write rows + fast-path micros as JSON to this file")
 	modeFlag := flag.String("mode", "full", "verified configuration: ownership (Algorithm 1 only), full (Algorithms 1+2)")
 	detector := flag.String("detector", "lockfree", "verified detector: lockfree, globallock")
-	tracking := flag.String("tracking", "list", "owned-set tracking: list, lazy, counter")
+	tracking := flag.String("tracking", "list", "owned-set tracking: list, counter")
 	check := flag.String("check", "", "regression-gate mode: compare fresh micros against this baseline JSON and exit nonzero on regression")
 	checkTol := flag.Float64("checktol", 0.25, "allowed fractional ns/op regression in -check mode")
 	checkReps := flag.Int("checkreps", 3, "measurement passes in -check mode (best run is compared)")
@@ -263,7 +272,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "benchtable: %s is not a benchtable report with a micro section (%v)\n", *check, err)
 			os.Exit(1)
 		}
-		caps, err := parseAllocCaps(*allocCap)
+		caps, err := parseAllocCaps(*allocCap, baseline.Micro)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "benchtable: %v\n", err)
 			os.Exit(2)
@@ -312,8 +321,6 @@ func main() {
 	}
 	switch *tracking {
 	case "list":
-	case "lazy":
-		verified = append(verified, core.WithOwnedTracking(core.TrackListLazy))
 	case "counter":
 		verified = append(verified, core.WithOwnedTracking(core.TrackCounter))
 	default:

@@ -118,7 +118,7 @@ func (e *DoubleSetError) Error() string {
 type OmittedSetError struct {
 	TaskID   uint64
 	TaskName string
-	Promises []AnyPromise // nil under TrackCounter
+	Promises []AnyPromise // nil under TrackCounter; order unspecified
 	Count    int
 }
 

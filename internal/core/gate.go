@@ -62,7 +62,3 @@ func (g *gate) wait() <-chan struct{} {
 		}
 	}
 }
-
-// signalled reports whether signal has run. Note the one-sidedness: false
-// may be stale, true is definitive (Swap is the linearization point).
-func (g *gate) signalled() bool { return g.ch.Load() == closedGateChan }

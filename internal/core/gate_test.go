@@ -12,8 +12,8 @@ import (
 func TestGateSignalBeforeWait(t *testing.T) {
 	var g gate
 	g.signal()
-	if !g.signalled() {
-		t.Fatal("signalled() false after signal")
+	if g.ch.Load() != closedGateChan {
+		t.Fatal("gate not at the closed sentinel after signal")
 	}
 	select {
 	case <-g.wait():

@@ -17,8 +17,6 @@ type coreMetrics struct {
 	spawnsScheduled *obs.Counter // startTask spawns (classic executor path)
 	spawnsBatch     *obs.Counter // AsyncBatch children
 	blocks          *obs.Counter // waits that actually parked (blockOn entries)
-	arenaSlabs      *obs.Counter // PromiseArena slab allocations
-	arenaRecycled   *obs.Counter // promises accepted back by Arena.Recycle
 	alarmDeadlock   *obs.Counter
 	alarmOmitted    *obs.Counter
 	alarmOwnership  *obs.Counter
@@ -48,8 +46,6 @@ func init() {
 			spawnsScheduled: reg.Counter("core_spawns_scheduled_total"),
 			spawnsBatch:     reg.Counter("core_spawns_batch_total"),
 			blocks:          reg.Counter("core_blocks_total"),
-			arenaSlabs:      reg.Counter("core_arena_slab_allocs_total"),
-			arenaRecycled:   reg.Counter("core_arena_recycled_total"),
 			alarmDeadlock:   alarms.With("deadlock"),
 			alarmOmitted:    alarms.With("omitted_set"),
 			alarmOwnership:  alarms.With("ownership"),

@@ -24,20 +24,3 @@ func (g Group) Promises() []AnyPromise {
 	}
 	return out
 }
-
-// Flatten expands a list of Movables into the full list of promises that
-// would move. It is what Async uses internally; exposed for collections
-// and tests.
-func Flatten(moved ...Movable) []AnyPromise {
-	if len(moved) == 0 {
-		return nil
-	}
-	if len(moved) == 1 {
-		return moved[0].Promises()
-	}
-	var out []AnyPromise
-	for _, m := range moved {
-		out = append(out, m.Promises()...)
-	}
-	return out
-}

@@ -447,29 +447,6 @@ func TestGroupMovesAllMembers(t *testing.T) {
 	}
 }
 
-func TestFlatten(t *testing.T) {
-	rt := NewRuntime(WithMode(Ownership))
-	err := run(t, rt, func(tk *Task) error {
-		a := NewPromise[int](tk)
-		b := NewPromise[string](tk)
-		c := NewPromise[int](tk)
-		all := Flatten(a, Group{b, c})
-		if len(all) != 3 {
-			return fmt.Errorf("flatten = %d promises", len(all))
-		}
-		if Flatten() != nil {
-			return errors.New("empty flatten not nil")
-		}
-		a.MustSet(tk, 0)
-		b.MustSet(tk, "")
-		c.MustSet(tk, 0)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 // classifyVerdict reduces a run error to a canonical, schedule-independent
 // description of every policy/detector verdict it carries: deadlock cycles
 // as sorted task->promise hops, ownership blame by task and promise name.

@@ -126,17 +126,8 @@ func NewPromise[T any](t *Task) *Promise[T] {
 // label used in error messages and snapshots. The empty label selects the
 // default "promise-<id>", rendered lazily.
 func NewPromiseNamed[T any](t *Task, label string) *Promise[T] {
-	p := &Promise[T]{}
-	initPromise(p, t, label)
-	return p
-}
-
-// initPromise brings a zeroed promise to life owned by t: id, label,
-// ownership seeding, registry and trace records. Shared by the heap
-// constructor above and the slab allocator (arena.go), so a slab promise
-// is indistinguishable from a heap one to the policy and the detector.
-func initPromise[T any](p *Promise[T], t *Task, label string) {
 	r := t.rt
+	p := &Promise[T]{}
 	p.s.id = r.nextPromise.Add(1)
 	p.s.label = label
 	if r.mode >= Ownership {
@@ -149,6 +140,7 @@ func initPromise[T any](p *Promise[T], t *Task, label string) {
 	if r.events != nil {
 		r.logEvent(EvNewPromise, t, &p.s, "")
 	}
+	return p
 }
 
 // ID returns the promise's unique identifier within its runtime.

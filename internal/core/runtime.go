@@ -74,17 +74,10 @@ const (
 	// removal (each promise remembers its slot, so discharge at set or
 	// move is a swap-delete). Omitted-set reports name the promises and
 	// the exceptional-completion cascade can unblock their consumers.
-	// This is the default: unlike the lazy variant it never pins
-	// fulfilled promises, so long-lived tasks (e.g. channel senders) do
-	// not leak their whole history to the garbage collector.
+	// This is the default: it never pins fulfilled promises, so
+	// long-lived tasks (e.g. channel senders) do not leak their whole
+	// history to the garbage collector.
 	TrackList OwnedTracking = iota
-	// TrackListLazy is the paper's literal speed-favoring choice (§6.2):
-	// nothing is ever removed from the list; membership at termination is
-	// decided by re-checking owner == t. It reproduces the paper's
-	// SmithWaterman memory signature (the root's list retains an entry
-	// per promise ever allocated) — and, as a cautionary ablation, makes
-	// channel-heavy workloads like Sieve pin every link they ever sent.
-	TrackListLazy
 	// TrackCounter keeps only a count: smallest footprint, but omitted-set
 	// reports carry no blame beyond the task and no cascade is possible.
 	TrackCounter
@@ -96,8 +89,6 @@ func (k OwnedTracking) String() string {
 	switch k {
 	case TrackList:
 		return "list"
-	case TrackListLazy:
-		return "lazy"
 	case TrackCounter:
 		return "counter"
 	default:

@@ -30,9 +30,9 @@ type Task struct {
 	// owned is the inverse ownership map owner^-1(t) under TrackList.
 	// It is manipulated only by this task's own goroutine, except that the
 	// parent seeds it before the task starts (a happens-before edge via
-	// goroutine creation), so no locking is required. Removal is lazy, as
-	// in the paper's implementation: membership at termination is decided
-	// by re-checking owner == t.
+	// goroutine creation), so no locking is required. Removal is exact:
+	// set and move swap-delete the entry through the promise's ownedIdx
+	// back-index (noteDischarged).
 	//
 	// The backing array deliberately lives in its own small heap object
 	// (lazily, at the first noteOwned): seeding it inline in the Task
@@ -120,7 +120,8 @@ func (t *Task) WaitFrom(caller *Task) error {
 // OwnedPromises returns the promises this task currently owns. Like the
 // rest of the owned list it is only meaningful from the task's own
 // goroutine (or after the task terminated); it exists for diagnostics and
-// tests. Result order is creation/transfer order.
+// tests. Result order is unspecified: discharge swap-deletes, which
+// reorders the list.
 func (t *Task) OwnedPromises() []AnyPromise {
 	var out []AnyPromise
 	for _, ap := range t.owned {
@@ -137,8 +138,6 @@ func (t *Task) noteOwned(p AnyPromise) {
 		s := p.state()
 		s.ownedIdx = len(t.owned)
 		t.owned = append(t.owned, p)
-	case TrackListLazy:
-		t.owned = append(t.owned, p)
 	case TrackCounter:
 		t.ownedCount++
 	}
@@ -147,7 +146,6 @@ func (t *Task) noteOwned(p AnyPromise) {
 // noteDischarged records that t no longer owes p (it was set, or moved to
 // a child). Under TrackList the entry is swap-deleted in O(1) via the
 // promise's back-index, so fulfilled promises are not pinned; under
-// TrackListLazy nothing is removed (the paper's §6.2 choice); under
 // TrackCounter only the count drops.
 func (t *Task) noteDischarged(p AnyPromise) {
 	switch t.rt.tracking {
@@ -163,8 +161,6 @@ func (t *Task) noteDischarged(p AnyPromise) {
 		t.owned[last] = nil
 		t.owned = t.owned[:last]
 		s.ownedIdx = -1
-	case TrackListLazy:
-		// Lazy: rely on owner != t at termination.
 	case TrackCounter:
 		t.ownedCount--
 	}
@@ -213,7 +209,7 @@ func (t *Task) async(name string, f TaskFunc, moved []Movable) (*Task, error) {
 // set (rule 2's precondition). Validation is separate from transfer —
 // validate everything, then transfer everything — so a rejected spawn
 // leaves ownership untouched. Both passes iterate the arguments in place
-// instead of materializing Flatten's []AnyPromise: the variadic slice
+// instead of materializing one []AnyPromise: the variadic slice
 // then never escapes, and the overwhelmingly common case (one promise
 // moved directly) walks zero intermediate slices. A *Promise[T] is its
 // own AnyPromise, so only composite Movables (collections, Group) pay

@@ -1,7 +1,7 @@
 package core
 
-// Tests of the owned-set representations (§6.2): exact list (default),
-// the paper's lazy list, and the counter.
+// Tests of the owned-set representations (§6.2): exact list (default)
+// and the counter.
 
 import (
 	"errors"
@@ -11,7 +11,7 @@ import (
 )
 
 func trackingKinds() []OwnedTracking {
-	return []OwnedTracking{TrackList, TrackListLazy, TrackCounter}
+	return []OwnedTracking{TrackList, TrackCounter}
 }
 
 func TestExactListInterleavedSetAndMove(t *testing.T) {
@@ -50,8 +50,7 @@ func TestExactListInterleavedSetAndMove(t *testing.T) {
 }
 
 func TestExactListNoGhostEntries(t *testing.T) {
-	// After a set, the internal list must actually shrink (no pinning):
-	// this is the behavioural difference from TrackListLazy.
+	// After a set, the internal list must actually shrink (no pinning).
 	rt := NewRuntime(WithMode(Ownership))
 	err := run(t, rt, func(tk *Task) error {
 		for i := 0; i < 1000; i++ {
@@ -62,28 +61,6 @@ func TestExactListNoGhostEntries(t *testing.T) {
 		}
 		if n := len(tk.owned); n != 0 {
 			return fmt.Errorf("exact list retains %d entries after discharge", n)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestLazyListRetainsEntriesButStaysCorrect(t *testing.T) {
-	rt := NewRuntime(WithMode(Ownership), WithOwnedTracking(TrackListLazy))
-	err := run(t, rt, func(tk *Task) error {
-		for i := 0; i < 100; i++ {
-			p := NewPromise[int](tk)
-			if e := p.Set(tk, i); e != nil {
-				return e
-			}
-		}
-		if n := len(tk.owned); n != 100 {
-			return fmt.Errorf("lazy list has %d entries, want 100 (nothing removed)", n)
-		}
-		if n := len(tk.OwnedPromises()); n != 0 {
-			return fmt.Errorf("%d live obligations, want 0", n)
 		}
 		return nil
 	})
@@ -177,7 +154,7 @@ func TestPropertyExactListPermutationProof(t *testing.T) {
 	}
 }
 
-// Property: all three tracking modes agree on clean completion for random
+// Property: both tracking modes agree on clean completion for random
 // programs (the generator exercises deep move chains).
 func TestPropertyTrackingModesAgree(t *testing.T) {
 	check := func(seed int64) bool {

@@ -158,31 +158,9 @@ func SpawnBatchFixture(t *core.Task) (func(int) error, error) {
 	}, nil
 }
 
-// SetGetSlabFixture is SetGetFixture with the promise carved out of a
-// PromiseArena instead of heap-allocated: in Unverified mode the
-// fulfilled promise is recycled every iteration (steady state allocates
-// nothing), in the verified modes recycling is refused and the cost is
-// one slab allocation per arenaBlock promises — either way below 1
-// alloc/op.
-func SetGetSlabFixture(t *core.Task) (func(int) error, error) {
-	arena := core.NewPromiseArena[int](t)
-	return func(i int) error {
-		p := arena.New(t)
-		if err := p.Set(t, i); err != nil {
-			return err
-		}
-		if _, err := p.Get(t); err != nil {
-			return err
-		}
-		arena.Recycle(p)
-		return nil
-	}, nil
-}
-
 // MeasureMicros runs the fast-path microbenchmarks — fulfilled-promise
 // Get, Set/Get round-trip, spawn+join with one moved promise, the
-// batched spawn variant, the slab-allocated Set/Get round-trip, and the
-// Set/Get round-trip with binary tracing active — across the requested
+// batched spawn variant, and the Set/Get round-trip with binary tracing active — across the requested
 // modes. Options are built per
 // measurement so stateful fixtures (the trace sink) are never shared
 // between runtimes. Rows with div > 1 perform div logical operations
@@ -206,7 +184,6 @@ func MeasureMicros(modes []core.Mode) ([]Micro, error) {
 		}{
 			{"fulfilled-get", microIters, 0, nil, nil, FulfilledGetFixture},
 			{"setget", microIters, 0, nil, nil, SetGetFixture},
-			{"setget-slab", microIters, 0, nil, nil, SetGetSlabFixture},
 			{"spawn", microIters / 4, 0, nil, nil, SpawnFixture},
 			// The floor-breaking row: the amortized per-spawn cost of a
 			// 64-wide AsyncBatch. spawn-batch runs on the elastic scheduler with the vectorized

@@ -49,7 +49,7 @@ func TestPropertyDetectorExecutorIndependent(t *testing.T) {
 func TestPropertyTrackingIndependent(t *testing.T) {
 	check := func(seed int64) bool {
 		prog := Generate(DefaultConfig(seed))
-		for _, tr := range []core.OwnedTracking{core.TrackList, core.TrackListLazy, core.TrackCounter} {
+		for _, tr := range []core.OwnedTracking{core.TrackList, core.TrackCounter} {
 			rt := core.NewRuntime(core.WithMode(core.Full), core.WithOwnedTracking(tr))
 			if err := rt.Run(prog.Main()); err != nil {
 				t.Logf("seed %d tracking %v: %v", seed, tr, err)

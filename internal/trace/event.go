@@ -153,9 +153,9 @@ func (e Event) String() string {
 }
 
 // SortBySeq stable-sorts events by sequence number in place. Collector
-// batches are near-sorted (sorted within a batch, interleaved across
-// shards), so readers call this once after decoding to recover the total
-// order. Seq-0 records (recorder preambles) sort first. Already-sorted
+// batches are near-sorted (sorted within a batch; tasks flush their
+// staged batches out of order), so readers call this once after decoding
+// to recover the total order. Seq-0 records (recorder preambles) sort first. Already-sorted
 // input — every staged batch, and any single-task stream — is detected
 // with one linear scan and returned untouched.
 func SortBySeq(evs []Event) {

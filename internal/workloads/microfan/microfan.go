@@ -2,13 +2,7 @@
 // waves of wide, short-lived children whose useful work is a few hundred
 // nanoseconds each, so nearly the entire runtime cost is the spawn/join
 // machinery itself. It is the workload shape the spawn fast paths exist
-// for, and it exercises both together:
-//
-//   - each wave is submitted as ONE AsyncBatch (vectorized spawn);
-//   - the wave's result promises are carved from a PromiseArena and
-//     recycled after the wave is reduced (effective in Unverified mode;
-//     the verified modes refuse recycling and pay one slab allocation per
-//     arenaBlock promises instead).
+// for: each wave is submitted as ONE AsyncBatch (vectorized spawn).
 //
 // Unlike the paper's nine benchmarks this workload is not from §6.3 — it
 // is the repository's own probe for the spawn floor, kept in the registry
@@ -70,7 +64,6 @@ func Run(t *core.Task, cfg Config) (uint64, error) {
 	if cfg.Width <= 0 || cfg.Rounds <= 0 {
 		return 0, nil
 	}
-	arena := core.NewPromiseArena[uint64](t)
 	proms := make([]*core.Promise[uint64], cfg.Width)
 	specs := make([]core.SpawnSpec, cfg.Width)
 	moved := make([][1]core.Movable, cfg.Width)
@@ -78,7 +71,7 @@ func Run(t *core.Task, cfg Config) (uint64, error) {
 	for r := 0; r < cfg.Rounds; r++ {
 		for k := 0; k < cfg.Width; k++ {
 			idx := r*cfg.Width + k
-			p := arena.New(t)
+			p := core.NewPromise[uint64](t)
 			proms[k], moved[k][0] = p, p
 			specs[k] = core.SpawnSpec{
 				Name:  fmt.Sprintf("mf-%d-%d", r, k),
@@ -95,7 +88,6 @@ func Run(t *core.Task, cfg Config) (uint64, error) {
 				return 0, err
 			}
 			sum += v
-			arena.Recycle(proms[k])
 		}
 	}
 	return sum, nil

@@ -5,9 +5,9 @@
 //
 // As in the paper, every tile promise is allocated by the root task and
 // moved to the tile's task at spawn — the pattern the paper identifies as
-// the cause of SmithWaterman's above-average memory overhead, because the
-// root's owned list grows with every promise ever allocated (owned lists
-// use lazy removal).
+// the cause of SmithWaterman's above-average memory overhead: the paper's
+// owned lists remove lazily, so the root's list grows with every promise
+// ever allocated. Here a move removes the entry exactly.
 package smithwaterman
 
 import (

@@ -108,7 +108,7 @@ func TestTaskPerTile(t *testing.T) {
 
 func TestRootOwnedListSurvivesMassMovement(t *testing.T) {
 	// The root allocates every tile promise and moves all of them; its
-	// owned list (lazy removal) must not raise a spurious omitted set.
+	// owned list must not raise a spurious omitted set.
 	cfg := Config{LenA: 200, LenB: 200, Tile: 10, Seed: 2}
 	rt := core.NewRuntime(core.WithMode(core.Ownership))
 	testutil.MustSucceed(t, rt, func(tk *core.Task) error {
