@@ -26,30 +26,21 @@
 // an external frontd via -front). Open-loop is the honest overload
 // mode: arrivals do not slow down with the server, so admission
 // control (deadline sheds, saturation rejects) and the weighted-fair
-// dequeue across tenants are actually exercised; see open.go for the
-// failure conditions the mode enforces.
+// dequeue across tenants are actually exercised.
 //
 // -mix selects the scenario mix: "all" is every registry benchmark with
 // equal weight; otherwise a comma-separated list of names, each optionally
 // weighted ("QSort:3,Sieve:1"). -inject adds a known-deadlock scenario
 // ("Deadlock", the paper's Listing 1) with the given probability, so soak
-// runs exercise detection verdicts under load; its sessions must classify
-// as deadlock and every workload session as clean — any other outcome is a
-// detector false verdict and loadgen exits nonzero. It also exits nonzero
-// on dropped trace events or leaked goroutines after Pool.Close, so the
-// nightly soak job fails loudly.
+// runs exercise detection verdicts under load.
 //
-// -chaos RATE (open-loop only) turns the run into a fault-injection
-// harness: a seeded injector (internal/chaos) fires connection resets,
-// read/write delays, partial writes, handshake drops and forced
-// pool-saturation rejections at RATE on both sides of the wire, and the
-// tenant clients submit through front.ResilientClient — retry with
-// backoff, reconnect, breakers. The run then also enforces the chaos
-// invariants: every offered submission ends in exactly ONE terminal
-// outcome (a verdict or a typed error), no false verdicts (a canceled
-// verdict with a connection-lost cause is legitimate under chaos), no
-// unmatched (double-delivered) verdicts, and no leaked goroutines. The
-// report gains a "chaos" JSON section with the injector counts.
+// -chaos RATE (open-loop) turns the run into a fault-injection harness:
+// a seeded injector (internal/chaos) fires connection resets, read/write
+// delays, partial writes, handshake drops and forced pool-saturation
+// rejections at RATE on both sides of the wire, and the tenant clients
+// submit through front.ResilientClient — retry with backoff, reconnect,
+// breakers. The report gains a "chaos" JSON section with the injector
+// counts.
 //
 // -graph SHAPE switches to session-graph mode (internal/graph): drivers
 // repeatedly build and run DAGs of dependent sessions — "diamond",
@@ -57,24 +48,50 @@
 // random DAGs with doomed and flaky nodes exercising per-node retry and
 // cascade cancellation), "ppsim"/"ppg" (the graph workload families) or
 // "mixed" — and audit every finished graph against its deterministic
-// ground truth: no orphaned nodes, no double-runs (exactly one terminal
-// outcome per node, retried nodes counting once), no false node states
-// or outputs, no cascade misses, no leaked goroutines. -chaos RATE in
-// graph mode injects forced admission-saturation rejections, which the
-// orchestrator must absorb without consuming retry attempts. See
-// graph.go for the exact invariants; any violation exits nonzero and
-// the report is merged into the benchtable JSON under "graph".
+// ground truth. -chaos RATE in graph mode injects forced
+// admission-saturation rejections, which the orchestrator must absorb
+// without consuming retry attempts. The report is merged into the
+// benchtable JSON under "graph".
 //
 // -deadline mixes per-session deadlines into the traffic: a
 // comma-separated list of DUR[:weight] classes ("5ms:1,none:9" gives one
 // session in ten a 5 ms deadline), drawn independently of the scenario.
-// The deadline context is passed to Pool.Submit, so it covers both the
-// admission-queue wait and the execution; a session that overruns it is
-// cancelled mid-flight and must classify as canceled — for a
-// deadline-carrying session both its scenario's expected verdict (it beat
-// the deadline) and canceled count as correct, anything else is a false
-// verdict. A class of "none" (or "0") means no deadline; omitting it
-// gives EVERY session a deadline drawn from the listed classes.
+// The deadline context covers both the admission-queue wait and the
+// execution; a session that overruns it is cancelled mid-flight. A class
+// of "none" (or "0") means no deadline; omitting it gives EVERY session a
+// deadline drawn from the listed classes.
+//
+// Every mode adds its counts to one ledger (ledger.go), and the ledger
+// alone decides the outcome: loadgen prints each violation and exits 1
+// if there is any. A run fails on:
+//
+//   - a false verdict: a session classifying as anything but its
+//     scenario's expectation (deadlock for Deadlock, clean for a
+//     workload). Canceled is allowed only for a session that carried a
+//     deadline, or under -chaos for one whose connection died after
+//     accept (an ErrPoolClosed cause);
+//   - an admission misclassification: a "deadline" rejection of a
+//     request that carried no deadline;
+//   - an unmatched verdict frame under -chaos (a double delivery);
+//   - in an open-loop run, offered != completed + rejected: every
+//     offered submission ends in exactly one terminal outcome;
+//   - a tenant whose completed/share deviates from the mean across
+//     tenants by more than -fairness;
+//   - in graph mode: no graph completed, an orphaned node (not in
+//     exactly one terminal state), a double-run (body executions !=
+//     attempts, or any for a cascade-canceled node), a false node state
+//     or output, or a cascade miss (a descendant of a failed node that
+//     was not canceled);
+//   - under graph -chaos, chaos injections != admission retries;
+//   - with a metrics registry installed, a registry counter that
+//     disagrees with the report's own tally: graph_retries_total and
+//     graph_admission_retries_total in graph mode, and each
+//     front_rejected_total{reason} on a self-hosted front without chaos;
+//   - a dropped trace event;
+//   - goroutines left over once the pool or self-hosted front has shut
+//     down.
+//
+// A bad flag value, -scale included, exits 2.
 //
 // -metrics serves the process metrics registry over HTTP for the run's
 // duration: /metrics (Prometheus text format), /metrics.json (the
@@ -96,11 +113,13 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"math/rand"
 	"os"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -114,15 +133,50 @@ import (
 	"repro/internal/workloads"
 )
 
+// config is the parsed command line, shared by the three modes.
+type config struct {
+	sessions, queue, drivers int
+	dur                      time.Duration
+	mixSpec, scale, mode     string
+	detector, deadlineSpec   string
+	inject                   float64
+	runtime                  []core.Option
+	mix                      *mix
+	chaosRate                float64 // open-loop or graph fault rate; 0 = chaos off
+	chaosSeed, seed          int64
+	jsonOut                  string
+	metricsAddr, metricsOut  string
+	verbose                  bool
+
+	// Open loop.
+	rate        float64
+	frontAddr   string // external front; empty self-hosts
+	tenants     []weighted
+	shape       string
+	shapePeriod time.Duration
+	fairness    float64
+	admission   bool
+
+	// Graph mode.
+	graphShape                   string
+	nodes, retries, graphDrivers int
+	failProb, flakyProb          float64
+}
+
 // scenario is one entry of the mix: a named program factory with a weight.
 type scenario struct {
 	name   string
 	weight int
 	prog   func() core.TaskFunc
-	// wantVerdict is what every session of this scenario must classify as;
+	// want is what every session of this scenario must classify as;
 	// anything else is a false verdict.
 	want serve.Verdict
 }
+
+// injected is the Deadlock scenario: -mix can name it and -inject swaps
+// it in for a draw.
+var injected = scenario{name: "Deadlock", weight: 1,
+	prog: func() core.TaskFunc { return deadlockProg }, want: serve.VerdictDeadlock}
 
 // deadlockProg is the paper's Listing 1: root owns p and waits on q, the
 // child owns q and waits on p. Under Full mode the detector reports the
@@ -145,8 +199,40 @@ func deadlockProg(root *core.Task) error {
 	return p.Set(root, 1)
 }
 
-// parseMix builds the scenario set. spec is "all" or
-// "Name[:weight],Name[:weight],...".
+// weighted is one "name[:weight]" entry of a -mix, -deadline or -tenants
+// list.
+type weighted struct {
+	name   string
+	weight int
+}
+
+// parseWeighted parses a comma-separated "name[:weight]" list; an
+// omitted weight is 1.
+func parseWeighted(spec string) ([]weighted, error) {
+	var out []weighted
+	for _, part := range strings.Split(spec, ",") {
+		part = strings.TrimSpace(part)
+		if part == "" {
+			continue
+		}
+		w := weighted{name: part, weight: 1}
+		if i := strings.IndexByte(part, ':'); i >= 0 {
+			n, err := strconv.Atoi(part[i+1:])
+			if err != nil || n <= 0 {
+				return nil, fmt.Errorf("bad weight in %q", part)
+			}
+			w = weighted{name: part[:i], weight: n}
+		}
+		out = append(out, w)
+	}
+	if len(out) == 0 {
+		return nil, fmt.Errorf("empty list %q", spec)
+	}
+	return out, nil
+}
+
+// parseMix builds the scenario set. spec is "all" or a weighted list of
+// registry names and "Deadlock".
 func parseMix(spec string, scale workloads.Scale) ([]scenario, error) {
 	var out []scenario
 	if spec == "all" {
@@ -155,33 +241,21 @@ func parseMix(spec string, scale workloads.Scale) ([]scenario, error) {
 		}
 		return out, nil
 	}
-	for _, part := range strings.Split(spec, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		name, weight := part, 1
-		if i := strings.IndexByte(part, ':'); i >= 0 {
-			name = part[:i]
-			w, err := strconv.Atoi(part[i+1:])
-			if err != nil || w <= 0 {
-				return nil, fmt.Errorf("bad weight in %q", part)
-			}
-			weight = w
-		}
-		if name == "Deadlock" {
-			out = append(out, scenario{name: name, weight: weight,
-				prog: func() core.TaskFunc { return deadlockProg }, want: serve.VerdictDeadlock})
-			continue
-		}
-		e, ok := workloads.ByName(name)
-		if !ok {
-			return nil, fmt.Errorf("unknown scenario %q", name)
-		}
-		out = append(out, scenario{name: e.Name, weight: weight, prog: e.Prog(scale), want: serve.VerdictClean})
+	list, err := parseWeighted(spec)
+	if err != nil {
+		return nil, err
 	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("empty mix %q", spec)
+	for _, w := range list {
+		sc := injected
+		if w.name != injected.name {
+			e, ok := workloads.ByName(w.name)
+			if !ok {
+				return nil, fmt.Errorf("unknown scenario %q", w.name)
+			}
+			sc = scenario{name: e.Name, prog: e.Prog(scale), want: serve.VerdictClean}
+		}
+		sc.weight = w.weight
+		out = append(out, sc)
 	}
 	return out, nil
 }
@@ -200,49 +274,57 @@ func parseDeadlines(spec string) ([]deadlineClass, error) {
 	if spec == "" {
 		return nil, nil
 	}
-	var out []deadlineClass
-	for _, part := range strings.Split(spec, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		durStr, weight := part, 1
-		if i := strings.IndexByte(part, ':'); i >= 0 {
-			durStr = part[:i]
-			w, err := strconv.Atoi(part[i+1:])
-			if err != nil || w <= 0 {
-				return nil, fmt.Errorf("bad weight in %q", part)
-			}
-			weight = w
-		}
-		var d time.Duration
-		if durStr != "none" && durStr != "0" {
-			var err error
-			d, err = time.ParseDuration(durStr)
-			if err != nil || d < 0 {
-				return nil, fmt.Errorf("bad deadline %q", durStr)
-			}
-		}
-		out = append(out, deadlineClass{d: d, weight: weight})
+	list, err := parseWeighted(spec)
+	if err != nil {
+		return nil, err
 	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("empty deadline spec %q", spec)
+	out := make([]deadlineClass, len(list))
+	for i, w := range list {
+		out[i].weight = w.weight
+		if w.name != "none" && w.name != "0" {
+			d, err := time.ParseDuration(w.name)
+			if err != nil || d < 0 {
+				return nil, fmt.Errorf("bad deadline %q", w.name)
+			}
+			out[i].d = d
+		}
 	}
 	return out, nil
 }
 
-// drawDeadline picks a class by weight; 0 means no deadline.
-func drawDeadline(rng *rand.Rand, classes []deadlineClass, total int) time.Duration {
-	if len(classes) == 0 {
-		return 0
+// mix draws each submission's scenario and deadline.
+type mix struct {
+	scenarios []scenario
+	inject    float64 // probability of swapping a draw for the Deadlock scenario
+	deadlines []deadlineClass
+}
+
+// draw picks a scenario by weight (or the injected Deadlock) and then a
+// deadline class by weight; 0 means no deadline.
+func (m *mix) draw(rng *rand.Rand) (scenario, time.Duration) {
+	sc := injected
+	if m.inject <= 0 || rng.Float64() >= m.inject {
+		sc = m.scenarios[pick(rng, len(m.scenarios), func(i int) int { return m.scenarios[i].weight })]
+	}
+	if len(m.deadlines) == 0 {
+		return sc, 0
+	}
+	return sc, m.deadlines[pick(rng, len(m.deadlines), func(i int) int { return m.deadlines[i].weight })].d
+}
+
+// pick draws an index in [0,n) with probability proportional to weight.
+func pick(rng *rand.Rand, n int, weight func(int) int) int {
+	total := 0
+	for i := 0; i < n; i++ {
+		total += weight(i)
 	}
 	w := rng.Intn(total)
-	for _, c := range classes {
-		if w -= c.weight; w < 0 {
-			return c.d
+	for i := 0; i < n-1; i++ {
+		if w -= weight(i); w < 0 {
+			return i
 		}
 	}
-	return 0
+	return n - 1
 }
 
 // scenarioStat accumulates one scenario's results across the run.
@@ -254,6 +336,64 @@ type scenarioStat struct {
 	bad       int64 // sessions whose verdict differed from the scenario's expectation
 }
 
+// sessionStats is the per-scenario tally of the closed and open loops.
+type sessionStats struct {
+	mu    sync.Mutex
+	by    map[string]*scenarioStat
+	total *harness.Histogram
+	chaos bool // a connection lost after accept is a legitimate cancel
+	led   *ledger
+}
+
+func newSessionStats(m *mix, chaos bool, led *ledger) *sessionStats {
+	s := &sessionStats{by: map[string]*scenarioStat{}, total: harness.NewHistogram(), chaos: chaos, led: led}
+	for _, sc := range m.scenarios {
+		s.by[sc.name] = &scenarioStat{hist: harness.NewHistogram()}
+	}
+	if m.inject > 0 {
+		s.by[injected.name] = &scenarioStat{hist: harness.NewHistogram()}
+	}
+	return s
+}
+
+// finished is what record reads from a local or remote session.
+type finished interface {
+	Verdict() serve.Verdict
+	Err() error
+	Duration() time.Duration
+}
+
+// record books one finished session drawn as sc with deadline dl;
+// sample says whether its duration is a latency sample. A
+// deadline-carrying session legitimately ends either way: it beat the
+// deadline (its scenario's verdict) or the deadline won (canceled).
+// Under chaos a connection can die after accept and the server cancels
+// the orphaned session with an ErrPoolClosed cause, also a terminal
+// outcome. Anything else is a false verdict.
+func (s *sessionStats) record(sc scenario, dl time.Duration, sess finished, sample bool) {
+	got := sess.Verdict()
+	ok := got == sc.want || (got == serve.VerdictCanceled &&
+		(dl > 0 || s.chaos && errors.Is(sess.Err(), serve.ErrPoolClosed)))
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	st := s.by[sc.name]
+	st.count++
+	if dl > 0 {
+		st.deadlined++
+	}
+	if got == serve.VerdictCanceled {
+		st.canceled++
+	}
+	if !ok {
+		st.bad++
+		s.led.charge(&s.led.falseVerdicts, "FALSE VERDICT %s: got %s want %s: %v", sc.name, got, sc.want, sess.Err())
+	}
+	if sample {
+		st.hist.Observe(sess.Duration())
+		s.total.Observe(sess.Duration())
+	}
+}
+
 // scenarioReport is the per-scenario row of the JSON report.
 type scenarioReport struct {
 	Name          string  `json:"name"`
@@ -263,6 +403,37 @@ type scenarioReport struct {
 	Canceled      int64   `json:"canceled"`
 	FalseVerdicts int64   `json:"false_verdicts"`
 	harness.HistSummary
+}
+
+// report prints the per-scenario table and returns its rows and the
+// total row, whose session count is sessions.
+func (s *sessionStats) report(elapsed time.Duration, sessions int64) ([]scenarioReport, scenarioReport) {
+	line := func(r scenarioReport) {
+		fmt.Printf("%-16s %9d %9.1f %9.3f %9.3f %9.3f %9.3f %8d %6d\n",
+			r.Name, r.Sessions, r.PerSec, r.P50Ms, r.P90Ms, r.P99Ms, r.MaxMs, r.Canceled, r.FalseVerdicts)
+	}
+	fmt.Printf("%-16s %9s %9s %9s %9s %9s %9s %8s %6s\n",
+		"scenario", "sessions", "thr(/s)", "p50(ms)", "p90(ms)", "p99(ms)", "max(ms)", "cancel", "false")
+	var rows []scenarioReport
+	total := scenarioReport{Name: "total", Sessions: sessions, PerSec: float64(sessions) / elapsed.Seconds(),
+		HistSummary: s.total.Summary()}
+	for _, name := range sortedKeys(s.by) {
+		st := s.by[name]
+		row := scenarioReport{
+			Name: name, Sessions: st.count,
+			PerSec:    float64(st.count) / elapsed.Seconds(),
+			Deadlined: st.deadlined, Canceled: st.canceled, FalseVerdicts: st.bad,
+			HistSummary: st.hist.Summary(),
+		}
+		rows = append(rows, row)
+		line(row)
+		total.Deadlined += st.deadlined
+		total.Canceled += st.canceled
+		total.FalseVerdicts += st.bad
+	}
+	line(total)
+	fmt.Println()
+	return rows, total
 }
 
 // serveReport is the "serve" section written to the JSON output.
@@ -302,290 +473,236 @@ func writeJSONSection(path, key string, rep any) error {
 		return err
 	}
 	doc[key] = raw
-	buf, err := json.MarshalIndent(doc, "", "  ")
+	return writeJSON(path, doc)
+}
+
+func writeJSON(path string, v any) error {
+	buf, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		return err
 	}
 	return os.WriteFile(path, append(buf, '\n'), 0o644)
 }
 
-func main() {
-	sessions := flag.Int("sessions", 16, "max concurrently running sessions")
-	queue := flag.Int("queue", 0, "admission queue depth behind the running sessions")
-	drivers := flag.Int("drivers", 0, "closed-loop submitters (0 = sessions+queue: saturates both tiers; > that exercises rejection)")
-	dur := flag.Duration("d", 10*time.Second, "how long to keep submitting")
-	mix := flag.String("mix", "all", `scenario mix: "all" or "Name[:weight],..." (name "Deadlock" injects Listing 1)`)
-	scaleFlag := flag.String("scale", "small", "workload scale: small, default, paper")
-	modeFlag := flag.String("mode", "full", "verification mode: unverified, ownership, full")
-	detector := flag.String("detector", "lockfree", "detector in full mode: lockfree, globallock")
-	inject := flag.Float64("inject", 0, "probability in [0,1) of swapping a draw for the Deadlock scenario")
-	deadlineSpec := flag.String("deadline", "", `per-session deadline mix: "DUR[:weight],..." ("5ms:1,none:9"; "none"/"0" = no deadline)`)
-	graphShape := flag.String("graph", "", `graph mode: drive DAGs of dependent sessions ("diamond", "wide", "chain", "random", "ppsim", "ppg" or "mixed"; empty = off)`)
-	graphNodes := flag.Int("graph-nodes", 64, "graph mode: node count of the wide/chain/random shapes")
-	graphFail := flag.Float64("graph-fail", 0.1, "graph mode: random-DAG doom probability (a doomed node fails every attempt and cascades)")
-	graphFlaky := flag.Float64("graph-flaky", 0.15, "graph mode: random-DAG flaky probability (fails all but its last permitted attempt)")
-	graphRetries := flag.Int("graph-retries", 3, "graph mode: per-node retry budget (total attempts) on random DAGs")
-	graphDrivers := flag.Int("graph-drivers", 2, "graph mode: concurrent graph drivers")
-	open := flag.Float64("open", 0, "open-loop mode: aggregate arrival rate per second through a TCP front (0 = closed-loop)")
-	frontAddr := flag.String("front", "", "open-loop: external frontd address (empty = self-host on 127.0.0.1:0)")
-	tenantsSpec := flag.String("tenants", "default:1", `open-loop: tenant set with weighted-fair shares ("gold:3,bronze:1"); key "<tenant>-key" authenticates each`)
-	shape := flag.String("shape", "steady", "open-loop arrival shape: steady, bursty (square wave), diurnal (sinusoid)")
-	shapePeriod := flag.Duration("shape-period", 2*time.Second, "period of the bursty/diurnal arrival shapes")
-	fairness := flag.Float64("fairness", 0, "open-loop: fail unless per-tenant completed/share stays within this fraction of the mean (0 = no check)")
-	admission := flag.Bool("admission", true, "open-loop: deadline-aware admission on the self-hosted front")
-	chaosRate := flag.Float64("chaos", 0, "open-loop: injected fault rate in [0,1) (conn resets, r/w delays, partial writes, handshake drops, forced saturation); clients submit through the retrying resilient client")
-	chaosSeed := flag.Int64("chaos-seed", 7, "chaos injector RNG seed (reproducible fault schedules)")
-	seed := flag.Int64("seed", 1, "mix-draw RNG seed")
-	jsonOut := flag.String("json", "", `write/merge the report as JSON ("serve" section of a benchtable file)`)
-	metricsAddr := flag.String("metrics", "", `serve /metrics (Prometheus text), /metrics.json and /debug/pprof on this address during the run (e.g. "127.0.0.1:9100")`)
-	metricsOut := flag.String("metrics-out", "", "write the final metrics registry snapshot to this file as JSON")
-	verbose := flag.Bool("v", false, "log each rejected submission and scenario totals as they close")
-	flag.Parse()
+// parseConfig parses and checks the command line; a returned error is a
+// usage error.
+func parseConfig(args []string) (config, error) {
+	var cfg config
+	fs := flag.NewFlagSet("loadgen", flag.ExitOnError)
+	fs.IntVar(&cfg.sessions, "sessions", 16, "max concurrently running sessions")
+	fs.IntVar(&cfg.queue, "queue", 0, "admission queue depth behind the running sessions")
+	fs.IntVar(&cfg.drivers, "drivers", 0, "closed-loop submitters (0 = sessions+queue: saturates both tiers; > that exercises rejection)")
+	fs.DurationVar(&cfg.dur, "d", 10*time.Second, "how long to keep submitting")
+	fs.StringVar(&cfg.mixSpec, "mix", "all", `scenario mix: "all" or "Name[:weight],..." (name "Deadlock" injects Listing 1)`)
+	fs.StringVar(&cfg.scale, "scale", "small", "workload scale: small, default, paper")
+	fs.StringVar(&cfg.mode, "mode", "full", "verification mode: unverified, ownership, full")
+	fs.StringVar(&cfg.detector, "detector", "lockfree", "detector in full mode: lockfree, globallock")
+	fs.Float64Var(&cfg.inject, "inject", 0, "probability in [0,1) of swapping a draw for the Deadlock scenario")
+	fs.StringVar(&cfg.deadlineSpec, "deadline", "", `per-session deadline mix: "DUR[:weight],..." ("5ms:1,none:9"; "none"/"0" = no deadline)`)
+	fs.StringVar(&cfg.graphShape, "graph", "", `graph mode: drive DAGs of dependent sessions ("diamond", "wide", "chain", "random", "ppsim", "ppg" or "mixed"; empty = off)`)
+	fs.IntVar(&cfg.nodes, "graph-nodes", 64, "graph mode: node count of the wide/chain/random shapes")
+	fs.Float64Var(&cfg.failProb, "graph-fail", 0.1, "graph mode: random-DAG doom probability (a doomed node fails every attempt and cascades)")
+	fs.Float64Var(&cfg.flakyProb, "graph-flaky", 0.15, "graph mode: random-DAG flaky probability (fails all but its last permitted attempt)")
+	fs.IntVar(&cfg.retries, "graph-retries", 3, "graph mode: per-node retry budget (total attempts) on random DAGs")
+	fs.IntVar(&cfg.graphDrivers, "graph-drivers", 2, "graph mode: concurrent graph drivers")
+	fs.Float64Var(&cfg.rate, "open", 0, "open-loop mode: aggregate arrival rate per second through a TCP front (0 = closed-loop)")
+	fs.StringVar(&cfg.frontAddr, "front", "", "open-loop: external frontd address (empty = self-host on 127.0.0.1:0)")
+	tenantsSpec := fs.String("tenants", "default:1", `open-loop: tenant set with weighted-fair shares ("gold:3,bronze:1"); key "<tenant>-key" authenticates each`)
+	fs.StringVar(&cfg.shape, "shape", "steady", "open-loop arrival shape: steady, bursty (square wave), diurnal (sinusoid)")
+	fs.DurationVar(&cfg.shapePeriod, "shape-period", 2*time.Second, "period of the bursty/diurnal arrival shapes")
+	fs.Float64Var(&cfg.fairness, "fairness", 0, "open-loop: fail unless per-tenant completed/share stays within this fraction of the mean (0 = no check)")
+	fs.BoolVar(&cfg.admission, "admission", true, "open-loop: deadline-aware admission on the self-hosted front")
+	fs.Float64Var(&cfg.chaosRate, "chaos", 0, "open-loop: injected fault rate in [0,1) (conn resets, r/w delays, partial writes, handshake drops, forced saturation); clients submit through the retrying resilient client")
+	fs.Int64Var(&cfg.chaosSeed, "chaos-seed", 7, "chaos injector RNG seed (reproducible fault schedules)")
+	fs.Int64Var(&cfg.seed, "seed", 1, "mix-draw RNG seed")
+	fs.StringVar(&cfg.jsonOut, "json", "", `write/merge the report as JSON ("serve" section of a benchtable file)`)
+	fs.StringVar(&cfg.metricsAddr, "metrics", "", `serve /metrics (Prometheus text), /metrics.json and /debug/pprof on this address during the run (e.g. "127.0.0.1:9100")`)
+	fs.StringVar(&cfg.metricsOut, "metrics-out", "", "write the final metrics registry snapshot to this file as JSON")
+	fs.BoolVar(&cfg.verbose, "v", false, "log each rejected submission and scenario totals as they close")
+	if err := fs.Parse(args); err != nil {
+		return cfg, err
+	}
 
-	scale := workloads.ParseScale(*scaleFlag)
-	scenarios, err := parseMix(*mix, scale)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "loadgen: %v\n", err)
-		os.Exit(2)
-	}
-	deadlines, err := parseDeadlines(*deadlineSpec)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "loadgen: %v\n", err)
-		os.Exit(2)
-	}
-	deadlineWeight := 0
-	for _, c := range deadlines {
-		deadlineWeight += c.weight
-	}
-	var opts []core.Option
-	switch *modeFlag {
-	case "full":
-		opts = append(opts, core.WithMode(core.Full))
-	case "ownership":
-		opts = append(opts, core.WithMode(core.Ownership))
-	case "unverified":
-		opts = append(opts, core.WithMode(core.Unverified))
+	switch cfg.scale {
+	case "small", "default", "paper":
 	default:
-		fmt.Fprintf(os.Stderr, "loadgen: unknown mode %q\n", *modeFlag)
-		os.Exit(2)
+		return cfg, fmt.Errorf("unknown scale %q (want small, default or paper)", cfg.scale)
 	}
-	switch *detector {
+	scenarios, err := parseMix(cfg.mixSpec, workloads.ParseScale(cfg.scale))
+	if err != nil {
+		return cfg, err
+	}
+	deadlines, err := parseDeadlines(cfg.deadlineSpec)
+	if err != nil {
+		return cfg, err
+	}
+	cfg.mix = &mix{scenarios: scenarios, inject: cfg.inject, deadlines: deadlines}
+	switch cfg.mode {
+	case "full":
+		cfg.runtime = append(cfg.runtime, core.WithMode(core.Full))
+	case "ownership":
+		cfg.runtime = append(cfg.runtime, core.WithMode(core.Ownership))
+	case "unverified":
+		cfg.runtime = append(cfg.runtime, core.WithMode(core.Unverified))
+	default:
+		return cfg, fmt.Errorf("unknown mode %q", cfg.mode)
+	}
+	switch cfg.detector {
 	case "lockfree":
 		// Explicit even though it is core's default: the DEADLOCK_DETECTOR
 		// env redirects option-less runtimes, and the report must label the
 		// detector that actually ran.
-		opts = append(opts, core.WithDetector(core.DetectLockFree))
+		cfg.runtime = append(cfg.runtime, core.WithDetector(core.DetectLockFree))
 	case "globallock":
-		opts = append(opts, core.WithDetector(core.DetectGlobalLock))
+		cfg.runtime = append(cfg.runtime, core.WithDetector(core.DetectGlobalLock))
 	default:
-		fmt.Fprintf(os.Stderr, "loadgen: unknown detector %q\n", *detector)
-		os.Exit(2)
+		return cfg, fmt.Errorf("unknown detector %q", cfg.detector)
 	}
-	if *chaosRate > 0 && *open <= 0 && *graphShape == "" {
-		fmt.Fprintln(os.Stderr, "loadgen: -chaos requires -open (network-edge faults) or -graph (admission faults)")
-		os.Exit(2)
+	if cfg.chaosRate > 0 && cfg.rate <= 0 && cfg.graphShape == "" {
+		return cfg, errors.New("-chaos requires -open (network-edge faults) or -graph (admission faults)")
 	}
-	if *graphShape != "" && *open > 0 {
-		fmt.Fprintln(os.Stderr, "loadgen: -graph and -open are mutually exclusive modes")
-		os.Exit(2)
+	if cfg.graphShape != "" && cfg.rate > 0 {
+		return cfg, errors.New("-graph and -open are mutually exclusive modes")
 	}
-	if *modeFlag != "full" && (*inject > 0 || *mix != "all") {
+	if cfg.mode != "full" {
 		for _, sc := range scenarios {
 			if sc.want == serve.VerdictDeadlock {
-				fmt.Fprintln(os.Stderr, "loadgen: the Deadlock scenario requires -mode full (weaker modes hang on it)")
-				os.Exit(2)
+				return cfg, errors.New("the Deadlock scenario requires -mode full (weaker modes hang on it)")
 			}
 		}
-		if *inject > 0 {
-			fmt.Fprintln(os.Stderr, "loadgen: -inject requires -mode full (weaker modes hang on it)")
-			os.Exit(2)
+		if cfg.inject > 0 {
+			return cfg, errors.New("-inject requires -mode full (weaker modes hang on it)")
 		}
 	}
+	if cfg.graphShape != "" {
+		if cfg.graphShape != "mixed" && !slices.Contains(graphShapes, cfg.graphShape) {
+			return cfg, fmt.Errorf("unknown -graph shape %q (want one of %v or mixed)", cfg.graphShape, graphShapes)
+		}
+		if (cfg.graphShape == "random" || cfg.graphShape == "mixed") && cfg.retries < 1 {
+			return cfg, errors.New("-graph-retries must be >= 1")
+		}
+	}
+	if cfg.rate > 0 {
+		if cfg.tenants, err = parseTenants(*tenantsSpec); err != nil {
+			return cfg, err
+		}
+	}
+	return cfg, nil
+}
 
-	injected := scenario{name: "Deadlock", weight: 0,
-		prog: func() core.TaskFunc { return deadlockProg }, want: serve.VerdictDeadlock}
-	totalWeight := 0
-	for _, sc := range scenarios {
-		totalWeight += sc.weight
+func main() {
+	cfg, err := parseConfig(os.Args[1:])
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "loadgen: %v\n", err)
+		os.Exit(2)
 	}
 
-	stats := map[string]*scenarioStat{}
-	for _, sc := range scenarios {
-		stats[sc.name] = &scenarioStat{hist: harness.NewHistogram()}
-	}
-	if *inject > 0 {
-		stats[injected.name] = &scenarioStat{hist: harness.NewHistogram()}
-	}
-	var statsMu sync.Mutex
-	total := harness.NewHistogram()
-
-	// Install the registry BEFORE NewPool so the pool's latency windows
-	// register under their serve_* names and the scrape endpoint reads
-	// the same buckets Pool.Observe does.
+	// Install the registry BEFORE the pool is built so the pool's latency
+	// windows register under their serve_* names and the scrape endpoint
+	// reads the same buckets Pool.Observe does.
 	var reg *obs.Registry
-	if *metricsAddr != "" || *metricsOut != "" {
+	if cfg.metricsAddr != "" || cfg.metricsOut != "" {
 		reg = obs.NewRegistry()
 		obs.Install(reg)
 	}
 	var metricsSrv *obs.Server
-	if *metricsAddr != "" {
-		srv, err := obs.Serve(*metricsAddr, reg)
-		if err != nil {
+	if cfg.metricsAddr != "" {
+		if metricsSrv, err = obs.Serve(cfg.metricsAddr, reg); err != nil {
 			fmt.Fprintf(os.Stderr, "loadgen: metrics server: %v\n", err)
 			os.Exit(1)
 		}
-		metricsSrv = srv
-		fmt.Fprintf(os.Stderr, "loadgen: metrics on http://%s/metrics (also /metrics.json, /debug/pprof)\n", srv.Addr())
+		fmt.Fprintf(os.Stderr, "loadgen: metrics on http://%s/metrics (also /metrics.json, /debug/pprof)\n", metricsSrv.Addr())
 	}
 
-	if *graphShape != "" {
-		code := runGraphMode(graphConfig{
-			shape: *graphShape, nodes: *graphNodes,
-			failProb: *graphFail, flakyProb: *graphFlaky, retries: *graphRetries,
-			drivers: *graphDrivers, sessions: *sessions, queue: *queue, dur: *dur,
-			scale: scale, scaleStr: *scaleFlag, mode: *modeFlag,
-			chaosRate: *chaosRate, chaosSeed: *chaosSeed,
-			seed: *seed, jsonOut: *jsonOut, verbose: *verbose,
-			runtime: opts,
-		})
-		if *metricsOut != "" {
-			buf, err := json.MarshalIndent(reg.Snapshot(), "", "  ")
-			if err == nil {
-				err = os.WriteFile(*metricsOut, append(buf, '\n'), 0o644)
-			}
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "loadgen: writing %s: %v\n", *metricsOut, err)
-				os.Exit(1)
-			}
-			fmt.Fprintf(os.Stderr, "loadgen: metrics snapshot written to %s\n", *metricsOut)
-		}
-		if metricsSrv != nil {
-			metricsSrv.Close()
-		}
-		os.Exit(code)
+	led := &ledger{graphMode: cfg.graphShape != ""}
+	switch {
+	case cfg.graphShape != "":
+		err = runGraph(cfg, led)
+	case cfg.rate > 0:
+		err = runOpen(cfg, led)
+	default:
+		err = runClosed(cfg, led)
 	}
-
-	if *open > 0 {
-		tenants, err := parseTenants(*tenantsSpec)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "loadgen: %v\n", err)
-			os.Exit(2)
+	if err == nil && cfg.metricsOut != "" {
+		if err = writeJSON(cfg.metricsOut, reg.Snapshot()); err == nil {
+			fmt.Fprintf(os.Stderr, "loadgen: metrics snapshot written to %s\n", cfg.metricsOut)
 		}
-		code := runOpen(openConfig{
-			rate: *open, shape: *shape, shapePeriod: *shapePeriod,
-			frontAddr: *frontAddr, tenants: tenants,
-			sessions: *sessions, queue: *queue, dur: *dur,
-			scale: *scaleFlag, mode: *modeFlag, mix: *mix, inject: *inject,
-			deadlineStr: *deadlineSpec, admission: *admission,
-			chaosRate: *chaosRate, chaosSeed: *chaosSeed,
-			seed: *seed, jsonOut: *jsonOut, verbose: *verbose,
-		}, scenarios, injected, totalWeight, deadlines, deadlineWeight, opts, *fairness)
-		if *metricsOut != "" {
-			buf, err := json.MarshalIndent(reg.Snapshot(), "", "  ")
-			if err == nil {
-				err = os.WriteFile(*metricsOut, append(buf, '\n'), 0o644)
-			}
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "loadgen: writing %s: %v\n", *metricsOut, err)
-				os.Exit(1)
-			}
-			fmt.Fprintf(os.Stderr, "loadgen: metrics snapshot written to %s\n", *metricsOut)
-		}
-		if metricsSrv != nil {
-			metricsSrv.Close()
-		}
-		os.Exit(code)
 	}
+	if metricsSrv != nil {
+		metricsSrv.Close()
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "loadgen: %v\n", err)
+		os.Exit(1)
+	}
+	violations := led.violations()
+	for _, v := range violations {
+		fmt.Fprintf(os.Stderr, "loadgen: FAIL: %s\n", v)
+	}
+	if len(violations) > 0 {
+		os.Exit(1)
+	}
+}
 
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// runClosed is the default mode: closed-loop drivers, each repeatedly
+// drawing a scenario, running it to completion, and recording the
+// latency. The default driver count keeps the running tier and the
+// admission queue both full without tripping rejection; -drivers beyond
+// sessions+queue exercises the ErrPoolSaturated path too (rejections are
+// reported in the pool line).
+func runClosed(cfg config, led *ledger) error {
 	goroutinesBefore := runtime.NumGoroutine()
 	pool := serve.NewPool(serve.Config{
-		MaxSessions: *sessions,
-		QueueDepth:  *queue,
-		Runtime:     opts,
+		MaxSessions: cfg.sessions,
+		QueueDepth:  cfg.queue,
+		Runtime:     cfg.runtime,
 	})
-
-	// Closed-loop drivers, each repeatedly drawing a scenario, running it
-	// to completion, and recording the latency. The default driver count
-	// keeps the running tier and the admission queue both full without
-	// tripping rejection; -drivers beyond sessions+queue exercises the
-	// ErrPoolSaturated path too (rejections are reported in the pool line).
-	nDrivers := *drivers
+	stats := newSessionStats(cfg.mix, false, led)
+	nDrivers := cfg.drivers
 	if nDrivers <= 0 {
-		nDrivers = *sessions + *queue
+		nDrivers = cfg.sessions + cfg.queue
 	}
 	fmt.Fprintf(os.Stderr, "loadgen: %d sessions, queue %d, %d drivers, mix %q, %v, scale=%s mode=%s detector=%s inject=%g deadline=%q\n",
-		*sessions, *queue, nDrivers, *mix, *dur, *scaleFlag, *modeFlag, *detector, *inject, *deadlineSpec)
-	deadline := time.Now().Add(*dur)
+		cfg.sessions, cfg.queue, nDrivers, cfg.mixSpec, cfg.dur, cfg.scale, cfg.mode, cfg.detector, cfg.inject, cfg.deadlineSpec)
+	deadline := time.Now().Add(cfg.dur)
 	start := time.Now()
 	var wg sync.WaitGroup
 	for d := 0; d < nDrivers; d++ {
 		wg.Add(1)
 		go func(d int) {
 			defer wg.Done()
-			rng := rand.New(rand.NewSource(*seed + int64(d)))
+			rng := rand.New(rand.NewSource(cfg.seed + int64(d)))
 			for time.Now().Before(deadline) {
-				sc := scenarios[0]
-				if *inject > 0 && rng.Float64() < *inject {
-					sc = injected
-				} else {
-					w := rng.Intn(totalWeight)
-					for _, cand := range scenarios {
-						if w -= cand.weight; w < 0 {
-							sc = cand
-							break
-						}
-					}
-				}
-				ctx := context.Background()
-				var cancel context.CancelFunc
-				dl := drawDeadline(rng, deadlines, deadlineWeight)
+				sc, dl := cfg.mix.draw(rng)
+				ctx, cancel := context.Background(), context.CancelFunc(func() {})
 				if dl > 0 {
 					ctx, cancel = context.WithTimeout(ctx, dl)
 				}
 				sess, err := pool.Submit(ctx, sc.name, sc.prog())
 				if err != nil {
-					if cancel != nil {
-						cancel()
-					}
-					if *verbose {
+					cancel()
+					if cfg.verbose {
 						fmt.Fprintf(os.Stderr, "loadgen: submit %s: %v\n", sc.name, err)
 					}
 					time.Sleep(time.Millisecond)
 					continue
 				}
 				sess.Wait()
-				if cancel != nil {
-					cancel()
-				}
-				got := sess.Verdict()
-				// A deadline-carrying session legitimately ends either way:
-				// it beat the deadline (its scenario's expected verdict) or
-				// the deadline won (canceled). Everything else — and any
-				// canceled verdict WITHOUT an injected deadline — is false.
-				okVerdict := got == sc.want || (dl > 0 && got == serve.VerdictCanceled)
-				statsMu.Lock()
-				st := stats[sc.name]
-				st.count++
-				if dl > 0 {
-					st.deadlined++
-				}
-				if got == serve.VerdictCanceled {
-					st.canceled++
-				}
-				if !okVerdict {
-					st.bad++
-					fmt.Fprintf(os.Stderr, "loadgen: FALSE VERDICT %s: got %s want %s: %v\n",
-						sc.name, got, sc.want, sess.Err())
-				}
-				statsMu.Unlock()
+				cancel()
 				// Sessions aborted in the admission queue never built a
 				// runtime: their zero Duration is not a latency sample and
 				// would drag the percentiles (and the committed serve
 				// baseline) down artificially.
-				if sess.Runtime() != nil {
-					st.hist.Observe(sess.Duration())
-					total.Observe(sess.Duration())
-				}
+				stats.record(sc, dl, sess, sess.Runtime() != nil)
 			}
 		}(d)
 	}
@@ -596,126 +713,48 @@ func main() {
 	observation := pool.Observe()
 	pool.Close()
 	elapsed := time.Since(start)
-
-	// Drain check: after Close every pool goroutine (scheduler workers,
-	// cleaner) must be gone. Allow the runtime a moment to reap.
-	leaked := -1
-	for wait := time.Now().Add(5 * time.Second); time.Now().Before(wait); time.Sleep(10 * time.Millisecond) {
-		if g := runtime.NumGoroutine(); g <= goroutinesBefore {
-			leaked = 0
-			break
-		}
-	}
-	if leaked != 0 {
-		leaked = runtime.NumGoroutine() - goroutinesBefore
-	}
+	// After Close every pool goroutine (scheduler workers, cleaner) must
+	// be gone.
+	led.leaked = settleLeaks(runtime.NumGoroutine, goroutinesBefore, leakWindow)
 
 	ps := pool.Stats()
-	names := make([]string, 0, len(stats))
-	for name := range stats {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-
-	var rows []scenarioReport
-	var falseVerdicts int64
+	led.eventsDropped = ps.EventsDropped
 	fmt.Printf("serve load report: %d sessions completed in %v (%.1f/s aggregate)\n\n",
 		ps.Completed, elapsed.Round(time.Millisecond), float64(ps.Completed)/elapsed.Seconds())
-	var deadlined, canceledTotal int64
-	fmt.Printf("%-16s %9s %9s %9s %9s %9s %9s %8s %6s\n",
-		"scenario", "sessions", "thr(/s)", "p50(ms)", "p90(ms)", "p99(ms)", "max(ms)", "cancel", "false")
-	for _, name := range names {
-		st := stats[name]
-		sum := st.hist.Summary()
-		row := scenarioReport{
-			Name:          name,
-			Sessions:      st.count,
-			PerSec:        float64(st.count) / elapsed.Seconds(),
-			Deadlined:     st.deadlined,
-			Canceled:      st.canceled,
-			FalseVerdicts: st.bad,
-			HistSummary:   sum,
-		}
-		rows = append(rows, row)
-		falseVerdicts += st.bad
-		deadlined += st.deadlined
-		canceledTotal += st.canceled
-		fmt.Printf("%-16s %9d %9.1f %9.3f %9.3f %9.3f %9.3f %8d %6d\n",
-			name, row.Sessions, row.PerSec, sum.P50Ms, sum.P90Ms, sum.P99Ms, sum.MaxMs, st.canceled, st.bad)
-	}
-	totalSum := total.Summary()
-	totalRow := scenarioReport{
-		Name: "total", Sessions: ps.Completed,
-		PerSec:    float64(ps.Completed) / elapsed.Seconds(),
-		Deadlined: deadlined, Canceled: canceledTotal, FalseVerdicts: falseVerdicts,
-		HistSummary: totalSum,
-	}
-	fmt.Printf("%-16s %9d %9.1f %9.3f %9.3f %9.3f %9.3f %8d %6d\n\n",
-		"total", totalRow.Sessions, totalRow.PerSec, totalSum.P50Ms, totalSum.P90Ms, totalSum.P99Ms, totalSum.MaxMs, canceledTotal, falseVerdicts)
+	rows, total := stats.report(elapsed, ps.Completed)
 	fmt.Printf("pool: peak %d in-flight, %d rejected, %d canceled (%d deadline-injected), %d tasks, workers %d spawned / %d reused / %d thieves, %d steals, %d wakes, %d dropped events\n",
-		ps.Peak, ps.Rejected, ps.Canceled, deadlined, ps.TasksRun, ps.WorkersSpawned, ps.WorkersReused, ps.WorkerThieves, ps.Steals, ps.Wakes, ps.EventsDropped)
-	fmt.Printf("goroutines: %d before, %d leaked after Close\n", goroutinesBefore, leaked)
+		ps.Peak, ps.Rejected, ps.Canceled, total.Deadlined, ps.TasksRun, ps.WorkersSpawned, ps.WorkersReused, ps.WorkerThieves, ps.Steals, ps.Wakes, ps.EventsDropped)
+	fmt.Printf("goroutines: %d before, %d leaked after Close\n", goroutinesBefore, led.leaked)
 	// The windowed digest next to the lifetime percentiles: over a run
 	// shorter than the window span the two p99s must roughly agree (the
 	// obs acceptance bound is 2x); over a longer run the window only
 	// holds the most recent traffic, which is exactly its point.
 	fmt.Printf("observe (last %v): exec n=%d p50=%.3fms p99=%.3fms | queue-wait p99=%.3fms (lifetime exec p99=%.3fms)\n",
 		observation.Span, observation.Exec.Count, observation.Exec.P50Ms, observation.Exec.P99Ms,
-		observation.QueueWait.P99Ms, totalSum.P99Ms)
+		observation.QueueWait.P99Ms, total.P99Ms)
 
-	if *jsonOut != "" {
-		rep := serveReport{
-			GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-			Sessions:    *sessions,
-			Queue:       *queue,
-			Duration:    dur.String(),
-			Scale:       *scaleFlag,
-			Mode:        *modeFlag,
-			Detector:    *detector,
-			Mix:         *mix,
-			Inject:      *inject,
-			Deadline:    *deadlineSpec,
-			Scenarios:   rows,
-			Total:       totalRow,
-			Pool:        ps,
-			Observe:     observation,
-		}
-		if err := writeJSONSection(*jsonOut, "serve", rep); err != nil {
-			fmt.Fprintf(os.Stderr, "loadgen: writing %s: %v\n", *jsonOut, err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "loadgen: report written to %s\n", *jsonOut)
+	if cfg.jsonOut == "" {
+		return nil
 	}
-
-	if *metricsOut != "" {
-		buf, err := json.MarshalIndent(reg.Snapshot(), "", "  ")
-		if err == nil {
-			err = os.WriteFile(*metricsOut, append(buf, '\n'), 0o644)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "loadgen: writing %s: %v\n", *metricsOut, err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "loadgen: metrics snapshot written to %s\n", *metricsOut)
+	rep := serveReport{
+		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
+		Sessions:    cfg.sessions,
+		Queue:       cfg.queue,
+		Duration:    cfg.dur.String(),
+		Scale:       cfg.scale,
+		Mode:        cfg.mode,
+		Detector:    cfg.detector,
+		Mix:         cfg.mixSpec,
+		Inject:      cfg.inject,
+		Deadline:    cfg.deadlineSpec,
+		Scenarios:   rows,
+		Total:       total,
+		Pool:        ps,
+		Observe:     observation,
 	}
-	if metricsSrv != nil {
-		metricsSrv.Close()
+	if err := writeJSONSection(cfg.jsonOut, "serve", rep); err != nil {
+		return fmt.Errorf("writing %s: %w", cfg.jsonOut, err)
 	}
-
-	bad := false
-	if falseVerdicts > 0 {
-		fmt.Fprintf(os.Stderr, "loadgen: FAIL: %d false verdicts\n", falseVerdicts)
-		bad = true
-	}
-	if ps.EventsDropped > 0 {
-		fmt.Fprintf(os.Stderr, "loadgen: FAIL: %d dropped trace events\n", ps.EventsDropped)
-		bad = true
-	}
-	if leaked != 0 {
-		fmt.Fprintf(os.Stderr, "loadgen: FAIL: %d goroutines leaked after Pool.Close\n", leaked)
-		bad = true
-	}
-	if bad {
-		os.Exit(1)
-	}
+	fmt.Fprintf(os.Stderr, "loadgen: report written to %s\n", cfg.jsonOut)
+	return nil
 }

@@ -17,13 +17,6 @@ package main
 // split evenly across tenants so a backlogged run measures the
 // weighted-fair dequeue directly: completed throughput must track the
 // weights. -fairness TOL turns that into a hard check.
-//
-// The run fails (exit 1) on any of: a false verdict (an accepted
-// session classifying as anything but its scenario's expectation, or
-// canceled without a deadline), an admission misclassification (a
-// "deadline" rejection for a request that carried no deadline), a
-// weighted-fairness violation beyond TOL, dropped trace events, or
-// goroutines leaked after the self-hosted front's graceful Shutdown.
 
 import (
 	"context"
@@ -33,16 +26,13 @@ import (
 	"math/rand"
 	"os"
 	"runtime"
-	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
 
 	"repro/internal/chaos"
-	"repro/internal/core"
 	"repro/internal/front"
-	"repro/internal/harness"
+	"repro/internal/obs"
 	"repro/internal/serve"
 )
 
@@ -81,41 +71,21 @@ type chaosReport struct {
 	LeakedGoroutines  int   `json:"leaked_goroutines"`
 }
 
-// tenantSpec is one entry of the -tenants flag: a fairness tenant with
-// its weighted-fair share.
-type tenantSpec struct {
-	name   string
-	weight int
-}
-
-// parseTenants parses "name[:weight],..." ("gold:3,bronze:1").
-func parseTenants(spec string) ([]tenantSpec, error) {
-	var out []tenantSpec
+// parseTenants parses the -tenants list ("gold:3,bronze:1"); tenant
+// names must be distinct.
+func parseTenants(spec string) ([]weighted, error) {
+	list, err := parseWeighted(spec)
+	if err != nil {
+		return nil, err
+	}
 	seen := map[string]bool{}
-	for _, part := range strings.Split(spec, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
+	for _, t := range list {
+		if t.name == "" || seen[t.name] {
+			return nil, fmt.Errorf("bad tenant spec %q: empty or duplicate name", spec)
 		}
-		name, weight := part, 1
-		if i := strings.IndexByte(part, ':'); i >= 0 {
-			name = part[:i]
-			w, err := strconv.Atoi(part[i+1:])
-			if err != nil || w <= 0 {
-				return nil, fmt.Errorf("bad tenant weight in %q", part)
-			}
-			weight = w
-		}
-		if name == "" || seen[name] {
-			return nil, fmt.Errorf("bad tenant spec %q", part)
-		}
-		seen[name] = true
-		out = append(out, tenantSpec{name: name, weight: weight})
+		seen[t.name] = true
 	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("empty tenant spec %q", spec)
-	}
-	return out, nil
+	return list, nil
 }
 
 // rateAt returns the instantaneous arrival rate at elapsed time t for
@@ -185,29 +155,6 @@ type frontReport struct {
 	Observe       *serve.Observation `json:"observe,omitempty"`
 }
 
-// openConfig carries the parsed flag state into the open-loop run.
-type openConfig struct {
-	rate        float64
-	shape       string
-	shapePeriod time.Duration
-	frontAddr   string // external front; empty self-hosts
-	tenants     []tenantSpec
-	sessions    int
-	queue       int
-	dur         time.Duration
-	scale       string
-	mode        string
-	mix         string
-	inject      float64
-	deadlineStr string
-	admission   bool
-	chaosRate   float64 // injected fault rate; 0 = chaos off
-	chaosSeed   int64
-	seed        int64
-	jsonOut     string
-	verbose     bool
-}
-
 // rejectReason classifies a Submit error the way the server's
 // front_rejected_total counter does, via the shared sentinels.
 func rejectReason(err error) string {
@@ -223,11 +170,8 @@ func rejectReason(err error) string {
 	}
 }
 
-// runOpen drives the open-loop mode end to end and returns the process
-// exit code.
-func runOpen(cfg openConfig, scenarios []scenario, injected scenario, totalWeight int,
-	deadlines []deadlineClass, deadlineWeight int, rtOpts []core.Option, fairnessTol float64) int {
-
+// runOpen drives the open-loop mode end to end.
+func runOpen(cfg config, led *ledger) error {
 	goroutinesBefore := runtime.NumGoroutine()
 
 	// Chaos: two seeded injectors, one per side of the wire, so each
@@ -271,7 +215,7 @@ func runOpen(cfg openConfig, scenarios []scenario, injected scenario, totalWeigh
 		sopts := []serve.Option{
 			serve.WithMaxSessions(cfg.sessions),
 			serve.WithQueueDepth(cfg.queue),
-			serve.WithRuntime(rtOpts...),
+			serve.WithRuntime(cfg.runtime...),
 			serve.WithDeadlineAdmission(cfg.admission),
 			serve.WithChaos(srvChaos),
 		}
@@ -286,17 +230,17 @@ func runOpen(cfg openConfig, scenarios []scenario, injected scenario, totalWeigh
 			fcfg.WriteTimeout = 2 * time.Second
 		}
 		var err error
-		f, err = front.New(fcfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "loadgen: front: %v\n", err)
-			return 1
+		if f, err = front.New(fcfg); err != nil {
+			return fmt.Errorf("front: %w", err)
 		}
 		addr = f.Addr()
 	}
 
 	clients := make([]submitter, len(cfg.tenants))
 	rclients := make([]*front.ResilientClient, len(cfg.tenants)) // non-nil under chaos
+	tenantNames := make([]string, len(cfg.tenants))
 	for i, ts := range cfg.tenants {
+		tenantNames[i] = fmt.Sprintf("%s:%d", ts.name, ts.weight)
 		if chaosOn {
 			// The retry budget scales with the offered load: one conn
 			// fault kills every in-flight submission sharing the conn, so
@@ -322,8 +266,7 @@ func runOpen(cfg openConfig, scenarios []scenario, injected scenario, totalWeigh
 				HeartbeatInterval: time.Second,
 			})
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "loadgen: dial %s as %s: %v\n", addr, ts.name, err)
-				return 1
+				return fmt.Errorf("dial %s as %s: %w", addr, ts.name, err)
 			}
 			defer rc.Close()
 			rclients[i] = rc
@@ -332,35 +275,26 @@ func runOpen(cfg openConfig, scenarios []scenario, injected scenario, totalWeigh
 		}
 		c, err := front.Dial(addr, ts.name+"-key")
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "loadgen: dial %s as %s: %v\n", addr, ts.name, err)
-			return 1
+			return fmt.Errorf("dial %s as %s: %w", addr, ts.name, err)
 		}
 		defer c.Close()
 		clients[i] = c
 	}
 
 	fmt.Fprintf(os.Stderr, "loadgen: open-loop %.0f/s (%s/%v) -> %s, tenants %s, mix %q, %v, scale=%s mode=%s admission=%v deadline=%q\n",
-		cfg.rate, cfg.shape, cfg.shapePeriod, addr, cfg.tenantsString(), cfg.mix, cfg.dur, cfg.scale, cfg.mode, cfg.admission, cfg.deadlineStr)
+		cfg.rate, cfg.shape, cfg.shapePeriod, addr, strings.Join(tenantNames, ","), cfg.mixSpec, cfg.dur, cfg.scale, cfg.mode, cfg.admission, cfg.deadlineSpec)
 	if chaosOn {
 		fmt.Fprintf(os.Stderr, "loadgen: chaos on: rate=%.2f seed=%d (server faults seeded %d, client faults seeded %d)\n",
 			cfg.chaosRate, cfg.chaosSeed, cfg.chaosSeed, cfg.chaosSeed+1)
 	}
 
-	stats := map[string]*scenarioStat{}
-	for _, sc := range scenarios {
-		stats[sc.name] = &scenarioStat{hist: harness.NewHistogram()}
-	}
-	if cfg.inject > 0 {
-		stats[injected.name] = &scenarioStat{hist: harness.NewHistogram()}
-	}
+	stats := newSessionStats(cfg.mix, chaosOn, led)
 	tstats := make([]*tenantStat, len(cfg.tenants))
 	for i := range tstats {
 		tstats[i] = &tenantStat{rejected: map[string]int64{}}
 	}
 	var mu sync.Mutex
-	total := harness.NewHistogram()
 	rejectReasons := map[string]int64{}
-	var misclassified, falseVerdicts, completed int64
 
 	// The arrival process: exponential inter-arrival at the (possibly
 	// shape-modulated) rate; each arrival draws a tenant uniformly — the
@@ -387,19 +321,7 @@ func runOpen(cfg openConfig, scenarios []scenario, injected scenario, totalWeigh
 			time.Sleep(d)
 		}
 		ti := rng.Intn(len(cfg.tenants))
-		sc := scenarios[0]
-		if cfg.inject > 0 && rng.Float64() < cfg.inject {
-			sc = injected
-		} else {
-			w := rng.Intn(totalWeight)
-			for _, cand := range scenarios {
-				if w -= cand.weight; w < 0 {
-					sc = cand
-					break
-				}
-			}
-		}
-		dl := drawDeadline(rng, deadlines, deadlineWeight)
+		sc, dl := cfg.mix.draw(rng)
 		mu.Lock()
 		tstats[ti].offered++
 		mu.Unlock()
@@ -414,48 +336,24 @@ func runOpen(cfg openConfig, scenarios []scenario, injected scenario, totalWeigh
 				mu.Lock()
 				tstats[ti].rejected[reason]++
 				rejectReasons[reason]++
+				mu.Unlock()
 				// An admission shed must only ever hit requests that
 				// actually carried a deadline: shedding a deadline-free
 				// request as "infeasible" is a misclassification.
 				if reason == front.RejectDeadline && dl == 0 {
-					misclassified++
-					fmt.Fprintf(os.Stderr, "loadgen: MISCLASSIFIED: deadline rejection for deadline-free %s: %v\n", sc.name, err)
+					led.charge(&led.misclassified, "MISCLASSIFIED: deadline rejection for deadline-free %s: %v", sc.name, err)
 				}
-				mu.Unlock()
 				if cfg.verbose {
 					fmt.Fprintf(os.Stderr, "loadgen: reject %s: %v\n", sc.name, err)
 				}
 				return
 			}
 			sess.Wait()
-			got := sess.Verdict()
-			// Under chaos a connection can die after accept: the server
-			// cancels the orphaned session (ErrPoolClosed cause) rather
-			// than deliver a verdict to nobody. That is a legitimate
-			// terminal outcome, not a false verdict.
-			okVerdict := got == sc.want || (dl > 0 && got == serve.VerdictCanceled) ||
-				(chaosOn && got == serve.VerdictCanceled && errors.Is(sess.Err(), serve.ErrPoolClosed))
 			mu.Lock()
-			st := stats[sc.name]
-			st.count++
 			tstats[ti].accepted++
 			tstats[ti].completed++
-			completed++
-			if dl > 0 {
-				st.deadlined++
-			}
-			if got == serve.VerdictCanceled {
-				st.canceled++
-			}
-			if !okVerdict {
-				st.bad++
-				falseVerdicts++
-				fmt.Fprintf(os.Stderr, "loadgen: FALSE VERDICT %s: got %s want %s: %v\n",
-					sc.name, got, sc.want, sess.Err())
-			}
-			st.hist.Observe(sess.Duration())
-			total.Observe(sess.Duration())
 			mu.Unlock()
+			stats.record(sc, dl, sess, true)
 		}(ti, sc, dl)
 	}
 	wg.Wait()
@@ -465,7 +363,6 @@ func runOpen(cfg openConfig, scenarios []scenario, injected scenario, totalWeigh
 	// front down gracefully and check nothing survived it.
 	var ps *serve.PoolStats
 	var observation *serve.Observation
-	leaked := 0
 	if f != nil {
 		obsv := f.Pool().Observe()
 		observation = &obsv
@@ -476,60 +373,32 @@ func runOpen(cfg openConfig, scenarios []scenario, injected scenario, totalWeigh
 		scancel()
 		p := f.Pool().Stats()
 		ps = &p
+		led.eventsDropped = p.EventsDropped
 		for _, c := range clients {
 			c.Close()
 		}
-		leaked = -1
-		for wait := time.Now().Add(5 * time.Second); time.Now().Before(wait); time.Sleep(10 * time.Millisecond) {
-			if g := runtime.NumGoroutine(); g <= goroutinesBefore {
-				leaked = 0
-				break
-			}
-		}
-		if leaked != 0 {
-			leaked = runtime.NumGoroutine() - goroutinesBefore
-		}
+		led.leaked = settleLeaks(runtime.NumGoroutine, goroutinesBefore, leakWindow)
 	}
+
+	// Every submission must have ended in exactly one terminal outcome.
+	var offered, completed, rejected int64
+	for _, t := range tstats {
+		offered += t.offered
+		completed += t.completed
+	}
+	for _, n := range rejectReasons {
+		rejected += n
+	}
+	led.equal("offered vs completed + rejected", offered, completed+rejected)
 
 	// --- report ---
-	names := make([]string, 0, len(stats))
-	for name := range stats {
-		names = append(names, name)
-	}
-	sort.Strings(names)
 	fmt.Printf("front open-loop report: %d completed of %d offered in %v (%.1f/s completed)\n\n",
-		completed, offeredTotal(tstats), elapsed.Round(time.Millisecond), float64(completed)/elapsed.Seconds())
-	var rows []scenarioReport
-	var deadlined, canceledTotal int64
-	fmt.Printf("%-16s %9s %9s %9s %9s %9s %8s %6s\n",
-		"scenario", "sessions", "thr(/s)", "p50(ms)", "p90(ms)", "p99(ms)", "cancel", "false")
-	for _, name := range names {
-		st := stats[name]
-		sum := st.hist.Summary()
-		row := scenarioReport{
-			Name: name, Sessions: st.count,
-			PerSec:    float64(st.count) / elapsed.Seconds(),
-			Deadlined: st.deadlined, Canceled: st.canceled, FalseVerdicts: st.bad,
-			HistSummary: sum,
-		}
-		rows = append(rows, row)
-		deadlined += st.deadlined
-		canceledTotal += st.canceled
-		fmt.Printf("%-16s %9d %9.1f %9.3f %9.3f %9.3f %8d %6d\n",
-			name, st.count, row.PerSec, sum.P50Ms, sum.P90Ms, sum.P99Ms, st.canceled, st.bad)
-	}
-	totalSum := total.Summary()
-	totalRow := scenarioReport{
-		Name: "total", Sessions: completed,
-		PerSec:    float64(completed) / elapsed.Seconds(),
-		Deadlined: deadlined, Canceled: canceledTotal, FalseVerdicts: falseVerdicts,
-		HistSummary: totalSum,
-	}
-	fmt.Println()
+		completed, offered, elapsed.Round(time.Millisecond), float64(completed)/elapsed.Seconds())
+	rows, total := stats.report(elapsed, completed)
 
-	// Per-tenant accounting and the weighted-fairness check: completed
-	// sessions per unit weight must agree across tenants (within TOL)
-	// whenever the run actually backlogged them.
+	// Per-tenant accounting for the weighted-fairness check: completed
+	// sessions per unit weight must agree across tenants (within
+	// -fairness) whenever the run actually backlogged them.
 	trep := make([]tenantReport, len(cfg.tenants))
 	fmt.Printf("%-10s %6s %9s %9s %9s %12s %14s\n",
 		"tenant", "weight", "offered", "accepted", "completed", "compl(/s)", "compl/share")
@@ -546,71 +415,62 @@ func runOpen(cfg openConfig, scenarios []scenario, injected scenario, totalWeigh
 			ts.name, ts.weight, t.offered, t.accepted, t.completed,
 			trep[i].CompletedPS, trep[i].NormPerShare)
 	}
-	reasons := make([]string, 0, len(rejectReasons))
-	for r := range rejectReasons {
-		reasons = append(reasons, r)
+	led.fairTol, led.tenants = cfg.fairness, trep
+
+	// On a self-hosted front without chaos, the server's reject counter
+	// and the clients' tally see the same rejections. (Under chaos the
+	// wire loses some and the resilient client retries others.)
+	if reg := obs.Installed(); reg != nil && f != nil && !chaosOn {
+		counted := map[string]int64{}
+		for k, n := range reg.Snapshot().Vectors["front_rejected_total"] {
+			counted[strings.TrimPrefix(k, "reason=")] = n
+		}
+		all := map[string]int64{}
+		for r := range counted {
+			all[r] = 0
+		}
+		for r := range rejectReasons {
+			all[r] = 0
+		}
+		for _, r := range sortedKeys(all) {
+			led.equal("registry front_rejected_total{reason="+r+"} vs reject_reasons", counted[r], rejectReasons[r])
+		}
 	}
-	sort.Strings(reasons)
 	fmt.Printf("\nrejects:")
-	if len(reasons) == 0 {
+	if len(rejectReasons) == 0 {
 		fmt.Printf(" none")
 	}
-	for _, r := range reasons {
+	for _, r := range sortedKeys(rejectReasons) {
 		fmt.Printf(" %s=%d", r, rejectReasons[r])
 	}
 	fmt.Println()
 	if ps != nil {
 		fmt.Printf("pool: %d completed (%d clean, %d deadlock, %d canceled), %d rejected (%d deadline-shed), %d dropped events\n",
 			ps.Completed, ps.Clean, ps.Deadlocks, ps.Canceled, ps.Rejected, ps.RejectedDeadline, ps.EventsDropped)
-		fmt.Printf("goroutines: %d before, %d leaked after Shutdown\n", goroutinesBefore, leaked)
+		fmt.Printf("goroutines: %d before, %d leaked after Shutdown\n", goroutinesBefore, led.leaked)
 	}
 	if observation != nil {
 		fmt.Printf("observe (last %v): exec n=%d p50=%.3fms p99=%.3fms | queue-wait p99=%.3fms\n",
 			observation.Span, observation.Exec.Count, observation.Exec.P50Ms, observation.Exec.P99Ms,
 			observation.QueueWait.P99Ms)
 	}
-
 	var fairnessOK *bool
-	if fairnessTol > 0 && len(cfg.tenants) >= 2 {
-		ok := true
-		mean := 0.0
-		for _, tr := range trep {
-			mean += tr.NormPerShare
-		}
-		mean /= float64(len(trep))
-		for _, tr := range trep {
-			if mean == 0 || math.Abs(tr.NormPerShare-mean)/mean > fairnessTol {
-				ok = false
-				fmt.Fprintf(os.Stderr, "loadgen: FAIL: tenant %s completed/share %.1f deviates from mean %.1f beyond %.0f%%\n",
-					tr.Name, tr.NormPerShare, mean, fairnessTol*100)
-			}
-		}
+	if cfg.fairness > 0 && len(trep) >= 2 {
+		ok := len(led.unfair()) == 0
 		fairnessOK = &ok
 		if ok {
-			fmt.Printf("fairness: completed/share within %.0f%% of mean across %d tenants\n", fairnessTol*100, len(trep))
+			fmt.Printf("fairness: completed/share within %.0f%% of mean across %d tenants\n", cfg.fairness*100, len(trep))
 		}
 	}
 
-	// Chaos invariants: every submission must have ended in exactly one
-	// terminal outcome (offered == completed + rejected), no verdict may
-	// have matched nothing (a double delivery would), and the run must
-	// not leak goroutines. Spilled verdicts are reported, not failed on:
-	// a spill IS the designed terminal disposition for a slow client.
+	// Spilled verdicts are reported, not failed on: a spill IS the
+	// designed terminal disposition for a slow client.
 	var crep *chaosReport
-	chaosBad := false
 	if chaosOn {
-		offered := offeredTotal(tstats)
-		var rejectedTotal int64
-		for _, n := range rejectReasons {
-			rejectedTotal += n
-		}
-		var retries, unmatched int64
+		var retries int64
 		for _, rc := range rclients {
-			if rc == nil {
-				continue
-			}
 			retries += rc.Retries()
-			unmatched += rc.Stats().UnmatchedVerdicts
+			led.unmatched += rc.Stats().UnmatchedVerdicts
 		}
 		spilled := 0
 		if f != nil {
@@ -621,89 +481,39 @@ func runOpen(cfg openConfig, scenarios []scenario, injected scenario, totalWeigh
 			Rate:        cfg.chaosRate, Seed: cfg.chaosSeed,
 			Duration: cfg.dur.String(), OpenRate: cfg.rate,
 			ServerFaults: srvChaos.Counts(), ClientFaults: cliChaos.Counts(),
-			Offered: offered, Completed: completed, Rejected: rejectedTotal,
+			Offered: offered, Completed: completed, Rejected: rejected,
 			Retries:           retries,
-			TerminalOutcomeOK: offered == completed+rejectedTotal,
-			FalseVerdicts:     falseVerdicts,
-			UnmatchedVerdicts: unmatched,
+			TerminalOutcomeOK: offered == completed+rejected,
+			FalseVerdicts:     led.falseVerdicts,
+			UnmatchedVerdicts: led.unmatched,
 			SpilledVerdicts:   spilled,
-			LeakedGoroutines:  leaked,
+			LeakedGoroutines:  led.leaked,
 		}
 		fmt.Printf("\nchaos: rate=%.2f seed=%d server-faults=%d client-faults=%d retries=%d spilled=%d\n",
 			cfg.chaosRate, cfg.chaosSeed, srvChaos.Total(), cliChaos.Total(), retries, spilled)
-		if !crep.TerminalOutcomeOK {
-			fmt.Fprintf(os.Stderr, "loadgen: FAIL: terminal-outcome invariant: offered %d != completed %d + rejected %d\n",
-				offered, completed, rejectedTotal)
-			chaosBad = true
-		}
-		if unmatched > 0 {
-			fmt.Fprintf(os.Stderr, "loadgen: FAIL: %d unmatched (possibly double-delivered) verdicts\n", unmatched)
-			chaosBad = true
-		}
 	}
 
-	if cfg.jsonOut != "" {
-		rep := frontReport{
-			GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-			Rate:        cfg.rate, Shape: cfg.shape,
-			Duration: cfg.dur.String(), Scale: cfg.scale, Mode: cfg.mode,
-			Mix: cfg.mix, Inject: cfg.inject, Deadline: cfg.deadlineStr,
-			SelfHosted: f != nil, Tenants: trep, Scenarios: rows, Total: totalRow,
-			RejectReasons: rejectReasons, Misclassified: misclassified,
-			FairnessTol: fairnessTol, FairnessOK: fairnessOK,
-			Leaked: leaked, Pool: ps, Observe: observation,
+	if cfg.jsonOut == "" {
+		return nil
+	}
+	rep := frontReport{
+		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
+		Rate:        cfg.rate, Shape: cfg.shape,
+		Duration: cfg.dur.String(), Scale: cfg.scale, Mode: cfg.mode,
+		Mix: cfg.mixSpec, Inject: cfg.inject, Deadline: cfg.deadlineSpec,
+		SelfHosted: f != nil, Tenants: trep, Scenarios: rows, Total: total,
+		RejectReasons: rejectReasons, Misclassified: led.misclassified,
+		FairnessTol: cfg.fairness, FairnessOK: fairnessOK,
+		Leaked: led.leaked, Pool: ps, Observe: observation,
+	}
+	if err := writeJSONSection(cfg.jsonOut, "front", rep); err != nil {
+		return fmt.Errorf("writing %s: %w", cfg.jsonOut, err)
+	}
+	if crep != nil {
+		if err := writeJSONSection(cfg.jsonOut, "chaos", crep); err != nil {
+			return fmt.Errorf("writing %s: %w", cfg.jsonOut, err)
 		}
-		if err := writeJSONSection(cfg.jsonOut, "front", rep); err != nil {
-			fmt.Fprintf(os.Stderr, "loadgen: writing %s: %v\n", cfg.jsonOut, err)
-			return 1
-		}
-		if crep != nil {
-			if err := writeJSONSection(cfg.jsonOut, "chaos", crep); err != nil {
-				fmt.Fprintf(os.Stderr, "loadgen: writing %s: %v\n", cfg.jsonOut, err)
-				return 1
-			}
-		}
-		fmt.Fprintf(os.Stderr, "loadgen: report written to %s\n", cfg.jsonOut)
 	}
-
-	bad := chaosBad
-	if falseVerdicts > 0 {
-		fmt.Fprintf(os.Stderr, "loadgen: FAIL: %d false verdicts\n", falseVerdicts)
-		bad = true
-	}
-	if misclassified > 0 {
-		fmt.Fprintf(os.Stderr, "loadgen: FAIL: %d deadline rejections of deadline-free requests\n", misclassified)
-		bad = true
-	}
-	if fairnessOK != nil && !*fairnessOK {
-		bad = true
-	}
-	if ps != nil && ps.EventsDropped > 0 {
-		fmt.Fprintf(os.Stderr, "loadgen: FAIL: %d dropped trace events\n", ps.EventsDropped)
-		bad = true
-	}
-	if leaked != 0 {
-		fmt.Fprintf(os.Stderr, "loadgen: FAIL: %d goroutines leaked after Front.Shutdown\n", leaked)
-		bad = true
-	}
-	if bad {
-		return 1
-	}
-	return 0
-}
-
-func (cfg openConfig) tenantsString() string {
-	parts := make([]string, len(cfg.tenants))
-	for i, ts := range cfg.tenants {
-		parts[i] = fmt.Sprintf("%s:%d", ts.name, ts.weight)
-	}
-	return strings.Join(parts, ",")
-}
-
-func offeredTotal(tstats []*tenantStat) int64 {
-	var n int64
-	for _, t := range tstats {
-		n += t.offered
-	}
-	return n
+	fmt.Fprintf(os.Stderr, "loadgen: report written to %s\n", cfg.jsonOut)
+	return nil
 }
