@@ -340,22 +340,22 @@ func BenchmarkMicro_SpawnBatch(b *testing.B) {
 
 // TestSpawnPathAllocs pins the spawn path's allocation budget after the
 // hot-path overhaul (DESIGN.md): a default spawn with one moved promise,
-// joined through that promise, allocates at most four objects under the
+// joined through that promise, allocates exactly four objects under the
 // policy modes — the promise, the user's body closure, the task block,
 // and the child's owned-list seed (deliberately its own small heap
 // object; see Task.owned) — and three under Unverified, which tracks no
 // ownership. The goroutine itself comes from the runtime's spawn
-// freelist and the move path materializes no intermediate slices.
-// Thresholds carry half-an-alloc slack because the join may rarely
-// outlast the pre-block spin and install a wakeup channel.
+// freelist and the move path materializes no intermediate slices. A join
+// that blocks re-links the parent's waiter record, which its first block
+// allocated during warm-up, so the counts are exact.
 func TestSpawnPathAllocs(t *testing.T) {
 	for _, cfg := range []struct {
 		label string
-		limit float64
+		want  float64
 		opts  []core.Option
 	}{
-		{"unverified", 3.5, []core.Option{core.WithMode(core.Unverified)}},
-		{"default", 4.5, []core.Option{core.WithMode(core.Full)}},
+		{"unverified", 3, []core.Option{core.WithMode(core.Unverified)}},
+		{"default", 4, []core.Option{core.WithMode(core.Full)}},
 	} {
 		t.Run(cfg.label, func(t *testing.T) {
 			rt := core.NewRuntime(cfg.opts...)
@@ -374,8 +374,8 @@ func TestSpawnPathAllocs(t *testing.T) {
 						t.Error(err)
 					}
 				})
-				if got > cfg.limit {
-					t.Errorf("%s spawn: %v allocs/op, want <= %v", cfg.label, got, cfg.limit)
+				if got != cfg.want {
+					t.Errorf("%s spawn: %v allocs/op, want %v", cfg.label, got, cfg.want)
 				}
 				return nil
 			}); err != nil {

@@ -59,8 +59,7 @@ func (b *Barrier) Column(party int) core.Movable {
 // wait for everyone else. Total promise traffic per round is N sets and
 // N*(N-1) gets — the all-to-all pattern. Most of those gets find their
 // promise already fulfilled and resolve on the single-atomic-load fast
-// path without allocating a wakeup channel; only the stragglers' promises
-// ever materialize one.
+// path; only the gets on stragglers' promises block.
 func (b *Barrier) Await(t *core.Task, party, round int) error {
 	if err := b.slots[round][party].Set(t, struct{}{}); err != nil {
 		return err

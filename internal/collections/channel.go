@@ -23,9 +23,11 @@ type payload[T any] struct {
 // Promises method reports the one promise that must travel, whatever link
 // the chain has reached.
 type Channel[T any] struct {
-	label    string
-	producer *core.Promise[payload[T]]
-	consumer *core.Promise[payload[T]]
+	// linkLabel names every link after the first ("<label>[+]"). It is
+	// built once, by NewChannelNamed, so a Send allocates only its link.
+	linkLabel string
+	producer  *core.Promise[payload[T]]
+	consumer  *core.Promise[payload[T]]
 }
 
 // NewChannel creates a channel whose sending end is owned by t.
@@ -37,7 +39,7 @@ func NewChannel[T any](t *core.Task) *Channel[T] {
 // underlying promises.
 func NewChannelNamed[T any](t *core.Task, label string) *Channel[T] {
 	p := core.NewPromiseNamed[payload[T]](t, label+"[0]")
-	return &Channel[T]{label: label, producer: p, consumer: p}
+	return &Channel[T]{linkLabel: label + "[+]", producer: p, consumer: p}
 }
 
 // Promises implements core.Movable: moving the channel moves the current
@@ -51,7 +53,7 @@ func (c *Channel[T]) Promises() []core.AnyPromise {
 // and allocating the next link (owned by t). Only the task currently
 // owning the sending end may Send.
 func (c *Channel[T]) Send(t *core.Task, v T) error {
-	next := core.NewPromiseNamed[payload[T]](t, c.label+"[+]")
+	next := core.NewPromiseNamed[payload[T]](t, c.linkLabel)
 	if err := c.producer.Set(t, payload[T]{value: v, next: next, ok: true}); err != nil {
 		// The send was rejected (not the owner / already closed): don't
 		// leave the freshly allocated link owned and unfulfillable.

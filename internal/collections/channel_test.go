@@ -245,3 +245,33 @@ func TestChannelZeroValues(t *testing.T) {
 		return ch.Close(tk)
 	})
 }
+
+// TestChannelSendRecvAllocs pins a send+recv pair at one allocation, the
+// next link's promise, in every mode: the link label is built once per
+// channel, not once per send.
+func TestChannelSendRecvAllocs(t *testing.T) {
+	for _, mode := range testutil.AllModes() {
+		t.Run(mode.String(), func(t *testing.T) {
+			rt := core.NewRuntime(core.WithMode(mode))
+			testutil.MustSucceed(t, rt, func(tk *core.Task) error {
+				ch := NewChannelNamed[int](tk, "pipe")
+				var err error
+				got := testing.AllocsPerRun(200, func() {
+					if err == nil {
+						err = ch.Send(tk, 1)
+					}
+					if err == nil {
+						_, _, err = ch.Recv(tk)
+					}
+				})
+				if err != nil {
+					return err
+				}
+				if got != 1 {
+					t.Errorf("send+recv allocates %v/op, want 1", got)
+				}
+				return ch.Close(tk)
+			})
+		})
+	}
+}

@@ -27,16 +27,17 @@ package core
 // Cancellation is NOT an alarm. It proves nothing about the program —
 // the precise detector keeps its alarm-iff-deadlock guarantee, and a
 // cancelled waiter abandons its wait without touching the promise's
-// packed state word: the wake gate's installed channel simply goes
-// unread (a later Set closes it for nobody, which is harmless). The
-// trace closes the block with an EvWake "cancel" record, so offline
-// verification still sees every block/wake pair matched.
+// packed state word: the task drops its parked waiter record, which stays
+// linked in the wake gate (a later Set wakes it for nobody, which is
+// harmless). The trace closes the block with an EvWake "cancel" record,
+// so offline verification still sees every block/wake pair matched.
 //
 // Cost: the uncancelled fast path is untouched — ctx state is consulted
 // only on the slow path (the wait was not already fulfilled), and the
 // no-scope case is a nil check plus one atomic pointer load before the
 // same blocking receive as before. Nothing is allocated for a wait that
-// is never cancelled.
+// is never cancelled; a cancelled one costs its task a fresh waiter
+// record at the next block.
 
 import (
 	"context"
@@ -171,17 +172,33 @@ func (r *Runtime) canceled(t *Task, s *pstate, ctx context.Context) error {
 
 // blockOn parks the calling task on s's wake gate until fulfilment or
 // cancellation, whichever is first. nil means the gate admitted the
-// task: the promise is fulfilled and the payload visible (the same
-// acquire ordering as the plain receive). A non-nil CanceledError means
-// the wait was abandoned; the promise and its packed state word are
+// task: the promise is fulfilled and the payload visible (receiving the
+// token happens-after the signal, which follows publish; a push refused
+// by the sentinel observed the signal's Swap). A non-nil CanceledError
+// means the wait was abandoned; the promise and its packed state word are
 // untouched, and the caller owns the cleanup of its waits-for edge.
 //
-// With no per-call ctx and no run scope this is exactly the historical
-// blocking receive; a select with the armed subset runs otherwise (a nil
-// channel never fires).
+// The task parks its own waiter record (Task.park), allocated at its
+// first real block and reused for every later one. A task waits on at
+// most one gate at a time, and the record is pushed again only after
+// its token was received. The cancel arms break that cycle: the record
+// may still be linked in s's gate, or hold a token nobody received, so
+// the task drops it and allocates a fresh one at its next block.
+//
+// With no per-call ctx and no run scope this is a plain blocking
+// receive; a select with the armed subset runs otherwise (a nil channel
+// never fires).
 func (r *Runtime) blockOn(t *Task, s *pstate, ctx context.Context) error {
 	if m := cmet(); m != nil {
 		m.blocks.Inc()
+	}
+	w := t.park
+	if w == nil {
+		w = &waiter{ch: make(chan struct{}, 1)}
+		t.park = w
+	}
+	if !s.wake.push(w) {
+		return nil // signalled since the caller's fulfilled check
 	}
 	var callDone <-chan struct{}
 	if ctx != nil {
@@ -193,13 +210,14 @@ func (r *Runtime) blockOn(t *Task, s *pstate, ctx context.Context) error {
 		runDone = rs.done
 	}
 	if callDone == nil && runDone == nil {
-		<-s.wake.wait()
+		<-w.ch
 		return nil
 	}
 	select {
-	case <-s.wake.wait():
+	case <-w.ch:
 		return nil
 	case <-callDone:
+		t.park = nil
 		// Fulfilment beats cancellation even when the two race: if the
 		// publish landed before this load, the value is there and the
 		// acquire semantics are identical to the wake path — report it.
@@ -208,6 +226,7 @@ func (r *Runtime) blockOn(t *Task, s *pstate, ctx context.Context) error {
 		}
 		return newCanceledError(t, s, context.Cause(ctx))
 	case <-runDone:
+		t.park = nil
 		if s.state.Load() == stateFulfilled {
 			return nil
 		}

@@ -17,12 +17,13 @@ package core
 //   Requirement 3 — the waitingOn reset after a successful wait must not
 //   become visible before the fulfilment. Set publishes in two steps:
 //   the stateFulfilled store (the release making the payload visible),
-//   then the wake-gate signal. Get performs the reset only after the gate
-//   admits it, which happens in one of two ways — receiving on a channel
-//   the signal closed (reset happens-after close, which is after the
-//   fulfilled store), or loading the gate's closed sentinel installed by
-//   the signal's Swap (same ordering, via the atomics' total order). In
-//   both cases the reset is ordered after the fulfilment for every
+//   then the wake-gate signal, whose Swap installs the signalled sentinel
+//   before it wakes the displaced waiters. Get performs the reset only
+//   after the gate admits it, which happens in one of two ways —
+//   receiving the wake token on its parked waiter record (the receive
+//   happens-after the send, which follows the Swap), or a push that loads
+//   the sentinel the Swap stored (ordered by the atomics' total order).
+//   In both cases the reset is ordered after the fulfilment for every
 //   observer. TestRequirement3Ordering exercises this under the race
 //   detector.
 

@@ -601,7 +601,7 @@ func TestInlineDifferentialVerdicts(t *testing.T) {
 				// detector check and parked on q, so a is always the
 				// task that alarms and the verdict does not depend on
 				// the schedule.
-				for q.s.wake.ch.Load() == nil {
+				for q.s.wake.head.Load() == nil {
 					runtime.Gosched()
 				}
 				v, e := p.Get(c)

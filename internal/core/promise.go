@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync/atomic"
 )
 
@@ -44,9 +43,9 @@ type pstate struct {
 	// single atomic load).
 	state atomic.Uint32
 
-	// wake is the lazily-allocated wakeup channel. It exists only when a
-	// consumer actually had to block (or asked for Done); promises that are
-	// set before anyone waits never allocate it.
+	// wake is the wakeup gate blocked consumers park on. It allocates
+	// nothing itself: a blocking task links its reusable waiter record,
+	// and only Done links a fresh channel.
 	wake gate
 
 	// err is the exceptional payload; written (if at all) between claim
@@ -160,9 +159,9 @@ func (p *Promise[T]) Fulfilled() bool { return p.s.fulfilled() }
 // observation hook (for select loops in tests); it does not establish a
 // waits-for edge and is not checked by the deadlock detector.
 //
-// Calling Done on an unfulfilled promise materializes the wakeup channel
-// that the fast paths avoid allocating; prefer Fulfilled or TryGet when a
-// non-blocking check is all that is needed.
+// Calling Done on an unfulfilled promise allocates a fresh channel (and
+// the waiter record linking it to the promise) on every call; prefer
+// Fulfilled or TryGet when a non-blocking check is all that is needed.
 func (p *Promise[T]) Done() <-chan struct{} { return p.s.wake.wait() }
 
 func (p *Promise[T]) state() *pstate { return &p.s }
@@ -170,64 +169,6 @@ func (p *Promise[T]) state() *pstate { return &p.s }
 // Promises makes a single promise Movable, so it can be passed directly to
 // Task.Async.
 func (p *Promise[T]) Promises() []AnyPromise { return []AnyPromise{p} }
-
-// Spin budget of the pre-block wait: spinLoads single atomic loads catch
-// a producer fulfilling in parallel; spinYields runtime.Gosched rounds
-// let a freshly spawned producer goroutine run to its Set on a saturated
-// (or single) P. A microsecond-scale spin converts the dominant
-// spawn-then-join pattern from install-channel/park/wake — two context
-// switches and two allocations (the channel and its pointer cell) — into
-// a handful of loads, while a wait that outlasts the budget falls
-// through to the real block, so long waits and deadlock detection are
-// delayed by at most the budget.
-//
-// The spin is ADAPTIVE, per runtime (spinScore): spinning is pure waste
-// in dependency-chain workloads (Sieve-style), where waits are long and
-// every yield burns a scheduler round that the producers need — measured
-// at tens of percent of whole-program time on a saturated P. A success
-// nudges the score up; a failure slams it well below zero, so a phase of
-// chain-like waits shuts the spin off after one miss; each non-spinning
-// wait then drifts the score back up, re-probing roughly once every
-// spinRetryAfter blocked waits so a later spawn-join phase can re-enable
-// it. The score is read and written only on the slow path (the wait was
-// not already fulfilled), never on the fast path.
-const (
-	spinLoads      = 32
-	spinYields     = 4
-	spinScoreMax   = 8
-	spinRetryAfter = 32
-)
-
-// spinAwait reports whether s was fulfilled within the spin budget,
-// consulting and updating the runtime's adaptive score.
-func (r *Runtime) spinAwait(s *pstate) bool {
-	score := r.spinScore.Load()
-	if score < 0 {
-		// Disabled: drift back toward a re-probe. Lost updates under
-		// contention just delay the re-probe; the score is a heuristic.
-		r.spinScore.Store(score + 1)
-		return false
-	}
-	for i := 0; i < spinLoads; i++ {
-		if s.state.Load() == stateFulfilled {
-			if score < spinScoreMax {
-				r.spinScore.Store(score + 1)
-			}
-			return true
-		}
-	}
-	for i := 0; i < spinYields; i++ {
-		runtime.Gosched()
-		if s.state.Load() == stateFulfilled {
-			if score < spinScoreMax {
-				r.spinScore.Store(score + 1)
-			}
-			return true
-		}
-	}
-	r.spinScore.Store(-spinRetryAfter)
-	return false
-}
 
 // awaitState is the policy-checked blocking wait shared by Get, Await and
 // their context-accepting forms: fast path, deadlock verification,
@@ -253,13 +194,6 @@ func awaitState(t *Task, s *pstate, ctx context.Context) error {
 	// run scope) has ended never blocks and never logs a block/wake pair.
 	if err := r.canceled(t, s, ctx); err != nil {
 		return err
-	}
-	// Near-miss path: spin briefly before paying for a real block. Spin
-	// succeeding is observably the fast path (no waits-for edge existed,
-	// no block happened), so it is skipped when events are recorded —
-	// traced runs keep their deterministic block/wake pairs.
-	if r.events == nil && r.spinAwait(s) {
-		return nil
 	}
 	if r.idle != nil {
 		r.idle.enterBlocked()
@@ -326,10 +260,10 @@ func awaitState(t *Task, s *pstate, ctx context.Context) error {
 			return cerr
 		}
 		// Requirement 3 (§5.1): the reset of waitingOn becomes visible only
-		// after the fulfilment of p is visible. Both wake paths order this
-		// store after publish: receiving on the installed channel
-		// happens-after its close, and observing the closed sentinel
-		// happens-after the Swap — each of which follows the
+		// after the fulfilment of p is visible. Both ways out of blockOn
+		// order this store after publish: receiving the wake token
+		// happens-after the signal's Swap, and a push refused by the
+		// sentinel loaded what that Swap stored — and the Swap follows the
 		// stateFulfilled store in the setter's program order.
 		t.waitingOn.Store(nil)
 		if r.events != nil {

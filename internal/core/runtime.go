@@ -210,10 +210,6 @@ type Runtime struct {
 	gets        atomic.Int64
 	sets        atomic.Int64
 
-	// spinScore is the adaptive pre-block spin state (see spinAwait):
-	// >= 0 spin enabled, < 0 counting down to a re-probe.
-	spinScore atomic.Int32
-
 	// run is the active run-level cancellation scope (see context.go):
 	// installed by RunContext before the root task starts, nil when the
 	// run cannot be cancelled. Blocking waits load it on their slow path.

@@ -46,10 +46,16 @@ type Task struct {
 	// ownedCount is the footprint-saving alternative under TrackCounter.
 	ownedCount int
 
-	// done is signalled at termination, after err is written. Lazily
-	// allocated: tasks nobody Waits on never pay for a channel.
+	// done is signalled at termination, after err is written. Tasks
+	// nobody Waits on never pay for a channel.
 	done gate
 	err  error
+
+	// park is the waiter record this task pushes onto a promise's wake
+	// gate when a policy-checked wait really blocks (see blockOn). nil
+	// until the first block, reused across blocks, and dropped when a
+	// wait is cancelled. Confined to the task's goroutine.
+	park *waiter
 
 	// stage is the task's trace staging buffer (see logEventArg): events
 	// this task emits accumulate here and flush to the collector in

@@ -150,6 +150,36 @@ poll:
 	wg.Wait()
 }
 
+// TestWindowRotationKeepsEverySample: 8 goroutines observe across many
+// 1ms slice rotations, inside a span long enough that nothing expires,
+// so the window must count every observation — none may be wiped by the
+// reset that hands a bucket to its new slice.
+func TestWindowRotationKeepsEverySample(t *testing.T) {
+	const goroutines = 8
+	w := NewWindow(400*time.Millisecond, 400)
+	stop := time.Now().Add(100 * time.Millisecond)
+	var wg sync.WaitGroup
+	counts := make([]int64, goroutines)
+	for i := range counts {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for time.Now().Before(stop) {
+				w.Observe(time.Microsecond)
+				counts[i]++
+			}
+		}()
+	}
+	wg.Wait()
+	var want int64
+	for _, n := range counts {
+		want += n
+	}
+	if got := w.Count(); got != want {
+		t.Fatalf("window counted %d of %d observations", got, want)
+	}
+}
+
 func TestInstallHooks(t *testing.T) {
 	defer Install(nil)
 	var got *Registry

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -16,9 +17,10 @@ import (
 // than the lifetime p99, which converges and stops responding to load
 // shifts.
 //
-// Observe is lock-free on the rotation check (one atomic epoch load; a
-// CAS only on the first observation of a new slice) plus the histogram's
-// own mutex-guarded bucket increment. Reads are control-plane: they
+// Observe is lock-free on the rotation check (one atomic epoch load; the
+// bucket's rotation lock only on the first observations of a new slice)
+// plus the histogram's own mutex-guarded bucket increment. Reads are
+// control-plane: they
 // allocate a scratch histogram and take each bucket's lock briefly via
 // Merge.
 type Window struct {
@@ -27,8 +29,9 @@ type Window struct {
 }
 
 type windowBucket struct {
-	epoch atomic.Int64 // the slice index this bucket currently holds
-	h     *hist.Histogram
+	rotate sync.Mutex   // serializes the reset that hands the bucket to a new slice
+	epoch  atomic.Int64 // the slice index this bucket currently holds
+	h      *hist.Histogram
 }
 
 // Default window geometry: 15 buckets of 2s cover the last ~30s, fine
@@ -74,15 +77,20 @@ func (w *Window) Span() time.Duration {
 func (w *Window) Observe(d time.Duration) {
 	epoch := time.Now().UnixNano() / w.bucketNs
 	b := &w.buckets[int(epoch%int64(len(w.buckets)))]
-	if e := b.epoch.Load(); e != epoch {
-		// First observation of this slice: the CAS winner resets the
-		// stale contents. A racing loser may slip its observation in
-		// before the winner's Reset (both serialize on the histogram's
-		// mutex), losing at most that one sample of the new slice —
-		// bounded, harmless, and only at rotation edges.
-		if b.epoch.CompareAndSwap(e, epoch) {
+	if b.epoch.Load() < epoch {
+		// First observation of this slice: reset the stale contents, then
+		// publish the new epoch. An observer that loads the new epoch
+		// therefore records after the reset, and one that loads an older
+		// epoch waits here for it, so no sample of the new slice is
+		// wiped. An observer whose clock read precedes the bucket's epoch
+		// (it was descheduled across the rotation) records into the
+		// bucket as it stands and never moves the epoch back.
+		b.rotate.Lock()
+		if b.epoch.Load() < epoch {
 			b.h.Reset()
+			b.epoch.Store(epoch)
 		}
+		b.rotate.Unlock()
 	}
 	b.h.Observe(d)
 }
