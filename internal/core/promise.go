@@ -116,6 +116,13 @@ type Promise[T any] struct {
 	value T
 }
 
+// promiseIDBlock is how many promise IDs a task takes from the runtime's
+// counter at once. Tasks that create promises concurrently then share
+// one atomic add per block instead of one per promise; IDs stay unique
+// within a runtime but are no longer dense or in creation order across
+// tasks.
+const promiseIDBlock = 64
+
 // NewPromise allocates a promise owned by task t (rule 1 of the policy).
 func NewPromise[T any](t *Task) *Promise[T] {
 	return NewPromiseNamed[T](t, "")
@@ -127,7 +134,12 @@ func NewPromise[T any](t *Task) *Promise[T] {
 func NewPromiseNamed[T any](t *Task, label string) *Promise[T] {
 	r := t.rt
 	p := &Promise[T]{}
-	p.s.id = r.nextPromise.Add(1)
+	if t.pid == t.pidEnd {
+		t.pidEnd = r.nextPromise.Add(promiseIDBlock)
+		t.pid = t.pidEnd - promiseIDBlock
+	}
+	t.pid++
+	p.s.id = t.pid
 	p.s.label = label
 	if r.mode >= Ownership {
 		p.s.owner.Store(t)

@@ -372,3 +372,57 @@ func TestConcurrentGetSetStress(t *testing.T) {
 		})
 	}
 }
+
+// TestPromiseIDsDistinctAcrossTasks: tasks creating promises at the
+// same time, each from its own block of IDs, never hand out the same ID
+// twice, and no promise gets the zero ID. Run it under -race: the ID
+// blocks are task-confined and only their refill touches the runtime.
+func TestPromiseIDsDistinctAcrossTasks(t *testing.T) {
+	const tasks, perTask = 8, 3*promiseIDBlock + 5
+	for _, mode := range allModes() {
+		t.Run(mode.String(), func(t *testing.T) {
+			rt := NewRuntime(WithMode(mode))
+			ids := make([][]uint64, tasks)
+			err := run(t, rt, func(tk *Task) error {
+				var children []*Task
+				for i := range ids {
+					c, e := tk.Async(func(c *Task) error {
+						for range perTask {
+							p := NewPromise[int](c)
+							ids[i] = append(ids[i], p.ID())
+							if e := p.Set(c, 1); e != nil {
+								return e
+							}
+						}
+						return nil
+					})
+					if e != nil {
+						return e
+					}
+					children = append(children, c)
+				}
+				for _, c := range children {
+					if e := c.WaitFrom(tk); e != nil {
+						return e
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			seen := make(map[uint64]bool, tasks*perTask)
+			for _, list := range ids {
+				if len(list) != perTask {
+					t.Fatalf("a task created %d promises, want %d", len(list), perTask)
+				}
+				for _, id := range list {
+					if id == 0 || seen[id] {
+						t.Fatalf("promise ID %d zero or handed out twice", id)
+					}
+					seen[id] = true
+				}
+			}
+		})
+	}
+}

@@ -57,6 +57,11 @@ type Task struct {
 	// wait is cancelled. Confined to the task's goroutine.
 	park *waiter
 
+	// pid..pidEnd is the block of promise IDs this task has taken from
+	// Runtime.nextPromise and not yet used (see NewPromiseNamed).
+	// Confined to the task's goroutine.
+	pid, pidEnd uint64
+
 	// stage is the task's trace staging buffer (see logEventArg): events
 	// this task emits accumulate here and flush to the collector in
 	// chunks. Confined to the task's goroutine (with the parent-to-child

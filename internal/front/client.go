@@ -67,6 +67,7 @@ type DialOptions struct {
 // identically.
 type Client struct {
 	nc     net.Conn
+	fr     *frameReader
 	fw     *frameWriter
 	tenant string
 
@@ -176,6 +177,7 @@ func DialOpts(addr, key string, o DialOptions) (*Client, error) {
 	}
 	c := &Client{
 		nc:       nc,
+		fr:       newFrameReader(nc),
 		fw:       &frameWriter{w: nc, nc: nc, timeout: writeTO},
 		pending:  make(map[uint64]*RemoteSession),
 		readDone: make(chan struct{}),
@@ -186,19 +188,19 @@ func DialOpts(addr, key string, o DialOptions) (*Client, error) {
 	// same ErrPoolClosed sentinel the read loop uses for conn loss, so
 	// the retry layer classifies it retryable. Protocol-level refusals
 	// (ErrRefused, bad ack) stay terminal.
-	if err := c.fw.send(frameHello, helloMsg{Version: ProtocolVersion, Key: key}); err != nil {
+	if err := c.fw.send(frameHello, helloMsg{Version: ProtocolVersion, Key: key}.appendBody); err != nil {
 		nc.Close()
 		return nil, fmt.Errorf("front: handshake: %w: %w", err, serve.ErrPoolClosed)
 	}
 	nc.SetReadDeadline(time.Now().Add(handshakeTimeout))
-	typ, body, err := readFrame(nc)
+	typ, body, err := c.fr.read()
 	if err != nil {
 		nc.Close()
 		return nil, fmt.Errorf("front: handshake: %w: %w", err, serve.ErrPoolClosed)
 	}
 	nc.SetReadDeadline(time.Time{})
 	var ack helloAckMsg
-	if typ != frameHelloAck || decode(typ, body, &ack) != nil {
+	if typ != frameHelloAck || ack.decode(body) != nil {
 		nc.Close()
 		return nil, errors.New("front: handshake: expected helloAck")
 	}
@@ -257,7 +259,7 @@ func (c *Client) heartbeatLoop(interval time.Duration, misses int) {
 				return
 			}
 		}
-		if err := c.fw.send(framePing, pingMsg{Seq: c.pingSeq.Add(1)}); err != nil {
+		if err := c.fw.send(framePing, pingMsg{Seq: c.pingSeq.Add(1)}.appendBody); err != nil {
 			c.fatal(err)
 			return
 		}
@@ -321,7 +323,7 @@ func (c *Client) Submit(ctx context.Context, req SubmitRequest) (*RemoteSession,
 			msg.DeadlineMs = 1
 		}
 	}
-	if err := c.fw.send(frameSubmit, msg); err != nil {
+	if err := c.fw.send(frameSubmit, msg.appendBody); err != nil {
 		// A failed frame write leaves the stream boundary unknown: the
 		// connection is unusable, and tearing it down is what lets Submit
 		// callers observe a clean connection-lost error instead of a wedge.
@@ -339,7 +341,7 @@ func (c *Client) Submit(ctx context.Context, req SubmitRequest) (*RemoteSession,
 	case <-ctx.Done():
 		// Best-effort: tell the server we no longer care, keep the
 		// pending entry so a late accept/verdict finds a home.
-		c.fw.send(frameCancel, cancelMsg{ID: s.id})
+		c.fw.send(frameCancel, cancelMsg{ID: s.id}.appendBody)
 		c.drop(s.id)
 		return nil, context.Cause(ctx)
 	case <-c.readDone:
@@ -351,7 +353,7 @@ func (c *Client) Submit(ctx context.Context, req SubmitRequest) (*RemoteSession,
 // Cancel asks the server to cancel an accepted session. Best-effort:
 // the session still completes with a verdict (normally "canceled").
 func (c *Client) Cancel(s *RemoteSession) error {
-	return c.fw.send(frameCancel, cancelMsg{ID: s.id})
+	return c.fw.send(frameCancel, cancelMsg{ID: s.id}.appendBody)
 }
 
 // Close tears the connection down. In-flight sessions complete locally
@@ -384,28 +386,28 @@ func (c *Client) readLoop() {
 	for {
 		var typ byte
 		var body []byte
-		typ, body, err = readFrame(c.nc)
+		typ, body, err = c.fr.read()
 		if err != nil {
 			break
 		}
 		switch typ {
 		case frameAccept:
 			var msg acceptMsg
-			if decode(typ, body, &msg) != nil {
+			if msg.decode(body) != nil {
 				err = errors.New("front: corrupt accept")
 			} else if s := c.lookup(msg.ID); s != nil {
 				s.admitted <- nil
 			}
 		case frameReject:
 			var msg rejectMsg
-			if decode(typ, body, &msg) != nil {
+			if msg.decode(body) != nil {
 				err = errors.New("front: corrupt reject")
 			} else if s := c.lookup(msg.ID); s != nil {
 				s.admitted <- rejectError(msg)
 			}
 		case frameVerdict:
 			var msg verdictMsg
-			if decode(typ, body, &msg) != nil {
+			if msg.decode(body) != nil {
 				err = errors.New("front: corrupt verdict")
 			} else if s := c.take(msg.ID); s != nil {
 				s.verdict = parseVerdict(msg.Verdict)
@@ -428,14 +430,14 @@ func (c *Client) readLoop() {
 			c.mu.Unlock()
 		case framePing:
 			var msg pingMsg
-			if decode(typ, body, &msg) != nil {
+			if msg.decode(body) != nil {
 				err = errors.New("front: corrupt ping")
-			} else if werr := c.fw.send(framePong, msg); werr != nil {
+			} else if werr := c.fw.send(framePong, msg.appendBody); werr != nil {
 				err = werr
 			}
 		case framePong:
 			var msg pingMsg
-			if decode(typ, body, &msg) != nil {
+			if msg.decode(body) != nil {
 				err = errors.New("front: corrupt pong")
 			} else if seq := msg.Seq; seq > c.pongSeq.Load() {
 				c.pongSeq.Store(seq)

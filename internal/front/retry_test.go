@@ -81,14 +81,14 @@ func silentServer(t *testing.T, run func(nc net.Conn)) string {
 				return
 			}
 			go func() {
-				typ, body, err := readFrame(nc)
+				typ, body, err := newFrameReader(nc).read()
 				var hello helloMsg
-				if err != nil || typ != frameHello || decode(typ, body, &hello) != nil {
+				if err != nil || typ != frameHello || hello.decode(body) != nil {
 					nc.Close()
 					return
 				}
 				fw := &frameWriter{w: nc}
-				fw.send(frameHelloAck, helloAckMsg{Version: ProtocolVersion, Tenant: "t"})
+				fw.send(frameHelloAck, helloAckMsg{Version: ProtocolVersion, Tenant: "t"}.appendBody)
 				run(nc)
 			}()
 		}

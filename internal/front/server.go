@@ -112,6 +112,7 @@ type Front struct {
 type frontConn struct {
 	f      *Front
 	nc     net.Conn
+	fr     *frameReader
 	fw     *frameWriter
 	tenant string
 
@@ -183,6 +184,7 @@ func (f *Front) acceptLoop() {
 		c := &frontConn{
 			f:        f,
 			nc:       nc,
+			fr:       newFrameReader(nc),
 			fw:       &frameWriter{w: nc, nc: nc, timeout: f.cfg.WriteTimeout},
 			inflight: make(map[uint64]context.CancelCauseFunc),
 		}
@@ -226,20 +228,20 @@ func (c *frontConn) serve() {
 		if idle > 0 {
 			c.nc.SetReadDeadline(time.Now().Add(idle))
 		}
-		typ, body, err := readFrame(c.nc)
+		typ, body, err := c.fr.read()
 		if err != nil {
 			return
 		}
 		switch typ {
 		case frameSubmit:
 			var req submitMsg
-			if err := decode(typ, body, &req); err != nil {
+			if err := req.decode(body); err != nil {
 				return // corrupt stream: cut the conn
 			}
 			c.handleSubmit(req)
 		case frameCancel:
 			var req cancelMsg
-			if err := decode(typ, body, &req); err != nil {
+			if err := req.decode(body); err != nil {
 				return
 			}
 			c.mu.Lock()
@@ -250,10 +252,10 @@ func (c *frontConn) serve() {
 			}
 		case framePing:
 			var msg pingMsg
-			if err := decode(typ, body, &msg); err != nil {
+			if err := msg.decode(body); err != nil {
 				return
 			}
-			if c.fw.send(framePong, msg) != nil {
+			if c.fw.send(framePong, msg.appendBody) != nil {
 				return
 			}
 		case framePong:
@@ -267,32 +269,39 @@ func (c *frontConn) serve() {
 
 func (c *frontConn) handshake() error {
 	c.nc.SetReadDeadline(time.Now().Add(handshakeTimeout))
-	typ, body, err := readFrame(c.nc)
+	typ, body, err := c.fr.read()
 	if err != nil {
 		return err
 	}
 	c.nc.SetReadDeadline(time.Time{})
-	var hello helloMsg
-	if typ != frameHello || decode(typ, body, &hello) != nil {
+	if typ != frameHello {
 		return errors.New("front: expected hello")
 	}
+	// The version is read before anything else is trusted: a client of
+	// another version is refused by name even when the rest of its hello
+	// does not parse as this version's schema.
+	var hello helloMsg
+	decodeErr := hello.decode(body)
 	if hello.Version != ProtocolVersion {
 		c.fw.send(frameHelloAck, helloAckMsg{
 			Version: ProtocolVersion,
 			Err:     fmt.Sprintf("unsupported protocol version %d (server speaks %d)", hello.Version, ProtocolVersion),
-		})
+		}.appendBody)
 		return errors.New("front: version skew")
+	}
+	if decodeErr != nil {
+		return decodeErr
 	}
 	tenant, ok := c.f.cfg.Keys[hello.Key]
 	if !ok {
-		c.fw.send(frameHelloAck, helloAckMsg{Version: ProtocolVersion, Err: "unknown API key"})
+		c.fw.send(frameHelloAck, helloAckMsg{Version: ProtocolVersion, Err: "unknown API key"}.appendBody)
 		if m := fmet(); m != nil {
 			m.authFailures.Inc()
 		}
 		return errors.New("front: bad key")
 	}
 	c.tenant = tenant
-	return c.fw.send(frameHelloAck, helloAckMsg{Version: ProtocolVersion, Tenant: tenant})
+	return c.fw.send(frameHelloAck, helloAckMsg{Version: ProtocolVersion, Tenant: tenant}.appendBody)
 }
 
 // handleSubmit admits one wire submission into the pool and answers it
@@ -305,7 +314,7 @@ func (c *frontConn) handleSubmit(req submitMsg) {
 		if m := fmet(); m != nil {
 			m.rejected.With(reason).Inc()
 		}
-		c.fw.send(frameReject, rejectMsg{ID: req.ID, Reason: reason, Err: detail})
+		c.fw.send(frameReject, rejectMsg{ID: req.ID, Reason: reason, Err: detail}.appendBody)
 	}
 	f.mu.Lock()
 	draining := f.draining
@@ -356,7 +365,7 @@ func (c *frontConn) handleSubmit(req submitMsg) {
 	}
 	// Accept is written HERE, before the waiter exists, so it always
 	// precedes the verdict frame on the wire.
-	c.fw.send(frameAccept, acceptMsg{ID: req.ID})
+	c.fw.send(frameAccept, acceptMsg{ID: req.ID}.appendBody)
 
 	f.sessWG.Add(1)
 	go func() {
@@ -394,7 +403,7 @@ func (c *frontConn) handleSubmit(req submitMsg) {
 // cut) so its stalled socket cannot pin verdict waiters for every other
 // session on the conn.
 func (c *frontConn) deliverVerdict(name string, v verdictMsg) {
-	err := c.fw.send(frameVerdict, v)
+	err := c.fw.send(frameVerdict, v.appendBody)
 	if err == nil {
 		return
 	}
@@ -462,7 +471,7 @@ func (f *Front) Shutdown(ctx context.Context) error {
 	f.ln.Close()
 	<-f.acceptDone
 	for _, c := range conns {
-		c.fw.send(frameGoaway, goawayMsg{Reason: "draining"})
+		c.fw.send(frameGoaway, goawayMsg{Reason: "draining"}.appendBody)
 	}
 
 	// Phase 1: wait for in-flight sessions to finish on their own, up to
