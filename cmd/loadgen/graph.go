@@ -476,8 +476,8 @@ func runGraph(cfg config, led *ledger) error {
 	wg.Wait()
 	pool.Close()
 	elapsed := time.Since(start)
-	// As in closed-loop mode, the pool and every graph supervisor must be
-	// gone after Close.
+	// As in closed-loop mode, nothing the pool or the graphs started may
+	// outlive Close.
 	led.leaked = settleLeaks(runtime.NumGoroutine, goroutinesBefore, leakWindow)
 
 	ps := pool.Stats()

@@ -27,30 +27,38 @@ package core
 //   observer. TestRequirement3Ordering exercises this under the race
 //   detector.
 
+import "sync"
+
 // verifyAwait publishes t0's intent to wait on p0 and traverses the
 // dependence chain of alternating owner / waitingOn edges. It returns nil
 // when it is safe for t0 to block, or a DeadlockError when this wait
 // completes a cycle. In the error case t0's waitingOn has been reset.
 //
-// The traversal allocates nothing; diagnostics are reconstructed only on
-// detection, when the cycle is frozen (every member is blocked).
+// Each line-13 hop records (t_{i+1}, p_{i+1}) in a hop log, so the
+// DeadlockError reports exactly the cycle the traversal proved (Theorem
+// 5.1) rather than re-walking edges another alarmer may already be
+// tearing down. Logs are recycled (hopLogs), so a warm traversal
+// allocates nothing.
 func (t0 *Task) verifyAwait(p0 *pstate) error {
 	// Line 3: the waits-for edge is created BEFORE verification. If two
 	// tasks concurrently close a cycle, the paper's t* argument guarantees
 	// the last to publish sees the whole cycle.
 	t0.waitingOn.Store(p0)
 
+	var hops *[]hop // taken at the first hop
 	pi := p0
 	ti := pi.owner.Load() // line 6: t_{i+1}
 	for ti != t0 {
 		if ti == nil {
 			// p_i has been fulfilled (or ownership is untracked): progress
 			// is being made; commit to the wait.
+			putHops(hops)
 			return nil
 		}
 		pnext := ti.waitingOn.Load() // line 9
 		if pnext == nil {
 			// t_{i+1} is not blocked: progress is being made.
+			putHops(hops)
 			return nil
 		}
 		// Line 11: double-read of the owner. If the owner of p_i changed
@@ -58,33 +66,47 @@ func (t0 *Task) verifyAwait(p0 *pstate) error {
 		// the promise moved to a new task or was fulfilled, so progress is
 		// being made and the check can be abandoned safely.
 		if pi.owner.Load() != ti {
+			putHops(hops)
 			return nil
 		}
+		if hops == nil {
+			hops = hopLogs.Get().(*[]hop)
+		}
+		*hops = append(*hops, hop{ti, pnext})
 		pi = pnext
 		ti = pi.owner.Load() // line 13
 	}
 	// Loop condition failed: t0 transitively awaits itself (line 15).
 	t0.waitingOn.Store(nil)
-	return t0.buildCycle(p0)
-}
-
-// buildCycle reconstructs the detected cycle for diagnostics. At this
-// point every other task in the cycle is blocked (its waitingOn is set and
-// it owns the previous promise), so the fields are stable; the walk is
-// nevertheless defensive, truncating if the structure mutates underneath
-// it (which can only happen if the program races on in ways that already
-// broke the cycle — the alarm itself remains valid per Theorem 5.1).
-func (t0 *Task) buildCycle(p0 *pstate) *DeadlockError {
-	const maxNodes = 1 << 20
 	cyc := []CycleNode{{TaskID: t0.id, TaskName: t0.displayName(), PromiseID: p0.id, PromiseLabel: p0.displayLabel()}}
-	t := p0.owner.Load()
-	for t != nil && t != t0 && len(cyc) < maxNodes {
-		p := t.waitingOn.Load()
-		if p == nil {
-			break
+	if hops != nil {
+		for _, h := range *hops {
+			cyc = append(cyc, CycleNode{TaskID: h.t.id, TaskName: h.t.displayName(), PromiseID: h.p.id, PromiseLabel: h.p.displayLabel()})
 		}
-		cyc = append(cyc, CycleNode{TaskID: t.id, TaskName: t.displayName(), PromiseID: p.id, PromiseLabel: p.displayLabel()})
-		t = p.owner.Load()
+		putHops(hops)
 	}
 	return &DeadlockError{Cycle: cyc}
+}
+
+// hop is one step of a verifyAwait traversal: task t, reached as the
+// owner of the previous promise, is blocked on p.
+type hop struct {
+	t *Task
+	p *pstate
+}
+
+// hopLogs recycles verifyAwait's hop logs. A traversal takes one only
+// when it walks past a blocked owner and returns it when it ends, so the
+// memory held for logs follows the traversals in progress, not the
+// number of tasks, and a returned log keeps no task reachable.
+var hopLogs = sync.Pool{New: func() any { return new([]hop) }}
+
+// putHops clears a hop log and returns it to hopLogs; nil is a no-op.
+func putHops(h *[]hop) {
+	if h == nil {
+		return
+	}
+	clear(*h)
+	*h = (*h)[:0]
+	hopLogs.Put(h)
 }

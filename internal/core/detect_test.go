@@ -133,6 +133,69 @@ func TestLongCycle(t *testing.T) {
 	}
 }
 
+// TestLongChainTraversalAllocs pins the lock-free traversal's hop
+// recording at zero allocations once warm: a task that has already
+// walked a 25-hop chain of blocked tasks walks it again without growing
+// its hop slices. The chain ends at a task parked on a Go channel, so
+// every traversal commits to the wait after the last hop.
+func TestLongChainTraversalAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop a share of Puts, so the hop log is reallocated")
+	}
+	const hops = 25
+	rt := NewRuntime(WithMode(Full), WithDetector(DetectLockFree))
+	err := run(t, rt, func(root *Task) error {
+		qs := make([]*Promise[int], hops+1)
+		for i := range qs {
+			qs[i] = NewPromiseNamed[int](root, fmt.Sprintf("q%d", i))
+		}
+		release := make(chan struct{})
+		tail, err := root.AsyncNamed("tail", func(c *Task) error {
+			<-release
+			return qs[hops].Set(c, hops)
+		}, qs[hops])
+		if err != nil {
+			return err
+		}
+		links := make([]*Task, hops)
+		for i := hops - 1; i >= 0; i-- {
+			i := i
+			if links[i], err = root.AsyncNamed(fmt.Sprintf("link-%d", i), func(c *Task) error {
+				v, err := qs[i+1].Get(c)
+				if err != nil {
+					return err
+				}
+				return qs[i].Set(c, v)
+			}, qs[i]); err != nil {
+				return err
+			}
+		}
+		for _, l := range links {
+			for l.waitingOn.Load() == nil {
+				time.Sleep(time.Millisecond)
+			}
+		}
+		verify := func() {
+			if err := root.verifyAwait(&qs[0].s); err != nil {
+				t.Errorf("chain reported as a cycle: %v", err)
+			}
+			root.waitingOn.Store(nil)
+		}
+		verify()
+		if got := testing.AllocsPerRun(100, verify); got != 0 {
+			t.Errorf("warm %d-hop traversal allocates %v/op, want 0", hops, got)
+		}
+		close(release)
+		if v, err := qs[0].Get(root); err != nil || v != hops {
+			return fmt.Errorf("chain head: got %d, %v", v, err)
+		}
+		return tail.Wait()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // runCycleOfLength builds a ring of n tasks; task i owns p_i, awaits
 // p_{(i+1) mod n}, then would set p_i. A deterministic staggering makes
 // task 0 the last to arrive in most schedules, but any arrival order must

@@ -223,9 +223,15 @@ func TestFrontCancelOverWire(t *testing.T) {
 // contract — every accepted session gets a terminal verdict, submissions
 // during the drain are rejected with the draining reason (mapped to
 // serve.ErrPoolClosed client-side), and the front leaks no goroutines.
+//
+// The drain starts once every client has a session accepted, and a
+// queue depth of 2 per tenant bounds the backlog to 4 running plus 4
+// queued sessions: what the drain must finish is a few Sieve runs, which
+// the 10 s deadline covers under -race with a wide margin. The log line
+// compares the drain time with the drained sessions' own run time.
 func TestFrontGracefulDrainUnderLoad(t *testing.T) {
 	before := runtime.NumGoroutine()
-	f := newTestFront(t)
+	f := newTestFront(t, serve.WithQueueDepth(2))
 
 	var clients []*Client
 	for _, key := range []string{"gold-key", "bronze-key"} {
@@ -242,10 +248,12 @@ func TestFrontGracefulDrainUnderLoad(t *testing.T) {
 		drainRej int
 	)
 	stop := make(chan struct{})
+	firstAccept := make([]chan struct{}, len(clients))
 	var wg sync.WaitGroup
-	for _, c := range clients {
+	for i, c := range clients {
+		firstAccept[i] = make(chan struct{})
 		wg.Add(1)
-		go func(c *Client) {
+		go func(c *Client, first chan struct{}) {
 			defer wg.Done()
 			for {
 				select {
@@ -257,6 +265,10 @@ func TestFrontGracefulDrainUnderLoad(t *testing.T) {
 				mu.Lock()
 				switch {
 				case err == nil:
+					if first != nil {
+						close(first)
+						first = nil
+					}
 					accepted = append(accepted, s)
 				case errors.Is(err, serve.ErrPoolClosed):
 					drainRej++
@@ -266,24 +278,30 @@ func TestFrontGracefulDrainUnderLoad(t *testing.T) {
 				}
 				mu.Unlock()
 			}
-		}(c)
+		}(c, firstAccept[i])
 	}
 
-	time.Sleep(30 * time.Millisecond)
+	for _, first := range firstAccept {
+		select {
+		case <-first:
+		case <-time.After(10 * time.Second):
+			t.Fatal("no session accepted before drain")
+		}
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
+	drainStart := time.Now()
 	if err := f.Shutdown(ctx); err != nil {
 		t.Fatalf("drain did not finish inside its deadline: %v", err)
 	}
+	drainTime := time.Since(drainStart)
 	close(stop)
 	wg.Wait()
 
 	mu.Lock()
 	defer mu.Unlock()
-	if len(accepted) == 0 {
-		t.Fatal("no sessions accepted before drain")
-	}
 	verdicts := map[serve.Verdict]int{}
+	var runTime time.Duration
 	for _, s := range accepted {
 		select {
 		case <-s.Done():
@@ -291,11 +309,13 @@ func TestFrontGracefulDrainUnderLoad(t *testing.T) {
 			t.Fatalf("accepted session %d has no terminal verdict after drain", s.ID())
 		}
 		verdicts[s.Verdict()]++
+		runTime += s.Duration()
 	}
 	if verdicts[serve.VerdictDeadlock] != 0 || verdicts[serve.VerdictPolicy] != 0 || verdicts[serve.VerdictFailed] != 0 {
 		t.Fatalf("false verdicts during drain: %v", verdicts)
 	}
-	t.Logf("accepted %d (verdicts %v), %d drain rejections", len(accepted), verdicts, drainRej)
+	t.Logf("accepted %d (verdicts %v), %d drain rejections; drain took %v, accepted sessions ran %v in total",
+		len(accepted), verdicts, drainRej, drainTime.Round(time.Millisecond), runTime)
 
 	for _, c := range clients {
 		c.Close()

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/chaos"
@@ -89,8 +90,10 @@ type SpilledVerdict struct {
 }
 
 // Front is the network serving front-end: it owns a listener, a serving
-// pool, and one goroutine per connection plus one per in-flight session
-// (the verdict waiter). New starts it; Shutdown drains it.
+// pool, and one goroutine per connection. An in-flight session holds no
+// goroutine: its verdict frame is written by its completion hook, or by
+// the conn's read loop right after the accept if the session finished
+// first. New starts it; Shutdown drains it.
 type Front struct {
 	cfg  Config
 	reg  Registry
@@ -103,8 +106,10 @@ type Front struct {
 	spilled  []SpilledVerdict // bounded by spillCap; oldest dropped first
 
 	connWG sync.WaitGroup // connection handler goroutines
-	sessWG sync.WaitGroup // verdict-waiter goroutines
-	// sessDone is closed by the last verdict waiter during a drain.
+	// sessWG counts accepted submissions whose verdict frame has not been
+	// delivered (or spilled) yet. Added under mu with the draining check,
+	// so Shutdown's Wait never races an Add from zero.
+	sessWG     sync.WaitGroup
 	acceptDone chan struct{}
 }
 
@@ -207,8 +212,7 @@ func (f *Front) acceptLoop() {
 // serve runs one connection: handshake, then the submit/cancel read
 // loop. Accept/reject frames are sent synchronously from this loop, so
 // they reach the client in submission order and always precede the
-// session's verdict frame (the verdict waiter can only start after the
-// accept has been written).
+// session's verdict frame (see pendingVerdict).
 func (c *frontConn) serve() {
 	defer c.nc.Close()
 	// When the read loop exits — client gone, or server cutting conns at
@@ -306,8 +310,8 @@ func (c *frontConn) handshake() error {
 
 // handleSubmit admits one wire submission into the pool and answers it
 // synchronously. Rejections carry the machine-readable reason the
-// metrics count; on acceptance a verdict waiter streams the outcome back
-// when the session completes.
+// metrics count; an accepted session's verdict frame follows its accept
+// (see pendingVerdict).
 func (c *frontConn) handleSubmit(req submitMsg) {
 	f := c.f
 	reject := func(reason, detail string) {
@@ -316,14 +320,17 @@ func (c *frontConn) handleSubmit(req submitMsg) {
 		}
 		c.fw.send(frameReject, rejectMsg{ID: req.ID, Reason: reason, Err: detail}.appendBody)
 	}
+	prog, ok := f.reg[req.Workload]
 	f.mu.Lock()
 	draining := f.draining
+	if !draining && ok {
+		f.sessWG.Add(1)
+	}
 	f.mu.Unlock()
 	if draining {
 		reject(RejectDraining, "server is draining")
 		return
 	}
-	prog, ok := f.reg[req.Workload]
 	if !ok {
 		reject(RejectUnknownWorkload, fmt.Sprintf("workload %q not registered", req.Workload))
 		return
@@ -336,14 +343,30 @@ func (c *frontConn) handleSubmit(req submitMsg) {
 		origCancel := cancel
 		cancel = func(cause error) { tcancel(); origCancel(cause) }
 	}
+	pv := &pendingVerdict{
+		c:      c,
+		id:     req.ID,
+		name:   fmt.Sprintf("%s/%s#%d", c.tenant, req.Workload, req.ID),
+		trace:  req.Trace,
+		cancel: cancel,
+	}
 
-	opts := []serve.Option{serve.WithTenant(c.tenant)}
+	opts := []serve.Option{serve.WithTenant(c.tenant), serve.WithOnDone(pv.turn)}
 	if req.Trace {
 		opts = append(opts, serve.WithRuntime(core.WithEventLog(f.cfg.TraceCap)))
 	}
-	name := fmt.Sprintf("%s/%s#%d", c.tenant, req.Workload, req.ID)
-	s, err := f.pool.Submit(ctx, name, prog(workloads.ParseScale(req.Scale)), opts...)
+	// Registered before Submit: a session that finishes at once must find
+	// its own entry, and a cancel frame can only arrive after this loop
+	// returns anyway.
+	c.mu.Lock()
+	c.inflight[req.ID] = cancel
+	c.mu.Unlock()
+	s, err := f.pool.Submit(ctx, pv.name, prog(workloads.ParseScale(req.Scale)), opts...)
 	if err != nil {
+		c.mu.Lock()
+		delete(c.inflight, req.ID)
+		c.mu.Unlock()
+		f.sessWG.Done()
 		cancel(err)
 		switch {
 		case errors.Is(err, serve.ErrDeadlineInfeasible):
@@ -357,51 +380,70 @@ func (c *frontConn) handleSubmit(req submitMsg) {
 		}
 		return
 	}
-	c.mu.Lock()
-	c.inflight[req.ID] = cancel
-	c.mu.Unlock()
 	if m := fmet(); m != nil {
 		m.submitted.Inc()
 	}
-	// Accept is written HERE, before the waiter exists, so it always
-	// precedes the verdict frame on the wire.
 	c.fw.send(frameAccept, acceptMsg{ID: req.ID}.appendBody)
+	pv.turn(s)
+}
 
-	f.sessWG.Add(1)
-	go func() {
-		defer f.sessWG.Done()
-		s.Wait()
-		v := verdictMsg{
-			ID:         req.ID,
-			Verdict:    s.Verdict().String(),
-			QueueMs:    s.QueueLatency().Milliseconds(),
-			DurationMs: s.Duration().Milliseconds(),
+// pendingVerdict is an accepted session whose verdict frame is still
+// owed. The frame goes out on whichever of two events comes second: the
+// read loop writing the accept frame, or the session completing (its
+// serve.WithOnDone hook). So the accept always precedes the verdict on
+// the wire, and no goroutine waits for the session.
+type pendingVerdict struct {
+	c      *frontConn
+	id     uint64
+	name   string // server-side session name (tenant/workload#id)
+	trace  bool
+	cancel context.CancelCauseFunc
+	turns  atomic.Int32
+}
+
+// turn records one of the two events — it is also the session's
+// completion hook — and the second delivers the verdict.
+func (pv *pendingVerdict) turn(s *serve.Session) {
+	if pv.turns.Add(1) == 2 {
+		pv.deliver(s)
+	}
+}
+
+// deliver builds the finished session's verdict frame, retires its
+// in-flight entry, and writes (or spills) the frame.
+func (pv *pendingVerdict) deliver(s *serve.Session) {
+	c := pv.c
+	defer c.f.sessWG.Done()
+	v := verdictMsg{
+		ID:         pv.id,
+		Verdict:    s.Verdict().String(),
+		QueueMs:    s.QueueLatency().Milliseconds(),
+		DurationMs: s.Duration().Milliseconds(),
+	}
+	if err := s.Err(); err != nil {
+		v.Err = err.Error()
+	}
+	if pv.trace {
+		if rt := s.Runtime(); rt != nil {
+			v.Trace = []byte(rt.EventLog())
 		}
-		if err := s.Err(); err != nil {
-			v.Err = err.Error()
-		}
-		if req.Trace {
-			if rt := s.Runtime(); rt != nil {
-				v.Trace = []byte(rt.EventLog())
-			}
-		}
-		if m := fmet(); m != nil {
-			m.verdicts.With(v.Verdict).Inc()
-		}
-		c.mu.Lock()
-		delete(c.inflight, req.ID)
-		c.mu.Unlock()
-		cancel(nil) // release the deadline timer
-		c.deliverVerdict(name, v)
-	}()
+	}
+	if m := fmet(); m != nil {
+		m.verdicts.With(v.Verdict).Inc()
+	}
+	c.mu.Lock()
+	delete(c.inflight, pv.id)
+	c.mu.Unlock()
+	pv.cancel(nil) // release the deadline timer
+	c.deliverVerdict(pv.name, v)
 }
 
 // deliverVerdict writes a session's verdict frame. A failed write never
 // drops the verdict silently: it is spilled to the front's bounded log,
 // and if the failure was a write TIMEOUT — a live TCP conn whose peer
 // has stopped draining it — the slow client is evicted (counted, conn
-// cut) so its stalled socket cannot pin verdict waiters for every other
-// session on the conn.
+// cut) so its stalled socket cannot hold up, for WriteTimeout each, the
+// completing workers of every other session on the conn.
 func (c *frontConn) deliverVerdict(name string, v verdictMsg) {
 	err := c.fw.send(frameVerdict, v.appendBody)
 	if err == nil {
@@ -456,9 +498,9 @@ func (c *frontConn) cancelAll(cause error) {
 // until ctx expires, then cancel whatever remains, deliver every
 // verdict, cut the connections, and close the pool. When Shutdown
 // returns, every goroutine the front created — acceptor, connection
-// handlers, verdict waiters, the pool's sessions, the shared scheduler's
-// workers — has exited. Idempotent in effect; concurrent calls race
-// harmlessly on the same teardown.
+// handlers, the shared scheduler's workers that ran the sessions and
+// wrote their verdicts — has exited. Idempotent in effect; concurrent
+// calls race harmlessly on the same teardown.
 func (f *Front) Shutdown(ctx context.Context) error {
 	f.mu.Lock()
 	f.draining = true
@@ -474,8 +516,8 @@ func (f *Front) Shutdown(ctx context.Context) error {
 		c.fw.send(frameGoaway, goawayMsg{Reason: "draining"}.appendBody)
 	}
 
-	// Phase 1: wait for in-flight sessions to finish on their own, up to
-	// the caller's deadline.
+	// Phase 1: wait for in-flight sessions to finish on their own and
+	// their verdicts to go out, up to the caller's deadline.
 	done := make(chan struct{})
 	go func() { f.sessWG.Wait(); close(done) }()
 	var drainErr error

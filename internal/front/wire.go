@@ -403,9 +403,10 @@ func (d *decoder) done(typ byte) error {
 }
 
 // frameWriter serializes frames onto one conn. Writes come from the read
-// loop (accept/reject/pong, in order) and from per-session verdict
-// waiters (completion order), so every write takes the mutex — a frame
-// is never interleaved inside another. The frame is encoded under the
+// loop (accept/reject/pong, in order, and a verdict whose session
+// finished before its accept went out) and from session completion
+// hooks (completion order), so every write takes the mutex — a frame is
+// never interleaved inside another. The frame is encoded under the
 // mutex into buf, which is reused across sends.
 //
 // When nc and timeout are set, every send arms a write deadline: a peer

@@ -20,11 +20,14 @@ const (
 	admissionBackoffCap  = 64 * time.Millisecond
 )
 
-// run is one Graph.Run execution: the scheduler state shared by the
-// per-node supervisor goroutines. Every node state transition happens
-// under mu, which is what makes the exactly-one-terminal-outcome
-// invariant structural: a node is launched only while Pending, canceled
-// only while Pending, and finished only by its single supervisor.
+// run is one Graph.Run execution. No goroutine is started per node: a
+// launched node's attempts are sessions whose completion hooks
+// (serve.WithOnDone) take the node's next step on the goroutine that
+// finished the session, and backoffs are timers. Every node state
+// transition happens under mu, which is what makes the
+// exactly-one-terminal-outcome invariant structural: a node is launched
+// only while Pending, canceled by a cascade only while Pending, and
+// finished only by the step of its single in-flight attempt.
 type run struct {
 	g    *Graph
 	pool *serve.Pool
@@ -58,13 +61,15 @@ func (g *Graph) Run(ctx context.Context, pool *serve.Pool) (*GraphResult, error)
 	r := &run{g: g, pool: pool, ctx: ctx}
 	start := time.Now()
 
+	var ready []*Node
 	r.mu.Lock()
 	for _, n := range g.order {
 		if n.waiting == 0 {
-			r.launchLocked(n)
+			ready = append(ready, r.launchLocked(n))
 		}
 	}
 	r.mu.Unlock()
+	r.startAll(ready)
 	r.wg.Wait()
 
 	res := &GraphResult{
@@ -117,13 +122,27 @@ func (g *Graph) Run(ctx context.Context, pool *serve.Pool) (*GraphResult, error)
 	return res, res.Err
 }
 
-// launchLocked transitions a Pending node to Running and starts its
-// supervisor. Caller holds r.mu.
-func (r *run) launchLocked(n *Node) {
+// launchLocked transitions a Pending node to Running and counts it
+// toward Run's wait; the caller submits its first attempt (startAll)
+// once it has released r.mu. Caller holds r.mu.
+func (r *run) launchLocked(n *Node) *Node {
 	n.state = NodeRunning
 	n.start = time.Now()
 	r.wg.Add(1)
-	go r.exec(n)
+	return n
+}
+
+// startAll submits the first attempt of each launched node. Never called
+// with r.mu held: Submit may run a hook that takes it.
+func (r *run) startAll(launched []*Node) {
+	for _, n := range launched {
+		a := &attempts{r: r, n: n, name: r.g.name + "/" + n.name, inputs: r.gather(n)}
+		a.opts = append(append(make([]serve.Option, 0, len(n.submit)+2), n.submit...), serve.WithOnDone(a.done))
+		if len(n.runtime) > 0 {
+			a.opts = append(a.opts, serve.WithRuntime(n.runtime...))
+		}
+		a.next()
+	}
 }
 
 // gather resolves the node's declared inputs. Called only after every
@@ -142,152 +161,181 @@ func (r *run) gather(n *Node) Inputs {
 	return Inputs{vals: vals}
 }
 
-// exec is a node's supervisor: it drives the attempt loop — submit a
-// session, wait for its verdict, retry per policy — and performs
-// exactly one terminal transition. One goroutine per launched node;
-// cascade-canceled nodes never get one.
-func (r *run) exec(n *Node) {
-	defer r.wg.Done()
-	inputs := r.gather(n)
-	retryMax := n.retry.maxAttempts()
+// attempts is a launched node's retry loop, driven by events instead of
+// a goroutine: next submits an attempt, the attempt session's completion
+// hook (done) or a synchronous rejection classifies it, and a retry is
+// submitted at once or from a backoff timer, until exactly one terminal
+// transition. One attempt is in flight at a time, and each step is
+// ordered after the previous one by the session, hook, or timer that
+// hands control on, so the fields need no lock.
+type attempts struct {
+	r      *run
+	n      *Node
+	name   string // session name
+	inputs Inputs
+	opts   []serve.Option // the node's submit options plus the hook
 
-	submitOpts := make([]serve.Option, 0, len(n.submit)+1)
-	submitOpts = append(submitOpts, n.submit...)
-	if len(n.runtime) > 0 {
-		submitOpts = append(submitOpts, serve.WithRuntime(n.runtime...))
-	}
-
-	for attempt := 1; ; attempt++ {
-		r.mu.Lock()
-		n.attempts = attempt
-		r.mu.Unlock()
-		if attempt > 1 {
-			countRetry()
-		}
-
-		actx := r.ctx
-		cancel := context.CancelFunc(func() {})
-		if n.timeout > 0 {
-			actx, cancel = context.WithTimeoutCause(r.ctx, n.timeout, ErrNodeTimeout)
-		}
-
-		var out any
-		body := func(t *core.Task) error {
-			n.bodyRuns.Add(1)
-			v, err := n.fn(t, inputs)
-			if err != nil {
-				return err
-			}
-			out = v
-			return nil
-		}
-
-		var attemptVerdict serve.Verdict
-		var attemptErr error
-		sess, serr := r.submit(actx, n, body, submitOpts)
-		if serr == nil {
-			sess.Wait()
-			cancel()
-			attemptVerdict = sess.Verdict()
-			attemptErr = sess.Err()
-			switch attemptVerdict {
-			case serve.VerdictClean:
-				r.succeed(n, out)
-				return
-			case serve.VerdictCanceled:
-				// Three distinct cancellations reach a session: the graph
-				// context (terminal for the node), the pool closing under it
-				// (terminal, typed serve.ErrPoolClosed), and the node's own
-				// per-attempt timeout — which is a FAILED attempt, retried
-				// below while budget remains.
-				if !errors.Is(attemptErr, ErrNodeTimeout) {
-					r.cancel(n, attemptErr)
-					return
-				}
-			}
-			// Deadlock / policy / failed / attempt-timeout: fall through to
-			// the retry decision.
-		} else {
-			cancel()
-			switch {
-			case errors.Is(serr, serve.ErrPoolClosed):
-				// Satellite invariant: a retry submitted during pool drain
-				// gets the prompt typed rejection and the node terminates —
-				// it must never hang a graph.
-				r.cancel(n, serr)
-				return
-			case r.ctx.Err() != nil:
-				r.cancel(n, context.Cause(r.ctx))
-				return
-			case errors.Is(serr, ErrNodeTimeout):
-				// The attempt's deadline expired before admission.
-				attemptVerdict = serve.VerdictCanceled
-				attemptErr = serr
-			default:
-				// Synchronous rejection (e.g. deadline-infeasible admission):
-				// consumes an attempt like any other failure.
-				attemptVerdict = serve.VerdictFailed
-				attemptErr = serr
-			}
-		}
-
-		if attempt >= retryMax {
-			r.fail(n, attemptVerdict, attemptErr)
-			return
-		}
-		if !r.sleep(n.retry.backoffFor(attempt)) {
-			r.cancel(n, context.Cause(r.ctx))
-			return
-		}
-	}
+	attempt int
+	actx    context.Context    // this attempt's scope: r.ctx plus the node timeout
+	release context.CancelFunc // releases actx's timer
+	admit   time.Duration      // next admission-saturation backoff
+	out     any                // this attempt's body output
 }
 
-// submit sends one attempt to the pool, absorbing admission saturation
-// with capped-exponential backoff. Saturation never consumes an attempt
-// — the body never ran — but each absorbed rejection is counted
-// (AdmissionRetries, graph_admission_retries_total). Any other error is
-// returned to the attempt loop for classification.
-func (r *run) submit(actx context.Context, n *Node, body core.TaskFunc, opts []serve.Option) (*serve.Session, error) {
-	backoff := admissionBackoffBase
-	for {
-		sess, err := r.pool.Submit(actx, r.g.name+"/"+n.name, body, opts...)
-		if err == nil || !errors.Is(err, serve.ErrPoolSaturated) {
-			return sess, err
-		}
-		r.admissionRetries.Add(1)
+// next starts the node's next attempt.
+func (a *attempts) next() {
+	a.attempt++
+	a.r.mu.Lock()
+	a.n.attempts = a.attempt
+	a.r.mu.Unlock()
+	if a.attempt > 1 {
+		countRetry()
+	}
+	a.actx, a.release = a.r.ctx, func() {}
+	if a.n.timeout > 0 {
+		a.actx, a.release = context.WithTimeoutCause(a.r.ctx, a.n.timeout, ErrNodeTimeout)
+	}
+	a.admit = admissionBackoffBase
+	a.submit()
+}
+
+// submit sends the current attempt to the pool. Admission saturation
+// never consumes an attempt — the body never ran — so it re-submits from
+// a capped-exponential backoff timer, counting each absorbed rejection
+// (AdmissionRetries, graph_admission_retries_total). Any other rejection
+// is classified like a verdict. On acceptance the session's hook owns
+// the next step, so nothing here touches a after Submit succeeds.
+func (a *attempts) submit() {
+	_, err := a.r.pool.Submit(a.actx, a.name, a.body, a.opts...)
+	switch {
+	case err == nil:
+	case errors.Is(err, serve.ErrPoolSaturated):
+		a.r.admissionRetries.Add(1)
 		countAdmissionRetry()
-		t := time.NewTimer(backoff)
-		select {
-		case <-actx.Done():
-			t.Stop()
-			return nil, context.Cause(actx)
-		case <-t.C:
+		d := a.admit
+		if a.admit *= 2; a.admit > admissionBackoffCap {
+			a.admit = admissionBackoffCap
 		}
-		if backoff *= 2; backoff > admissionBackoffCap {
-			backoff = admissionBackoffCap
-		}
+		afterUnless(a.actx, d, a.submit, func() { a.rejected(context.Cause(a.actx)) })
+	default:
+		a.rejected(err)
 	}
 }
 
-// sleep waits d against the graph context; false means the graph was
-// canceled mid-backoff.
-func (r *run) sleep(d time.Duration) bool {
-	if d <= 0 {
-		return r.ctx.Err() == nil
+// body is the attempt session's program: the node function over its
+// resolved inputs.
+func (a *attempts) body(t *core.Task) error {
+	a.n.bodyRuns.Add(1)
+	v, err := a.n.fn(t, a.inputs)
+	if err != nil {
+		return err
 	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-r.ctx.Done():
-		return false
-	case <-t.C:
-		return true
+	a.out = v
+	return nil
+}
+
+// done is the attempt session's completion hook.
+func (a *attempts) done(s *serve.Session) {
+	a.release()
+	v, err := s.Verdict(), s.Err()
+	switch {
+	case v == serve.VerdictClean:
+		a.r.succeed(a.n, a.out)
+	case v == serve.VerdictCanceled && !errors.Is(err, ErrNodeTimeout):
+		// Three distinct cancellations reach a session: the graph context
+		// (terminal for the node), the pool closing under it (terminal,
+		// typed serve.ErrPoolClosed), and the node's own per-attempt
+		// timeout — which is a FAILED attempt, retried while budget
+		// remains.
+		a.r.cancel(a.n, err)
+	default:
+		// Deadlock / policy / failed / attempt-timeout.
+		a.retry(v, err)
 	}
+}
+
+// rejected classifies an attempt the pool refused to accept.
+func (a *attempts) rejected(err error) {
+	a.release()
+	switch {
+	case errors.Is(err, serve.ErrPoolClosed):
+		// A retry submitted during pool drain gets the prompt typed
+		// rejection and the node terminates — it must never hang a graph.
+		a.r.cancel(a.n, err)
+	case a.r.ctx.Err() != nil:
+		a.r.cancel(a.n, context.Cause(a.r.ctx))
+	case errors.Is(err, ErrNodeTimeout):
+		// The attempt's deadline expired before admission.
+		a.retry(serve.VerdictCanceled, err)
+	default:
+		// Synchronous rejection (e.g. deadline-infeasible admission):
+		// consumes an attempt like any other failure.
+		a.retry(serve.VerdictFailed, err)
+	}
+}
+
+// retry fails the node once its attempt budget is spent, and otherwise
+// submits the next attempt after the policy's backoff. Cancelling the
+// graph during a backoff cancels the node at once.
+func (a *attempts) retry(v serve.Verdict, err error) {
+	r, n := a.r, a.n
+	if a.attempt >= n.retry.maxAttempts() {
+		r.fail(n, v, err)
+		return
+	}
+	canceled := func() { r.cancel(n, context.Cause(r.ctx)) }
+	d := n.retry.backoffFor(a.attempt)
+	switch {
+	case d > 0:
+		afterUnless(r.ctx, d, a.next, canceled)
+	case r.ctx.Err() != nil:
+		canceled()
+	default:
+		a.next()
+	}
+}
+
+// afterUnless runs fire once d has elapsed, or stop as soon as ctx ends
+// first — exactly one of the two, each on its own timer or ctx-watch
+// goroutine and never on the caller's. It replaces a sleep, so a backoff
+// holds no goroutine while it waits.
+func afterUnless(ctx context.Context, d time.Duration, fire, stop func()) {
+	var (
+		mu      sync.Mutex
+		settled bool
+		t       *time.Timer
+		unwatch func() bool
+	)
+	// settle admits the first of the two events. Both callbacks run on
+	// their own goroutines, so taking mu also orders them after the
+	// assignments below.
+	settle := func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		won := !settled
+		settled = true
+		return won
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	t = time.AfterFunc(d, func() {
+		if settle() {
+			unwatch()
+			fire()
+		}
+	})
+	unwatch = context.AfterFunc(ctx, func() {
+		if settle() {
+			t.Stop()
+			stop()
+		}
+	})
 }
 
 // succeed is the clean terminal transition: record the output, fulfil
 // the future, and hand newly-ready dependents to the pool.
 func (r *run) succeed(n *Node, out any) {
+	var ready []*Node
 	r.mu.Lock()
 	n.state = NodeSucceeded
 	n.verdict = serve.VerdictClean
@@ -298,10 +346,12 @@ func (r *run) succeed(n *Node, out any) {
 	n.future.fulfill(out)
 	for _, d := range n.down {
 		if d.waiting--; d.waiting == 0 && d.state == NodePending {
-			r.launchLocked(d)
+			ready = append(ready, r.launchLocked(d))
 		}
 	}
 	r.mu.Unlock()
+	r.startAll(ready)
+	r.wg.Done()
 }
 
 // fail is the retry-budget-exhausted terminal transition; it cascades
@@ -319,6 +369,7 @@ func (r *run) fail(n *Node, v serve.Verdict, err error) {
 	n.future.fail(err)
 	r.cascadeLocked(n, err)
 	r.mu.Unlock()
+	r.wg.Done()
 }
 
 // cancel is the terminal transition for a node that never got a verdict
@@ -340,6 +391,7 @@ func (r *run) cancel(n *Node, cause error) {
 	n.future.fail(cause)
 	r.cascadeLocked(n, cause)
 	r.mu.Unlock()
+	r.wg.Done()
 }
 
 // cascadeLocked cancels every transitive descendant of root that is

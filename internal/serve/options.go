@@ -17,7 +17,8 @@ import (
 //     per-session options (WithRuntime, WithTenant, WithDeadlineAdmission)
 //     override their pool-scope counterparts for that session alone;
 //     submit wins. Pool-sizing options are inert at submit scope: a
-//     session cannot resize the pool it is entering.
+//     session cannot resize the pool it is entering. WithOnDone exists
+//     only at submit scope and is inert at pool scope.
 //
 // Precedence, lowest to highest: built-in defaults < pool scope < submit
 // scope; within WithRuntime's core.Option list the usual later-wins rule
@@ -36,6 +37,7 @@ type options struct {
 	runtime   []core.Option
 	tenant    string
 	admission *bool
+	onDone    func(*Session)
 }
 
 func (o *options) apply(opts []Option) {
@@ -116,6 +118,20 @@ func WithChaos(in *chaos.Injector) Option {
 // wins), e.g. to force one critical request through a shedding pool.
 func WithDeadlineAdmission(on bool) Option {
 	return func(o *options) { o.admission = &on }
+}
+
+// WithOnDone registers fn as the session's completion hook (submit
+// scope; inert at pool scope). fn runs exactly once per accepted
+// session, on the goroutine that completed it: the session's own
+// scheduler job after a run, the ctx watch when its ctx aborts it in the
+// queue, or the Close caller when Close fails it there. By then the
+// session is done — Wait returns and every accessor is valid — and its
+// slot is released, so neither Wait callers nor the next session wait
+// for fn. The pool's mutex is never held, so fn may Submit; Close waits
+// for it to return. A hook runs on a shared scheduler worker, so fn
+// should hand long waits to a timer rather than block on them.
+func WithOnDone(fn func(*Session)) Option {
+	return func(o *options) { o.onDone = fn }
 }
 
 // New creates a serving pool from the unified option surface. It is

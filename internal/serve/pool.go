@@ -190,13 +190,15 @@ func NewPool(cfg Config) *Pool {
 // opts are submit-scope serving options: WithRuntime appends core
 // options after the pool's base list (so a per-session option wins),
 // WithTenant picks the fairness tenant (queueing, WDRR weight, metrics
-// label), and WithDeadlineAdmission overrides the pool's admission-check
-// default for this session. Submit never blocks on session execution: if
-// a slot is free and no one is waiting, the session's job goes to the
-// scheduler right away; if its tenant's queue has room it waits there
-// for a WDRR admission grant; otherwise Submit fails fast —
-// ErrPoolSaturated on a full tenant queue, ErrDeadlineInfeasible when
-// admission control computes the ctx deadline cannot be met.
+// label), WithDeadlineAdmission overrides the pool's admission-check
+// default for this session, and WithOnDone registers a hook that runs
+// once the session has completed, however it completed. Submit never
+// blocks on session execution: if a slot is free and no one is waiting,
+// the session's job goes to the scheduler right away; if its tenant's
+// queue has room it waits there for a WDRR admission grant; otherwise
+// Submit fails fast — ErrPoolSaturated on a full tenant queue,
+// ErrDeadlineInfeasible when admission control computes the ctx deadline
+// cannot be met.
 func (p *Pool) Submit(ctx context.Context, name string, main core.TaskFunc, opts ...Option) (*Session, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -240,6 +242,7 @@ func (p *Pool) Submit(ctx context.Context, name string, main core.TaskFunc, opts
 		tenantAc: st,
 		queuedAt: time.Now(),
 		done:     make(chan struct{}),
+		onDone:   o.onDone,
 		runtimeOpts: append(append(append(append([]core.Option{}, p.cfg.Runtime...), o.runtime...),
 			core.WithExecutor(st.Execute)),
 			core.WithBatchExecutor(st.ExecuteBatch)),
@@ -376,7 +379,8 @@ func (p *Pool) releaseSlot() {
 
 // runSession is an admitted session's job on the shared scheduler: build
 // the isolated runtime, run the program with its root task on this
-// worker, record the verdict, release the slot.
+// worker, record the verdict, release the slot, then run the session's
+// completion hook.
 func (p *Pool) runSession(s *Session) {
 	defer p.drain.Done()
 	cur := p.inflight.Add(1)
@@ -423,12 +427,16 @@ func (p *Pool) runSession(s *Session) {
 	// MaxSessions.
 	p.releaseSlot()
 	close(s.done)
+	if s.onDone != nil {
+		s.onDone(s)
+	}
 }
 
 // finishUnrun completes a session that never started executing — its ctx
 // ended, or the pool closed, while it was still queued. The session never
 // held a slot and never built a runtime; it completes with the abort
-// error and VerdictCanceled.
+// error and VerdictCanceled, and its completion hook runs here, on the
+// ctx watch or the Close caller. Never called with p.mu held.
 func (p *Pool) finishUnrun(s *Session, err error) {
 	defer p.drain.Done()
 	now := time.Now()
@@ -441,14 +449,18 @@ func (p *Pool) finishUnrun(s *Session, err error) {
 		m.countVerdict(s.tlabel, VerdictCanceled)
 	}
 	close(s.done)
+	if s.onDone != nil {
+		s.onDone(s)
+	}
 }
 
 // Close stops admission, fails every session still waiting in the
 // admission queues with ErrPoolClosed (VerdictCanceled — queued work does
-// NOT ride out the drain), waits for every running session to finish,
-// and then shuts down the shared scheduler (which blocks until all of its
-// workers and its cleaner goroutine have exited). Idempotent; concurrent
-// Close calls all block until the drain completes.
+// NOT ride out the drain), waits for every running session to finish and
+// its completion hook to return, and then shuts down the shared scheduler
+// (which blocks until all of its workers and its cleaner goroutine have
+// exited). Idempotent; concurrent Close calls all block until the drain
+// completes.
 func (p *Pool) Close() {
 	var aborted []*Session
 	p.mu.Lock()

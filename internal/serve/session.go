@@ -133,6 +133,7 @@ type Session struct {
 	finishedAt time.Time
 
 	done    chan struct{}
+	onDone  func(*Session) // WithOnDone hook; nil when none
 	err     error
 	verdict Verdict
 	stats   core.Stats
