@@ -75,6 +75,9 @@ type (
 	OwnedTracking = core.OwnedTracking
 	// Option configures a Runtime.
 	Option = core.Option
+	// Job is what a custom executor runs: one spawned task, handed over
+	// as interface{ Run() } with no closure (sched.Job is the same type).
+	Job = core.Job
 	// Stats are cumulative event counts.
 	Stats = core.Stats
 	// Event is one entry of the optional event log.
@@ -144,11 +147,12 @@ var (
 	WithEventCounting = core.WithEventCounting
 	// WithAlarmHandler installs a detection callback.
 	WithAlarmHandler = core.WithAlarmHandler
-	// WithExecutor replaces the task executor.
+	// WithExecutor replaces the task executor: it receives each spawned
+	// task as a Job (sched.Elastic.Execute fits directly).
 	WithExecutor = core.WithExecutor
-	// WithBatchExecutor installs a vectorized submit used by AsyncBatch
-	// (pairs with WithExecutor; sched.Elastic.ExecuteBatch is the intended
-	// implementation).
+	// WithBatchExecutor installs a vectorized submit of Jobs used by
+	// AsyncBatch (pairs with WithExecutor; sched.Elastic.ExecuteBatch is
+	// the intended implementation).
 	WithBatchExecutor = core.WithBatchExecutor
 	// WithTracing enables Snapshot/DOT debugging.
 	WithTracing = core.WithTracing

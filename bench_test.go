@@ -17,6 +17,7 @@
 package repro
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"testing"
@@ -26,6 +27,7 @@ import (
 	"repro/internal/harness"
 	"repro/internal/obs"
 	"repro/internal/sched"
+	"repro/internal/serve"
 	"repro/internal/trace"
 	"repro/internal/workloads"
 )
@@ -352,14 +354,16 @@ func TestSpawnPathAllocs(t *testing.T) {
 	for _, cfg := range []struct {
 		label string
 		want  float64
-		opts  []core.Option
+		run   func(core.TaskFunc) error
 	}{
-		{"unverified", 3, []core.Option{core.WithMode(core.Unverified)}},
-		{"default", 4, []core.Option{core.WithMode(core.Full)}},
+		{"unverified", 3, core.NewRuntime(core.WithMode(core.Unverified)).Run},
+		{"default", 4, core.NewRuntime(core.WithMode(core.Full)).Run},
+		// A serving session's tasks reach the shared scheduler as jobs:
+		// a spawn costs what it costs under the default executor.
+		{"session", 4, runInSession},
 	} {
 		t.Run(cfg.label, func(t *testing.T) {
-			rt := core.NewRuntime(cfg.opts...)
-			if err := rt.Run(func(task *core.Task) error {
+			if err := cfg.run(func(task *core.Task) error {
 				step, err := harness.SpawnFixture(task)
 				if err != nil {
 					return err
@@ -383,6 +387,17 @@ func TestSpawnPathAllocs(t *testing.T) {
 			}
 		})
 	}
+}
+
+// runInSession runs body as the root of one session on a fresh pool.
+func runInSession(body core.TaskFunc) error {
+	p := serve.New(serve.WithMaxSessions(1))
+	defer p.Close()
+	s, err := p.Submit(context.Background(), "spawn-allocs", body)
+	if err != nil {
+		return err
+	}
+	return s.Wait()
 }
 
 // TestFastPathAllocs pins the allocation story of the lock-free fast

@@ -120,15 +120,20 @@ type historyEntry struct {
 
 // appendHistory appends entry to the JSON array at path (creating it when
 // absent), so successive -json runs accumulate a machine-readable perf
-// trajectory across PRs.
+// trajectory across PRs. Earlier records keep every field, whatever their
+// shape: the array also holds perfbench end-to-end records.
 func appendHistory(path string, entry historyEntry) error {
-	var hist []historyEntry
+	var hist []json.RawMessage
 	if prev, err := os.ReadFile(path); err == nil {
 		if err := json.Unmarshal(prev, &hist); err != nil {
-			return fmt.Errorf("%s is not a benchtable history array: %w", path, err)
+			return fmt.Errorf("%s is not a history array: %w", path, err)
 		}
 	}
-	hist = append(hist, entry)
+	rec, err := json.Marshal(entry)
+	if err != nil {
+		return err
+	}
+	hist = append(hist, rec)
 	out, err := json.MarshalIndent(hist, "", "  ")
 	if err != nil {
 		return err

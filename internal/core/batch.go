@@ -35,36 +35,54 @@ func (t *Task) AsyncBatch(specs []SpawnSpec) ([]*Task, error) {
 		return nil, nil
 	}
 	r := t.rt
+	// Each spec's moved set is expanded once, for both passes. Only a
+	// batch that moves composites keeps the expansions, so a batch of
+	// plain promise moves allocates nothing for them.
+	var sets []movedSet
 	if r.mode >= Ownership {
 		for i := range specs {
 			if len(specs[i].Moved) == 0 {
 				continue
 			}
-			if err := t.validateMoved(specs[i].Moved); err != nil {
+			ms := expandMoved(specs[i].Moved)
+			if err := t.validateMoved(ms); err != nil {
 				r.alarm(err)
 				return nil, err
+			}
+			if ms.exp {
+				if sets == nil {
+					sets = make([]movedSet, len(specs))
+				}
+				sets[i] = ms
 			}
 		}
 	}
 	children := make([]*Task, len(specs))
 	for i := range specs {
 		children[i] = r.newTask(specs[i].Name, t)
+		children[i].body = specs[i].Body
 	}
 	if r.mode >= Ownership {
 		for i := range specs {
-			if len(specs[i].Moved) > 0 {
-				t.transferMoved(children[i], specs[i].Moved)
+			if len(specs[i].Moved) == 0 {
+				continue
 			}
+			ms := movedSet{args: specs[i].Moved}
+			if sets != nil && sets[i].exp {
+				ms = sets[i]
+			}
+			t.transferMoved(children[i], ms)
 		}
 	}
-	r.startTaskBatch(t, children, specs)
+	r.startTaskBatch(t, children)
 	return children, nil
 }
 
-// startTaskBatch is startTask over a whole batch: identical per-child
-// records (EvTaskStart, idle watch), but the counters are bumped once
-// and placement is vectorized.
-func (r *Runtime) startTaskBatch(parent *Task, ts []*Task, specs []SpawnSpec) {
+// startTaskBatch is startTask over a whole batch whose bodies are
+// already stored in the tasks: identical per-child records (EvTaskStart,
+// idle watch), but the counters are bumped once and placement is
+// vectorized.
+func (r *Runtime) startTaskBatch(parent *Task, ts []*Task) {
 	n := len(ts)
 	r.wg.Add(n)
 	r.tasks.Add(int64(n))
@@ -83,18 +101,16 @@ func (r *Runtime) startTaskBatch(parent *Task, ts []*Task, specs []SpawnSpec) {
 	}
 	switch {
 	case r.exec == nil:
-		r.startGoroutineBatch(ts, specs)
+		r.startGoroutineBatch(ts)
 	case r.execBatch != nil:
-		fs := make([]func(), n)
-		for i := range ts {
-			c, body := ts[i], specs[i].Body
-			fs[i] = func() { r.runTask(c, body) }
+		js := make([]Job, n)
+		for i, c := range ts {
+			js[i] = (*taskJob)(c)
 		}
-		r.execBatch(fs)
+		r.execBatch(js)
 	default:
-		for i := range ts {
-			c, body := ts[i], specs[i].Body
-			r.exec(func() { r.runTask(c, body) })
+		for _, c := range ts {
+			r.exec((*taskJob)(c))
 		}
 	}
 }
@@ -105,7 +121,7 @@ func (r *Runtime) startTaskBatch(parent *Task, ts []*Task, specs []SpawnSpec) {
 // section is safe for the same reason startGoroutine's hand-off is safe
 // outside it: the mailbox is buffered and the claimer holds the only
 // reference, so the send can never block.
-func (r *Runtime) startGoroutineBatch(ts []*Task, specs []SpawnSpec) {
+func (r *Runtime) startGoroutineBatch(ts []*Task) {
 	i := 0
 	r.spawnMu.Lock()
 	for i < len(ts) {
@@ -116,11 +132,11 @@ func (r *Runtime) startGoroutineBatch(ts []*Task, specs []SpawnSpec) {
 		w := r.spawnFree[n-1]
 		r.spawnFree[n-1] = nil
 		r.spawnFree = r.spawnFree[:n-1]
-		w.req <- spawnReq{ts[i], specs[i].Body}
+		w.req <- ts[i]
 		i++
 	}
 	r.spawnMu.Unlock()
 	for ; i < len(ts); i++ {
-		go r.spawnLoop(ts[i], specs[i].Body)
+		go r.spawnLoop(ts[i])
 	}
 }

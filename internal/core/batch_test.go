@@ -150,13 +150,13 @@ func TestAsyncBatchDuplicateMoveFirstWins(t *testing.T) {
 func TestAsyncBatchVectorizedSubmit(t *testing.T) {
 	var mu sync.Mutex
 	var batchSizes []int
-	exec := func(f func()) { go f() }
-	execBatch := func(fs []func()) {
+	exec := func(j Job) { go j.Run() }
+	execBatch := func(js []Job) {
 		mu.Lock()
-		batchSizes = append(batchSizes, len(fs))
+		batchSizes = append(batchSizes, len(js))
 		mu.Unlock()
-		for _, f := range fs {
-			go f()
+		for _, j := range js {
+			go j.Run()
 		}
 	}
 	rt := NewRuntime(WithMode(Full), WithExecutor(exec), WithBatchExecutor(execBatch))

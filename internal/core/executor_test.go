@@ -17,23 +17,23 @@ import (
 // test graph, and a second tiny implementation also exercises the
 // WithExecutor seam independently).
 type miniPool struct {
-	jobs    chan func()
+	jobs    chan Job
 	spawned atomic.Int64
 }
 
-func newMiniPool() *miniPool { return &miniPool{jobs: make(chan func())} }
+func newMiniPool() *miniPool { return &miniPool{jobs: make(chan Job)} }
 
-func (p *miniPool) execute(f func()) {
+func (p *miniPool) execute(j Job) {
 	select {
-	case p.jobs <- f:
+	case p.jobs <- j:
 	default:
 		p.spawned.Add(1)
 		go func() {
 			for {
-				f()
+				j.Run()
 				var ok bool
 				select {
-				case f, ok = <-p.jobs:
+				case j, ok = <-p.jobs:
 					if !ok {
 						return
 					}

@@ -16,11 +16,16 @@ type Movable interface {
 // promises or collections to Async as one argument.
 type Group []Movable
 
-// Promises returns the union of the members' promises.
+// Promises returns the union of the members' promises. A member that is
+// a promise itself is appended directly, without its one-element slice.
 func (g Group) Promises() []AnyPromise {
-	var out []AnyPromise
+	out := make([]AnyPromise, 0, len(g))
 	for _, m := range g {
-		out = append(out, m.Promises()...)
+		if ap, ok := m.(AnyPromise); ok {
+			out = append(out, ap)
+		} else {
+			out = append(out, m.Promises()...)
+		}
 	}
 	return out
 }

@@ -118,16 +118,21 @@ func WithEventCounting(on bool) Option { return func(r *Runtime) { r.countEvents
 // a policy violation or deadlock is detected, before the error propagates.
 func WithAlarmHandler(f func(error)) Option { return func(r *Runtime) { r.onAlarm = f } }
 
+// Job is what an executor runs: one spawned task, handed over without a
+// closure. It is an alias of the interface literal — sched.Job is the
+// same type — so sched.Elastic.Execute plugs into WithExecutor directly.
+type Job = interface{ Run() }
+
 // WithExecutor replaces the task executor. The default (nil) starts one
 // goroutine per task, which is the unbounded-growth execution strategy the
 // paper requires (there is no a-priori bound on simultaneously blocked
-// tasks). It is also the fastest spawn path: the task and body are handed
-// to a parked goroutine from the runtime's freelist (see spawner.go) with
-// no allocation, and only when none is parked does a new goroutine start,
-// paying for the hidden closure a `go` statement with arguments allocates.
-// A custom executor always receives a capturing func() wrapper. See the
-// sched package for an elastic pool alternative.
-func WithExecutor(exec func(func())) Option { return func(r *Runtime) { r.exec = exec } }
+// tasks). It is also the fastest spawn path: the task is handed to a
+// parked goroutine from the runtime's freelist (see spawner.go) with no
+// allocation, and only when none is parked does a new goroutine start. A
+// custom executor receives each spawned task as a Job whose Run runs the
+// task; the task carries its own body, so the hand-off allocates nothing.
+// See the sched package for an elastic pool alternative.
+func WithExecutor(exec func(Job)) Option { return func(r *Runtime) { r.exec = exec } }
 
 // WithBatchExecutor installs a vectorized submit used by Task.AsyncBatch
 // when a custom executor is present: the whole batch is handed over in
@@ -136,7 +141,7 @@ func WithExecutor(exec func(func())) Option { return func(r *Runtime) { r.exec =
 // it, AsyncBatch falls back to one WithExecutor call per child. Ignored
 // when no WithExecutor is set — the built-in goroutine freelist batches
 // natively. See sched.Elastic.ExecuteBatch for the intended pairing.
-func WithBatchExecutor(exec func([]func())) Option {
+func WithBatchExecutor(exec func([]Job)) Option {
 	return func(r *Runtime) { r.execBatch = exec }
 }
 
@@ -167,9 +172,10 @@ func WithTracing(on bool) Option {
 
 // Stats are cumulative event counts for a runtime.
 type Stats struct {
-	Tasks int64 // tasks spawned (always counted)
-	Gets  int64 // Get operations (only with WithEventCounting)
-	Sets  int64 // Set/SetError operations (only with WithEventCounting)
+	Tasks    int64 // tasks started, the root included (always counted)
+	Finished int64 // tasks terminated (always counted); Tasks-Finished are live
+	Gets     int64 // Get operations (only with WithEventCounting)
+	Sets     int64 // Set/SetError operations (only with WithEventCounting)
 	// EventsDropped counts trace events logged after TraceClose (the
 	// collector never drops one before). Always 0 when tracing is off,
 	// and 0 on any healthy traced run — the tier-1 tests assert exactly
@@ -186,8 +192,8 @@ type Runtime struct {
 	tracking    OwnedTracking
 	countEvents bool
 	onAlarm     func(error)
-	exec        func(func()) // nil selects the built-in goroutine-per-task start
-	execBatch   func([]func())
+	exec        func(Job) // nil selects the built-in goroutine-per-task start
+	execBatch   func([]Job)
 	registry    *traceRegistry
 	gdet        *globalDetector
 	idle        *idleWatch
@@ -207,6 +213,7 @@ type Runtime struct {
 	nextTask    atomic.Uint64
 	nextPromise atomic.Uint64
 	tasks       atomic.Int64
+	finished    atomic.Int64
 	gets        atomic.Int64
 	sets        atomic.Int64
 
@@ -269,9 +276,13 @@ func (r *Runtime) Detector() DetectorKind { return r.detector }
 // Tracking returns the configured owned-set representation.
 func (r *Runtime) Tracking() OwnedTracking { return r.tracking }
 
-// Stats returns the cumulative event counters.
+// Stats returns the cumulative event counters. It is safe to call while
+// the program runs: Finished is loaded before Tasks, so a live read never
+// reports more tasks finished than started.
 func (r *Runtime) Stats() Stats {
+	finished := r.finished.Load()
 	return Stats{
+		Finished:      finished,
 		Tasks:         r.tasks.Load(),
 		Gets:          r.gets.Load(),
 		Sets:          r.sets.Load(),

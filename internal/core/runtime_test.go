@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 func TestRunReturnsNilOnCleanProgram(t *testing.T) {
@@ -159,9 +160,9 @@ func TestRunDeadlineReportsHang(t *testing.T) {
 
 func TestWithExecutor(t *testing.T) {
 	var dispatched atomic.Int32
-	rt := NewRuntime(WithExecutor(func(f func()) {
+	rt := NewRuntime(WithExecutor(func(j Job) {
 		dispatched.Add(1)
-		go f()
+		go j.Run()
 	}))
 	err := run(t, rt, func(tk *Task) error {
 		// The root body runs on Run's own goroutine (the paper's Init),
@@ -427,5 +428,14 @@ func TestErrorStringsAreDescriptive(t *testing.T) {
 	bp := &BrokenPromiseError{PromiseLabel: "s", TaskName: "t4", Cause: errors.New("x")}
 	if !strings.Contains(bp.Error(), "s") || bp.Unwrap() == nil {
 		t.Fatalf("broken promise: %s", bp)
+	}
+}
+
+// TestTaskSizeClass pins Task inside the runtime's 160-byte size class:
+// every spawn allocates one, so a field that pushes it past 160 bytes
+// costs every task the next class (176) whether it uses the field or not.
+func TestTaskSizeClass(t *testing.T) {
+	if n := unsafe.Sizeof(Task{}); n > 160 {
+		t.Fatalf("Task is %d bytes, want at most 160", n)
 	}
 }

@@ -8,9 +8,9 @@ package core
 // machinery. In a QSort-style spawn storm that closure is a third of the
 // spawn path's allocations. The spawner removes it by recycling whole
 // goroutines: a task body that returns parks its goroutine on a
-// per-runtime freelist, and the next spawn hands the new (task, body)
-// pair to a parked goroutine through its one-slot channel — a copy of
-// two words into a preallocated buffer, no allocation at all.
+// per-runtime freelist, and the next spawn hands the new task (which
+// carries its body) to a parked goroutine through its one-slot channel —
+// a one-word copy into a preallocated buffer, no allocation at all.
 //
 // The §6.3 obligation (never bound the number of simultaneously blocked
 // tasks) is preserved exactly as in the sched.Elastic pool: a spawn
@@ -24,12 +24,6 @@ package core
 // completed runtime holds no goroutines. The freelist is bounded; a
 // goroutine that finds it full simply exits, which keeps a burst's
 // worst case at the old goroutine-per-task behaviour.
-
-// spawnReq carries one spawn hand-off: the task handle and its body.
-type spawnReq struct {
-	t *Task
-	f TaskFunc
-}
 
 // spawnWorker is one parked goroutine's mailbox. The channel is
 // buffered so the spawner never blocks handing work to a claimed worker
@@ -47,7 +41,7 @@ type spawnReq struct {
 // receive keeps the spawn schedule equivalent to `go`'s: the child is
 // next to run the moment its parent blocks.
 type spawnWorker struct {
-	req chan spawnReq
+	req chan *Task
 }
 
 // spawnFreeMax bounds the parked-goroutine freelist. Past the bound a
@@ -56,37 +50,36 @@ type spawnWorker struct {
 // steady-state spawn rate.
 const spawnFreeMax = 256
 
-// startGoroutine places (t, f) on a recycled goroutine, or starts a new
-// one. Called by startTask when no custom executor is installed.
-func (r *Runtime) startGoroutine(t *Task, f TaskFunc) {
+// startGoroutine places t on a recycled goroutine, or starts a new one.
+// Called by startTask when no custom executor is installed.
+func (r *Runtime) startGoroutine(t *Task) {
 	r.spawnMu.Lock()
 	if n := len(r.spawnFree); n > 0 {
 		w := r.spawnFree[n-1]
 		r.spawnFree[n-1] = nil
 		r.spawnFree = r.spawnFree[:n-1]
 		r.spawnMu.Unlock()
-		w.req <- spawnReq{t, f} // buffered: the claimed worker drains it
+		w.req <- t // buffered: the claimed worker drains it
 		return
 	}
 	r.spawnMu.Unlock()
-	go r.spawnLoop(t, f)
+	go r.spawnLoop(t)
 }
 
 // spawnLoop is the recycled goroutine's body: run the seed task, then
 // alternate parking with running handed-off tasks until retired (the
 // freelist is full or the runtime drained it).
-func (r *Runtime) spawnLoop(t *Task, f TaskFunc) {
-	w := &spawnWorker{req: make(chan spawnReq, 1)}
+func (r *Runtime) spawnLoop(t *Task) {
+	w := &spawnWorker{req: make(chan *Task, 1)}
 	for {
-		r.runTask(t, f)
+		t.run()
 		if !r.parkSpawnWorker(w) {
 			return
 		}
-		req, ok := <-w.req
-		if !ok {
+		var ok bool
+		if t, ok = <-w.req; !ok {
 			return // drained by Run's unwind
 		}
-		t, f = req.t, req.f
 	}
 }
 

@@ -62,6 +62,12 @@ type Task struct {
 	// Confined to the task's goroutine.
 	pid, pidEnd uint64
 
+	// body is the task's TaskFunc from spawn until the task starts
+	// running it (see taskJob). Written by the spawning task before the
+	// hand-off to the executor, then read and cleared by the task's own
+	// goroutine, so a finished task does not pin its closure.
+	body TaskFunc
+
 	// stage is the task's trace staging buffer (see logEventArg): events
 	// this task emits accumulate here and flush to the collector in
 	// chunks. Confined to the task's goroutine (with the parent-to-child
@@ -206,32 +212,80 @@ func (t *Task) async(name string, f TaskFunc, moved []Movable) (*Task, error) {
 	r := t.rt
 	child := r.newTask(name, t)
 	if r.mode >= Ownership && len(moved) > 0 {
-		if err := t.validateMoved(moved); err != nil {
+		ms := expandMoved(moved)
+		if err := t.validateMoved(ms); err != nil {
 			r.alarm(err)
 			return nil, err
 		}
-		t.transferMoved(child, moved)
+		t.transferMoved(child, ms)
 	}
 	r.startTask(child, f)
 	return child, nil
 }
 
+// movedSet is a spawn's moved arguments with every composite Movable
+// expanded exactly once, so validation and transfer walk the same
+// promises without calling Promises() twice. In the common case every
+// argument is a promise itself (a *Promise[T] is its own AnyPromise) and
+// the arguments are walked in place; otherwise flat holds the expansion.
+type movedSet struct {
+	args []Movable
+	flat []AnyPromise
+	exp  bool // flat is in use (it may be empty)
+}
+
+// expandMoved expands the composites of moved, reusing a lone
+// composite's own Promises() slice.
+func expandMoved(moved []Movable) movedSet {
+	composites := 0
+	for _, m := range moved {
+		if _, ok := m.(AnyPromise); !ok {
+			composites++
+		}
+	}
+	switch {
+	case composites == 0:
+		return movedSet{args: moved}
+	case len(moved) == 1:
+		return movedSet{flat: moved[0].Promises(), exp: true}
+	}
+	flat := make([]AnyPromise, 0, len(moved)-composites)
+	for _, m := range moved {
+		if ap, ok := m.(AnyPromise); ok {
+			flat = append(flat, ap)
+		} else {
+			flat = append(flat, m.Promises()...)
+		}
+	}
+	return movedSet{flat: flat, exp: true}
+}
+
+func (ms movedSet) len() int {
+	if ms.exp {
+		return len(ms.flat)
+	}
+	return len(ms.args)
+}
+
+func (ms movedSet) at(i int) AnyPromise {
+	if ms.exp {
+		return ms.flat[i]
+	}
+	return ms.args[i].(AnyPromise)
+}
+
 // validateMoved checks that t currently owns every promise in the moved
 // set (rule 2's precondition). Validation is separate from transfer —
 // validate everything, then transfer everything — so a rejected spawn
-// leaves ownership untouched. Both passes iterate the arguments in place
-// instead of materializing one []AnyPromise: the variadic slice
-// then never escapes, and the overwhelmingly common case (one promise
-// moved directly) walks zero intermediate slices. A *Promise[T] is its
-// own AnyPromise, so only composite Movables (collections, Group) pay
-// the Promises() expansion.
-func (t *Task) validateMoved(moved []Movable) error {
-	return eachMoved(moved, func(ap AnyPromise) error {
+// leaves ownership untouched.
+func (t *Task) validateMoved(ms movedSet) error {
+	for i, n := 0, ms.len(); i < n; i++ {
+		ap := ms.at(i)
 		if owner := ap.state().owner.Load(); owner != t {
 			return ownershipError("move", t, ap, owner)
 		}
-		return nil
-	})
+	}
+	return nil
 }
 
 // transferMoved moves every promise in the moved set from t to child
@@ -239,13 +293,20 @@ func (t *Task) validateMoved(moved []Movable) error {
 // that t no longer owns is skipped silently: that happens exactly when
 // the same promise is listed twice — within one spawn (directly or
 // through overlapping collections) or across the specs of one
-// AsyncBatch, where the first listing wins.
-func (t *Task) transferMoved(child *Task, moved []Movable) {
+// AsyncBatch, where the first listing wins. A child that owns nothing
+// yet gets an owned list sized to the set, so it does not grow by
+// doubling as the promises arrive.
+func (t *Task) transferMoved(child *Task, ms movedSet) {
 	r := t.rt
-	eachMoved(moved, func(ap AnyPromise) error {
+	n := ms.len()
+	if r.tracking == TrackList && child.owned == nil && n > 1 {
+		child.owned = make([]AnyPromise, 0, n)
+	}
+	for i := 0; i < n; i++ {
+		ap := ms.at(i)
 		s := ap.state()
 		if s.owner.Load() != t {
-			return nil
+			continue
 		}
 		s.owner.Store(child)
 		t.noteDischarged(ap)
@@ -255,28 +316,7 @@ func (t *Task) transferMoved(child *Task, moved []Movable) {
 			// verifier can track ownership without parsing the detail.
 			r.logEventArg(EvMove, t, s, child.id, "to "+child.displayName())
 		}
-		return nil
-	})
-}
-
-// eachMoved applies fn to every promise the moved set expands to,
-// stopping at the first error. Direct AnyPromise arguments (every
-// *Promise[T]) are visited without expansion.
-func eachMoved(moved []Movable, fn func(AnyPromise) error) error {
-	for _, m := range moved {
-		if ap, ok := m.(AnyPromise); ok {
-			if err := fn(ap); err != nil {
-				return err
-			}
-			continue
-		}
-		for _, ap := range m.Promises() {
-			if err := fn(ap); err != nil {
-				return err
-			}
-		}
 	}
-	return nil
 }
 
 // outstanding returns the promises the task still owns at termination
@@ -314,19 +354,33 @@ func (r *Runtime) newTask(name string, parent *Task) *Task {
 	return t
 }
 
-// startTask opens the task's accounting and hands its body to the
-// executor. With the default executor (r.exec == nil) the pair lands on a
-// recycled goroutine from the runtime's spawn freelist (see spawner.go) —
-// no closure, and in steady state no goroutine creation either. A custom
-// executor receives the classic func() wrapper, since its interface
-// demands one.
+// startTask opens the task's accounting, stores its body in it, and
+// hands it to the executor. With the default executor (r.exec == nil)
+// the task lands on a recycled goroutine from the runtime's spawn
+// freelist (see spawner.go); a custom executor receives the task itself
+// as a Job. Neither path builds a closure.
 func (r *Runtime) startTask(t *Task, f TaskFunc) {
 	r.beginTask(t)
+	t.body = f
 	if r.exec == nil {
-		r.startGoroutine(t, f)
+		r.startGoroutine(t)
 		return
 	}
-	r.exec(func() { r.runTask(t, f) })
+	r.exec((*taskJob)(t))
+}
+
+// taskJob is a spawned task as an executor sees it: its Run runs the
+// task. A distinct type keeps Run off Task's exported method set, and
+// the pointer conversion costs nothing.
+type taskJob Task
+
+func (j *taskJob) Run() { (*Task)(j).run() }
+
+// run takes the body startTask stored and runs the task.
+func (t *Task) run() {
+	f := t.body
+	t.body = nil
+	t.rt.runTask(t, f)
 }
 
 // beginTask opens a task's accounting — wait-group, task counter, spawn
@@ -362,6 +416,7 @@ func (r *Runtime) runTask(t *Task, f TaskFunc) {
 	}
 	err = r.finishTask(t, err)
 	t.err = err
+	r.finished.Add(1)
 	if r.events != nil {
 		detail := ""
 		if err != nil {

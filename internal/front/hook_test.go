@@ -1,9 +1,12 @@
 package front
 
 import (
+	"bytes"
 	"context"
+	"fmt"
 	"net"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -255,5 +258,64 @@ func TestTracedSieveOverFront(t *testing.T) {
 	if returned != 2*perConn || len(runs["Sieve"]) != perConn || len(runs["Sieve200"]) != perConn {
 		t.Fatalf("%d traces returned, sessions run %d Sieve small and %d Sieve200; want %d, %d, %d",
 			returned, len(runs["Sieve"]), len(runs["Sieve200"]), 2*perConn, perConn, perConn)
+	}
+}
+
+// TestOversizedTraceVerdictIsCut: a traced Sieve small session with a
+// 65536-event window renders a log of about 3.5 MB, past the frame cap
+// the client's reader enforces. The front must not write that frame: the
+// verdict arrives with the trace's tail behind one line saying how many
+// bytes were cut, the untraced sessions sharing the conn complete, and
+// the conn still carries a session submitted afterwards.
+func TestOversizedTraceVerdictIsCut(t *testing.T) {
+	f := frontWith(t, Config{TraceCap: 65536,
+		Serve: []serve.Option{serve.WithMaxSessions(2), serve.WithQueueDepth(8)}})
+	defer f.Shutdown(context.Background())
+	c, err := Dial(f.Addr(), "gold-key")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	traced, err := c.Submit(t.Context(), SubmitRequest{Workload: "Sieve", Scale: "small", Trace: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var others []*RemoteSession
+	for i := 0; i < 4; i++ {
+		s, err := c.Submit(t.Context(), SubmitRequest{Workload: "QSort", Scale: "small"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		others = append(others, s)
+	}
+	if err := traced.Wait(); err != nil {
+		t.Fatalf("traced Sieve: %v", err)
+	}
+	for i, s := range others {
+		if err := s.Wait(); err != nil {
+			t.Fatalf("session %d on the same conn: %v", i, err)
+		}
+	}
+	tr := traced.Trace()
+	if len(tr) > maxFrameBody {
+		t.Fatalf("trace of %d bytes is past the %d-byte frame cap", len(tr), maxFrameBody)
+	}
+	head, tail, ok := bytes.Cut(tr, []byte("\n"))
+	var cut int
+	if !ok || len(tail) == 0 {
+		t.Fatalf("trace has no events after its first line %q", head)
+	}
+	if _, err := fmt.Sscanf(string(head), strings.TrimSuffix(cutTraceNote, "\n"), &cut); err != nil || cut <= 0 {
+		t.Fatalf("first trace line %q does not say how many bytes were cut (%v)", head, err)
+	}
+	t.Logf("verdict trace %d bytes, %d bytes cut", len(tr), cut)
+
+	after, err := c.Submit(t.Context(), SubmitRequest{Workload: "QSort", Scale: "small"})
+	if err != nil {
+		t.Fatalf("submit after the oversized verdict: %v", err)
+	}
+	if err := after.Wait(); err != nil {
+		t.Fatalf("session after the oversized verdict: %v", err)
 	}
 }

@@ -1,7 +1,9 @@
 package front
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -444,8 +446,18 @@ func (pv *pendingVerdict) deliver(s *serve.Session) {
 // has stopped draining it — the slow client is evicted (counted, conn
 // cut) so its stalled socket cannot hold up, for WriteTimeout each, the
 // completing workers of every other session on the conn.
+//
+// A verdict whose trace would make the frame longer than the peer's
+// reader accepts is resent with the trace cut to fit (see cutTrace).
 func (c *frontConn) deliverVerdict(name string, v verdictMsg) {
 	err := c.fw.send(frameVerdict, v.appendBody)
+	if errors.Is(err, ErrFrameOversized) && len(v.Trace) > 0 {
+		bare := v
+		bare.Trace = nil
+		budget := maxFrameBody - 1 - len(bare.appendBody(nil)) - binary.MaxVarintLen64
+		v.Trace = cutTrace(v.Trace, budget)
+		err = c.fw.send(frameVerdict, v.appendBody)
+	}
 	if err == nil {
 		return
 	}
@@ -459,6 +471,24 @@ func (c *frontConn) deliverVerdict(name string, v verdictMsg) {
 		}
 		c.nc.Close()
 	}
+}
+
+// cutTraceNote heads a trace cut to fit a frame.
+const cutTraceNote = "trace cut to fit the frame: first %d bytes omitted\n"
+
+// cutTrace returns trace unchanged if it fits in budget bytes, else its
+// tail, from a line boundary, behind one line saying how many bytes were
+// cut from the head.
+func cutTrace(trace []byte, budget int) []byte {
+	if len(trace) <= budget {
+		return trace
+	}
+	keep := max(budget-len(fmt.Sprintf(cutTraceNote, len(trace))), 0)
+	tail := trace[len(trace)-keep:]
+	if i := bytes.IndexByte(tail, '\n'); i >= 0 {
+		tail = tail[i+1:]
+	}
+	return append(fmt.Appendf(nil, cutTraceNote, len(trace)-len(tail)), tail...)
 }
 
 // spill appends an undeliverable verdict to the bounded spill log.

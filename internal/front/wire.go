@@ -107,7 +107,8 @@ const (
 var (
 	// ErrFrameOversized: the length prefix exceeds maxFrameBody (or is
 	// zero). The conn is cut without reading the body — a hostile length
-	// must not make the reader allocate or block for it.
+	// must not make the reader allocate or block for it. A writer asked
+	// to send such a frame returns it without writing anything.
 	ErrFrameOversized = errors.New("front: frame length out of range")
 	// ErrFrameTruncated: the stream ended inside a frame (header or
 	// body). Distinct from a clean EOF between frames.
@@ -425,13 +426,18 @@ type frameWriter struct {
 }
 
 // send writes one frame of type typ whose body appendBody appends (a
-// message's appendBody method value).
+// message's appendBody method value). A frame longer than maxFrameBody,
+// which the peer's reader would refuse, is not written: send returns
+// ErrFrameOversized and the conn stays usable.
 func (fw *frameWriter) send(typ byte, appendBody func([]byte) []byte) error {
 	fw.mu.Lock()
 	defer fw.mu.Unlock()
 	buf := appendBody(append(fw.buf[:0], 0, 0, 0, 0, typ))
 	if cap(buf) <= keepBufCap {
 		fw.buf = buf
+	}
+	if n := len(buf) - 4; n > maxFrameBody {
+		return fmt.Errorf("%w: frame %d not sent: length %d (cap %d)", ErrFrameOversized, typ, n, maxFrameBody)
 	}
 	binary.BigEndian.PutUint32(buf, uint32(len(buf)-4))
 	if fw.nc != nil && fw.timeout > 0 {

@@ -412,3 +412,26 @@ func FuzzDecodeVerdict(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0xff}, 11))
 	f.Fuzz(fuzzDecode[verdictMsg])
 }
+
+// TestFrameWriterRefusesOversized: a frame the peer's reader would cut
+// the conn for is not written at all, and the writer stays usable.
+func TestFrameWriterRefusesOversized(t *testing.T) {
+	var out bytes.Buffer
+	fw := &frameWriter{w: &out}
+	big := verdictMsg{ID: 1, Verdict: "clean", Trace: make([]byte, maxFrameBody)}
+	if err := fw.send(frameVerdict, big.appendBody); !errors.Is(err, ErrFrameOversized) {
+		t.Fatalf("oversized send: %v, want ErrFrameOversized", err)
+	}
+	if out.Len() != 0 {
+		t.Fatalf("oversized send wrote %d bytes", out.Len())
+	}
+	small := verdictMsg{ID: 2, Verdict: "clean"}
+	if err := fw.send(frameVerdict, small.appendBody); err != nil {
+		t.Fatal(err)
+	}
+	typ, body, err := newFrameReader(&out).read()
+	var got verdictMsg
+	if err != nil || typ != frameVerdict || got.decode(body) != nil || got.ID != 2 {
+		t.Fatalf("frame after the refused one: type %d, %+v, %v", typ, got, err)
+	}
+}

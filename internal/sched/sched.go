@@ -13,9 +13,11 @@
 // simultaneously live tasks rather than the total task count. The
 // benchmark suite compares the two (spawn cost vs reuse).
 //
-// One Elastic may be shared by many runtimes (the serving layer runs every
-// session's tasks on a single pool): Tenant carves out a per-session
-// accounting view, and Close retires the pool deterministically — parked
+// The pool runs Jobs, not closures: a core task and a serving session are
+// each their own Job, so handing one to the pool allocates nothing beyond
+// the object itself. One Elastic may be shared by many runtimes (the
+// serving layer runs every session, and every task those sessions spawn,
+// on a single pool), and Close retires it deterministically — parked
 // workers, busy workers, and the cleaner goroutine all exit before Close
 // returns, so a server can assert full drain at shutdown.
 package sched
@@ -26,19 +28,31 @@ import (
 	"time"
 )
 
-// Executor runs task bodies. Implementations must never block Execute on
-// the completion of f and must never bound the number of concurrently
-// blocked fs (see the package comment).
+// Job is one unit of work: a core task (core.Job is the same type) or a
+// serving session. It is an alias of the interface literal, so a method
+// taking a Job — Elastic.Execute — plugs into core.WithExecutor without
+// either package importing the other.
+type Job = interface{ Run() }
+
+// Func adapts a plain func() to a Job.
+type Func func()
+
+// Run calls f.
+func (f Func) Run() { f() }
+
+// Executor runs jobs. Implementations must never block Execute on the
+// completion of j and must never bound the number of concurrently
+// blocked jobs (see the package comment).
 type Executor interface {
-	Execute(f func())
+	Execute(j Job)
 }
 
-// GoPerTask returns the default executor: one goroutine per task.
+// GoPerTask returns the default executor: one goroutine per job.
 func GoPerTask() Executor { return goPerTask{} }
 
 type goPerTask struct{}
 
-func (goPerTask) Execute(f func()) { go f() }
+func (goPerTask) Execute(j Job) { go j.Run() }
 
 // dequeCap bounds each worker's ring deque. A power of two so the
 // head/tail cursors index with a mask. 256 jobs absorbs any realistic
@@ -129,7 +143,7 @@ type Elastic struct {
 // keeps thieves from convoying on one lock.
 type worker struct {
 	mu      sync.Mutex
-	buf     []func()
+	buf     []Job
 	head    uint64 // steal side: oldest job
 	tail    uint64 // owner side: push/pop newest
 	retired bool   // set under mu before the final drain; refuses pushes
@@ -149,12 +163,12 @@ func NewElastic(idleTimeout time.Duration) *Elastic {
 	return &Elastic{idleTimeout: idleTimeout, stop: make(chan struct{})}
 }
 
-// push appends f to the deque. Reports false when the worker is retired
+// push appends j to the deque. Reports false when the worker is retired
 // or the ring is full, or — when try is set — when the deque lock is
 // contended (the submitter has cheaper places to put the job than a
 // queue behind this lock). The pending increment is inside the critical
 // section so a claimer can never observe the job without its count.
-func (w *worker) push(e *Elastic, f func(), try bool) bool {
+func (w *worker) push(e *Elastic, j Job, try bool) bool {
 	if try {
 		if !w.mu.TryLock() {
 			return false
@@ -166,7 +180,7 @@ func (w *worker) push(e *Elastic, f func(), try bool) bool {
 		w.mu.Unlock()
 		return false
 	}
-	w.buf[w.tail&dequeMask] = f
+	w.buf[w.tail&dequeMask] = j
 	w.tail++
 	e.pending.Add(1)
 	w.mu.Unlock()
@@ -176,10 +190,10 @@ func (w *worker) push(e *Elastic, f func(), try bool) bool {
 	return true
 }
 
-// pushBatch appends as many jobs from fs as fit, under one lock
+// pushBatch appends as many jobs from js as fit, under one lock
 // acquisition and one pending update, returning how many were taken
 // (0 when retired, full, or — with try — contended).
-func (w *worker) pushBatch(e *Elastic, fs []func(), try bool) int {
+func (w *worker) pushBatch(e *Elastic, js []Job, try bool) int {
 	if try {
 		if !w.mu.TryLock() {
 			return 0
@@ -192,8 +206,8 @@ func (w *worker) pushBatch(e *Elastic, fs []func(), try bool) int {
 		return 0
 	}
 	n := 0
-	for n < len(fs) && w.tail-w.head < dequeCap {
-		w.buf[w.tail&dequeMask] = fs[n]
+	for n < len(js) && w.tail-w.head < dequeCap {
+		w.buf[w.tail&dequeMask] = js[n]
 		w.tail++
 		n++
 	}
@@ -209,32 +223,32 @@ func (w *worker) pushBatch(e *Elastic, fs []func(), try bool) int {
 
 // pop takes the newest job (the owner side: most recently pushed, cache
 // warm), or nil.
-func (w *worker) pop(e *Elastic) func() {
+func (w *worker) pop(e *Elastic) Job {
 	w.mu.Lock()
 	if w.tail == w.head {
 		w.mu.Unlock()
 		return nil
 	}
 	w.tail--
-	f := w.buf[w.tail&dequeMask]
+	j := w.buf[w.tail&dequeMask]
 	w.buf[w.tail&dequeMask] = nil
 	e.pending.Add(-1)
 	w.mu.Unlock()
 	if m := smet(); m != nil {
 		m.depth.Dec()
 	}
-	return f
+	return j
 }
 
 // stealFrom takes the oldest job (FIFO from the steal side, so a burst
 // retains submission order across the pool), or nil.
-func (w *worker) stealFrom(e *Elastic) func() {
+func (w *worker) stealFrom(e *Elastic) Job {
 	w.mu.Lock()
 	if w.tail == w.head {
 		w.mu.Unlock()
 		return nil
 	}
-	f := w.buf[w.head&dequeMask]
+	j := w.buf[w.head&dequeMask]
 	w.buf[w.head&dequeMask] = nil
 	w.head++
 	e.pending.Add(-1)
@@ -242,18 +256,18 @@ func (w *worker) stealFrom(e *Elastic) func() {
 	if m := smet(); m != nil {
 		m.depth.Dec()
 	}
-	return f
+	return j
 }
 
-// Execute schedules f, growing the pool if no worker can absorb it. It
+// Execute schedules j, growing the pool if no worker can absorb it. It
 // never blocks waiting for a worker. After Close, Execute degrades to
 // goroutine-per-task: a closed pool must still never bound the number of
 // concurrently blocked tasks (the §6.3 requirement holds for stragglers
 // submitted during shutdown), it just stops keeping workers.
-func (e *Elastic) Execute(f func()) {
+func (e *Elastic) Execute(j Job) {
 	// Burst fast path: land on the current target deque. One TryLock'd
 	// push plus the searcher check — no wakeup, no pool lock.
-	if t := e.target.Load(); t != nil && t.push(e, f, true) {
+	if t := e.target.Load(); t != nil && t.push(e, j, true) {
 		e.reused.Add(1)
 		e.ensureSearcher()
 		return
@@ -261,20 +275,20 @@ func (e *Elastic) Execute(f func()) {
 	// No target (cold pool), or its deque is contended/full/retired:
 	// claim a parked worker, seed its deque, and make it the new target.
 	if w := e.popParked(); w != nil {
-		if w.push(e, f, false) {
+		if w.push(e, j, false) {
 			e.reused.Add(1)
 			e.target.Store(w)
 			e.wake(w)
 			return
 		}
 		// Its deque filled while it was parked (it was an earlier burst's
-		// target): wake it to drain and seed a fresh worker for f below.
+		// target): wake it to drain and seed a fresh worker for j below.
 		e.wake(w)
 	}
-	e.spawnWorker(f, &e.spawned)
+	e.spawnWorker(j, &e.spawned)
 }
 
-// ExecuteBatch schedules every job in fs, amortizing the submission
+// ExecuteBatch schedules every job in js, amortizing the submission
 // machinery across the batch: each absorbing deque is filled under ONE
 // lock acquisition with ONE pending update (pushBatch), followed by one
 // searcher check or wake for the whole chunk — where per-job Execute
@@ -282,14 +296,14 @@ func (e *Elastic) Execute(f func()) {
 // job. Semantically identical to calling Execute on each job in order
 // (same FIFO steal-side draining, same never-blocks, never-bounds
 // guarantees, same post-Close degradation).
-func (e *Elastic) ExecuteBatch(fs []func()) {
-	for len(fs) > 0 {
+func (e *Elastic) ExecuteBatch(js []Job) {
+	for len(js) > 0 {
 		// Burst fast path: land as much of the batch as fits on the
 		// current target deque.
 		if t := e.target.Load(); t != nil {
-			if n := t.pushBatch(e, fs, true); n > 0 {
+			if n := t.pushBatch(e, js, true); n > 0 {
 				e.reused.Add(int64(n))
-				fs = fs[n:]
+				js = js[n:]
 				e.ensureSearcher()
 				continue
 			}
@@ -297,9 +311,9 @@ func (e *Elastic) ExecuteBatch(fs []func()) {
 		// No target, or its deque is contended/full/retired: claim a
 		// parked worker, seed it with a chunk, and make it the new target.
 		if w := e.popParked(); w != nil {
-			if n := w.pushBatch(e, fs, false); n > 0 {
+			if n := w.pushBatch(e, js, false); n > 0 {
 				e.reused.Add(int64(n))
-				fs = fs[n:]
+				js = js[n:]
 				e.target.Store(w)
 				e.wake(w)
 				continue
@@ -309,8 +323,8 @@ func (e *Elastic) ExecuteBatch(fs []func()) {
 		// Seed a fresh worker with one job; it becomes the target, so the
 		// next iteration pushes the remainder onto its empty deque. On a
 		// closed pool this degrades to one bare goroutine per job.
-		e.spawnWorker(fs[0], &e.spawned)
-		fs = fs[1:]
+		e.spawnWorker(js[0], &e.spawned)
+		js = js[1:]
 	}
 }
 
@@ -345,25 +359,25 @@ func (e *Elastic) ensureSearcher() {
 	e.spawnWorker(nil, &e.thieves)
 }
 
-// spawnWorker registers and starts a new worker, seeded with f (which it
+// spawnWorker registers and starts a new worker, seeded with j (which it
 // runs first) or unseeded (a thief: it goes straight to stealing).
 // counter attributes the spawn (submission-seeded vs thief). On a closed
 // pool the seed falls back to a bare goroutine.
-func (e *Elastic) spawnWorker(f func(), counter *atomic.Int64) {
+func (e *Elastic) spawnWorker(j Job, counter *atomic.Int64) {
 	e.mu.Lock()
 	if e.closed {
 		e.mu.Unlock()
-		if f != nil {
+		if j != nil {
 			// The goroutine-per-task fallback still seeded a carrier for
 			// this submission: count it, so spawned+reused keeps equalling
 			// the submission total across the shutdown window.
 			counter.Add(1)
-			go f()
+			go j.Run()
 		}
 		return
 	}
 	w := &worker{
-		buf:  make([]func(), dequeCap),
+		buf:  make([]Job, dequeCap),
 		wake: make(chan struct{}, 1),
 		rng:  e.rngSeed.Add(0x9e3779b97f4a7c15) | 1,
 	}
@@ -389,7 +403,7 @@ func (e *Elastic) spawnWorker(f func(), counter *atomic.Int64) {
 	e.live.Add(1)
 	e.searching.Add(1) // every new worker starts in searching state
 	e.target.Store(w)
-	go w.run(e, f)
+	go w.run(e, j)
 }
 
 // popParked claims the most recently parked worker, or nil. A claimed
@@ -432,7 +446,7 @@ func (e *Elastic) tryUnpark(w *worker) bool {
 // run is the worker loop: run the seed, then alternate claiming jobs
 // (own deque, then steal) with parking. The searching counter brackets
 // every between-jobs interval; see the liveness invariant on Elastic.
-func (w *worker) run(e *Elastic, f func()) {
+func (w *worker) run(e *Elastic, j Job) {
 	defer func() {
 		w.drainOnExit(e)
 		e.mu.Lock()
@@ -453,12 +467,12 @@ func (w *worker) run(e *Elastic, f func()) {
 		e.workers.Done()
 	}()
 	for {
-		if f == nil {
-			if f = e.findWork(w); f == nil {
+		if j == nil {
+			if j = e.findWork(w); j == nil {
 				return // retired or pool closed
 			}
 		}
-		// Hand searcher duty off BEFORE committing to the job: if f blocks
+		// Hand searcher duty off BEFORE committing to the job: if j blocks
 		// forever, the queued jobs behind it still have a worker on the
 		// way. This is the wake cascade — each claimed job wakes at most
 		// one more worker, and only while backlog remains.
@@ -467,9 +481,9 @@ func (w *worker) run(e *Elastic, f func()) {
 			e.ensureSearcher()
 		}
 		e.busy.Add(1)
-		f()
+		j.Run()
 		e.busy.Add(-1)
-		f = nil
+		j = nil
 		e.searching.Add(1)
 	}
 }
@@ -478,13 +492,13 @@ func (w *worker) run(e *Elastic, f func()) {
 // steal sweep, then park and wait. Returns nil when the worker should
 // exit (cleaner retirement or pool close). Caller holds searcher status;
 // on a nil return it has been released.
-func (e *Elastic) findWork(w *worker) func() {
+func (e *Elastic) findWork(w *worker) Job {
 	for {
-		if f := w.pop(e); f != nil {
-			return f
+		if j := w.pop(e); j != nil {
+			return j
 		}
-		if f := e.steal(w); f != nil {
-			return f
+		if j := e.steal(w); j != nil {
+			return j
 		}
 		// Nothing found: park. Register on the stack first, then release
 		// searcher status, then re-check pending — the mirror image of the
@@ -528,7 +542,7 @@ func (e *Elastic) findWork(w *worker) func() {
 // steal sweeps the worker snapshot from a random start, taking the
 // oldest job of the first non-empty deque. The randomized start keeps
 // thieves from convoying on the same victim.
-func (e *Elastic) steal(w *worker) func() {
+func (e *Elastic) steal(w *worker) Job {
 	snap := e.snapshot.Load()
 	if snap == nil {
 		return nil
@@ -547,12 +561,12 @@ func (e *Elastic) steal(w *worker) func() {
 		if v == w {
 			continue
 		}
-		if f := v.stealFrom(e); f != nil {
+		if j := v.stealFrom(e); j != nil {
 			e.steals.Add(1)
 			if m := smet(); m != nil {
 				m.steals.Inc()
 			}
-			return f
+			return j
 		}
 	}
 	return nil
@@ -566,7 +580,7 @@ func (e *Elastic) steal(w *worker) func() {
 func (w *worker) drainOnExit(e *Elastic) {
 	w.mu.Lock()
 	w.retired = true
-	var leftover []func()
+	var leftover []Job
 	for w.head != w.tail {
 		leftover = append(leftover, w.buf[w.head&dequeMask])
 		w.buf[w.head&dequeMask] = nil
@@ -580,8 +594,8 @@ func (w *worker) drainOnExit(e *Elastic) {
 	if m := smet(); m != nil {
 		m.depth.Add(-int64(len(leftover)))
 	}
-	for _, f := range leftover {
-		go f()
+	for _, j := range leftover {
+		go j.Run()
 	}
 }
 
@@ -724,77 +738,4 @@ func (e *Elastic) Idle() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return len(e.parked)
-}
-
-// Tenant is a per-client accounting view over a shared Elastic: each
-// session of a multi-runtime server submits through its own Tenant so the
-// server can attribute pool usage without the pool serializing on a shared
-// table. A Tenant adds two atomic counters per submission; the counters
-// travel with the job itself, so accounting stays exact no matter which
-// worker ultimately claims the job off a deque (steals included).
-type Tenant struct {
-	e    *Elastic
-	name string
-
-	submitted atomic.Int64
-	inflight  atomic.Int64
-}
-
-// Tenant returns a named accounting view over the pool. Tenants are
-// independent; creating one takes no lock and the pool keeps no reference
-// to it.
-func (e *Elastic) Tenant(name string) *Tenant {
-	return &Tenant{e: e, name: name}
-}
-
-// Name returns the tenant's label.
-func (t *Tenant) Name() string { return t.name }
-
-// Execute submits f to the shared pool, attributed to this tenant. Like
-// Elastic.Execute it never blocks and never bounds concurrency.
-func (t *Tenant) Execute(f func()) {
-	t.submitted.Add(1)
-	t.inflight.Add(1)
-	t.e.Execute(func() {
-		defer t.inflight.Add(-1)
-		f()
-	})
-}
-
-// Run runs f on the calling goroutine, accounted as one job of this
-// tenant: submitted, and in flight until f returns, exactly as if it had
-// come through Execute. It is for work that already holds a pool worker
-// — a serving session's root task runs on the session's own job — so the
-// tenant still counts one job per task.
-func (t *Tenant) Run(f func()) {
-	t.submitted.Add(1)
-	t.inflight.Add(1)
-	defer t.inflight.Add(-1)
-	f()
-}
-
-// ExecuteBatch submits every job in fs through the pool's vectorized
-// path (Elastic.ExecuteBatch), attributed to this tenant. Pairs with
-// core.WithBatchExecutor.
-func (t *Tenant) ExecuteBatch(fs []func()) {
-	if len(fs) == 0 {
-		return
-	}
-	t.submitted.Add(int64(len(fs)))
-	t.inflight.Add(int64(len(fs)))
-	wrapped := make([]func(), len(fs))
-	for i, f := range fs {
-		f := f
-		wrapped[i] = func() {
-			defer t.inflight.Add(-1)
-			f()
-		}
-	}
-	t.e.ExecuteBatch(wrapped)
-}
-
-// Stats reports how many jobs the tenant has submitted in total and how
-// many are currently submitted-but-unfinished.
-func (t *Tenant) Stats() (submitted, inflight int64) {
-	return t.submitted.Load(), t.inflight.Load()
 }

@@ -14,7 +14,7 @@ func TestGoPerTaskRunsEverything(t *testing.T) {
 	var wg sync.WaitGroup
 	for i := 0; i < 100; i++ {
 		wg.Add(1)
-		ex.Execute(func() { n.Add(1); wg.Done() })
+		ex.Execute(Func(func() { n.Add(1); wg.Done() }))
 	}
 	wg.Wait()
 	if n.Load() != 100 {
@@ -28,7 +28,7 @@ func TestElasticRunsEverything(t *testing.T) {
 	var wg sync.WaitGroup
 	for i := 0; i < 500; i++ {
 		wg.Add(1)
-		ex.Execute(func() { n.Add(1); wg.Done() })
+		ex.Execute(Func(func() { n.Add(1); wg.Done() }))
 	}
 	wg.Wait()
 	if n.Load() != 500 {
@@ -43,7 +43,7 @@ func TestElasticReusesIdleWorkers(t *testing.T) {
 	// most of them up.
 	for i := 0; i < 50; i++ {
 		wg.Add(1)
-		ex.Execute(func() { wg.Done() })
+		ex.Execute(Func(func() { wg.Done() }))
 		wg.Wait()
 	}
 	spawned, reused := ex.Stats()
@@ -66,11 +66,11 @@ func TestElasticGrowsUnderBlockedLoad(t *testing.T) {
 	var done sync.WaitGroup
 	done.Add(n)
 	for i := 0; i < n; i++ {
-		ex.Execute(func() {
+		ex.Execute(Func(func() {
 			entered.Done()
 			<-gate // every task blocks until all have started
 			done.Done()
-		})
+		}))
 	}
 	ok := make(chan struct{})
 	go func() { entered.Wait(); close(ok) }()
@@ -95,14 +95,14 @@ func TestElasticWorkersExitAfterIdle(t *testing.T) {
 	ex := NewElastic(5 * time.Millisecond)
 	var wg sync.WaitGroup
 	wg.Add(1)
-	ex.Execute(func() { wg.Done() })
+	ex.Execute(Func(func() { wg.Done() }))
 	wg.Wait()
 	time.Sleep(50 * time.Millisecond) // worker should have parked and exited
 	// The next Execute must spawn a fresh worker (the old one is gone), and
 	// still run the job.
 	before, _ := ex.Stats()
 	wg.Add(1)
-	ex.Execute(func() { wg.Done() })
+	ex.Execute(Func(func() { wg.Done() }))
 	wg.Wait()
 	after, _ := ex.Stats()
 	if after != before+1 {
@@ -120,7 +120,7 @@ func TestElasticBurstReuseStats(t *testing.T) {
 		var wg sync.WaitGroup
 		for i := 0; i < burst; i++ {
 			wg.Add(1)
-			ex.Execute(func() { wg.Done() })
+			ex.Execute(Func(func() { wg.Done() }))
 		}
 		wg.Wait()
 	}
@@ -149,7 +149,7 @@ func TestElasticIdleWorkersBoundGoroutines(t *testing.T) {
 	var wg sync.WaitGroup
 	for i := 0; i < 64; i++ {
 		wg.Add(1)
-		ex.Execute(func() { wg.Done() })
+		ex.Execute(Func(func() { wg.Done() }))
 	}
 	wg.Wait()
 	deadline := time.Now().Add(5 * time.Second)
@@ -173,7 +173,7 @@ func TestElasticCloseDrainsAllGoroutines(t *testing.T) {
 	var entered sync.WaitGroup
 	for i := 0; i < 16; i++ {
 		entered.Add(1)
-		ex.Execute(func() { entered.Done(); <-gate })
+		ex.Execute(Func(func() { entered.Done(); <-gate }))
 	}
 	entered.Wait()
 	// Half the pool is still busy when Close starts; release them from a
@@ -200,7 +200,7 @@ func TestElasticCloseIsIdempotentAndConcurrent(t *testing.T) {
 	ex := NewElastic(time.Hour)
 	var wg sync.WaitGroup
 	wg.Add(1)
-	ex.Execute(func() { wg.Done() })
+	ex.Execute(Func(func() { wg.Done() }))
 	wg.Wait()
 	var closers sync.WaitGroup
 	for i := 0; i < 4; i++ {
@@ -211,53 +211,8 @@ func TestElasticCloseIsIdempotentAndConcurrent(t *testing.T) {
 	// Execute after Close must still run the job (goroutine-per-task
 	// fallback): a closed pool may not strand shutdown stragglers.
 	wg.Add(1)
-	ex.Execute(func() { wg.Done() })
+	ex.Execute(Func(func() { wg.Done() }))
 	wg.Wait()
-}
-
-func TestTenantAccounting(t *testing.T) {
-	ex := NewElastic(time.Hour)
-	defer ex.Close()
-	a, b := ex.Tenant("a"), ex.Tenant("b")
-	gate := make(chan struct{})
-	var entered, done sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		entered.Add(1)
-		done.Add(1)
-		a.Execute(func() { entered.Done(); <-gate; done.Done() })
-	}
-	for i := 0; i < 3; i++ {
-		entered.Add(1)
-		done.Add(1)
-		b.Execute(func() { entered.Done(); <-gate; done.Done() })
-	}
-	entered.Wait()
-	if sub, inf := a.Stats(); sub != 8 || inf != 8 {
-		t.Fatalf("tenant a mid-run: submitted=%d inflight=%d, want 8/8", sub, inf)
-	}
-	if sub, inf := b.Stats(); sub != 3 || inf != 3 {
-		t.Fatalf("tenant b mid-run: submitted=%d inflight=%d, want 3/3", sub, inf)
-	}
-	if _, busy := ex.Workers(); busy != 11 {
-		t.Fatalf("pool busy=%d, want 11", busy)
-	}
-	close(gate)
-	done.Wait()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		_, infA := a.Stats()
-		_, infB := b.Stats()
-		if infA == 0 && infB == 0 {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if _, inf := a.Stats(); inf != 0 {
-		t.Fatalf("tenant a inflight=%d after drain, want 0", inf)
-	}
-	if sub, _ := b.Stats(); sub != 3 {
-		t.Fatalf("tenant b submitted=%d after drain, want 3", sub)
-	}
 }
 
 func TestElasticExecuteBatchRunsEverything(t *testing.T) {
@@ -268,10 +223,10 @@ func TestElasticExecuteBatchRunsEverything(t *testing.T) {
 	// Several batches, including one larger than a worker deque, so the
 	// multi-push spills across workers and spawned remainders.
 	for _, size := range []int{1, 64, dequeCap + 50} {
-		fs := make([]func(), size)
+		fs := make([]Job, size)
 		wg.Add(size)
 		for i := range fs {
-			fs[i] = func() { n.Add(1); wg.Done() }
+			fs[i] = Func(func() { n.Add(1); wg.Done() })
 		}
 		ex.ExecuteBatch(fs)
 	}
@@ -296,14 +251,14 @@ func TestElasticExecuteBatchBlockedJobsDoNotStrand(t *testing.T) {
 	gate := make(chan struct{})
 	var wg sync.WaitGroup
 	const blocked, free = 4, 16
-	fs := make([]func(), 0, blocked+free)
+	fs := make([]Job, 0, blocked+free)
 	wg.Add(free)
 	for i := 0; i < blocked; i++ {
-		fs = append(fs, func() { <-gate })
+		fs = append(fs, Func(func() { <-gate }))
 	}
 	var n atomic.Int32
 	for i := 0; i < free; i++ {
-		fs = append(fs, func() { n.Add(1); wg.Done() })
+		fs = append(fs, Func(func() { n.Add(1); wg.Done() }))
 	}
 	ex.ExecuteBatch(fs)
 	wg.Wait()
@@ -319,40 +274,13 @@ func TestElasticExecuteBatchAfterClose(t *testing.T) {
 	var n atomic.Int32
 	var wg sync.WaitGroup
 	wg.Add(8)
-	fs := make([]func(), 8)
+	fs := make([]Job, 8)
 	for i := range fs {
-		fs[i] = func() { n.Add(1); wg.Done() }
+		fs[i] = Func(func() { n.Add(1); wg.Done() })
 	}
 	ex.ExecuteBatch(fs) // degrades to goroutine-per-job, still runs all
 	wg.Wait()
 	if n.Load() != 8 {
 		t.Fatalf("ran %d after Close, want 8", n.Load())
-	}
-}
-
-func TestTenantExecuteBatchAccounting(t *testing.T) {
-	ex := NewElastic(10 * time.Millisecond)
-	defer ex.Close()
-	tn := ex.Tenant("s1")
-	var wg sync.WaitGroup
-	const n = 32
-	wg.Add(n)
-	fs := make([]func(), n)
-	for i := range fs {
-		fs[i] = func() { wg.Done() }
-	}
-	tn.ExecuteBatch(fs)
-	wg.Wait()
-	// Drain: inflight decrements happen after wg.Done, so poll briefly.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		submitted, inflight := tn.Stats()
-		if submitted == n && inflight == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("stats = %d submitted, %d inflight; want %d and 0", submitted, inflight, n)
-		}
-		runtime.Gosched()
 	}
 }

@@ -24,10 +24,10 @@ func TestElasticSkewedProducersNothingLostOrDoubleRun(t *testing.T) {
 	wg.Add(total)
 
 	submit := func(id int) {
-		ex.Execute(func() {
+		ex.Execute(Func(func() {
 			runs[id].Add(1)
 			wg.Done()
-		})
+		}))
 	}
 
 	var producers sync.WaitGroup
@@ -82,11 +82,11 @@ func TestElasticStealsAreCounted(t *testing.T) {
 	entered.Add(n)
 	done.Add(n)
 	for i := 0; i < n; i++ {
-		ex.Execute(func() {
+		ex.Execute(Func(func() {
 			entered.Done()
 			<-gate
 			done.Done()
-		})
+		}))
 	}
 	entered.Wait() // all n block simultaneously: n workers each hold one job
 	close(gate)
@@ -118,7 +118,7 @@ func TestElasticWakeupsAreBatched(t *testing.T) {
 	gate := make(chan struct{})
 	wg.Add(warm)
 	for i := 0; i < warm; i++ {
-		ex.Execute(func() { wg.Done(); <-gate })
+		ex.Execute(Func(func() { wg.Done(); <-gate }))
 	}
 	wg.Wait()
 	close(gate)
@@ -131,7 +131,7 @@ func TestElasticWakeupsAreBatched(t *testing.T) {
 	const burst = 512
 	wg.Add(burst)
 	for i := 0; i < burst; i++ {
-		ex.Execute(func() { wg.Done() })
+		ex.Execute(Func(func() { wg.Done() }))
 	}
 	wg.Wait()
 
@@ -146,54 +146,6 @@ func TestElasticWakeupsAreBatched(t *testing.T) {
 	}
 }
 
-// TestTenantAccountingExactAcrossSteals: two tenants submit skewed
-// interleaved bursts over one pool. Because the accounting counters
-// travel inside the submitted closure, a job stolen to another worker
-// still debits its own tenant — submitted totals stay exact and inflight
-// drains to zero for both, and the run must actually have stolen.
-func TestTenantAccountingExactAcrossSteals(t *testing.T) {
-	ex := NewElastic(time.Second)
-	defer ex.Close()
-	a, b := ex.Tenant("a"), ex.Tenant("b")
-
-	const nA, nB = 600, 150
-	var ran atomic.Int64
-	var done sync.WaitGroup
-	done.Add(nA + nB)
-	for i := 0; i < nA; i++ {
-		a.Execute(func() { ran.Add(1); done.Done() })
-		if i < nB {
-			b.Execute(func() { ran.Add(1); done.Done() })
-		}
-	}
-	done.Wait()
-
-	if sub, _ := a.Stats(); sub != nA {
-		t.Fatalf("tenant a submitted=%d, want %d", sub, nA)
-	}
-	if sub, _ := b.Stats(); sub != nB {
-		t.Fatalf("tenant b submitted=%d, want %d", sub, nB)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		_, infA := a.Stats()
-		_, infB := b.Stats()
-		if infA == 0 && infB == 0 {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if _, inf := a.Stats(); inf != 0 {
-		t.Fatalf("tenant a inflight=%d after drain, want 0", inf)
-	}
-	if _, inf := b.Stats(); inf != 0 {
-		t.Fatalf("tenant b inflight=%d after drain, want 0", inf)
-	}
-	if ran.Load() != nA+nB {
-		t.Fatalf("ran %d jobs, want %d", ran.Load(), nA+nB)
-	}
-}
-
 // TestElasticCloseDrainsStrandedDequeJobs pins the shutdown-race fix: a
 // submission that lands on a busy worker's deque through the TryLock
 // fast path AFTER the closed flag is up (when ensureSearcher refuses to
@@ -205,7 +157,7 @@ func TestElasticCloseDrainsStrandedDequeJobs(t *testing.T) {
 	gate := make(chan struct{})
 	var entered sync.WaitGroup
 	entered.Add(1)
-	ex.Execute(func() { entered.Done(); <-gate }) // the busy target worker
+	ex.Execute(Func(func() { entered.Done(); <-gate })) // the busy target worker
 	entered.Wait()
 	// Wait for the worker to leave the searching state, so ensureSearcher
 	// would have no searcher to lean on.
@@ -219,7 +171,7 @@ func TestElasticCloseDrainsStrandedDequeJobs(t *testing.T) {
 	ex.closed = true
 	ex.mu.Unlock()
 	ran := make(chan struct{})
-	ex.Execute(func() { close(ran) })
+	ex.Execute(Func(func() { close(ran) }))
 	// Now let Close run its sweep. The busy worker is still blocked, so
 	// only the sweep can rescue a job stranded on its deque.
 	closed := make(chan struct{})
@@ -250,10 +202,10 @@ func TestElasticDequeOverflowFallsBackToSpawn(t *testing.T) {
 	var done sync.WaitGroup
 	done.Add(n)
 	for i := 0; i < n; i++ {
-		ex.Execute(func() {
+		ex.Execute(Func(func() {
 			<-gate
 			done.Done()
-		})
+		}))
 	}
 	// Every job blocks; the pool must have grown enough workers that all
 	// n are held simultaneously (the §6.3 obligation, past a full ring).

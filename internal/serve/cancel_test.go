@@ -229,14 +229,14 @@ func TestCancelMidFlightStealHeavyExactAccounting(t *testing.T) {
 		if st.EventsDropped != 0 {
 			t.Errorf("session %d: %d dropped trace events", i, st.EventsDropped)
 		}
-		// Exact tenant accounting: every task the session submitted to the
+		// Exact accounting: every task the session submitted to the
 		// shared scheduler ran and finished, steals notwithstanding.
 		submitted, inflight := s.SchedStats()
 		if inflight != 0 {
 			t.Errorf("session %d: %d tasks still in flight after Wait", i, inflight)
 		}
 		if submitted != st.Tasks {
-			t.Errorf("session %d: tenant submitted %d, runtime ran %d", i, submitted, st.Tasks)
+			t.Errorf("session %d: submitted %d, runtime ran %d", i, submitted, st.Tasks)
 		}
 		if err := s.Runtime().TraceClose(); err != nil {
 			t.Errorf("session %d: TraceClose: %v", i, err)

@@ -199,11 +199,10 @@ func (c *dyingCtx) Err() error {
 	return context.Canceled
 }
 
-// The root task runs on the session's own job and is accounted on the
-// session's tenant only when it runs: a session whose ctx ends before its
-// root starts builds a runtime that runs nothing, and its tenant must
-// read zero submitted, zero in flight — not one job for a root that
-// never ran.
+// The root task runs on the session's own job and is counted only when
+// it runs: a session whose ctx ends before its root starts builds a
+// runtime that runs nothing, and SchedStats must read zero submitted,
+// zero in flight — not one job for a root that never ran.
 func TestCanceledBeforeRootExactAccounting(t *testing.T) {
 	pool := NewPool(Config{MaxSessions: 1})
 	defer pool.Close()
@@ -228,6 +227,6 @@ func TestCanceledBeforeRootExactAccounting(t *testing.T) {
 	st, _ := s.Stats()
 	submitted, inflight := s.SchedStats()
 	if submitted != st.Tasks || st.Tasks != 0 || inflight != 0 {
-		t.Fatalf("tenant submitted %d (in flight %d), runtime ran %d: want 0, 0, 0", submitted, inflight, st.Tasks)
+		t.Fatalf("submitted %d (in flight %d), runtime ran %d: want 0, 0, 0", submitted, inflight, st.Tasks)
 	}
 }

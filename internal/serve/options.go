@@ -27,7 +27,11 @@ import (
 // injection is always appended last by the pool — sessions run on the
 // shared scheduler by construction, at either scope.
 // TestOptionPrecedenceTable pins this table.
-type Option func(*options)
+//
+// An Option takes the resolved state by value and returns it updated, so
+// resolving a Submit's options keeps them on the caller's stack: no
+// pointer to them ever reaches an unknown function.
+type Option func(options) options
 
 // options is the resolved option state. The Config part is only
 // meaningful at pool scope; the submit part rides on top at either scope
@@ -40,18 +44,19 @@ type options struct {
 	onDone    func(*Session)
 }
 
-func (o *options) apply(opts []Option) {
+func resolve(opts []Option) (o options) {
 	for _, opt := range opts {
 		if opt != nil {
-			opt(o)
+			o = opt(o)
 		}
 	}
+	return o
 }
 
 // WithMaxSessions bounds how many sessions run concurrently (pool scope;
 // <= 0 selects the default of 8).
 func WithMaxSessions(n int) Option {
-	return func(o *options) { o.cfg.MaxSessions = n }
+	return func(o options) options { o.cfg.MaxSessions = n; return o }
 }
 
 // WithQueueDepth bounds how many admitted-but-waiting sessions may queue
@@ -60,13 +65,13 @@ func WithMaxSessions(n int) Option {
 // cannot monopolize the waiting room and starve the others' admission —
 // the queue-side half of the WDRR fairness story.
 func WithQueueDepth(n int) Option {
-	return func(o *options) { o.cfg.QueueDepth = n }
+	return func(o options) options { o.cfg.QueueDepth = n; return o }
 }
 
 // WithIdleTimeout sets the shared scheduler's worker idle timeout (pool
 // scope; zero selects sched.NewElastic's default).
 func WithIdleTimeout(d time.Duration) Option {
-	return func(o *options) { o.cfg.IdleTimeout = d }
+	return func(o options) options { o.cfg.IdleTimeout = d; return o }
 }
 
 // WithTenantWeight sets a tenant's weighted-fair share (pool scope;
@@ -75,11 +80,12 @@ func WithIdleTimeout(d time.Duration) Option {
 // deficit round-robin order: a weight-3 tenant is admitted three
 // sessions for every one of a weight-1 tenant.
 func WithTenantWeight(tenant string, weight int) Option {
-	return func(o *options) {
+	return func(o options) options {
 		if o.cfg.TenantWeights == nil {
 			o.cfg.TenantWeights = make(map[string]int)
 		}
 		o.cfg.TenantWeights[tenant] = weight
+		return o
 	}
 }
 
@@ -88,7 +94,7 @@ func WithTenantWeight(tenant string, weight int) Option {
 // scope the options are appended after the pool's base, so a
 // per-session option overrides the pool's (later core.Option wins).
 func WithRuntime(opts ...core.Option) Option {
-	return func(o *options) { o.runtime = append(o.runtime, opts...) }
+	return func(o options) options { o.runtime = append(o.runtime, opts...); return o }
 }
 
 // WithTenant names the fairness tenant a session is accounted and
@@ -98,7 +104,7 @@ func WithRuntime(opts ...core.Option) Option {
 // its weight, and its label on the per-tenant metrics (bounded by the
 // cardinality guard — see internal/obs.LabelGuard).
 func WithTenant(name string) Option {
-	return func(o *options) { o.tenant = name }
+	return func(o options) options { o.tenant = name; return o }
 }
 
 // WithChaos installs a fault injector on the pool (pool scope). Each
@@ -106,7 +112,7 @@ func WithTenant(name string) Option {
 // injector's PoolSaturate rate — the chaos harness's way of exercising
 // saturation-retry paths on demand. Nil is the (default) no-op.
 func WithChaos(in *chaos.Injector) Option {
-	return func(o *options) { o.cfg.Chaos = in }
+	return func(o options) options { o.cfg.Chaos = in; return o }
 }
 
 // WithDeadlineAdmission toggles deadline-aware admission control. When
@@ -117,7 +123,7 @@ func WithChaos(in *chaos.Injector) Option {
 // scope sets the default; submit scope overrides it per session (submit
 // wins), e.g. to force one critical request through a shedding pool.
 func WithDeadlineAdmission(on bool) Option {
-	return func(o *options) { o.admission = &on }
+	return func(o options) options { o.admission = &on; return o }
 }
 
 // WithOnDone registers fn as the session's completion hook (submit
@@ -131,7 +137,7 @@ func WithDeadlineAdmission(on bool) Option {
 // for it to return. A hook runs on a shared scheduler worker, so fn
 // should hand long waits to a timer rather than block on them.
 func WithOnDone(fn func(*Session)) Option {
-	return func(o *options) { o.onDone = fn }
+	return func(o options) options { o.onDone = fn; return o }
 }
 
 // New creates a serving pool from the unified option surface. It is
@@ -139,8 +145,7 @@ func WithOnDone(fn func(*Session)) Option {
 // the resolved, documented form of the pool-scope options, and the
 // struct literal is still accepted where construction is data-driven.
 func New(opts ...Option) *Pool {
-	var o options
-	o.apply(opts)
+	o := resolve(opts)
 	cfg := o.cfg
 	cfg.Runtime = append(cfg.Runtime, o.runtime...)
 	if o.tenant != "" {

@@ -5,12 +5,14 @@
 //
 // The paper's runtime verifies one program; a server verifies thousands at
 // once. The Pool owns a single sched.Elastic, and every admitted session
-// is one job on it: the job builds the session's core.Runtime and calls
+// is one job on it — the Session itself is the job, so submitting it
+// allocates nothing. The job builds the session's core.Runtime and calls
 // RunContext, so the root task runs on that worker (as the paper's Init
 // runs the root on the thread that starts the program), while the tasks
 // it spawns reach the same Elastic through the executor seam
-// (core.WithExecutor), counted by the session's sched.Tenant. No goroutine
-// is started per session. Isolation is preserved because everything the
+// (core.WithExecutor), each task its own job. No goroutine is started
+// per session, and nothing wraps a session's tasks: the session's runtime
+// counts them itself (Session.SchedStats). Isolation is preserved because everything the
 // detector and the ownership policy touch — task registries, promise
 // owners, error lists, event collectors — lives in the per-session
 // Runtime; the scheduler only donates goroutines. A session job blocked in
@@ -113,6 +115,11 @@ type Pool struct {
 	cfg  Config
 	exec *sched.Elastic
 
+	// runtimeOpts is cfg.Runtime followed by the executor injection,
+	// built once: every session without submit-scope runtime options
+	// shares it (see runtimeOptions).
+	runtimeOpts []core.Option
+
 	mu           sync.Mutex
 	closed       bool
 	running      int                        // sessions holding a slot
@@ -163,6 +170,8 @@ func NewPool(cfg Config) *Pool {
 		fq:           sched.NewFairQueue[*Session](),
 		tenantQueued: make(map[string]int),
 	}
+	p.runtimeOpts = append(append(make([]core.Option, 0, len(cfg.Runtime)+2), cfg.Runtime...),
+		core.WithExecutor(p.exec.Execute), core.WithBatchExecutor(p.exec.ExecuteBatch))
 	for tenant, w := range cfg.TenantWeights {
 		p.fq.SetWeight(tenant, w)
 	}
@@ -203,8 +212,7 @@ func (p *Pool) Submit(ctx context.Context, name string, main core.TaskFunc, opts
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	var o options
-	o.apply(opts)
+	o := resolve(opts)
 	if ctx.Err() != nil {
 		// Dead on arrival: fail synchronously, like a closed pool.
 		p.reject(rejectDeadCtx)
@@ -230,22 +238,18 @@ func (p *Pool) Submit(ctx context.Context, name string, main core.TaskFunc, opts
 	if name == "" {
 		name = fmt.Sprintf("session-%d", id)
 	}
-	st := p.exec.Tenant(name)
 	s := &Session{
-		pool:     p,
-		id:       id,
-		name:     name,
-		tenant:   tenant,
-		tlabel:   boundTenantLabel(tenant),
-		ctx:      ctx,
-		main:     main,
-		tenantAc: st,
-		queuedAt: time.Now(),
-		done:     make(chan struct{}),
-		onDone:   o.onDone,
-		runtimeOpts: append(append(append(append([]core.Option{}, p.cfg.Runtime...), o.runtime...),
-			core.WithExecutor(st.Execute)),
-			core.WithBatchExecutor(st.ExecuteBatch)),
+		pool:        p,
+		id:          id,
+		name:        name,
+		tenant:      tenant,
+		tlabel:      boundTenantLabel(tenant),
+		ctx:         ctx,
+		main:        main,
+		runtimeOpts: p.runtimeOptions(o.runtime),
+		queuedAt:    time.Now(),
+		done:        make(chan struct{}),
+		onDone:      o.onDone,
 	}
 
 	p.mu.Lock()
@@ -308,10 +312,33 @@ func (p *Pool) reject(reason string) {
 	}
 }
 
+// runtimeOptions is a session's runtime option list: the pool's base,
+// then the submit-scope options, then the executor injection, always
+// last. A session with no submit-scope options shares the pool's list.
+func (p *Pool) runtimeOptions(extra []core.Option) []core.Option {
+	if len(extra) == 0 {
+		return p.runtimeOpts
+	}
+	n := len(p.cfg.Runtime)
+	out := make([]core.Option, 0, len(p.runtimeOpts)+len(extra))
+	out = append(append(out, p.runtimeOpts[:n]...), extra...)
+	return append(out, p.runtimeOpts[n:]...)
+}
+
 // start hands a session holding a slot to the shared scheduler as one
 // job. Never called with p.mu held: Execute may start a worker.
 func (p *Pool) start(s *Session) {
-	p.exec.Execute(func() { p.runSession(s) })
+	p.exec.Execute((*sessionJob)(s))
+}
+
+// sessionJob is a Session as the scheduler sees it: its Run runs the
+// session. A distinct type keeps Run off Session's exported method set,
+// and the pointer conversion costs nothing.
+type sessionJob Session
+
+func (j *sessionJob) Run() {
+	s := (*Session)(j)
+	s.pool.runSession(s)
 }
 
 // dispatchLocked grants freed slots to waiting sessions in WDRR order and
@@ -396,12 +423,11 @@ func (p *Pool) runSession(s *Session) {
 	s.startedAt = time.Now()
 	p.queueWait.Observe(s.startedAt.Sub(s.queuedAt))
 	rt := core.NewRuntime(s.runtimeOpts...)
-	s.rt = rt
+	s.rt.Store(rt)
 	// RunContext waits for the session's task tree to unwind even after a
-	// cancellation, so the verdict, the runtime stats, and the tenant's
-	// scheduler accounting below are exact — no abandoned goroutine can
-	// mutate them later.
-	err := rt.RunContext(s.ctx, s.root)
+	// cancellation, so the verdict and the runtime stats below are exact —
+	// no abandoned goroutine can mutate them later.
+	err := rt.RunContext(s.ctx, s.main)
 	s.finishedAt = time.Now()
 	s.err = err
 	s.verdict = Classify(err)
@@ -535,9 +561,8 @@ type PoolStats struct {
 	// Shared-scheduler counters (sched.SchedStats). Spawned+Reused is
 	// the submission total; Thieves are cascade-spawned workers beyond
 	// those; Steals measures cross-worker load redistribution — a steal
-	// moves only the job, never its session attribution, because each
-	// session's sched.Tenant counters travel inside the submitted
-	// closure.
+	// moves only the job, never its session attribution, because a task
+	// is counted by its own session's runtime wherever it runs.
 	WorkersSpawned int64 `json:"workers_spawned"`
 	WorkersReused  int64 `json:"workers_reused"`
 	WorkerThieves  int64 `json:"worker_thieves"`

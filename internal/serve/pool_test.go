@@ -327,20 +327,101 @@ func TestSessionSchedStats(t *testing.T) {
 	if err := s.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	submitted, _ := s.SchedStats()
+	submitted, inflight := s.SchedStats()
 	// cleanProg runs the root plus four children through the executor.
 	if submitted != 5 {
-		t.Fatalf("tenant submitted %d tasks, want 5", submitted)
+		t.Fatalf("session submitted %d tasks, want 5", submitted)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if _, inflight := s.SchedStats(); inflight == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			_, inflight := s.SchedStats()
-			t.Fatalf("tenant inflight %d after session end, want 0", inflight)
-		}
-		time.Sleep(time.Millisecond)
+	// Every task has finished by the time Wait returns.
+	if inflight != 0 {
+		t.Fatalf("session inflight %d after Wait, want 0", inflight)
 	}
+}
+
+// TestNoopSessionAllocs pins what a session costs the serving layer: a
+// no-op Submit+Wait allocates the Session, its done channel, the Runtime
+// and the root Task, and nothing else — no options object, no option
+// list, no closure around the session job or its root.
+func TestNoopSessionAllocs(t *testing.T) {
+	pool := NewPool(Config{MaxSessions: 1, IdleTimeout: time.Hour})
+	defer pool.Close()
+	ctx := context.Background()
+	noop := func(*core.Task) error { return nil }
+	run := func() {
+		s, err := pool.Submit(ctx, "noop", noop)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 100; i++ {
+		run()
+	}
+	if got := testing.AllocsPerRun(1000, run); got > 4 {
+		t.Errorf("no-op session: %v allocs/op, want at most 4", got)
+	}
+}
+
+// TestSessionAccountingExactAcrossSteals: two sessions fan out skewed
+// bursts at once over one pool, one child at a time and as an AsyncBatch,
+// so the shared workers steal each other's queued tasks. A steal moves a
+// task, never its attribution: each session's runtime counts the tasks
+// it started and finished wherever they ran, so after Wait the session
+// reports exactly its own task count submitted and nothing in flight.
+func TestSessionAccountingExactAcrossSteals(t *testing.T) {
+	pool := NewPool(Config{MaxSessions: 2, IdleTimeout: time.Second})
+	defer pool.Close()
+	fan := func(n int) core.TaskFunc {
+		return func(root *core.Task) error {
+			ps := make([]*core.Promise[int], n)
+			specs := make([]core.SpawnSpec, n/2)
+			for i := range ps {
+				ps[i] = core.NewPromise[int](root)
+				p := ps[i]
+				body := func(c *core.Task) error { return p.Set(c, 1) }
+				if i < len(specs) {
+					specs[i] = core.SpawnSpec{Body: body, Moved: []core.Movable{p}}
+				} else if _, err := root.Async(body, p); err != nil {
+					return err
+				}
+			}
+			if _, err := root.AsyncBatch(specs); err != nil {
+				return err
+			}
+			for _, p := range ps {
+				if _, err := p.Get(root); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+	}
+	before := pool.Executor().SchedStats()
+	sizes := map[string]int{"a": 600, "b": 150}
+	sessions := map[string]*Session{}
+	for name, n := range sizes {
+		s, err := pool.Submit(t.Context(), name, fan(n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sessions[name] = s
+	}
+	for name, s := range sessions {
+		if err := s.Wait(); err != nil {
+			t.Fatalf("session %s: %v", name, err)
+		}
+		st, _ := s.Stats()
+		submitted, inflight := s.SchedStats()
+		if want := int64(sizes[name] + 1); submitted != want || st.Tasks != want {
+			t.Errorf("session %s: submitted %d, runtime ran %d; want %d (root + children)", name, submitted, st.Tasks, want)
+		}
+		if inflight != 0 {
+			t.Errorf("session %s: %d tasks in flight after Wait", name, inflight)
+		}
+	}
+	after := pool.Executor().SchedStats()
+	t.Logf("%d steals over %d submissions", after.Steals-before.Steals,
+		after.Spawned+after.Reused-before.Spawned-before.Reused)
 }

@@ -70,14 +70,28 @@ func TestOptionPrecedenceTable(t *testing.T) {
 
 	// Row 4: executor injection is last at either scope — a WithExecutor
 	// smuggled through Submit cannot detach the session from the shared
-	// scheduler (the session still lands in its sched.Tenant accounting).
+	// scheduler: the session's job and its one child both reach the pool.
 	ran := false
-	s = submit(p, WithRuntime(core.WithExecutor(func(fn func()) { ran = true; fn() })))
+	before := p.Executor().SchedStats()
+	s, err := p.Submit(t.Context(), "spawner", func(root *core.Task) error {
+		c, err := root.Async(func(*core.Task) error { return nil })
+		if err != nil {
+			return err
+		}
+		return c.Wait()
+	}, WithRuntime(core.WithExecutor(func(j core.Job) { ran = true; j.Run() })))
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	if err := s.Wait(); err != nil {
+		t.Fatal(err)
+	}
 	if ran {
 		t.Error("submit-scope WithExecutor overrode the pool's executor injection")
 	}
-	if sub, _ := s.SchedStats(); sub == 0 {
-		t.Error("session bypassed shared-scheduler accounting")
+	after := p.Executor().SchedStats()
+	if got := after.Spawned + after.Reused - before.Spawned - before.Reused; got != 2 {
+		t.Errorf("pool took %d submissions for the session and its child, want 2", got)
 	}
 	p.Close()
 }

@@ -3,10 +3,10 @@ package serve
 import (
 	"context"
 	"errors"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/sched"
 )
 
 // Verdict classifies how a session ended, folding the runtime's error
@@ -119,8 +119,9 @@ type Session struct {
 
 	main        core.TaskFunc
 	runtimeOpts []core.Option
-	rt          *core.Runtime
-	tenantAc    *sched.Tenant // shared-scheduler accounting view
+	// rt is published when the session job builds the runtime, so
+	// SchedStats can read its counters while the session runs.
+	rt atomic.Pointer[core.Runtime]
 
 	// Admission-queue state, guarded by Pool.mu: whether the session is
 	// waiting in its tenant's queue for a slot, and the stop func of its
@@ -137,16 +138,6 @@ type Session struct {
 	err     error
 	verdict Verdict
 	stats   core.Stats
-}
-
-// root is the session's root task: main, accounted on the session's
-// scheduler tenant like every task it spawns. The root runs on the
-// session's own job instead of passing through the tenant's Execute, so it
-// is accounted here, exactly when it runs — a session whose ctx ends
-// before its root starts has submitted nothing, as it has run nothing.
-func (s *Session) root(t *core.Task) (err error) {
-	s.tenantAc.Run(func() { err = s.main(t) })
-	return err
 }
 
 // ID returns the session's pool-unique identifier.
@@ -202,20 +193,26 @@ func (s *Session) Stats() (core.Stats, bool) {
 // TraceClose its sinks. Valid after Wait/Done.
 func (s *Session) Runtime() *core.Runtime {
 	<-s.done
-	return s.rt
+	return s.rt.Load()
 }
 
-// SchedStats reports the session's shared-scheduler accounting (its
-// sched.Tenant): tasks submitted to the pool in total and tasks currently
-// submitted-but-unfinished. Usable live — this is the per-session view a
-// server dashboards while the session runs; after Wait/Done inflight
-// trends to zero. Unlike the pre-completion Stats footgun, a live read
-// here is safe by construction: both figures are single atomic counters
-// on the tenant, not a struct snapshot racing the session job's final
-// write — though a mid-run read is, necessarily, already stale when it
-// returns.
+// SchedStats reports the session's tasks on the shared scheduler, from
+// its runtime's own counters: tasks started in total (the root, which
+// runs on the session's job, included) and tasks started but not yet
+// finished. Usable live — the per-session view a server dashboards while
+// the session runs — and race-free: the runtime pointer is published
+// atomically and both figures are atomic counters, read so that inflight
+// is never negative. A mid-run read is, necessarily, already stale when
+// it returns. Before the runtime exists both are zero; after Wait/Done
+// inflight is exactly zero, because RunContext returns only once every
+// task has finished.
 func (s *Session) SchedStats() (submitted, inflight int64) {
-	return s.tenantAc.Stats()
+	rt := s.rt.Load()
+	if rt == nil {
+		return 0, 0
+	}
+	st := rt.Stats()
+	return st.Tasks, st.Tasks - st.Finished
 }
 
 // QueueLatency is how long the session waited for admission before its
