@@ -154,8 +154,6 @@ var (
 	// AsyncBatch (pairs with WithExecutor; sched.Elastic.ExecuteBatch is
 	// the intended implementation).
 	WithBatchExecutor = core.WithBatchExecutor
-	// WithTracing enables Snapshot/DOT debugging.
-	WithTracing = core.WithTracing
 	// WithIdleWatch installs the whole-program quiescence comparator (§1).
 	WithIdleWatch = core.WithIdleWatch
 	// WithEventLog retains recent policy events for post-mortems.

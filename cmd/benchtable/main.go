@@ -1,7 +1,9 @@
 // Command benchtable regenerates Table 1 of the paper: for each of the
 // nine benchmarks it measures the unverified baseline and the fully
 // verified run (time and memory), the task total, and the get/set rates,
-// then prints the table with geometric-mean overheads.
+// then prints the table with geometric-mean overheads, followed by
+// Figure 1 (the same rows' mean times with 95% confidence intervals as
+// ASCII bars; -csv emits its columns for external plotting).
 //
 // Usage:
 //
@@ -412,4 +414,6 @@ func main() {
 	fmt.Printf("Table 1: verification overheads (scale=%s, mode=%s, detector=%s, tracking=%s, reps=%d, warmups=%d)\n\n",
 		*scaleFlag, *modeFlag, *detector, *tracking, opts.Reps, opts.Warmups)
 	fmt.Print(harness.RenderTable1(rows))
+	fmt.Println()
+	fmt.Print(harness.RenderFigure1(rows))
 }

@@ -15,8 +15,9 @@
 //	deadlock [-demo listing1|listing2|listing3|all] [-mode unverified|ownership|full]
 //	         [-dot] [-events] [-trace file]
 //
-// -dot prints a Graphviz snapshot of the ownership / waits-for graph taken
-// while the program is stuck (requires a hanging mode, i.e. not full).
+// -dot prints a Graphviz drawing of the ownership / waits-for graph
+// while the program is stuck (requires a hanging mode, i.e. not full),
+// replayed from the runtime's event log by trace.NewGraph.
 // -trace records each demo's events to a binary trace file (suffixed with
 // the demo name when running all) and prints the offline verifier's
 // verdict on it — the same check `tracecheck <file>` performs.
@@ -37,7 +38,7 @@ import (
 
 // runFrozen runs main with a demo deadline, abandoning — NOT cancelling —
 // the task tree if it hangs: the blocked tasks stay frozen so -dot can
-// snapshot the stuck state. RunDetached under a deadline ctx whose cause
+// draw the stuck state. RunDetached under a deadline ctx whose cause
 // is ErrTimeout, so report() classifies hangs as before.
 func runFrozen(rt *core.Runtime, d time.Duration, main core.TaskFunc) error {
 	ctx, cancel := context.WithTimeoutCause(context.Background(), d, core.ErrTimeout)
@@ -110,10 +111,11 @@ func demoTracePath() string {
 }
 
 // newRT builds a demo runtime honoring the -dot, -events and -trace
-// flags.
+// flags. -dot and -events share the event log; it is unstaged, so it
+// holds every event as it happens, a bystander's start included.
 func newRT(mode core.Mode, dot bool) *core.Runtime {
-	opts := []core.Option{core.WithMode(mode), core.WithTracing(dot)}
-	if printEvents {
+	opts := []core.Option{core.WithMode(mode)}
+	if printEvents || dot {
 		opts = append(opts, core.WithEventLog(256))
 	}
 	if tracePath != "" {
@@ -208,7 +210,7 @@ func listing1(mode core.Mode, dot bool) {
 		return p.Set(root, 0)
 	})
 	if dot && errors.Is(err, core.ErrTimeout) {
-		fmt.Println(rt.DOT())
+		fmt.Println(trace.NewGraph(rt.Events()).DOT())
 	}
 	// The bystander is released only after report() — which closes the
 	// trace — so its wakeup does not emit into a closing collector and

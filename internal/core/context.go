@@ -21,7 +21,7 @@ package core
 //     parked, and whichever ends first aborts the wait.
 //   - RunDetached(ctx, main) is the comparator/demo variant: when ctx
 //     ends first it returns WITHOUT cancelling, leaving the task tree
-//     frozen (blocked tasks stay blocked) so hangs can be snapshotted.
+//     frozen (blocked tasks stay blocked) so hangs can be drawn.
 //     This is the historical RunWithTimeout contract.
 //
 // Cancellation is NOT an alarm. It proves nothing about the program —
@@ -112,8 +112,8 @@ func (r *Runtime) RunContext(ctx context.Context, main TaskFunc) error {
 // first: it returns the scope's cause joined with the errors recorded so
 // far, leaving the task tree exactly as it stands. Blocked tasks stay
 // blocked and their goroutines are abandoned (they cannot be killed), so
-// a hang under the weaker modes can be snapshotted (Runtime.Snapshot /
-// DOT) or simply demonstrated. This is the comparator the §1 timeout
+// a hang under the weaker modes can be drawn from the event log
+// (trace.NewGraph over Runtime.Events) or simply demonstrated. This is the comparator the §1 timeout
 // discussion needs: an inconclusive deadline, not detection — and not
 // cancellation either, which would destroy the very evidence of the hang.
 //

@@ -25,11 +25,22 @@ func TestDetectorEnvDefault(t *testing.T) {
 		t.Fatalf("unknown env value must fall back to lockfree, got %v", got)
 	}
 
-	// The env-selected global-lock detector must actually be wired up
-	// (Full mode allocates the comparator's state).
+	// The env-selected global-lock detector must actually be wired up:
+	// a self-wait in Full mode goes through the comparator's graph, which
+	// makes its map on that first wait.
 	t.Setenv("DEADLOCK_DETECTOR", "globallock")
 	rt := NewRuntime(WithMode(Full))
-	if rt.gdet == nil {
-		t.Fatal("global detector state not allocated for env-selected globallock")
+	err := rt.Run(func(root *Task) error {
+		p := NewPromise[int](root)
+		if _, err := p.Get(root); err == nil {
+			t.Error("self-wait not reported as a deadlock")
+		}
+		return p.Set(root, 0)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rt.gdet.waiting == nil {
+		t.Fatal("the wait never reached the global detector for env-selected globallock")
 	}
 }

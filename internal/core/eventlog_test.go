@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/trace"
 )
@@ -106,8 +107,14 @@ func TestEventLogRingBounds(t *testing.T) {
 		t.Fatal(err)
 	}
 	evs := rt.Events()
-	if len(evs) != 8 {
-		t.Fatalf("retained %d events, want 8", len(evs))
+	if len(evs) != 1+8 {
+		t.Fatalf("retained %d events, want a gap record and 8", len(evs))
+	}
+	// The window leads with one gap record counting the trimmed events:
+	// Seq numbers run 1..N with no holes, so N-8 were trimmed.
+	last := evs[len(evs)-1]
+	if g := evs[0]; g.Kind != trace.KindGap || g.Arg != last.Seq-8 {
+		t.Fatalf("window leads with %v (arg %d), want a gap of %d", g.Kind, g.Arg, last.Seq-8)
 	}
 	// The retained suffix must be the most recent events: the run-end
 	// marker, preceded by the root's task-end.
@@ -173,15 +180,82 @@ func TestEventLogLastCapacityWins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(rt.Events()); got != 8 {
-		t.Fatalf("retained %d events, want the later option's 8", got)
+	evs := rt.Events()
+	if got := len(evs); got != 1+8 {
+		t.Fatalf("retained %d events, want a gap record and the later option's 8", got)
+	}
+	if g, last := evs[0], evs[len(evs)-1]; g.Kind != trace.KindGap || g.Arg != last.Seq-8 {
+		t.Fatalf("window leads with %v (arg %d), want a gap of %d", g.Kind, g.Arg, last.Seq-8)
+	}
+}
+
+// TestEventGraphShowsWaitingEdge polls the graph replayed from the
+// event log while a task is blocked, in Ownership mode: the waits-for
+// edge comes from the block record, so it shows in every mode that
+// records one, not only where a detector publishes it.
+func TestEventGraphShowsWaitingEdge(t *testing.T) {
+	rt := NewRuntime(WithMode(Ownership), WithEventLog(0))
+	waitStarted := make(chan struct{})
+	checked := make(chan struct{})
+	go func() {
+		defer close(checked)
+		<-waitStarted
+		deadline := time.Now().Add(5 * time.Second)
+		for time.Now().Before(deadline) {
+			if strings.Contains(trace.NewGraph(rt.Events()).DOT(), `"waiter" -> "gate";`) {
+				return
+			}
+			time.Sleep(time.Millisecond)
+		}
+		t.Errorf("waits-for edge never appeared:\n%s", trace.NewGraph(rt.Events()).DOT())
+	}()
+	err := run(t, rt, func(tk *Task) error {
+		gate := NewPromiseNamed[int](tk, "gate")
+		if _, e := tk.AsyncNamed("waiter", func(c *Task) error {
+			close(waitStarted)
+			_, e := gate.Get(c)
+			return e
+		}); e != nil {
+			return e
+		}
+		<-checked
+		return gate.Set(tk, 1)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestEventGraphShowsOwnedPromise: mid-run, the replayed graph draws the
+// root's unfulfilled promise as owned by it; once the run ends, no task
+// or promise is left in it.
+func TestEventGraphShowsOwnedPromise(t *testing.T) {
+	rt := NewRuntime(WithEventLog(0))
+	var mid string
+	err := run(t, rt, func(tk *Task) error {
+		p := NewPromiseNamed[int](tk, "held")
+		mid = trace.NewGraph(rt.Events()).DOT()
+		return p.Set(tk, 1)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{`"main" [shape=box];`, `"held" -> "main" [style=dashed];`} {
+		if !strings.Contains(mid, want) {
+			t.Errorf("mid-run DOT lacks %s:\n%s", want, mid)
+		}
+	}
+	if end, want := trace.NewGraph(rt.Events()).DOT(), "digraph promises {\n  rankdir=LR;\n}\n"; end != want {
+		t.Errorf("DOT after the run:\n%s\nwant:\n%s", end, want)
 	}
 }
 
 // TestEventLogNeverDrops asserts that concurrent emission from many
-// tasks loses nothing: zero events dropped and no gap record.
+// tasks loses nothing: zero events dropped, no gap record, and every
+// sequence number present. The window holds the whole run (about 20k
+// events), so the sink trims nothing either.
 func TestEventLogNeverDrops(t *testing.T) {
-	rt := NewRuntime(WithEventLog(0))
+	rt := NewRuntime(WithEventLog(1 << 16))
 	const workers, perWorker = 8, 1200
 	err := run(t, rt, func(tk *Task) error {
 		ps := make([]*Promise[int], workers)
@@ -217,9 +291,13 @@ func TestEventLogNeverDrops(t *testing.T) {
 		t.Fatalf("EventsDropped = %d, want 0", d)
 	}
 	// No gap records may appear in a drop-free stream.
-	for _, e := range rt.Events() {
+	evs := rt.Events()
+	for i, e := range evs {
 		if e.Kind == trace.KindGap {
 			t.Fatalf("gap record in a drop-free trace: %v", e)
+		}
+		if e.Seq != uint64(i+1) {
+			t.Fatalf("event %d has Seq %d: the stream has a hole", i, e.Seq)
 		}
 	}
 }

@@ -9,13 +9,12 @@ import "sync"
 // through the mutex both when it starts waiting and when it stops, which
 // is exactly the serialization bottleneck the paper's lock-free Algorithm
 // 2 avoids. The benchmark suite quantifies the difference.
+//
+// It lives in the Runtime by value and makes its map on the first wait,
+// so a runtime that never blocks allocates nothing for it.
 type globalDetector struct {
 	mu      sync.Mutex
 	waiting map[*Task]*pstate
-}
-
-func newGlobalDetector() *globalDetector {
-	return &globalDetector{waiting: make(map[*Task]*pstate)}
 }
 
 // beforeWait registers the edge t -> s and checks the graph for a cycle
@@ -30,10 +29,16 @@ func (g *globalDetector) beforeWait(t *Task, s *pstate) error {
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
+	if g.waiting == nil {
+		g.waiting = make(map[*Task]*pstate)
+	}
 	g.waiting[t] = s
-	// The cycle check below walks the locked map, but diagnostics (the
-	// Snapshot waits-for edges) read Task.waitingOn; publish the edge there
-	// too so tooling sees the same picture under either detector.
+	// The cycle check below walks the locked map, but Task.waitingOn is
+	// the edge the rest of core reads (TestRequirement3Ordering polls it
+	// under DEADLOCK_DETECTOR=globallock, and the wrong-handle check of
+	// ROADMAP item 3 will refuse a handle whose edge is set); publish the
+	// edge there too so those readers see the same picture under either
+	// detector.
 	t.waitingOn.Store(s)
 	cur := s
 	for {

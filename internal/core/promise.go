@@ -86,7 +86,7 @@ func (s *pstate) displayLabel() string {
 
 // AnyPromise is the payload-independent view of a promise. Every
 // *Promise[T] implements it; the Movable interface and all diagnostics
-// (omitted-set blame, deadlock cycles, snapshots) are expressed in terms
+// (omitted-set blame, deadlock cycles) are expressed in terms
 // of AnyPromise.
 type AnyPromise interface {
 	// ID returns the promise's unique identifier within its runtime.
@@ -129,7 +129,7 @@ func NewPromise[T any](t *Task) *Promise[T] {
 }
 
 // NewPromiseNamed allocates a promise owned by task t with a diagnostic
-// label used in error messages and snapshots. The empty label selects the
+// label used in error messages and event logs. The empty label selects the
 // default "promise-<id>", rendered lazily.
 func NewPromiseNamed[T any](t *Task, label string) *Promise[T] {
 	r := t.rt
@@ -144,9 +144,6 @@ func NewPromiseNamed[T any](t *Task, label string) *Promise[T] {
 	if r.mode >= Ownership {
 		p.s.owner.Store(t)
 		t.noteOwned(p)
-	}
-	if r.registry != nil {
-		r.registry.addPromise(p)
 	}
 	if r.events != nil {
 		r.logEvent(EvNewPromise, t, &p.s, "")
@@ -471,18 +468,12 @@ func (p *Promise[T]) beginSet(t *Task) error {
 		// momentarily.
 		s.owner.Store(nil)
 		t.noteDischarged(p)
-		if r.registry != nil {
-			r.registry.removePromise(s.id)
-		}
 		return nil
 	}
 	if !s.claim() {
 		err := &DoubleSetError{TaskID: t.id, TaskName: t.displayName(), PromiseID: s.id, PromiseLabel: s.displayLabel()}
 		r.alarm(err)
 		return err
-	}
-	if r.registry != nil {
-		r.registry.removePromise(s.id)
 	}
 	return nil
 }

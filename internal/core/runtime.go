@@ -155,21 +155,6 @@ func WithIdleWatch(onQuiescent func(liveTasks int)) Option {
 	return func(r *Runtime) { r.idle = newIdleWatch(onQuiescent) }
 }
 
-// WithTracing enables the live task/promise registry used by Snapshot and
-// DOT export. It takes a global lock on creation/termination paths, so it
-// is a debugging aid, not for benchmarking. (For event tracing, see
-// WithEventLog and TraceTo, which take no registry lock; TraceTo stages
-// events per task and delivers them in batches.)
-func WithTracing(on bool) Option {
-	return func(r *Runtime) {
-		if on {
-			r.registry = newTraceRegistry()
-		} else {
-			r.registry = nil
-		}
-	}
-}
-
 // Stats are cumulative event counts for a runtime.
 type Stats struct {
 	Tasks    int64 // tasks started, the root included (always counted)
@@ -194,8 +179,7 @@ type Runtime struct {
 	onAlarm     func(error)
 	exec        func(Job) // nil selects the built-in goroutine-per-task start
 	execBatch   func([]Job)
-	registry    *traceRegistry
-	gdet        *globalDetector
+	gdet        globalDetector // used only when mode == Full && detector == DetectGlobalLock
 	idle        *idleWatch
 	events      *tracer
 
@@ -257,9 +241,6 @@ func NewRuntime(opts ...Option) *Runtime {
 	}
 	for _, o := range opts {
 		o(r)
-	}
-	if r.mode == Full && r.detector == DetectGlobalLock {
-		r.gdet = newGlobalDetector()
 	}
 	if r.events != nil {
 		r.startTracer()

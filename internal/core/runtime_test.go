@@ -320,90 +320,6 @@ func TestTaskWaitReturnsError(t *testing.T) {
 	}
 }
 
-func TestSnapshotDisabledByDefault(t *testing.T) {
-	rt := NewRuntime()
-	if rt.Snapshot() != nil || rt.DOT() != "" {
-		t.Fatal("snapshot available without tracing")
-	}
-}
-
-func TestSnapshotAndDOT(t *testing.T) {
-	rt := NewRuntime(WithTracing(true))
-	holding := make(chan struct{})
-	release := make(chan struct{})
-	go func() {
-		<-holding
-		snap := rt.Snapshot()
-		var found bool
-		for _, n := range snap {
-			if n.TaskName == "main" {
-				for _, lbl := range n.Owned {
-					if lbl == "held" {
-						found = true
-					}
-				}
-			}
-		}
-		if !found {
-			t.Error("snapshot missing owned promise 'held'")
-		}
-		dot := rt.DOT()
-		if !strings.Contains(dot, "digraph") || !strings.Contains(dot, "held") {
-			t.Errorf("bad DOT output: %s", dot)
-		}
-		close(release)
-	}()
-	err := run(t, rt, func(tk *Task) error {
-		p := NewPromiseNamed[int](tk, "held")
-		close(holding)
-		<-release
-		return p.Set(tk, 1)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rt.Snapshot()) != 0 {
-		t.Fatal("snapshot not empty after completion")
-	}
-}
-
-func TestSnapshotShowsWaitingEdge(t *testing.T) {
-	rt := NewRuntime(WithTracing(true))
-	waitStarted := make(chan struct{})
-	checked := make(chan struct{})
-	go func() {
-		<-waitStarted
-		// Give the getter a moment to publish its edge and block.
-		deadline := time.Now().Add(5 * time.Second)
-		for time.Now().Before(deadline) {
-			for _, n := range rt.Snapshot() {
-				if n.TaskName == "waiter" && n.WaitingLabel == "gate" {
-					close(checked)
-					return
-				}
-			}
-			time.Sleep(time.Millisecond)
-		}
-		t.Error("waits-for edge never appeared in snapshot")
-		close(checked)
-	}()
-	err := run(t, rt, func(tk *Task) error {
-		gate := NewPromiseNamed[int](tk, "gate")
-		if _, e := tk.AsyncNamed("waiter", func(c *Task) error {
-			close(waitStarted)
-			_, e := gate.Get(c)
-			return e
-		}); e != nil {
-			return e
-		}
-		<-checked
-		return gate.Set(tk, 1)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestErrorStringsAreDescriptive(t *testing.T) {
 	oe := &OwnershipError{Op: "set", TaskName: "t1", PromiseLabel: "p", OwnerID: 2, OwnerName: "t2"}
 	if !strings.Contains(oe.Error(), "t1") || !strings.Contains(oe.Error(), "t2") {

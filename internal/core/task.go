@@ -347,11 +347,7 @@ func invokeTask(f TaskFunc, t *Task) (err error) {
 
 // newTask allocates a task handle.
 func (r *Runtime) newTask(name string, parent *Task) *Task {
-	t := &Task{rt: r, id: r.nextTask.Add(1), name: name, parent: parent}
-	if r.registry != nil {
-		r.registry.addTask(t)
-	}
-	return t
+	return &Task{rt: r, id: r.nextTask.Add(1), name: name, parent: parent}
 }
 
 // startTask opens the task's accounting, stores its body in it, and
@@ -429,9 +425,6 @@ func (r *Runtime) runTask(t *Task, f TaskFunc) {
 		r.flushStageIfStaged(t)
 	}
 	t.done.signal()
-	if r.registry != nil {
-		r.registry.removeTask(t.id)
-	}
 	if err != nil {
 		r.record(err)
 	}
@@ -472,9 +465,6 @@ func (r *Runtime) finishTask(t *Task, err error) error {
 				r.logEvent(EvSetError, t, s, "cascade")
 			}
 			s.publish()
-		}
-		if r.registry != nil {
-			r.registry.removePromise(s.id)
 		}
 	}
 	return joinErrs(err, om)

@@ -174,7 +174,8 @@ func TestInflightSessionsHoldNoGoroutine(t *testing.T) {
 // collector now back-pressures, so nothing may be dropped. Every
 // returned event log must be its session's retained window, rendered.
 // Sieve small emits about 100k events, so only the tail of its trace is
-// retained (TraceCap 4096) and it cannot be checked offline; Sieve over
+// retained (TraceCap 4096), behind one gap record counting the rest, and
+// trace.Verify must call it incomplete rather than invalid; Sieve over
 // 200 numbers (about 3k events) is retained whole, and its trace must
 // pass trace.Verify.
 func TestTracedSieveOverFront(t *testing.T) {
@@ -239,8 +240,15 @@ func TestTracedSieveOverFront(t *testing.T) {
 		for _, rt := range rts {
 			evs := rt.Events()
 			if name == "Sieve" {
-				if len(evs) != defaultTraceCap {
-					t.Fatalf("Sieve small retained %d events, want a full window of %d", len(evs), defaultTraceCap)
+				if len(evs) != 1+defaultTraceCap {
+					t.Fatalf("Sieve small retained %d events, want a gap record and a full window of %d", len(evs), defaultTraceCap)
+				}
+				// Seq numbers run 1..N with no holes, so N-cap were trimmed.
+				if g, last := evs[0], evs[len(evs)-1]; g.Kind != trace.KindGap || g.Arg != last.Seq-defaultTraceCap {
+					t.Fatalf("Sieve small window leads with %v (arg %d), want a gap of %d", g.Kind, g.Arg, last.Seq-defaultTraceCap)
+				}
+				if r := trace.Verify(evs); r.Complete || len(r.Problems) != 1 || !strings.Contains(r.Problems[0], "replay checks skipped") {
+					t.Fatalf("Sieve small window: %s %q, want INCOMPLETE with replay checks skipped", r.Summary(), r.Problems)
 				}
 			} else if r := trace.Verify(evs); !r.Clean() || !r.Consistent() {
 				t.Fatalf("%s trace fails verification: %s", name, r.Summary())

@@ -101,7 +101,7 @@ func TestConcurrentEmitWithFlushes(t *testing.T) {
 }
 
 // TestMemSinkRetention checks the bounded MemSink keeps exactly the most
-// recent events by Seq.
+// recent events by Seq, behind one gap record counting the rest.
 func TestMemSinkRetention(t *testing.T) {
 	mem := NewMemSink(8)
 	c := New(mem)
@@ -112,10 +112,13 @@ func TestMemSinkRetention(t *testing.T) {
 		t.Fatal(err)
 	}
 	evs := mem.Snapshot()
-	if len(evs) != 8 {
-		t.Fatalf("retained %d events, want 8", len(evs))
+	if len(evs) != 1+8 {
+		t.Fatalf("retained %d events, want a gap record and 8", len(evs))
 	}
-	for i, e := range evs {
+	if g := evs[0]; g.Kind != KindGap || g.Seq != 0 || g.Arg != 1000-8 {
+		t.Fatalf("window leads with %+v, want a Seq-0 gap of %d", g, 1000-8)
+	}
+	for i, e := range evs[1:] {
 		if want := uint64(1000 - 8 + i + 1); e.PromiseID != want {
 			t.Fatalf("retained[%d] = promise %d, want %d", i, e.PromiseID, want)
 		}

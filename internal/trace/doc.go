@@ -2,7 +2,7 @@
 // a compact binary trace format, and an offline verifier that re-derives
 // the detector's verdict from the trace alone.
 //
-// Three pieces cooperate:
+// Four pieces cooperate:
 //
 //   - Collector (collector.go): stamps each event with a global
 //     sequence number and delivers it to the sinks under one mutex. The
@@ -14,7 +14,8 @@
 //
 //   - Binary format (encode.go, sink.go): events are varint-packed
 //     records behind a Sink interface. MemSink retains events in memory
-//     (optionally bounded, for the runtime's post-mortem event log),
+//     (optionally bounded, for the runtime's post-mortem event log; a
+//     trimmed window leads with a gap record),
 //     WriterSink/FileSink stream the binary encoding. Records carry the
 //     global sequence number assigned at emission, so total order is a
 //     property of the Seq field, not of byte order: batches arrive
@@ -28,6 +29,11 @@
 //     unfulfilled promises and must precede that task's KindTaskEnd —
 //     and that clean terminated runs are cycle-free and fully unwound.
 //     cmd/tracecheck is the command-line entry point.
+//
+//   - Waits-for graph (graph.go): Graph is the replay state Verify
+//     judges — owners, waits, live tasks. NewGraph replays a stream
+//     without the checks and DOT draws it, so cmd/deadlock -dot shows
+//     the graph the verifier sees.
 //
 // The package deliberately does not import internal/core: core depends
 // on trace (it emits events through a Collector), and the verifier

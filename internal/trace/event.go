@@ -22,10 +22,11 @@ const (
 	KindTaskEnd
 	KindAlarm
 	// KindGap marks a hole in the stream: Arg events were dropped. The
-	// Collector drops no event before Close and never writes it; the
-	// kind stays because trace files from earlier, lossy collectors may
-	// contain it. A trace containing gaps is complete in order but not
-	// in content; the verifier reports it as best-effort.
+	// Collector drops no event before Close and never writes it; a
+	// bounded MemSink leads a trimmed window with one (Seq 0), and trace
+	// files from earlier, lossy collectors may contain it. A stream
+	// containing gaps is complete in order but not in content; the
+	// verifier reports it as best-effort and Graph as partial.
 	KindGap
 	// KindMeta is free-form stream metadata (Detail), e.g. the runtime
 	// configuration ("mode=full detector=lockfree tracking=list") or a

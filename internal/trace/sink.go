@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"fmt"
 	"io"
 	"os"
 	"sync"
@@ -22,9 +23,10 @@ type Sink interface {
 // the most recent (by Seq) limit events — the retention policy of the
 // runtime's post-mortem event log. The zero limit retains everything.
 type MemSink struct {
-	mu    sync.Mutex
-	limit int
-	evs   []Event
+	mu      sync.Mutex
+	limit   int
+	evs     []Event
+	trimmed uint64 // events dropped to keep the window at limit
 }
 
 // NewMemSink creates a MemSink retaining at most limit events (0 = all).
@@ -44,24 +46,31 @@ func (m *MemSink) WriteEvents(batch []Event) error {
 // trimLocked sorts and keeps the most recent limit events.
 func (m *MemSink) trimLocked() {
 	SortBySeq(m.evs)
-	m.evs = append(m.evs[:0], m.evs[len(m.evs)-m.limit:]...)
+	n := len(m.evs) - m.limit
+	m.trimmed += uint64(n)
+	m.evs = append(m.evs[:0], m.evs[n:]...)
 }
 
 // Close implements Sink; a MemSink has nothing to release.
 func (m *MemSink) Close() error { return nil }
 
 // Snapshot returns the retained events in total (Seq) order, bounded by
-// the sink's limit.
+// the sink's limit. Once the sink has trimmed older events, one KindGap
+// record (Seq 0, Arg = events trimmed) leads the window, so Verify
+// reports it incomplete and NewGraph partial instead of reading the
+// missing prefix as a broken run.
 func (m *MemSink) Snapshot() []Event {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	SortBySeq(m.evs)
 	if m.limit > 0 && len(m.evs) > m.limit {
-		m.evs = append(m.evs[:0], m.evs[len(m.evs)-m.limit:]...)
+		m.trimLocked()
 	}
-	out := make([]Event, len(m.evs))
-	copy(out, m.evs)
-	return out
+	out := make([]Event, 0, len(m.evs)+1)
+	if m.trimmed > 0 {
+		out = append(out, Event{Kind: KindGap, Arg: m.trimmed, Detail: fmt.Sprintf("%d earlier event(s) trimmed", m.trimmed)})
+	}
+	return append(out, m.evs...)
 }
 
 // WriterSink streams the binary trace encoding to an io.Writer. The

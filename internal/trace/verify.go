@@ -81,30 +81,17 @@ func (r *Report) Summary() string {
 // not produce an unbounded problem list.
 const maxProblems = 64
 
-// verifier is the replay state machine.
+// verifier is the replay state machine: the replayed Graph plus the
+// state only its checks need.
 type verifier struct {
+	Graph
 	rep Report
 
-	// Reconstructed runtime state, keyed by IDs from the trace.
-	owner     map[uint64]uint64          // promise -> owning task (0 = none)
-	fulfilled map[uint64]bool            // promise -> set
-	created   map[uint64]bool            // promise ever seen
-	ownedBy   map[uint64]map[uint64]bool // task -> unfulfilled owned promises
-	waiting   map[uint64]uint64          // task -> promise (policy-checked Get)
-	// timedWait tracks blocks with detail "timed" — the PRE-ctx-redesign
-	// timed wait (the since-removed GetTimeout), which left no detector
-	// edge. Current runtimes emit no such records (a bounded wait is a
-	// deadline ctx over GetContext: it blocks like any policy-checked
-	// wait and closes with a "cancel" wake); the branch remains so
-	// traces recorded before the redesign still verify.
-	timedWait map[uint64]uint64 // task -> promise (legacy timed wait)
-	started   map[uint64]bool
-	ended     map[uint64]bool
+	fulfilled map[uint64]bool // promise -> set
+	created   map[uint64]bool // promise ever seen
 	// pendingOmitted marks tasks blamed by an omitted-set alarm whose
 	// KindTaskEnd has not arrived yet: blame must precede the end record.
 	pendingOmitted map[uint64]bool
-
-	enforced bool // ownership policy active (mode != unverified)
 }
 
 // Verify replays a Seq-sorted event stream (SortBySeq is applied
@@ -121,22 +108,12 @@ type verifier struct {
 // strictly re-derived from the stream.
 func Verify(evs []Event) *Report {
 	v := &verifier{
-		owner:          map[uint64]uint64{},
+		Graph:          newGraph(),
 		fulfilled:      map[uint64]bool{},
 		created:        map[uint64]bool{},
-		ownedBy:        map[uint64]map[uint64]bool{},
-		waiting:        map[uint64]uint64{},
-		timedWait:      map[uint64]uint64{},
-		started:        map[uint64]bool{},
-		ended:          map[uint64]bool{},
 		pendingOmitted: map[uint64]bool{},
 	}
-	v.rep.Complete = true
-	v.enforced = true // assume policy active until a meta record says otherwise
-
-	sorted := make([]Event, len(evs))
-	copy(sorted, evs)
-	SortBySeq(sorted)
+	sorted := sortedCopy(evs)
 	v.rep.Events = len(sorted)
 
 	var lastSeq uint64
@@ -148,7 +125,8 @@ func Verify(evs []Event) *Report {
 			}
 			lastSeq = e.Seq
 		}
-		v.step(e)
+		v.check(e)
+		v.apply(e)
 	}
 	v.finish()
 	return &v.rep
@@ -165,7 +143,8 @@ func (v *verifier) problem(e *Event, format string, args ...any) {
 	v.rep.Problems = append(v.rep.Problems, where+fmt.Sprintf(format, args...))
 }
 
-func (v *verifier) step(e *Event) {
+// check judges e against the graph as it stands before e is applied.
+func (v *verifier) check(e *Event) {
 	switch e.Kind {
 	case KindMeta:
 		v.rep.Meta = append(v.rep.Meta, e.Detail)
@@ -173,17 +152,11 @@ func (v *verifier) step(e *Event) {
 	case KindRunEnd:
 		v.rep.Terminated = true
 		v.rep.TaskErrors = e.Arg
-	case KindGap:
-		v.rep.Complete = false
-		v.rep.Dropped += e.Arg
 	case KindNewPromise:
 		if v.created[e.PromiseID] {
 			v.problem(e, "promise %d created twice", e.PromiseID)
 		}
 		v.created[e.PromiseID] = true
-		if v.enforced {
-			v.setOwner(e.PromiseID, e.TaskID)
-		}
 	case KindMove:
 		if !v.enforced {
 			return
@@ -195,7 +168,6 @@ func (v *verifier) step(e *Event) {
 		if got := v.owner[e.PromiseID]; got != e.TaskID {
 			v.problem(e, "task %d moved promise %d owned by task %d", e.TaskID, e.PromiseID, got)
 		}
-		v.setOwner(e.PromiseID, e.Arg)
 	case KindSet, KindSetError:
 		if v.fulfilled[e.PromiseID] {
 			v.problem(e, "promise %d fulfilled twice", e.PromiseID)
@@ -206,29 +178,20 @@ func (v *verifier) step(e *Event) {
 			}
 		}
 		v.fulfilled[e.PromiseID] = true
-		v.setOwner(e.PromiseID, 0)
 	case KindBlock:
 		if p, ok := v.waiting[e.TaskID]; ok {
 			v.problem(e, "task %d blocked on promise %d while already blocked on %d", e.TaskID, e.PromiseID, p)
 		}
-		if e.Detail == "timed" {
-			v.timedWait[e.TaskID] = e.PromiseID
-		} else {
-			v.waiting[e.TaskID] = e.PromiseID
-		}
 	case KindWake:
 		if p, ok := v.timedWait[e.TaskID]; ok && p == e.PromiseID {
-			delete(v.timedWait, e.TaskID)
 			// A legacy timed wait may end by fulfilment or by its deadline
 			// ("timeout"); neither implies anything about the graph.
 			return
 		}
-		p, ok := v.waiting[e.TaskID]
-		if !ok || p != e.PromiseID {
+		if p, ok := v.waiting[e.TaskID]; !ok || p != e.PromiseID {
 			v.problem(e, "task %d woke on promise %d without a matching block", e.TaskID, e.PromiseID)
 			return
 		}
-		delete(v.waiting, e.TaskID)
 		switch e.Detail {
 		case "":
 			if !v.fulfilled[e.PromiseID] {
@@ -249,7 +212,6 @@ func (v *verifier) step(e *Event) {
 		if v.started[e.TaskID] {
 			v.problem(e, "task %d started twice", e.TaskID)
 		}
-		v.started[e.TaskID] = true
 	case KindTaskEnd:
 		if !v.started[e.TaskID] {
 			v.problem(e, "task %d ended without starting", e.TaskID)
@@ -265,7 +227,6 @@ func (v *verifier) step(e *Event) {
 				e.TaskID, len(v.ownedBy[e.TaskID]))
 		}
 		delete(v.pendingOmitted, e.TaskID)
-		v.ended[e.TaskID] = true
 	case KindAlarm:
 		v.alarm(e)
 	}
@@ -347,6 +308,8 @@ func (v *verifier) checkCycle(e *Event, want int) (int, bool) {
 }
 
 func (v *verifier) finish() {
+	v.rep.Complete = !v.Partial()
+	v.rep.Dropped = v.dropped
 	if !v.rep.Complete {
 		// Best-effort on gappy traces: state reconstruction is unsound
 		// once events are missing, so replay problems would be noise.
@@ -371,39 +334,16 @@ func (v *verifier) finish() {
 	}
 }
 
-func (v *verifier) setOwner(p, t uint64) {
-	if old := v.owner[p]; old != 0 {
-		delete(v.ownedBy[old], p)
-	}
-	if t == 0 {
-		delete(v.owner, p)
-		return
-	}
-	v.owner[p] = t
-	m := v.ownedBy[t]
-	if m == nil {
-		m = map[uint64]bool{}
-		v.ownedBy[t] = m
-	}
-	m[p] = true
-}
-
 // parseMeta picks the runtime configuration out of a meta record of the
 // form "mode=<m> detector=<d> tracking=<t>".
 func (v *verifier) parseMeta(s string) {
-	for _, f := range strings.Fields(s) {
-		k, val, ok := strings.Cut(f, "=")
-		if !ok {
-			continue
-		}
-		switch k {
-		case "mode":
-			v.rep.Mode = val
-			v.enforced = val != "unverified"
-		case "detector":
-			v.rep.Detector = val
-		case "tracking":
-			v.rep.Tracking = val
-		}
+	if val, ok := metaValue(s, "mode"); ok {
+		v.rep.Mode = val
+	}
+	if val, ok := metaValue(s, "detector"); ok {
+		v.rep.Detector = val
+	}
+	if val, ok := metaValue(s, "tracking"); ok {
+		v.rep.Tracking = val
 	}
 }

@@ -2,8 +2,8 @@
 // evaluation (§6.3) — plus MicroFan, the repository's own fan-out-heavy
 // spawn-floor probe, and the PPSim/PPG graph workload families (which
 // also come in session-graph form via their BuildGraph constructors) —
-// so the harness, the benchtable/figure1 commands, and the testing.B
-// benches all draw from one list.
+// so the harness, the benchtable command, and the testing.B benches all
+// draw from one list.
 package workloads
 
 import (
