@@ -320,15 +320,15 @@ func BenchmarkMicro_SpawnNoMove(b *testing.B) {
 // iteration through ONE Task.AsyncBatch call and joins through their
 // promises; reported ns/op is per BATCH — divide by 64 to compare with
 // the per-spawn rows (BENCH_table1.json's "spawn-batch" row is already
-// amortized). The freelist variant amortizes only the submission
-// bookkeeping (one lock round for the whole batch); the elastic variant
-// additionally drains batch children back-to-back from a worker's deque
-// with no park/wake between them, which is where batching beats the
-// per-spawn context-switch floor — that configuration is the tracked
-// one.
+// amortized). The go variant (default executor) amortizes only the
+// accounting and ownership bookkeeping and still starts one goroutine
+// per child; the elastic variant additionally drains batch children
+// back-to-back from a worker's deque with no park/wake between them,
+// which is where batching beats the per-spawn context-switch floor —
+// that configuration is the tracked one.
 func BenchmarkMicro_SpawnBatch(b *testing.B) {
 	for _, mode := range []core.Mode{core.Unverified, core.Full} {
-		b.Run(mode.String()+"/freelist", func(b *testing.B) {
+		b.Run(mode.String()+"/go", func(b *testing.B) {
 			benchFixture(b, harness.SpawnBatchFixture, core.WithMode(mode))
 		})
 		b.Run(mode.String()+"/elastic", func(b *testing.B) {
@@ -340,26 +340,27 @@ func BenchmarkMicro_SpawnBatch(b *testing.B) {
 	}
 }
 
-// TestSpawnPathAllocs pins the spawn path's allocation budget after the
-// hot-path overhaul (DESIGN.md): a default spawn with one moved promise,
-// joined through that promise, allocates exactly four objects under the
-// policy modes — the promise, the user's body closure, the task block,
-// and the child's owned-list seed (deliberately its own small heap
-// object; see Task.owned) — and three under Unverified, which tracks no
-// ownership. The goroutine itself comes from the runtime's spawn
-// freelist and the move path materializes no intermediate slices. A join
+// TestSpawnPathAllocs pins the spawn path's allocation budget (DESIGN.md,
+// "The spawn path"): a default spawn with one moved promise, joined
+// through that promise, allocates exactly five objects under the policy
+// modes — the promise, the user's body closure, the task block, the
+// child's owned-list seed (deliberately its own small heap object; see
+// Task.owned), and the 16-byte argument closure of the go statement that
+// starts the task — and four under Unverified, which tracks no
+// ownership. The move path materializes no intermediate slices. A join
 // that blocks re-links the parent's waiter record, which its first block
-// allocated during warm-up, so the counts are exact.
+// allocated during warm-up, so the counts are exact. A session's spawn
+// reaches the shared scheduler as a Job and builds no go closure.
 func TestSpawnPathAllocs(t *testing.T) {
 	for _, cfg := range []struct {
 		label string
 		want  float64
 		run   func(core.TaskFunc) error
 	}{
-		{"unverified", 3, core.NewRuntime(core.WithMode(core.Unverified)).Run},
-		{"default", 4, core.NewRuntime(core.WithMode(core.Full)).Run},
-		// A serving session's tasks reach the shared scheduler as jobs:
-		// a spawn costs what it costs under the default executor.
+		{"unverified", 4, core.NewRuntime(core.WithMode(core.Unverified)).Run},
+		{"default", 5, core.NewRuntime(core.WithMode(core.Full)).Run},
+		// A serving session's tasks reach the shared scheduler as jobs,
+		// with no go statement: one object fewer than the default.
 		{"session", 4, runInSession},
 	} {
 		t.Run(cfg.label, func(t *testing.T) {
@@ -368,7 +369,7 @@ func TestSpawnPathAllocs(t *testing.T) {
 				if err != nil {
 					return err
 				}
-				for i := 0; i < 200; i++ { // warm the freelists
+				for i := 0; i < 200; i++ { // warm up: waiter record, scheduler workers
 					if err := step(i); err != nil {
 						return err
 					}

@@ -2,16 +2,15 @@ package core
 
 // Vectorized spawn: submit a whole fan-out in one call.
 //
-// A per-spawn submit pays its fixed costs N times: N freelist lock
-// rounds (or N executor submissions, each with its own deque push,
-// wakeup gate, and searcher check), N wait-group and idle-watch updates
-// issued separately. AsyncBatch collapses them: ownership transfer is
-// validated all-or-nothing across the batch, accounting is opened with
-// one wg.Add(n) / tasks.Add(n), and placement is handed to the executor
-// as a single multi-submit — the goroutine freelist drains under ONE
-// lock acquisition, and a batch-aware executor (WithBatchExecutor /
-// sched.Elastic.ExecuteBatch) amortizes its push-and-wake machinery the
-// same way.
+// A per-spawn submit pays its fixed costs N times: N executor
+// submissions (each with its own deque push, wakeup gate, and searcher
+// check), N wait-group and idle-watch updates issued separately.
+// AsyncBatch collapses them: ownership transfer is validated
+// all-or-nothing across the batch, accounting is opened with one
+// wg.Add(n) / tasks.Add(n), and placement is handed to the executor as a
+// single multi-submit, so a batch-aware executor (WithBatchExecutor /
+// sched.Elastic.ExecuteBatch) amortizes its push-and-wake machinery
+// across the batch. The default executor starts one goroutine per child.
 
 // SpawnSpec describes one child of an AsyncBatch fan-out: a diagnostic
 // name (optional), the body, and the promises moved to the child
@@ -101,7 +100,9 @@ func (r *Runtime) startTaskBatch(parent *Task, ts []*Task) {
 	}
 	switch {
 	case r.exec == nil:
-		r.startGoroutineBatch(ts)
+		for _, c := range ts {
+			go c.run()
+		}
 	case r.execBatch != nil:
 		js := make([]Job, n)
 		for i, c := range ts {
@@ -112,31 +113,5 @@ func (r *Runtime) startTaskBatch(parent *Task, ts []*Task) {
 		for _, c := range ts {
 			r.exec((*taskJob)(c))
 		}
-	}
-}
-
-// startGoroutineBatch places a whole batch on recycled goroutines under
-// ONE freelist lock acquisition, starting fresh goroutines for any
-// remainder. Handing work to a claimed worker inside the critical
-// section is safe for the same reason startGoroutine's hand-off is safe
-// outside it: the mailbox is buffered and the claimer holds the only
-// reference, so the send can never block.
-func (r *Runtime) startGoroutineBatch(ts []*Task) {
-	i := 0
-	r.spawnMu.Lock()
-	for i < len(ts) {
-		n := len(r.spawnFree)
-		if n == 0 {
-			break
-		}
-		w := r.spawnFree[n-1]
-		r.spawnFree[n-1] = nil
-		r.spawnFree = r.spawnFree[:n-1]
-		w.req <- ts[i]
-		i++
-	}
-	r.spawnMu.Unlock()
-	for ; i < len(ts); i++ {
-		go r.spawnLoop(ts[i])
 	}
 }

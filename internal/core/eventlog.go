@@ -87,13 +87,11 @@ func (r *Runtime) startTracer() {
 // WithEventLog retains the most recent `capacity` policy events (promise
 // allocation, moves, sets, blocks, wakes, task boundaries, alarms) for
 // post-mortem inspection via Runtime.Events / Runtime.EventLog. capacity
-// <= 0 selects 4096. Every event is delivered to the in-memory sink as
-// it is logged, so Runtime.Events is current mid-run; the retained
-// window is enforced by the sink, not by the recording path.
+// <= 0 retains every event, as trace.NewMemSink(0) does. Every event is
+// delivered to the in-memory sink as it is logged, so Runtime.Events is
+// current mid-run; the retained window is enforced by the sink, not by
+// the recording path.
 func WithEventLog(capacity int) Option {
-	if capacity <= 0 {
-		capacity = 4096
-	}
 	return func(r *Runtime) {
 		// Last option wins, like every other runtime option: a later
 		// WithEventLog replaces the retention window.

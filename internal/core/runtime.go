@@ -123,15 +123,13 @@ func WithAlarmHandler(f func(error)) Option { return func(r *Runtime) { r.onAlar
 // same type — so sched.Elastic.Execute plugs into WithExecutor directly.
 type Job = interface{ Run() }
 
-// WithExecutor replaces the task executor. The default (nil) starts one
-// goroutine per task, which is the unbounded-growth execution strategy the
-// paper requires (there is no a-priori bound on simultaneously blocked
-// tasks). It is also the fastest spawn path: the task is handed to a
-// parked goroutine from the runtime's freelist (see spawner.go) with no
-// allocation, and only when none is parked does a new goroutine start. A
-// custom executor receives each spawned task as a Job whose Run runs the
-// task; the task carries its own body, so the hand-off allocates nothing.
-// See the sched package for an elastic pool alternative.
+// WithExecutor replaces the task executor. The default (nil) starts each
+// task on its own goroutine with a plain go statement, which is the
+// unbounded-growth execution strategy the paper requires (there is no
+// a-priori bound on simultaneously blocked tasks). A custom executor
+// receives each spawned task as a Job whose Run runs the task; the task
+// carries its own body, so the hand-off allocates nothing. See the sched
+// package for an elastic pool alternative.
 func WithExecutor(exec func(Job)) Option { return func(r *Runtime) { r.exec = exec } }
 
 // WithBatchExecutor installs a vectorized submit used by Task.AsyncBatch
@@ -139,8 +137,8 @@ func WithExecutor(exec func(Job)) Option { return func(r *Runtime) { r.exec = ex
 // one call, so the executor can amortize its submission bookkeeping
 // (deque pushes, wakeups, searcher accounting) across the batch. Without
 // it, AsyncBatch falls back to one WithExecutor call per child. Ignored
-// when no WithExecutor is set — the built-in goroutine freelist batches
-// natively. See sched.Elastic.ExecuteBatch for the intended pairing.
+// when no WithExecutor is set: the default starts one goroutine per child.
+// See sched.Elastic.ExecuteBatch for the intended pairing.
 func WithBatchExecutor(exec func([]Job)) Option {
 	return func(r *Runtime) { r.execBatch = exec }
 }
@@ -184,12 +182,6 @@ type Runtime struct {
 	events      *tracer
 
 	wg sync.WaitGroup
-
-	// The default executor's goroutine freelist (see spawner.go):
-	// parked goroutines awaiting the next spawn hand-off.
-	spawnMu     sync.Mutex
-	spawnFree   []*spawnWorker
-	spawnClosed bool
 
 	mu   sync.Mutex
 	errs []error
@@ -291,16 +283,10 @@ func (r *Runtime) Run(main TaskFunc) error {
 		r.logEvent(trace.KindMeta, nil, nil,
 			fmt.Sprintf("mode=%s detector=%s tracking=%s", r.mode, r.detector, r.tracking))
 	}
-	r.spawnMu.Lock()
-	r.spawnClosed = false // re-arm the goroutine freelist for this run
-	r.spawnMu.Unlock()
 	root := r.newTask("main", nil)
 	r.beginTask(root)
 	r.runTask(root, main)
 	r.wg.Wait()
-	// The tree is unwound: release every parked spawn goroutine, so a
-	// finished runtime provably holds none.
-	r.drainSpawners()
 	err := r.Err()
 	if r.events != nil {
 		r.mu.Lock()

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -353,5 +355,97 @@ func TestErrorStringsAreDescriptive(t *testing.T) {
 func TestTaskSizeClass(t *testing.T) {
 	if n := unsafe.Sizeof(Task{}); n > 160 {
 		t.Fatalf("Task is %d bytes, want at most 160", n)
+	}
+}
+
+// TestRunLeavesNoGoroutines pins "a finished runtime holds no
+// goroutines": after Run of a wide spawn-and-join fan, half of whose
+// joins block, and after a RunContext cancelled while those joins are
+// parked, the goroutine count settles back to its pre-run value.
+func TestRunLeavesNoGoroutines(t *testing.T) {
+	const width = 64
+	// fan spawns width children; child i moves a promise to a grandchild
+	// and joins on it, and the even grandchildren first wait on gate.
+	// Root calls parked once those waits are parked, then joins every
+	// child through a moved result promise.
+	fan := func(root *Task, parked func(root *Task, gate *Promise[int]) error) error {
+		gate := NewPromiseNamed[int](root, "gate")
+		var blocked atomic.Int32
+		results := make([]*Promise[int], width)
+		for i := range results {
+			res := NewPromise[int](root)
+			results[i] = res
+			if _, err := root.Async(func(c *Task) error {
+				p := NewPromise[int](c)
+				if _, err := c.Async(func(g *Task) error {
+					if i%2 == 0 {
+						blocked.Add(1)
+						if _, err := gate.Get(g); err != nil {
+							return err
+						}
+					}
+					return p.Set(g, i)
+				}, p); err != nil {
+					return err
+				}
+				v, err := p.Get(c)
+				if err != nil {
+					return err
+				}
+				return res.Set(c, v)
+			}, res); err != nil {
+				return err
+			}
+		}
+		for blocked.Load() < width/2 {
+			time.Sleep(time.Millisecond)
+		}
+		time.Sleep(time.Millisecond)
+		if err := parked(root, gate); err != nil {
+			return err
+		}
+		for _, res := range results {
+			if _, err := res.Get(root); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	settle := func(t *testing.T, want int) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > want {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d goroutines left after the run, %d before it", runtime.NumGoroutine(), want)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	for _, mode := range allModes() {
+		t.Run(mode.String(), func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			rt := NewRuntime(WithMode(mode))
+			release := func(root *Task, gate *Promise[int]) error { return gate.Set(root, 1) }
+			if err := run(t, rt, func(root *Task) error { return fan(root, release) }); err != nil {
+				t.Fatal(err)
+			}
+			settle(t, before)
+
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			rt = NewRuntime(WithMode(mode))
+			done := make(chan error, 1)
+			abort := func(*Task, *Promise[int]) error { cancel(); return nil }
+			go func() { done <- rt.RunContext(ctx, func(root *Task) error { return fan(root, abort) }) }()
+			select {
+			case err := <-done:
+				if !errors.Is(err, context.Canceled) {
+					t.Fatalf("RunContext = %v, want context.Canceled in the chain", err)
+				}
+			case <-time.After(testTimeout):
+				t.Fatal("canceled run did not unwind")
+			}
+			settle(t, before)
+		})
 	}
 }

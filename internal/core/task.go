@@ -352,14 +352,13 @@ func (r *Runtime) newTask(name string, parent *Task) *Task {
 
 // startTask opens the task's accounting, stores its body in it, and
 // hands it to the executor. With the default executor (r.exec == nil)
-// the task lands on a recycled goroutine from the runtime's spawn
-// freelist (see spawner.go); a custom executor receives the task itself
-// as a Job. Neither path builds a closure.
+// the task starts on a goroutine of its own; a custom executor receives
+// the task itself as a Job, with no closure.
 func (r *Runtime) startTask(t *Task, f TaskFunc) {
 	r.beginTask(t)
 	t.body = f
 	if r.exec == nil {
-		r.startGoroutine(t)
+		go t.run()
 		return
 	}
 	r.exec((*taskJob)(t))

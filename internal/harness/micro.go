@@ -190,8 +190,8 @@ func MeasureMicros(modes []core.Mode) ([]Micro, error) {
 			// submit — the serving configuration, and the place batching
 			// structurally wins: a worker drains its deque back-to-back, so
 			// consecutive batch children run WITHOUT a park/wake context
-			// switch between them, which the goroutine-per-task freelist
-			// cannot avoid. The pool is torn down after the measurement.
+			// switch between them, which a goroutine per child cannot
+			// avoid. The pool is torn down after the measurement.
 			{"spawn-batch", microIters / (4 * BatchWidth), BatchWidth, func() []core.Option {
 				pool := sched.NewElastic(100 * time.Millisecond)
 				cleanups = append(cleanups, pool.Close)

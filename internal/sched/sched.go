@@ -3,15 +3,14 @@
 // The paper's execution strategy (§6.3) spawns a new thread whenever all
 // existing threads are in use, because promise-blocked tasks have no
 // a-priori bound: a fixed-size pool can starve and self-deadlock. In Go
-// the default executor — one goroutine per task — has exactly the required
-// unbounded-growth semantics, with the runtime multiplexing goroutines
-// onto OS threads.
+// core's default executor — a plain go statement per task — has exactly
+// the required unbounded-growth semantics, with the runtime multiplexing
+// goroutines onto OS threads.
 //
 // Elastic is an alternative that mirrors the paper's pool more literally:
 // it reuses idle workers when one is available and grows by one goroutine
 // when none is, so the steady-state worker count tracks the peak number of
-// simultaneously live tasks rather than the total task count. The
-// benchmark suite compares the two (spawn cost vs reuse).
+// simultaneously live tasks rather than the total task count.
 //
 // The pool runs Jobs, not closures: a core task and a serving session are
 // each their own Job, so handing one to the pool allocates nothing beyond
@@ -39,20 +38,6 @@ type Func func()
 
 // Run calls f.
 func (f Func) Run() { f() }
-
-// Executor runs jobs. Implementations must never block Execute on the
-// completion of j and must never bound the number of concurrently
-// blocked jobs (see the package comment).
-type Executor interface {
-	Execute(j Job)
-}
-
-// GoPerTask returns the default executor: one goroutine per job.
-func GoPerTask() Executor { return goPerTask{} }
-
-type goPerTask struct{}
-
-func (goPerTask) Execute(j Job) { go j.Run() }
 
 // dequeCap bounds each worker's ring deque. A power of two so the
 // head/tail cursors index with a mask. 256 jobs absorbs any realistic

@@ -8,20 +8,6 @@ import (
 	"time"
 )
 
-func TestGoPerTaskRunsEverything(t *testing.T) {
-	ex := GoPerTask()
-	var n atomic.Int32
-	var wg sync.WaitGroup
-	for i := 0; i < 100; i++ {
-		wg.Add(1)
-		ex.Execute(Func(func() { n.Add(1); wg.Done() }))
-	}
-	wg.Wait()
-	if n.Load() != 100 {
-		t.Fatalf("ran %d", n.Load())
-	}
-}
-
 func TestElasticRunsEverything(t *testing.T) {
 	ex := NewElastic(10 * time.Millisecond)
 	var n atomic.Int32

@@ -32,8 +32,7 @@ func TestSumMatchesSequentialAllModes(t *testing.T) {
 
 // TestPooledRuntime reuses one Full-mode runtime for several runs of the
 // wide configuration, as a pooled runtime would be, to catch state that
-// leaks from one run into the next (spawn freelist, task and error
-// accounting).
+// leaks from one run into the next (task and error accounting).
 func TestPooledRuntime(t *testing.T) {
 	cfg := Config{Rounds: 6, Width: 32, Work: 32}
 	want := RunSequential(cfg)
