@@ -78,6 +78,9 @@ type (
 	// Job is what a custom executor runs: one spawned task, handed over
 	// as interface{ Run() } with no closure (sched.Job is the same type).
 	Job = core.Job
+	// Executor is what WithExecutor installs: Execute(Job) and
+	// ExecuteBatch([]Job).
+	Executor = core.Executor
 	// Stats are cumulative event counts.
 	Stats = core.Stats
 	// Event is one entry of the optional event log.
@@ -147,13 +150,10 @@ var (
 	WithEventCounting = core.WithEventCounting
 	// WithAlarmHandler installs a detection callback.
 	WithAlarmHandler = core.WithAlarmHandler
-	// WithExecutor replaces the task executor: it receives each spawned
-	// task as a Job (sched.Elastic.Execute fits directly).
+	// WithExecutor replaces the task executor with an Executor: Async
+	// hands it one Job, AsyncBatch a whole fan-out (*sched.Elastic fits
+	// directly).
 	WithExecutor = core.WithExecutor
-	// WithBatchExecutor installs a vectorized submit of Jobs used by
-	// AsyncBatch (pairs with WithExecutor; sched.Elastic.ExecuteBatch is
-	// the intended implementation).
-	WithBatchExecutor = core.WithBatchExecutor
 	// WithIdleWatch installs the whole-program quiescence comparator (§1).
 	WithIdleWatch = core.WithIdleWatch
 	// WithEventLog retains recent policy events for post-mortems.

@@ -269,7 +269,7 @@ func BenchmarkAblation_Executor(b *testing.B) {
 	b.Run("elastic-pool", func(b *testing.B) {
 		pool := sched.NewElastic(100 * time.Millisecond)
 		benchProgram(b, "QSort", workloads.ScaleSmall,
-			core.WithMode(core.Full), core.WithExecutor(pool.Execute))
+			core.WithMode(core.Full), core.WithExecutor(pool))
 	})
 }
 
@@ -335,7 +335,7 @@ func BenchmarkMicro_SpawnBatch(b *testing.B) {
 			pool := sched.NewElastic(100 * time.Millisecond)
 			defer pool.Close()
 			benchFixture(b, harness.SpawnBatchFixture, core.WithMode(mode),
-				core.WithExecutor(pool.Execute), core.WithBatchExecutor(pool.ExecuteBatch))
+				core.WithExecutor(pool))
 		})
 	}
 }

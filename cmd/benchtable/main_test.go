@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -61,5 +62,51 @@ func TestAppendHistoryKeepsForeignRecords(t *testing.T) {
 	}
 	if len(hist) != 2 || hist[0]["source"] != "perfbench" || hist[0]["workloads"] == nil || hist[1]["scale"] != "small" {
 		t.Fatalf("history after append: %s", raw)
+	}
+}
+
+// TestMeasureBestTakesMinimaIndependently: each micro keeps its fastest
+// pass's ns/op with that pass's B/op, and the lowest allocs/op of any
+// pass, even when the two minima come from different passes; rows stay
+// in the first pass's order, and a failing pass fails the whole run.
+func TestMeasureBestTakesMinimaIndependently(t *testing.T) {
+	passes := [][]harness.Micro{
+		{
+			{Name: "spawn", Mode: "full", NsPerOp: 900, BPerOp: 300, AllocsPerOp: 5.02},
+			{Name: "setget", Mode: "full", NsPerOp: 100, BPerOp: 64, AllocsPerOp: 1},
+		},
+		{
+			{Name: "setget", Mode: "full", NsPerOp: 120, BPerOp: 70, AllocsPerOp: 1},
+			{Name: "spawn", Mode: "full", NsPerOp: 700, BPerOp: 310, AllocsPerOp: 5.4},
+		},
+		{
+			{Name: "spawn", Mode: "full", NsPerOp: 800, BPerOp: 290, AllocsPerOp: 5.01},
+			{Name: "setget", Mode: "full", NsPerOp: 110, BPerOp: 60, AllocsPerOp: 0.99},
+		},
+	}
+	calls := 0
+	measure := func() ([]harness.Micro, error) {
+		calls++
+		return passes[calls-1], nil
+	}
+	got, err := measureBest(len(passes), measure)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []harness.Micro{
+		{Name: "spawn", Mode: "full", NsPerOp: 700, BPerOp: 310, AllocsPerOp: 5.01},
+		{Name: "setget", Mode: "full", NsPerOp: 100, BPerOp: 64, AllocsPerOp: 0.99},
+	}
+	if calls != len(passes) || len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
+		t.Fatalf("%d passes merged to %+v, want %+v", calls, got, want)
+	}
+
+	calls = 0
+	if got, err := measureBest(0, measure); err != nil || calls != 1 || len(got) != 2 {
+		t.Fatalf("reps 0: %d passes, %v, %v; want one pass", calls, got, err)
+	}
+	boom := errors.New("boom")
+	if _, err := measureBest(3, func() ([]harness.Micro, error) { return nil, boom }); !errors.Is(err, boom) {
+		t.Fatalf("failing pass: err = %v, want %v", err, boom)
 	}
 }

@@ -23,7 +23,7 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/graph"
-	"repro/internal/harness"
+	"repro/internal/hist"
 	"repro/internal/obs"
 	"repro/internal/serve"
 	"repro/internal/workloads/ppg"
@@ -55,8 +55,8 @@ type graphTally struct {
 
 	cascadeChecked int64
 
-	graphLat *harness.Histogram
-	nodeLat  *harness.Histogram
+	graphLat *hist.Histogram
+	nodeLat  *hist.Histogram
 	perShape map[string]int64
 	led      *ledger
 }
@@ -408,10 +408,10 @@ type graphReport struct {
 	CascadeMisses  int64 `json:"cascade_misses"`
 	LeakedGor      int   `json:"leaked_goroutines"`
 
-	GraphLatency harness.HistSummary `json:"graph_latency"`
-	NodeLatency  harness.HistSummary `json:"node_latency"`
-	Stats        graph.GraphStats    `json:"cumulative"`
-	Pool         serve.PoolStats     `json:"pool"`
+	GraphLatency hist.HistSummary `json:"graph_latency"`
+	NodeLatency  hist.HistSummary `json:"node_latency"`
+	Stats        graph.GraphStats `json:"cumulative"`
+	Pool         serve.PoolStats  `json:"pool"`
 }
 
 // runGraph is the -graph entry point.
@@ -441,8 +441,8 @@ func runGraph(cfg config, led *ledger) error {
 	})
 
 	tally := &graphTally{
-		graphLat: harness.NewHistogram(),
-		nodeLat:  harness.NewHistogram(),
+		graphLat: hist.NewHistogram(),
+		nodeLat:  hist.NewHistogram(),
 		perShape: map[string]int64{},
 		led:      led,
 	}

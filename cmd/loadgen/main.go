@@ -127,7 +127,7 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/harness"
+	"repro/internal/hist"
 	"repro/internal/obs"
 	"repro/internal/serve"
 	"repro/internal/workloads"
@@ -329,7 +329,7 @@ func pick(rng *rand.Rand, n int, weight func(int) int) int {
 
 // scenarioStat accumulates one scenario's results across the run.
 type scenarioStat struct {
-	hist      *harness.Histogram
+	hist      *hist.Histogram
 	count     int64
 	deadlined int64 // sessions submitted with an injected deadline
 	canceled  int64 // sessions that classified as canceled
@@ -340,18 +340,18 @@ type scenarioStat struct {
 type sessionStats struct {
 	mu    sync.Mutex
 	by    map[string]*scenarioStat
-	total *harness.Histogram
+	total *hist.Histogram
 	chaos bool // a connection lost after accept is a legitimate cancel
 	led   *ledger
 }
 
 func newSessionStats(m *mix, chaos bool, led *ledger) *sessionStats {
-	s := &sessionStats{by: map[string]*scenarioStat{}, total: harness.NewHistogram(), chaos: chaos, led: led}
+	s := &sessionStats{by: map[string]*scenarioStat{}, total: hist.NewHistogram(), chaos: chaos, led: led}
 	for _, sc := range m.scenarios {
-		s.by[sc.name] = &scenarioStat{hist: harness.NewHistogram()}
+		s.by[sc.name] = &scenarioStat{hist: hist.NewHistogram()}
 	}
 	if m.inject > 0 {
-		s.by[injected.name] = &scenarioStat{hist: harness.NewHistogram()}
+		s.by[injected.name] = &scenarioStat{hist: hist.NewHistogram()}
 	}
 	return s
 }
@@ -402,7 +402,7 @@ type scenarioReport struct {
 	Deadlined     int64   `json:"deadlined"`
 	Canceled      int64   `json:"canceled"`
 	FalseVerdicts int64   `json:"false_verdicts"`
-	harness.HistSummary
+	hist.HistSummary
 }
 
 // report prints the per-scenario table and returns its rows and the

@@ -8,9 +8,9 @@ package core
 // AsyncBatch collapses them: ownership transfer is validated
 // all-or-nothing across the batch, accounting is opened with one
 // wg.Add(n) / tasks.Add(n), and placement is handed to the executor as a
-// single multi-submit, so a batch-aware executor (WithBatchExecutor /
-// sched.Elastic.ExecuteBatch) amortizes its push-and-wake machinery
-// across the batch. The default executor starts one goroutine per child.
+// single Executor.ExecuteBatch call, so the executor (sched.Elastic)
+// amortizes its push-and-wake machinery across the batch. The default
+// executor starts one goroutine per child.
 
 // SpawnSpec describes one child of an AsyncBatch fan-out: a diagnostic
 // name (optional), the body, and the promises moved to the child
@@ -98,20 +98,15 @@ func (r *Runtime) startTaskBatch(parent *Task, ts []*Task) {
 			r.logEventArg(EvTaskStart, c, nil, parent.id, "")
 		}
 	}
-	switch {
-	case r.exec == nil:
+	if r.exec == nil {
 		for _, c := range ts {
 			go c.run()
 		}
-	case r.execBatch != nil:
-		js := make([]Job, n)
-		for i, c := range ts {
-			js[i] = (*taskJob)(c)
-		}
-		r.execBatch(js)
-	default:
-		for _, c := range ts {
-			r.exec((*taskJob)(c))
-		}
+		return
 	}
+	js := make([]Job, n)
+	for i, c := range ts {
+		js[i] = (*taskJob)(c)
+	}
+	r.exec.ExecuteBatch(js)
 }

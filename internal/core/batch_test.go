@@ -145,21 +145,29 @@ func TestAsyncBatchDuplicateMoveFirstWins(t *testing.T) {
 	}
 }
 
-// TestAsyncBatchVectorizedSubmit: with WithBatchExecutor installed the
-// whole fan-out reaches the executor as ONE multi-submit.
-func TestAsyncBatchVectorizedSubmit(t *testing.T) {
-	var mu sync.Mutex
-	var batchSizes []int
-	exec := func(j Job) { go j.Run() }
-	execBatch := func(js []Job) {
-		mu.Lock()
-		batchSizes = append(batchSizes, len(js))
-		mu.Unlock()
-		for _, j := range js {
-			go j.Run()
-		}
+// batchRecorder is an Executor that records the size of every
+// ExecuteBatch call and starts each job on its own goroutine.
+type batchRecorder struct {
+	mu    sync.Mutex
+	sizes []int
+}
+
+func (b *batchRecorder) Execute(j Job) { go j.Run() }
+
+func (b *batchRecorder) ExecuteBatch(js []Job) {
+	b.mu.Lock()
+	b.sizes = append(b.sizes, len(js))
+	b.mu.Unlock()
+	for _, j := range js {
+		go j.Run()
 	}
-	rt := NewRuntime(WithMode(Full), WithExecutor(exec), WithBatchExecutor(execBatch))
+}
+
+// TestAsyncBatchVectorizedSubmit: with an executor installed the whole
+// fan-out reaches it as ONE ExecuteBatch call.
+func TestAsyncBatchVectorizedSubmit(t *testing.T) {
+	exec := &batchRecorder{}
+	rt := NewRuntime(WithMode(Full), WithExecutor(exec))
 	err := run(t, rt, func(tk *Task) error {
 		const n = 16
 		ps := make([]*Promise[int], n)
@@ -185,10 +193,10 @@ func TestAsyncBatchVectorizedSubmit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(batchSizes) != 1 || batchSizes[0] != 16 {
-		t.Fatalf("batch executor calls = %v, want one call of 16", batchSizes)
+	exec.mu.Lock()
+	defer exec.mu.Unlock()
+	if len(exec.sizes) != 1 || exec.sizes[0] != 16 {
+		t.Fatalf("batch executor calls = %v, want one call of 16", exec.sizes)
 	}
 }
 

@@ -45,9 +45,21 @@ func (p *miniPool) execute(j Job) {
 	}
 }
 
+// funcExecutor adapts a per-job func to Executor; ExecuteBatch hands it
+// each job in order.
+type funcExecutor func(Job)
+
+func (f funcExecutor) Execute(j Job) { f(j) }
+
+func (f funcExecutor) ExecuteBatch(js []Job) {
+	for _, j := range js {
+		f(j)
+	}
+}
+
 func TestDetectorUnderPooledExecutor(t *testing.T) {
 	pool := newMiniPool()
-	rt := NewRuntime(WithMode(Full), WithExecutor(pool.execute))
+	rt := NewRuntime(WithMode(Full), WithExecutor(funcExecutor(pool.execute)))
 	err := run(t, rt, func(root *Task) error {
 		p := NewPromiseNamed[int](root, "p")
 		q := NewPromiseNamed[int](root, "q")
@@ -70,7 +82,7 @@ func TestDetectorUnderPooledExecutor(t *testing.T) {
 
 func TestWorkloadUnderPooledExecutor(t *testing.T) {
 	pool := newMiniPool()
-	rt := NewRuntime(WithMode(Full), WithExecutor(pool.execute))
+	rt := NewRuntime(WithMode(Full), WithExecutor(funcExecutor(pool.execute)))
 	err := run(t, rt, func(root *Task) error {
 		// A fan-out/fan-in with promise movement through the pool.
 		const n = 64
@@ -106,7 +118,7 @@ func TestWorkloadUnderPooledExecutor(t *testing.T) {
 
 func TestOmittedSetUnderPooledExecutor(t *testing.T) {
 	pool := newMiniPool()
-	rt := NewRuntime(WithMode(Ownership), WithExecutor(pool.execute))
+	rt := NewRuntime(WithMode(Ownership), WithExecutor(funcExecutor(pool.execute)))
 	err := run(t, rt, func(root *Task) error {
 		p := NewPromiseNamed[int](root, "leak")
 		if _, e := root.AsyncNamed("leaky", func(c *Task) error { return nil }, p); e != nil {

@@ -212,85 +212,59 @@ func awaitState(t *Task, s *pstate, ctx context.Context) error {
 		r.logEvent(EvBlock, t, s, "")
 	}
 	if r.mode == Full {
+		var err error
 		if r.detector == DetectGlobalLock {
-			if err := r.gdet.beforeWait(t, s); err != nil {
-				r.alarm(err)
-				// The wait is abandoned, not satisfied: the trace closes
-				// the block/wake pair with an explicit "alarm" wake so the
-				// offline replay does not see a task blocked forever.
-				if r.events != nil {
-					r.logEvent(EvWake, t, s, "alarm")
-				}
-				return err
-			}
-			r.flushStageIfStaged(t)
-			if cerr := r.blockOn(t, s, ctx); cerr != nil {
-				// Cancelled: withdraw the edge from the global graph so the
-				// (runnable again) task cannot appear in anyone's cycle, and
-				// close the block/wake pair for the offline replay.
-				r.gdet.afterWait(t)
-				if r.events != nil {
-					r.logEvent(EvWake, t, s, "cancel")
-				}
-				return cerr
-			}
-			r.gdet.afterWait(t)
-			if r.events != nil {
-				r.logEvent(EvWake, t, s, "")
-			}
-			return nil
+			err = r.gdet.beforeWait(t, s)
+		} else {
+			// Algorithm 2: publish the waits-for edge, then verify the
+			// dependence chain before committing to block. The EvBlock
+			// above is deliberately logged BEFORE verification: the edge
+			// must be in the stream ahead of any alarm that traverses it,
+			// so the offline verifier can re-walk the cycle at the
+			// alarm's sequence point.
+			err = t.verifyAwait(s)
 		}
-		// Algorithm 2: publish the waits-for edge, then verify the
-		// dependence chain before committing to block. The EvBlock above
-		// is deliberately logged BEFORE verification: the edge must be in
-		// the stream ahead of any alarm that traverses it, so the offline
-		// verifier can re-walk the cycle at the alarm's sequence point.
-		if err := t.verifyAwait(s); err != nil {
+		if err != nil {
 			r.alarm(err)
+			// The wait is abandoned, not satisfied: the trace closes the
+			// block/wake pair with an explicit "alarm" wake so the offline
+			// replay does not see a task blocked forever.
 			if r.events != nil {
 				r.logEvent(EvWake, t, s, "alarm")
 			}
 			return err
 		}
-		// Drain the staging buffer before parking: a trace cut short at a
-		// hang must still contain every blocked task's block record.
-		r.flushStageIfStaged(t)
-		if cerr := r.blockOn(t, s, ctx); cerr != nil {
-			// Cancelled: the task is runnable again, so clearing its
-			// waits-for edge here only ever REMOVES an edge from the graph
-			// a concurrent traversal can see — the detector stays free of
-			// false alarms, and a deadlock this task was part of no longer
-			// exists once it stops waiting. The promise's packed state word
-			// is untouched.
-			t.waitingOn.Store(nil)
-			if r.events != nil {
-				r.logEvent(EvWake, t, s, "cancel")
-			}
-			return cerr
-		}
+	}
+	// Drain the staging buffer before parking: a trace cut short at a
+	// hang must still contain every blocked task's block record.
+	r.flushStageIfStaged(t)
+	cerr := r.blockOn(t, s, ctx)
+	if r.mode == Full {
 		// Requirement 3 (§5.1): the reset of waitingOn becomes visible only
 		// after the fulfilment of p is visible. Both ways out of blockOn
 		// order this store after publish: receiving the wake token
 		// happens-after the signal's Swap, and a push refused by the
 		// sentinel loaded what that Swap stored — and the Swap follows the
-		// stateFulfilled store in the setter's program order.
-		t.waitingOn.Store(nil)
-		if r.events != nil {
-			r.logEvent(EvWake, t, s, "")
+		// stateFulfilled store in the setter's program order. After a
+		// cancel the task is runnable again, so the reset only ever
+		// REMOVES an edge from the graph a concurrent traversal can see:
+		// the detector stays free of false alarms, and a deadlock this
+		// task was part of no longer exists once it stops waiting. The
+		// promise's packed state word is untouched.
+		if r.detector == DetectGlobalLock {
+			r.gdet.afterWait(t)
+		} else {
+			t.waitingOn.Store(nil)
 		}
-		return nil
-	}
-	r.flushStageIfStaged(t)
-	if cerr := r.blockOn(t, s, ctx); cerr != nil {
-		if r.events != nil {
-			r.logEvent(EvWake, t, s, "cancel")
-		}
-		return cerr
 	}
 	if r.events != nil {
-		r.logEvent(EvWake, t, s, "")
+		detail := ""
+		if cerr != nil {
+			detail = "cancel"
+		}
+		r.logEvent(EvWake, t, s, detail)
 	}
-	return nil
+	return cerr
 }
 
 // Await blocks task t until p is fulfilled, with exactly the policy and

@@ -120,28 +120,29 @@ func WithAlarmHandler(f func(error)) Option { return func(r *Runtime) { r.onAlar
 
 // Job is what an executor runs: one spawned task, handed over without a
 // closure. It is an alias of the interface literal — sched.Job is the
-// same type — so sched.Elastic.Execute plugs into WithExecutor directly.
+// same type — so an executor's methods type-check against Executor
+// without either package importing the other.
 type Job = interface{ Run() }
+
+// Executor runs spawned tasks in place of the default go statement.
+// Execute receives one task (Async); ExecuteBatch receives a whole
+// AsyncBatch fan-out in one call, so the executor can amortize its
+// submission bookkeeping (deque pushes, wakeups, searcher accounting)
+// across the batch. Each Job's Run runs its task. *sched.Elastic
+// satisfies Executor.
+type Executor interface {
+	Execute(Job)
+	ExecuteBatch([]Job)
+}
 
 // WithExecutor replaces the task executor. The default (nil) starts each
 // task on its own goroutine with a plain go statement, which is the
 // unbounded-growth execution strategy the paper requires (there is no
 // a-priori bound on simultaneously blocked tasks). A custom executor
-// receives each spawned task as a Job whose Run runs the task; the task
-// carries its own body, so the hand-off allocates nothing. See the sched
-// package for an elastic pool alternative.
-func WithExecutor(exec func(Job)) Option { return func(r *Runtime) { r.exec = exec } }
-
-// WithBatchExecutor installs a vectorized submit used by Task.AsyncBatch
-// when a custom executor is present: the whole batch is handed over in
-// one call, so the executor can amortize its submission bookkeeping
-// (deque pushes, wakeups, searcher accounting) across the batch. Without
-// it, AsyncBatch falls back to one WithExecutor call per child. Ignored
-// when no WithExecutor is set: the default starts one goroutine per child.
-// See sched.Elastic.ExecuteBatch for the intended pairing.
-func WithBatchExecutor(exec func([]Job)) Option {
-	return func(r *Runtime) { r.execBatch = exec }
-}
+// receives each spawned task as a Job; the task carries its own body, so
+// the hand-off allocates nothing. See the sched package for an elastic
+// pool alternative.
+func WithExecutor(exec Executor) Option { return func(r *Runtime) { r.exec = exec } }
 
 // WithIdleWatch installs the whole-program quiescence detector the paper
 // contrasts with in §1 (the Go runtime's strategy): onQuiescent fires when
@@ -175,8 +176,7 @@ type Runtime struct {
 	tracking    OwnedTracking
 	countEvents bool
 	onAlarm     func(error)
-	exec        func(Job) // nil selects the built-in goroutine-per-task start
-	execBatch   func([]Job)
+	exec        Executor       // nil selects the built-in goroutine-per-task start
 	gdet        globalDetector // used only when mode == Full && detector == DetectGlobalLock
 	idle        *idleWatch
 	events      *tracer

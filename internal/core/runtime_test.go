@@ -162,10 +162,10 @@ func TestRunDeadlineReportsHang(t *testing.T) {
 
 func TestWithExecutor(t *testing.T) {
 	var dispatched atomic.Int32
-	rt := NewRuntime(WithExecutor(func(j Job) {
+	rt := NewRuntime(WithExecutor(funcExecutor(func(j Job) {
 		dispatched.Add(1)
 		go j.Run()
-	}))
+	})))
 	err := run(t, rt, func(tk *Task) error {
 		// The root body runs on Run's own goroutine (the paper's Init),
 		// so it starts before the executor has seen a single job.

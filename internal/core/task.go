@@ -361,7 +361,7 @@ func (r *Runtime) startTask(t *Task, f TaskFunc) {
 		go t.run()
 		return
 	}
-	r.exec((*taskJob)(t))
+	r.exec.Execute((*taskJob)(t))
 }
 
 // taskJob is a spawned task as an executor sees it: its Run runs the

@@ -195,10 +195,7 @@ func MeasureMicros(modes []core.Mode) ([]Micro, error) {
 			{"spawn-batch", microIters / (4 * BatchWidth), BatchWidth, func() []core.Option {
 				pool := sched.NewElastic(100 * time.Millisecond)
 				cleanups = append(cleanups, pool.Close)
-				return []core.Option{
-					core.WithExecutor(pool.Execute),
-					core.WithBatchExecutor(pool.ExecuteBatch),
-				}
+				return []core.Option{core.WithExecutor(pool)}
 			}, nil, SpawnBatchFixture},
 			// The trace-overhead row: the same Set/Get round-trip with every
 			// event staged per task and delivered through the collector to

@@ -23,7 +23,7 @@ func TestPropertyDetectorExecutorIndependent(t *testing.T) {
 		}
 		prog := Generate(cfg)
 		pool := sched.NewElastic(20 * time.Millisecond)
-		rt := core.NewRuntime(core.WithMode(core.Full), core.WithExecutor(pool.Execute))
+		rt := core.NewRuntime(core.WithMode(core.Full), core.WithExecutor(pool))
 		err := rt.Run(prog.Main())
 		if !inject {
 			if err != nil {

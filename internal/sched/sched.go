@@ -28,9 +28,9 @@ import (
 )
 
 // Job is one unit of work: a core task (core.Job is the same type) or a
-// serving session. It is an alias of the interface literal, so a method
-// taking a Job — Elastic.Execute — plugs into core.WithExecutor without
-// either package importing the other.
+// serving session. It is an alias of the interface literal, so *Elastic's
+// Execute and ExecuteBatch satisfy core.Executor without either package
+// importing the other.
 type Job = interface{ Run() }
 
 // Func adapts a plain func() to a Job.
@@ -148,36 +148,13 @@ func NewElastic(idleTimeout time.Duration) *Elastic {
 	return &Elastic{idleTimeout: idleTimeout, stop: make(chan struct{})}
 }
 
-// push appends j to the deque. Reports false when the worker is retired
-// or the ring is full, or — when try is set — when the deque lock is
-// contended (the submitter has cheaper places to put the job than a
-// queue behind this lock). The pending increment is inside the critical
-// section so a claimer can never observe the job without its count.
-func (w *worker) push(e *Elastic, j Job, try bool) bool {
-	if try {
-		if !w.mu.TryLock() {
-			return false
-		}
-	} else {
-		w.mu.Lock()
-	}
-	if w.retired || w.tail-w.head == dequeCap {
-		w.mu.Unlock()
-		return false
-	}
-	w.buf[w.tail&dequeMask] = j
-	w.tail++
-	e.pending.Add(1)
-	w.mu.Unlock()
-	if m := smet(); m != nil {
-		m.depth.Inc()
-	}
-	return true
-}
-
 // pushBatch appends as many jobs from js as fit, under one lock
-// acquisition and one pending update, returning how many were taken
-// (0 when retired, full, or — with try — contended).
+// acquisition and one pending update, returning how many were taken: 0
+// when the worker is retired or the ring is full, or — when try is set —
+// when the deque lock is contended (the submitter has cheaper places to
+// put the jobs than a queue behind this lock). The pending update is
+// inside the critical section so a claimer can never observe a job
+// without its count.
 func (w *worker) pushBatch(e *Elastic, js []Job, try bool) int {
 	if try {
 		if !w.mu.TryLock() {
@@ -248,43 +225,23 @@ func (w *worker) stealFrom(e *Elastic) Job {
 // never blocks waiting for a worker. After Close, Execute degrades to
 // goroutine-per-task: a closed pool must still never bound the number of
 // concurrently blocked tasks (the §6.3 requirement holds for stragglers
-// submitted during shutdown), it just stops keeping workers.
+// submitted during shutdown), it just stops keeping workers. It is
+// ExecuteBatch of one job; the one-element array stays on the stack.
 func (e *Elastic) Execute(j Job) {
-	// Burst fast path: land on the current target deque. One TryLock'd
-	// push plus the searcher check — no wakeup, no pool lock.
-	if t := e.target.Load(); t != nil && t.push(e, j, true) {
-		e.reused.Add(1)
-		e.ensureSearcher()
-		return
-	}
-	// No target (cold pool), or its deque is contended/full/retired:
-	// claim a parked worker, seed its deque, and make it the new target.
-	if w := e.popParked(); w != nil {
-		if w.push(e, j, false) {
-			e.reused.Add(1)
-			e.target.Store(w)
-			e.wake(w)
-			return
-		}
-		// Its deque filled while it was parked (it was an earlier burst's
-		// target): wake it to drain and seed a fresh worker for j below.
-		e.wake(w)
-	}
-	e.spawnWorker(j, &e.spawned)
+	one := [1]Job{j}
+	e.ExecuteBatch(one[:])
 }
 
-// ExecuteBatch schedules every job in js, amortizing the submission
-// machinery across the batch: each absorbing deque is filled under ONE
-// lock acquisition with ONE pending update (pushBatch), followed by one
-// searcher check or wake for the whole chunk — where per-job Execute
-// would pay a TryLock, a pending increment, and an ensureSearcher per
-// job. Semantically identical to calling Execute on each job in order
-// (same FIFO steal-side draining, same never-blocks, never-bounds
-// guarantees, same post-Close degradation).
+// ExecuteBatch schedules every job in js, in order. Each absorbing deque
+// is filled under ONE lock acquisition with ONE pending update
+// (pushBatch), followed by one searcher check or wake for the whole
+// chunk, so a burst pays the submission machinery per chunk rather than
+// per job.
 func (e *Elastic) ExecuteBatch(js []Job) {
 	for len(js) > 0 {
 		// Burst fast path: land as much of the batch as fits on the
-		// current target deque.
+		// current target deque. One TryLock'd push plus the searcher
+		// check — no wakeup, no pool lock.
 		if t := e.target.Load(); t != nil {
 			if n := t.pushBatch(e, js, true); n > 0 {
 				e.reused.Add(int64(n))
@@ -293,8 +250,9 @@ func (e *Elastic) ExecuteBatch(js []Job) {
 				continue
 			}
 		}
-		// No target, or its deque is contended/full/retired: claim a
-		// parked worker, seed it with a chunk, and make it the new target.
+		// No target (cold pool), or its deque is contended/full/retired:
+		// claim a parked worker, seed it with a chunk, and make it the
+		// new target.
 		if w := e.popParked(); w != nil {
 			if n := w.pushBatch(e, js, false); n > 0 {
 				e.reused.Add(int64(n))
@@ -671,14 +629,6 @@ func (e *Elastic) Close() {
 	e.cleaners.Wait()
 }
 
-// Stats reports how many submissions seeded a fresh worker and how many
-// were absorbed by existing workers (deque push or parked-worker wake).
-// Every Execute increments exactly one of the two, so spawned+reused is
-// the total submission count.
-func (e *Elastic) Stats() (spawned, reused int64) {
-	return e.spawned.Load(), e.reused.Load()
-}
-
 // SchedStats is the pool's full counter set.
 type SchedStats struct {
 	Spawned int64 // submissions that seeded a fresh worker
@@ -692,11 +642,15 @@ type SchedStats struct {
 	Pending int64 // jobs queued in deques, not yet claimed
 }
 
-// SchedStats returns a snapshot of every pool counter. Spawned+Reused is
+// SchedStats returns a snapshot of every pool counter. Every submitted
+// job increments exactly one of Spawned and Reused, so Spawned+Reused is
 // the submission total; Thieves counts workers the wake cascade created
 // beyond those; Steals measures how much of the load was redistributed
-// off the burst target.
+// off the burst target. After Close, Live, Busy and Idle are zero.
 func (e *Elastic) SchedStats() SchedStats {
+	e.mu.Lock()
+	idle := len(e.parked)
+	e.mu.Unlock()
 	return SchedStats{
 		Spawned: e.spawned.Load(),
 		Reused:  e.reused.Load(),
@@ -705,22 +659,7 @@ func (e *Elastic) SchedStats() SchedStats {
 		Wakes:   e.wakes.Load(),
 		Live:    e.live.Load(),
 		Busy:    e.busy.Load(),
-		Idle:    int64(e.Idle()),
+		Idle:    int64(idle),
 		Pending: e.pending.Load(),
 	}
-}
-
-// Workers reports the pool's current population: live is every worker
-// goroutine that exists, busy the subset currently running a job. After
-// Close both are zero.
-func (e *Elastic) Workers() (live, busy int64) {
-	return e.live.Load(), e.busy.Load()
-}
-
-// Idle reports how many workers are currently parked (primarily for tests
-// and monitoring: after idleTimeout with no traffic it trends to zero).
-func (e *Elastic) Idle() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return len(e.parked)
 }

@@ -32,11 +32,11 @@ func TestElasticReusesIdleWorkers(t *testing.T) {
 		ex.Execute(Func(func() { wg.Done() }))
 		wg.Wait()
 	}
-	spawned, reused := ex.Stats()
-	if spawned+reused != 50 {
-		t.Fatalf("accounting: spawned %d + reused %d != 50", spawned, reused)
+	st := ex.SchedStats()
+	if st.Spawned+st.Reused != 50 {
+		t.Fatalf("accounting: spawned %d + reused %d != 50", st.Spawned, st.Reused)
 	}
-	if reused == 0 {
+	if st.Reused == 0 {
 		t.Fatal("no worker reuse in a sequential workload")
 	}
 }
@@ -86,11 +86,11 @@ func TestElasticWorkersExitAfterIdle(t *testing.T) {
 	time.Sleep(50 * time.Millisecond) // worker should have parked and exited
 	// The next Execute must spawn a fresh worker (the old one is gone), and
 	// still run the job.
-	before, _ := ex.Stats()
+	before := ex.SchedStats().Spawned
 	wg.Add(1)
 	ex.Execute(Func(func() { wg.Done() }))
 	wg.Wait()
-	after, _ := ex.Stats()
+	after := ex.SchedStats().Spawned
 	if after != before+1 {
 		t.Fatalf("expected a fresh spawn after idle exit (before=%d after=%d)", before, after)
 	}
@@ -112,17 +112,17 @@ func TestElasticBurstReuseStats(t *testing.T) {
 	}
 	runBurst()
 	time.Sleep(50 * time.Millisecond) // let every worker park
-	spawnedAfterFirst, _ := ex.Stats()
-	if ex.Idle() == 0 {
+	first := ex.SchedStats()
+	if first.Idle == 0 {
 		t.Fatal("no workers parked after the first burst")
 	}
 	runBurst()
-	spawned, reused := ex.Stats()
-	if spawned+reused != 2*burst {
-		t.Fatalf("accounting: spawned %d + reused %d != %d", spawned, reused, 2*burst)
+	st := ex.SchedStats()
+	if st.Spawned+st.Reused != 2*burst {
+		t.Fatalf("accounting: spawned %d + reused %d != %d", st.Spawned, st.Reused, 2*burst)
 	}
-	if reused == 0 {
-		t.Fatalf("second burst reused nothing (spawned %d -> %d)", spawnedAfterFirst, spawned)
+	if st.Reused == 0 {
+		t.Fatalf("second burst reused nothing (spawned %d -> %d)", first.Spawned, st.Spawned)
 	}
 }
 
@@ -140,13 +140,13 @@ func TestElasticIdleWorkersBoundGoroutines(t *testing.T) {
 	wg.Wait()
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		if ex.Idle() == 0 && runtime.NumGoroutine() <= before+4 {
+		if ex.SchedStats().Idle == 0 && runtime.NumGoroutine() <= before+4 {
 			return
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
 	t.Fatalf("idle workers not retired: %d parked, %d goroutines (baseline %d)",
-		ex.Idle(), runtime.NumGoroutine(), before)
+		ex.SchedStats().Idle, runtime.NumGoroutine(), before)
 }
 
 func TestElasticCloseDrainsAllGoroutines(t *testing.T) {
@@ -166,11 +166,8 @@ func TestElasticCloseDrainsAllGoroutines(t *testing.T) {
 	// side goroutine so Close's drain actually overlaps running jobs.
 	go func() { time.Sleep(5 * time.Millisecond); close(gate) }()
 	ex.Close()
-	if live, busy := ex.Workers(); live != 0 || busy != 0 {
-		t.Fatalf("after Close: live=%d busy=%d, want 0/0", live, busy)
-	}
-	if ex.Idle() != 0 {
-		t.Fatalf("after Close: %d workers still parked", ex.Idle())
+	if st := ex.SchedStats(); st.Live != 0 || st.Busy != 0 || st.Idle != 0 {
+		t.Fatalf("after Close: live=%d busy=%d idle=%d, want 0/0/0", st.Live, st.Busy, st.Idle)
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
@@ -268,5 +265,25 @@ func TestElasticExecuteBatchAfterClose(t *testing.T) {
 	wg.Wait()
 	if n.Load() != 8 {
 		t.Fatalf("ran %d after Close, want 8", n.Load())
+	}
+}
+
+// TestElasticExecuteAllocs: on a warm pool, Execute of a pre-built job
+// allocates nothing. Execute is ExecuteBatch of a one-element array, and
+// that array must stay on the submitter's stack.
+func TestElasticExecuteAllocs(t *testing.T) {
+	ex := NewElastic(time.Minute) // no worker expires during the test
+	defer ex.Close()
+	done := make(chan struct{}, 1)
+	job := Job(Func(func() { done <- struct{}{} }))
+	run := func() {
+		ex.Execute(job)
+		<-done
+	}
+	for i := 0; i < 100; i++ { // grow the pool and its parked stack
+		run()
+	}
+	if got := testing.AllocsPerRun(1000, run); got != 0 {
+		t.Fatalf("Execute on a warm pool allocates %v/op, want 0", got)
 	}
 }

@@ -123,7 +123,7 @@ func TestElasticWakeupsAreBatched(t *testing.T) {
 	wg.Wait()
 	close(gate)
 	deadline := time.Now().Add(5 * time.Second)
-	for ex.Idle() < warm && time.Now().Before(deadline) {
+	for ex.SchedStats().Idle < warm && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 	base := ex.SchedStats()
@@ -211,12 +211,12 @@ func TestElasticDequeOverflowFallsBackToSpawn(t *testing.T) {
 	// n are held simultaneously (the §6.3 obligation, past a full ring).
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
-		if _, busy := ex.Workers(); busy == n {
+		if ex.SchedStats().Busy == n {
 			break
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if _, busy := ex.Workers(); busy != n {
+	if busy := ex.SchedStats().Busy; busy != n {
 		t.Fatalf("only %d of %d jobs running concurrently", busy, n)
 	}
 	close(gate)

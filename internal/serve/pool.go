@@ -170,8 +170,8 @@ func NewPool(cfg Config) *Pool {
 		fq:           sched.NewFairQueue[*Session](),
 		tenantQueued: make(map[string]int),
 	}
-	p.runtimeOpts = append(append(make([]core.Option, 0, len(cfg.Runtime)+2), cfg.Runtime...),
-		core.WithExecutor(p.exec.Execute), core.WithBatchExecutor(p.exec.ExecuteBatch))
+	p.runtimeOpts = append(append(make([]core.Option, 0, len(cfg.Runtime)+1), cfg.Runtime...),
+		core.WithExecutor(p.exec))
 	for tenant, w := range cfg.TenantWeights {
 		p.fq.SetWeight(tenant, w)
 	}
@@ -507,8 +507,8 @@ func (p *Pool) Close() {
 	p.exec.Close()
 }
 
-// Executor exposes the shared scheduler, for monitoring (Stats/Workers/
-// Idle). Submitting work to it directly bypasses session accounting.
+// Executor exposes the shared scheduler, for monitoring (SchedStats).
+// Submitting work to it directly bypasses session accounting.
 func (p *Pool) Executor() *sched.Elastic { return p.exec }
 
 // Observation is the pool's live windowed latency digest: queue-wait and

@@ -134,8 +134,8 @@ func TestPoolMixedSessionsIsolationAndDrain(t *testing.T) {
 	}
 
 	pool.Close()
-	if live, busy := pool.Executor().Workers(); live != 0 || busy != 0 {
-		t.Fatalf("after Close: live=%d busy=%d workers", live, busy)
+	if st := pool.Executor().SchedStats(); st.Live != 0 || st.Busy != 0 {
+		t.Fatalf("after Close: live=%d busy=%d workers", st.Live, st.Busy)
 	}
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {

@@ -71,7 +71,7 @@ func TestOptionPrecedenceTable(t *testing.T) {
 	// Row 4: executor injection is last at either scope — a WithExecutor
 	// smuggled through Submit cannot detach the session from the shared
 	// scheduler: the session's job and its one child both reach the pool.
-	ran := false
+	smuggled := &inlineExecutor{}
 	before := p.Executor().SchedStats()
 	s, err := p.Submit(t.Context(), "spawner", func(root *core.Task) error {
 		c, err := root.Async(func(*core.Task) error { return nil })
@@ -79,14 +79,14 @@ func TestOptionPrecedenceTable(t *testing.T) {
 			return err
 		}
 		return c.Wait()
-	}, WithRuntime(core.WithExecutor(func(j core.Job) { ran = true; j.Run() })))
+	}, WithRuntime(core.WithExecutor(smuggled)))
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
 	if err := s.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	if ran {
+	if smuggled.ran {
 		t.Error("submit-scope WithExecutor overrode the pool's executor injection")
 	}
 	after := p.Executor().SchedStats()
@@ -324,4 +324,16 @@ func TestPoolDrainUnderLoad(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	t.Fatalf("goroutines leaked through Pool.Close under load: %d, baseline %d", runtime.NumGoroutine(), before)
+}
+
+// inlineExecutor runs every job on the submitting goroutine and records
+// that it ran one.
+type inlineExecutor struct{ ran bool }
+
+func (e *inlineExecutor) Execute(j core.Job) { e.ran = true; j.Run() }
+
+func (e *inlineExecutor) ExecuteBatch(js []core.Job) {
+	for _, j := range js {
+		e.Execute(j)
+	}
 }
