@@ -58,8 +58,9 @@ func (e *CanceledError) Error() string {
 func (e *CanceledError) Unwrap() error { return e.Cause }
 
 // newCanceledError builds a CanceledError attributed to the abandoned
-// wait. Only ever called on the cancellation path, so the lazy
-// name/label rendering cost is paid exactly when someone will read it.
+// wait. The task name and promise label are rendered here, eagerly,
+// whether or not anyone reads the error; the cost stays off the
+// uncancelled paths because only a cancelled wait calls this.
 func newCanceledError(t *Task, s *pstate, cause error) *CanceledError {
 	e := &CanceledError{Cause: cause}
 	if t != nil {

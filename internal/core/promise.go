@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"sync/atomic"
 )
 
@@ -75,13 +76,14 @@ func (s *pstate) publish() {
 }
 
 // displayLabel renders the diagnostic name, defaulting to "promise-<id>".
-// The default is computed on demand so the promise fast path never pays a
-// fmt.Sprintf for a label nobody reads.
+// Like Task.displayName, the default is built on demand and by
+// concatenation, so the promise fast path never renders a label nobody
+// reads and an alarm report pays no formatting for the ones it names.
 func (s *pstate) displayLabel() string {
 	if s.label != "" {
 		return s.label
 	}
-	return fmt.Sprintf("promise-%d", s.id)
+	return "promise-" + strconv.FormatUint(s.id, 10)
 }
 
 // AnyPromise is the payload-independent view of a promise. Every

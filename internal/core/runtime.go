@@ -207,32 +207,41 @@ type Runtime struct {
 	runWaitsCanceled atomic.Bool
 }
 
-// defaultDetector returns the detector used when WithDetector is absent:
-// the paper's lock-free Algorithm 2, unless the DEADLOCK_DETECTOR
+// EnvDetector returns the detector a runtime built without WithDetector
+// uses: the paper's lock-free Algorithm 2, unless the DEADLOCK_DETECTOR
 // environment variable selects otherwise ("lockfree" or "globallock").
 // The env hook exists so the whole test suite — and anything else that
 // constructs runtimes without an explicit WithDetector — can be swept
-// under the ablation comparator by CI without a per-call-site flag; an
-// explicit WithDetector always wins, since options run after defaults.
-func defaultDetector() DetectorKind {
+// under the ablation comparator by CI without a per-call-site flag. It
+// reads the environment on every call, so a caller that builds many
+// runtimes (serve.Pool, once per session) resolves it once and passes
+// the result as a WithDetector option instead.
+func EnvDetector() DetectorKind {
 	if os.Getenv("DEADLOCK_DETECTOR") == "globallock" {
 		return DetectGlobalLock
 	}
 	return DetectLockFree
 }
 
+// detectorUnset is the detector of a runtime whose options have not
+// chosen one; NewRuntime replaces it with EnvDetector.
+const detectorUnset = ^DetectorKind(0)
+
 // NewRuntime creates a runtime. The default configuration is the paper's
 // evaluated one: Full mode, lock-free detector, owned lists, goroutine per
-// task, no event counting. (The default detector can be redirected by the
-// DEADLOCK_DETECTOR environment variable; see defaultDetector.)
+// task, no event counting. Without a WithDetector option the detector is
+// EnvDetector's, and only then is the environment read.
 func NewRuntime(opts ...Option) *Runtime {
 	r := &Runtime{
 		mode:     Full,
-		detector: defaultDetector(),
+		detector: detectorUnset,
 		tracking: TrackList,
 	}
 	for _, o := range opts {
 		o(r)
+	}
+	if r.detector == detectorUnset {
+		r.detector = EnvDetector()
 	}
 	if r.events != nil {
 		r.startTracer()

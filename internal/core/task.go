@@ -1,8 +1,8 @@
 package core
 
 import (
-	"fmt"
 	"runtime/debug"
+	"strconv"
 	"sync/atomic"
 )
 
@@ -83,13 +83,14 @@ func (t *Task) ID() uint64 { return t.id }
 func (t *Task) Name() string { return t.displayName() }
 
 // displayName renders the diagnostic name, defaulting to "task-<id>". The
-// default is computed on demand so spawning a task never pays a
-// fmt.Sprintf for a name nobody reads.
+// default is built on demand, so spawning a task never formats a name
+// nobody reads, and built by concatenation, because alarm reports render
+// it once per task they name.
 func (t *Task) displayName() string {
 	if t.name != "" {
 		return t.name
 	}
-	return fmt.Sprintf("task-%d", t.id)
+	return "task-" + strconv.FormatUint(t.id, 10)
 }
 
 // Parent returns the task that spawned this one, or nil for the root task.

@@ -97,7 +97,7 @@ func countNode(s NodeState, dur time.Duration) {
 			c.Inc()
 		}
 		if dur > 0 {
-			m.nodeLat.Observe(dur)
+			m.nodeLat.Observe(obs.Now(), dur)
 		}
 	}
 }

@@ -93,7 +93,7 @@ func TestWindowRecentQuantiles(t *testing.T) {
 		t.Fatalf("span %v", w.Span())
 	}
 	for i := 0; i < 100; i++ {
-		w.Observe(time.Duration(i+1) * time.Millisecond)
+		w.Observe(Now(), time.Duration(i+1)*time.Millisecond)
 	}
 	if n := w.Count(); n != 100 {
 		t.Fatalf("in-window count %d", n)
@@ -111,7 +111,7 @@ func TestWindowRecentQuantiles(t *testing.T) {
 		t.Fatalf("stale p99 %v", q)
 	}
 	// And keep working after full rotation.
-	w.Observe(7 * time.Millisecond)
+	w.Observe(Now(), 7*time.Millisecond)
 	if q := w.Quantile(1); q != 7*time.Millisecond {
 		t.Fatalf("post-rotation p100 %v", q)
 	}
@@ -130,7 +130,7 @@ func TestWindowConcurrent(t *testing.T) {
 				case <-stop:
 					return
 				default:
-					w.Observe(time.Millisecond)
+					w.Observe(Now(), time.Millisecond)
 				}
 			}
 		}()
@@ -165,7 +165,7 @@ func TestWindowRotationKeepsEverySample(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for time.Now().Before(stop) {
-				w.Observe(time.Microsecond)
+				w.Observe(Now(), time.Microsecond)
 				counts[i]++
 			}
 		}()
@@ -205,7 +205,7 @@ func TestSnapshotAndJSON(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("spawns_total").Add(5)
 	r.Gauge("inflight").Set(2)
-	r.Window("lat_seconds", time.Second, 4).Observe(3 * time.Millisecond)
+	r.Window("lat_seconds", time.Second, 4).Observe(Now(), 3*time.Millisecond)
 	s := r.Snapshot()
 	if s.Counters["spawns_total"] != 5 || s.Gauges["inflight"] != 2 {
 		t.Fatalf("snapshot %+v", s)
@@ -235,8 +235,8 @@ func TestWritePrometheus(t *testing.T) {
 	r.Gauge("inflight").Set(1)
 	r.CounterVec("verdicts_total", "class", "tenant").With("clean", `odd"tenant\`).Add(2)
 	w := r.Window("lat_seconds", time.Second, 4)
-	w.Observe(2 * time.Millisecond)
-	w.Observe(4 * time.Millisecond)
+	w.Observe(Now(), 2*time.Millisecond)
+	w.Observe(Now(), 4*time.Millisecond)
 	var b strings.Builder
 	if err := r.WritePrometheus(&b); err != nil {
 		t.Fatal(err)

@@ -5,7 +5,6 @@ import (
 	"io"
 	"sort"
 	"strings"
-	"time"
 )
 
 // WritePrometheus renders the registry in Prometheus text exposition
@@ -97,13 +96,4 @@ func sortedKeys[V any](m map[string]V) []string {
 	}
 	sort.Strings(keys)
 	return keys
-}
-
-// ObserveSince is a convenience for exec-latency call sites:
-// w.Observe(time.Since(start)) with a nil-safe receiver, so call sites
-// holding a possibly-nil *Window need no branch.
-func (w *Window) ObserveSince(start time.Time) {
-	if w != nil {
-		w.Observe(time.Since(start))
-	}
 }

@@ -8,9 +8,22 @@ import (
 	"repro/internal/hist"
 )
 
+// epoch is the origin of Now: a monotonic clock reading taken once, at
+// package initialization.
+var epoch = time.Now()
+
+// Now is the monotonic clock the serving stack stamps with: nanoseconds
+// since a fixed origin in this process. Two stamps subtract to a
+// time.Duration exactly as time.Time.Sub would, and a stamp costs one
+// monotonic clock read — time.Since on a monotonic reading never reads
+// the wall clock, so it is cheaper than time.Now. Stamps are meaningful
+// only within one process.
+func Now() int64 { return int64(time.Since(epoch)) }
+
 // Window is a windowed latency recorder: a ring of hist.Histogram
-// buckets, each covering one fixed time slice, rotated by wall clock.
-// Observations land in the bucket owning the current slice; reads merge
+// buckets, each covering one fixed time slice of the monotonic clock
+// Now. An observation lands in the bucket owning the slice of the stamp
+// its caller passes, so Observe reads no clock of its own; reads merge
 // every bucket still inside the window into a scratch histogram and
 // answer from that. Quantile(0.99) is therefore the p99 of roughly the
 // last Span() of traffic — the signal admission control needs — rather
@@ -20,9 +33,8 @@ import (
 // Observe is lock-free on the rotation check (one atomic epoch load; the
 // bucket's rotation lock only on the first observations of a new slice)
 // plus the histogram's own mutex-guarded bucket increment. Reads are
-// control-plane: they
-// allocate a scratch histogram and take each bucket's lock briefly via
-// Merge.
+// control-plane: they read the clock, allocate a scratch histogram and
+// take each bucket's lock briefly via Merge.
 type Window struct {
 	bucketNs int64
 	buckets  []windowBucket
@@ -72,19 +84,21 @@ func (w *Window) Span() time.Duration {
 	return time.Duration(w.bucketNs * int64(len(w.buckets)))
 }
 
-// Observe records one duration into the current time slice's bucket,
-// resetting the bucket first if its slice has rotated out.
-func (w *Window) Observe(d time.Duration) {
-	epoch := time.Now().UnixNano() / w.bucketNs
+// Observe records one duration into the bucket of the slice holding now,
+// a stamp from Now the caller already holds (typically the end of the
+// interval d measures), resetting the bucket first if its slice has
+// rotated out.
+func (w *Window) Observe(now int64, d time.Duration) {
+	epoch := now / w.bucketNs
 	b := &w.buckets[int(epoch%int64(len(w.buckets)))]
 	if b.epoch.Load() < epoch {
 		// First observation of this slice: reset the stale contents, then
 		// publish the new epoch. An observer that loads the new epoch
 		// therefore records after the reset, and one that loads an older
 		// epoch waits here for it, so no sample of the new slice is
-		// wiped. An observer whose clock read precedes the bucket's epoch
-		// (it was descheduled across the rotation) records into the
-		// bucket as it stands and never moves the epoch back.
+		// wiped. An observer whose stamp precedes the bucket's epoch (it
+		// was descheduled across the rotation) records into the bucket as
+		// it stands and never moves the epoch back.
 		b.rotate.Lock()
 		if b.epoch.Load() < epoch {
 			b.h.Reset()
@@ -97,7 +111,7 @@ func (w *Window) Observe(d time.Duration) {
 
 // merged folds every in-window bucket into a fresh scratch histogram.
 func (w *Window) merged() *hist.Histogram {
-	cur := time.Now().UnixNano() / w.bucketNs
+	cur := Now() / w.bucketNs
 	oldest := cur - int64(len(w.buckets)) + 1
 	out := hist.NewHistogram()
 	for i := range w.buckets {

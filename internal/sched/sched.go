@@ -25,6 +25,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // Job is one unit of work: a core task (core.Job is the same type) or a
@@ -134,7 +136,7 @@ type worker struct {
 	retired bool   // set under mu before the final drain; refuses pushes
 
 	wake     chan struct{} // cap 1; closed to retire, sent to wake
-	parkedAt time.Time     // guarded by Elastic.mu while parked
+	parkedAt int64         // obs.Now stamp of the park; guarded by Elastic.mu while parked
 	rng      uint64        // xorshift state for steal victim selection
 }
 
@@ -455,7 +457,7 @@ func (e *Elastic) findWork(w *worker) Job {
 			e.searching.Add(-1)
 			return nil
 		}
-		w.parkedAt = time.Now()
+		w.parkedAt = obs.Now()
 		e.parked = append(e.parked, w)
 		if m := smet(); m != nil {
 			m.parks.Inc()
@@ -561,14 +563,14 @@ func (e *Elastic) cleaner() {
 			return // Close retires the parked workers itself
 		case <-ticker.C:
 		}
-		cutoff := time.Now().Add(-e.idleTimeout)
+		cutoff := obs.Now() - int64(e.idleTimeout)
 		e.mu.Lock()
 		if e.closed {
 			e.mu.Unlock()
 			return
 		}
 		n := 0
-		for n < len(e.parked) && e.parked[n].parkedAt.Before(cutoff) {
+		for n < len(e.parked) && e.parked[n].parkedAt < cutoff {
 			n++
 		}
 		expired := make([]*worker, n)

@@ -89,9 +89,11 @@ type Config struct {
 	// (sched.NewElastic); zero selects that constructor's default.
 	IdleTimeout time.Duration
 	// Runtime is the base option set applied to every session's runtime,
-	// before per-Submit options. The pool always appends its own executor
-	// injection last, so a WithExecutor here or at Submit is overridden —
-	// sessions run on the shared pool by construction.
+	// before per-Submit options. The pool puts the detector that
+	// core.EnvDetector resolves ahead of it, so a WithDetector here or at
+	// Submit wins, and always appends its own executor injection last, so
+	// a WithExecutor here or at Submit is overridden — sessions run on the
+	// shared pool by construction.
 	Runtime []core.Option
 	// TenantWeights are the WDRR weights of the fairness tenants (see
 	// WithTenantWeight). Tenants absent from the map weigh 1.
@@ -115,9 +117,10 @@ type Pool struct {
 	cfg  Config
 	exec *sched.Elastic
 
-	// runtimeOpts is cfg.Runtime followed by the executor injection,
-	// built once: every session without submit-scope runtime options
-	// shares it (see runtimeOptions).
+	// runtimeOpts is the detector resolved from the environment, then
+	// cfg.Runtime, then the executor injection, built once: every session
+	// without submit-scope runtime options shares it (see
+	// runtimeOptions).
 	runtimeOpts []core.Option
 
 	mu           sync.Mutex
@@ -170,8 +173,12 @@ func NewPool(cfg Config) *Pool {
 		fq:           sched.NewFairQueue[*Session](),
 		tenantQueued: make(map[string]int),
 	}
-	p.runtimeOpts = append(append(make([]core.Option, 0, len(cfg.Runtime)+1), cfg.Runtime...),
-		core.WithExecutor(p.exec))
+	// Resolve DEADLOCK_DETECTOR once here rather than in every session's
+	// NewRuntime; leading the list, it yields to any other WithDetector.
+	p.runtimeOpts = make([]core.Option, 0, len(cfg.Runtime)+2)
+	p.runtimeOpts = append(p.runtimeOpts, core.WithDetector(core.EnvDetector()))
+	p.runtimeOpts = append(p.runtimeOpts, cfg.Runtime...)
+	p.runtimeOpts = append(p.runtimeOpts, core.WithExecutor(p.exec))
 	for tenant, w := range cfg.TenantWeights {
 		p.fq.SetWeight(tenant, w)
 	}
@@ -247,7 +254,7 @@ func (p *Pool) Submit(ctx context.Context, name string, main core.TaskFunc, opts
 		ctx:         ctx,
 		main:        main,
 		runtimeOpts: p.runtimeOptions(o.runtime),
-		queuedAt:    time.Now(),
+		queuedAt:    obs.Now(),
 		done:        make(chan struct{}),
 		onDone:      o.onDone,
 	}
@@ -312,14 +319,15 @@ func (p *Pool) reject(reason string) {
 	}
 }
 
-// runtimeOptions is a session's runtime option list: the pool's base,
-// then the submit-scope options, then the executor injection, always
-// last. A session with no submit-scope options shares the pool's list.
+// runtimeOptions is a session's runtime option list: the pool's base
+// (the resolved detector and cfg.Runtime), then the submit-scope
+// options, then the executor injection, always last. A session with no
+// submit-scope options shares the pool's list.
 func (p *Pool) runtimeOptions(extra []core.Option) []core.Option {
 	if len(extra) == 0 {
 		return p.runtimeOpts
 	}
-	n := len(p.cfg.Runtime)
+	n := len(p.runtimeOpts) - 1
 	out := make([]core.Option, 0, len(p.runtimeOpts)+len(extra))
 	out = append(append(out, p.runtimeOpts[:n]...), extra...)
 	return append(out, p.runtimeOpts[n:]...)
@@ -420,19 +428,19 @@ func (p *Pool) runSession(s *Session) {
 	if m := pmet(); m != nil {
 		m.inflight.Inc()
 	}
-	s.startedAt = time.Now()
-	p.queueWait.Observe(s.startedAt.Sub(s.queuedAt))
+	s.startedAt = obs.Now()
+	p.queueWait.Observe(s.startedAt, time.Duration(s.startedAt-s.queuedAt))
 	rt := core.NewRuntime(s.runtimeOpts...)
 	s.rt.Store(rt)
 	// RunContext waits for the session's task tree to unwind even after a
 	// cancellation, so the verdict and the runtime stats below are exact —
 	// no abandoned goroutine can mutate them later.
 	err := rt.RunContext(s.ctx, s.main)
-	s.finishedAt = time.Now()
+	s.finishedAt = obs.Now()
 	s.err = err
 	s.verdict = Classify(err)
 	s.stats = rt.Stats()
-	p.execLat.Observe(s.finishedAt.Sub(s.startedAt))
+	p.execLat.Observe(s.finishedAt, time.Duration(s.finishedAt-s.startedAt))
 
 	p.inflight.Add(-1)
 	p.completed.Add(1)
@@ -465,7 +473,7 @@ func (p *Pool) runSession(s *Session) {
 // ctx watch or the Close caller. Never called with p.mu held.
 func (p *Pool) finishUnrun(s *Session, err error) {
 	defer p.drain.Done()
-	now := time.Now()
+	now := obs.Now()
 	s.startedAt, s.finishedAt = now, now
 	s.err = err
 	s.verdict = VerdictCanceled

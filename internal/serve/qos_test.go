@@ -35,7 +35,8 @@ func TestOptionPrecedenceTable(t *testing.T) {
 	}
 
 	// Row 1: defaults. Full verification is the built-in mode, so the
-	// omitted set is convicted; the tenant is "default".
+	// omitted set is convicted; the tenant is "default"; the detector is
+	// the one the environment selects, which the pool resolved once.
 	p := New()
 	s := submit(p)
 	if v := s.Verdict(); v != VerdictPolicy {
@@ -44,11 +45,15 @@ func TestOptionPrecedenceTable(t *testing.T) {
 	if tn := s.Tenant(); tn != DefaultTenant {
 		t.Errorf("defaults: tenant %q, want %q", tn, DefaultTenant)
 	}
+	if d, want := s.Runtime().Detector(), core.EnvDetector(); d != want {
+		t.Errorf("defaults: detector %v, want the environment's %v", d, want)
+	}
 	p.Close()
 
 	// Row 2: pool scope overrides defaults — Unverified base mode hides
-	// the omission; WithTenant at pool scope renames the default tenant.
-	p = New(WithRuntime(core.WithMode(core.Unverified)), WithTenant("base"))
+	// the omission; WithTenant at pool scope renames the default tenant;
+	// a pool-scope detector overrides the environment's.
+	p = New(WithRuntime(core.WithMode(core.Unverified), core.WithDetector(core.DetectGlobalLock)), WithTenant("base"))
 	s = submit(p)
 	if v := s.Verdict(); v != VerdictClean {
 		t.Errorf("pool scope: verdict %v, want clean", v)
@@ -56,16 +61,23 @@ func TestOptionPrecedenceTable(t *testing.T) {
 	if tn := s.Tenant(); tn != "base" {
 		t.Errorf("pool scope: tenant %q, want base", tn)
 	}
+	if d := s.Runtime().Detector(); d != core.DetectGlobalLock {
+		t.Errorf("pool scope: detector %v, want globallock", d)
+	}
 
 	// Row 3: submit scope overrides pool scope — a per-session Full mode
-	// lands after the pool's Unverified base and wins; a per-session
-	// tenant overrides the pool default.
-	s = submit(p, WithRuntime(core.WithMode(core.Full)), WithTenant("gold"))
+	// lands after the pool's Unverified base and wins, and so does a
+	// per-session detector; a per-session tenant overrides the pool
+	// default.
+	s = submit(p, WithRuntime(core.WithMode(core.Full), core.WithDetector(core.DetectLockFree)), WithTenant("gold"))
 	if v := s.Verdict(); v != VerdictPolicy {
 		t.Errorf("submit scope: verdict %v, want policy (submit wins)", v)
 	}
 	if tn := s.Tenant(); tn != "gold" {
 		t.Errorf("submit scope: tenant %q, want gold", tn)
+	}
+	if d := s.Runtime().Detector(); d != core.DetectLockFree {
+		t.Errorf("submit scope: detector %v, want lockfree (submit wins)", d)
 	}
 
 	// Row 4: executor injection is last at either scope — a WithExecutor

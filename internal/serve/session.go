@@ -129,9 +129,12 @@ type Session struct {
 	waiting bool
 	unwatch func() bool
 
-	queuedAt   time.Time
-	startedAt  time.Time
-	finishedAt time.Time
+	// Monotonic stamps (obs.Now) of the session's three clock reads:
+	// accepted by Submit, started by its job, finished. QueueLatency,
+	// Duration and both Pool.Observe windows are computed from them.
+	queuedAt   int64
+	startedAt  int64
+	finishedAt int64
 
 	done    chan struct{}
 	onDone  func(*Session) // WithOnDone hook; nil when none
@@ -219,12 +222,12 @@ func (s *Session) SchedStats() (submitted, inflight int64) {
 // runtime started. Valid after Wait/Done.
 func (s *Session) QueueLatency() time.Duration {
 	<-s.done
-	return s.startedAt.Sub(s.queuedAt)
+	return time.Duration(s.startedAt - s.queuedAt)
 }
 
 // Duration is the session's execution time, admission wait excluded.
 // Valid after Wait/Done.
 func (s *Session) Duration() time.Duration {
 	<-s.done
-	return s.finishedAt.Sub(s.startedAt)
+	return time.Duration(s.finishedAt - s.startedAt)
 }
