@@ -402,8 +402,9 @@ func (r *Runtime) beginTask(t *Task) {
 }
 
 // runTask is the body wrapper every task runs: invoke the body on this
-// goroutine, then the termination protocol — enforce rule 3, publish the
-// result, and pair the accounting beginTask (or startTaskBatch) opened.
+// goroutine, then the termination protocol — enforce rule 3 and record the
+// error, publish the result, and pair the accounting beginTask (or
+// startTaskBatch) opened.
 func (r *Runtime) runTask(t *Task, f TaskFunc) {
 	err := invokeTask(f, t)
 	defer r.wg.Done()
@@ -425,20 +426,23 @@ func (r *Runtime) runTask(t *Task, f TaskFunc) {
 		r.flushStageIfStaged(t)
 	}
 	t.done.signal()
-	if err != nil {
-		r.record(err)
-	}
 }
 
-// finishTask enforces rule 3: the terminating task must own no promises.
-// If it does, the omitted set is reported with blame and every leaked
-// promise is completed exceptionally so consumers unblock (§6.2).
+// finishTask enforces rule 3 and records the task's error. A terminating
+// task must own no promises; if it does, the omitted set is reported with
+// blame and every leaked promise is completed exceptionally so consumers
+// unblock (§6.2). The error is recorded before anything it can wake — the
+// cascade here, the done signal in runTask — so a woken waiter records
+// its broken-promise error after its cause, and the run's joined report
+// always lists the cause first.
 func (r *Runtime) finishTask(t *Task, err error) error {
 	if r.mode < Ownership {
+		r.record(err)
 		return err
 	}
 	leaked, n := t.outstanding()
 	if n == 0 {
+		r.record(err)
 		return err
 	}
 	om := &OmittedSetError{TaskID: t.id, TaskName: t.displayName(), Promises: leaked, Count: n}
@@ -447,6 +451,8 @@ func (r *Runtime) finishTask(t *Task, err error) error {
 	if cause == nil {
 		cause = om
 	}
+	joined := joinErrs(err, om)
+	r.record(joined)
 	for _, ap := range leaked {
 		s := ap.state()
 		if s.claim() {
@@ -467,5 +473,5 @@ func (r *Runtime) finishTask(t *Task, err error) error {
 			s.publish()
 		}
 	}
-	return joinErrs(err, om)
+	return joined
 }

@@ -67,7 +67,13 @@ const (
 //     submitter's critical path.
 //   - Workers drain their own deque newest-first (cache warmth) and then
 //     steal oldest-first from a random other worker. Stealing is what
-//     redistributes a burst that landed on one deque.
+//     redistributes a burst that landed on one deque. An empty probe is
+//     lock-free: the sweep is skipped outright while pending reads 0, and
+//     each deque publishes its length atomically, so pop and the steal
+//     sweep lock only a deque whose length reads non-zero (the locked
+//     re-check still decides whether a job is there). A searching worker
+//     therefore touches no lock and no other worker's deque unless a job
+//     is queued somewhere.
 //   - The wake cascade: a searching worker that claims a job hands its
 //     searcher duty off before running it — if queued jobs remain and no
 //     other searcher exists, it wakes one parked worker (or spawns a
@@ -84,6 +90,17 @@ const (
 // of every push/park race sees the other. A queued job can therefore
 // never be stranded behind a blocked one: some worker that is not
 // running a job is always on its way.
+//
+// The lock-free skips keep the invariant. A searcher that skips the
+// sweep, its own deque or a victim on a read of 0 that a concurrent push
+// is about to overtake simply finds nothing and goes on to park, and the
+// park re-checks pending after it decrements searching: the producer
+// either sees searching > 0 (and the re-check then sees its pending
+// increment) or sees searching == 0 and supplies a searcher itself. A
+// push stores the deque's length before it raises pending, and a claim
+// lowers pending before it stores the length, so a searcher whose
+// re-check saw pending > 0 reads a non-zero length for every deque that
+// still holds a job on its next sweep.
 type Elastic struct {
 	idleTimeout time.Duration
 
@@ -108,7 +125,9 @@ type Elastic struct {
 
 	// pending counts queued-but-unclaimed jobs across every deque;
 	// searching counts workers between jobs (draining, stealing, or about
-	// to park). Together they carry the liveness invariant above.
+	// to park). Together they carry the liveness invariant above. Every
+	// probe reads them, so they get a cache line of their own, away from
+	// the per-job counters below.
 	pending   atomic.Int64
 	searching atomic.Int64
 
@@ -129,7 +148,11 @@ type Elastic struct {
 // rather than serializing the burst, and the randomized victim selection
 // keeps thieves from convoying on one lock.
 type worker struct {
-	mu      sync.Mutex
+	mu sync.Mutex
+	// length is tail-head, stored under mu after every change, so a
+	// searcher can pass over an empty deque without taking mu. It sits
+	// next to mu, so a claim's store hits the cache line its Lock owns.
+	length  atomic.Int64
 	buf     []Job
 	head    uint64 // steal side: oldest job
 	tail    uint64 // owner side: push/pop newest
@@ -154,9 +177,10 @@ func NewElastic(idleTimeout time.Duration) *Elastic {
 // acquisition and one pending update, returning how many were taken: 0
 // when the worker is retired or the ring is full, or — when try is set —
 // when the deque lock is contended (the submitter has cheaper places to
-// put the jobs than a queue behind this lock). The pending update is
-// inside the critical section so a claimer can never observe a job
-// without its count.
+// put the jobs than a queue behind this lock). The length and pending
+// updates are inside the critical section, length first, so a claimer
+// can never observe a job without its count, and a searcher that reads
+// the new pending reads the new length too.
 func (w *worker) pushBatch(e *Elastic, js []Job, try bool) int {
 	if try {
 		if !w.mu.TryLock() {
@@ -176,6 +200,7 @@ func (w *worker) pushBatch(e *Elastic, js []Job, try bool) int {
 		n++
 	}
 	if n > 0 {
+		w.length.Store(int64(w.tail - w.head))
 		e.pending.Add(int64(n))
 	}
 	w.mu.Unlock()
@@ -186,8 +211,13 @@ func (w *worker) pushBatch(e *Elastic, js []Job, try bool) int {
 }
 
 // pop takes the newest job (the owner side: most recently pushed, cache
-// warm), or nil.
+// warm), or nil. A deque whose published length reads 0 is passed over
+// without its lock; a push that overtakes that read is caught by the
+// park's pending re-check (see Elastic).
 func (w *worker) pop(e *Elastic) Job {
+	if w.length.Load() == 0 {
+		return nil
+	}
 	w.mu.Lock()
 	if w.tail == w.head {
 		w.mu.Unlock()
@@ -197,6 +227,7 @@ func (w *worker) pop(e *Elastic) Job {
 	j := w.buf[w.tail&dequeMask]
 	w.buf[w.tail&dequeMask] = nil
 	e.pending.Add(-1)
+	w.length.Store(int64(w.tail - w.head))
 	w.mu.Unlock()
 	if m := smet(); m != nil {
 		m.depth.Dec()
@@ -205,7 +236,9 @@ func (w *worker) pop(e *Elastic) Job {
 }
 
 // stealFrom takes the oldest job (FIFO from the steal side, so a burst
-// retains submission order across the pool), or nil.
+// retains submission order across the pool), or nil. steal calls it only
+// for a victim whose published length read non-zero, and the locked
+// check here decides.
 func (w *worker) stealFrom(e *Elastic) Job {
 	w.mu.Lock()
 	if w.tail == w.head {
@@ -216,6 +249,7 @@ func (w *worker) stealFrom(e *Elastic) Job {
 	w.buf[w.head&dequeMask] = nil
 	w.head++
 	e.pending.Add(-1)
+	w.length.Store(int64(w.tail - w.head))
 	w.mu.Unlock()
 	if m := smet(); m != nil {
 		m.depth.Dec()
@@ -434,9 +468,11 @@ func (w *worker) run(e *Elastic, j Job) {
 }
 
 // findWork claims the next job for w: own deque first, then a randomized
-// steal sweep, then park and wait. Returns nil when the worker should
-// exit (cleaner retirement or pool close). Caller holds searcher status;
-// on a nil return it has been released.
+// steal sweep, then park and wait. With nothing queued, the first two
+// steps read two atomics and take no lock; the park's pending re-check is
+// what makes those lock-free misses safe. Returns nil when the worker
+// should exit (cleaner retirement or pool close). Caller holds searcher
+// status; on a nil return it has been released.
 func (e *Elastic) findWork(w *worker) Job {
 	for {
 		if j := w.pop(e); j != nil {
@@ -486,8 +522,13 @@ func (e *Elastic) findWork(w *worker) Job {
 
 // steal sweeps the worker snapshot from a random start, taking the
 // oldest job of the first non-empty deque. The randomized start keeps
-// thieves from convoying on the same victim.
+// thieves from convoying on the same victim. With pending at 0 there is
+// nothing to find and the sweep is skipped; otherwise the sweep passes
+// over each victim whose published length reads 0 without locking it.
 func (e *Elastic) steal(w *worker) Job {
+	if e.pending.Load() == 0 {
+		return nil
+	}
 	snap := e.snapshot.Load()
 	if snap == nil {
 		return nil
@@ -501,17 +542,18 @@ func (e *Elastic) steal(w *worker) Job {
 	w.rng ^= w.rng >> 7
 	w.rng ^= w.rng << 17
 	start := int(w.rng % uint64(n))
-	for i := 0; i < n; i++ {
-		v := victims[(start+i)%n]
-		if v == w {
-			continue
-		}
-		if j := v.stealFrom(e); j != nil {
-			e.steals.Add(1)
-			if m := smet(); m != nil {
-				m.steals.Inc()
+	for _, part := range [2][]*worker{victims[start:], victims[:start]} {
+		for _, v := range part {
+			if v == w || v.length.Load() == 0 {
+				continue
 			}
-			return j
+			if j := v.stealFrom(e); j != nil {
+				e.steals.Add(1)
+				if m := smet(); m != nil {
+					m.steals.Inc()
+				}
+				return j
+			}
 		}
 	}
 	return nil
@@ -531,6 +573,7 @@ func (w *worker) drainOnExit(e *Elastic) {
 		w.buf[w.head&dequeMask] = nil
 		w.head++
 	}
+	w.length.Store(0)
 	w.mu.Unlock()
 	if len(leftover) == 0 {
 		return
