@@ -67,9 +67,9 @@ func TestListing1AlarmAllocs(t *testing.T) {
 	}
 	// The global-lock detector adds its waits-for map (allocated at the
 	// first wait) and that map's first entry.
-	want := 73
+	want := 49
 	if EnvDetector() == DetectGlobalLock {
-		want = 75
+		want = 51
 	}
 	got := testing.AllocsPerRun(200, func() {
 		if err := listing1Default(); err == nil {
@@ -80,5 +80,46 @@ func TestListing1AlarmAllocs(t *testing.T) {
 	})
 	if got > float64(want) {
 		t.Fatalf("Listing-1 alarm run: %.0f allocs, want at most %d", got, want)
+	}
+}
+
+// TestListing1AlarmRenderAllocs pins the allocations of rendering
+// Listing 1's joined report alone: every alarm verdict sent over the
+// front renders it once. Each report renders into one builder; the
+// rest are errors.Join's buffers and the default omitted-set labels.
+func TestListing1AlarmRenderAllocs(t *testing.T) {
+	err := listing1Default()
+	if err == nil {
+		t.Fatal("Listing 1 ran clean")
+	}
+	got := testing.AllocsPerRun(200, func() { _ = err.Error() })
+	if want := 13; got > float64(want) {
+		t.Fatalf("rendering Listing 1's report: %.0f allocs, want at most %d", got, want)
+	}
+}
+
+// TestReportTextBranches pins the report texts Listing 1 does not reach:
+// a counted omitted set, several labels, a nil cause and cycles of other
+// lengths, as the fmt-based renderers wrote them.
+func TestReportTextBranches(t *testing.T) {
+	named := func(label string) AnyPromise { return &Promise[int]{s: pstate{label: label}} }
+	for _, tc := range []struct {
+		err  error
+		want string
+	}{
+		{&OmittedSetError{TaskName: "w", Count: 3},
+			"core: omitted set: task w terminated owning 3 unfulfilled promise(s)"},
+		{&OmittedSetError{TaskName: "w", Promises: []AnyPromise{named("a"), named("b"), named("c")}},
+			"core: omitted set: task w terminated owning unfulfilled promise(s): a, b, c"},
+		{&BrokenPromiseError{PromiseLabel: "p", TaskName: "w"},
+			"core: broken promise p: owner task w terminated without fulfilling it: <nil>"},
+		{&DeadlockError{}, "core: deadlock cycle of 0 task(s): "},
+		{&DeadlockError{Cycle: []CycleNode{
+			{TaskName: "a", PromiseLabel: "p"}, {TaskName: "b", PromiseLabel: "q"}, {TaskName: "c", PromiseLabel: "r"},
+		}}, "core: deadlock cycle of 3 task(s): task a awaits p -> task b awaits q -> task c awaits r -> owned by task a"},
+	} {
+		if got := tc.err.Error(); got != tc.want {
+			t.Errorf("%T: got %q, want %q", tc.err, got, tc.want)
+		}
 	}
 }

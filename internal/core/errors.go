@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -123,17 +124,30 @@ type OmittedSetError struct {
 	Count    int
 }
 
+// The omitted-set, broken-promise and deadlock reports are built
+// without fmt, each in one allocation where the parts are known: an
+// alarm verdict renders all three, and the front renders every alarm
+// verdict it sends.
 func (e *OmittedSetError) Error() string {
 	if len(e.Promises) == 0 {
-		return fmt.Sprintf("core: omitted set: task %s terminated owning %d unfulfilled promise(s)",
-			e.TaskName, e.Count)
+		return "core: omitted set: task " + e.TaskName + " terminated owning " +
+			strconv.Itoa(e.Count) + " unfulfilled promise(s)"
 	}
-	labels := make([]string, len(e.Promises))
+	var b strings.Builder
+	// A default label is built on each Label call, so the size is a guess:
+	// twelve bytes per label covers "promise-<id>" up to four digits.
+	b.Grow(len("core: omitted set: task ") + len(e.TaskName) +
+		len(" terminated owning unfulfilled promise(s): ") + 12*len(e.Promises))
+	b.WriteString("core: omitted set: task ")
+	b.WriteString(e.TaskName)
+	b.WriteString(" terminated owning unfulfilled promise(s): ")
 	for i, p := range e.Promises {
-		labels[i] = p.Label()
+		if i > 0 {
+			b.WriteString(", ")
+		}
+		b.WriteString(p.Label())
 	}
-	return fmt.Sprintf("core: omitted set: task %s terminated owning unfulfilled promise(s): %s",
-		e.TaskName, strings.Join(labels, ", "))
+	return b.String()
 }
 
 // BrokenPromiseError is delivered to any task blocked on (or later getting)
@@ -149,8 +163,12 @@ type BrokenPromiseError struct {
 }
 
 func (e *BrokenPromiseError) Error() string {
-	return fmt.Sprintf("core: broken promise %s: owner task %s terminated without fulfilling it: %v",
-		e.PromiseLabel, e.TaskName, e.Cause)
+	cause := "<nil>"
+	if e.Cause != nil {
+		cause = e.Cause.Error()
+	}
+	return "core: broken promise " + e.PromiseLabel + ": owner task " + e.TaskName +
+		" terminated without fulfilling it: " + cause
 }
 
 // Unwrap exposes the cause so errors.Is/As can inspect cascades.
@@ -173,16 +191,34 @@ type DeadlockError struct {
 }
 
 func (e *DeadlockError) Error() string {
+	count := strconv.Itoa(len(e.Cycle))
+	size := len("core: deadlock cycle of ") + len(count) + len(" task(s): ")
+	for i, n := range e.Cycle {
+		if i > 0 {
+			size += len(" -> ")
+		}
+		size += len("task ") + len(n.TaskName) + len(" awaits ") + len(n.PromiseLabel)
+	}
+	if len(e.Cycle) > 0 {
+		size += len(" -> owned by task ") + len(e.Cycle[0].TaskName)
+	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "core: deadlock cycle of %d task(s): ", len(e.Cycle))
+	b.Grow(size)
+	b.WriteString("core: deadlock cycle of ")
+	b.WriteString(count)
+	b.WriteString(" task(s): ")
 	for i, n := range e.Cycle {
 		if i > 0 {
 			b.WriteString(" -> ")
 		}
-		fmt.Fprintf(&b, "task %s awaits %s", n.TaskName, n.PromiseLabel)
+		b.WriteString("task ")
+		b.WriteString(n.TaskName)
+		b.WriteString(" awaits ")
+		b.WriteString(n.PromiseLabel)
 	}
 	if len(e.Cycle) > 0 {
-		fmt.Fprintf(&b, " -> owned by task %s", e.Cycle[0].TaskName)
+		b.WriteString(" -> owned by task ")
+		b.WriteString(e.Cycle[0].TaskName)
 	}
 	return b.String()
 }

@@ -4,10 +4,12 @@
 // per-block gradient MAP nodes feeding a barrier REDUCE node that takes
 // the descent step and hands the new iterate to the next round. Each
 // map and each reduce is its own session; the iterate and the block
-// gradients travel between them through cross-session futures. That
-// makes it the canonical "wide fan, hard barrier, repeat" graph family,
-// complementing ppsim's deep chain — and like every workload here it
-// carries a bitwise-identical sequential reference to verify against.
+// gradients travel between them through cross-session futures, while
+// each block's rows stay resident: they are generated once per graph,
+// session or reference and only read after that. That makes it the
+// canonical "wide fan, hard barrier, repeat" graph family, complementing
+// ppsim's deep chain — and like every workload here it carries a
+// bitwise-identical sequential reference to verify against.
 package ppg
 
 import (
@@ -53,22 +55,47 @@ func Paper() Config {
 	return Config{Dim: 256, Blocks: 16, RowsPerBlock: 512, Iters: 20, Chunks: 4, Step: 1e-4, Lambda: 0.1, Seed: 3}
 }
 
-// blockData deterministically regenerates block b's rows and targets
-// from the seed. Map nodes rebuild their block instead of shipping
-// matrices across sessions — futures carry iterates and gradients only.
-func blockData(cfg Config, b int) (rows [][]float64, y []float64) {
-	rng := rand.New(rand.NewSource(cfg.Seed + int64(b)*104729))
-	rows = make([][]float64, cfg.RowsPerBlock)
-	y = make([]float64, cfg.RowsPerBlock)
-	for i := range rows {
-		row := make([]float64, cfg.Dim)
-		for j := range row {
-			row[j] = rng.Float64()*2 - 1
+// block is one row block of the problem with the names its gradient
+// body gives each chunk's promise and task. It is built once and shared
+// by every round, node and task that reads it; nothing writes it after
+// buildBlocks returns.
+type block struct {
+	rows      [][]float64
+	y         []float64
+	cellNames []string // per chunk: "partial-<b>-<c>"
+	taskNames []string // per chunk: "grad-<b>-<c>"
+}
+
+// newBlocks is the one block builder every form of the problem calls; a
+// package test wraps it to count the calls.
+var newBlocks = buildBlocks
+
+// buildBlocks generates every block's rows and targets from the seed,
+// one math/rand source per block, drawing each row and then its target.
+// Futures carry iterates and gradients only; the blocks never travel.
+func buildBlocks(cfg Config) []block {
+	blocks := make([]block, cfg.Blocks)
+	for b := range blocks {
+		rng := rand.New(rand.NewSource(cfg.Seed + int64(b)*104729))
+		blk := &blocks[b]
+		blk.rows = make([][]float64, cfg.RowsPerBlock)
+		blk.y = make([]float64, cfg.RowsPerBlock)
+		for i := range blk.rows {
+			row := make([]float64, cfg.Dim)
+			for j := range row {
+				row[j] = rng.Float64()*2 - 1
+			}
+			blk.rows[i] = row
+			blk.y[i] = rng.Float64()*2 - 1
 		}
-		rows[i] = row
-		y[i] = rng.Float64()*2 - 1
+		blk.cellNames = make([]string, cfg.Chunks)
+		blk.taskNames = make([]string, cfg.Chunks)
+		for c := range blk.cellNames {
+			blk.cellNames[c] = fmt.Sprintf("partial-%d-%d", b, c)
+			blk.taskNames[c] = fmt.Sprintf("grad-%d-%d", b, c)
+		}
 	}
-	return rows, y
+	return blocks
 }
 
 // chunkGrad computes the partial gradient A_c^T (A_c z - y_c) over one
@@ -105,12 +132,11 @@ func chunkBounds(cfg Config, c int) (lo, hi int) {
 // blockGradSeq is the sequential per-block gradient: the same chunk
 // split and merge order as the parallel body, so results are bitwise
 // identical.
-func blockGradSeq(cfg Config, b int, z []float64) []float64 {
-	rows, y := blockData(cfg, b)
+func blockGradSeq(cfg Config, blk *block, z []float64) []float64 {
 	g := make([]float64, cfg.Dim)
 	for c := 0; c < cfg.Chunks; c++ {
 		lo, hi := chunkBounds(cfg, c)
-		for j, v := range chunkGrad(rows, y, z, lo, hi) {
+		for j, v := range chunkGrad(blk.rows, blk.y, z, lo, hi) {
 			g[j] += v
 		}
 	}
@@ -133,32 +159,34 @@ func descend(cfg Config, z []float64, grads [][]float64) []float64 {
 
 // RunSequential computes the reference iterate single-threaded.
 func RunSequential(cfg Config) []float64 {
+	return runSequential(cfg, newBlocks(cfg))
+}
+
+func runSequential(cfg Config, blocks []block) []float64 {
 	z := make([]float64, cfg.Dim)
 	for k := 0; k < cfg.Iters; k++ {
 		grads := make([][]float64, cfg.Blocks)
 		for b := range grads {
-			grads[b] = blockGradSeq(cfg, b, z)
+			grads[b] = blockGradSeq(cfg, &blocks[b], z)
 		}
 		z = descend(cfg, z, grads)
 	}
 	return z
 }
 
-// runBlockGrad is the parallel gradient body under task t: regenerate
-// the block, fan the row chunks across child tasks, merge partials in
-// chunk order.
-func runBlockGrad(t *core.Task, cfg Config, b int, z []float64) ([]float64, error) {
-	rows, y := blockData(cfg, b)
+// runBlockGrad is the parallel gradient body under task t: fan the
+// block's row chunks across child tasks, merge partials in chunk order.
+func runBlockGrad(t *core.Task, cfg Config, blk *block, z []float64) ([]float64, error) {
 	cells := make([]*core.Promise[[]float64], cfg.Chunks)
 	specs := make([]core.SpawnSpec, cfg.Chunks)
 	for c := 0; c < cfg.Chunks; c++ {
 		c := c
-		cells[c] = core.NewPromiseNamed[[]float64](t, fmt.Sprintf("partial-%d-%d", b, c))
+		cells[c] = core.NewPromiseNamed[[]float64](t, blk.cellNames[c])
 		specs[c] = core.SpawnSpec{
-			Name: fmt.Sprintf("grad-%d-%d", b, c),
+			Name: blk.taskNames[c],
 			Body: func(ct *core.Task) error {
 				lo, hi := chunkBounds(cfg, c)
-				return cells[c].Set(ct, chunkGrad(rows, y, z, lo, hi))
+				return cells[c].Set(ct, chunkGrad(blk.rows, blk.y, z, lo, hi))
 			},
 			Moved: []core.Movable{cells[c]},
 		}
@@ -185,9 +213,14 @@ func redName(k int) string     { return fmt.Sprintf("it%02d-reduce", k) }
 // BuildGraph assembles the iteration graph: per round k, Blocks gradient
 // map nodes (each consuming the previous round's iterate) and one
 // barrier reduce node consuming all of them plus the iterate, emitting
-// the next iterate. The returned check compares the final reduce output
-// against the sequential reference bitwise.
+// the next iterate. The blocks are built here, once per graph, and the
+// map nodes only read them. The returned check compares the final reduce
+// output against the sequential reference over the same blocks bitwise.
 func BuildGraph(cfg Config) (*graph.Graph, func(*graph.GraphResult) error) {
+	return buildGraph(cfg, newBlocks(cfg))
+}
+
+func buildGraph(cfg Config, blocks []block) (*graph.Graph, func(*graph.GraphResult) error) {
 	g := graph.New("ppg")
 	prev := "" // previous round's reduce node, "" for round 0
 	for k := 0; k < cfg.Iters; k++ {
@@ -200,7 +233,7 @@ func BuildGraph(cfg Config) (*graph.Graph, func(*graph.GraphResult) error) {
 		}
 		gradNames := make([]string, cfg.Blocks)
 		for b := 0; b < cfg.Blocks; b++ {
-			b := b
+			blk := &blocks[b]
 			gradNames[b] = gradName(k, b)
 			var opts []graph.NodeOption
 			if dep != "" {
@@ -211,14 +244,13 @@ func BuildGraph(cfg Config) (*graph.Graph, func(*graph.GraphResult) error) {
 				if err != nil {
 					return nil, err
 				}
-				return runBlockGrad(t, cfg, b, z)
+				return runBlockGrad(t, cfg, blk, z)
 			}, opts...)
 		}
 		deps := gradNames
 		if dep != "" {
 			deps = append(deps, dep)
 		}
-		k := k
 		g.MustNode(redName(k), func(_ *core.Task, in graph.Inputs) (any, error) {
 			z, err := iterate(in)
 			if err != nil {
@@ -226,7 +258,7 @@ func BuildGraph(cfg Config) (*graph.Graph, func(*graph.GraphResult) error) {
 			}
 			grads := make([][]float64, cfg.Blocks)
 			for b := range grads {
-				if grads[b], err = graph.In[[]float64](in, gradName(k, b)); err != nil {
+				if grads[b], err = graph.In[[]float64](in, gradNames[b]); err != nil {
 					return nil, err
 				}
 			}
@@ -242,7 +274,7 @@ func BuildGraph(cfg Config) (*graph.Graph, func(*graph.GraphResult) error) {
 			return fmt.Errorf("ppg: final reduce did not succeed (graph err: %v)", res.Err)
 		}
 		got := out.([]float64)
-		want := RunSequential(cfg)
+		want := runSequential(cfg, blocks)
 		if len(got) != len(want) {
 			return fmt.Errorf("ppg: iterate length %d, want %d", len(got), len(want))
 		}
@@ -258,20 +290,25 @@ func BuildGraph(cfg Config) (*graph.Graph, func(*graph.GraphResult) error) {
 
 // Run executes all rounds inside a single session: per round, one child
 // task per block gradient (each fanning its chunks), merged in block
-// order — the same arithmetic order as the graph form.
+// order — the same arithmetic order as the graph form. The blocks are
+// built once per call.
 func Run(t *core.Task, cfg Config) ([]float64, error) {
+	return run(t, cfg, newBlocks(cfg))
+}
+
+func run(t *core.Task, cfg Config, blocks []block) ([]float64, error) {
 	z := make([]float64, cfg.Dim)
 	for k := 0; k < cfg.Iters; k++ {
 		cells := make([]*core.Promise[[]float64], cfg.Blocks)
 		specs := make([]core.SpawnSpec, cfg.Blocks)
 		for b := 0; b < cfg.Blocks; b++ {
-			b := b
+			blk := &blocks[b]
 			cells[b] = core.NewPromiseNamed[[]float64](t, fmt.Sprintf("block-%d-%d", k, b))
 			zk := z
 			specs[b] = core.SpawnSpec{
 				Name: fmt.Sprintf("block-%d-%d", k, b),
 				Body: func(ct *core.Task) error {
-					g, err := runBlockGrad(ct, cfg, b, zk)
+					g, err := runBlockGrad(ct, cfg, blk, zk)
 					if err != nil {
 						return err
 					}
@@ -296,10 +333,12 @@ func Run(t *core.Task, cfg Config) ([]float64, error) {
 	return z, nil
 }
 
-// Main returns a root TaskFunc for the harness.
+// Main returns a root TaskFunc for the harness. The blocks are built
+// here, before the TaskFunc exists, and every run of it reads them.
 func Main(cfg Config) core.TaskFunc {
+	blocks := newBlocks(cfg)
 	return func(t *core.Task) error {
-		_, err := Run(t, cfg)
+		_, err := run(t, cfg, blocks)
 		return err
 	}
 }
