@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/serve"
 	"repro/internal/trace"
 	"repro/internal/workloads"
@@ -325,5 +326,176 @@ func TestOversizedTraceVerdictIsCut(t *testing.T) {
 	}
 	if err := after.Wait(); err != nil {
 		t.Fatalf("session after the oversized verdict: %v", err)
+	}
+}
+
+// TestBlockingBodyGetsEarlyAccept: the read loop yields once after
+// dispatching a session, so a session that finishes at once shares the
+// accept's write, but a body that blocks must not hold its accept back:
+// a 200 ms sleep gets its accept well before its verdict, with one P and
+// with two.
+func TestBlockingBodyGetsEarlyAccept(t *testing.T) {
+	const body = 200 * time.Millisecond
+	reg := Registry{"Sleep": func(workloads.Scale) core.TaskFunc {
+		return func(*core.Task) error { time.Sleep(body); return nil }
+	}}
+	for _, procs := range []int{1, 2} {
+		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			f := frontWith(t, Config{Registry: reg})
+			defer f.Shutdown(context.Background())
+			nc, err := net.Dial("tcp", f.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer nc.Close()
+			nc.SetDeadline(time.Now().Add(10 * time.Second))
+			fw := &frameWriter{w: nc}
+			fr := newFrameReader(nc)
+			if err := fw.send(frameHello, helloMsg{Version: ProtocolVersion, Key: "gold-key"}.appendBody); err != nil {
+				t.Fatal(err)
+			}
+			if typ, _, err := fr.read(); err != nil || typ != frameHelloAck {
+				t.Fatalf("handshake: frame %d, %v", typ, err)
+			}
+			start := time.Now()
+			if err := fw.send(frameSubmit, submitMsg{ID: 1, Workload: "Sleep"}.appendBody); err != nil {
+				t.Fatal(err)
+			}
+			var at [2]time.Duration
+			for i, want := range []byte{frameAccept, frameVerdict} {
+				typ, _, err := fr.read()
+				if err != nil || typ != want {
+					t.Fatalf("frame %d: type %d, %v; want %d", i, typ, err, want)
+				}
+				at[i] = time.Since(start)
+			}
+			t.Logf("accept after %v, verdict after %v", at[0], at[1])
+			if at[1] < body || at[1]-at[0] < body/2 {
+				t.Fatalf("accept after %v, verdict after %v: want the accept at least %v before a verdict that takes %v",
+					at[0], at[1], body/2, body)
+			}
+		})
+	}
+}
+
+// TestMergedWriteFailureSpillsVerdict: a session that finished before
+// the read loop answered it sends its accept and verdict in one write.
+// When that write times out on a stalled client, the verdict lands in
+// the spill log under the session's name and the conn is cut; when it
+// succeeds, front_verdicts_with_accept_total counts it. A session
+// submitted through handleSubmit is named "<tenant>/<workload>#<id>".
+func TestMergedWriteFailureSpillsVerdict(t *testing.T) {
+	reg := obs.NewRegistry()
+	obs.Install(reg)
+	t.Cleanup(func() { obs.Install(nil) })
+	noop := func(workloads.Scale) core.TaskFunc { return func(*core.Task) error { return nil } }
+	f := &Front{reg: Registry{"Noop": noop}, pool: serve.New(), conns: make(map[*frontConn]struct{})}
+	defer f.pool.Close()
+	conn := func(timeout time.Duration) (*frontConn, net.Conn) {
+		server, client := net.Pipe()
+		t.Cleanup(func() { client.Close() })
+		return &frontConn{
+			f:        f,
+			nc:       server,
+			fw:       &frameWriter{w: server, nc: server, timeout: timeout},
+			tenant:   "gold",
+			inflight: make(map[uint64]context.CancelCauseFunc),
+		}, client
+	}
+	// merged runs one session to completion, lets its hook take the
+	// first turn, and then takes the read loop's turn on c.
+	merged := func(c *frontConn, id uint64) {
+		t.Helper()
+		pv := &pendingVerdict{c: c, id: id, name: fmt.Sprintf("gold/Noop#%d", id), cancel: func(error) {}}
+		f.sessWG.Add(1)
+		s, err := f.pool.Submit(t.Context(), pv.name, noop(workloads.ScaleSmall), serve.WithOnDone(pv.turn))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for deadline := time.Now().Add(5 * time.Second); pv.turns.Load() != 1; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatal("completion hook never took its turn")
+			}
+		}
+		pv.acceptTurn(s)
+	}
+	counted := func() int64 {
+		return reg.Snapshot().Counters["front_verdicts_with_accept_total"]
+	}
+
+	stalled, client := conn(50 * time.Millisecond)
+	merged(stalled, 7)
+	spilled := f.Spilled()
+	if len(spilled) != 1 || spilled[0].Session != "gold/Noop#7" || spilled[0].Verdict != "clean" ||
+		!strings.Contains(spilled[0].Cause, "timed out") {
+		t.Fatalf("spill log %+v, want the clean verdict of gold/Noop#7, spilled on a write timeout", spilled)
+	}
+	if n := counted(); n != 0 {
+		t.Fatalf("a failed merged write counted %d verdicts sent with their accept", n)
+	}
+	client.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := client.Read(make([]byte, 16)); err == nil {
+		t.Fatal("stalled client's conn still open")
+	}
+
+	live, client := conn(0)
+	frames := make(chan byte, 2)
+	go func() {
+		fr := newFrameReader(client)
+		for {
+			typ, _, err := fr.read()
+			if err != nil {
+				close(frames)
+				return
+			}
+			frames <- typ
+		}
+	}()
+	merged(live, 8)
+	if a, v := <-frames, <-frames; a != frameAccept || v != frameVerdict {
+		t.Fatalf("merged frames %d, %d; want accept then verdict", a, v)
+	}
+	if n := counted(); n != 1 {
+		t.Fatalf("front_verdicts_with_accept_total = %d after one merged write, want 1", n)
+	}
+
+	// Whichever turn comes second, a verdict the stalled pipe cannot take
+	// is spilled under the name handleSubmit built.
+	named, _ := conn(50 * time.Millisecond)
+	named.handleSubmit(submitMsg{ID: 42, Workload: "Noop"})
+	f.sessWG.Wait()
+	if spilled := f.Spilled(); len(spilled) != 2 || spilled[1].Session != "gold/Noop#42" {
+		t.Fatalf("spill log %+v, want a second entry for gold/Noop#42", spilled)
+	}
+}
+
+// TestMergedOversizedVerdictSplits: a finished session whose verdict is
+// too large for a frame cannot share the accept's write. The accept goes
+// out alone, then the verdict with its trace cut to fit.
+func TestMergedOversizedVerdictSplits(t *testing.T) {
+	server, client := net.Pipe()
+	defer client.Close()
+	c := &frontConn{f: &Front{}, nc: server, fw: &frameWriter{w: server}, tenant: "gold"}
+	trace := bytes.Repeat([]byte("event line\n"), maxFrameBody/8)
+	go c.deliverVerdict("gold/Sieve#3", verdictMsg{ID: 3, Verdict: "clean", Trace: trace}, true)
+
+	client.SetReadDeadline(time.Now().Add(10 * time.Second))
+	fr := newFrameReader(client)
+	typ, body, err := fr.read()
+	var a acceptMsg
+	if err != nil || typ != frameAccept || a.decode(body) != nil || a.ID != 3 {
+		t.Fatalf("first frame: type %d, %+v, %v; want accept 3", typ, a, err)
+	}
+	typ, body, err = fr.read()
+	var v verdictMsg
+	if err != nil || typ != frameVerdict || v.decode(body) != nil || v.ID != 3 {
+		t.Fatalf("second frame: type %d, %v; want verdict 3", typ, err)
+	}
+	if !bytes.HasPrefix(v.Trace, []byte("trace cut to fit the frame")) || len(v.Trace) > maxFrameBody {
+		t.Fatalf("verdict trace of %d bytes starts %q, want a cut trace", len(v.Trace), v.Trace[:min(len(v.Trace), 40)])
+	}
+	if spilled := c.f.Spilled(); len(spilled) != 0 {
+		t.Fatalf("spill log %+v, want empty", spilled)
 	}
 }

@@ -19,6 +19,12 @@ type frontMetrics struct {
 	submitted    *obs.Counter
 	rejected     *obs.CounterVec // label: reason (closed set, see wire.go)
 	verdicts     *obs.CounterVec // label: verdict
+	// verdictsWithAccept counts the verdicts written in one Write with
+	// their accept, because the session finished before the read loop
+	// answered its submit. Divided by the sum of front_verdicts_total it
+	// is the merged share: the fraction of verdicts that cost no write
+	// of their own.
+	verdictsWithAccept *obs.Counter
 
 	// Fault-tolerance families. The retry-reason label space is the
 	// closed classification set in retry.go; the breaker endpoint label
@@ -45,6 +51,8 @@ func init() {
 			submitted:    reg.Counter("front_sessions_submitted_total"),
 			rejected:     reg.CounterVec("front_rejected_total", "reason"),
 			verdicts:     reg.CounterVec("front_verdicts_total", "verdict"),
+
+			verdictsWithAccept: reg.Counter("front_verdicts_with_accept_total"),
 
 			retries:          reg.CounterVec("front_retries_total", "reason"),
 			breakerState:     reg.GaugeVec("front_breaker_state", "endpoint"),

@@ -248,7 +248,7 @@ func TestSlowClientEvictionSpillsVerdict(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		c.deliverVerdict("t/Sieve#1", verdictMsg{ID: 1, Verdict: "clean"})
+		c.deliverVerdict("t/Sieve#1", verdictMsg{ID: 1, Verdict: "clean"}, false)
 	}()
 	select {
 	case <-done:

@@ -7,6 +7,8 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -94,8 +96,8 @@ type SpilledVerdict struct {
 // Front is the network serving front-end: it owns a listener, a serving
 // pool, and one goroutine per connection. An in-flight session holds no
 // goroutine: its verdict frame is written by its completion hook, or by
-// the conn's read loop right after the accept if the session finished
-// first. New starts it; Shutdown drains it.
+// the conn's read loop in the same write as the accept if the session
+// finished first. New starts it; Shutdown drains it.
 type Front struct {
 	cfg  Config
 	reg  Registry
@@ -312,8 +314,9 @@ func (c *frontConn) handshake() error {
 
 // handleSubmit admits one wire submission into the pool and answers it
 // synchronously. Rejections carry the machine-readable reason the
-// metrics count; an accepted session's verdict frame follows its accept
-// (see pendingVerdict).
+// metrics count; an accepted session's verdict frame follows its accept,
+// in the same write when the session has finished by then (see
+// pendingVerdict).
 func (c *frontConn) handleSubmit(req submitMsg) {
 	f := c.f
 	reject := func(reason, detail string) {
@@ -348,7 +351,7 @@ func (c *frontConn) handleSubmit(req submitMsg) {
 	pv := &pendingVerdict{
 		c:      c,
 		id:     req.ID,
-		name:   fmt.Sprintf("%s/%s#%d", c.tenant, req.Workload, req.ID),
+		name:   c.tenant + "/" + req.Workload + "#" + strconv.FormatUint(req.ID, 10),
 		trace:  req.Trace,
 		cancel: cancel,
 	}
@@ -365,11 +368,8 @@ func (c *frontConn) handleSubmit(req submitMsg) {
 	c.mu.Unlock()
 	s, err := f.pool.Submit(ctx, pv.name, prog(workloads.ParseScale(req.Scale)), opts...)
 	if err != nil {
-		c.mu.Lock()
-		delete(c.inflight, req.ID)
-		c.mu.Unlock()
+		pv.retire(err)
 		f.sessWG.Done()
-		cancel(err)
 		switch {
 		case errors.Is(err, serve.ErrDeadlineInfeasible):
 			reject(RejectDeadline, err.Error())
@@ -385,15 +385,26 @@ func (c *frontConn) handleSubmit(req submitMsg) {
 	if m := fmet(); m != nil {
 		m.submitted.Inc()
 	}
-	c.fw.send(frameAccept, acceptMsg{ID: req.ID}.appendBody)
-	pv.turn(s)
+	if s.Dispatched() {
+		// Submit readied the session's worker to run next on this P. One
+		// yield lets a session that does not block finish first, so its
+		// verdict can share the accept's write. A queued session cannot
+		// finish that soon, so the read loop does not wait for it.
+		runtime.Gosched()
+	}
+	pv.acceptTurn(s)
 }
 
 // pendingVerdict is an accepted session whose verdict frame is still
-// owed. The frame goes out on whichever of two events comes second: the
-// read loop writing the accept frame, or the session completing (its
-// serve.WithOnDone hook). So the accept always precedes the verdict on
-// the wire, and no goroutine waits for the session.
+// owed. Two events each take one turn: the read loop answering the
+// submit (acceptTurn) and the session completing (turn, its
+// serve.WithOnDone hook). The second delivers the verdict. The read loop
+// takes its turn under the frameWriter's mutex. If it comes first, it
+// writes the accept alone before releasing the mutex, so the hook's
+// verdict goes out after it. If it comes second, the session has
+// finished, and it writes the accept and the verdict together in one
+// Write. So the accept always precedes the verdict on the wire, and no
+// goroutine waits for the session.
 type pendingVerdict struct {
 	c      *frontConn
 	id     uint64
@@ -403,17 +414,34 @@ type pendingVerdict struct {
 	turns  atomic.Int32
 }
 
-// turn records one of the two events — it is also the session's
-// completion hook — and the second delivers the verdict.
+// turn is the session's completion hook. As the second turn it delivers
+// the verdict alone: the accept is already on the wire.
 func (pv *pendingVerdict) turn(s *serve.Session) {
 	if pv.turns.Add(1) == 2 {
-		pv.deliver(s)
+		pv.deliver(s, false)
 	}
 }
 
-// deliver builds the finished session's verdict frame, retires its
-// in-flight entry, and writes (or spills) the frame.
-func (pv *pendingVerdict) deliver(s *serve.Session) {
+// acceptTurn is the read loop's turn: it writes the accept, and with it
+// the verdict if the session has already finished.
+func (pv *pendingVerdict) acceptTurn(s *serve.Session) {
+	fw := pv.c.fw
+	fw.mu.Lock()
+	if pv.turns.Add(1) == 1 {
+		fw.sendLocked(frameAccept, acceptMsg{ID: pv.id}.appendBody)
+		fw.mu.Unlock()
+		return
+	}
+	// The hook has taken its turn, so nothing else writes this session's
+	// frames: build the verdict outside the lock.
+	fw.mu.Unlock()
+	pv.deliver(s, true)
+}
+
+// deliver builds the finished session's verdict frame, retires the
+// session, and writes (or spills) the frame, after its accept in the
+// same write when withAccept is set.
+func (pv *pendingVerdict) deliver(s *serve.Session, withAccept bool) {
 	c := pv.c
 	defer c.f.sessWG.Done()
 	v := verdictMsg{
@@ -433,14 +461,23 @@ func (pv *pendingVerdict) deliver(s *serve.Session) {
 	if m := fmet(); m != nil {
 		m.verdicts.With(v.Verdict).Inc()
 	}
+	pv.retire(nil) // nil: release the deadline timer
+	c.deliverVerdict(pv.name, v, withAccept)
+}
+
+// retire takes the session off the conn's in-flight table, before its
+// verdict can reach the client (which may then reuse the id), and
+// cancels its ctx with cause.
+func (pv *pendingVerdict) retire(cause error) {
+	c := pv.c
 	c.mu.Lock()
 	delete(c.inflight, pv.id)
 	c.mu.Unlock()
-	pv.cancel(nil) // release the deadline timer
-	c.deliverVerdict(pv.name, v)
+	pv.cancel(cause)
 }
 
-// deliverVerdict writes a session's verdict frame. A failed write never
+// deliverVerdict writes a session's verdict frame, behind its accept
+// frame in the same Write when withAccept is set. A failed write never
 // drops the verdict silently: it is spilled to the front's bounded log,
 // and if the failure was a write TIMEOUT — a live TCP conn whose peer
 // has stopped draining it — the slow client is evicted (counted, conn
@@ -448,9 +485,23 @@ func (pv *pendingVerdict) deliver(s *serve.Session) {
 // completing workers of every other session on the conn.
 //
 // A verdict whose trace would make the frame longer than the peer's
-// reader accepts is resent with the trace cut to fit (see cutTrace).
-func (c *frontConn) deliverVerdict(name string, v verdictMsg) {
-	err := c.fw.send(frameVerdict, v.appendBody)
+// reader accepts is resent with the trace cut to fit (see cutTrace);
+// its accept then goes out alone first.
+func (c *frontConn) deliverVerdict(name string, v verdictMsg, withAccept bool) {
+	var err error
+	if withAccept {
+		err = c.fw.sendPair(frameAccept, acceptMsg{ID: v.ID}.appendBody, frameVerdict, v.appendBody)
+		switch {
+		case err == nil:
+			if m := fmet(); m != nil {
+				m.verdictsWithAccept.Inc()
+			}
+		case errors.Is(err, ErrFrameOversized):
+			c.fw.send(frameAccept, acceptMsg{ID: v.ID}.appendBody)
+		}
+	} else {
+		err = c.fw.send(frameVerdict, v.appendBody)
+	}
 	if errors.Is(err, ErrFrameOversized) && len(v.Trace) > 0 {
 		bare := v
 		bare.Trace = nil

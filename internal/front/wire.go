@@ -26,7 +26,8 @@
 // path: with JSON bodies, encoding/json took 18.6% of the CPU of a closed
 // loop of small sessions over loopback. Each end reads through one
 // bufio.Reader per conn into a reused body buffer, and each frame is
-// appended into its writer's reused buffer and written with one Write.
+// appended into its writer's reused buffer and written with one Write
+// (an accept and its verdict may share that Write, see below).
 // Encoding a frame allocates nothing, and decoding allocates only the
 // strings and trace bytes the decoder copies out (TestFrameAllocs pins
 // the counts). On a 2-vCPU VM this took the front-closed benchmark from
@@ -38,7 +39,8 @@
 //	S→C  helloAck{version, tenant}      or errors and closes
 //	C→S  submit{id, workload, ...}      any time after the ack
 //	S→C  accept{id} | reject{id, ...}   synchronous answer, in order
-//	S→C  verdict{id, ...}               when the session completes
+//	S→C  verdict{id, ...}               when the session completes, never
+//	                                    before its accept
 //	C→S  cancel{id}                     best-effort, any time
 //	S→C  goaway{reason}                 server is draining; no new submits
 //	*→*  ping{seq} / pong{seq}          keepalive, either direction
@@ -47,6 +49,11 @@
 // server frames about a session carry it back. Accept/reject are sent
 // from the read loop before the next submit is read, so they arrive in
 // submission order; verdicts arrive in completion order, interleaved.
+// A session that has finished by the time the read loop answers its
+// submit (the loop yields once after dispatching it, so a body that does
+// not block usually has) gets its accept and verdict in one Write, accept
+// first; any other session's verdict is written by its completion hook
+// after the accept. Either way the client reads the accept first.
 //
 // Ping/pong is the liveness layer: either side may send a ping at any
 // time after the handshake and the peer answers with a pong echoing the
@@ -405,15 +412,18 @@ func (d *decoder) done(typ byte) error {
 
 // frameWriter serializes frames onto one conn. Writes come from the read
 // loop (accept/reject/pong, in order, and a verdict whose session
-// finished before its accept went out) and from session completion
-// hooks (completion order), so every write takes the mutex — a frame is
-// never interleaved inside another. The frame is encoded under the
-// mutex into buf, which is reused across sends.
+// finished before its accept went out, sent with that accept) and from
+// session completion hooks (completion order), so every write takes the
+// mutex: a frame is never interleaved inside another. Frames are encoded
+// under the mutex into buf, which is reused across sends. The read loop
+// also holds the mutex while it takes its pendingVerdict turn, so a hook
+// that finishes the session meanwhile writes its verdict after the
+// accept.
 //
-// When nc and timeout are set, every send arms a write deadline: a peer
+// When nc and timeout are set, every Write arms a write deadline: a peer
 // that has stopped draining its socket fails the write with
 // ErrWriteTimeout after timeout instead of wedging the sender forever.
-// The deadline covers the whole frame under the mutex, so one stalled
+// The deadline covers the whole Write under the mutex, so one stalled
 // peer delays other writers on the SAME conn at most timeout — and the
 // conn is declared dead at the first timeout, never retried (the frame
 // boundary is gone).
@@ -432,14 +442,53 @@ type frameWriter struct {
 func (fw *frameWriter) send(typ byte, appendBody func([]byte) []byte) error {
 	fw.mu.Lock()
 	defer fw.mu.Unlock()
-	buf := appendBody(append(fw.buf[:0], 0, 0, 0, 0, typ))
+	return fw.sendLocked(typ, appendBody)
+}
+
+// sendLocked is send for a caller that holds fw.mu.
+func (fw *frameWriter) sendLocked(typ byte, appendBody func([]byte) []byte) error {
+	buf, err := fw.frame(fw.buf[:0], typ, appendBody)
+	if err != nil {
+		return err
+	}
+	return fw.write(buf, typ)
+}
+
+// sendPair writes two frames, in order, with one Write. If either frame
+// is longer than maxFrameBody, nothing is written: sendPair returns
+// ErrFrameOversized and the conn stays usable.
+func (fw *frameWriter) sendPair(typ1 byte, body1 func([]byte) []byte, typ2 byte, body2 func([]byte) []byte) error {
+	fw.mu.Lock()
+	defer fw.mu.Unlock()
+	buf, err := fw.frame(fw.buf[:0], typ1, body1)
+	if err == nil {
+		buf, err = fw.frame(buf, typ2, body2)
+	}
+	if err != nil {
+		return err
+	}
+	return fw.write(buf, typ2)
+}
+
+// frame appends one frame to buf, keeping the grown buffer for reuse
+// unless it is past keepBufCap. Caller holds fw.mu.
+func (fw *frameWriter) frame(buf []byte, typ byte, appendBody func([]byte) []byte) ([]byte, error) {
+	start := len(buf)
+	buf = appendBody(append(buf, 0, 0, 0, 0, typ))
 	if cap(buf) <= keepBufCap {
 		fw.buf = buf
 	}
-	if n := len(buf) - 4; n > maxFrameBody {
-		return fmt.Errorf("%w: frame %d not sent: length %d (cap %d)", ErrFrameOversized, typ, n, maxFrameBody)
+	n := len(buf) - start - 4
+	if n > maxFrameBody {
+		return nil, fmt.Errorf("%w: frame %d not sent: length %d (cap %d)", ErrFrameOversized, typ, n, maxFrameBody)
 	}
-	binary.BigEndian.PutUint32(buf, uint32(len(buf)-4))
+	binary.BigEndian.PutUint32(buf[start:], uint32(n))
+	return buf, nil
+}
+
+// write puts encoded frames on the conn under the write deadline; typ
+// (the last frame's type) only labels a timeout. Caller holds fw.mu.
+func (fw *frameWriter) write(buf []byte, typ byte) error {
 	if fw.nc != nil && fw.timeout > 0 {
 		fw.nc.SetWriteDeadline(time.Now().Add(fw.timeout))
 	}

@@ -435,3 +435,59 @@ func TestFrameWriterRefusesOversized(t *testing.T) {
 		t.Fatalf("frame after the refused one: type %d, %+v, %v", typ, got, err)
 	}
 }
+
+// writeCounter is an io.Writer that keeps what it is given and counts
+// the Write calls.
+type writeCounter struct {
+	bytes.Buffer
+	writes int
+}
+
+func (w *writeCounter) Write(p []byte) (int, error) {
+	w.writes++
+	return w.Buffer.Write(p)
+}
+
+// TestFrameWriterSendPair: an accept and a verdict go out in exactly one
+// Write and decode in order. A pair whose second frame is oversized
+// writes nothing, not even the first frame, and the writer stays usable.
+func TestFrameWriterSendPair(t *testing.T) {
+	var out writeCounter
+	fw := &frameWriter{w: &out}
+	v := verdictMsg{ID: 7, Verdict: "deadlock", Err: "cycle", QueueMs: 1, DurationMs: 2}
+	if err := fw.sendPair(frameAccept, acceptMsg{ID: 7}.appendBody, frameVerdict, v.appendBody); err != nil {
+		t.Fatal(err)
+	}
+	if out.writes != 1 {
+		t.Fatalf("pair took %d writes, want 1", out.writes)
+	}
+	fr := newFrameReader(&out)
+	typ, body, err := fr.read()
+	var a acceptMsg
+	if err != nil || typ != frameAccept || a.decode(body) != nil || a.ID != 7 {
+		t.Fatalf("first frame: type %d, %+v, %v; want accept 7", typ, a, err)
+	}
+	typ, body, err = fr.read()
+	var got verdictMsg
+	if err != nil || typ != frameVerdict || got.decode(body) != nil || got.ID != v.ID || got.Verdict != v.Verdict || got.Err != v.Err ||
+		got.QueueMs != v.QueueMs || got.DurationMs != v.DurationMs {
+		t.Fatalf("second frame: type %d, %+v, %v; want %+v", typ, got, err, v)
+	}
+	if _, _, err := fr.read(); err != io.EOF {
+		t.Fatalf("after the pair: %v, want io.EOF", err)
+	}
+
+	big := verdictMsg{ID: 8, Verdict: "clean", Trace: make([]byte, maxFrameBody)}
+	if err := fw.sendPair(frameAccept, acceptMsg{ID: 8}.appendBody, frameVerdict, big.appendBody); !errors.Is(err, ErrFrameOversized) {
+		t.Fatalf("oversized pair: %v, want ErrFrameOversized", err)
+	}
+	if out.writes != 1 || out.Len() != 0 {
+		t.Fatalf("oversized pair wrote: %d writes in all, %d bytes unread", out.writes, out.Len())
+	}
+	if err := fw.send(frameAccept, acceptMsg{ID: 8}.appendBody); err != nil {
+		t.Fatal(err)
+	}
+	if typ, body, err := fr.read(); err != nil || typ != frameAccept || a.decode(body) != nil || a.ID != 8 {
+		t.Fatalf("frame after the refused pair: type %d, %+v, %v", typ, a, err)
+	}
+}

@@ -56,14 +56,16 @@ func Paper() Config {
 }
 
 // block is one row block of the problem with the names its gradient
-// body gives each chunk's promise and task. It is built once and shared
-// by every round, node and task that reads it; nothing writes it after
-// buildBlocks returns.
+// body gives each chunk's promise and task, and the name the
+// single-session form gives the block's promise and task in each round.
+// It is built once and shared by every round, node and task that reads
+// it; nothing writes it after buildBlocks returns.
 type block struct {
-	rows      [][]float64
-	y         []float64
-	cellNames []string // per chunk: "partial-<b>-<c>"
-	taskNames []string // per chunk: "grad-<b>-<c>"
+	rows       [][]float64
+	y          []float64
+	cellNames  []string // per chunk: "partial-<b>-<c>"
+	taskNames  []string // per chunk: "grad-<b>-<c>"
+	roundNames []string // per round k: "block-<k>-<b>"
 }
 
 // newBlocks is the one block builder every form of the problem calls; a
@@ -93,6 +95,10 @@ func buildBlocks(cfg Config) []block {
 		for c := range blk.cellNames {
 			blk.cellNames[c] = fmt.Sprintf("partial-%d-%d", b, c)
 			blk.taskNames[c] = fmt.Sprintf("grad-%d-%d", b, c)
+		}
+		blk.roundNames = make([]string, cfg.Iters)
+		for k := range blk.roundNames {
+			blk.roundNames[k] = fmt.Sprintf("block-%d-%d", k, b)
 		}
 	}
 	return blocks
@@ -303,10 +309,10 @@ func run(t *core.Task, cfg Config, blocks []block) ([]float64, error) {
 		specs := make([]core.SpawnSpec, cfg.Blocks)
 		for b := 0; b < cfg.Blocks; b++ {
 			blk := &blocks[b]
-			cells[b] = core.NewPromiseNamed[[]float64](t, fmt.Sprintf("block-%d-%d", k, b))
+			cells[b] = core.NewPromiseNamed[[]float64](t, blk.roundNames[k])
 			zk := z
 			specs[b] = core.SpawnSpec{
-				Name: fmt.Sprintf("block-%d-%d", k, b),
+				Name: blk.roundNames[k],
 				Body: func(ct *core.Task) error {
 					g, err := runBlockGrad(ct, cfg, blk, zk)
 					if err != nil {

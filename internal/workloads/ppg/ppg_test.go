@@ -3,6 +3,7 @@ package ppg
 import (
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -222,5 +223,23 @@ func TestMainBuildsBlocksOnce(t *testing.T) {
 	})
 	if n := calls.Load(); n != 2 {
 		t.Fatalf("one RunSequential and one Run built the blocks %d times, want 2", n)
+	}
+}
+
+// TestRunNamesEachRoundsBlocks pins the single-session form's names:
+// round k's promise and task for block b are both "block-<k>-<b>", built
+// with the blocks rather than per round.
+func TestRunNamesEachRoundsBlocks(t *testing.T) {
+	cfg := Small()
+	rt := core.NewRuntime(core.WithEventLog(1 << 16))
+	testutil.MustSucceed(t, rt, Main(cfg))
+	log := rt.EventLog()
+	for k := 0; k < cfg.Iters; k++ {
+		for b := 0; b < cfg.Blocks; b++ {
+			name := fmt.Sprintf("block-%d-%d", k, b)
+			if !strings.Contains(log, " promise="+name+"\n") || !strings.Contains(log, " task="+name+" ") {
+				t.Fatalf("event log names no promise and task %q", name)
+			}
+		}
 	}
 }
