@@ -68,7 +68,12 @@ type chaosReport struct {
 	// submission (a double delivery would land here). Must be 0.
 	UnmatchedVerdicts int64 `json:"unmatched_verdicts"`
 	SpilledVerdicts   int   `json:"spilled_verdicts"`
-	LeakedGoroutines  int   `json:"leaked_goroutines"`
+	// UnacceptedRuns counts the spilled verdicts of sessions that ran
+	// (verdict not canceled) but whose accept frame was never written.
+	// Their client saw the submission fail, so it retried it (the
+	// session ran twice) or gave it up (it ran unseen).
+	UnacceptedRuns   int `json:"unaccepted_runs"`
+	LeakedGoroutines int `json:"leaked_goroutines"`
 }
 
 // parseTenants parses the -tenants list ("gold:3,bronze:1"); tenant
@@ -472,9 +477,15 @@ func runOpen(cfg config, led *ledger) error {
 			retries += rc.Retries()
 			led.unmatched += rc.Stats().UnmatchedVerdicts
 		}
-		spilled := 0
+		spilled, unaccepted := 0, 0
 		if f != nil {
-			spilled = len(f.Spilled())
+			log := f.Spilled()
+			spilled = len(log)
+			for _, sv := range log {
+				if !sv.AcceptSent && sv.Verdict != serve.VerdictCanceled.String() {
+					unaccepted++
+				}
+			}
 		}
 		crep = &chaosReport{
 			GeneratedAt: time.Now().UTC().Format(time.RFC3339),
@@ -487,10 +498,11 @@ func runOpen(cfg config, led *ledger) error {
 			FalseVerdicts:     led.falseVerdicts,
 			UnmatchedVerdicts: led.unmatched,
 			SpilledVerdicts:   spilled,
+			UnacceptedRuns:    unaccepted,
 			LeakedGoroutines:  led.leaked,
 		}
-		fmt.Printf("\nchaos: rate=%.2f seed=%d server-faults=%d client-faults=%d retries=%d spilled=%d\n",
-			cfg.chaosRate, cfg.chaosSeed, srvChaos.Total(), cliChaos.Total(), retries, spilled)
+		fmt.Printf("\nchaos: rate=%.2f seed=%d server-faults=%d client-faults=%d retries=%d spilled=%d unaccepted-runs=%d\n",
+			cfg.chaosRate, cfg.chaosSeed, srvChaos.Total(), cliChaos.Total(), retries, spilled, unaccepted)
 	}
 
 	if cfg.jsonOut == "" {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"net"
 	"runtime"
 	"strings"
@@ -329,11 +330,10 @@ func TestOversizedTraceVerdictIsCut(t *testing.T) {
 	}
 }
 
-// TestBlockingBodyGetsEarlyAccept: the read loop yields once after
-// dispatching a session, so a session that finishes at once shares the
-// accept's write, but a body that blocks must not hold its accept back:
+// TestBlockingBodyGetsEarlyAccept: a body that blocks must not hold its
+// accept back, whether or not the read loop yields after submitting it:
 // a 200 ms sleep gets its accept well before its verdict, with one P and
-// with two.
+// with two, on its first run and after it.
 func TestBlockingBodyGetsEarlyAccept(t *testing.T) {
 	const body = 200 * time.Millisecond
 	reg := Registry{"Sleep": func(workloads.Scale) core.TaskFunc {
@@ -344,38 +344,102 @@ func TestBlockingBodyGetsEarlyAccept(t *testing.T) {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 			f := frontWith(t, Config{Registry: reg})
 			defer f.Shutdown(context.Background())
-			nc, err := net.Dial("tcp", f.Addr())
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer nc.Close()
-			nc.SetDeadline(time.Now().Add(10 * time.Second))
-			fw := &frameWriter{w: nc}
-			fr := newFrameReader(nc)
-			if err := fw.send(frameHello, helloMsg{Version: ProtocolVersion, Key: "gold-key"}.appendBody); err != nil {
-				t.Fatal(err)
-			}
-			if typ, _, err := fr.read(); err != nil || typ != frameHelloAck {
-				t.Fatalf("handshake: frame %d, %v", typ, err)
-			}
-			start := time.Now()
-			if err := fw.send(frameSubmit, submitMsg{ID: 1, Workload: "Sleep"}.appendBody); err != nil {
-				t.Fatal(err)
-			}
-			var at [2]time.Duration
-			for i, want := range []byte{frameAccept, frameVerdict} {
-				typ, _, err := fr.read()
-				if err != nil || typ != want {
-					t.Fatalf("frame %d: type %d, %v; want %d", i, typ, err, want)
-				}
-				at[i] = time.Since(start)
-			}
-			t.Logf("accept after %v, verdict after %v", at[0], at[1])
-			if at[1] < body || at[1]-at[0] < body/2 {
-				t.Fatalf("accept after %v, verdict after %v: want the accept at least %v before a verdict that takes %v",
-					at[0], at[1], body/2, body)
+			fw, fr := rawConn(t, f)
+			for id := uint64(1); id <= 2; id++ {
+				earlyAccept(t, fw, fr, id, "Sleep", body)
 			}
 		})
+	}
+}
+
+// TestComputeBodyGetsEarlyAccept: the read loop yields after a submit
+// only when the workload's last body ran for under shortBody. A no-op
+// workload earns the yield by running. A body that computes
+// for 200 ms without blocking never earns it, so its accept is not held
+// until the scheduler preempts the body: with one P and with two it
+// arrives well before the verdict.
+func TestComputeBodyGetsEarlyAccept(t *testing.T) {
+	const body = 200 * time.Millisecond
+	reg := Registry{
+		"Noop": func(workloads.Scale) core.TaskFunc { return func(*core.Task) error { return nil } },
+		"Spin": func(workloads.Scale) core.TaskFunc {
+			return func(*core.Task) error {
+				for start := time.Now(); time.Since(start) < body; {
+				}
+				return nil
+			}
+		},
+	}
+	for _, procs := range []int{1, 2} {
+		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			f := frontWith(t, Config{Registry: reg})
+			defer f.Shutdown(context.Background())
+			short := func(workload string) bool { return f.short[workload][workloads.ScaleDefault].Load() }
+			fw, fr := rawConn(t, f)
+			if short("Noop") || short("Spin") {
+				t.Fatal("a workload that never ran is marked short")
+			}
+			// A no-op body runs for tens of microseconds, but the race
+			// detector can stretch one run past shortBody.
+			id := uint64(1)
+			for ; !short("Noop"); id++ {
+				if id > 20 {
+					t.Fatal("20 no-op bodies ran and none was marked short")
+				}
+				earlyAccept(t, fw, fr, id, "Noop", 0)
+			}
+			for end := id + 2; id < end; id++ {
+				earlyAccept(t, fw, fr, id, "Spin", body)
+				if short("Spin") {
+					t.Fatalf("a %v compute body is marked short", body)
+				}
+			}
+		})
+	}
+}
+
+// rawConn dials f and completes the handshake as tenant gold.
+func rawConn(t *testing.T, f *Front) (*frameWriter, *frameReader) {
+	t.Helper()
+	nc, err := net.Dial("tcp", f.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { nc.Close() })
+	nc.SetDeadline(time.Now().Add(20 * time.Second))
+	fw := &frameWriter{w: nc}
+	fr := newFrameReader(nc)
+	if err := fw.send(frameHello, helloMsg{Version: ProtocolVersion, Key: "gold-key"}.appendBody); err != nil {
+		t.Fatal(err)
+	}
+	if typ, _, err := fr.read(); err != nil || typ != frameHelloAck {
+		t.Fatalf("handshake: frame %d, %v", typ, err)
+	}
+	return fw, fr
+}
+
+// earlyAccept submits one session of workload, whose body takes body,
+// and reads its accept and verdict. It fails t unless the accept arrives
+// at least body/2 before the verdict.
+func earlyAccept(t *testing.T, fw *frameWriter, fr *frameReader, id uint64, workload string, body time.Duration) {
+	t.Helper()
+	start := time.Now()
+	if err := fw.send(frameSubmit, submitMsg{ID: id, Workload: workload}.appendBody); err != nil {
+		t.Fatal(err)
+	}
+	var at [2]time.Duration
+	for i, want := range []byte{frameAccept, frameVerdict} {
+		typ, _, err := fr.read()
+		if err != nil || typ != want {
+			t.Fatalf("%s #%d frame %d: type %d, %v; want %d", workload, id, i, typ, err, want)
+		}
+		at[i] = time.Since(start)
+	}
+	t.Logf("%s #%d: accept after %v, verdict after %v", workload, id, at[0], at[1])
+	if at[1] < body || at[1]-at[0] < body/2 {
+		t.Fatalf("%s #%d: accept after %v, verdict after %v: want the accept at least %v before a verdict that takes %v",
+			workload, id, at[0], at[1], body/2, body)
 	}
 }
 
@@ -428,8 +492,8 @@ func TestMergedWriteFailureSpillsVerdict(t *testing.T) {
 	merged(stalled, 7)
 	spilled := f.Spilled()
 	if len(spilled) != 1 || spilled[0].Session != "gold/Noop#7" || spilled[0].Verdict != "clean" ||
-		!strings.Contains(spilled[0].Cause, "timed out") {
-		t.Fatalf("spill log %+v, want the clean verdict of gold/Noop#7, spilled on a write timeout", spilled)
+		!strings.Contains(spilled[0].Cause, "timed out") || spilled[0].AcceptSent {
+		t.Fatalf("spill log %+v, want the clean verdict of gold/Noop#7, spilled on a write timeout with no accept sent", spilled)
 	}
 	if n := counted(); n != 0 {
 		t.Fatalf("a failed merged write counted %d verdicts sent with their accept", n)
@@ -478,7 +542,8 @@ func TestMergedOversizedVerdictSplits(t *testing.T) {
 	defer client.Close()
 	c := &frontConn{f: &Front{}, nc: server, fw: &frameWriter{w: server}, tenant: "gold"}
 	trace := bytes.Repeat([]byte("event line\n"), maxFrameBody/8)
-	go c.deliverVerdict("gold/Sieve#3", verdictMsg{ID: 3, Verdict: "clean", Trace: trace}, true)
+	pv := &pendingVerdict{c: c, id: 3, name: "gold/Sieve#3"}
+	go pv.write(verdictMsg{ID: 3, Verdict: "clean", Trace: trace}, true)
 
 	client.SetReadDeadline(time.Now().Add(10 * time.Second))
 	fr := newFrameReader(client)
@@ -498,4 +563,41 @@ func TestMergedOversizedVerdictSplits(t *testing.T) {
 	if spilled := c.f.Spilled(); len(spilled) != 0 {
 		t.Fatalf("spill log %+v, want empty", spilled)
 	}
+}
+
+// TestMergedOversizedAcceptFailureSpills: when a finished session's
+// verdict is too large to share its accept's write and the accept, sent
+// alone, times out, the verdict is spilled at once. No cut-trace verdict
+// follows onto a stream that may hold part of the accept.
+func TestMergedOversizedAcceptFailureSpills(t *testing.T) {
+	server, client := net.Pipe()
+	defer client.Close()
+	w := &countingWriter{w: server}
+	c := &frontConn{f: &Front{}, nc: server, fw: &frameWriter{w: w, nc: server, timeout: 50 * time.Millisecond}, tenant: "gold"}
+	trace := bytes.Repeat([]byte("event line\n"), maxFrameBody/8)
+	pv := &pendingVerdict{c: c, id: 3, name: "gold/Sieve#3"}
+	pv.write(verdictMsg{ID: 3, Verdict: "clean", Trace: trace}, true)
+	if w.writes != 1 {
+		t.Fatalf("%d writes, want one: the accept's", w.writes)
+	}
+	spilled := c.f.Spilled()
+	if len(spilled) != 1 || spilled[0].Session != "gold/Sieve#3" || spilled[0].AcceptSent ||
+		!strings.Contains(spilled[0].Cause, "timed out") {
+		t.Fatalf("spill log %+v, want gold/Sieve#3 spilled on the accept's write timeout", spilled)
+	}
+	client.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := io.ReadAll(client); err != nil {
+		t.Fatalf("conn not cut after the accept's write timeout: %v", err)
+	}
+}
+
+// countingWriter counts the Write calls it passes on to w.
+type countingWriter struct {
+	w      io.Writer
+	writes int
+}
+
+func (cw *countingWriter) Write(p []byte) (int, error) {
+	cw.writes++
+	return cw.w.Write(p)
 }

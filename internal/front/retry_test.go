@@ -248,19 +248,20 @@ func TestSlowClientEvictionSpillsVerdict(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		c.deliverVerdict("t/Sieve#1", verdictMsg{ID: 1, Verdict: "clean"}, false)
+		pv := &pendingVerdict{c: c, id: 1, name: "t/Sieve#1", acceptSent: true}
+		pv.write(verdictMsg{ID: 1, Verdict: "clean"}, false)
 	}()
 	select {
 	case <-done:
 	case <-time.After(5 * time.Second):
-		t.Fatal("deliverVerdict wedged on a stalled client")
+		t.Fatal("verdict write wedged on a stalled client")
 	}
 	spilled := f.Spilled()
 	if len(spilled) != 1 {
 		t.Fatalf("spilled = %d entries, want 1", len(spilled))
 	}
 	sv := spilled[0]
-	if sv.Session != "t/Sieve#1" || sv.Verdict != "clean" || sv.Tenant != "t" {
+	if sv.Session != "t/Sieve#1" || sv.Verdict != "clean" || sv.Tenant != "t" || !sv.AcceptSent {
 		t.Fatalf("spilled entry = %+v", sv)
 	}
 	if !strings.Contains(sv.Cause, "timed out") {

@@ -38,6 +38,15 @@ const defaultServerWriteTimeout = 30 * time.Second
 // past the cap the oldest entries go (the counter still counts).
 const spillCap = 1024
 
+// shortBody is the longest last run for which the read loop, having
+// submitted a session of the same workload and scale, yields once before
+// it answers, so the session can finish and its verdict share the
+// accept's write. The yield holds the accept back for as long as the body
+// runs without blocking; a body that computes for longer than this gets
+// its accept at once. Listing 1 and a no-op body run for tens of
+// microseconds.
+const shortBody = 100 * time.Microsecond
+
 // Config configures a Front. The serving pool behind it is configured
 // through the same serve.Option family Pool construction uses — the
 // front adds only what the network edge needs: an address, the API-key
@@ -91,6 +100,10 @@ type SpilledVerdict struct {
 	Verdict string // classified outcome that failed to deliver
 	Err     string // session error text, if any
 	Cause   string // why delivery failed (write timeout, conn gone)
+	// AcceptSent reports whether the session's accept frame had been
+	// written. When it had not, the client never learned that the
+	// session was admitted, and a resilient client submits it again.
+	AcceptSent bool
 }
 
 // Front is the network serving front-end: it owns a listener, a serving
@@ -103,6 +116,12 @@ type Front struct {
 	reg  Registry
 	pool *serve.Pool
 	ln   net.Listener
+
+	// short holds, per registered workload and scale, whether the body
+	// of its last session that ran took under shortBody. The map is
+	// built by New from the registry and then only read; a workload
+	// missing from it never gets the yield.
+	short map[string]*[workloads.ScalePaper + 1]atomic.Bool
 
 	mu       sync.Mutex
 	draining bool
@@ -155,8 +174,12 @@ func New(cfg Config) (*Front, error) {
 		reg:        cfg.Registry,
 		pool:       serve.New(cfg.Serve...),
 		ln:         ln,
+		short:      make(map[string]*[workloads.ScalePaper + 1]atomic.Bool, len(cfg.Registry)),
 		conns:      make(map[*frontConn]struct{}),
 		acceptDone: make(chan struct{}),
+	}
+	for name := range cfg.Registry {
+		f.short[name] = new([workloads.ScalePaper + 1]atomic.Bool)
 	}
 	go f.acceptLoop()
 	return f, nil
@@ -348,12 +371,16 @@ func (c *frontConn) handleSubmit(req submitMsg) {
 		origCancel := cancel
 		cancel = func(cause error) { tcancel(); origCancel(cause) }
 	}
+	scale := workloads.ParseScale(req.Scale)
 	pv := &pendingVerdict{
 		c:      c,
 		id:     req.ID,
 		name:   c.tenant + "/" + req.Workload + "#" + strconv.FormatUint(req.ID, 10),
 		trace:  req.Trace,
 		cancel: cancel,
+	}
+	if short := f.short[req.Workload]; short != nil {
+		pv.short = &short[scale]
 	}
 
 	opts := []serve.Option{serve.WithTenant(c.tenant), serve.WithOnDone(pv.turn)}
@@ -366,7 +393,7 @@ func (c *frontConn) handleSubmit(req submitMsg) {
 	c.mu.Lock()
 	c.inflight[req.ID] = cancel
 	c.mu.Unlock()
-	s, err := f.pool.Submit(ctx, pv.name, prog(workloads.ParseScale(req.Scale)), opts...)
+	s, err := f.pool.Submit(ctx, pv.name, prog(scale), opts...)
 	if err != nil {
 		pv.retire(err)
 		f.sessWG.Done()
@@ -385,11 +412,12 @@ func (c *frontConn) handleSubmit(req submitMsg) {
 	if m := fmet(); m != nil {
 		m.submitted.Inc()
 	}
-	if s.Dispatched() {
-		// Submit readied the session's worker to run next on this P. One
-		// yield lets a session that does not block finish first, so its
-		// verdict can share the accept's write. A queued session cannot
-		// finish that soon, so the read loop does not wait for it.
+	if pv.short != nil && pv.short.Load() {
+		// A dispatched session's worker is readied to run next on this P.
+		// The workload's last body ran for under shortBody, so one yield
+		// likely lets this one finish first and its verdict share the
+		// accept's write. A body that computes for longer must not hold
+		// its accept back until the scheduler preempts it.
 		runtime.Gosched()
 	}
 	pv.acceptTurn(s)
@@ -412,6 +440,12 @@ type pendingVerdict struct {
 	trace  bool
 	cancel context.CancelCauseFunc
 	turns  atomic.Int32
+	short  *atomic.Bool // the workload's shortBody flag; nil if unknown
+
+	// acceptSent records that the accept frame was written. The read
+	// loop sets it under the frameWriter's mutex, so a hook reads it only
+	// after its own verdict write has taken that mutex.
+	acceptSent bool
 }
 
 // turn is the session's completion hook. As the second turn it delivers
@@ -428,7 +462,7 @@ func (pv *pendingVerdict) acceptTurn(s *serve.Session) {
 	fw := pv.c.fw
 	fw.mu.Lock()
 	if pv.turns.Add(1) == 1 {
-		fw.sendLocked(frameAccept, acceptMsg{ID: pv.id}.appendBody)
+		pv.acceptSent = fw.sendLocked(frameAccept, acceptMsg{ID: pv.id}.appendBody) == nil
 		fw.mu.Unlock()
 		return
 	}
@@ -461,8 +495,15 @@ func (pv *pendingVerdict) deliver(s *serve.Session, withAccept bool) {
 	if m := fmet(); m != nil {
 		m.verdicts.With(v.Verdict).Inc()
 	}
+	// The next submit of this workload yields only if this body was
+	// short. A session canceled before it ran says nothing about it.
+	if pv.short != nil && s.Verdict() != serve.VerdictCanceled {
+		if short := s.Duration() < shortBody; short != pv.short.Load() {
+			pv.short.Store(short)
+		}
+	}
 	pv.retire(nil) // nil: release the deadline timer
-	c.deliverVerdict(pv.name, v, withAccept)
+	pv.write(v, withAccept)
 }
 
 // retire takes the session off the conn's in-flight table, before its
@@ -476,7 +517,7 @@ func (pv *pendingVerdict) retire(cause error) {
 	pv.cancel(cause)
 }
 
-// deliverVerdict writes a session's verdict frame, behind its accept
+// write puts the session's verdict frame on the wire, behind its accept
 // frame in the same Write when withAccept is set. A failed write never
 // drops the verdict silently: it is spilled to the front's bounded log,
 // and if the failure was a write TIMEOUT — a live TCP conn whose peer
@@ -486,8 +527,10 @@ func (pv *pendingVerdict) retire(cause error) {
 //
 // A verdict whose trace would make the frame longer than the peer's
 // reader accepts is resent with the trace cut to fit (see cutTrace);
-// its accept then goes out alone first.
-func (c *frontConn) deliverVerdict(name string, v verdictMsg, withAccept bool) {
+// its accept then goes out alone first, and if that write fails the
+// verdict is spilled without another.
+func (pv *pendingVerdict) write(v verdictMsg, withAccept bool) {
+	c := pv.c
 	var err error
 	if withAccept {
 		err = c.fw.sendPair(frameAccept, acceptMsg{ID: v.ID}.appendBody, frameVerdict, v.appendBody)
@@ -496,8 +539,14 @@ func (c *frontConn) deliverVerdict(name string, v verdictMsg, withAccept bool) {
 			if m := fmet(); m != nil {
 				m.verdictsWithAccept.Inc()
 			}
+			return
 		case errors.Is(err, ErrFrameOversized):
-			c.fw.send(frameAccept, acceptMsg{ID: v.ID}.appendBody)
+			// sendPair wrote nothing.
+			if aerr := c.fw.send(frameAccept, acceptMsg{ID: v.ID}.appendBody); aerr != nil {
+				err = aerr
+			} else {
+				pv.acceptSent = true
+			}
 		}
 	} else {
 		err = c.fw.send(frameVerdict, v.appendBody)
@@ -513,8 +562,9 @@ func (c *frontConn) deliverVerdict(name string, v verdictMsg, withAccept bool) {
 		return
 	}
 	c.f.spill(SpilledVerdict{
-		Tenant: c.tenant, Session: name,
+		Tenant: c.tenant, Session: pv.name,
 		Verdict: v.Verdict, Err: v.Err, Cause: err.Error(),
+		AcceptSent: pv.acceptSent,
 	})
 	if errors.Is(err, ErrWriteTimeout) {
 		if m := fmet(); m != nil {

@@ -50,10 +50,11 @@
 // from the read loop before the next submit is read, so they arrive in
 // submission order; verdicts arrive in completion order, interleaved.
 // A session that has finished by the time the read loop answers its
-// submit (the loop yields once after dispatching it, so a body that does
-// not block usually has) gets its accept and verdict in one Write, accept
-// first; any other session's verdict is written by its completion hook
-// after the accept. Either way the client reads the accept first.
+// submit gets its accept and verdict in one Write, accept first. (When
+// the workload's last body was short, the loop yields once after the
+// submit, so such a body usually has finished.) Any other session's
+// verdict is written by its completion hook after the accept. Either way
+// the client reads the accept first.
 //
 // Ping/pong is the liveness layer: either side may send a ping at any
 // time after the handshake and the peer answers with a pong echoing the

@@ -274,7 +274,6 @@ func (p *Pool) Submit(ctx context.Context, name string, main core.TaskFunc, opts
 	switch {
 	case runNow:
 		p.running++ // slot free, nobody waiting: run immediately
-		s.dispatched = true
 	case p.tenantQueued[tenant] < p.cfg.QueueDepth:
 		s.waiting = true
 		p.fq.Push(tenant, s)

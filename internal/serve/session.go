@@ -126,11 +126,8 @@ type Session struct {
 	// Admission-queue state, guarded by Pool.mu: whether the session is
 	// waiting in its tenant's queue for a slot, and the stop func of its
 	// ctx watch (nil when it never queued or its ctx cannot end).
-	// dispatched is set once, by Submit before it returns, when the
-	// session went straight to the scheduler instead of the queue.
-	waiting    bool
-	dispatched bool
-	unwatch    func() bool
+	waiting bool
+	unwatch func() bool
 
 	// Monotonic stamps (obs.Now) of the session's three clock reads:
 	// accepted by Submit, started by its job, finished. QueueLatency,
@@ -155,11 +152,6 @@ func (s *Session) Name() string { return s.name }
 // Tenant returns the fairness tenant the session was queued and
 // accounted under.
 func (s *Session) Tenant() string { return s.tenant }
-
-// Dispatched reports whether Submit handed the session to the scheduler
-// at once rather than queueing it for an admission slot. It is meant for
-// the goroutine that called Submit, which it answers without a lock.
-func (s *Session) Dispatched() bool { return s.dispatched }
 
 // Done returns a channel closed when the session has finished.
 func (s *Session) Done() <-chan struct{} { return s.done }
