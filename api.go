@@ -156,11 +156,10 @@ var (
 	WithExecutor = core.WithExecutor
 	// WithIdleWatch installs the whole-program quiescence comparator (§1).
 	WithIdleWatch = core.WithIdleWatch
-	// WithEventLog retains recent policy events for post-mortems.
-	WithEventLog = core.WithEventLog
 	// TraceTo streams every policy event to a trace sink (see
 	// internal/trace for the binary format and sinks, and cmd/tracecheck
-	// for offline verification of recorded traces).
+	// for offline verification of recorded traces); a TraceMemSink's
+	// Snapshot is the run's post-mortem event log.
 	TraceTo = core.TraceTo
 	// Await is the type-erased policy-checked wait (see core.Await).
 	Await = core.Await
@@ -354,8 +353,6 @@ var (
 	// WithNodeTimeout bounds each attempt; a timed-out attempt is
 	// retryable (errors.Is ErrNodeTimeout), unlike a graph-level cancel.
 	WithNodeTimeout = graph.WithTimeout
-	// WithNodeMode overrides the verification mode for one node.
-	WithNodeMode = graph.WithMode
 	// WithNodeRuntime appends core options to one node's session runtime.
 	WithNodeRuntime = graph.WithRuntime
 	// WithNodeSubmit appends serve options to one node's Submit.

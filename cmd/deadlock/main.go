@@ -17,7 +17,8 @@
 //
 // -dot prints a Graphviz drawing of the ownership / waits-for graph
 // while the program is stuck (requires a hanging mode, i.e. not full),
-// replayed from the runtime's event log by trace.NewGraph.
+// replayed by trace.NewGraph from the demo's in-memory event window.
+// -events prints that window, one Event.String line per event.
 // -trace records each demo's events to a binary trace file (suffixed with
 // the demo name when running all) and prints the offline verifier's
 // verdict on it — the same check `tracecheck <file>` performs.
@@ -111,12 +112,16 @@ func demoTracePath() string {
 }
 
 // newRT builds a demo runtime honoring the -dot, -events and -trace
-// flags. -dot and -events share the event log; it is unstaged, so it
-// holds every event as it happens, a bystander's start included.
-func newRT(mode core.Mode, dot bool) *core.Runtime {
+// flags. -dot and -events read the returned window (nil without them).
+// A task parked on a promise has flushed its events, and a child's
+// start record is flushed by its spawner, so a hung demo's window holds
+// every blocked task and Listing 1's channel-parked bystander.
+func newRT(mode core.Mode, dot bool) (*core.Runtime, *trace.MemSink) {
 	opts := []core.Option{core.WithMode(mode)}
+	var mem *trace.MemSink
 	if printEvents || dot {
-		opts = append(opts, core.WithEventLog(256))
+		mem = trace.NewMemSink(256)
+		opts = append(opts, core.TraceTo(mem))
 	}
 	if tracePath != "" {
 		sink, err := trace.NewFileSink(demoTracePath())
@@ -126,10 +131,10 @@ func newRT(mode core.Mode, dot bool) *core.Runtime {
 		}
 		opts = append(opts, core.TraceTo(sink))
 	}
-	return core.NewRuntime(opts...)
+	return core.NewRuntime(opts...), mem
 }
 
-func report(name string, rt *core.Runtime, err error) {
+func report(name string, rt *core.Runtime, mem *trace.MemSink, err error) {
 	fmt.Printf("== %s under %s mode ==\n", name, rt.Mode())
 	var dl *core.DeadlockError
 	var om *core.OmittedSetError
@@ -161,10 +166,12 @@ func report(name string, rt *core.Runtime, err error) {
 		fmt.Println("   result: completed cleanly")
 	}
 	if printEvents {
-		if log := rt.EventLog(); log != "" {
+		if evs := mem.Snapshot(); len(evs) > 0 {
 			fmt.Println("   event log:")
-			for _, line := range strings.Split(strings.TrimRight(log, "\n"), "\n") {
-				fmt.Println("     " + line)
+			for _, e := range evs {
+				for _, line := range strings.Split(e.String(), "\n") {
+					fmt.Println("     " + line)
+				}
 			}
 		}
 	}
@@ -185,7 +192,7 @@ func report(name string, rt *core.Runtime, err error) {
 // t1 keeps running, so whole-program detectors (like the Go runtime's)
 // stay silent.
 func listing1(mode core.Mode, dot bool) {
-	rt := newRT(mode, dot)
+	rt, mem := newRT(mode, dot)
 	stop := make(chan struct{})
 	err := runFrozen(rt, 2*time.Second, func(root *core.Task) error {
 		p := core.NewPromiseNamed[int](root, "p")
@@ -210,19 +217,19 @@ func listing1(mode core.Mode, dot bool) {
 		return p.Set(root, 0)
 	})
 	if dot && errors.Is(err, core.ErrTimeout) {
-		fmt.Println(trace.NewGraph(rt.Events()).DOT())
+		fmt.Println(trace.NewGraph(mem.Snapshot()).DOT())
 	}
 	// The bystander is released only after report() — which closes the
 	// trace — so its wakeup does not emit into a closing collector and
 	// the recorded trace is deterministic.
-	report("Listing 1 (deadlock cycle hidden behind a live task)", rt, err)
+	report("Listing 1 (deadlock cycle hidden behind a live task)", rt, mem, err)
 	close(stop)
 }
 
 // listing2 is the paper's Listing 2: t3 should set r and s, delegates s to
 // t4, and t4 forgets.
 func listing2(mode core.Mode, dot bool) {
-	rt := newRT(mode, dot)
+	rt, mem := newRT(mode, dot)
 	err := runFrozen(rt, 2*time.Second, func(root *core.Task) error {
 		r := core.NewPromiseNamed[int](root, "r")
 		s := core.NewPromiseNamed[int](root, "s")
@@ -242,14 +249,14 @@ func listing2(mode core.Mode, dot bool) {
 		_, err := s.Get(root) // stuck
 		return err
 	})
-	report("Listing 2 (omitted set with delegation)", rt, err)
+	report("Listing 2 (omitted set with delegation)", rt, mem, err)
 }
 
 // listing3 abbreviates the AWS SDK v2 bug (Listing 3): on checksum
 // mismatch the error path returns without completing the future, so the
 // consumer of the download hangs.
 func listing3(mode core.Mode, dot bool) {
-	rt := newRT(mode, dot)
+	rt, mem := newRT(mode, dot)
 	err := runFrozen(rt, 2*time.Second, func(root *core.Task) error {
 		cf := core.NewPromiseNamed[struct{}](root, "cf") // the download future
 		if _, err := root.AsyncNamed("onComplete", func(cb *core.Task) error {
@@ -270,5 +277,5 @@ func listing3(mode core.Mode, dot bool) {
 		_, err := cf.Get(root)
 		return err
 	})
-	report("Listing 3 (AWS SDK omitted set on error path)", rt, err)
+	report("Listing 3 (AWS SDK omitted set on error path)", rt, mem, err)
 }

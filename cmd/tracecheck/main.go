@@ -13,8 +13,10 @@
 //     unfulfilled promises and must precede that task's task-end record;
 //   - a terminated run must have unwound completely: every started task
 //     ended, no task left blocked, every wake preceded by a fulfilment;
-//   - gap records demote the verdict to best-effort (only older
-//     trace files have them: the collector no longer drops events).
+//   - a gap record, which leads a window missing its oldest events (a
+//     trimmed trace.MemSink, or a front verdict's trace cut to fit its
+//     frame), makes the verdict INCOMPLETE: replay checks are skipped,
+//     and the trace does not count as consistent.
 //
 // Usage:
 //

@@ -95,7 +95,7 @@ func (r *Runtime) startTaskBatch(parent *Task, ts []*Task) {
 	}
 	if r.events != nil {
 		for _, c := range ts {
-			r.logEventArg(EvTaskStart, c, nil, parent.id, "")
+			r.stageStart(parent, c)
 		}
 	}
 	if r.exec == nil {

@@ -165,7 +165,7 @@ func TestRunContextStructuredCancellation(t *testing.T) {
 	// sets with blame on the way down.
 	for _, det := range detectorConfigs() {
 		t.Run(det.String(), func(t *testing.T) {
-			rt := NewRuntime(WithMode(Full), WithDetector(det), WithEventLog(4096))
+			rt, mem := memTraced(4096, WithMode(Full), WithDetector(det))
 			ctx, cancel := context.WithCancel(context.Background())
 			var blocked atomic.Int32
 			// Cancel once the three waiters are parked. The blocked chain is
@@ -242,7 +242,7 @@ func TestRunContextStructuredCancellation(t *testing.T) {
 			// The trace of the cancelled run must still verify offline:
 			// terminated, every block closed, every alarm re-derived, and
 			// NO deadlock alarms (cancellation is not a cycle).
-			rep := trace.Verify(rt.Events())
+			rep := trace.Verify(mem.Snapshot())
 			if !rep.Consistent() || !rep.Terminated {
 				t.Fatalf("canceled-run trace: %s\nproblems: %v", rep.Summary(), rep.Problems)
 			}
@@ -323,7 +323,7 @@ func TestTimedWaitKeepsSentinelAndLogsCancelWake(t *testing.T) {
 	// ErrAwaitTimeout cause) stays errors.Is-matchable against the bare
 	// sentinel, and its expired wait closes the block/wake pair with a
 	// "cancel" wake the offline verifier accepts.
-	rt := NewRuntime(WithMode(Full), WithEventLog(256))
+	rt, mem := memTraced(256, WithMode(Full))
 	err := run(t, rt, func(tk *Task) error {
 		p := NewPromise[int](tk)
 		if _, e := tk.Async(func(c *Task) error {
@@ -342,7 +342,7 @@ func TestTimedWaitKeepsSentinelAndLogsCancelWake(t *testing.T) {
 		t.Fatal(err)
 	}
 	sawCancelWake := false
-	for _, e := range rt.Events() {
+	for _, e := range mem.Snapshot() {
 		if e.Kind == EvWake && e.Detail == "cancel" {
 			sawCancelWake = true
 		}
@@ -350,7 +350,7 @@ func TestTimedWaitKeepsSentinelAndLogsCancelWake(t *testing.T) {
 	if !sawCancelWake {
 		t.Fatal("expired timed wait logged no wake(cancel)")
 	}
-	if rep := trace.Verify(rt.Events()); !rep.Clean() {
+	if rep := trace.Verify(mem.Snapshot()); !rep.Clean() {
 		t.Fatalf("timed-out-but-clean run fails offline verification: %s\n%v", rep.Summary(), rep.Problems)
 	}
 }

@@ -1,18 +1,16 @@
 package core
 
 import (
-	"strings"
-
 	"repro/internal/trace"
 )
 
 // The runtime's event log is backed by the internal/trace subsystem: a
 // collector that stamps each event with a global sequence number and
 // delivers it synchronously to the configured sinks under one mutex.
-// With streaming-only tracing each task stages its events and delivers
-// them in batches (see logEventArg), so it takes that lock once per
-// batch. The Event and EventKind names below are aliases so existing
-// call sites and the public facade keep working.
+// Each task stages its events and delivers them in batches (see
+// tracer), so it takes that lock once per batch. The Event and
+// EventKind names below are aliases so existing call sites and the
+// public facade keep working.
 
 // EventKind classifies an entry in the runtime's event log.
 type EventKind = trace.Kind
@@ -39,27 +37,20 @@ const (
 // consistent with each task's program order.
 type Event = trace.Event
 
-// tracer wires a Runtime to a trace.Collector. mem is the bounded
-// in-memory sink behind WithEventLog (nil when only TraceTo sinks are
-// installed); extra accumulates TraceTo sinks until NewRuntime builds
-// the collector. Keeping mem apart from extra is what gives repeated
-// WithEventLog options last-wins capacity semantics.
+// tracer wires a Runtime to a trace.Collector: extra accumulates
+// TraceTo sinks until NewRuntime builds the collector.
 //
-// staged selects the per-task staging path for event emission: a task's
-// events accumulate in a small task-local buffer (no shared atomics
-// beyond the sequence fetch) and flush to the collector in chunks — at
-// buffer capacity, before the task commits to a blocking wait, and at
-// task end. Sequence numbers are still reserved at the moment each
-// event is logged, so the reconstructed total order is identical to
-// direct emission; only delivery is deferred. Staging is enabled for
-// streaming-only runtimes (TraceTo) and disabled when WithEventLog's
-// MemSink is installed, because that sink exists for interactive
-// inspection (Runtime.Events mid-run), which staging would make stale.
+// Every traced task stages its events: they accumulate in a small
+// task-local buffer (no shared atomics beyond the sequence fetch) and
+// flush to the collector in chunks — at buffer capacity, before the
+// task commits to a blocking wait, and at task end. Sequence numbers
+// are still reserved at the moment each event is logged, so the
+// reconstructed total order is that of the events; only delivery is
+// deferred. A task parked on a promise has flushed everything it did,
+// so a mid-run MemSink snapshot shows every wait.
 type tracer struct {
-	c      *trace.Collector
-	mem    *trace.MemSink
-	extra  []trace.Sink
-	staged bool
+	c     *trace.Collector
+	extra []trace.Sink
 }
 
 // ensureTracer returns the runtime's tracer, creating the pre-collector
@@ -75,37 +66,16 @@ func (r *Runtime) ensureTracer() *tracer {
 // startTracer builds the collector once all options have registered
 // their sinks. Called from NewRuntime.
 func (r *Runtime) startTracer() {
-	tr := r.events
-	sinks := tr.extra
-	if tr.mem != nil {
-		sinks = append([]trace.Sink{tr.mem}, tr.extra...)
-	}
-	tr.staged = tr.mem == nil
-	tr.c = trace.New(sinks...)
+	r.events.c = trace.New(r.events.extra...)
 }
 
-// WithEventLog retains the most recent `capacity` policy events (promise
-// allocation, moves, sets, blocks, wakes, task boundaries, alarms) for
-// post-mortem inspection via Runtime.Events / Runtime.EventLog. capacity
-// <= 0 retains every event, as trace.NewMemSink(0) does. Every event is
-// delivered to the in-memory sink as it is logged, so Runtime.Events is
-// current mid-run; the retained window is enforced by the sink, not by
-// the recording path.
-func WithEventLog(capacity int) Option {
-	return func(r *Runtime) {
-		// Last option wins, like every other runtime option: a later
-		// WithEventLog replaces the retention window.
-		r.ensureTracer().mem = trace.NewMemSink(capacity)
-	}
-}
-
-// TraceTo streams every policy event to sink in the binary trace format
-// (or whatever the sink does with them); see internal/trace for the
-// format, trace.NewFileSink / trace.NewWriterSink for ready-made sinks,
-// and cmd/tracecheck for offline verification of the result. TraceTo
-// may be combined with WithEventLog and with additional TraceTo sinks;
-// all share one collector. Call Runtime.TraceClose when done to flush
-// and close the sinks deterministically.
+// TraceTo streams every policy event (promise allocation, moves, sets,
+// blocks, wakes, task boundaries, alarms) to sink: the binary trace
+// format for trace.NewFileSink / trace.NewWriterSink (see internal/trace,
+// and cmd/tracecheck for offline verification), or a window in memory
+// for trace.NewMemSink, whose Snapshot is the run's post-mortem log.
+// Several TraceTo sinks share one collector. Call Runtime.TraceClose
+// when done to flush and close the sinks deterministically.
 func TraceTo(sink trace.Sink) Option {
 	return func(r *Runtime) {
 		tr := r.ensureTracer()
@@ -146,29 +116,6 @@ func (r *Runtime) EventsDropped() uint64 {
 	return r.events.c.Dropped()
 }
 
-// Events returns the retained event-log entries in total (Seq) order, or
-// nil when WithEventLog was not set.
-func (r *Runtime) Events() []Event {
-	if r.events == nil || r.events.mem == nil {
-		return nil
-	}
-	return r.events.mem.Snapshot()
-}
-
-// EventLog renders the retained events as a multi-line log string.
-func (r *Runtime) EventLog() string {
-	evs := r.Events()
-	if evs == nil {
-		return ""
-	}
-	var b strings.Builder
-	for _, e := range evs {
-		b.WriteString(e.String())
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
 // stageCap is the per-task staging buffer's capacity. 32 events covers
 // the typical promise lifecycle burst a task emits between blocking
 // points; at ~90 bytes per Event the buffer stays under 3 KiB, and its
@@ -187,12 +134,10 @@ func (r *Runtime) logEvent(kind EventKind, t *Task, s *pstate, detail string) {
 // logEventArg is logEvent with the kind-specific argument (move
 // destination, spawn parent, alarm class — see trace.Event).
 //
-// Events attributed to a task are confined to that task's goroutine (the
-// one exception, EvTaskStart, is logged by the parent before the child
-// becomes runnable, which is a happens-before edge), so under the staged
-// tracer they append to the task's private buffer with no shared write
-// beyond the sequence reservation. Task-less events (run meta, run-end,
-// alarms) always emit directly.
+// Events attributed to a task are confined to that task's goroutine, so
+// they append to the task's private buffer with no shared write beyond
+// the sequence reservation. Task-less events (run meta, run-end,
+// alarms) emit directly.
 func (r *Runtime) logEventArg(kind EventKind, t *Task, s *pstate, arg uint64, detail string) {
 	e := Event{Kind: kind, Arg: arg, Detail: detail}
 	if t != nil {
@@ -201,41 +146,40 @@ func (r *Runtime) logEventArg(kind EventKind, t *Task, s *pstate, arg uint64, de
 	if s != nil {
 		e.PromiseID, e.PromiseLabel = s.id, s.label
 	}
-	tr := r.events
-	if t == nil || !tr.staged {
-		tr.c.Emit(e)
+	if t == nil {
+		r.events.c.Emit(e)
 		return
 	}
-	e.Seq = tr.c.NextSeq()
-	if t.stage == nil {
-		t.stage = make([]Event, 0, stageCap)
+	r.stage(t, e)
+}
+
+// stage reserves e's sequence number and appends it to the buffer of
+// into, the task on whose goroutine it runs.
+func (r *Runtime) stage(into *Task, e Event) {
+	e.Seq = r.events.c.NextSeq()
+	if into.stage == nil {
+		into.stage = make([]Event, 0, stageCap)
 	}
-	t.stage = append(t.stage, e)
-	if len(t.stage) == stageCap {
-		r.flushStage(t)
+	into.stage = append(into.stage, e)
+	if len(into.stage) == stageCap {
+		r.flushStage(into)
 	}
 }
 
 // flushStage delivers the task's staged events to the collector and
-// resets the buffer, keeping its capacity. Entries are not zeroed on the
-// hot path — the array pins at most stageCap events' strings until they
-// are overwritten or the task is collected.
+// resets the buffer, keeping its capacity. It is the pre-block hook too:
+// a task about to park (or terminate) must not sit on undelivered
+// events, both so mid-run snapshots see everything a parked task did and
+// so a trace cut short at a hang still contains the block record of
+// every blocked task. Entries are not zeroed on the hot path — the array
+// pins at most stageCap events' strings until they are overwritten or
+// the task is collected.
 func (r *Runtime) flushStage(t *Task) {
-	if len(t.stage) == 0 {
+	if r.events == nil || len(t.stage) == 0 {
 		return
 	}
 	r.events.c.EmitStamped(t.stage)
 	t.stage = t.stage[:0]
-}
-
-// flushStageIfStaged is the pre-block hook: a task about to park (or
-// terminate) must not sit on undelivered events, both so mid-run flushes
-// see everything a quiescent task did and so a trace cut short at a hang
-// still contains the block record of every blocked task.
-func (r *Runtime) flushStageIfStaged(t *Task) {
-	if r.events != nil && r.events.staged {
-		r.flushStage(t)
-	}
 }
 
 // logAlarm records an alarm event annotated with its class and the

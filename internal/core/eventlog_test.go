@@ -19,18 +19,35 @@ func kindsOf(evs []Event) map[EventKind]int {
 	return m
 }
 
+// memTraced builds a runtime with opts whose events stage into a
+// MemSink retaining limit events (0 = all).
+func memTraced(limit int, opts ...Option) (*Runtime, *trace.MemSink) {
+	mem := trace.NewMemSink(limit)
+	return NewRuntime(append(opts, TraceTo(mem))...), mem
+}
+
+// logText renders evs one per line, as Event.String does.
+func logText(evs []Event) string {
+	var b strings.Builder
+	for _, e := range evs {
+		b.WriteString(e.String())
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
 func TestEventLogDisabledByDefault(t *testing.T) {
 	rt := NewRuntime()
 	if err := run(t, rt, func(tk *Task) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
-	if rt.Events() != nil || rt.EventLog() != "" {
-		t.Fatal("event log active without WithEventLog")
+	if rt.events != nil {
+		t.Fatal("tracer active without TraceTo")
 	}
 }
 
 func TestEventLogCapturesLifecycle(t *testing.T) {
-	rt := NewRuntime(WithEventLog(0))
+	rt, mem := memTraced(0)
 	err := run(t, rt, func(tk *Task) error {
 		p := NewPromiseNamed[int](tk, "traced")
 		if _, e := tk.AsyncNamed("child", func(c *Task) error {
@@ -44,7 +61,7 @@ func TestEventLogCapturesLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k := kindsOf(rt.Events())
+	k := kindsOf(mem.Snapshot())
 	if k[EvNewPromise] != 1 {
 		t.Fatalf("new events = %d", k[EvNewPromise])
 	}
@@ -62,7 +79,7 @@ func TestEventLogCapturesLifecycle(t *testing.T) {
 	if k[EvBlock] != k[EvWake] {
 		t.Fatalf("block/wake imbalance: %d/%d", k[EvBlock], k[EvWake])
 	}
-	log := rt.EventLog()
+	log := logText(mem.Snapshot())
 	for _, want := range []string{"move", "traced", "to child", "set"} {
 		if !strings.Contains(log, want) {
 			t.Fatalf("log missing %q:\n%s", want, log)
@@ -71,7 +88,7 @@ func TestEventLogCapturesLifecycle(t *testing.T) {
 }
 
 func TestEventLogSequenceIsMonotone(t *testing.T) {
-	rt := NewRuntime(WithEventLog(0))
+	rt, mem := memTraced(0)
 	err := run(t, rt, func(tk *Task) error {
 		for i := 0; i < 20; i++ {
 			p := NewPromise[int](tk)
@@ -84,7 +101,7 @@ func TestEventLogSequenceIsMonotone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	evs := rt.Events()
+	evs := mem.Snapshot()
 	for i := 1; i < len(evs); i++ {
 		if evs[i].Seq <= evs[i-1].Seq {
 			t.Fatalf("sequence not monotone at %d: %d then %d", i, evs[i-1].Seq, evs[i].Seq)
@@ -93,7 +110,7 @@ func TestEventLogSequenceIsMonotone(t *testing.T) {
 }
 
 func TestEventLogRingBounds(t *testing.T) {
-	rt := NewRuntime(WithEventLog(8))
+	rt, mem := memTraced(8)
 	err := run(t, rt, func(tk *Task) error {
 		for i := 0; i < 50; i++ {
 			p := NewPromise[int](tk)
@@ -106,7 +123,7 @@ func TestEventLogRingBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	evs := rt.Events()
+	evs := mem.Snapshot()
 	if len(evs) != 1+8 {
 		t.Fatalf("retained %d events, want a gap record and 8", len(evs))
 	}
@@ -127,7 +144,7 @@ func TestEventLogRingBounds(t *testing.T) {
 }
 
 func TestEventLogRecordsAlarms(t *testing.T) {
-	rt := NewRuntime(WithEventLog(0))
+	rt, mem := memTraced(0)
 	err := run(t, rt, func(tk *Task) error {
 		p := NewPromiseNamed[int](tk, "cyc")
 		if _, e := p.Get(tk); e == nil {
@@ -138,17 +155,17 @@ func TestEventLogRecordsAlarms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k := kindsOf(rt.Events())
+	k := kindsOf(mem.Snapshot())
 	if k[EvAlarm] == 0 {
 		t.Fatal("alarm not logged")
 	}
-	if !strings.Contains(rt.EventLog(), "deadlock") {
-		t.Fatalf("alarm detail missing:\n%s", rt.EventLog())
+	if !strings.Contains(logText(mem.Snapshot()), "deadlock") {
+		t.Fatalf("alarm detail missing:\n%s", logText(mem.Snapshot()))
 	}
 }
 
 func TestEventLogSetError(t *testing.T) {
-	rt := NewRuntime(WithEventLog(0))
+	rt, mem := memTraced(0)
 	err := run(t, rt, func(tk *Task) error {
 		p := NewPromiseNamed[int](tk, "bad")
 		return p.SetError(tk, fmt.Errorf("boom"))
@@ -156,36 +173,11 @@ func TestEventLogSetError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if k := kindsOf(rt.Events()); k[EvSetError] != 1 {
+	if k := kindsOf(mem.Snapshot()); k[EvSetError] != 1 {
 		t.Fatalf("set-error events = %d", k[EvSetError])
 	}
-	if !strings.Contains(rt.EventLog(), "boom") {
+	if !strings.Contains(logText(mem.Snapshot()), "boom") {
 		t.Fatal("error detail missing")
-	}
-}
-
-// TestEventLogLastCapacityWins: repeated WithEventLog options behave
-// like every other runtime option — the last capacity wins.
-func TestEventLogLastCapacityWins(t *testing.T) {
-	rt := NewRuntime(WithEventLog(4), WithEventLog(8))
-	err := run(t, rt, func(tk *Task) error {
-		for i := 0; i < 50; i++ {
-			p := NewPromise[int](tk)
-			if e := p.Set(tk, i); e != nil {
-				return e
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	evs := rt.Events()
-	if got := len(evs); got != 1+8 {
-		t.Fatalf("retained %d events, want a gap record and the later option's 8", got)
-	}
-	if g, last := evs[0], evs[len(evs)-1]; g.Kind != trace.KindGap || g.Arg != last.Seq-8 {
-		t.Fatalf("window leads with %v (arg %d), want a gap of %d", g.Kind, g.Arg, last.Seq-8)
 	}
 }
 
@@ -194,7 +186,7 @@ func TestEventLogLastCapacityWins(t *testing.T) {
 // edge comes from the block record, so it shows in every mode that
 // records one, not only where a detector publishes it.
 func TestEventGraphShowsWaitingEdge(t *testing.T) {
-	rt := NewRuntime(WithMode(Ownership), WithEventLog(0))
+	rt, mem := memTraced(0, WithMode(Ownership))
 	waitStarted := make(chan struct{})
 	checked := make(chan struct{})
 	go func() {
@@ -202,12 +194,12 @@ func TestEventGraphShowsWaitingEdge(t *testing.T) {
 		<-waitStarted
 		deadline := time.Now().Add(5 * time.Second)
 		for time.Now().Before(deadline) {
-			if strings.Contains(trace.NewGraph(rt.Events()).DOT(), `"waiter" -> "gate";`) {
+			if strings.Contains(trace.NewGraph(mem.Snapshot()).DOT(), `"waiter" -> "gate";`) {
 				return
 			}
 			time.Sleep(time.Millisecond)
 		}
-		t.Errorf("waits-for edge never appeared:\n%s", trace.NewGraph(rt.Events()).DOT())
+		t.Errorf("waits-for edge never appeared:\n%s", trace.NewGraph(mem.Snapshot()).DOT())
 	}()
 	err := run(t, rt, func(tk *Task) error {
 		gate := NewPromiseNamed[int](tk, "gate")
@@ -226,27 +218,93 @@ func TestEventGraphShowsWaitingEdge(t *testing.T) {
 	}
 }
 
-// TestEventGraphShowsOwnedPromise: mid-run, the replayed graph draws the
-// root's unfulfilled promise as owned by it; once the run ends, no task
-// or promise is left in it.
+// midRunDOT spawns a task that polls the graph replayed from mem until
+// it contains every line of want, then fulfils gate, which the caller
+// moves to it and then awaits: tk's events are flushed while it is
+// parked there. It returns the last DOT it saw.
+func midRunDOT(tk *Task, mem *trace.MemSink, gate *Promise[int], want ...string) (*string, error) {
+	var dot string
+	_, err := tk.AsyncNamed("observer", func(c *Task) error {
+		for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+			dot = trace.NewGraph(mem.Snapshot()).DOT()
+			if containsAll(dot, want) {
+				break
+			}
+		}
+		return gate.Set(c, 1)
+	}, gate)
+	return &dot, err
+}
+
+func containsAll(s string, subs []string) bool {
+	for _, sub := range subs {
+		if !strings.Contains(s, sub) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestEventGraphShowsOwnedPromise: mid-run, while the root is parked on
+// a promise, the replayed graph draws the root's unfulfilled promise as
+// owned by it; once the run ends, no task or promise is left in it.
 func TestEventGraphShowsOwnedPromise(t *testing.T) {
-	rt := NewRuntime(WithEventLog(0))
-	var mid string
+	rt, mem := memTraced(0)
+	want := []string{`"main" [shape=box];`, `"held" -> "main" [style=dashed];`, `"main" -> "gate";`}
+	var mid *string
 	err := run(t, rt, func(tk *Task) error {
-		p := NewPromiseNamed[int](tk, "held")
-		mid = trace.NewGraph(rt.Events()).DOT()
-		return p.Set(tk, 1)
+		held := NewPromiseNamed[int](tk, "held")
+		gate := NewPromiseNamed[int](tk, "gate")
+		var err error
+		if mid, err = midRunDOT(tk, mem, gate, want...); err != nil {
+			return err
+		}
+		if _, err := gate.Get(tk); err != nil {
+			return err
+		}
+		return held.Set(tk, 1)
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{`"main" [shape=box];`, `"held" -> "main" [style=dashed];`} {
-		if !strings.Contains(mid, want) {
-			t.Errorf("mid-run DOT lacks %s:\n%s", want, mid)
-		}
+	if !containsAll(*mid, want) {
+		t.Errorf("mid-run DOT lacks one of %q:\n%s", want, *mid)
 	}
-	if end, want := trace.NewGraph(rt.Events()).DOT(), "digraph promises {\n  rankdir=LR;\n}\n"; end != want {
+	if end, want := trace.NewGraph(mem.Snapshot()).DOT(), "digraph promises {\n  rankdir=LR;\n}\n"; end != want {
 		t.Errorf("DOT after the run:\n%s\nwant:\n%s", end, want)
+	}
+}
+
+// TestEventGraphShowsChannelParkedBystander is Listing 1's bystander: a
+// task parked on a Go channel from its start never flushes its own
+// buffer, but its start record is staged by its spawner, so the mid-run
+// graph draws it once the spawner parks on a promise.
+func TestEventGraphShowsChannelParkedBystander(t *testing.T) {
+	rt, mem := memTraced(0, WithMode(Ownership))
+	want := []string{`"bystander" [shape=box];`, `"main" -> "gate";`}
+	var mid *string
+	stop := make(chan struct{})
+	err := run(t, rt, func(tk *Task) error {
+		if _, err := tk.AsyncNamed("bystander", func(*Task) error {
+			<-stop
+			return nil
+		}); err != nil {
+			return err
+		}
+		gate := NewPromiseNamed[int](tk, "gate")
+		var err error
+		if mid, err = midRunDOT(tk, mem, gate, want...); err != nil {
+			return err
+		}
+		_, err = gate.Get(tk)
+		close(stop)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !containsAll(*mid, want) {
+		t.Errorf("mid-run DOT lacks one of %q:\n%s", want, *mid)
 	}
 }
 
@@ -255,7 +313,7 @@ func TestEventGraphShowsOwnedPromise(t *testing.T) {
 // sequence number present. The window holds the whole run (about 20k
 // events), so the sink trims nothing either.
 func TestEventLogNeverDrops(t *testing.T) {
-	rt := NewRuntime(WithEventLog(1 << 16))
+	rt, mem := memTraced(1 << 16)
 	const workers, perWorker = 8, 1200
 	err := run(t, rt, func(tk *Task) error {
 		ps := make([]*Promise[int], workers)
@@ -291,7 +349,7 @@ func TestEventLogNeverDrops(t *testing.T) {
 		t.Fatalf("EventsDropped = %d, want 0", d)
 	}
 	// No gap records may appear in a drop-free stream.
-	evs := rt.Events()
+	evs := mem.Snapshot()
 	for i, e := range evs {
 		if e.Kind == trace.KindGap {
 			t.Fatalf("gap record in a drop-free trace: %v", e)
@@ -334,10 +392,6 @@ func TestTraceToRoundTrip(t *testing.T) {
 	}
 	if rep.Mode != "full" {
 		t.Fatalf("mode meta = %q", rep.Mode)
-	}
-	// Events() stays nil without WithEventLog even when TraceTo is set.
-	if rt.Events() != nil {
-		t.Fatal("Events() non-nil without WithEventLog")
 	}
 }
 

@@ -239,7 +239,7 @@ func awaitState(t *Task, s *pstate, ctx context.Context) error {
 	}
 	// Drain the staging buffer before parking: a trace cut short at a
 	// hang must still contain every blocked task's block record.
-	r.flushStageIfStaged(t)
+	r.flushStage(t)
 	cerr := r.blockOn(t, s, ctx)
 	if r.mode == Full {
 		// Requirement 3 (§5.1): the reset of waitingOn becomes visible only

@@ -68,11 +68,10 @@ type Task struct {
 	// goroutine, so a finished task does not pin its closure.
 	body TaskFunc
 
-	// stage is the task's trace staging buffer (see logEventArg): events
-	// this task emits accumulate here and flush to the collector in
-	// chunks. Confined to the task's goroutine (with the parent-to-child
-	// hand-off at spawn); nil until the task's first event, and nil
-	// forever when tracing is off or unstaged.
+	// stage is the task's trace staging buffer (see tracer): events
+	// logged on this task's goroutine accumulate here and flush to the
+	// collector in chunks. Confined to that goroutine; nil until its
+	// first event, and nil forever when tracing is off.
 	stage []Event
 }
 
@@ -130,7 +129,7 @@ func (t *Task) Wait() error {
 // A nil caller is allowed and makes WaitFrom exactly Wait.
 func (t *Task) WaitFrom(caller *Task) error {
 	if caller != nil {
-		caller.rt.flushStageIfStaged(caller)
+		caller.rt.flushStage(caller)
 	}
 	return t.Wait()
 }
@@ -393,12 +392,21 @@ func (r *Runtime) beginTask(t *Task) {
 		r.idle.taskStarted()
 	}
 	if r.events != nil {
-		var parent uint64
-		if t.parent != nil {
-			parent = t.parent.id
-		}
-		r.logEventArg(EvTaskStart, t, nil, parent, "")
+		r.stageStart(t.parent, t)
 	}
+}
+
+// stageStart stages t's EvTaskStart in the buffer of parent, the task
+// spawning it on this goroutine (t itself for the root). The record is
+// delivered at the parent's next flush, so a child that parks on
+// anything but a promise before it flushes stays visible mid-run.
+func (r *Runtime) stageStart(parent, t *Task) {
+	e := Event{Kind: EvTaskStart, TaskID: t.id, TaskName: t.name}
+	into := t
+	if parent != nil {
+		e.Arg, into = parent.id, parent
+	}
+	r.stage(into, e)
 }
 
 // runTask is the body wrapper every task runs: invoke the body on this
@@ -423,7 +431,7 @@ func (r *Runtime) runTask(t *Task, f TaskFunc) {
 		// signal, so a waiter woken by Wait finds the task's complete
 		// event stream already in the sinks.
 		r.logEvent(EvTaskEnd, t, nil, detail)
-		r.flushStageIfStaged(t)
+		r.flushStage(t)
 	}
 	t.done.signal()
 }

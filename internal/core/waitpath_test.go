@@ -36,7 +36,7 @@ func TestWaitPathEveryConfiguration(t *testing.T) {
 	}
 	for _, cfg := range configs {
 		for _, out := range outcomes {
-			rt := NewRuntime(append(cfg.opts, WithEventLog(0))...)
+			rt, mem := memTraced(0, cfg.opts...)
 			if out.detail == "alarm" && rt.mode != Full {
 				continue // only the detector refuses a wait
 			}
@@ -109,7 +109,7 @@ func TestWaitPathEveryConfiguration(t *testing.T) {
 					t.Fatal(err)
 				}
 
-				evs := rt.Events()
+				evs := mem.Snapshot()
 				var blocks, wakes []Event
 				for _, e := range evs {
 					if e.TaskID != rootID || e.PromiseID != pID {

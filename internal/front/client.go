@@ -123,8 +123,8 @@ type SubmitRequest struct {
 	// sent as a duration and re-anchored on the server clock, and it is
 	// what deadline-aware admission judges.
 	Deadline time.Duration
-	// Trace requests the session's retained event log back with the
-	// verdict (RemoteSession.Trace).
+	// Trace requests the session's event window back with the verdict,
+	// in the binary trace format (RemoteSession.Trace).
 	Trace bool
 }
 
@@ -582,8 +582,13 @@ func (s *RemoteSession) Duration() time.Duration {
 	return s.dur
 }
 
-// Trace returns the session's event log bytes, if requested at Submit.
-// Valid after Wait/Done.
+// Trace returns the session's event window, if requested at Submit, as
+// a binary trace stream: trace.ReadAll decodes it and trace.Verify
+// re-checks the verdict from it (or pipe it to `tracecheck -`). A window
+// missing older events, because the session emitted more than the
+// front's TraceCap or more than fit the verdict frame, leads with one
+// gap record counting them, and Verify reports it incomplete. Valid
+// after Wait/Done.
 func (s *RemoteSession) Trace() []byte {
 	<-s.done
 	return s.trace

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -174,7 +175,9 @@ func TestInflightSessionsHoldNoGoroutine(t *testing.T) {
 // request traced. The mix once dropped thousands of trace events, when
 // the trace collector retired batches through a bounded ring; the
 // collector now back-pressures, so nothing may be dropped. Every
-// returned event log must be its session's retained window, rendered.
+// returned trace must decode to its session's window: each session
+// runtime also stages into a twin MemSink of the front's capacity, and
+// the decoded events must equal one twin's Snapshot field for field.
 // Sieve small emits about 100k events, so only the tail of its trace is
 // retained (TraceCap 4096), behind one gap record counting the rest, and
 // trace.Verify must call it incomplete rather than invalid; Sieve over
@@ -184,12 +187,20 @@ func TestTracedSieveOverFront(t *testing.T) {
 	const perConn = 6
 	var (
 		mu    sync.Mutex
+		twins = map[*core.Runtime]*trace.MemSink{}
 		runs  = map[string][]*core.Runtime{}
 		progs = map[string]func(workloads.Scale) core.TaskFunc{
 			"Sieve":    DefaultRegistry()["Sieve"],
 			"Sieve200": func(workloads.Scale) core.TaskFunc { return sieve.Main(sieve.Config{N: 200}) },
 		}
 	)
+	twin := func(rt *core.Runtime) {
+		mem := trace.NewMemSink(defaultTraceCap)
+		core.TraceTo(mem)(rt)
+		mu.Lock()
+		twins[rt] = mem
+		mu.Unlock()
+	}
 	reg := Registry{}
 	for name, prog := range progs {
 		reg[name] = func(scale workloads.Scale) core.TaskFunc {
@@ -202,10 +213,11 @@ func TestTracedSieveOverFront(t *testing.T) {
 			}
 		}
 	}
-	f := frontWith(t, Config{Registry: reg, Serve: []serve.Option{serve.WithMaxSessions(2), serve.WithQueueDepth(perConn)}})
+	f := frontWith(t, Config{Registry: reg, Serve: []serve.Option{
+		serve.WithMaxSessions(2), serve.WithQueueDepth(perConn), serve.WithRuntime(twin)}})
 	defer f.Shutdown(context.Background())
 
-	logs := make(chan string, 2*perConn)
+	traces := make(chan []byte, 2*perConn)
 	var wg sync.WaitGroup
 	for _, key := range []string{"gold-key", "bronze-key"} {
 		c, err := Dial(f.Addr(), key)
@@ -227,20 +239,20 @@ func TestTracedSieveOverFront(t *testing.T) {
 					t.Errorf("%s: %v", workload, err)
 					return
 				}
-				logs <- string(s.Trace())
+				traces <- s.Trace()
 			}
 		}()
 	}
 	wg.Wait()
-	close(logs)
+	close(traces)
 
 	if d := f.Pool().Stats().EventsDropped; d != 0 {
 		t.Fatalf("%d trace events dropped", d)
 	}
-	rendered := map[string]bool{}
+	var windows [][]trace.Event
 	for name, rts := range runs {
 		for _, rt := range rts {
-			evs := rt.Events()
+			evs := twins[rt].Snapshot()
 			if name == "Sieve" {
 				if len(evs) != 1+defaultTraceCap {
 					t.Fatalf("Sieve small retained %d events, want a gap record and a full window of %d", len(evs), defaultTraceCap)
@@ -255,14 +267,20 @@ func TestTracedSieveOverFront(t *testing.T) {
 			} else if r := trace.Verify(evs); !r.Clean() || !r.Consistent() {
 				t.Fatalf("%s trace fails verification: %s", name, r.Summary())
 			}
-			rendered[rt.EventLog()] = true
+			windows = append(windows, evs)
 		}
 	}
 	returned := 0
-	for log := range logs {
-		if log == "" || !rendered[log] {
-			t.Fatalf("returned trace is not a session's retained event log (%d bytes)", len(log))
+	for tr := range traces {
+		evs, err := trace.ReadAll(bytes.NewReader(tr))
+		if err != nil {
+			t.Fatalf("returned trace does not decode: %v", err)
 		}
+		i := slices.IndexFunc(windows, func(w []trace.Event) bool { return slices.Equal(w, evs) })
+		if i < 0 {
+			t.Fatalf("returned trace of %d events is no session's window", len(evs))
+		}
+		windows = slices.Delete(windows, i, i+1)
 		returned++
 	}
 	if returned != 2*perConn || len(runs["Sieve"]) != perConn || len(runs["Sieve200"]) != perConn {
@@ -271,14 +289,50 @@ func TestTracedSieveOverFront(t *testing.T) {
 	}
 }
 
+// TestTracedDeadlockVerifiesOnClient: a traced Listing 1 session's
+// trace is checkable where it lands. The client decodes it, and the
+// offline verifier re-walks the one deadlock cycle from it.
+func TestTracedDeadlockVerifiesOnClient(t *testing.T) {
+	f := frontWith(t, Config{})
+	defer f.Shutdown(context.Background())
+	c, err := Dial(f.Addr(), "gold-key")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	s, err := c.Submit(t.Context(), SubmitRequest{Workload: "Deadlock", Trace: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Wait()
+	if s.Verdict() != serve.VerdictDeadlock {
+		t.Fatalf("verdict %q, want deadlock", s.Verdict())
+	}
+	evs, err := trace.ReadAll(bytes.NewReader(s.Trace()))
+	if err != nil {
+		t.Fatalf("trace does not decode: %v", err)
+	}
+	rep := trace.Verify(evs)
+	if !rep.Consistent() || !rep.Complete || rep.Deadlocks != 1 {
+		t.Fatalf("client-side verdict %s, problems %q; want one deadlock, consistent", rep.Summary(), rep.Problems)
+	}
+	for _, a := range rep.Alarms {
+		if a.Class == trace.AlarmDeadlock && !a.CycleVerified {
+			t.Fatalf("deadlock alarm %+v did not re-verify", a)
+		}
+	}
+	t.Log(rep.Summary())
+}
+
 // TestOversizedTraceVerdictIsCut: a traced Sieve small session with a
-// 65536-event window renders a log of about 3.5 MB, past the frame cap
-// the client's reader enforces. The front must not write that frame: the
-// verdict arrives with the trace's tail behind one line saying how many
-// bytes were cut, the untraced sessions sharing the conn complete, and
-// the conn still carries a session submitted afterwards.
+// window of every event it emits is past the frame cap the client's
+// reader enforces. The front must not write that frame: the verdict
+// arrives with the newest events that fit, behind one gap record
+// counting the rest, which the verifier reads as incomplete. The
+// untraced sessions sharing the conn complete, and the conn still
+// carries a session submitted afterwards.
 func TestOversizedTraceVerdictIsCut(t *testing.T) {
-	f := frontWith(t, Config{TraceCap: 65536,
+	f := frontWith(t, Config{TraceCap: 1 << 20,
 		Serve: []serve.Option{serve.WithMaxSessions(2), serve.WithQueueDepth(8)}})
 	defer f.Shutdown(context.Background())
 	c, err := Dial(f.Addr(), "gold-key")
@@ -311,15 +365,29 @@ func TestOversizedTraceVerdictIsCut(t *testing.T) {
 	if len(tr) > maxFrameBody {
 		t.Fatalf("trace of %d bytes is past the %d-byte frame cap", len(tr), maxFrameBody)
 	}
-	head, tail, ok := bytes.Cut(tr, []byte("\n"))
-	var cut int
-	if !ok || len(tail) == 0 {
-		t.Fatalf("trace has no events after its first line %q", head)
+	evs, err := trace.ReadAll(bytes.NewReader(tr))
+	if err != nil {
+		t.Fatalf("cut trace does not decode: %v", err)
 	}
-	if _, err := fmt.Sscanf(string(head), strings.TrimSuffix(cutTraceNote, "\n"), &cut); err != nil || cut <= 0 {
-		t.Fatalf("first trace line %q does not say how many bytes were cut (%v)", head, err)
+	gaps := 0
+	for _, e := range evs {
+		if e.Kind == trace.KindGap {
+			gaps++
+		}
 	}
-	t.Logf("verdict trace %d bytes, %d bytes cut", len(tr), cut)
+	if len(evs) < 2 || evs[0].Kind != trace.KindGap || gaps != 1 {
+		t.Fatalf("cut trace of %d events has %d gap records, want exactly one, leading", len(evs), gaps)
+	}
+	// Seq numbers run 1..N with no holes, and the run-end record is last.
+	if g, last := evs[0], evs[len(evs)-1]; last.Kind != trace.KindRunEnd || g.Arg != last.Seq-uint64(len(evs)-1) {
+		t.Fatalf("gap counts %d, last record %v #%d: want the %d events before the window", g.Arg, last.Kind, last.Seq, last.Seq-uint64(len(evs)-1))
+	}
+	rep := trace.Verify(evs)
+	if rep.Complete || len(rep.Problems) != 1 || !strings.Contains(rep.Problems[0], "replay checks skipped") ||
+		!strings.Contains(rep.Summary(), "verdict=INCOMPLETE") {
+		t.Fatalf("cut trace: %s %q, want INCOMPLETE with only replay checks skipped", rep.Summary(), rep.Problems)
+	}
+	t.Logf("verdict trace %d bytes, %d events kept, %d cut", len(tr), len(evs)-1, evs[0].Arg)
 
 	after, err := c.Submit(t.Context(), SubmitRequest{Workload: "QSort", Scale: "small"})
 	if err != nil {
@@ -535,15 +603,19 @@ func TestMergedWriteFailureSpillsVerdict(t *testing.T) {
 }
 
 // TestMergedOversizedVerdictSplits: a finished session whose verdict is
-// too large for a frame cannot share the accept's write. The accept goes
-// out alone, then the verdict with its trace cut to fit.
+// too large for a frame cannot share the accept's write. deliver cuts a
+// trace to fit, so only an outsized error text makes such a verdict. The
+// accept goes out alone, and the verdict is spilled with AcceptSent set.
 func TestMergedOversizedVerdictSplits(t *testing.T) {
 	server, client := net.Pipe()
 	defer client.Close()
 	c := &frontConn{f: &Front{}, nc: server, fw: &frameWriter{w: server}, tenant: "gold"}
-	trace := bytes.Repeat([]byte("event line\n"), maxFrameBody/8)
 	pv := &pendingVerdict{c: c, id: 3, name: "gold/Sieve#3"}
-	go pv.write(verdictMsg{ID: 3, Verdict: "clean", Trace: trace}, true)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		pv.write(verdictMsg{ID: 3, Verdict: "failed", Err: strings.Repeat("x", maxFrameBody)}, true)
+	}()
 
 	client.SetReadDeadline(time.Now().Add(10 * time.Second))
 	fr := newFrameReader(client)
@@ -552,23 +624,18 @@ func TestMergedOversizedVerdictSplits(t *testing.T) {
 	if err != nil || typ != frameAccept || a.decode(body) != nil || a.ID != 3 {
 		t.Fatalf("first frame: type %d, %+v, %v; want accept 3", typ, a, err)
 	}
-	typ, body, err = fr.read()
-	var v verdictMsg
-	if err != nil || typ != frameVerdict || v.decode(body) != nil || v.ID != 3 {
-		t.Fatalf("second frame: type %d, %v; want verdict 3", typ, err)
-	}
-	if !bytes.HasPrefix(v.Trace, []byte("trace cut to fit the frame")) || len(v.Trace) > maxFrameBody {
-		t.Fatalf("verdict trace of %d bytes starts %q, want a cut trace", len(v.Trace), v.Trace[:min(len(v.Trace), 40)])
-	}
-	if spilled := c.f.Spilled(); len(spilled) != 0 {
-		t.Fatalf("spill log %+v, want empty", spilled)
+	<-done
+	spilled := c.f.Spilled()
+	if len(spilled) != 1 || spilled[0].Session != "gold/Sieve#3" || !spilled[0].AcceptSent ||
+		!strings.Contains(spilled[0].Cause, "frame length out of range") {
+		t.Fatalf("spill log %+v, want gold/Sieve#3 spilled as oversized after its accept", spilled)
 	}
 }
 
 // TestMergedOversizedAcceptFailureSpills: when a finished session's
 // verdict is too large to share its accept's write and the accept, sent
-// alone, times out, the verdict is spilled at once. No cut-trace verdict
-// follows onto a stream that may hold part of the accept.
+// alone, times out, the verdict is spilled at once. Nothing follows onto
+// a stream that may hold part of the accept.
 func TestMergedOversizedAcceptFailureSpills(t *testing.T) {
 	server, client := net.Pipe()
 	defer client.Close()

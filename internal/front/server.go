@@ -1,7 +1,6 @@
 package front
 
 import (
-	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -16,6 +15,7 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/serve"
+	"repro/internal/trace"
 	"repro/internal/workloads"
 )
 
@@ -23,8 +23,8 @@ import (
 // arrives — an unauthenticated socket must not pin a goroutine forever.
 const handshakeTimeout = 5 * time.Second
 
-// defaultTraceCap is the per-session event-log retention for sessions
-// that request trace bytes.
+// defaultTraceCap is the per-session event window for sessions that
+// request a trace.
 const defaultTraceCap = 4096
 
 // defaultServerWriteTimeout bounds every server frame write unless
@@ -68,8 +68,9 @@ type Config struct {
 	// admission, base runtime options all configure here exactly as they
 	// would for a local serve.New.
 	Serve []serve.Option
-	// TraceCap is the event-log retention for sessions submitted with
-	// Trace; <= 0 selects 4096.
+	// TraceCap is the event window a session submitted with Trace
+	// keeps: its newest TraceCap events, behind a gap record counting
+	// the rest. <= 0 selects 4096.
 	TraceCap int
 	// IdleTimeout, when positive, reaps connections that send nothing
 	// for that long. ANY inbound frame — pings included — counts as
@@ -376,7 +377,6 @@ func (c *frontConn) handleSubmit(req submitMsg) {
 		c:      c,
 		id:     req.ID,
 		name:   c.tenant + "/" + req.Workload + "#" + strconv.FormatUint(req.ID, 10),
-		trace:  req.Trace,
 		cancel: cancel,
 	}
 	if short := f.short[req.Workload]; short != nil {
@@ -385,7 +385,8 @@ func (c *frontConn) handleSubmit(req submitMsg) {
 
 	opts := []serve.Option{serve.WithTenant(c.tenant), serve.WithOnDone(pv.turn)}
 	if req.Trace {
-		opts = append(opts, serve.WithRuntime(core.WithEventLog(f.cfg.TraceCap)))
+		pv.sink = trace.NewMemSink(f.cfg.TraceCap)
+		opts = append(opts, serve.WithRuntime(core.TraceTo(pv.sink)))
 	}
 	// Registered before Submit: a session that finishes at once must find
 	// its own entry, and a cancel frame can only arrive after this loop
@@ -436,8 +437,8 @@ func (c *frontConn) handleSubmit(req submitMsg) {
 type pendingVerdict struct {
 	c      *frontConn
 	id     uint64
-	name   string // server-side session name (tenant/workload#id)
-	trace  bool
+	name   string         // server-side session name (tenant/workload#id)
+	sink   *trace.MemSink // the session's event window; nil if untraced
 	cancel context.CancelCauseFunc
 	turns  atomic.Int32
 	short  *atomic.Bool // the workload's shortBody flag; nil if unknown
@@ -487,10 +488,11 @@ func (pv *pendingVerdict) deliver(s *serve.Session, withAccept bool) {
 	if err := s.Err(); err != nil {
 		v.Err = err.Error()
 	}
-	if pv.trace {
-		if rt := s.Runtime(); rt != nil {
-			v.Trace = []byte(rt.EventLog())
-		}
+	if pv.sink != nil {
+		// The window in the binary trace format, cut to the newest
+		// events that fit the frame.
+		budget := maxFrameBody - 1 - len(v.appendBody(nil)) - binary.MaxVarintLen64
+		v.Trace = trace.AppendWindow(nil, pv.sink.Snapshot(), budget)
 	}
 	if m := fmet(); m != nil {
 		m.verdicts.With(v.Verdict).Inc()
@@ -525,10 +527,9 @@ func (pv *pendingVerdict) retire(cause error) {
 // cut) so its stalled socket cannot hold up, for WriteTimeout each, the
 // completing workers of every other session on the conn.
 //
-// A verdict whose trace would make the frame longer than the peer's
-// reader accepts is resent with the trace cut to fit (see cutTrace);
-// its accept then goes out alone first, and if that write fails the
-// verdict is spilled without another.
+// A verdict frame longer than the peer's reader accepts (deliver cuts
+// the trace to fit, so only an outsized error text makes one) is
+// spilled; its accept goes out alone first.
 func (pv *pendingVerdict) write(v verdictMsg, withAccept bool) {
 	c := pv.c
 	var err error
@@ -551,13 +552,6 @@ func (pv *pendingVerdict) write(v verdictMsg, withAccept bool) {
 	} else {
 		err = c.fw.send(frameVerdict, v.appendBody)
 	}
-	if errors.Is(err, ErrFrameOversized) && len(v.Trace) > 0 {
-		bare := v
-		bare.Trace = nil
-		budget := maxFrameBody - 1 - len(bare.appendBody(nil)) - binary.MaxVarintLen64
-		v.Trace = cutTrace(v.Trace, budget)
-		err = c.fw.send(frameVerdict, v.appendBody)
-	}
 	if err == nil {
 		return
 	}
@@ -572,24 +566,6 @@ func (pv *pendingVerdict) write(v verdictMsg, withAccept bool) {
 		}
 		c.nc.Close()
 	}
-}
-
-// cutTraceNote heads a trace cut to fit a frame.
-const cutTraceNote = "trace cut to fit the frame: first %d bytes omitted\n"
-
-// cutTrace returns trace unchanged if it fits in budget bytes, else its
-// tail, from a line boundary, behind one line saying how many bytes were
-// cut from the head.
-func cutTrace(trace []byte, budget int) []byte {
-	if len(trace) <= budget {
-		return trace
-	}
-	keep := max(budget-len(fmt.Sprintf(cutTraceNote, len(trace))), 0)
-	tail := trace[len(trace)-keep:]
-	if i := bytes.IndexByte(tail, '\n'); i >= 0 {
-		tail = tail[i+1:]
-	}
-	return append(fmt.Appendf(nil, cutTraceNote, len(trace)-len(tail)), tail...)
 }
 
 // spill appends an undeliverable verdict to the bounded spill log.

@@ -56,6 +56,10 @@
 // verdict is written by its completion hook after the accept. Either way
 // the client reads the accept first.
 //
+// A traced verdict's trace bytes are a stream in internal/trace's binary
+// format, which the client decodes and verifies on its own
+// (trace.ReadAll, trace.Verify).
+//
 // Ping/pong is the liveness layer: either side may send a ping at any
 // time after the handshake and the peer answers with a pong echoing the
 // sequence number. The client's heartbeat loop uses it to detect a dead
@@ -77,8 +81,10 @@ import (
 )
 
 // ProtocolVersion is the wire schema version sent in the hello
-// handshake. Servers refuse clients with a different version.
-const ProtocolVersion = 2
+// handshake. Servers refuse clients with a different version. Version
+// 3 carries a verdict's trace in the binary trace format, where
+// version 2 carried rendered text.
+const ProtocolVersion = 3
 
 // maxFrameBody bounds a frame's decoded length: nothing in the schema
 // legitimately approaches it, so anything larger is a corrupt stream or
@@ -152,7 +158,7 @@ type helloAckMsg struct {
 // when positive, is a relative deadline the server turns into the
 // session ctx deadline (relative, not absolute, so clock skew between
 // client and server does not corrupt the budget). Trace requests the
-// session's retained event log back with the verdict.
+// session's event window back with the verdict.
 type submitMsg struct {
 	ID         uint64
 	Workload   string
@@ -181,7 +187,9 @@ type rejectMsg struct {
 	Err    string
 }
 
-// verdictMsg reports a completed session.
+// verdictMsg reports a completed session. Trace, when the submit asked
+// for it, is the session's event window as a binary trace stream (see
+// trace.AppendWindow), cut to the newest events that fit the frame.
 type verdictMsg struct {
 	ID         uint64
 	Verdict    string

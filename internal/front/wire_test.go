@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/testutil"
+	"repro/internal/trace"
 )
 
 // frameBytes builds a raw frame: length prefix, type byte, body.
@@ -315,6 +316,20 @@ func TestGarbageHandshakeBytes(t *testing.T) {
 // is refused by version and cut, not misparsed: the first body byte '{'
 // reads as version 123.
 func TestV1JSONHelloRefused(t *testing.T) {
+	helloRefused(t, []byte(`{"version":1,"key":"gold-key"}`), "unsupported protocol version 123")
+}
+
+// TestV2HelloRefused: a version-2 client, which expects a verdict's
+// trace as rendered text, is refused by version and cut, so it never
+// misreads a version-3 binary trace.
+func TestV2HelloRefused(t *testing.T) {
+	helloRefused(t, helloMsg{Version: 2, Key: "gold-key"}.appendBody(nil), "unsupported protocol version 2 (server speaks 3)")
+}
+
+// helloRefused sends a hello with body and wants a helloAck whose error
+// contains want, then the conn cut.
+func helloRefused(t *testing.T, body []byte, want string) {
+	t.Helper()
 	f := newTestFront(t)
 	defer f.Shutdown(context.Background())
 
@@ -324,18 +339,18 @@ func TestV1JSONHelloRefused(t *testing.T) {
 	}
 	defer nc.Close()
 	nc.SetDeadline(time.Now().Add(10 * time.Second))
-	nc.Write(frameBytes(frameHello, []byte(`{"version":1,"key":"gold-key"}`)))
+	nc.Write(frameBytes(frameHello, body))
 
 	fr := newFrameReader(nc)
-	typ, body, err := fr.read()
+	typ, ackBody, err := fr.read()
 	if err != nil {
 		t.Fatalf("no refusal before the cut: %v", err)
 	}
 	var ack helloAckMsg
-	if typ != frameHelloAck || ack.decode(body) != nil {
-		t.Fatalf("got frame %d (% x), want a helloAck", typ, body)
+	if typ != frameHelloAck || ack.decode(ackBody) != nil {
+		t.Fatalf("got frame %d (% x), want a helloAck", typ, ackBody)
 	}
-	if ack.Tenant != "" || !strings.Contains(ack.Err, "unsupported protocol version 123") {
+	if ack.Tenant != "" || !strings.Contains(ack.Err, want) {
 		t.Fatalf("ack = %+v, want a version refusal", ack)
 	}
 	if typ, _, err := fr.read(); err == nil {
@@ -406,7 +421,12 @@ func FuzzDecodeSubmit(f *testing.F) {
 // FuzzDecodeVerdict: arbitrary bodies through the verdict schema, the
 // decoder the client's read loop trusts with network input.
 func FuzzDecodeVerdict(f *testing.F) {
-	f.Add(verdictMsg{ID: 9, Verdict: "deadlock", Err: "cycle", QueueMs: -1, DurationMs: 3, Trace: []byte("t1 block p2\n")}.appendBody(nil))
+	window := []trace.Event{
+		{Kind: trace.KindGap, Arg: 6},
+		{Seq: 7, Kind: trace.KindBlock, TaskID: 3, TaskName: "t2", PromiseID: 1, PromiseLabel: "p"},
+	}
+	f.Add(verdictMsg{ID: 9, Verdict: "deadlock", Err: "cycle", QueueMs: -1, DurationMs: 3,
+		Trace: trace.AppendWindow(nil, window, math.MaxInt)}.appendBody(nil))
 	f.Add([]byte{})
 	f.Add([]byte{1, 5, 'c', 'l'})
 	f.Add(bytes.Repeat([]byte{0xff}, 11))

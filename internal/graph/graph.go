@@ -147,16 +147,10 @@ func WithTimeout(d time.Duration) NodeOption {
 	return func(n *Node) { n.timeout = d }
 }
 
-// WithMode overrides the node's verification mode — e.g. run a trusted
-// bulk stage Unverified while the rest of the graph stays Full. Sugar
-// for WithRuntime(core.WithMode(m)).
-func WithMode(m core.Mode) NodeOption {
-	return func(n *Node) { n.runtime = append(n.runtime, core.WithMode(m)) }
-}
-
 // WithRuntime appends core options to the node's session runtimes.
 // They are passed at submit scope, so they land after (and override)
-// the pool's base runtime options.
+// the pool's base runtime options: WithRuntime(core.WithMode(m)) runs a
+// trusted bulk stage Unverified while the rest of the graph stays Full.
 func WithRuntime(opts ...core.Option) NodeOption {
 	return func(n *Node) { n.runtime = append(n.runtime, opts...) }
 }

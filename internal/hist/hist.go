@@ -1,10 +1,9 @@
 // Package hist is the log-linear latency histogram shared by the
-// measurement harness (internal/harness re-exports these types under
-// their historical names) and the metrics subsystem (internal/obs wraps
-// Histogram into rotating time-bucket windows). It lives in its own leaf
-// package — stdlib-only — so the instrumented runtime packages can reach
-// it through internal/obs without importing the harness, which itself
-// imports the runtime.
+// metrics subsystem (internal/obs wraps Histogram into rotating
+// time-bucket windows), the serving pool's latency windows, and
+// cmd/loadgen's reports. It lives in its own leaf package — stdlib-only
+// — so the instrumented runtime packages can reach it through
+// internal/obs without importing anything that imports the runtime.
 package hist
 
 import (

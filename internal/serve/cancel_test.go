@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/trace"
 )
 
 // cancellableProg blocks its root on a promise that is fulfilled only
@@ -153,7 +154,7 @@ func TestCancelMidFlightStealHeavyExactAccounting(t *testing.T) {
 	pool := NewPool(Config{
 		MaxSessions: 16,
 		QueueDepth:  16,
-		Runtime:     []core.Option{core.WithMode(core.Full), core.WithEventLog(4096)},
+		Runtime:     []core.Option{core.WithMode(core.Full), core.TraceTo(trace.NewMemSink(4096))},
 	})
 
 	// A spawn-join fan: enough concurrent small tasks per session that the

@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/hist"
 	"repro/internal/obs"
+	"repro/internal/trace"
 )
 
 // TestSessionStatsNonBlockingRace covers the Stats footgun fix: Stats on
@@ -79,7 +80,7 @@ func TestPoolStatsEventsDroppedAggregate(t *testing.T) {
 	pool := NewPool(Config{
 		MaxSessions: 4,
 		QueueDepth:  8,
-		Runtime:     []core.Option{core.WithMode(core.Full), core.WithEventLog(4096)},
+		Runtime:     []core.Option{core.WithMode(core.Full), core.TraceTo(trace.NewMemSink(4096))},
 	})
 	defer pool.Close()
 
@@ -180,7 +181,7 @@ func TestServeMetricsRegistry(t *testing.T) {
 	pool := NewPool(Config{
 		MaxSessions: 2,
 		QueueDepth:  2,
-		Runtime:     []core.Option{core.WithMode(core.Full), core.WithEventLog(512)},
+		Runtime:     []core.Option{core.WithMode(core.Full), core.TraceTo(trace.NewMemSink(512))},
 	})
 	defer pool.Close()
 

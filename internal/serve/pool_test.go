@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/trace"
 )
 
 // cleanProg spawns four children, each fulfilling one moved promise, and
@@ -68,7 +69,7 @@ func TestPoolMixedSessionsIsolationAndDrain(t *testing.T) {
 	pool := NewPool(Config{
 		MaxSessions: 8,
 		QueueDepth:  32,
-		Runtime:     []core.Option{core.WithMode(core.Full), core.WithEventLog(4096)},
+		Runtime:     []core.Option{core.WithMode(core.Full), core.TraceTo(trace.NewMemSink(4096))},
 	})
 
 	const n = 24

@@ -192,8 +192,9 @@ func (s *Session) Stats() (core.Stats, bool) {
 	}
 }
 
-// Runtime returns the session's runtime — e.g. to read its event log or
-// TraceClose its sinks. Valid after Wait/Done.
+// Runtime returns the session's runtime — e.g. to read its Stats or
+// TraceClose the sinks its TraceTo options installed. Valid after
+// Wait/Done.
 func (s *Session) Runtime() *core.Runtime {
 	<-s.done
 	return s.rt.Load()

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 )
 
 // The binary trace format: a 5-byte header ("PTRC" + format version)
@@ -70,6 +71,45 @@ func AppendEvent(buf []byte, e Event) []byte {
 // AppendHeader appends the stream header to buf.
 func AppendHeader(buf []byte) []byte {
 	return append(append(buf, magic[:]...), formatVersion)
+}
+
+// headerLen is the length of the stream header.
+const headerLen = len(magic) + 1
+
+// AppendWindow appends evs, a Seq-sorted window such as
+// MemSink.Snapshot returns, to buf as a whole stream: the header, then
+// every record. If that stream is longer than limit bytes, it keeps only
+// the newest events that fit, behind one leading gap record whose Arg
+// counts every missing event: those cut here and those a gap record
+// leading evs already counted. A window whose header and gap record
+// alone exceed limit comes back as just those two.
+func AppendWindow(buf []byte, evs []Event, limit int) []byte {
+	start := len(buf)
+	buf = AppendHeader(buf)
+	for _, e := range evs {
+		buf = AppendEvent(buf, e)
+	}
+	if len(buf)-start <= limit {
+		return buf
+	}
+	var missing uint64
+	if len(evs) > 0 && evs[0].Kind == KindGap {
+		missing, evs = evs[0].Arg, evs[1:]
+	}
+	// Size the gap record for the largest count it can carry, then keep
+	// the longest suffix of records that fits behind it.
+	room := limit - headerLen - len(AppendEvent(nil, gapRecord(missing+uint64(len(evs)))))
+	keep, tail := len(evs), 0
+	var rec []byte
+	for ; keep > 0; keep-- {
+		rec = AppendEvent(rec[:0], evs[keep-1])
+		if tail+len(rec) > room {
+			break
+		}
+		tail += len(rec)
+	}
+	cut := AppendEvent(AppendHeader(buf[:start:start]), gapRecord(missing+uint64(keep)))
+	return append(cut, buf[len(buf)-tail:]...)
 }
 
 // Decoder reads events from a binary trace stream.
@@ -138,12 +178,18 @@ func (d *Decoder) readString() (string, error) {
 	if n > maxStringLen {
 		return "", fmt.Errorf("trace: string length %d exceeds limit", n)
 	}
-	if n == 0 {
-		return "", nil
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(d.r, buf); err != nil {
-		return "", err
+	// The buffer grows as the bytes arrive, at most doubling per read, so
+	// a declared length costs memory only once the stream backs it.
+	buf := make([]byte, 0, min(n, 512))
+	for uint64(len(buf)) < n {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, int(min(n-uint64(len(buf)), uint64(len(buf)))))
+		}
+		m, err := io.ReadFull(d.r, buf[len(buf):min(uint64(cap(buf)), n)])
+		buf = buf[:len(buf)+m]
+		if err != nil {
+			return "", err
+		}
 	}
 	return string(buf), nil
 }

@@ -2,7 +2,12 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"math/rand"
+	"os"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -159,4 +164,128 @@ func TestEmptyStreamHasHeader(t *testing.T) {
 	if len(out) != 0 {
 		t.Fatalf("empty stream decoded %d events", len(out))
 	}
+}
+
+// TestAppendWindowCutsToNewest: a window that fits is the plain stream;
+// one that does not keeps the newest records that fit behind one gap
+// record counting every missing event, a gap the window already led
+// with included.
+func TestAppendWindowCutsToNewest(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	evs := []Event{gapRecord(40)}
+	for i := 0; i < 200; i++ {
+		e := randomEvent(rng)
+		e.Seq = uint64(41 + i)
+		if e.Kind == KindGap {
+			e.Kind = KindSet
+		}
+		evs = append(evs, e)
+	}
+	whole := AppendWindow(nil, evs, math.MaxInt)
+	got, err := ReadAll(bytes.NewReader(whole))
+	if err != nil || !slices.Equal(got, evs) {
+		t.Fatalf("uncut window does not round-trip (%v)", err)
+	}
+	for _, limit := range []int{len(whole) - 1, len(whole) / 2, len(whole) / 10, 1} {
+		w := AppendWindow([]byte("prefix"), evs, limit)
+		if string(w[:6]) != "prefix" {
+			t.Fatalf("limit %d: the caller's bytes were overwritten", limit)
+		}
+		cut, err := ReadAll(bytes.NewReader(w[6:]))
+		if err != nil {
+			t.Fatalf("limit %d: cut window does not decode: %v", limit, err)
+		}
+		kept := cut[1:]
+		if g := cut[0]; g.Kind != KindGap || g.Arg != 40+uint64(len(evs)-1-len(kept)) {
+			t.Fatalf("limit %d: window leads with %v arg %d, want a gap counting %d", limit, g.Kind, g.Arg, 40+len(evs)-1-len(kept))
+		}
+		if !slices.Equal(kept, evs[len(evs)-len(kept):]) {
+			t.Fatalf("limit %d: kept records are not the newest %d", limit, len(kept))
+		}
+		// The cut sizes its gap record for the largest count, 240.
+		bare := headerLen + len(AppendEvent(nil, gapRecord(240)))
+		if len(w)-6 > max(limit, bare) {
+			t.Fatalf("limit %d: cut window is %d bytes", limit, len(w)-6)
+		}
+		tail := len(w) - 6 - headerLen - len(AppendEvent(nil, cut[0]))
+		if len(kept) < len(evs)-1 && bare+tail+len(AppendEvent(nil, evs[len(evs)-len(kept)-1])) <= limit {
+			t.Fatalf("limit %d: the next-newest record would have fit", limit)
+		}
+	}
+}
+
+// TestDecoderHugeDeclaredLength: a 14-byte stream that declares a 16 MiB
+// string must fail as truncated after allocating a few KiB, not the
+// declared length: traces arrive over the network.
+func TestDecoderHugeDeclaredLength(t *testing.T) {
+	evil := append(AppendHeader(nil), byte(KindSet), 0, 0, 0, 0)
+	evil = binary.AppendUvarint(evil, maxStringLen)
+	if len(evil) != 14 {
+		t.Fatalf("stream is %d bytes, want 14", len(evil))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadAll(bytes.NewReader(evil))
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "truncated") {
+		t.Fatalf("err = %v, want a truncated record", err)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n > 8<<10 {
+		t.Fatalf("decoding 14 bytes allocated %d bytes", n)
+	}
+}
+
+// frontListing1 is the trace a front returned for a traced Deadlock
+// session (Listing 1's cycle), as the client received it.
+const frontListing1 = "testdata/front-listing1.trace"
+
+// TestFrontTraceVerifies: a front-returned trace decodes, and its one
+// deadlock cycle re-verifies, as it did when it was recorded.
+func TestFrontTraceVerifies(t *testing.T) {
+	evs, err := ReadFile(frontListing1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := Verify(evs)
+	if !rep.Consistent() || !rep.Complete || rep.Deadlocks != 1 || !rep.Alarms[0].CycleVerified {
+		t.Fatalf("%s: %s %q", frontListing1, rep.Summary(), rep.Problems)
+	}
+}
+
+// FuzzDecode: arbitrary bytes through the decoder, which reads traces
+// that arrive over the network. Decoding never panics; a stream that
+// decodes re-encodes to the same events, verifies and draws without
+// panicking, and cuts to a window that decodes. Seeds: a front-returned
+// Listing 1 trace, a window of it cut in half, and truncations of both.
+func FuzzDecode(f *testing.F) {
+	front, err := os.ReadFile(frontListing1)
+	if err != nil {
+		f.Fatal(err)
+	}
+	evs, err := ReadAll(bytes.NewReader(front))
+	if err != nil {
+		f.Fatal(err)
+	}
+	cut := AppendWindow(nil, evs, len(front)/2)
+	for _, seed := range [][]byte{front, cut, AppendWindow(nil, listing1("ownership"), math.MaxInt), AppendHeader(nil), {}} {
+		f.Add(seed)
+		for n := 1; n < len(seed); n += 7 {
+			f.Add(seed[:n])
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		evs, err := ReadAll(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		again, err := ReadAll(bytes.NewReader(AppendWindow(nil, evs, math.MaxInt)))
+		if err != nil || !slices.Equal(again, evs) {
+			t.Fatalf("decoded events do not round-trip (%v)", err)
+		}
+		Verify(evs)
+		NewGraph(evs).DOT()
+		if _, err := ReadAll(bytes.NewReader(AppendWindow(nil, evs, len(data)/2))); err != nil {
+			t.Fatalf("cut window does not decode: %v", err)
+		}
+	})
 }

@@ -17,17 +17,10 @@ type Graph struct {
 	owner   map[uint64]uint64          // promise -> owning task (absent = none)
 	ownedBy map[uint64]map[uint64]bool // task -> unfulfilled owned promises
 	waiting map[uint64]uint64          // task -> promise (policy-checked Get)
-	// timedWait tracks blocks with detail "timed" — the PRE-ctx-redesign
-	// timed wait (the since-removed GetTimeout), which left no detector
-	// edge. Current runtimes emit no such records (a bounded wait is a
-	// deadline ctx over GetContext: it blocks like any policy-checked
-	// wait and closes with a "cancel" wake); the branch remains so
-	// traces recorded before the redesign still verify.
-	timedWait map[uint64]uint64 // task -> promise (legacy timed wait)
-	started   map[uint64]bool
-	ended     map[uint64]bool
-	names     map[uint64]string // task -> diagnostic name, when one was given
-	labels    map[uint64]string // promise -> diagnostic label, when one was given
+	started map[uint64]bool
+	ended   map[uint64]bool
+	names   map[uint64]string // task -> diagnostic name, when one was given
+	labels  map[uint64]string // promise -> diagnostic label, when one was given
 
 	enforced bool   // ownership policy active (mode != unverified)
 	gaps     int    // KindGap records seen
@@ -36,22 +29,22 @@ type Graph struct {
 
 func newGraph() Graph {
 	return Graph{
-		owner:     map[uint64]uint64{},
-		ownedBy:   map[uint64]map[uint64]bool{},
-		waiting:   map[uint64]uint64{},
-		timedWait: map[uint64]uint64{},
-		started:   map[uint64]bool{},
-		ended:     map[uint64]bool{},
-		names:     map[uint64]string{},
-		labels:    map[uint64]string{},
-		enforced:  true, // assume policy active until a meta record says otherwise
+		owner:    map[uint64]uint64{},
+		ownedBy:  map[uint64]map[uint64]bool{},
+		waiting:  map[uint64]uint64{},
+		started:  map[uint64]bool{},
+		ended:    map[uint64]bool{},
+		names:    map[uint64]string{},
+		labels:   map[uint64]string{},
+		enforced: true, // assume policy active until a meta record says otherwise
 	}
 }
 
 // NewGraph replays evs (in Seq order; SortBySeq is applied to a copy)
-// into a Graph, with none of Verify's checks. A live runtime's window
-// (Runtime.Events under WithEventLog) is current mid-run, so a graph
-// built from it shows a hung program's waits.
+// into a Graph, with none of Verify's checks. A live runtime's MemSink
+// window holds every event of its parked tasks (a task flushes its
+// staged events before it blocks), so a graph built from it mid-run
+// shows a hung program's waits.
 func NewGraph(evs []Event) *Graph {
 	g := newGraph()
 	for _, e := range sortedCopy(evs) {
@@ -92,15 +85,9 @@ func (g *Graph) apply(e *Event) {
 	case KindSet, KindSetError:
 		g.setOwner(e.PromiseID, 0)
 	case KindBlock:
-		if e.Detail == "timed" {
-			g.timedWait[e.TaskID] = e.PromiseID
-		} else {
-			g.waiting[e.TaskID] = e.PromiseID
-		}
+		g.waiting[e.TaskID] = e.PromiseID
 	case KindWake:
-		if p, ok := g.timedWait[e.TaskID]; ok && p == e.PromiseID {
-			delete(g.timedWait, e.TaskID)
-		} else if p, ok := g.waiting[e.TaskID]; ok && p == e.PromiseID {
+		if p, ok := g.waiting[e.TaskID]; ok && p == e.PromiseID {
 			delete(g.waiting, e.TaskID)
 		}
 	case KindTaskStart:

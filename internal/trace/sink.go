@@ -1,9 +1,9 @@
 package trace
 
 import (
-	"fmt"
 	"io"
 	"os"
+	"strconv"
 	"sync"
 )
 
@@ -68,9 +68,15 @@ func (m *MemSink) Snapshot() []Event {
 	}
 	out := make([]Event, 0, len(m.evs)+1)
 	if m.trimmed > 0 {
-		out = append(out, Event{Kind: KindGap, Arg: m.trimmed, Detail: fmt.Sprintf("%d earlier event(s) trimmed", m.trimmed)})
+		out = append(out, gapRecord(m.trimmed))
 	}
 	return append(out, m.evs...)
+}
+
+// gapRecord is the record that leads a window missing its n oldest
+// events: Seq 0, so it sorts first, and Arg n.
+func gapRecord(n uint64) Event {
+	return Event{Kind: KindGap, Arg: n, Detail: strconv.FormatUint(n, 10) + " earlier event(s) trimmed"}
 }
 
 // WriterSink streams the binary trace encoding to an io.Writer. The

@@ -24,7 +24,7 @@ type Alarm struct {
 // Report is the verifier's verdict over one trace.
 type Report struct {
 	Events     int
-	Dropped    uint64 // events lost, from gap records (older trace files only)
+	Dropped    uint64 // events missing from the window, from its gap records
 	Complete   bool   // no gap records: the trace holds every emitted event
 	Terminated bool   // a KindRunEnd record was seen: the run finished
 	TaskErrors uint64 // from KindRunEnd's Arg
@@ -51,13 +51,14 @@ func (r *Report) Consistent() bool { return len(r.Problems) == 0 }
 func (r *Report) Summary() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%d events", r.Events)
-	if !r.Complete {
-		fmt.Fprintf(&b, ", INCOMPLETE (%d dropped)", r.Dropped)
-	}
 	if !r.Terminated {
 		b.WriteString(", run did not terminate")
 	}
 	switch {
+	case !r.Complete:
+		// Replay past a gap is unsound, so Verify judged nothing; its one
+		// problem says so. A cut window is not a broken run.
+		fmt.Fprintf(&b, ", verdict=INCOMPLETE (%d event(s) missing, replay checks skipped)", r.Dropped)
 	case len(r.Problems) > 0:
 		fmt.Fprintf(&b, ", verdict=INVALID (%d problem(s))", len(r.Problems))
 	case len(r.Alarms) == 0 && !r.Terminated:
@@ -183,11 +184,6 @@ func (v *verifier) check(e *Event) {
 			v.problem(e, "task %d blocked on promise %d while already blocked on %d", e.TaskID, e.PromiseID, p)
 		}
 	case KindWake:
-		if p, ok := v.timedWait[e.TaskID]; ok && p == e.PromiseID {
-			// A legacy timed wait may end by fulfilment or by its deadline
-			// ("timeout"); neither implies anything about the graph.
-			return
-		}
 		if p, ok := v.waiting[e.TaskID]; !ok || p != e.PromiseID {
 			v.problem(e, "task %d woke on promise %d without a matching block", e.TaskID, e.PromiseID)
 			return

@@ -188,6 +188,9 @@ func TestVerifyGapMakesBestEffort(t *testing.T) {
 	if rep.Clean() {
 		t.Fatal("incomplete trace reported clean")
 	}
+	if s := rep.Summary(); !strings.Contains(s, "verdict=INCOMPLETE (37 event(s) missing") {
+		t.Fatalf("summary %q, want an INCOMPLETE verdict", s)
+	}
 }
 
 func TestVerifyUnverifiedModeSkipsOwnership(t *testing.T) {

@@ -3,7 +3,6 @@ package ppg
 import (
 	"fmt"
 	"math"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -12,6 +11,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/serve"
 	"repro/internal/testutil"
+	"repro/internal/trace"
 )
 
 func TestSequentialIsFiniteAndMoves(t *testing.T) {
@@ -231,13 +231,17 @@ func TestMainBuildsBlocksOnce(t *testing.T) {
 // with the blocks rather than per round.
 func TestRunNamesEachRoundsBlocks(t *testing.T) {
 	cfg := Small()
-	rt := core.NewRuntime(core.WithEventLog(1 << 16))
+	mem := trace.NewMemSink(0)
+	rt := core.NewRuntime(core.TraceTo(mem))
 	testutil.MustSucceed(t, rt, Main(cfg))
-	log := rt.EventLog()
+	promises, tasks := map[string]bool{}, map[string]bool{}
+	for _, e := range mem.Snapshot() {
+		promises[e.PromiseLabel], tasks[e.TaskName] = true, true
+	}
 	for k := 0; k < cfg.Iters; k++ {
 		for b := 0; b < cfg.Blocks; b++ {
 			name := fmt.Sprintf("block-%d-%d", k, b)
-			if !strings.Contains(log, " promise="+name+"\n") || !strings.Contains(log, " task="+name+" ") {
+			if !promises[name] || !tasks[name] {
 				t.Fatalf("event log names no promise and task %q", name)
 			}
 		}
