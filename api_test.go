@@ -89,7 +89,7 @@ func TestFacadeDeadlockTypes(t *testing.T) {
 			return fmt.Errorf("cycle = %v", dl.Cycle)
 		}
 		var node repro.CycleNode = dl.Cycle[0]
-		if node.PromiseLabel != "self" {
+		if node.PromiseLabel() != "self" {
 			return fmt.Errorf("node = %+v", node)
 		}
 		return p.Set(tk, 0)
@@ -123,8 +123,8 @@ func TestFacadeOmittedSetTypes(t *testing.T) {
 	if !errors.As(err, &om) {
 		t.Fatalf("err = %v", err)
 	}
-	if om.TaskName != "debtor" {
-		t.Fatalf("blame = %q", om.TaskName)
+	if om.TaskName() != "debtor" {
+		t.Fatalf("blame = %q", om.TaskName())
 	}
 }
 

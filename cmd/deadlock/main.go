@@ -146,7 +146,7 @@ func report(name string, rt *core.Runtime, mem *trace.MemSink, err error) {
 		if errors.As(err, &dl) {
 			fmt.Printf("   deadlock cycle (%d tasks):\n", len(dl.Cycle))
 			for _, n := range dl.Cycle {
-				fmt.Printf("     task %-6s awaits %s\n", n.TaskName, n.PromiseLabel)
+				fmt.Printf("     task %-6s awaits %s\n", n.TaskName(), n.PromiseLabel())
 			}
 		}
 		if errors.As(err, &om) {

@@ -72,7 +72,7 @@ func main() {
 			if errors.As(err, &bp) {
 				fmt.Println("BUG CAUGHT: the consumer would have hung forever;")
 				fmt.Printf("ownership verification unblocked it and blamed task %q for promise %q\n",
-					bp.TaskName, bp.PromiseLabel)
+					bp.TaskName(), bp.PromiseLabel())
 				return nil
 			}
 		}

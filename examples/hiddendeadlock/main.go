@@ -127,7 +127,7 @@ func main() {
 	case errors.As(err, &dl):
 		fmt.Printf("deadlock detected after %v (server still running):\n", detectedAt.Round(time.Millisecond))
 		for _, n := range dl.Cycle {
-			fmt.Printf("  task %-8s awaits %s\n", n.TaskName, n.PromiseLabel)
+			fmt.Printf("  task %-8s awaits %s\n", n.TaskName(), n.PromiseLabel())
 		}
 	case errors.Is(err, core.ErrTimeout):
 		fmt.Printf("no alarm after %v: the deadlock is invisible (the server task keeps the program 'alive')\n",

@@ -66,7 +66,7 @@ func main() {
 		var broken *core.BrokenPromiseError
 		if errors.As(err, &broken) {
 			fmt.Printf("unblocked with blame: task %q leaked promise %q\n",
-				broken.TaskName, broken.PromiseLabel)
+				broken.TaskName(), broken.PromiseLabel())
 			return nil // handled
 		}
 		return err

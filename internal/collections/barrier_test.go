@@ -134,8 +134,8 @@ func TestBarrierAbandonedPartyBreaksOthersOut(t *testing.T) {
 	if !errors.As(err, &om) {
 		t.Fatalf("no omitted-set report: %v", err)
 	}
-	if om.TaskName != "party-0" {
-		t.Fatalf("blame = %q", om.TaskName)
+	if om.TaskName() != "party-0" {
+		t.Fatalf("blame = %q", om.TaskName())
 	}
 }
 

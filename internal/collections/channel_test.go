@@ -139,8 +139,8 @@ func TestChannelAbandonedSenderIsOmittedSet(t *testing.T) {
 		if !errors.As(e, &bp) {
 			return fmt.Errorf("recv = %v, want BrokenPromiseError", e)
 		}
-		if bp.TaskName != "sender" {
-			return fmt.Errorf("blame = %q", bp.TaskName)
+		if bp.TaskName() != "sender" {
+			return fmt.Errorf("blame = %q", bp.TaskName())
 		}
 		return nil
 	})

@@ -61,7 +61,7 @@ type runScopePtr = atomic.Pointer[runScope]
 // terminated — including after cancellation: cancelling ctx unblocks
 // every policy-checked wait in the tree with a CanceledError (structured
 // cancellation of the root task), the tasks unwind cooperatively, and
-// RunContext then returns the joined errors with the scope's
+// RunContext then returns the run's report joined with the scope's
 // CanceledError first. If the scope expired without disturbing a single
 // wait — the program ran to completion anyway — the result is reported
 // exactly as Run would have (fulfilment beats cancellation at the run

@@ -78,10 +78,15 @@ func (t0 *Task) verifyAwait(p0 *pstate) error {
 	}
 	// Loop condition failed: t0 transitively awaits itself (line 15).
 	t0.waitingOn.Store(nil)
-	cyc := []CycleNode{{TaskID: t0.id, TaskName: t0.displayName(), PromiseID: p0.id, PromiseLabel: p0.displayLabel()}}
+	n := 1
+	if hops != nil {
+		n += len(*hops)
+	}
+	cyc := make([]CycleNode, 1, n)
+	cyc[0] = cycleNode(t0, p0)
 	if hops != nil {
 		for _, h := range *hops {
-			cyc = append(cyc, CycleNode{TaskID: h.t.id, TaskName: h.t.displayName(), PromiseID: h.p.id, PromiseLabel: h.p.displayLabel()})
+			cyc = append(cyc, cycleNode(h.t, h.p))
 		}
 		putHops(hops)
 	}

@@ -52,7 +52,7 @@ func TestListing1DeadlockDetected(t *testing.T) {
 			}
 			names := map[string]bool{}
 			for _, n := range dl.Cycle {
-				names[n.TaskName] = true
+				names[n.TaskName()] = true
 			}
 			if !names["main"] || !names["t2"] {
 				t.Fatalf("cycle tasks %v, want main and t2", names)

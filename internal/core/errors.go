@@ -119,35 +119,33 @@ func (e *DoubleSetError) Error() string {
 // trade-off discussed in §6.2 of the paper.
 type OmittedSetError struct {
 	TaskID   uint64
-	TaskName string
 	Promises []AnyPromise // nil under TrackCounter; order unspecified
 	Count    int
+	taskName string // the task's given name; "" renders as task-<id>
 }
 
-// The omitted-set, broken-promise and deadlock reports are built
-// without fmt, each in one allocation where the parts are known: an
-// alarm verdict renders all three, and the front renders every alarm
-// verdict it sends.
-func (e *OmittedSetError) Error() string {
-	if len(e.Promises) == 0 {
-		return "core: omitted set: task " + e.TaskName + " terminated owning " +
-			strconv.Itoa(e.Count) + " unfulfilled promise(s)"
-	}
-	var b strings.Builder
-	// A default label is built on each Label call, so the size is a guess:
-	// twelve bytes per label covers "promise-<id>" up to four digits.
-	b.Grow(len("core: omitted set: task ") + len(e.TaskName) +
-		len(" terminated owning unfulfilled promise(s): ") + 12*len(e.Promises))
+// TaskName returns the blamed task's diagnostic name.
+func (e *OmittedSetError) TaskName() string { return taskName(e.TaskID, e.taskName) }
+
+func (e *OmittedSetError) Error() string { return errText(e, 64+16*len(e.Promises)) }
+
+func (e *OmittedSetError) writeTo(b *strings.Builder) {
 	b.WriteString("core: omitted set: task ")
-	b.WriteString(e.TaskName)
+	writeTaskName(b, e.TaskID, e.taskName)
+	if len(e.Promises) == 0 {
+		b.WriteString(" terminated owning ")
+		writeUint(b, uint64(e.Count))
+		b.WriteString(" unfulfilled promise(s)")
+		return
+	}
 	b.WriteString(" terminated owning unfulfilled promise(s): ")
 	for i, p := range e.Promises {
 		if i > 0 {
 			b.WriteString(", ")
 		}
-		b.WriteString(p.Label())
+		s := p.state()
+		writePromiseLabel(b, s.id, s.label)
 	}
-	return b.String()
 }
 
 // BrokenPromiseError is delivered to any task blocked on (or later getting)
@@ -156,19 +154,31 @@ func (e *OmittedSetError) Error() string {
 // completes every leaked promise with this error so consumers unblock.
 type BrokenPromiseError struct {
 	PromiseID    uint64
-	PromiseLabel string
 	TaskID       uint64 // the task that leaked the promise
-	TaskName     string
-	Cause        error // the leaking task's own failure, or its OmittedSetError
+	Cause        error  // the leaking task's own failure, or its OmittedSetError
+	promiseLabel string // "" renders as promise-<id>
+	taskName     string // "" renders as task-<id>
 }
 
-func (e *BrokenPromiseError) Error() string {
-	cause := "<nil>"
-	if e.Cause != nil {
-		cause = e.Cause.Error()
+// PromiseLabel returns the broken promise's diagnostic label.
+func (e *BrokenPromiseError) PromiseLabel() string { return promiseLabel(e.PromiseID, e.promiseLabel) }
+
+// TaskName returns the diagnostic name of the task that leaked the promise.
+func (e *BrokenPromiseError) TaskName() string { return taskName(e.TaskID, e.taskName) }
+
+func (e *BrokenPromiseError) Error() string { return errText(e, 256) }
+
+func (e *BrokenPromiseError) writeTo(b *strings.Builder) {
+	b.WriteString("core: broken promise ")
+	writePromiseLabel(b, e.PromiseID, e.promiseLabel)
+	b.WriteString(": owner task ")
+	writeTaskName(b, e.TaskID, e.taskName)
+	b.WriteString(" terminated without fulfilling it: ")
+	if e.Cause == nil {
+		b.WriteString("<nil>")
+		return
 	}
-	return "core: broken promise " + e.PromiseLabel + ": owner task " + e.TaskName +
-		" terminated without fulfilling it: " + cause
+	writeErr(b, e.Cause)
 }
 
 // Unwrap exposes the cause so errors.Is/As can inspect cascades.
@@ -178,9 +188,21 @@ func (e *BrokenPromiseError) Unwrap() error { return e.Cause }
 // awaiting Promise, and Promise is owned by the Task of the next node.
 type CycleNode struct {
 	TaskID       uint64
-	TaskName     string
 	PromiseID    uint64
-	PromiseLabel string
+	taskName     string // "" renders as task-<id>
+	promiseLabel string // "" renders as promise-<id>
+}
+
+// TaskName returns the blocked task's diagnostic name.
+func (n CycleNode) TaskName() string { return taskName(n.TaskID, n.taskName) }
+
+// PromiseLabel returns the awaited promise's diagnostic label.
+func (n CycleNode) PromiseLabel() string { return promiseLabel(n.PromiseID, n.promiseLabel) }
+
+// cycleNode is the hop "t awaits s", holding only the names given at
+// creation.
+func cycleNode(t *Task, s *pstate) CycleNode {
+	return CycleNode{TaskID: t.id, PromiseID: s.id, taskName: t.name, promiseLabel: s.label}
 }
 
 // DeadlockError reports a deadlock cycle detected by Algorithm 2, raised in
@@ -190,37 +212,132 @@ type DeadlockError struct {
 	Cycle []CycleNode
 }
 
-func (e *DeadlockError) Error() string {
-	count := strconv.Itoa(len(e.Cycle))
-	size := len("core: deadlock cycle of ") + len(count) + len(" task(s): ")
-	for i, n := range e.Cycle {
-		if i > 0 {
-			size += len(" -> ")
-		}
-		size += len("task ") + len(n.TaskName) + len(" awaits ") + len(n.PromiseLabel)
-	}
-	if len(e.Cycle) > 0 {
-		size += len(" -> owned by task ") + len(e.Cycle[0].TaskName)
-	}
-	var b strings.Builder
-	b.Grow(size)
+func (e *DeadlockError) Error() string { return errText(e, 48+40*len(e.Cycle)) }
+
+func (e *DeadlockError) writeTo(b *strings.Builder) {
 	b.WriteString("core: deadlock cycle of ")
-	b.WriteString(count)
+	writeUint(b, uint64(len(e.Cycle)))
 	b.WriteString(" task(s): ")
 	for i, n := range e.Cycle {
 		if i > 0 {
 			b.WriteString(" -> ")
 		}
 		b.WriteString("task ")
-		b.WriteString(n.TaskName)
+		writeTaskName(b, n.TaskID, n.taskName)
 		b.WriteString(" awaits ")
-		b.WriteString(n.PromiseLabel)
+		writePromiseLabel(b, n.PromiseID, n.promiseLabel)
 	}
 	if len(e.Cycle) > 0 {
 		b.WriteString(" -> owned by task ")
-		b.WriteString(e.Cycle[0].TaskName)
+		writeTaskName(b, e.Cycle[0].TaskID, e.Cycle[0].taskName)
 	}
+}
+
+// Report is a run's ordered alarm report: the errors its tasks recorded,
+// one entry each, in the order they were recorded. A task that failed
+// and also leaked promises records its own error and then its
+// OmittedSetError as two entries, and both are recorded before the
+// broken-promise cascade they cause, so every cause precedes its effects.
+//
+// Runtime.Err returns the report of the whole run, and Task.Wait a
+// report of a task's own two entries when it has both. Error renders
+// the entries one per line, into one builder, exactly as errors.Join
+// would; Unwrap exposes them, so errors.Is and errors.As find every
+// part.
+type Report struct {
+	errs []error
+}
+
+// reportEntryHint is the text length Report.Error reserves per entry: it
+// covers Listing 1's report, whose cascade repeats the cycle, in one
+// allocation.
+const reportEntryHint = 128
+
+func (r *Report) Error() string { return errText(r, reportEntryHint*len(r.errs)) }
+
+// Unwrap returns the report's entries, in order. The slice is the
+// report's own; callers must not modify it.
+func (r *Report) Unwrap() []error { return r.errs }
+
+func (r *Report) writeTo(b *strings.Builder) {
+	for i, e := range r.errs {
+		if i > 0 {
+			b.WriteByte('\n')
+		}
+		writeErr(b, e)
+	}
+}
+
+// errText renders err into a builder that reserves hint bytes up front.
+func errText(err error, hint int) string {
+	var b strings.Builder
+	b.Grow(hint)
+	writeErr(&b, err)
 	return b.String()
+}
+
+// writeErr writes err's text into b. The report types write in place,
+// rendering default names straight into b; any other error is written
+// through its Error method. The switch calls each writer directly, so b
+// stays on its caller's stack.
+func writeErr(b *strings.Builder, err error) {
+	switch e := err.(type) {
+	case *Report:
+		e.writeTo(b)
+	case *DeadlockError:
+		e.writeTo(b)
+	case *OmittedSetError:
+		e.writeTo(b)
+	case *BrokenPromiseError:
+		e.writeTo(b)
+	default:
+		b.WriteString(err.Error())
+	}
+}
+
+// taskName is a task's diagnostic name: the given name, or the default
+// "task-<id>", built by concatenation.
+func taskName(id uint64, name string) string {
+	if name != "" {
+		return name
+	}
+	return "task-" + strconv.FormatUint(id, 10)
+}
+
+// promiseLabel is a promise's diagnostic label: the given label, or the
+// default "promise-<id>".
+func promiseLabel(id uint64, label string) string {
+	if label != "" {
+		return label
+	}
+	return "promise-" + strconv.FormatUint(id, 10)
+}
+
+// writeTaskName writes taskName(id, name) into b without building it.
+func writeTaskName(b *strings.Builder, id uint64, name string) {
+	if name != "" {
+		b.WriteString(name)
+		return
+	}
+	b.WriteString("task-")
+	writeUint(b, id)
+}
+
+// writePromiseLabel writes promiseLabel(id, label) into b without
+// building it.
+func writePromiseLabel(b *strings.Builder, id uint64, label string) {
+	if label != "" {
+		b.WriteString(label)
+		return
+	}
+	b.WriteString("promise-")
+	writeUint(b, id)
+}
+
+// writeUint writes v in decimal into b, formatting it on the stack.
+func writeUint(b *strings.Builder, v uint64) {
+	var digits [20]byte
+	b.Write(strconv.AppendUint(digits[:0], v, 10))
 }
 
 // PanicError wraps a panic recovered from a task function so it can be

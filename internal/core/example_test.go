@@ -57,7 +57,7 @@ func ExampleDeadlockError() {
 		fmt.Println("cycle of", len(dl.Cycle), "tasks")
 		lines := make([]string, 0, len(dl.Cycle))
 		for _, n := range dl.Cycle {
-			lines = append(lines, fmt.Sprintf("%s awaits %s", n.TaskName, n.PromiseLabel))
+			lines = append(lines, fmt.Sprintf("%s awaits %s", n.TaskName(), n.PromiseLabel()))
 		}
 		sort.Strings(lines)
 		for _, l := range lines {
@@ -84,13 +84,13 @@ func ExampleOmittedSetError() {
 		_, err := result.Get(t)
 		var broken *core.BrokenPromiseError
 		if errors.As(err, &broken) {
-			fmt.Printf("consumer unblocked: %s leaked by %s\n", broken.PromiseLabel, broken.TaskName)
+			fmt.Printf("consumer unblocked: %s leaked by %s\n", broken.PromiseLabel(), broken.TaskName())
 		}
 		return nil
 	})
 	var om *core.OmittedSetError
 	if errors.As(err, &om) {
-		fmt.Printf("runtime recorded: %s owed %d promise(s)\n", om.TaskName, len(om.Promises))
+		fmt.Printf("runtime recorded: %s owed %d promise(s)\n", om.TaskName(), len(om.Promises))
 	}
 	// Output:
 	// consumer unblocked: result leaked by worker

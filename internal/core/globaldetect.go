@@ -71,14 +71,14 @@ func (g *globalDetector) afterWait(t *Task) {
 // caller holds the mutex, so the map is stable).
 func (t0 *Task) buildCycleLocked(p0 *pstate, g *globalDetector) *DeadlockError {
 	const maxNodes = 1 << 20
-	cyc := []CycleNode{{TaskID: t0.id, TaskName: t0.displayName(), PromiseID: p0.id, PromiseLabel: p0.displayLabel()}}
+	cyc := []CycleNode{cycleNode(t0, p0)}
 	t := p0.owner.Load()
 	for t != nil && t != t0 && len(cyc) < maxNodes {
 		p, ok := g.waiting[t]
 		if !ok {
 			break
 		}
-		cyc = append(cyc, CycleNode{TaskID: t.id, TaskName: t.displayName(), PromiseID: p.id, PromiseLabel: p.displayLabel()})
+		cyc = append(cyc, cycleNode(t, p))
 		t = p.owner.Load()
 	}
 	return &DeadlockError{Cycle: cyc}

@@ -200,11 +200,11 @@ func TestOmittedSetDetectedWithBlame(t *testing.T) {
 		if !errors.As(e, &bp) {
 			return fmt.Errorf("get(s) returned %v, want BrokenPromiseError", e)
 		}
-		if bp.TaskName != "t4" {
-			return fmt.Errorf("blame fell on %q, want t4", bp.TaskName)
+		if bp.TaskName() != "t4" {
+			return fmt.Errorf("blame fell on %q, want t4", bp.TaskName())
 		}
-		if bp.PromiseLabel != "s" {
-			return fmt.Errorf("promise %q, want s", bp.PromiseLabel)
+		if bp.PromiseLabel() != "s" {
+			return fmt.Errorf("promise %q, want s", bp.PromiseLabel())
 		}
 		return nil
 	})
@@ -212,8 +212,8 @@ func TestOmittedSetDetectedWithBlame(t *testing.T) {
 	if !errors.As(err, &om) {
 		t.Fatalf("run error = %v, want to contain OmittedSetError", err)
 	}
-	if om.TaskName != "t4" {
-		t.Fatalf("omitted set blames %q, want t4", om.TaskName)
+	if om.TaskName() != "t4" {
+		t.Fatalf("omitted set blames %q, want t4", om.TaskName())
 	}
 	if len(om.Promises) != 1 || om.Promises[0].Label() != "s" {
 		t.Fatalf("omitted promises = %v", om.Promises)
@@ -459,7 +459,7 @@ func classifyVerdict(err error) string {
 	if errors.As(err, &dl) {
 		hops := make([]string, 0, len(dl.Cycle))
 		for _, n := range dl.Cycle {
-			hops = append(hops, n.TaskName+"->"+n.PromiseLabel)
+			hops = append(hops, n.TaskName()+"->"+n.PromiseLabel())
 		}
 		sort.Strings(hops)
 		parts = append(parts, "deadlock{"+strings.Join(hops, ",")+"}")
@@ -471,7 +471,7 @@ func classifyVerdict(err error) string {
 			labels = append(labels, p.Label())
 		}
 		sort.Strings(labels)
-		parts = append(parts, fmt.Sprintf("omitted{%s:%s}", om.TaskName, strings.Join(labels, ",")))
+		parts = append(parts, fmt.Sprintf("omitted{%s:%s}", om.TaskName(), strings.Join(labels, ",")))
 	}
 	var ds *DoubleSetError
 	if errors.As(err, &ds) {
@@ -483,7 +483,7 @@ func classifyVerdict(err error) string {
 	}
 	var bp *BrokenPromiseError
 	if errors.As(err, &bp) {
-		parts = append(parts, "broken{"+bp.PromiseLabel+"}")
+		parts = append(parts, "broken{"+bp.PromiseLabel()+"}")
 	}
 	if len(parts) == 0 {
 		return "error{" + err.Error() + "}"

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"strconv"
 	"sync/atomic"
 )
 
@@ -76,15 +75,9 @@ func (s *pstate) publish() {
 }
 
 // displayLabel renders the diagnostic name, defaulting to "promise-<id>".
-// Like Task.displayName, the default is built on demand and by
-// concatenation, so the promise fast path never renders a label nobody
-// reads and an alarm report pays no formatting for the ones it names.
-func (s *pstate) displayLabel() string {
-	if s.label != "" {
-		return s.label
-	}
-	return "promise-" + strconv.FormatUint(s.id, 10)
-}
+// Like Task.displayName, the default is built on demand, so the promise
+// fast path never renders a label nobody reads.
+func (s *pstate) displayLabel() string { return promiseLabel(s.id, s.label) }
 
 // AnyPromise is the payload-independent view of a promise. Every
 // *Promise[T] implements it; the Movable interface and all diagnostics

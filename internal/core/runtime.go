@@ -183,6 +183,9 @@ type Runtime struct {
 
 	wg sync.WaitGroup
 
+	// errs holds the entries of the run's Report, in recording order.
+	// Entries are only ever appended, so a Report over a prefix or span
+	// of them stays valid as the run goes on.
 	mu   sync.Mutex
 	errs []error
 
@@ -273,8 +276,8 @@ func (r *Runtime) Stats() Stats {
 }
 
 // Run executes main as the root task and blocks until every task spawned
-// (transitively) has terminated. It returns the joined errors of all
-// failed tasks, or nil if the program completed cleanly.
+// (transitively) has terminated. It returns the run's Report of every
+// recorded error, or nil if the program completed cleanly.
 //
 // Run corresponds to the paper's Init procedure followed by program
 // completion. As in Init, the root task runs on the thread that starts
@@ -302,13 +305,16 @@ func (r *Runtime) Run(main TaskFunc) error {
 		n := len(r.errs)
 		r.mu.Unlock()
 		// run-end marks a fully unwound program; its absence from a
-		// trace means the run hung or was cut short.
+		// trace means the run hung or was cut short. Its Arg counts the
+		// report's entries.
 		r.logEventArg(trace.KindRunEnd, nil, nil, uint64(n), "")
 	}
 	return err
 }
 
-// Errors returns a copy of every error recorded by terminated tasks so far.
+// Errors returns a copy of the report's entries so far: one per failed
+// task, plus one OmittedSetError per task that terminated owning
+// promises, right after that task's own error.
 func (r *Runtime) Errors() []error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -317,11 +323,16 @@ func (r *Runtime) Errors() []error {
 	return out
 }
 
-// Err returns the recorded errors joined, or nil if none.
+// Err returns the run's Report of the errors recorded so far, or nil if
+// none. Later entries do not change a Report already returned.
 func (r *Runtime) Err() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return errors.Join(r.errs...)
+	n := len(r.errs)
+	if n == 0 {
+		return nil
+	}
+	return &Report{errs: r.errs[:n:n]}
 }
 
 func (r *Runtime) record(err error) {
@@ -329,8 +340,33 @@ func (r *Runtime) record(err error) {
 		return
 	}
 	r.mu.Lock()
-	r.errs = append(r.errs, err)
+	r.appendLocked(err)
 	r.mu.Unlock()
+}
+
+// recordOmitted records a terminating task's own error, if any, and then
+// its omitted set, as adjacent entries. It returns the task's error for
+// Task.Wait: the omitted set alone, or a Report of the two entries.
+func (r *Runtime) recordOmitted(err error, om *OmittedSetError) error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if err == nil {
+		r.appendLocked(om)
+		return om
+	}
+	n := len(r.errs)
+	r.appendLocked(err, om)
+	return &Report{errs: r.errs[n : n+2 : n+2]}
+}
+
+// appendLocked appends report entries; r.mu is held. The first append
+// reserves room for four entries, Listing 1's report: a cycle, two
+// omitted sets and the cascade between them.
+func (r *Runtime) appendLocked(errs ...error) {
+	if r.errs == nil {
+		r.errs = make([]error, 0, 4)
+	}
+	r.errs = append(r.errs, errs...)
 }
 
 func (r *Runtime) alarm(err error) {

@@ -335,7 +335,7 @@ func TestErrorStringsAreDescriptive(t *testing.T) {
 	if !strings.Contains(ds.Error(), "already fulfilled") {
 		t.Fatalf("double set: %s", ds)
 	}
-	om := &OmittedSetError{TaskName: "t4", Count: 2}
+	om := &OmittedSetError{taskName: "t4", Count: 2}
 	if !strings.Contains(om.Error(), "t4") || !strings.Contains(om.Error(), "2") {
 		t.Fatalf("omitted set (counter): %s", om)
 	}
@@ -343,7 +343,7 @@ func TestErrorStringsAreDescriptive(t *testing.T) {
 	if !strings.Contains(pe.Error(), "bang") {
 		t.Fatalf("panic: %s", pe)
 	}
-	bp := &BrokenPromiseError{PromiseLabel: "s", TaskName: "t4", Cause: errors.New("x")}
+	bp := &BrokenPromiseError{promiseLabel: "s", taskName: "t4", Cause: errors.New("x")}
 	if !strings.Contains(bp.Error(), "s") || bp.Unwrap() == nil {
 		t.Fatalf("broken promise: %s", bp)
 	}

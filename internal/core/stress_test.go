@@ -163,8 +163,8 @@ func TestStressCycleAmongNoise(t *testing.T) {
 		t.Fatalf("cycle not found among noise: %v", err)
 	}
 	for _, n := range dl.Cycle {
-		if len(n.TaskName) < 5 || n.TaskName[:5] != "ring-" {
-			t.Fatalf("innocent task %q reported in the cycle", n.TaskName)
+		if len(n.TaskName()) < 5 || n.TaskName()[:5] != "ring-" {
+			t.Fatalf("innocent task %q reported in the cycle", n.TaskName())
 		}
 	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"runtime/debug"
-	"strconv"
 	"sync/atomic"
 )
 
@@ -83,14 +82,9 @@ func (t *Task) Name() string { return t.displayName() }
 
 // displayName renders the diagnostic name, defaulting to "task-<id>". The
 // default is built on demand, so spawning a task never formats a name
-// nobody reads, and built by concatenation, because alarm reports render
-// it once per task they name.
-func (t *Task) displayName() string {
-	if t.name != "" {
-		return t.name
-	}
-	return "task-" + strconv.FormatUint(t.id, 10)
-}
+// nobody reads; alarm reports write it straight into their text instead
+// (writeTaskName).
+func (t *Task) displayName() string { return taskName(t.id, t.name) }
 
 // Parent returns the task that spawned this one, or nil for the root task.
 func (t *Task) Parent() *Task { return t.parent }
@@ -320,20 +314,15 @@ func (t *Task) transferMoved(child *Task, ms movedSet) {
 }
 
 // outstanding returns the promises the task still owns at termination
-// (rule 3 check). Under TrackCounter it returns nil and the count.
+// (rule 3 check). Under TrackList that is the owned list itself, in
+// place: set and move discharge exactly, so the list holds only promises
+// the task still owns, and a terminated task never touches it again.
+// Under TrackCounter it returns nil and the count.
 func (t *Task) outstanding() ([]AnyPromise, int) {
-	switch t.rt.tracking {
-	case TrackCounter:
+	if t.rt.tracking == TrackCounter {
 		return nil, t.ownedCount
-	default:
-		var leaked []AnyPromise
-		for _, ap := range t.owned {
-			if ap.state().owner.Load() == t {
-				leaked = append(leaked, ap)
-			}
-		}
-		return leaked, len(leaked)
 	}
+	return t.owned, len(t.owned)
 }
 
 func invokeTask(f TaskFunc, t *Task) (err error) {
@@ -439,10 +428,12 @@ func (r *Runtime) runTask(t *Task, f TaskFunc) {
 // finishTask enforces rule 3 and records the task's error. A terminating
 // task must own no promises; if it does, the omitted set is reported with
 // blame and every leaked promise is completed exceptionally so consumers
-// unblock (§6.2). The error is recorded before anything it can wake — the
-// cascade here, the done signal in runTask — so a woken waiter records
-// its broken-promise error after its cause, and the run's joined report
-// always lists the cause first.
+// unblock (§6.2). The task's own error and then its omitted set are
+// recorded before anything they can wake — the cascade here, the done
+// signal in runTask — so a woken waiter records its broken-promise error
+// after its cause, and the run's report always lists the cause first.
+// It returns what Task.Wait reports: the task's error, its omitted set,
+// or a Report of both.
 func (r *Runtime) finishTask(t *Task, err error) error {
 	if r.mode < Ownership {
 		r.record(err)
@@ -453,24 +444,23 @@ func (r *Runtime) finishTask(t *Task, err error) error {
 		r.record(err)
 		return err
 	}
-	om := &OmittedSetError{TaskID: t.id, TaskName: t.displayName(), Promises: leaked, Count: n}
+	om := &OmittedSetError{TaskID: t.id, taskName: t.name, Promises: leaked, Count: n}
 	r.alarm(om)
 	cause := err
 	if cause == nil {
 		cause = om
 	}
-	joined := joinErrs(err, om)
-	r.record(joined)
+	own := r.recordOmitted(err, om)
 	for _, ap := range leaked {
 		s := ap.state()
 		if s.claim() {
 			s.owner.Store(nil)
 			s.err = &BrokenPromiseError{
 				PromiseID:    s.id,
-				PromiseLabel: s.displayLabel(),
 				TaskID:       t.id,
-				TaskName:     t.displayName(),
 				Cause:        cause,
+				promiseLabel: s.label,
+				taskName:     t.name,
 			}
 			// Logged between the payload write and publish, like Set: the
 			// cascade completion must be sequenced before any wake it
@@ -481,5 +471,5 @@ func (r *Runtime) finishTask(t *Task, err error) error {
 			s.publish()
 		}
 	}
-	return joined
+	return own
 }

@@ -89,8 +89,8 @@ func TestOmittedSetDetectedUnderEveryTracking(t *testing.T) {
 			if !errors.As(err, &om) {
 				t.Fatalf("tracking %v missed the omitted set: %v", kind, err)
 			}
-			if om.TaskName != "debtor" {
-				t.Fatalf("blame = %q", om.TaskName)
+			if om.TaskName() != "debtor" {
+				t.Fatalf("blame = %q", om.TaskName())
 			}
 			if kind == TrackCounter {
 				if om.Promises != nil || om.Count != 1 {

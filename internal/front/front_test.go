@@ -407,3 +407,50 @@ func TestFrontWeightedFairnessOverWire(t *testing.T) {
 		t.Fatalf("per-tenant completion %v, want 12/12", byTenant)
 	}
 }
+
+// Listing 1's report under default names when t2 closes the cycle, the
+// text core's TestListing1AlarmText pins, and when the root closes it.
+const (
+	listing1Report = "core: deadlock cycle of 2 task(s): task task-2 awaits promise-1 -> task main awaits promise-2 -> owned by task task-2\n" +
+		"core: omitted set: task task-2 terminated owning unfulfilled promise(s): promise-2\n" +
+		"core: broken promise promise-2: owner task task-2 terminated without fulfilling it: " +
+		"core: deadlock cycle of 2 task(s): task task-2 awaits promise-1 -> task main awaits promise-2 -> owned by task task-2\n" +
+		"core: omitted set: task main terminated owning unfulfilled promise(s): promise-1"
+	listing1ReportRootCloses = "core: deadlock cycle of 2 task(s): task main awaits promise-2 -> task task-2 awaits promise-1 -> owned by task main\n" +
+		"core: omitted set: task main terminated owning unfulfilled promise(s): promise-1\n" +
+		"core: broken promise promise-1: owner task main terminated without fulfilling it: " +
+		"core: deadlock cycle of 2 task(s): task main awaits promise-2 -> task task-2 awaits promise-1 -> owned by task main\n" +
+		"core: omitted set: task task-2 terminated owning unfulfilled promise(s): promise-2"
+)
+
+// TestRemoteListing1ReportText: a remote Listing 1 verdict carries the
+// report's text byte for byte. Which task closes the cycle depends on
+// scheduling, so sessions are submitted until one where t2 closes it,
+// the order core's golden pins; every session's text must be one of the
+// two.
+func TestRemoteListing1ReportText(t *testing.T) {
+	f := newTestFront(t)
+	defer f.Shutdown(context.Background())
+	c, err := Dial(f.Addr(), "gold-key")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for i := 0; i < 100; i++ {
+		s, err := c.Submit(t.Context(), SubmitRequest{Workload: "Deadlock"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.Wait() == nil || s.Verdict() != serve.VerdictDeadlock {
+			t.Fatalf("verdict %s, err %v", s.Verdict(), s.Err())
+		}
+		switch got := s.Err().Error(); got {
+		case listing1Report:
+			return
+		case listing1ReportRootCloses:
+		default:
+			t.Fatalf("remote report (%d bytes):\n%s\nwant (%d bytes):\n%s", len(got), got, len(listing1Report), listing1Report)
+		}
+	}
+	t.Fatal("no session in 100 had t2 close the cycle")
+}

@@ -22,6 +22,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"strconv"
 	"strings"
 
 	"repro/internal/core"
@@ -197,7 +198,7 @@ func (p *Program) Main() core.TaskFunc {
 	return func(root *core.Task) error {
 		proms := make([]*core.Promise[int], p.cfg.Promises)
 		for i := range proms {
-			proms[i] = core.NewPromiseNamed[int](root, fmt.Sprintf("rp-%d", i))
+			proms[i] = core.NewPromiseNamed[int](root, "rp-"+strconv.Itoa(i))
 		}
 		if p.cycleLen > 0 {
 			if err := p.spawnRing(root); err != nil {
@@ -213,7 +214,7 @@ func (p *Program) runTask(t *core.Task, id int, proms []*core.Promise[int]) erro
 	for ci, c := range plan.children {
 		c := c
 		mv := movableIdx{proms, plan.moves[ci]}
-		if _, err := t.AsyncNamed(fmt.Sprintf("rt-%d", c), func(ct *core.Task) error {
+		if _, err := t.AsyncNamed("rt-"+strconv.Itoa(c), func(ct *core.Task) error {
 			return p.runTask(ct, c, proms)
 		}, mv); err != nil {
 			return err
@@ -240,11 +241,11 @@ func (p *Program) spawnRing(root *core.Task) error {
 	n := p.cycleLen
 	ring := make([]*core.Promise[int], n)
 	for i := range ring {
-		ring[i] = core.NewPromiseNamed[int](root, fmt.Sprintf("ring-%d", i))
+		ring[i] = core.NewPromiseNamed[int](root, "ring-"+strconv.Itoa(i))
 	}
 	for i := 0; i < n; i++ {
 		i := i
-		if _, err := root.AsyncNamed(fmt.Sprintf("ring-task-%d", i), func(c *core.Task) error {
+		if _, err := root.AsyncNamed("ring-task-"+strconv.Itoa(i), func(c *core.Task) error {
 			if _, err := ring[(i+1)%n].Get(c); err != nil {
 				return err
 			}

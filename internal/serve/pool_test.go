@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/testutil"
 	"repro/internal/trace"
 )
 
@@ -362,6 +363,115 @@ func TestNoopSessionAllocs(t *testing.T) {
 	}
 	if got := testing.AllocsPerRun(1000, run); got > 4 {
 		t.Errorf("no-op session: %v allocs/op, want at most 4", got)
+	}
+}
+
+// TestListing1SessionAllocs pins what a Listing-1 session costs end to
+// end: the no-op session's four objects, the child task and the two
+// promises, the detector's cycle, both omitted sets and the cascade, the
+// report that holds them, and its one rendering, as the front renders
+// every verdict it sends.
+func TestListing1SessionAllocs(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("the race detector makes sync.Pool drop a share of Puts, so the hop log is reallocated")
+	}
+	pool := NewPool(Config{MaxSessions: 1, IdleTimeout: time.Hour})
+	defer pool.Close()
+	ctx := context.Background()
+	run := func() {
+		s, err := pool.Submit(ctx, "listing1", deadlockProg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.Wait() == nil || s.Verdict() != VerdictDeadlock {
+			t.Fatalf("Listing 1: verdict %s, err %v", s.Verdict(), s.Err())
+		}
+		_ = s.Err().Error()
+	}
+	for i := 0; i < 100; i++ {
+		run()
+	}
+	// The global-lock detector adds its waits-for map, that map's first
+	// entry and a regrowth of the cycle.
+	want := 24
+	if core.EnvDetector() == core.DetectGlobalLock {
+		want = 27
+	}
+	if got := testing.AllocsPerRun(500, run); got > float64(want) {
+		t.Errorf("Listing-1 session: %v allocs/op, want at most %d", got, want)
+	}
+}
+
+// TestClassifyAllocs pins Classify on Listing 1's report at zero
+// allocations: it walks the tree with a type switch, not errors.As.
+func TestClassifyAllocs(t *testing.T) {
+	err := core.NewRuntime(core.WithMode(core.Full)).Run(deadlockProg)
+	if Classify(err) != VerdictDeadlock {
+		t.Fatalf("Listing 1 classifies as %s: %v", Classify(err), err)
+	}
+	if got := testing.AllocsPerRun(1000, func() { _ = Classify(err) }); got != 0 {
+		t.Fatalf("Classify: %v allocs/op, want 0", got)
+	}
+}
+
+// classifyByAs is Classify as errors.As and errors.Is compute it: the
+// reference its single walk must agree with.
+func classifyByAs(err error) Verdict {
+	if err == nil {
+		return VerdictClean
+	}
+	var dl *core.DeadlockError
+	if errors.As(err, &dl) {
+		return VerdictDeadlock
+	}
+	var ce *core.CanceledError
+	if errors.As(err, &ce) || errors.Is(err, context.Canceled) ||
+		errors.Is(err, context.DeadlineExceeded) || errors.Is(err, ErrPoolClosed) {
+		return VerdictCanceled
+	}
+	var (
+		om *core.OmittedSetError
+		ow *core.OwnershipError
+		ds *core.DoubleSetError
+		bp *core.BrokenPromiseError
+	)
+	if errors.As(err, &om) || errors.As(err, &ow) || errors.As(err, &ds) || errors.As(err, &bp) {
+		return VerdictPolicy
+	}
+	return VerdictFailed
+}
+
+// cancelIs is an error that claims, through its Is method only, to be
+// context.Canceled.
+type cancelIs struct{}
+
+func (cancelIs) Error() string        { return "gave up" }
+func (cancelIs) Is(target error) bool { return target == context.Canceled }
+
+// TestClassifyPrecedence checks Classify against classifyByAs on trees
+// that put the verdict classes at every depth and in every order.
+func TestClassifyPrecedence(t *testing.T) {
+	dl := core.NewRuntime(core.WithMode(core.Full)).Run(deadlockProg)
+	om := core.NewRuntime(core.WithMode(core.Full)).Run(func(root *core.Task) error {
+		core.NewPromise[int](root)
+		return nil
+	})
+	canceled := &core.CanceledError{Cause: context.Canceled}
+	boom := errors.New("boom")
+	for _, err := range []error{
+		nil, boom, dl, om, canceled, context.Canceled, context.DeadlineExceeded, ErrPoolClosed, cancelIs{},
+		fmt.Errorf("wrapped: %w", context.DeadlineExceeded),
+		fmt.Errorf("wrapped: %w", dl),
+		errors.Join(boom, om),
+		errors.Join(om, canceled),
+		errors.Join(canceled, dl),
+		errors.Join(boom, errors.Join(om, fmt.Errorf("deep: %w", cancelIs{}))),
+		errors.Join(om, ErrDeadlineInfeasible),
+		&DeadlineInfeasibleError{},
+	} {
+		if got, want := Classify(err), classifyByAs(err); got != want {
+			t.Errorf("Classify(%v) = %s, errors.As says %s", err, got, want)
+		}
 	}
 }
 

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"errors"
 	"sync/atomic"
 	"time"
 
@@ -50,36 +49,74 @@ func (v Verdict) String() string {
 	}
 }
 
-// Classify maps a session's joined error to its verdict. Precedence, most
+// Classify maps a session's error to its verdict. Precedence, most
 // specific first: deadlock beats everything (the cycle is a true alarm
 // the detector proved; a server routes on it even if the session was also
 // canceled mid-conviction); cancellation beats policy (structured
 // cancellation makes tasks return early, and the omitted-set blame and
 // broken-promise cascades that follow are the TEARDOWN's fallout, not a
 // verdict on the program); policy beats the generic failure bucket.
+//
+// Classify walks the error tree once, through Unwrap() error and
+// Unwrap() []error as errors.Is and errors.As do, with one type switch
+// per node, so classifying allocates nothing. A node's Is method is
+// consulted for the cancellation sentinels; As methods are not.
 func Classify(err error) Verdict {
 	if err == nil {
 		return VerdictClean
 	}
-	var dl *core.DeadlockError
-	if errors.As(err, &dl) {
-		return VerdictDeadlock
+	return strongest(err, VerdictFailed)
+}
+
+// verdictRank orders the verdicts Classify picks between by precedence.
+var verdictRank = [verdictCount]uint8{VerdictFailed: 0, VerdictPolicy: 1, VerdictCanceled: 2, VerdictDeadlock: 3}
+
+// strongest returns the highest-ranked of v and the verdicts of the
+// nodes of err's tree. It stops at the first deadlock, which nothing
+// outranks.
+func strongest(err error, v Verdict) Verdict {
+	for err != nil {
+		node := VerdictFailed
+		switch err.(type) {
+		case *core.DeadlockError:
+			return VerdictDeadlock
+		case *core.CanceledError:
+			node = VerdictCanceled
+		case *core.OmittedSetError, *core.OwnershipError, *core.DoubleSetError, *core.BrokenPromiseError:
+			node = VerdictPolicy
+		default:
+			if isCancellation(err) {
+				node = VerdictCanceled
+			}
+		}
+		if verdictRank[node] > verdictRank[v] {
+			v = node
+		}
+		switch u := err.(type) {
+		case interface{ Unwrap() error }:
+			err = u.Unwrap()
+		case interface{ Unwrap() []error }:
+			for _, e := range u.Unwrap() {
+				if v = strongest(e, v); v == VerdictDeadlock {
+					return v
+				}
+			}
+			return v
+		default:
+			return v
+		}
 	}
-	var ce *core.CanceledError
-	if errors.As(err, &ce) || errors.Is(err, context.Canceled) ||
-		errors.Is(err, context.DeadlineExceeded) || errors.Is(err, ErrPoolClosed) {
-		return VerdictCanceled
+	return v
+}
+
+// isCancellation reports whether err itself is, or says through its Is
+// method that it is, one of the sentinels of a caller giving up.
+func isCancellation(err error) bool {
+	if err == context.Canceled || err == context.DeadlineExceeded || err == ErrPoolClosed {
+		return true
 	}
-	var (
-		om *core.OmittedSetError
-		ow *core.OwnershipError
-		ds *core.DoubleSetError
-		bp *core.BrokenPromiseError
-	)
-	if errors.As(err, &om) || errors.As(err, &ow) || errors.As(err, &ds) || errors.As(err, &bp) {
-		return VerdictPolicy
-	}
-	return VerdictFailed
+	x, ok := err.(interface{ Is(error) bool })
+	return ok && (x.Is(context.Canceled) || x.Is(context.DeadlineExceeded) || x.Is(ErrPoolClosed))
 }
 
 // SessionHandle is the transport-neutral view of one submitted session.
@@ -157,7 +194,7 @@ func (s *Session) Tenant() string { return s.tenant }
 func (s *Session) Done() <-chan struct{} { return s.done }
 
 // Wait blocks until the session has finished and returns its error (the
-// runtime's joined errors, nil for a clean run).
+// runtime's report, nil for a clean run).
 func (s *Session) Wait() error {
 	<-s.done
 	return s.err

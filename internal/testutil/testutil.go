@@ -15,7 +15,7 @@ const Timeout = 30 * time.Second
 
 // Run executes main under rt, failing the test if the program does not
 // terminate within Timeout (so a detector bug cannot wedge the test
-// binary). It returns the program's joined error.
+// binary). It returns the program's report.
 func Run(t *testing.T, rt *core.Runtime, main core.TaskFunc) error {
 	t.Helper()
 	done := make(chan error, 1)
