@@ -397,24 +397,16 @@ type (
 	// RemoteError is a session error reconstructed from the wire.
 	RemoteError = front.RemoteError
 
-	// Fault-tolerant client surface: retrying, reconnecting,
-	// breaker-gated multi-endpoint submission.
+	// Fault-tolerant client surface: retrying, reconnecting submission.
 
 	// FrontDialOptions tunes a FrontClient connection: write deadline,
 	// heartbeat cadence and miss tolerance, dial timeout.
 	FrontDialOptions = front.DialOptions
-	// FrontRetryPolicy bounds what a ResilientFrontClient may retry:
-	// attempt cap, full-jitter backoff, client-wide retry budget, and
-	// the per-endpoint circuit-breaker thresholds.
-	FrontRetryPolicy = front.RetryPolicy
-	// ResilientFrontClient submits across multiple endpoints with
-	// typed-error retry classification, automatic reconnect, failover
-	// and per-endpoint circuit breakers. Accepted sessions are never
-	// resubmitted, so verdicts stay exactly-once.
+	// ResilientFrontClient submits to one front with typed-error retry
+	// classification, full-jitter backoff and automatic reconnect.
+	// Accepted sessions are never resubmitted, so verdicts stay
+	// exactly-once.
 	ResilientFrontClient = front.ResilientClient
-	// FrontBreakerState is a circuit breaker's position (closed, open,
-	// half-open).
-	FrontBreakerState = front.BreakerState
 	// FrontClientStats counts a client's missed heartbeats and
 	// unmatched verdict frames.
 	FrontClientStats = front.ClientStats
@@ -431,16 +423,13 @@ var (
 	// DialFrontOpts is DialFront with explicit DialOptions (write
 	// deadline, heartbeats, dial timeout).
 	DialFrontOpts = front.DialOpts
-	// DialFrontResilient builds a ResilientFrontClient over a set of
-	// endpoints under a FrontRetryPolicy.
+	// DialFrontResilient builds a ResilientFrontClient for one front
+	// address.
 	DialFrontResilient = front.DialResilient
 	// DefaultFrontRegistry is the standard workload registry (the
 	// benchmark table plus the Listing 1 "Deadlock" probe).
 	DefaultFrontRegistry = front.DefaultRegistry
 
-	// ErrFrontRetryBudget is the terminal error once a resilient
-	// client's retry budget is exhausted.
-	ErrFrontRetryBudget = front.ErrRetryBudget
 	// ErrFrontHeartbeat reports a connection declared dead after
 	// consecutive unanswered heartbeats.
 	ErrFrontHeartbeat = front.ErrHeartbeat

@@ -38,9 +38,9 @@
 // a seeded injector (internal/chaos) fires connection resets, read/write
 // delays, partial writes, handshake drops and forced pool-saturation
 // rejections at RATE on both sides of the wire, and the tenant clients
-// submit through front.ResilientClient — retry with backoff, reconnect,
-// breakers. The report gains a "chaos" JSON section with the injector
-// counts.
+// submit through front.ResilientClient — classified retries with
+// full-jitter backoff, reconnect to the one front. The report gains a
+// "chaos" JSON section with the injector counts.
 //
 // -graph SHAPE switches to session-graph mode (internal/graph): drivers
 // repeatedly build and run DAGs of dependent sessions — "diamond",

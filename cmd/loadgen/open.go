@@ -247,26 +247,7 @@ func runOpen(cfg config, led *ledger) error {
 	for i, ts := range cfg.tenants {
 		tenantNames[i] = fmt.Sprintf("%s:%d", ts.name, ts.weight)
 		if chaosOn {
-			// The retry budget scales with the offered load: one conn
-			// fault kills every in-flight submission sharing the conn, so
-			// a fixed small budget drains in one bad moment and turns the
-			// rest of the run into terminal ErrRetryBudget rejections.
-			budget := int64(cfg.rate*cfg.dur.Seconds()) / int64(len(cfg.tenants))
-			if budget < 256 {
-				budget = 256
-			}
-			// Patience matters more than speed here: attempts must be
-			// able to outlive a full breaker cooldown, or every arrival
-			// during an open-breaker window exhausts its attempts and
-			// turns into a terminal reject before the probe ever fires.
-			rc, err := front.DialResilient([]string{addr}, ts.name+"-key", front.RetryPolicy{
-				MaxAttempts:      10,
-				BaseDelay:        20 * time.Millisecond,
-				MaxDelay:         500 * time.Millisecond,
-				Budget:           budget,
-				BreakerThreshold: 5,
-				BreakerCooldown:  250 * time.Millisecond,
-			}, front.DialOptions{
+			rc, err := front.DialResilient(addr, ts.name+"-key", front.DialOptions{
 				Chaos:             cliChaos,
 				HeartbeatInterval: time.Second,
 			})

@@ -7,13 +7,7 @@ package collections
 // Every combinator spawns a real task owning its output promise, so the
 // ownership policy and the deadlock detector see every dependence edge.
 
-import (
-	"errors"
-	"fmt"
-	"sync"
-
-	"repro/internal/core"
-)
+import "repro/internal/core"
 
 // Then schedules f to run on p's value once it is available, returning a
 // promise for f's result (CompletableFuture.thenApply). The continuation
@@ -53,97 +47,6 @@ func ThenCombine[A, B, C any](t *core.Task, pa *core.Promise[A], pb *core.Promis
 		return nil, err
 	}
 	return fut.Promise(), nil
-}
-
-// AllOf returns a promise fulfilled when every input promise is fulfilled
-// (CompletableFuture.allOf). If any input completes exceptionally, the
-// output does too, with the first error encountered in input order.
-func AllOf(t *core.Task, ps ...core.AnyPromise) (*core.Promise[struct{}], error) {
-	fut, err := Go(t, func(c *core.Task) (struct{}, error) {
-		for _, p := range ps {
-			if err := core.Await(c, p); err != nil {
-				return struct{}{}, err
-			}
-		}
-		return struct{}{}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return fut.Promise(), nil
-}
-
-// ErrAllLosersFailed is returned by AnyOf when every input completed
-// exceptionally.
-var ErrAllLosersFailed = errors.New("collections: every promise passed to AnyOf failed")
-
-// AnyOf returns a promise fulfilled with the index and value availability
-// of the first input promise to complete successfully
-// (CompletableFuture.anyOf / Promise.race for the success case). If all
-// inputs fail, the output fails with ErrAllLosersFailed.
-//
-// Caveat, documented deliberately: the collector task multiplexes over the
-// inputs' Done channels rather than blocking on a single promise, so its
-// wait is NOT an edge the deadlock detector can traverse (a cycle through
-// an AnyOf is reported only once it reduces to single-promise waits). This
-// is the same expressiveness gap the paper notes for multi-reader promises
-// in §7; AnyOf is an extension, not part of the verified core.
-func AnyOf[T any](t *core.Task, ps ...*core.Promise[T]) (*core.Promise[T], error) {
-	if len(ps) == 0 {
-		return nil, errors.New("collections: AnyOf of nothing")
-	}
-	fut, err := GoNamed(t, "any-of", func(c *core.Task) (T, error) {
-		// Wait for completions one at a time by racing the Done channels;
-		// each iteration removes completed promises.
-		var zero T
-		remaining := append([]*core.Promise[T](nil), ps...)
-		var firstErr error
-		for len(remaining) > 0 {
-			idx := waitFirstDone(remaining)
-			p := remaining[idx]
-			v, err := p.Get(c) // fulfilled: fast path, no blocking
-			if err == nil {
-				return v, nil
-			}
-			if firstErr == nil {
-				firstErr = err
-			}
-			remaining = append(remaining[:idx], remaining[idx+1:]...)
-		}
-		return zero, fmt.Errorf("%w: first failure: %v", ErrAllLosersFailed, firstErr)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return fut.Promise(), nil
-}
-
-// waitFirstDone blocks until at least one promise is fulfilled and returns
-// its index. The first scan uses the lock-free fulfilment check, so when a
-// winner already exists no wakeup channels are materialized; only the slow
-// path (nothing fulfilled yet) pays for Done channels and one watcher
-// goroutine per promise.
-func waitFirstDone[T any](ps []*core.Promise[T]) int {
-	for i, p := range ps {
-		if p.Fulfilled() {
-			return i
-		}
-	}
-	winner := make(chan int, len(ps))
-	var once sync.Once
-	stop := make(chan struct{})
-	defer once.Do(func() { close(stop) })
-	for i, p := range ps {
-		i, p := i, p
-		go func() {
-			select {
-			case <-p.Done():
-				winner <- i
-			case <-stop:
-			}
-		}()
-	}
-	return <-winner
 }
 
 // AsyncAwait spawns a data-driven task (§1.1's data-driven future, after

@@ -87,152 +87,6 @@ func TestThenCombine(t *testing.T) {
 	})
 }
 
-func TestAllOf(t *testing.T) {
-	rt := core.NewRuntime(core.WithMode(core.Full))
-	testutil.MustSucceed(t, rt, func(tk *core.Task) error {
-		var ps []core.AnyPromise
-		var setters []*core.Promise[int]
-		for i := 0; i < 10; i++ {
-			p := core.NewPromise[int](tk)
-			ps = append(ps, p)
-			setters = append(setters, p)
-		}
-		all, err := AllOf(tk, ps...)
-		if err != nil {
-			return err
-		}
-		if all.Fulfilled() {
-			return errors.New("allOf complete before inputs")
-		}
-		for i, p := range setters {
-			if err := p.Set(tk, i); err != nil {
-				return err
-			}
-		}
-		_, err = all.Get(tk)
-		return err
-	})
-}
-
-func TestAllOfPropagatesFailure(t *testing.T) {
-	rt := core.NewRuntime(core.WithMode(core.Full))
-	sentinel := errors.New("dep failed")
-	err := testutil.Run(t, rt, func(tk *core.Task) error {
-		a := core.NewPromise[int](tk)
-		b := core.NewPromise[int](tk)
-		all, err := AllOf(tk, a, b)
-		if err != nil {
-			return err
-		}
-		if err := a.Set(tk, 1); err != nil {
-			return err
-		}
-		if err := b.SetError(tk, sentinel); err != nil {
-			return err
-		}
-		if _, e := all.Get(tk); !errors.Is(e, sentinel) {
-			return fmt.Errorf("allOf = %v", e)
-		}
-		return nil
-	})
-	if !errors.Is(err, sentinel) {
-		t.Fatalf("not recorded: %v", err)
-	}
-}
-
-func TestAnyOfFirstWins(t *testing.T) {
-	rt := core.NewRuntime(core.WithMode(core.Full))
-	testutil.MustSucceed(t, rt, func(tk *core.Task) error {
-		fast := core.NewPromise[string](tk)
-		slow := core.NewPromise[string](tk)
-		out, err := AnyOf(tk, fast, slow)
-		if err != nil {
-			return err
-		}
-		if _, err := tk.Async(func(c *core.Task) error {
-			time.Sleep(50 * time.Millisecond)
-			return slow.Set(c, "slow")
-		}, slow); err != nil {
-			return err
-		}
-		if err := fast.Set(tk, "fast"); err != nil {
-			return err
-		}
-		v, err := out.Get(tk)
-		if err != nil {
-			return err
-		}
-		if v != "fast" {
-			return fmt.Errorf("winner = %q", v)
-		}
-		return nil
-	})
-}
-
-func TestAnyOfSkipsFailures(t *testing.T) {
-	rt := core.NewRuntime(core.WithMode(core.Full))
-	err := testutil.Run(t, rt, func(tk *core.Task) error {
-		bad := core.NewPromise[int](tk)
-		good := core.NewPromise[int](tk)
-		out, err := AnyOf(tk, bad, good)
-		if err != nil {
-			return err
-		}
-		if err := bad.SetError(tk, errors.New("loser")); err != nil {
-			return err
-		}
-		if err := good.Set(tk, 42); err != nil {
-			return err
-		}
-		v, err := out.Get(tk)
-		if err != nil {
-			return err
-		}
-		if v != 42 {
-			return fmt.Errorf("v = %d", v)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestAnyOfAllFail(t *testing.T) {
-	rt := core.NewRuntime(core.WithMode(core.Full))
-	err := testutil.Run(t, rt, func(tk *core.Task) error {
-		a := core.NewPromise[int](tk)
-		b := core.NewPromise[int](tk)
-		out, err := AnyOf(tk, a, b)
-		if err != nil {
-			return err
-		}
-		if err := a.SetError(tk, errors.New("a")); err != nil {
-			return err
-		}
-		if err := b.SetError(tk, errors.New("b")); err != nil {
-			return err
-		}
-		if _, e := out.Get(tk); !errors.Is(e, ErrAllLosersFailed) {
-			return fmt.Errorf("anyOf = %v", e)
-		}
-		return nil
-	})
-	if !errors.Is(err, ErrAllLosersFailed) {
-		t.Fatalf("not recorded: %v", err)
-	}
-}
-
-func TestAnyOfEmpty(t *testing.T) {
-	rt := core.NewRuntime(core.WithMode(core.Full))
-	testutil.MustSucceed(t, rt, func(tk *core.Task) error {
-		if _, err := AnyOf[int](tk); err == nil {
-			return errors.New("empty AnyOf accepted")
-		}
-		return nil
-	})
-}
-
 func TestAsyncAwaitRunsAfterDeps(t *testing.T) {
 	rt := core.NewRuntime(core.WithMode(core.Full))
 	var ready atomic.Int32

@@ -138,80 +138,3 @@ func TestBarrierAbandonedPartyBreaksOthersOut(t *testing.T) {
 		t.Fatalf("blame = %q", om.TaskName())
 	}
 }
-
-func TestRendezvousExchange(t *testing.T) {
-	rt := core.NewRuntime(core.WithMode(core.Full))
-	testutil.MustSucceed(t, rt, func(tk *core.Task) error {
-		rdv := NewRendezvous[int](tk)
-		got := core.NewPromise[int](tk)
-		if _, err := tk.AsyncNamed("offerer", func(c *core.Task) error {
-			return rdv.Offer(c, 99)
-		}, rdv.OfferEnd()); err != nil {
-			return err
-		}
-		if _, err := tk.AsyncNamed("taker", func(c *core.Task) error {
-			v, err := rdv.Take(c)
-			if err != nil {
-				return err
-			}
-			return got.Set(c, v)
-		}, rdv.TakeEnd(), got); err != nil {
-			return err
-		}
-		if v := got.MustGet(tk); v != 99 {
-			return fmt.Errorf("v = %d", v)
-		}
-		return nil
-	})
-}
-
-func TestRendezvousOffererBlocksUntilTake(t *testing.T) {
-	rt := core.NewRuntime(core.WithMode(core.Full))
-	var taken atomic.Bool
-	testutil.MustSucceed(t, rt, func(tk *core.Task) error {
-		rdv := NewRendezvous[string](tk)
-		offDone := core.NewPromise[struct{}](tk)
-		if _, err := tk.Async(func(c *core.Task) error {
-			if err := rdv.Offer(c, "x"); err != nil {
-				return err
-			}
-			if !taken.Load() {
-				return errors.New("offer returned before take")
-			}
-			return offDone.Set(c, struct{}{})
-		}, rdv.OfferEnd(), offDone); err != nil {
-			return err
-		}
-		if _, err := tk.Async(func(c *core.Task) error {
-			taken.Store(true)
-			_, err := rdv.Take(c)
-			return err
-		}, rdv.TakeEnd()); err != nil {
-			return err
-		}
-		_, err := offDone.Get(tk)
-		return err
-	})
-}
-
-func TestRendezvousAbandonedTakerDetected(t *testing.T) {
-	// The taker dies without taking: the offerer is unblocked by the
-	// cascade instead of waiting forever on the ack.
-	rt := core.NewRuntime(core.WithMode(core.Full))
-	err := testutil.Run(t, rt, func(tk *core.Task) error {
-		rdv := NewRendezvous[int](tk)
-		if _, err := tk.AsyncNamed("offerer", func(c *core.Task) error {
-			return rdv.Offer(c, 1)
-		}, rdv.OfferEnd()); err != nil {
-			return err
-		}
-		_, err := tk.AsyncNamed("taker", func(c *core.Task) error {
-			return nil // never takes
-		}, rdv.TakeEnd())
-		return err
-	})
-	var om *core.OmittedSetError
-	if !errors.As(err, &om) {
-		t.Fatalf("no omitted set: %v", err)
-	}
-}

@@ -17,6 +17,4 @@
 //   - Barrier is an all-to-all promise dependence pattern replacing the
 //     OpenMP barriers of StreamCluster; AllToOne is the reduced
 //     synchronization variant used by StreamCluster2.
-//   - Rendezvous is the §7 future-work primitive: a synchronous value
-//     exchange between two tasks built from a pair of promises.
 package collections

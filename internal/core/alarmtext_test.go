@@ -67,11 +67,10 @@ func TestListing1AlarmAllocs(t *testing.T) {
 		t.Skip("the race detector makes sync.Pool drop a share of Puts, so the hop log is reallocated")
 	}
 	// The global-lock detector adds its waits-for map (allocated at the
-	// first wait), that map's first entry, and a regrowth of the cycle,
-	// whose length it does not know in advance.
+	// first wait) and that map's first entry.
 	want := 23
 	if EnvDetector() == DetectGlobalLock {
-		want = 26
+		want = 25
 	}
 	got := testing.AllocsPerRun(200, func() {
 		if err := listing1Default(); err == nil {

@@ -67,13 +67,22 @@ func (g *globalDetector) afterWait(t *Task) {
 	t.waitingOn.Store(nil)
 }
 
-// buildCycleLocked reconstructs the cycle using the waiting map (the
-// caller holds the mutex, so the map is stable).
+// buildCycleLocked reconstructs the cycle using the waiting map. The
+// caller holds the mutex, so the map is stable: one walk counts the
+// cycle, and the second fills a slice allocated once at that length.
 func (t0 *Task) buildCycleLocked(p0 *pstate, g *globalDetector) *DeadlockError {
 	const maxNodes = 1 << 20
-	cyc := []CycleNode{cycleNode(t0, p0)}
-	t := p0.owner.Load()
-	for t != nil && t != t0 && len(cyc) < maxNodes {
+	n := 1
+	for t := p0.owner.Load(); t != nil && t != t0 && n < maxNodes; n++ {
+		p, ok := g.waiting[t]
+		if !ok {
+			break
+		}
+		t = p.owner.Load()
+	}
+	cyc := make([]CycleNode, 1, n)
+	cyc[0] = cycleNode(t0, p0)
+	for t := p0.owner.Load(); t != nil && t != t0 && len(cyc) < n; {
 		p, ok := g.waiting[t]
 		if !ok {
 			break

@@ -16,7 +16,7 @@ import (
 // ErrRefused is wrapped into Dial errors when the server answered the
 // handshake with a refusal — bad API key or protocol version skew.
 // Unlike a connection failure, a refusal is NOT retryable: the same
-// credentials will be refused again (RetryPolicy classifies it fatal).
+// credentials will be refused again (Retryable classifies it terminal).
 var ErrRefused = errors.New("front: server refused connection")
 
 // ErrHeartbeat is wrapped into the connection-lost error when the

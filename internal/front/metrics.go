@@ -27,10 +27,8 @@ type frontMetrics struct {
 	verdictsWithAccept *obs.Counter
 
 	// Fault-tolerance families. The retry-reason label space is the
-	// closed classification set in retry.go; the breaker endpoint label
-	// is operator-supplied addresses (bounded by config, not by peers).
+	// closed classification set in retry.go.
 	retries          *obs.CounterVec // label: reason
-	breakerState     *obs.GaugeVec   // label: endpoint; 0=closed 1=open 2=half-open
 	heartbeatsMissed *obs.Counter
 	slowEvictions    *obs.Counter
 }
@@ -55,7 +53,6 @@ func init() {
 			verdictsWithAccept: reg.Counter("front_verdicts_with_accept_total"),
 
 			retries:          reg.CounterVec("front_retries_total", "reason"),
-			breakerState:     reg.GaugeVec("front_breaker_state", "endpoint"),
 			heartbeatsMissed: reg.Counter("front_heartbeats_missed_total"),
 			slowEvictions:    reg.Counter("serve_slow_client_evictions_total"),
 		})

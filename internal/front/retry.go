@@ -14,98 +14,20 @@ import (
 	"repro/internal/serve"
 )
 
-// ErrRetryBudget is the terminal error when a ResilientClient's
-// client-wide retry budget is exhausted: the submission failed with a
-// retryable error, but spending another retry token would let a
-// persistent fault turn into a retry storm. Not itself retryable.
-var ErrRetryBudget = errors.New("front: retry budget exhausted")
-
-// errBreakersOpen is returned (wrapped) when every endpoint's circuit
-// breaker is open with its cooldown still running. Retryable: the next
-// backoff may outlive a cooldown.
-var errBreakersOpen = errors.New("front: all endpoint breakers open")
-
-// RetryPolicy defaults (zero-value fields).
+// A ResilientClient's retry schedule: tries per submission (the first
+// included), and the full-jitter backoff's seed and cap.
 const (
-	defaultMaxAttempts      = 4
-	defaultBaseDelay        = 10 * time.Millisecond
-	defaultMaxDelay         = time.Second
-	defaultRetryBudget      = 64
-	defaultBreakerThreshold = 3
-	defaultBreakerCooldown  = time.Second
+	maxAttempts = 10
+	baseDelay   = 20 * time.Millisecond
+	maxDelay    = 500 * time.Millisecond
 )
 
-// RetryPolicy tunes a ResilientClient's failure handling. The zero
-// value selects the documented defaults; see each field.
-//
-// Two independent brakes bound retry amplification: MaxAttempts caps
-// what one submission may cost, and Budget caps what the whole client
-// may spend across concurrent submissions — under a persistent fault
-// the budget drains, submissions start failing fast with
-// ErrRetryBudget, and the server is spared a retry storm. Successful
-// submissions refund one token each, so a healthy period re-arms the
-// budget up to its cap.
-type RetryPolicy struct {
-	// MaxAttempts is the total tries per submission, including the
-	// first; <= 0 selects 4.
-	MaxAttempts int
-	// BaseDelay seeds the exponential backoff (doubled per attempt,
-	// full jitter: the sleep is uniform in [0, cap)); <= 0 selects 10ms.
-	BaseDelay time.Duration
-	// MaxDelay caps the backoff; <= 0 selects 1s.
-	MaxDelay time.Duration
-	// Budget is the client-wide retry token cap; <= 0 selects 64.
-	Budget int64
-	// BreakerThreshold is the consecutive-failure count that opens an
-	// endpoint's circuit breaker; <= 0 selects 3.
-	BreakerThreshold int
-	// BreakerCooldown is how long an open breaker refuses the endpoint
-	// before allowing a single half-open probe; <= 0 selects 1s.
-	BreakerCooldown time.Duration
-}
-
-func (p RetryPolicy) maxAttempts() int {
-	if p.MaxAttempts <= 0 {
-		return defaultMaxAttempts
-	}
-	return p.MaxAttempts
-}
-
-func (p RetryPolicy) budget() int64 {
-	if p.Budget <= 0 {
-		return defaultRetryBudget
-	}
-	return p.Budget
-}
-
-func (p RetryPolicy) threshold() int {
-	if p.BreakerThreshold <= 0 {
-		return defaultBreakerThreshold
-	}
-	return p.BreakerThreshold
-}
-
-func (p RetryPolicy) cooldown() time.Duration {
-	if p.BreakerCooldown <= 0 {
-		return defaultBreakerCooldown
-	}
-	return p.BreakerCooldown
-}
-
 // backoff returns the full-jitter sleep before retry number n (1 = the
-// first retry): uniform in [0, min(MaxDelay, BaseDelay<<(n-1))).
-// Full jitter decorrelates a fleet of clients that failed together —
-// after a server restart they return spread over the window instead of
-// as a thundering herd.
-func (p RetryPolicy) backoff(n int, rng *rand.Rand) time.Duration {
-	base := p.BaseDelay
-	if base <= 0 {
-		base = defaultBaseDelay
-	}
-	max := p.MaxDelay
-	if max <= 0 {
-		max = defaultMaxDelay
-	}
+// first retry): uniform in [0, min(max, base<<(n-1))). Full jitter
+// decorrelates a fleet of clients that failed together — after a server
+// restart they return spread over the window instead of as a
+// thundering herd.
+func backoff(n int, base, max time.Duration, rng *rand.Rand) time.Duration {
 	cap := base << (n - 1)
 	if cap > max || cap <= 0 { // <= 0: shift overflow
 		cap = max
@@ -114,26 +36,24 @@ func (p RetryPolicy) backoff(n int, rng *rand.Rand) time.Duration {
 }
 
 // Retryable classifies a Submit/Dial error: true means the failure is
-// transient-shaped and a fresh attempt (possibly on another endpoint)
-// can legitimately succeed without risking a duplicate session.
+// transient-shaped and a fresh attempt can legitimately succeed.
 //
 // Retryable: pool saturation (serve.ErrPoolSaturated — capacity frees
 // up), connection loss before the admission answer
 // (serve.ErrPoolClosed and its causes: heartbeat expiry, write
-// timeout, injected faults), dial failures (net.Error), and
-// all-breakers-open (a cooldown may expire).
+// timeout, injected faults), and dial failures (net.Error).
 //
 // NOT retryable: deadline-infeasible rejections
 // (serve.ErrDeadlineInfeasible — the deadline stays infeasible),
 // handshake refusals (ErrRefused — the same key/version is refused
-// again), exhausted retry budget (ErrRetryBudget), caller context
-// cancellation, and unknown-workload rejections (no sentinel — the
-// registry will not learn the name by retrying).
+// again), caller context cancellation, and unknown-workload rejections
+// (no sentinel — the registry will not learn the name by retrying).
 //
-// Retrying connection loss cannot double-execute a session: Submit is
-// synchronous to the admission answer, and the server cancels every
-// accepted-but-unreported session when the conn dies (see
-// DESIGN.md, "Fault tolerance").
+// Retrying connection loss never duplicates a verdict: the client only
+// resubmits a session whose accept it never read. It can duplicate a
+// run — the server may have admitted and run the first attempt before
+// the connection died (see DESIGN.md, "Exactly-once verdicts under
+// retry").
 func Retryable(err error) bool {
 	switch {
 	case err == nil:
@@ -144,8 +64,6 @@ func Retryable(err error) bool {
 		return false
 	case errors.Is(err, ErrRefused):
 		return false
-	case errors.Is(err, ErrRetryBudget):
-		return false
 	case errors.Is(err, serve.ErrPoolSaturated):
 		return true
 	case errors.Is(err, serve.ErrPoolClosed):
@@ -156,16 +74,14 @@ func Retryable(err error) bool {
 		return true
 	case errors.Is(err, chaos.ErrInjected):
 		return true
-	case errors.Is(err, errBreakersOpen):
-		return true
 	}
 	var ne net.Error
 	return errors.As(err, &ne)
 }
 
 // retryReason maps a retryable error to its front_retries_total label.
-// Closed set: saturated, conn_lost, write_timeout, heartbeat,
-// injected, breakers_open, dial.
+// Closed set: saturated, conn_lost, write_timeout, heartbeat, injected,
+// dial.
 func retryReason(err error) string {
 	switch {
 	case errors.Is(err, serve.ErrPoolSaturated):
@@ -176,8 +92,6 @@ func retryReason(err error) string {
 		return "write_timeout"
 	case errors.Is(err, chaos.ErrInjected):
 		return "injected"
-	case errors.Is(err, errBreakersOpen):
-		return "breakers_open"
 	case errors.Is(err, serve.ErrPoolClosed):
 		return "conn_lost"
 	default:
@@ -185,160 +99,50 @@ func retryReason(err error) string {
 	}
 }
 
-// connFault reports whether err indicts the CONNECTION (or endpoint)
-// rather than being a healthy server's answer: these count against the
-// endpoint's breaker and force a re-dial. Saturation and
-// deadline-infeasible rejections are healthy answers — a server that
-// says "no" fast is up.
-func connFault(err error) bool {
-	switch {
-	case err == nil:
-		return false
-	case errors.Is(err, serve.ErrPoolSaturated):
-		return false
-	case errors.Is(err, serve.ErrDeadlineInfeasible):
-		return false
-	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-		return false
-	case errors.Is(err, serve.ErrPoolClosed):
-		return true
-	case errors.Is(err, ErrWriteTimeout), errors.Is(err, ErrHeartbeat), errors.Is(err, chaos.ErrInjected):
-		return true
-	}
-	var ne net.Error
-	return errors.As(err, &ne)
-}
-
-// BreakerState is one endpoint's circuit-breaker position.
-type BreakerState int
-
-const (
-	// BreakerClosed: the endpoint is believed healthy; dials flow.
-	BreakerClosed BreakerState = iota
-	// BreakerOpen: BreakerThreshold consecutive faults; dials are
-	// refused until the cooldown elapses.
-	BreakerOpen
-	// BreakerHalfOpen: cooldown elapsed; exactly one probe dial is in
-	// flight. Success closes the breaker, failure re-opens it.
-	BreakerHalfOpen
-)
-
-func (s BreakerState) String() string {
-	switch s {
-	case BreakerClosed:
-		return "closed"
-	case BreakerOpen:
-		return "open"
-	case BreakerHalfOpen:
-		return "half-open"
-	default:
-		return "unknown"
-	}
-}
-
-// breaker is one endpoint's failure account. Guarded by the owning
-// ResilientClient's mutex — breaker transitions happen on the dial
-// path, which is already serialized there.
-type breaker struct {
-	state    BreakerState
-	fails    int       // consecutive faults while closed
-	openedAt time.Time // when state last became Open
-}
-
-// admit decides whether the endpoint may be dialed now, transitioning
-// Open→HalfOpen when the cooldown has elapsed. Caller holds the client
-// mutex.
-func (b *breaker) admit(now time.Time, cooldown time.Duration) bool {
-	switch b.state {
-	case BreakerClosed:
-		return true
-	case BreakerHalfOpen:
-		// One probe at a time: the in-flight probe's verdict decides.
-		return false
-	default: // BreakerOpen
-		if now.Sub(b.openedAt) >= cooldown {
-			b.state = BreakerHalfOpen
-			return true
-		}
-		return false
-	}
-}
-
-// onResult books a dial/submit outcome against the breaker. Caller
-// holds the client mutex.
-func (b *breaker) onResult(ok bool, threshold int, now time.Time) {
-	if ok {
-		b.state = BreakerClosed
-		b.fails = 0
-		return
-	}
-	switch b.state {
-	case BreakerHalfOpen:
-		// The probe failed: straight back to Open, cooldown restarts.
-		b.state = BreakerOpen
-		b.openedAt = now
-	default:
-		b.fails++
-		if b.fails >= threshold {
-			b.state = BreakerOpen
-			b.openedAt = now
-		}
-	}
-}
-
 // ResilientClient wraps the single-connection Client with the fault
-// tolerance a long-lived caller wants: a list of equivalent endpoints
-// dialed with failover, a per-endpoint circuit breaker, automatic
-// reconnect, and classified retries under an exponential-backoff,
-// full-jitter, budget-bounded policy.
+// tolerance a long-lived caller wants: automatic reconnect to one
+// address, and classified retries under full-jitter exponential
+// backoff.
 //
-// The exactly-once contract: a submission is retried ONLY while no
-// accept for it has been observed — Client.Submit is synchronous to
-// the admission answer, and a connection that dies before answering
-// takes its accepted-but-unreported sessions with it (the server
-// cancels them). Once Submit returns a *RemoteSession the session is
-// never resubmitted; if its connection later dies the verdict comes
-// back as a connection-lost error, and re-running it is the caller's
-// decision, because the session may have executed.
+// A submission is retried ONLY while no accept for it has been
+// observed — Client.Submit is synchronous to the admission answer.
+// Once Submit returns a *RemoteSession the session is never
+// resubmitted; if its connection later dies the verdict comes back as
+// a connection-lost error, and re-running it is the caller's decision.
+// A retried submission may still run twice on the server: an attempt
+// admitted just before its connection died runs without its client
+// ever reading the accept (see Retryable).
 type ResilientClient struct {
-	endpoints []string
-	key       string
-	opts      DialOptions
-	policy    RetryPolicy
+	addr string
+	key  string
+	opts DialOptions
+	// attempts, base and max are the retry schedule: maxAttempts,
+	// baseDelay and maxDelay, shortened only by tests.
+	attempts  int
+	base, max time.Duration
 
-	mu       sync.Mutex
-	cur      *Client
-	curEp    string
-	next     int // round-robin start for the next dial scan
-	budget   int64
-	breakers map[string]*breaker
-	rng      *rand.Rand
-	closed   bool
-	acc      ClientStats // supervision counters of discarded connections
+	mu     sync.Mutex
+	cur    *Client
+	rng    *rand.Rand
+	closed bool
+	acc    ClientStats // supervision counters of discarded connections
 
-	retries atomic.Int64 // retry tokens spent over the client's lifetime
+	retries atomic.Int64 // retries over the client's lifetime
 }
 
-// DialResilient builds a ResilientClient over the given endpoints (at
-// least one) and eagerly dials the first healthy one, so configuration
-// errors (bad key, no server anywhere) surface at startup. The key and
-// opts apply to every connection the client ever makes; opts.Chaos, if
-// set, injects faults into each of them.
-func DialResilient(endpoints []string, key string, policy RetryPolicy, opts DialOptions) (*ResilientClient, error) {
-	if len(endpoints) == 0 {
-		return nil, errors.New("front: no endpoints")
-	}
+// DialResilient builds a ResilientClient for addr and eagerly dials it,
+// so configuration errors (bad key, refused version) surface at
+// startup. The key and opts apply to every connection the client ever
+// makes; opts.Chaos, if set, injects faults into each of them.
+func DialResilient(addr, key string, opts DialOptions) (*ResilientClient, error) {
 	r := &ResilientClient{
-		endpoints: append([]string(nil), endpoints...),
-		key:       key,
-		opts:      opts,
-		policy:    policy,
-		budget:    policy.budget(),
-		breakers:  make(map[string]*breaker, len(endpoints)),
-		rng:       rand.New(rand.NewSource(time.Now().UnixNano())),
-	}
-	for _, ep := range r.endpoints {
-		r.breakers[ep] = &breaker{}
+		addr:     addr,
+		key:      key,
+		opts:     opts,
+		attempts: maxAttempts,
+		base:     baseDelay,
+		max:      maxDelay,
+		rng:      rand.New(rand.NewSource(time.Now().UnixNano())),
 	}
 	r.mu.Lock()
 	_, err := r.connLocked()
@@ -347,14 +151,21 @@ func DialResilient(endpoints []string, key string, policy RetryPolicy, opts Dial
 		return nil, err
 	}
 	// A retryable startup failure (server briefly down) is tolerated:
-	// the first Submit retries it under the policy.
+	// the first Submit retries it.
 	return r, nil
 }
 
-// connLocked returns the live connection, dialing one if needed.
-// Caller holds r.mu; the mutex is HELD across the dial — concurrent
-// Submits briefly serialize on reconnect, which is the behavior we
-// want (one reconnect, not a dial stampede).
+// connLocked returns the live connection, dialing a new one when the
+// current one is dead. Every error that fails a submission at the
+// connection (loss, write timeout, heartbeat expiry, injected fault)
+// leaves that Client not alive, so this is the one place a connection
+// is replaced. A draining server's rejection (ErrPoolClosed on a live
+// conn) is the one retryable answer that leaves it alive: the goaway
+// frame Shutdown sends next marks it dead, and redialling before that
+// would only meet the closed listener. Caller holds r.mu; the mutex is
+// HELD across the dial —
+// concurrent Submits briefly serialize on reconnect, which is the
+// behavior we want (one reconnect, not a dial stampede).
 func (r *ResilientClient) connLocked() (*Client, error) {
 	if r.closed {
 		return nil, errors.New("front: client closed")
@@ -367,120 +178,42 @@ func (r *ResilientClient) connLocked() (*Client, error) {
 		r.cur.Close()
 		r.cur = nil
 	}
-	now := time.Now()
-	var lastErr error
-	admitted := false
-	for i := 0; i < len(r.endpoints); i++ {
-		ep := r.endpoints[(r.next+i)%len(r.endpoints)]
-		br := r.breakers[ep]
-		if !br.admit(now, r.policy.cooldown()) {
-			continue
-		}
-		r.setBreakerGauge(ep, br.state)
-		admitted = true
-		c, err := DialOpts(ep, r.key, r.opts)
-		br.onResult(err == nil, r.policy.threshold(), time.Now())
-		r.setBreakerGauge(ep, br.state)
-		if err != nil {
-			lastErr = err
-			if !Retryable(err) {
-				return nil, err
-			}
-			continue
-		}
-		r.cur, r.curEp = c, ep
-		r.next = (r.next + i + 1) % len(r.endpoints)
-		return c, nil
+	c, err := DialOpts(r.addr, r.key, r.opts)
+	if err != nil {
+		return nil, err
 	}
-	if !admitted {
-		return nil, errBreakersOpen
-	}
-	return nil, lastErr
+	r.cur = c
+	return c, nil
 }
 
-// setBreakerGauge publishes an endpoint's breaker state (0 closed,
-// 1 open, 2 half-open) to front_breaker_state{endpoint}.
-func (r *ResilientClient) setBreakerGauge(ep string, s BreakerState) {
-	if m := fmet(); m != nil {
-		m.breakerState.With(ep).Set(int64(s))
-	}
-}
-
-// spend takes one retry token; false means the budget is dry.
-func (r *ResilientClient) spend() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.budget <= 0 {
-		return false
-	}
-	r.budget--
-	return true
-}
-
-// refund returns one token after a successful submission, up to the cap.
-func (r *ResilientClient) refund() {
-	r.mu.Lock()
-	if r.budget < r.policy.budget() {
-		r.budget++
-	}
-	r.mu.Unlock()
-}
-
-// Submit runs one submission under the retry policy: connect (with
-// breaker-gated endpoint failover), submit, classify. Retryable
-// failures cost a budget token, back off with full jitter, and try
-// again — up to MaxAttempts. Non-retryable failures and budget
-// exhaustion (ErrRetryBudget) return immediately. The returned
-// session, once non-nil, is accepted and will never be resubmitted.
+// Submit runs one submission: connect (reconnecting if needed), submit,
+// classify. Retryable failures back off with full jitter and try again,
+// up to maxAttempts tries; non-retryable ones return immediately. The
+// returned session, once non-nil, is accepted and will never be
+// resubmitted.
 func (r *ResilientClient) Submit(ctx context.Context, req SubmitRequest) (*RemoteSession, error) {
-	var lastErr error
 	for attempt := 1; ; attempt++ {
 		r.mu.Lock()
 		c, err := r.connLocked()
-		ep := r.curEp
 		r.mu.Unlock()
 		if err == nil {
 			var s *RemoteSession
-			s, err = c.Submit(ctx, req)
-			if err == nil {
-				r.refund()
+			if s, err = c.Submit(ctx, req); err == nil {
 				return s, nil
 			}
-			if connFault(err) {
-				r.mu.Lock()
-				if r.cur == c {
-					r.absorbLocked(c)
-					r.cur = nil
-				}
-				if br := r.breakers[ep]; br != nil {
-					br.onResult(false, r.policy.threshold(), time.Now())
-					r.setBreakerGauge(ep, br.state)
-				}
-				r.mu.Unlock()
-				c.Close()
-			}
 		}
-		lastErr = err
 		if !Retryable(err) {
 			return nil, err
 		}
-		if attempt >= r.policy.maxAttempts() {
-			return nil, fmt.Errorf("front: %d attempts exhausted: %w", attempt, lastErr)
-		}
-		// A breaker-open failure never reached the wire, so retrying it
-		// amplifies nothing: it backs off and waits for the cooldown
-		// without spending a budget token. Everything else pays.
-		if !errors.Is(err, errBreakersOpen) {
-			if !r.spend() {
-				return nil, fmt.Errorf("%w (last error: %v)", ErrRetryBudget, lastErr)
-			}
+		if attempt >= r.attempts {
+			return nil, fmt.Errorf("front: %d attempts exhausted: %w", attempt, err)
 		}
 		r.retries.Add(1)
 		if m := fmet(); m != nil {
-			m.retries.With(retryReason(lastErr)).Inc()
+			m.retries.With(retryReason(err)).Inc()
 		}
 		r.mu.Lock()
-		d := r.policy.backoff(attempt, r.rng)
+		d := backoff(attempt, r.base, r.max, r.rng)
 		r.mu.Unlock()
 		select {
 		case <-time.After(d):
@@ -490,26 +223,7 @@ func (r *ResilientClient) Submit(ctx context.Context, req SubmitRequest) (*Remot
 	}
 }
 
-// Breaker returns an endpoint's current breaker state (for tests and
-// operator introspection).
-func (r *ResilientClient) Breaker(endpoint string) BreakerState {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if b := r.breakers[endpoint]; b != nil {
-		return b.state
-	}
-	return BreakerClosed
-}
-
-// Budget returns the remaining retry tokens.
-func (r *ResilientClient) Budget() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.budget
-}
-
-// Retries returns the retry tokens spent over the client's lifetime
-// (refunds do not subtract — this counts actual extra attempts).
+// Retries returns the retries made over the client's lifetime.
 func (r *ResilientClient) Retries() int64 { return r.retries.Load() }
 
 // absorbLocked folds a connection's supervision counters into the
@@ -534,17 +248,6 @@ func (r *ResilientClient) Stats() ClientStats {
 		out.UnmatchedVerdicts += s.UnmatchedVerdicts
 	}
 	return out
-}
-
-// Current returns the live underlying Client, or nil when disconnected
-// (the next Submit reconnects).
-func (r *ResilientClient) Current() *Client {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.cur != nil && r.cur.alive() {
-		return r.cur
-	}
-	return nil
 }
 
 // Close tears down the current connection and refuses further Submits.

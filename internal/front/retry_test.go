@@ -9,6 +9,7 @@ import (
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -31,11 +32,9 @@ func TestRetryableClassification(t *testing.T) {
 		{"write timeout", fmt.Errorf("%w after 1s", ErrWriteTimeout), true},
 		{"heartbeat expiry", fmt.Errorf("%w: 3 pings", ErrHeartbeat), true},
 		{"injected fault", fmt.Errorf("%w: reset", chaos.ErrInjected), true},
-		{"all breakers open", errBreakersOpen, true},
 		{"dial refused", &net.OpError{Op: "dial", Err: errors.New("connection refused")}, true},
 		{"deadline infeasible", fmt.Errorf("rejected: %w", serve.ErrDeadlineInfeasible), false},
 		{"handshake refused", fmt.Errorf("%w: unknown API key", ErrRefused), false},
-		{"budget exhausted", fmt.Errorf("%w (last: x)", ErrRetryBudget), false},
 		{"caller canceled", context.Canceled, false},
 		{"caller deadline", context.DeadlineExceeded, false},
 		{"unknown workload", errors.New("front: rejected (unknown_workload): no such workload"), false},
@@ -47,10 +46,9 @@ func TestRetryableClassification(t *testing.T) {
 	}
 }
 
-// TestBackoffBounds: full jitter stays inside [0, min(MaxDelay,
-// Base<<n)) and the cap saturates instead of overflowing.
+// TestBackoffBounds: full jitter stays inside [0, min(max, base<<n))
+// and the cap saturates instead of overflowing.
 func TestBackoffBounds(t *testing.T) {
-	p := RetryPolicy{BaseDelay: 10 * time.Millisecond, MaxDelay: 80 * time.Millisecond}
 	rng := rand.New(rand.NewSource(1))
 	for n := 1; n <= 64; n++ { // 64 shifts: far past overflow
 		cap := time.Duration(10*time.Millisecond) << (n - 1)
@@ -58,7 +56,7 @@ func TestBackoffBounds(t *testing.T) {
 			cap = 80 * time.Millisecond
 		}
 		for i := 0; i < 32; i++ {
-			if d := p.backoff(n, rng); d < 0 || d >= cap {
+			if d := backoff(n, 10*time.Millisecond, 80*time.Millisecond, rng); d < 0 || d >= cap {
 				t.Fatalf("backoff(%d) = %v outside [0, %v)", n, d, cap)
 			}
 		}
@@ -290,136 +288,9 @@ func TestSpillLogBounded(t *testing.T) {
 	}
 }
 
-// TestBreakerOpensAndHalfOpens: consecutive dial failures open the
-// endpoint's breaker; while open, attempts fail with errBreakersOpen
-// (retryable, no dial); after the cooldown one half-open probe is
-// allowed.
-func TestBreakerOpensAndHalfOpens(t *testing.T) {
-	// A listener that is closed immediately: dials fail fast.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	dead := ln.Addr().String()
-	ln.Close()
-
-	r, err := DialResilient([]string{dead}, "k", RetryPolicy{
-		MaxAttempts:      2,
-		BaseDelay:        time.Millisecond,
-		MaxDelay:         2 * time.Millisecond,
-		BreakerThreshold: 2,
-		BreakerCooldown:  time.Hour, // no probe during this test
-	}, DialOptions{DialTimeout: time.Second})
-	if err != nil {
-		t.Fatalf("retryable startup failure should not fail DialResilient: %v", err)
-	}
-	defer r.Close()
-
-	// Startup dialed once (fail 1). One Submit dials again (fail 2) →
-	// breaker opens at threshold 2.
-	if _, err := r.Submit(context.Background(), SubmitRequest{Workload: "Sieve"}); err == nil {
-		t.Fatal("submit succeeded with no server")
-	}
-	if got := r.Breaker(dead); got != BreakerOpen {
-		t.Fatalf("breaker = %v, want open", got)
-	}
-	// With the only breaker open and the cooldown far away, the failure
-	// is classified breakers-open — and costs no dial.
-	_, err = r.Submit(context.Background(), SubmitRequest{Workload: "Sieve"})
-	if !errors.Is(err, errBreakersOpen) {
-		t.Fatalf("submit err = %v, want errBreakersOpen in the chain", err)
-	}
-
-	// Cooldown elapse → exactly one half-open probe is admitted.
-	r.mu.Lock()
-	br := r.breakers[dead]
-	br.openedAt = time.Now().Add(-2 * time.Hour)
-	admitted := br.admit(time.Now(), time.Hour)
-	state := br.state
-	second := br.admit(time.Now(), time.Hour)
-	r.mu.Unlock()
-	if !admitted || state != BreakerHalfOpen {
-		t.Fatalf("cooldown-elapsed admit = %v state %v, want probe in half-open", admitted, state)
-	}
-	if second {
-		t.Fatal("second probe admitted while one is in flight")
-	}
-}
-
-// TestFailoverToHealthyEndpoint: with one dead and one live endpoint,
-// the client fails over and serves; the dead endpoint's breaker has
-// booked the failure.
-func TestFailoverToHealthyEndpoint(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	dead := ln.Addr().String()
-	ln.Close()
-	f := newTestFront(t)
-	defer f.Shutdown(context.Background())
-
-	r, err := DialResilient([]string{dead, f.Addr()}, "gold-key", RetryPolicy{
-		BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond,
-	}, DialOptions{DialTimeout: time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	s, err := r.Submit(context.Background(), SubmitRequest{Workload: "Sieve"})
-	if err != nil {
-		t.Fatalf("failover submit: %v", err)
-	}
-	if err := s.Wait(); err != nil {
-		t.Fatalf("verdict: %v", err)
-	}
-	if s.Verdict() != serve.VerdictClean {
-		t.Fatalf("verdict = %v, want clean", s.Verdict())
-	}
-	if got := r.Breaker(f.Addr()); got != BreakerClosed {
-		t.Fatalf("live endpoint breaker = %v, want closed", got)
-	}
-}
-
-// TestRetryBudgetExhausts: a persistent fault drains the client-wide
-// budget and submissions then fail fast with the terminal
-// ErrRetryBudget — the anti-retry-storm brake.
-func TestRetryBudgetExhausts(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	dead := ln.Addr().String()
-	ln.Close()
-
-	r, err := DialResilient([]string{dead}, "k", RetryPolicy{
-		MaxAttempts: 100,
-		Budget:      2,
-		BaseDelay:   time.Millisecond,
-		MaxDelay:    2 * time.Millisecond,
-		// Threshold high enough that the breaker never opens here: this
-		// test isolates the budget brake.
-		BreakerThreshold: 1000,
-	}, DialOptions{DialTimeout: time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	_, err = r.Submit(context.Background(), SubmitRequest{Workload: "Sieve"})
-	if !errors.Is(err, ErrRetryBudget) {
-		t.Fatalf("submit err = %v, want ErrRetryBudget", err)
-	}
-	if Retryable(err) {
-		t.Fatal("budget exhaustion must be terminal, not retryable")
-	}
-	if got := r.Budget(); got != 0 {
-		t.Fatalf("budget = %d, want 0", got)
-	}
-}
-
 // TestRetryThroughInjectedSaturation: the pool's chaos hook forces
 // saturation rejections at rate 0.5; the resilient client retries
-// through them to a real verdict, and the budget refunds on success.
+// through them to a real verdict.
 func TestRetryThroughInjectedSaturation(t *testing.T) {
 	in := chaos.New(11).SetRate(chaos.PoolSaturate, 0.5)
 	f, err := New(Config{
@@ -434,13 +305,12 @@ func TestRetryThroughInjectedSaturation(t *testing.T) {
 	}
 	defer f.Shutdown(context.Background())
 
-	r, err := DialResilient([]string{f.Addr()}, "k", RetryPolicy{
-		MaxAttempts: 30, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond,
-	}, DialOptions{})
+	r, err := DialResilient(f.Addr(), "k", DialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
+	r.attempts, r.base, r.max = 30, time.Millisecond, 5*time.Millisecond
 
 	for i := 0; i < 8; i++ {
 		s, err := r.Submit(context.Background(), SubmitRequest{Workload: "Sieve"})
@@ -454,21 +324,8 @@ func TestRetryThroughInjectedSaturation(t *testing.T) {
 	if in.Counts()["pool_saturate"] == 0 {
 		t.Fatal("injector never fired — the test exercised nothing")
 	}
-	// Each success refunds ONE token (a submission that needed several
-	// retries still nets negative — deliberate: sustained flakiness must
-	// drain the budget). The budget is spent but nowhere near dry.
-	if got := r.Budget(); got <= 0 || got > r.policy.budget() {
-		t.Fatalf("budget = %d, want in (0, %d]", got, r.policy.budget())
-	}
-	// Refund clamps at the cap.
-	r.refund()
-	r.refund()
-	for i := r.Budget(); i < r.policy.budget(); i++ {
-		r.refund()
-	}
-	r.refund()
-	if got := r.Budget(); got != r.policy.budget() {
-		t.Fatalf("refund past cap: budget = %d, want %d", got, r.policy.budget())
+	if r.Retries() == 0 {
+		t.Fatal("no retries counted through injected saturation")
 	}
 }
 
@@ -478,13 +335,12 @@ func TestRetryThroughInjectedSaturation(t *testing.T) {
 // or a late success — never a hung dial.
 func TestShutdownVsReconnectRace(t *testing.T) {
 	f := newTestFront(t)
-	r, err := DialResilient([]string{f.Addr()}, "gold-key", RetryPolicy{
-		MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: 10 * time.Millisecond,
-	}, DialOptions{DialTimeout: 500 * time.Millisecond})
+	r, err := DialResilient(f.Addr(), "gold-key", DialOptions{DialTimeout: 500 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
+	r.attempts, r.base, r.max = 3, time.Millisecond, 10*time.Millisecond
 
 	// Submissions race the drain from both sides of its start.
 	var wg sync.WaitGroup
@@ -527,13 +383,11 @@ func TestShutdownVsReconnectRace(t *testing.T) {
 			continue
 		}
 		// Typed: drain rejection/conn loss (ErrPoolClosed in the chain),
-		// dial failure (net.Error), breaker, or the caller's own timeout.
+		// dial failure (net.Error), or the caller's own timeout.
 		// An untyped error here would mean a failure the retry layer
 		// cannot classify.
 		switch {
 		case errors.Is(err, serve.ErrPoolClosed),
-			errors.Is(err, errBreakersOpen),
-			errors.Is(err, ErrRetryBudget),
 			errors.Is(err, context.DeadlineExceeded):
 			sawTerminal = true
 		default:
@@ -547,4 +401,110 @@ func TestShutdownVsReconnectRace(t *testing.T) {
 	if !sawTerminal {
 		t.Fatal("race produced no post-shutdown submissions; widen the window")
 	}
+}
+
+// TestOneConnDeathRetriesEveryInFlightSubmit: one connection death
+// fails every submission in flight on it at once. That is one fault of
+// one connection, so it must cost each submission one retry: every one
+// is accepted on the single redialled connection and returns a clean
+// verdict.
+func TestOneConnDeathRetriesEveryInFlightSubmit(t *testing.T) {
+	const inflight = 8
+	f := newTestFront(t)
+	defer f.Shutdown(context.Background())
+
+	// The first connection handshakes, reads inflight submit frames
+	// without answering any, and dies. Every later one is piped to f.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	var conns atomic.Int32
+	go func() {
+		for {
+			nc, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			if conns.Add(1) == 1 {
+				go swallowSubmitsThenDie(nc, inflight)
+				continue
+			}
+			go pipeTo(nc, f.Addr())
+		}
+	}()
+
+	r, err := DialResilient(ln.Addr().String(), "gold-key", DialOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	var wg sync.WaitGroup
+	errs := make(chan error, inflight)
+	for i := 0; i < inflight; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s, err := r.Submit(ctx, SubmitRequest{Workload: "Sieve", Scale: "small"})
+			if err != nil {
+				errs <- fmt.Errorf("submit: %w", err)
+				return
+			}
+			if err := s.Wait(); err != nil || s.Verdict() != serve.VerdictClean {
+				errs <- fmt.Errorf("verdict %v, err %v; want clean", s.Verdict(), err)
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if got := conns.Load(); got != 2 {
+		t.Errorf("connections = %d, want 2: the dead one and one redial", got)
+	}
+	if got := r.Retries(); got != inflight {
+		t.Errorf("retries = %d, want %d: one per submission the death failed", got, inflight)
+	}
+}
+
+// swallowSubmitsThenDie completes the handshake like a real front,
+// reads n submit frames without answering, then closes the conn.
+func swallowSubmitsThenDie(nc net.Conn, n int) {
+	defer nc.Close()
+	fr := newFrameReader(nc)
+	typ, body, err := fr.read()
+	var hello helloMsg
+	if err != nil || typ != frameHello || hello.decode(body) != nil {
+		return
+	}
+	fw := &frameWriter{w: nc}
+	fw.send(frameHelloAck, helloAckMsg{Version: ProtocolVersion, Tenant: "gold"}.appendBody)
+	for n > 0 {
+		typ, _, err := fr.read()
+		if err != nil {
+			return
+		}
+		if typ == frameSubmit {
+			n--
+		}
+	}
+}
+
+// pipeTo relays nc to a fresh connection to addr until either side
+// closes.
+func pipeTo(nc net.Conn, addr string) {
+	defer nc.Close()
+	up, err := net.Dial("tcp", addr)
+	if err != nil {
+		return
+	}
+	go func() {
+		io.Copy(up, nc)
+		up.Close()
+	}()
+	io.Copy(nc, up)
 }

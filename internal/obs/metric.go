@@ -123,72 +123,6 @@ type vecSeries struct {
 	count  int64
 }
 
-// GaugeVec is a family of gauges sharing one metric name and a fixed
-// set of label names — CounterVec's shape with level semantics (the
-// value moves both ways; think breaker state per endpoint). Same usage
-// contract: resolve the label set once with With, keep the *Gauge.
-type GaugeVec struct {
-	labels []string
-	mu     sync.RWMutex
-	m      map[string]*gaugeVecEntry
-}
-
-type gaugeVecEntry struct {
-	values []string
-	g      Gauge
-}
-
-// With returns the gauge for the given label values (one per label
-// name, positionally), creating it on first use. The returned pointer
-// is stable: cache it and set/add without further lookups.
-func (v *GaugeVec) With(values ...string) *Gauge {
-	if len(values) != len(v.labels) {
-		panic("obs: GaugeVec.With called with wrong number of label values")
-	}
-	key := strings.Join(values, "\x1f")
-	v.mu.RLock()
-	e := v.m[key]
-	v.mu.RUnlock()
-	if e != nil {
-		return &e.g
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if e := v.m[key]; e != nil {
-		return &e.g
-	}
-	if v.m == nil {
-		v.m = make(map[string]*gaugeVecEntry)
-	}
-	e = &gaugeVecEntry{values: append([]string(nil), values...)}
-	v.m[key] = e
-	return &e.g
-}
-
-// Labels returns the family's label names.
-func (v *GaugeVec) Labels() []string { return v.labels }
-
-// snapshot returns the family's populated series, sorted by label
-// values.
-func (v *GaugeVec) snapshot() []vecSeries {
-	v.mu.RLock()
-	out := make([]vecSeries, 0, len(v.m))
-	for _, e := range v.m {
-		out = append(out, vecSeries{values: e.values, count: e.g.Value()})
-	}
-	v.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i].values, out[j].values
-		for k := range a {
-			if a[k] != b[k] {
-				return a[k] < b[k]
-			}
-		}
-		return false
-	})
-	return out
-}
-
 // key renders the series identity as "label=value,label=value" for the
 // JSON snapshot.
 func (s vecSeries) key(labels []string) string {

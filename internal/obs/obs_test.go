@@ -321,42 +321,3 @@ func ExampleRegistry() {
 	fmt.Println(r.Snapshot().Counters["requests_total"])
 	// Output: 3
 }
-
-func TestGaugeVec(t *testing.T) {
-	r := NewRegistry()
-	v := r.GaugeVec("breaker_state", "endpoint")
-	a := v.With("10.0.0.1:9000")
-	if v.With("10.0.0.1:9000") != a {
-		t.Fatal("With not stable")
-	}
-	a.Set(2)
-	v.With("10.0.0.2:9000").Set(1)
-	a.Set(0) // gauges move both ways — the level, not a count, survives
-	s := r.Snapshot()
-	if s.GaugeVectors["breaker_state"]["endpoint=10.0.0.1:9000"] != 0 ||
-		s.GaugeVectors["breaker_state"]["endpoint=10.0.0.2:9000"] != 1 {
-		t.Fatalf("gauge vec snapshot %+v", s.GaugeVectors)
-	}
-
-	var b strings.Builder
-	if err := r.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	for _, want := range []string{
-		"# TYPE breaker_state gauge\n",
-		"breaker_state{endpoint=\"10.0.0.1:9000\"} 0\n",
-		"breaker_state{endpoint=\"10.0.0.2:9000\"} 1\n",
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("missing %q in:\n%s", want, out)
-		}
-	}
-
-	defer func() {
-		if recover() == nil {
-			t.Fatal("wrong arity must panic")
-		}
-	}()
-	v.With("a", "b")
-}

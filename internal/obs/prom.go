@@ -26,10 +26,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	for n, v := range r.vecs {
 		vecs[n] = v
 	}
-	gaugeVecs := make(map[string]*GaugeVec, len(r.gaugeVecs))
-	for n, v := range r.gaugeVecs {
-		gaugeVecs[n] = v
-	}
 	windows := make(map[string]*Window, len(r.windows))
 	for n, wd := range r.windows {
 		windows[n] = wd
@@ -55,21 +51,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 				}
 				// %q escapes exactly what the text format requires:
 				// backslash, double quote, newline.
-				fmt.Fprintf(&b, "%s=%q", label, s.values[i])
-			}
-			fmt.Fprintf(&b, "} %d\n", s.count)
-		}
-	}
-	for _, name := range sortedKeys(gaugeVecs) {
-		v := gaugeVecs[name]
-		fmt.Fprintf(&b, "# TYPE %s gauge\n", name)
-		for _, s := range v.snapshot() {
-			b.WriteString(name)
-			b.WriteByte('{')
-			for i, label := range v.labels {
-				if i > 0 {
-					b.WriteByte(',')
-				}
 				fmt.Fprintf(&b, "%s=%q", label, s.values[i])
 			}
 			fmt.Fprintf(&b, "} %d\n", s.count)

@@ -15,22 +15,20 @@ import (
 // conventions ([a-zA-Z_:][a-zA-Z0-9_:]*, unit-suffixed), since they are
 // exported verbatim in text exposition format.
 type Registry struct {
-	mu        sync.Mutex
-	counters  map[string]*Counter
-	gauges    map[string]*Gauge
-	vecs      map[string]*CounterVec
-	gaugeVecs map[string]*GaugeVec
-	windows   map[string]*Window
+	mu       sync.Mutex
+	counters map[string]*Counter
+	gauges   map[string]*Gauge
+	vecs     map[string]*CounterVec
+	windows  map[string]*Window
 }
 
 // NewRegistry creates an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters:  make(map[string]*Counter),
-		gauges:    make(map[string]*Gauge),
-		vecs:      make(map[string]*CounterVec),
-		gaugeVecs: make(map[string]*GaugeVec),
-		windows:   make(map[string]*Window),
+		counters: make(map[string]*Counter),
+		gauges:   make(map[string]*Gauge),
+		vecs:     make(map[string]*CounterVec),
+		windows:  make(map[string]*Window),
 	}
 }
 
@@ -72,20 +70,6 @@ func (r *Registry) CounterVec(name string, labels ...string) *CounterVec {
 	return v
 }
 
-// GaugeVec returns the named gauge family, creating it with the given
-// label names on first use (later calls return the existing family
-// regardless of the labels argument).
-func (r *Registry) GaugeVec(name string, labels ...string) *GaugeVec {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	v := r.gaugeVecs[name]
-	if v == nil {
-		v = &GaugeVec{labels: append([]string(nil), labels...)}
-		r.gaugeVecs[name] = v
-	}
-	return v
-}
-
 // Window returns the named windowed recorder, creating it with the given
 // geometry on first use (later calls return the existing window
 // regardless of the geometry arguments — two pools asking for
@@ -107,10 +91,7 @@ type Snapshot struct {
 	Counters map[string]int64            `json:"counters"`
 	Gauges   map[string]int64            `json:"gauges"`
 	Vectors  map[string]map[string]int64 `json:"vectors,omitempty"`
-	// GaugeVectors digests the gauge families (instantaneous levels per
-	// label set), keyed like Vectors.
-	GaugeVectors map[string]map[string]int64 `json:"gauge_vectors,omitempty"`
-	Windows      map[string]WindowSnapshot   `json:"windows,omitempty"`
+	Windows  map[string]WindowSnapshot   `json:"windows,omitempty"`
 }
 
 // WindowSnapshot digests one windowed recorder: its nominal span and the
@@ -138,10 +119,6 @@ func (r *Registry) Snapshot() Snapshot {
 	for n, v := range r.vecs {
 		vecs[n] = v
 	}
-	gaugeVecs := make(map[string]*GaugeVec, len(r.gaugeVecs))
-	for n, v := range r.gaugeVecs {
-		gaugeVecs[n] = v
-	}
 	windows := make(map[string]*Window, len(r.windows))
 	for n, w := range r.windows {
 		windows[n] = w
@@ -168,17 +145,6 @@ func (r *Registry) Snapshot() Snapshot {
 				m[e.key(v.labels)] = e.count
 			}
 			s.Vectors[n] = m
-		}
-	}
-	if len(gaugeVecs) > 0 {
-		s.GaugeVectors = make(map[string]map[string]int64, len(gaugeVecs))
-		for n, v := range gaugeVecs {
-			series := v.snapshot()
-			m := make(map[string]int64, len(series))
-			for _, e := range series {
-				m[e.key(v.labels)] = e.count
-			}
-			s.GaugeVectors[n] = m
 		}
 	}
 	if len(windows) > 0 {

@@ -391,11 +391,11 @@ func TestListing1SessionAllocs(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		run()
 	}
-	// The global-lock detector adds its waits-for map, that map's first
-	// entry and a regrowth of the cycle.
+	// The global-lock detector adds its waits-for map and that map's
+	// first entry.
 	want := 24
 	if core.EnvDetector() == core.DetectGlobalLock {
-		want = 27
+		want = 26
 	}
 	if got := testing.AllocsPerRun(500, run); got > float64(want) {
 		t.Errorf("Listing-1 session: %v allocs/op, want at most %d", got, want)
