@@ -71,8 +71,6 @@ type (
 	Mode = core.Mode
 	// DetectorKind selects the deadlock-detection algorithm in Full mode.
 	DetectorKind = core.DetectorKind
-	// OwnedTracking selects the owned-set representation (§6.2).
-	OwnedTracking = core.OwnedTracking
 	// Option configures a Runtime.
 	Option = core.Option
 	// Job is what a custom executor runs: one spawned task, handed over
@@ -128,14 +126,6 @@ const (
 	DetectGlobalLock = core.DetectGlobalLock
 )
 
-// Owned-set representations (§6.2 of the paper).
-const (
-	// TrackList is the exact O(1)-discharge list. The default.
-	TrackList = core.TrackList
-	// TrackCounter keeps a count only (no blame, no cascade).
-	TrackCounter = core.TrackCounter
-)
-
 // Runtime constructors and options, re-exported.
 var (
 	// NewRuntime creates a runtime (Full verification by default).
@@ -144,8 +134,6 @@ var (
 	WithMode = core.WithMode
 	// WithDetector selects the cycle-detection algorithm.
 	WithDetector = core.WithDetector
-	// WithOwnedTracking selects owned-list vs owned-counter (§6.2).
-	WithOwnedTracking = core.WithOwnedTracking
 	// WithEventCounting enables get/set counters.
 	WithEventCounting = core.WithEventCounting
 	// WithAlarmHandler installs a detection callback.

@@ -245,21 +245,6 @@ func BenchmarkAblation_Detector(b *testing.B) {
 	}
 }
 
-// BenchmarkAblation_OwnedTracking compares owned lists with owned
-// counters (§6.2) on SmithWaterman, the benchmark whose owned lists grow
-// largest (every promise allocated in the root).
-func BenchmarkAblation_OwnedTracking(b *testing.B) {
-	for _, cfg := range []struct {
-		label string
-		kind  core.OwnedTracking
-	}{{"list", core.TrackList}, {"counter", core.TrackCounter}} {
-		b.Run(cfg.label, func(b *testing.B) {
-			benchProgram(b, "SmithWaterman", workloads.ScaleSmall,
-				core.WithMode(core.Full), core.WithOwnedTracking(cfg.kind))
-		})
-	}
-}
-
 // BenchmarkAblation_Executor compares goroutine-per-task with the elastic
 // worker pool on the task-heavy QSort workload.
 func BenchmarkAblation_Executor(b *testing.B) {

@@ -9,13 +9,13 @@
 //
 //	benchtable [-scale small|default|paper] [-reps N] [-warmups N]
 //	           [-bench name] [-csv] [-json out.json] [-history out.json]
-//	           [-detector lockfree|globallock] [-tracking list|counter]
+//	           [-detector lockfree|globallock]
 //	           [-check baseline.json [-checkreps N] [-checktol F]
 //	            [-alloccap name=N,...]]
 //
 // -scale paper selects the paper's workload sizes and measurement protocol
 // (30 reps, 5 warm-ups); the default scale finishes in a few minutes on a
-// small container. -detector and -tracking select ablation verifiers.
+// small container. -detector selects the ablation verifier.
 //
 // -json writes the Table-1 rows plus the fast-path microbenchmarks
 // (fulfilled-get / setget / spawn ns/op, B/op, allocs/op; the best of
@@ -64,7 +64,6 @@ type report struct {
 	Scale               string          `json:"scale"`
 	Mode                string          `json:"mode"`
 	Detector            string          `json:"detector"`
-	Tracking            string          `json:"tracking"`
 	Reps                int             `json:"reps"`
 	Warmups             int             `json:"warmups"`
 	Rows                []harness.Row   `json:"rows"`
@@ -115,7 +114,6 @@ type historyEntry struct {
 	Scale               string          `json:"scale"`
 	Mode                string          `json:"mode"`
 	Detector            string          `json:"detector"`
-	Tracking            string          `json:"tracking"`
 	GeomeanTimeOverhead float64         `json:"geomean_time_overhead,omitempty"`
 	GeomeanMemOverhead  float64         `json:"geomean_mem_overhead,omitempty"`
 	Micro               []harness.Micro `json:"micro"`
@@ -285,7 +283,6 @@ func main() {
 	jsonOut := flag.String("json", "", "also write rows + fast-path micros as JSON to this file")
 	modeFlag := flag.String("mode", "full", "verified configuration: ownership (Algorithm 1 only), full (Algorithms 1+2)")
 	detector := flag.String("detector", "lockfree", "verified detector: lockfree, globallock")
-	tracking := flag.String("tracking", "list", "owned-set tracking: list, counter")
 	check := flag.String("check", "", "regression-gate mode: compare fresh micros against this baseline JSON and exit nonzero on regression")
 	checkTol := flag.Float64("checktol", 0.25, "allowed fractional ns/op regression in -check mode")
 	checkReps := flag.Int("checkreps", 3, "fast-path micro passes in -check, -json and -history (the best of them is kept)")
@@ -351,14 +348,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown detector %q\n", *detector)
 		os.Exit(2)
 	}
-	switch *tracking {
-	case "list":
-	case "counter":
-		verified = append(verified, core.WithOwnedTracking(core.TrackCounter))
-	default:
-		fmt.Fprintf(os.Stderr, "unknown tracking %q\n", *tracking)
-		os.Exit(2)
-	}
 
 	entries := workloads.All()
 	if *benchFlag != "" {
@@ -399,7 +388,6 @@ func main() {
 			Scale:               *scaleFlag,
 			Mode:                *modeFlag,
 			Detector:            *detector,
-			Tracking:            *tracking,
 			Reps:                opts.Reps,
 			Warmups:             opts.Warmups,
 			Rows:                rows,
@@ -419,7 +407,6 @@ func main() {
 				Scale:               rep.Scale,
 				Mode:                rep.Mode,
 				Detector:            rep.Detector,
-				Tracking:            rep.Tracking,
 				GeomeanTimeOverhead: rep.GeomeanTimeOverhead,
 				GeomeanMemOverhead:  rep.GeomeanMemOverhead,
 				Micro:               rep.Micro,
@@ -436,8 +423,8 @@ func main() {
 		fmt.Print(harness.RenderCSV(rows))
 		return
 	}
-	fmt.Printf("Table 1: verification overheads (scale=%s, mode=%s, detector=%s, tracking=%s, reps=%d, warmups=%d)\n\n",
-		*scaleFlag, *modeFlag, *detector, *tracking, opts.Reps, opts.Warmups)
+	fmt.Printf("Table 1: verification overheads (scale=%s, mode=%s, detector=%s, reps=%d, warmups=%d)\n\n",
+		*scaleFlag, *modeFlag, *detector, opts.Reps, opts.Warmups)
 	fmt.Print(harness.RenderTable1(rows))
 	fmt.Println()
 	fmt.Print(harness.RenderFigure1(rows))

@@ -2,12 +2,14 @@ package main
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/front"
 	"repro/internal/serve"
 )
 
@@ -156,6 +158,30 @@ func TestSettleLeaksCountsOnlyExcess(t *testing.T) {
 	}
 	if waited := time.Since(start); waited < 30*time.Millisecond {
 		t.Fatalf("gave up after %v, before the window", waited)
+	}
+}
+
+// TestRejectReasonExhausted: a conn-lost error a resilient client gave
+// up on wraps serve.ErrPoolClosed, yet it is counted as exhausted, not
+// as draining. Without a resilient client it keeps the server's reason,
+// and a terminal rejection keeps its own reason either way.
+func TestRejectReasonExhausted(t *testing.T) {
+	lost := fmt.Errorf("front: 3 attempts exhausted: %w",
+		fmt.Errorf("front: connection lost: %w", serve.ErrPoolClosed))
+	infeasible := fmt.Errorf("front: rejected: %w", serve.ErrDeadlineInfeasible)
+	for _, tc := range []struct {
+		err       error
+		resilient bool
+		want      string
+	}{
+		{lost, true, rejectExhausted},
+		{lost, false, front.RejectDraining},
+		{infeasible, true, front.RejectDeadline},
+		{errors.New("unknown workload"), true, "other"},
+	} {
+		if got := rejectReason(tc.err, tc.resilient); got != tc.want {
+			t.Errorf("rejectReason(%v, resilient=%v) = %q, want %q", tc.err, tc.resilient, got, tc.want)
+		}
 	}
 }
 

@@ -160,9 +160,20 @@ type frontReport struct {
 	Observe       *serve.Observation `json:"observe,omitempty"`
 }
 
+// rejectExhausted is the reject reason of a submission a resilient
+// client gave up on. It is the client's own verdict, never the server's.
+const rejectExhausted = "exhausted"
+
 // rejectReason classifies a Submit error the way the server's
-// front_rejected_total counter does, via the shared sentinels.
-func rejectReason(err error) string {
+// front_rejected_total counter does, via the shared sentinels. A
+// resilient client (under chaos) returns a Retryable error only once
+// its attempts are exhausted; that error is classified as exhausted,
+// not by its last cause, because a lost connection wraps
+// serve.ErrPoolClosed and would otherwise read as draining.
+func rejectReason(err error, resilient bool) string {
+	if resilient && front.Retryable(err) {
+		return rejectExhausted
+	}
 	switch {
 	case errors.Is(err, serve.ErrDeadlineInfeasible):
 		return front.RejectDeadline
@@ -318,7 +329,7 @@ func runOpen(cfg config, led *ledger) error {
 				Workload: sc.name, Scale: cfg.scale, Deadline: dl,
 			})
 			if err != nil {
-				reason := rejectReason(err)
+				reason := rejectReason(err, chaosOn)
 				mu.Lock()
 				tstats[ti].rejected[reason]++
 				rejectReasons[reason]++

@@ -2,8 +2,7 @@
 // (Corollary 5.7: alarm ⇔ deadlock) on randomly generated programs:
 //
 //   - clean programs (deadlock-free by construction) must complete with
-//     zero alarms under every mode, both detectors, and all owned-set
-//     representations;
+//     zero alarms under every mode and both detectors;
 //   - programs with an injected deadlock ring must raise at least one
 //     DeadlockError and still terminate (the exceptional-completion
 //     cascade drains the cycle).
@@ -100,7 +99,6 @@ func configs() []struct {
 		{"ownership", []core.Option{core.WithMode(core.Ownership)}},
 		{"full/lockfree", []core.Option{core.WithMode(core.Full)}},
 		{"full/globallock", []core.Option{core.WithMode(core.Full), core.WithDetector(core.DetectGlobalLock)}},
-		{"full/counter", []core.Option{core.WithMode(core.Full), core.WithOwnedTracking(core.TrackCounter)}},
 	}
 }
 
@@ -283,13 +281,13 @@ func replay(path string, verbose bool) int {
 		return 2
 	}
 
-	opts, err := optionsFor(rep.Mode, rep.Detector, rep.Tracking)
+	opts, err := optionsFor(rep.Mode, rep.Detector)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "promisefuzz: %v\n", err)
 		return 2
 	}
-	fmt.Printf("  replaying: seed %d, %d tasks, %d promises, cycle %d under mode=%s detector=%s tracking=%s\n",
-		cfg.Seed, cfg.Tasks, cfg.Promises, cfg.CycleLen, rep.Mode, rep.Detector, rep.Tracking)
+	fmt.Printf("  replaying: seed %d, %d tasks, %d promises, cycle %d under mode=%s detector=%s\n",
+		cfg.Seed, cfg.Tasks, cfg.Promises, cfg.CycleLen, rep.Mode, rep.Detector)
 
 	mem := trace.NewMemSink(0)
 	rt := core.NewRuntime(append(opts, core.TraceTo(mem))...)
@@ -320,7 +318,7 @@ func replay(path string, verbose bool) int {
 }
 
 // optionsFor maps recorded trace metadata back to runtime options.
-func optionsFor(mode, detector, tracking string) ([]core.Option, error) {
+func optionsFor(mode, detector string) ([]core.Option, error) {
 	var opts []core.Option
 	switch mode {
 	case "unverified":
@@ -338,16 +336,6 @@ func optionsFor(mode, detector, tracking string) ([]core.Option, error) {
 		opts = append(opts, core.WithDetector(core.DetectGlobalLock))
 	default:
 		return nil, fmt.Errorf("unknown recorded detector %q", detector)
-	}
-	switch tracking {
-	// "lazy" was a list that never removed discharged entries. It retained
-	// more than the exact list but reached the same verdicts, so traces
-	// recorded under it replay under the exact list.
-	case "list", "lazy", "":
-	case "counter":
-		opts = append(opts, core.WithOwnedTracking(core.TrackCounter))
-	default:
-		return nil, fmt.Errorf("unknown recorded tracking %q", tracking)
 	}
 	return opts, nil
 }

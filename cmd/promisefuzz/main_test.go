@@ -1,33 +1,64 @@
 package main
 
 import (
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/randprog"
+	"repro/internal/trace"
 )
 
-// TestLegacyLazyTrackingStillReplays: traces recorded while the runtime
-// had a lazy owned list carry "tracking=lazy" in their meta. The lazy
-// list differed from the exact list only in what it retained, not in
-// verdicts, so such a trace must still map to runtime options, and those
-// must select the exact list.
+// TestLegacyLazyTrackingStillReplays: traces recorded by older runtimes
+// carry "tracking=list" or "tracking=lazy" in their configuration meta
+// record (a lazy list never removed discharged entries; both reached the
+// exact list's verdicts). Such a trace, like one without the key, must
+// still verify and replay to the same verdict.
 func TestLegacyLazyTrackingStillReplays(t *testing.T) {
-	for rec, want := range map[string]core.OwnedTracking{
-		"":        core.TrackList,
-		"list":    core.TrackList,
-		"lazy":    core.TrackList,
-		"counter": core.TrackCounter,
-	} {
-		opts, err := optionsFor("full", "lockfree", rec)
-		if err != nil {
-			t.Fatalf("optionsFor(tracking=%q): %v", rec, err)
-		}
-		rt := core.NewRuntime(opts...)
-		if rt.Mode() != core.Full || rt.Tracking() != want {
-			t.Errorf("tracking=%q replays as mode=%s tracking=%s, want full/%s", rec, rt.Mode(), rt.Tracking(), want)
-		}
+	dir := t.TempDir()
+	src := filepath.Join(dir, "recorded.trace")
+	cfg := randprog.Config{Seed: 2021, Tasks: 20, Promises: 40, MaxAwaits: 3, AwaitProb: 0.8, Work: 10}
+	extra, finish, err := startRecording(src, cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := optionsFor("full", "lockfree", "bogus"); err == nil {
-		t.Error("unknown recorded tracking accepted")
+	rt := core.NewRuntime(append([]core.Option{core.WithMode(core.Full)}, extra...)...)
+	if err := rt.Run(randprog.Generate(cfg).Main()); err != nil {
+		t.Fatal(err)
+	}
+	if msg := finish(rt, "clean"); msg != "" {
+		t.Fatal(msg)
+	}
+	evs, err := trace.ReadFile(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, legacy := range []string{"", "list", "lazy"} {
+		out := append([]trace.Event(nil), evs...)
+		tagged := legacy == ""
+		for i := range out {
+			if out[i].Kind == trace.KindMeta && strings.HasPrefix(out[i].Detail, "mode=") && legacy != "" {
+				out[i].Detail += " tracking=" + legacy
+				tagged = true
+			}
+		}
+		if !tagged {
+			t.Fatal("recorded trace has no runtime configuration meta record")
+		}
+		path := filepath.Join(dir, "legacy-"+legacy+".trace")
+		sink, err := trace.NewFileSink(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sink.WriteEvents(out); err != nil {
+			t.Fatal(err)
+		}
+		if err := sink.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if code := replay(path, false); code != 0 {
+			t.Errorf("tracking=%q trace: replay exited %d, want 0", legacy, code)
+		}
 	}
 }

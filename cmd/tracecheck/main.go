@@ -108,7 +108,7 @@ func check(path, expect string, verbose bool, stdin io.Reader, stdout, stderr io
 	fmt.Fprintf(stdout, "%s: %s\n", path, rep.Summary())
 	if verbose {
 		if rep.Mode != "" {
-			fmt.Fprintf(stdout, "  config: mode=%s detector=%s tracking=%s\n", rep.Mode, rep.Detector, rep.Tracking)
+			fmt.Fprintf(stdout, "  config: mode=%s detector=%s\n", rep.Mode, rep.Detector)
 		}
 		for _, a := range rep.Alarms {
 			status := ""

@@ -100,7 +100,7 @@ func TestListing1AlarmRenderAllocs(t *testing.T) {
 }
 
 // TestReportTextBranches pins the report texts Listing 1 does not reach:
-// a counted omitted set, several labels, a nil cause and cycles of other
+// several labels, a nil cause and cycles of other
 // lengths, as the fmt-based renderers wrote them.
 func TestReportTextBranches(t *testing.T) {
 	named := func(label string) AnyPromise { return &Promise[int]{s: pstate{label: label}} }
@@ -108,8 +108,6 @@ func TestReportTextBranches(t *testing.T) {
 		err  error
 		want string
 	}{
-		{&OmittedSetError{taskName: "w", Count: 3},
-			"core: omitted set: task w terminated owning 3 unfulfilled promise(s)"},
 		{&OmittedSetError{taskName: "w", Promises: []AnyPromise{named("a"), named("b"), named("c")}},
 			"core: omitted set: task w terminated owning unfulfilled promise(s): a, b, c"},
 		{&BrokenPromiseError{promiseLabel: "p", taskName: "w"},

@@ -111,17 +111,14 @@ func (e *DoubleSetError) Error() string {
 
 // OmittedSetError reports that a task terminated while still owning one or
 // more unfulfilled promises (rule 3 of the ownership policy). Blame is
-// attributable: the offending task and the outstanding promises are named.
-//
-// When the runtime tracks ownership with a counter instead of a list
-// (TrackCounter), only Count is populated: the bug is still detected the
-// moment it occurs, but the promises cannot be named — the space/blame
-// trade-off discussed in §6.2 of the paper.
+// attributable: the offending task and every outstanding promise are
+// named, and each of those promises is completed with a
+// BrokenPromiseError whose Cause is this error (or the task's own
+// failure), so its consumers unblock (§6.2).
 type OmittedSetError struct {
 	TaskID   uint64
-	Promises []AnyPromise // nil under TrackCounter; order unspecified
-	Count    int
-	taskName string // the task's given name; "" renders as task-<id>
+	Promises []AnyPromise // never empty; order unspecified
+	taskName string       // the task's given name; "" renders as task-<id>
 }
 
 // TaskName returns the blamed task's diagnostic name.
@@ -132,12 +129,6 @@ func (e *OmittedSetError) Error() string { return errText(e, 64+16*len(e.Promise
 func (e *OmittedSetError) writeTo(b *strings.Builder) {
 	b.WriteString("core: omitted set: task ")
 	writeTaskName(b, e.TaskID, e.taskName)
-	if len(e.Promises) == 0 {
-		b.WriteString(" terminated owning ")
-		writeUint(b, uint64(e.Count))
-		b.WriteString(" unfulfilled promise(s)")
-		return
-	}
 	b.WriteString(" terminated owning unfulfilled promise(s): ")
 	for i, p := range e.Promises {
 		if i > 0 {

@@ -296,51 +296,6 @@ func TestOmittedSetMultiplePromises(t *testing.T) {
 	}
 }
 
-func TestOwnedCounterDetectsButCannotBlame(t *testing.T) {
-	rt := NewRuntime(WithMode(Ownership), WithOwnedTracking(TrackCounter))
-	errCh := make(chan error, 1)
-	err := rt.Run(func(tk *Task) error {
-		s := NewPromiseNamed[int](tk, "s")
-		if _, e := tk.AsyncNamed("t4", func(c *Task) error { return nil }, s); e != nil {
-			return e
-		}
-		// No cascade is possible under TrackCounter, so do not block on s.
-		go func() { _, e := s.Get(tk); errCh <- e }()
-		return nil
-	})
-	var om *OmittedSetError
-	if !errors.As(err, &om) {
-		t.Fatalf("counter mode missed the omitted set: %v", err)
-	}
-	if om.Count != 1 || om.Promises != nil {
-		t.Fatalf("counter report = count %d promises %v", om.Count, om.Promises)
-	}
-	select {
-	case e := <-errCh:
-		t.Fatalf("consumer unblocked (%v); counter mode cannot cascade", e)
-	default:
-	}
-}
-
-func TestOwnedCounterCleanRunNoReport(t *testing.T) {
-	rt := NewRuntime(WithMode(Full), WithOwnedTracking(TrackCounter))
-	err := run(t, rt, func(tk *Task) error {
-		for i := 0; i < 50; i++ {
-			p := NewPromise[int](tk)
-			if _, e := tk.Async(func(c *Task) error { return p.Set(c, i) }, p); e != nil {
-				return e
-			}
-			if _, e := p.Get(tk); e != nil {
-				return e
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestOwnedPromisesDiagnostic(t *testing.T) {
 	rt := NewRuntime(WithMode(Ownership))
 	err := run(t, rt, func(tk *Task) error {

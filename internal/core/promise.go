@@ -52,8 +52,8 @@ type pstate struct {
 	// and publish, so every reader that has observed stateFulfilled sees it.
 	err error
 
-	// ownedIdx is the promise's slot in its owner's owned list under
-	// TrackList (exact removal). Like the list itself it is confined to
+	// ownedIdx is the promise's slot in its owner's owned list (exact
+	// removal). Like the list itself it is confined to
 	// the owning task (with the parent-to-child hand-off at spawn), so it
 	// needs no synchronization. -1 when not in any list.
 	ownedIdx int

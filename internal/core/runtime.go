@@ -66,36 +66,6 @@ func (k DetectorKind) String() string {
 	}
 }
 
-// OwnedTracking selects the representation of a task's owned set (§6.2).
-type OwnedTracking uint8
-
-const (
-	// TrackList keeps the actual list of owned promises with exact O(1)
-	// removal (each promise remembers its slot, so discharge at set or
-	// move is a swap-delete). Omitted-set reports name the promises and
-	// the exceptional-completion cascade can unblock their consumers.
-	// This is the default: it never pins fulfilled promises, so
-	// long-lived tasks (e.g. channel senders) do not leak their whole
-	// history to the garbage collector.
-	TrackList OwnedTracking = iota
-	// TrackCounter keeps only a count: smallest footprint, but omitted-set
-	// reports carry no blame beyond the task and no cascade is possible.
-	TrackCounter
-)
-
-// String returns the tracking name used in benchmark output and trace
-// metadata.
-func (k OwnedTracking) String() string {
-	switch k {
-	case TrackList:
-		return "list"
-	case TrackCounter:
-		return "counter"
-	default:
-		return "unknown"
-	}
-}
-
 // Option configures a Runtime.
 type Option func(*Runtime)
 
@@ -105,9 +75,6 @@ func WithMode(m Mode) Option { return func(r *Runtime) { r.mode = m } }
 // WithDetector selects the deadlock detector used in Full mode
 // (default DetectLockFree).
 func WithDetector(k DetectorKind) Option { return func(r *Runtime) { r.detector = k } }
-
-// WithOwnedTracking selects the owned-set representation (default TrackList).
-func WithOwnedTracking(k OwnedTracking) Option { return func(r *Runtime) { r.tracking = k } }
 
 // WithEventCounting enables get/set counters, used by the benchmark
 // harness to reproduce the Gets/ms and Sets/ms columns of Table 1. Off by
@@ -173,7 +140,6 @@ type Stats struct {
 type Runtime struct {
 	mode        Mode
 	detector    DetectorKind
-	tracking    OwnedTracking
 	countEvents bool
 	onAlarm     func(error)
 	exec        Executor       // nil selects the built-in goroutine-per-task start
@@ -231,14 +197,13 @@ func EnvDetector() DetectorKind {
 const detectorUnset = ^DetectorKind(0)
 
 // NewRuntime creates a runtime. The default configuration is the paper's
-// evaluated one: Full mode, lock-free detector, owned lists, goroutine per
-// task, no event counting. Without a WithDetector option the detector is
+// evaluated one: Full mode, lock-free detector, goroutine per task, no
+// event counting. Without a WithDetector option the detector is
 // EnvDetector's, and only then is the environment read.
 func NewRuntime(opts ...Option) *Runtime {
 	r := &Runtime{
 		mode:     Full,
 		detector: detectorUnset,
-		tracking: TrackList,
 	}
 	for _, o := range opts {
 		o(r)
@@ -257,9 +222,6 @@ func (r *Runtime) Mode() Mode { return r.mode }
 
 // Detector returns the configured detector kind.
 func (r *Runtime) Detector() DetectorKind { return r.detector }
-
-// Tracking returns the configured owned-set representation.
-func (r *Runtime) Tracking() OwnedTracking { return r.tracking }
 
 // Stats returns the cumulative event counters. It is safe to call while
 // the program runs: Finished is loaded before Tasks, so a live read never
@@ -293,7 +255,7 @@ func (r *Runtime) Run(main TaskFunc) error {
 		// The configuration meta record lets the offline verifier know
 		// which policy checks were active when it replays the trace.
 		r.logEvent(trace.KindMeta, nil, nil,
-			fmt.Sprintf("mode=%s detector=%s tracking=%s", r.mode, r.detector, r.tracking))
+			fmt.Sprintf("mode=%s detector=%s", r.mode, r.detector))
 	}
 	root := r.newTask("main", nil)
 	r.beginTask(root)

@@ -335,9 +335,9 @@ func TestErrorStringsAreDescriptive(t *testing.T) {
 	if !strings.Contains(ds.Error(), "already fulfilled") {
 		t.Fatalf("double set: %s", ds)
 	}
-	om := &OmittedSetError{taskName: "t4", Count: 2}
-	if !strings.Contains(om.Error(), "t4") || !strings.Contains(om.Error(), "2") {
-		t.Fatalf("omitted set (counter): %s", om)
+	om := &OmittedSetError{taskName: "t4", Promises: []AnyPromise{&Promise[int]{s: pstate{label: "s"}}}}
+	if !strings.Contains(om.Error(), "t4") || !strings.Contains(om.Error(), "s") {
+		t.Fatalf("omitted set: %s", om)
 	}
 	pe := &PanicError{TaskName: "w", Value: "bang"}
 	if !strings.Contains(pe.Error(), "bang") {

@@ -26,7 +26,7 @@ type Task struct {
 	// Algorithm 2 traverses.
 	waitingOn atomic.Pointer[pstate]
 
-	// owned is the inverse ownership map owner^-1(t) under TrackList.
+	// owned is the inverse ownership map owner^-1(t).
 	// It is manipulated only by this task's own goroutine, except that the
 	// parent seeds it before the task starts (a happens-before edge via
 	// goroutine creation), so no locking is required. Removal is exact:
@@ -41,9 +41,6 @@ type Task struct {
 	// dedicated small slice, and tasks that never own a promise pay
 	// nothing at all.
 	owned []AnyPromise
-
-	// ownedCount is the footprint-saving alternative under TrackCounter.
-	ownedCount int
 
 	// done is signalled at termination, after err is written. Tasks
 	// nobody Waits on never pay for a channel.
@@ -144,37 +141,25 @@ func (t *Task) OwnedPromises() []AnyPromise {
 }
 
 func (t *Task) noteOwned(p AnyPromise) {
-	switch t.rt.tracking {
-	case TrackList:
-		s := p.state()
-		s.ownedIdx = len(t.owned)
-		t.owned = append(t.owned, p)
-	case TrackCounter:
-		t.ownedCount++
-	}
+	p.state().ownedIdx = len(t.owned)
+	t.owned = append(t.owned, p)
 }
 
 // noteDischarged records that t no longer owes p (it was set, or moved to
-// a child). Under TrackList the entry is swap-deleted in O(1) via the
-// promise's back-index, so fulfilled promises are not pinned; under
-// TrackCounter only the count drops.
+// a child). The entry is swap-deleted in O(1) via the promise's
+// back-index, so fulfilled promises are not pinned.
 func (t *Task) noteDischarged(p AnyPromise) {
-	switch t.rt.tracking {
-	case TrackList:
-		s := p.state()
-		i := s.ownedIdx
-		last := len(t.owned) - 1
-		if i < 0 || i > last || t.owned[i] != p {
-			return // defensive: never corrupt the list
-		}
-		t.owned[i] = t.owned[last]
-		t.owned[i].state().ownedIdx = i
-		t.owned[last] = nil
-		t.owned = t.owned[:last]
-		s.ownedIdx = -1
-	case TrackCounter:
-		t.ownedCount--
+	s := p.state()
+	i := s.ownedIdx
+	last := len(t.owned) - 1
+	if i < 0 || i > last || t.owned[i] != p {
+		return // defensive: never corrupt the list
 	}
+	t.owned[i] = t.owned[last]
+	t.owned[i].state().ownedIdx = i
+	t.owned[last] = nil
+	t.owned = t.owned[:last]
+	s.ownedIdx = -1
 }
 
 // Async spawns a child task running f, moving the promises of each Movable
@@ -293,7 +278,7 @@ func (t *Task) validateMoved(ms movedSet) error {
 func (t *Task) transferMoved(child *Task, ms movedSet) {
 	r := t.rt
 	n := ms.len()
-	if r.tracking == TrackList && child.owned == nil && n > 1 {
+	if child.owned == nil && n > 1 {
 		child.owned = make([]AnyPromise, 0, n)
 	}
 	for i := 0; i < n; i++ {
@@ -311,18 +296,6 @@ func (t *Task) transferMoved(child *Task, ms movedSet) {
 			r.logEventArg(EvMove, t, s, child.id, "to "+child.displayName())
 		}
 	}
-}
-
-// outstanding returns the promises the task still owns at termination
-// (rule 3 check). Under TrackList that is the owned list itself, in
-// place: set and move discharge exactly, so the list holds only promises
-// the task still owns, and a terminated task never touches it again.
-// Under TrackCounter it returns nil and the count.
-func (t *Task) outstanding() ([]AnyPromise, int) {
-	if t.rt.tracking == TrackCounter {
-		return nil, t.ownedCount
-	}
-	return t.owned, len(t.owned)
 }
 
 func invokeTask(f TaskFunc, t *Task) (err error) {
@@ -426,12 +399,15 @@ func (r *Runtime) runTask(t *Task, f TaskFunc) {
 }
 
 // finishTask enforces rule 3 and records the task's error. A terminating
-// task must own no promises; if it does, the omitted set is reported with
-// blame and every leaked promise is completed exceptionally so consumers
-// unblock (§6.2). The task's own error and then its omitted set are
-// recorded before anything they can wake — the cascade here, the done
-// signal in runTask — so a woken waiter records its broken-promise error
-// after its cause, and the run's report always lists the cause first.
+// task must own no promises. Its owned list holds exactly the promises
+// it still owes (set and move discharge exactly, and a terminated task
+// never touches the list again), so a non-empty list is the omitted set
+// as it stands: it is reported with blame, and every leaked promise is
+// completed exceptionally so consumers unblock (§6.2). The task's own
+// error and then its omitted set are recorded before anything they can
+// wake — the cascade here, the done signal in runTask — so a woken
+// waiter records its broken-promise error after its cause, and the
+// run's report always lists the cause first.
 // It returns what Task.Wait reports: the task's error, its omitted set,
 // or a Report of both.
 func (r *Runtime) finishTask(t *Task, err error) error {
@@ -439,12 +415,12 @@ func (r *Runtime) finishTask(t *Task, err error) error {
 		r.record(err)
 		return err
 	}
-	leaked, n := t.outstanding()
-	if n == 0 {
+	leaked := t.owned
+	if len(leaked) == 0 {
 		r.record(err)
 		return err
 	}
-	om := &OmittedSetError{TaskID: t.id, taskName: t.name, Promises: leaked, Count: n}
+	om := &OmittedSetError{TaskID: t.id, taskName: t.name, Promises: leaked}
 	r.alarm(om)
 	cause := err
 	if cause == nil {

@@ -1,7 +1,8 @@
 package core
 
-// Tests of the owned-set representations (§6.2): exact list (default)
-// and the counter.
+// Tests of the owned list (§6.2): exact swap-delete bookkeeping, and the
+// rule-3 guarantee it carries — blame by name and a broken promise for
+// every consumer — in every verified configuration.
 
 import (
 	"errors"
@@ -9,10 +10,6 @@ import (
 	"testing"
 	"testing/quick"
 )
-
-func trackingKinds() []OwnedTracking {
-	return []OwnedTracking{TrackList, TrackCounter}
-}
 
 func TestExactListInterleavedSetAndMove(t *testing.T) {
 	// Hammer the swap-delete bookkeeping: create many promises, discharge
@@ -69,37 +66,50 @@ func TestExactListNoGhostEntries(t *testing.T) {
 	}
 }
 
-func TestOmittedSetDetectedUnderEveryTracking(t *testing.T) {
-	for _, kind := range trackingKinds() {
-		t.Run(fmt.Sprint(kind), func(t *testing.T) {
-			rt := NewRuntime(WithMode(Ownership), WithOwnedTracking(kind))
-			err := run(t, rt, func(tk *Task) error {
-				p := NewPromiseNamed[int](tk, "owed")
-				done := NewPromiseNamed[struct{}](tk, "done")
-				if _, e := tk.AsyncNamed("debtor", func(c *Task) error {
-					defer done.MustSet(c, struct{}{})
-					return nil // leaks p
-				}, p, done); e != nil {
+// TestOmittedSetBlamedAndBrokenOnEveryPath pins rule 3 in every
+// configuration that enforces it: a child that ends owning a promise is
+// blamed by name with the promise listed, a consumer blocked on that
+// promise is woken with a BrokenPromiseError caused by the omitted set,
+// and Run returns (run fails the test on a hang).
+func TestOmittedSetBlamedAndBrokenOnEveryPath(t *testing.T) {
+	for _, mode := range []Mode{Ownership, Full} {
+		for _, det := range []DetectorKind{DetectLockFree, DetectGlobalLock} {
+			t.Run(mode.String()+"-"+det.String(), func(t *testing.T) {
+				rt := NewRuntime(WithMode(mode), WithDetector(det))
+				var consumed error
+				err := run(t, rt, func(tk *Task) error {
+					p := NewPromiseNamed[int](tk, "owed")
+					got := NewPromiseNamed[struct{}](tk, "got")
+					if _, e := tk.AsyncNamed("consumer", func(c *Task) error {
+						_, consumed = p.Get(c)
+						return got.Set(c, struct{}{})
+					}, got); e != nil {
+						return e
+					}
+					if _, e := tk.AsyncNamed("debtor", func(c *Task) error {
+						return nil // leaks p
+					}, p); e != nil {
+						return e
+					}
+					_, e := got.Get(tk)
 					return e
+				})
+				var om *OmittedSetError
+				if !errors.As(err, &om) {
+					t.Fatalf("omitted set missed: %v", err)
 				}
-				_, e := done.Get(tk)
-				return e
+				if om.TaskName() != "debtor" {
+					t.Fatalf("blame = %q", om.TaskName())
+				}
+				if len(om.Promises) != 1 || om.Promises[0].Label() != "owed" {
+					t.Fatalf("omitted set lists %v, want [owed]", om.Promises)
+				}
+				var bp *BrokenPromiseError
+				if !errors.As(consumed, &bp) || bp.Cause != error(om) {
+					t.Fatalf("consumer got %v, want a broken promise caused by %v", consumed, om)
+				}
 			})
-			var om *OmittedSetError
-			if !errors.As(err, &om) {
-				t.Fatalf("tracking %v missed the omitted set: %v", kind, err)
-			}
-			if om.TaskName() != "debtor" {
-				t.Fatalf("blame = %q", om.TaskName())
-			}
-			if kind == TrackCounter {
-				if om.Promises != nil || om.Count != 1 {
-					t.Fatalf("counter report: %+v", om)
-				}
-			} else if len(om.Promises) != 1 || om.Promises[0].Label() != "owed" {
-				t.Fatalf("list report: %+v", om)
-			}
-		})
+		}
 	}
 }
 
@@ -154,12 +164,14 @@ func TestPropertyExactListPermutationProof(t *testing.T) {
 	}
 }
 
-// Property: both tracking modes agree on clean completion for random
-// programs (the generator exercises deep move chains).
+// Property: both modes that track ownership (Ownership and Full) agree
+// on clean completion for random move chains: the value set at the end
+// of the chain reaches its start, and every owned list ends empty (or
+// the run would report an omitted set).
 func TestPropertyTrackingModesAgree(t *testing.T) {
 	check := func(seed int64) bool {
-		for _, kind := range trackingKinds() {
-			rt := NewRuntime(WithMode(Full), WithOwnedTracking(kind))
+		for _, mode := range []Mode{Ownership, Full} {
+			rt := NewRuntime(WithMode(mode))
 			err := rt.Run(func(tk *Task) error {
 				// Small in-package dataflow: chain of moves + sets.
 				p := NewPromise[int](tk)
@@ -188,7 +200,7 @@ func TestPropertyTrackingModesAgree(t *testing.T) {
 				return nil
 			})
 			if err != nil {
-				t.Logf("kind %v: %v", kind, err)
+				t.Logf("mode %v: %v", mode, err)
 				return false
 			}
 		}

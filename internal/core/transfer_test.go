@@ -8,34 +8,30 @@ import (
 
 // TestDuplicateMoveInOneSpawn: listing the same promise twice in a single
 // Async (directly or via overlapping collections) must transfer it once,
-// with exact obligation accounting in every tracking mode.
+// with exact obligation accounting.
 func TestDuplicateMoveInOneSpawn(t *testing.T) {
-	for _, kind := range trackingKinds() {
-		t.Run(fmt.Sprint(kind), func(t *testing.T) {
-			rt := NewRuntime(WithMode(Full), WithOwnedTracking(kind))
-			err := run(t, rt, func(tk *Task) error {
-				p := NewPromiseNamed[int](tk, "dup")
-				if _, e := tk.Async(func(c *Task) error {
-					if p.Owner() != c {
-						return errors.New("not transferred")
-					}
-					return p.Set(c, 1)
-				}, p, p, Group{p}); e != nil {
-					return e
-				}
-				v, e := p.Get(tk)
-				if e != nil {
-					return e
-				}
-				if v != 1 {
-					return fmt.Errorf("v = %d", v)
-				}
-				return nil
-			})
-			if err != nil {
-				t.Fatalf("duplicate move broke accounting: %v", err)
+	rt := NewRuntime(WithMode(Full))
+	err := run(t, rt, func(tk *Task) error {
+		p := NewPromiseNamed[int](tk, "dup")
+		if _, e := tk.Async(func(c *Task) error {
+			if p.Owner() != c {
+				return errors.New("not transferred")
 			}
-		})
+			return p.Set(c, 1)
+		}, p, p, Group{p}); e != nil {
+			return e
+		}
+		v, e := p.Get(tk)
+		if e != nil {
+			return e
+		}
+		if v != 1 {
+			return fmt.Errorf("v = %d", v)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("duplicate move broke accounting: %v", err)
 	}
 }
 

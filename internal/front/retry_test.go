@@ -358,7 +358,7 @@ func TestShutdownVsReconnectRace(t *testing.T) {
 				default:
 				}
 				ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-				s, err := r.Submit(ctx, SubmitRequest{Workload: "Sieve"})
+				s, err := r.Submit(ctx, SubmitRequest{Workload: "Sieve", Scale: "small"})
 				if err == nil {
 					s.Wait()
 				}

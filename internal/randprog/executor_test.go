@@ -43,22 +43,3 @@ func TestPropertyDetectorExecutorIndependent(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// Property: generated programs are mode-agnostic in outcome — the same
-// seed completes cleanly under every owned-set representation.
-func TestPropertyTrackingIndependent(t *testing.T) {
-	check := func(seed int64) bool {
-		prog := Generate(DefaultConfig(seed))
-		for _, tr := range []core.OwnedTracking{core.TrackList, core.TrackCounter} {
-			rt := core.NewRuntime(core.WithMode(core.Full), core.WithOwnedTracking(tr))
-			if err := rt.Run(prog.Main()); err != nil {
-				t.Logf("seed %d tracking %v: %v", seed, tr, err)
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 15}); err != nil {
-		t.Fatal(err)
-	}
-}

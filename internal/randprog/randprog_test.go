@@ -147,23 +147,6 @@ func TestPropertyCleanPartUnaffectedByRing(t *testing.T) {
 	}
 }
 
-// Property: ownership bookkeeping is exact — the counter variant reports
-// nothing on clean programs (its count returns to zero in every task).
-func TestPropertyCounterTrackingExact(t *testing.T) {
-	check := func(seed int64) bool {
-		prog := Generate(DefaultConfig(seed))
-		rt := core.NewRuntime(core.WithMode(core.Full), core.WithOwnedTracking(core.TrackCounter))
-		if err := rt.Run(prog.Main()); err != nil {
-			t.Logf("seed %d: %v", seed, err)
-			return false
-		}
-		return true
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 20}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // Property: event counters balance — gets >= awaits performed, and sets
 // equals the number of promises (each is fulfilled exactly once).
 func TestPropertyEventCountersBalance(t *testing.T) {

@@ -240,14 +240,15 @@ func TestDecoderHugeDeclaredLength(t *testing.T) {
 const frontListing1 = "testdata/front-listing1.trace"
 
 // TestFrontTraceVerifies: a front-returned trace decodes, and its one
-// deadlock cycle re-verifies, as it did when it was recorded.
+// deadlock cycle re-verifies, as it did when it was recorded. Its meta
+// record carries the tracking= key older runtimes wrote.
 func TestFrontTraceVerifies(t *testing.T) {
 	evs, err := ReadFile(frontListing1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rep := Verify(evs)
-	if !rep.Consistent() || !rep.Complete || rep.Deadlocks != 1 || !rep.Alarms[0].CycleVerified {
+	if !rep.Consistent() || !rep.Complete || rep.Deadlocks != 1 || !rep.Alarms[0].CycleVerified || rep.Mode != "full" {
 		t.Fatalf("%s: %s %q", frontListing1, rep.Summary(), rep.Problems)
 	}
 }

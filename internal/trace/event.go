@@ -29,7 +29,7 @@ const (
 	// verifier reports it as best-effort and Graph as partial.
 	KindGap
 	// KindMeta is free-form stream metadata (Detail), e.g. the runtime
-	// configuration ("mode=full detector=lockfree tracking=list") or a
+	// configuration ("mode=full detector=lockfree") or a
 	// recorder's program fingerprint ("randprog:{...}"). Meta records
 	// written by a recorder before the run may carry Seq 0, which sorts
 	// before every real event.

@@ -15,7 +15,8 @@ func named(seq uint64, k Kind, task uint64, taskName string, prom uint64, label 
 // listing1 is the stream the runtime records for the paper's Listing 1
 // up to the hang: main (task 1) makes p and q, spawns the bystander t1
 // (task 2) and t2 (task 3, which takes q), then main waits on q and t2
-// on p. Under mode=unverified there is no move record.
+// on p. Under mode=unverified there is no move record. Its meta record
+// is in the older form, with a tracking= key the verifier ignores.
 func listing1(mode string) []Event {
 	evs := []Event{
 		ev(1, KindMeta, 0, 0, 0, "mode="+mode+" detector=lockfree tracking=list"),

@@ -30,7 +30,6 @@ type Report struct {
 	TaskErrors uint64 // from KindRunEnd's Arg
 	Mode       string // from the runtime-config meta record, "" if absent
 	Detector   string
-	Tracking   string
 	Meta       []string // raw Detail of every meta record
 	Alarms     []Alarm
 	Deadlocks  int // alarms of class AlarmDeadlock
@@ -331,15 +330,13 @@ func (v *verifier) finish() {
 }
 
 // parseMeta picks the runtime configuration out of a meta record of the
-// form "mode=<m> detector=<d> tracking=<t>".
+// form "mode=<m> detector=<d>". Any other key, such as the tracking=
+// that older runtimes wrote, is ignored.
 func (v *verifier) parseMeta(s string) {
 	if val, ok := metaValue(s, "mode"); ok {
 		v.rep.Mode = val
 	}
 	if val, ok := metaValue(s, "detector"); ok {
 		v.rep.Detector = val
-	}
-	if val, ok := metaValue(s, "tracking"); ok {
-		v.rep.Tracking = val
 	}
 }

@@ -10,7 +10,7 @@ func ev(seq uint64, k Kind, task, prom, arg uint64, detail string) Event {
 	return Event{Seq: seq, Kind: k, TaskID: task, PromiseID: prom, Arg: arg, Detail: detail}
 }
 
-const metaFull = "mode=full detector=lockfree tracking=list"
+const metaFull = "mode=full detector=lockfree"
 
 // cleanRun is a minimal well-formed trace: root spawns a child, moves a
 // promise to it, the child sets, the root blocks and wakes.
@@ -35,7 +35,7 @@ func TestVerifyCleanRun(t *testing.T) {
 	if !rep.Clean() {
 		t.Fatalf("clean run not clean: %+v", rep)
 	}
-	if rep.Mode != "full" || rep.Detector != "lockfree" || rep.Tracking != "list" {
+	if rep.Mode != "full" || rep.Detector != "lockfree" {
 		t.Fatalf("meta not parsed: %+v", rep)
 	}
 	if !rep.Terminated || !rep.Complete {
@@ -197,7 +197,7 @@ func TestVerifyUnverifiedModeSkipsOwnership(t *testing.T) {
 	// In unverified mode promises have no owners and no moves; a set by
 	// a "non-creator" is fine, but lifecycle checks still apply.
 	evs := []Event{
-		ev(1, KindMeta, 0, 0, 0, "mode=unverified detector=lockfree tracking=list"),
+		ev(1, KindMeta, 0, 0, 0, "mode=unverified detector=lockfree"),
 		ev(2, KindTaskStart, 1, 0, 0, ""),
 		ev(3, KindNewPromise, 1, 1, 0, ""),
 		ev(4, KindTaskStart, 2, 0, 1, ""),
