@@ -191,12 +191,10 @@ var (
 type (
 	// Pool runs many isolated sessions on one shared scheduler.
 	Pool = serve.Pool
-	// PoolConfig is the resolved configuration of a Pool; NewServePool
-	// with ServeOption values is the functional-options form.
-	PoolConfig = serve.Config
-	// ServeOption configures serving behaviour, at pool scope
-	// (NewServePool) or submit scope (Pool.Submit) — one option family,
-	// documented precedence: defaults < pool < submit.
+	// ServeOption configures serving behaviour. Every option but
+	// WithRuntime acts at one scope, pool (NewServePool) or submit
+	// (Pool.Submit); WithRuntime acts at both, the submit-scope list
+	// landing after the pool's.
 	ServeOption = serve.Option
 	// PoolStats is the pool's aggregate accounting snapshot.
 	PoolStats = serve.PoolStats
@@ -206,9 +204,6 @@ type (
 	PoolObservation = serve.Observation
 	// Session is one submitted program's local handle.
 	Session = serve.Session
-	// SessionHandle is the transport-neutral session view implemented by
-	// both *Session and the network client's remote sessions.
-	SessionHandle = serve.SessionHandle
 	// Verdict classifies how a session ended.
 	Verdict = serve.Verdict
 	// DeadlineInfeasibleError is the typed rejection carrying the
@@ -232,10 +227,7 @@ const (
 )
 
 var (
-	// NewPool creates a serving pool from a resolved PoolConfig.
-	NewPool = serve.NewPool
-	// NewServePool creates a serving pool from ServeOption values (the
-	// functional-options constructor; same pool as NewPool).
+	// NewServePool creates a serving pool from ServeOption values.
 	NewServePool = serve.New
 	// ClassifyVerdict maps a run error to its Verdict.
 	ClassifyVerdict = serve.Classify
@@ -248,23 +240,22 @@ var (
 	// admission; errors.Is-matchable sentinel).
 	ErrDeadlineInfeasible = serve.ErrDeadlineInfeasible
 
-	// Serving options (ServeOption), pool scope unless noted.
+	// Serving options (ServeOption), each named with its scope.
 
-	// WithMaxSessions bounds concurrently running sessions.
+	// WithMaxSessions bounds concurrently running sessions (pool scope).
 	WithMaxSessions = serve.WithMaxSessions
-	// WithQueueDepth bounds waiting sessions PER TENANT.
+	// WithQueueDepth bounds waiting sessions PER TENANT (pool scope).
 	WithQueueDepth = serve.WithQueueDepth
-	// WithIdleTimeout sets the shared scheduler's worker idle timeout.
-	WithIdleTimeout = serve.WithIdleTimeout
-	// WithTenantWeight sets a tenant's weighted-fair admission share.
+	// WithTenantWeight sets a tenant's weighted-fair admission share
+	// (pool scope).
 	WithTenantWeight = serve.WithTenantWeight
 	// WithRuntime appends core options to session runtimes (both scopes;
 	// submit-scope options land after the pool's and win).
 	WithRuntime = serve.WithRuntime
-	// WithTenant names the fairness tenant (both scopes; submit wins).
+	// WithTenant names a session's fairness tenant (submit scope).
 	WithTenant = serve.WithTenant
-	// WithDeadlineAdmission toggles deadline-aware admission (both
-	// scopes; submit wins).
+	// WithDeadlineAdmission toggles deadline-aware admission (pool
+	// scope).
 	WithDeadlineAdmission = serve.WithDeadlineAdmission
 )
 
@@ -274,8 +265,8 @@ var (
 // Future fulfilled exactly when the producer's verdict is clean. The
 // orchestrator submits a node the moment all of its inputs are
 // fulfilled, applies per-node policy (retry with backoff, per-attempt
-// timeout, runtime mode), and on a terminal failure cascade-cancels
-// exactly the dependents — independent branches run to completion.
+// timeout), and on a terminal failure cascade-cancels exactly the
+// dependents — independent branches run to completion.
 // cmd/loadgen -graph is the invariant-checking driver built on it.
 type (
 	// Graph is a single-shot DAG of dependent sessions; NewGraph builds
@@ -308,9 +299,6 @@ type (
 	// GraphResult is Graph.Run's report: per-node results, aggregate
 	// counts, retries, and the critical path.
 	GraphResult = graph.GraphResult
-	// GraphStats are the package-wide cumulative graph counters
-	// (GraphStatsNow reads them).
-	GraphStats = graph.GraphStats
 	// ErrUpstream marks a cascade-canceled node: Node names the ROOT
 	// failure, Cause (unwrapped) is why it went down.
 	ErrUpstream = graph.ErrUpstream
@@ -341,12 +329,6 @@ var (
 	// WithNodeTimeout bounds each attempt; a timed-out attempt is
 	// retryable (errors.Is ErrNodeTimeout), unlike a graph-level cancel.
 	WithNodeTimeout = graph.WithTimeout
-	// WithNodeRuntime appends core options to one node's session runtime.
-	WithNodeRuntime = graph.WithRuntime
-	// WithNodeSubmit appends serve options to one node's Submit.
-	WithNodeSubmit = graph.WithSubmit
-	// GraphStatsNow snapshots the cumulative graph counters.
-	GraphStatsNow = graph.Stats
 
 	// ErrNodeTimeout is the cancellation cause of a timed-out node
 	// attempt (retryable; distinguishes attempt deadline from terminal
@@ -379,8 +361,8 @@ type (
 	FrontClient = front.Client
 	// SubmitRequest describes one remote session submission.
 	SubmitRequest = front.SubmitRequest
-	// RemoteSession is an accepted remote session: the SessionHandle
-	// implementation whose verdict arrives over the wire.
+	// RemoteSession is an accepted remote session whose verdict arrives
+	// over the wire.
 	RemoteSession = front.RemoteSession
 	// RemoteError is a session error reconstructed from the wire.
 	RemoteError = front.RemoteError

@@ -212,7 +212,7 @@ func TestFacadeContextFirst(t *testing.T) {
 }
 
 func TestFacadePoolSessionCancel(t *testing.T) {
-	pool := repro.NewPool(repro.PoolConfig{MaxSessions: 2})
+	pool := repro.NewServePool(repro.WithMaxSessions(2))
 	defer pool.Close()
 	ctx, cancel := context.WithCancel(t.Context())
 	sess, err := pool.Submit(ctx, "hung-client", func(tk *repro.Task) error {
@@ -244,7 +244,7 @@ func TestFacadePoolSessionCancel(t *testing.T) {
 // serving-layer example: isolated sessions over one shared scheduler,
 // verdicts per session, saturation as a typed error.
 func TestFacadePool(t *testing.T) {
-	pool := repro.NewPool(repro.PoolConfig{MaxSessions: 4, QueueDepth: 8})
+	pool := repro.NewServePool(repro.WithMaxSessions(4), repro.WithQueueDepth(8))
 	clean, err := pool.Submit(t.Context(), "clean", func(tk *repro.Task) error {
 		p := repro.NewPromise[string](tk)
 		if _, err := tk.Async(func(c *repro.Task) error { return p.Set(c, "hi") }, p); err != nil {
@@ -299,8 +299,11 @@ func TestFacadePool(t *testing.T) {
 // session-graph quickstart: a diamond DAG over a pool, typed handoff
 // between sessions via GraphInput, per-node retry policy, and the
 // cascade contract (ErrUpstream names the root failure; independent
-// branches still complete).
+// branches still complete), counted in the installed metrics registry.
 func TestFacadeSessionGraph(t *testing.T) {
+	reg := repro.NewMetricsRegistry()
+	repro.InstallMetrics(reg)
+	t.Cleanup(func() { repro.InstallMetrics(nil) })
 	pool := repro.NewServePool(repro.WithMaxSessions(4), repro.WithQueueDepth(16))
 	defer pool.Close()
 
@@ -386,8 +389,13 @@ func TestFacadeSessionGraph(t *testing.T) {
 		t.Fatalf("island state %s (independent branch must complete)", nr.State)
 	}
 
-	if st := repro.GraphStatsNow(); st.GraphsRun < 2 || st.NodesSucceeded < 5 || st.NodesCanceled < 1 {
-		t.Fatalf("graph stats %+v", st)
+	snap := reg.Snapshot()
+	runs, nodes := snap.Vectors["graph_runs_total"], snap.Vectors["graph_nodes_total"]
+	if runs["result=ok"] != 1 || runs["result=failed"] != 1 {
+		t.Fatalf("graph_runs_total %v, want 1 ok and 1 failed", runs)
+	}
+	if nodes["state=succeeded"] != 5 || nodes["state=failed"] != 1 || nodes["state=canceled"] != 1 {
+		t.Fatalf("graph_nodes_total %v, want 5 succeeded, 1 failed, 1 canceled", nodes)
 	}
 }
 

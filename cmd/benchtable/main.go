@@ -75,6 +75,10 @@ type report struct {
 	PrevMicro []harness.Micro `json:"prev_micro,omitempty"`
 }
 
+// loadgenSections are the top-level keys of BENCH_table1.json that
+// cmd/loadgen writes (its -json flag), not this command.
+var loadgenSections = []string{"serve", "front", "chaos", "graph"}
+
 func writeJSON(path string, rep report) error {
 	var oldDoc map[string]json.RawMessage
 	if prev, err := os.ReadFile(path); err == nil {
@@ -92,10 +96,11 @@ func writeJSON(path string, rep report) error {
 	if err := json.Unmarshal(buf, &doc); err != nil {
 		return err
 	}
-	// Sections owned by other tools (e.g. cmd/loadgen's "serve") survive a
-	// table regeneration untouched.
-	for k, v := range oldDoc {
-		if _, ok := doc[k]; !ok {
+	// The sections cmd/loadgen owns survive a table regeneration
+	// untouched; any other old key is dropped, so a field deleted from
+	// the report does not live on in the file.
+	for _, k := range loadgenSections {
+		if v, ok := oldDoc[k]; ok {
 			doc[k] = v
 		}
 	}

@@ -65,6 +65,50 @@ func TestAppendHistoryKeepsForeignRecords(t *testing.T) {
 	}
 }
 
+// TestWriteJSONKeepsOnlyLoadgenSections: regenerating the table drops
+// an old top-level key the report no longer has, and carries a section
+// cmd/loadgen wrote forward byte for byte.
+func TestWriteJSONKeepsOnlyLoadgenSections(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "table.json")
+	old := map[string]json.RawMessage{
+		"tracking": json.RawMessage(`"list"`),
+		"graph":    json.RawMessage(`{"graphs_run":3,"node_latency":{"p50":1.50,"p99":2e-06},"per_shape":{"z":1,"a":2}}`),
+		"micro":    json.RawMessage(`[]`),
+	}
+	buf, err := json.MarshalIndent(old, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, buf, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	sections := func() map[string]json.RawMessage {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var doc map[string]json.RawMessage
+		if err := json.Unmarshal(raw, &doc); err != nil {
+			t.Fatal(err)
+		}
+		return doc
+	}
+	before := sections()
+	if err := writeJSON(path, report{Scale: "small", Micro: testBaseline}); err != nil {
+		t.Fatal(err)
+	}
+	after := sections()
+	if _, ok := after["tracking"]; ok {
+		t.Errorf("stale key tracking carried forward: %s", after["tracking"])
+	}
+	if got, want := string(after["graph"]), string(before["graph"]); got != want {
+		t.Errorf("graph section changed:\n got %s\nwant %s", got, want)
+	}
+	if _, ok := after["scale"]; !ok {
+		t.Error("report field scale missing")
+	}
+}
+
 // TestMeasureBestTakesMinimaIndependently: each micro keeps its fastest
 // pass's ns/op with that pass's B/op, and the lowest allocs/op of any
 // pass, even when the two minima come from different passes; rows stay

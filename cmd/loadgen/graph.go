@@ -410,7 +410,6 @@ type graphReport struct {
 
 	GraphLatency hist.HistSummary `json:"graph_latency"`
 	NodeLatency  hist.HistSummary `json:"node_latency"`
-	Stats        graph.GraphStats `json:"cumulative"`
 	Pool         serve.PoolStats  `json:"pool"`
 }
 
@@ -433,12 +432,12 @@ func runGraph(cfg config, led *ledger) error {
 		cfg.graphShape, cfg.nodes, cfg.failProb, cfg.flakyProb, cfg.retries, cfg.graphDrivers, cfg.sessions, cfg.queue, cfg.chaosRate, cfg.dur)
 
 	goroutinesBefore := runtime.NumGoroutine()
-	pool := serve.NewPool(serve.Config{
-		MaxSessions: cfg.sessions,
-		QueueDepth:  cfg.queue,
-		Runtime:     cfg.runtime,
-		Chaos:       inj,
-	})
+	pool := serve.New(
+		serve.WithMaxSessions(cfg.sessions),
+		serve.WithQueueDepth(cfg.queue),
+		serve.WithRuntime(cfg.runtime...),
+		serve.WithChaos(inj),
+	)
 
 	tally := &graphTally{
 		graphLat: hist.NewHistogram(),
@@ -544,7 +543,6 @@ func runGraph(cfg config, led *ledger) error {
 
 		GraphLatency: gsum,
 		NodeLatency:  nsum,
-		Stats:        graph.Stats(),
 		Pool:         ps,
 	}
 	if err := writeJSONSection(cfg.jsonOut, "graph", rep); err != nil {

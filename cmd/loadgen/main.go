@@ -661,11 +661,11 @@ func sortedKeys[V any](m map[string]V) []string {
 // reported in the pool line).
 func runClosed(cfg config, led *ledger) error {
 	goroutinesBefore := runtime.NumGoroutine()
-	pool := serve.NewPool(serve.Config{
-		MaxSessions: cfg.sessions,
-		QueueDepth:  cfg.queue,
-		Runtime:     cfg.runtime,
-	})
+	pool := serve.New(
+		serve.WithMaxSessions(cfg.sessions),
+		serve.WithQueueDepth(cfg.queue),
+		serve.WithRuntime(cfg.runtime...),
+	)
 	stats := newSessionStats(cfg.mix, false, led)
 	nDrivers := cfg.drivers
 	if nDrivers <= 0 {

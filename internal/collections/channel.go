@@ -98,39 +98,3 @@ func (c *Channel[T]) RecvContext(ctx context.Context, t *core.Task) (T, bool, er
 	c.consumer = pl.next
 	return pl.value, true, nil
 }
-
-// TryRecv is the non-blocking Recv: it returns (value, true, nil) if a
-// Send has already arrived, (zero, false, nil) if the stream is closed or
-// no value is ready, and an error if the pending link completed
-// exceptionally. It never blocks and never creates a waits-for edge —
-// just the promise fast path's single atomic load — so pollers can drain
-// a channel without engaging the deadlock detector.
-func (c *Channel[T]) TryRecv() (T, bool, error) {
-	var zero T
-	pl, ok, err := c.consumer.TryGetErr()
-	if err != nil {
-		return zero, false, err
-	}
-	if !ok || !pl.ok {
-		return zero, false, nil
-	}
-	c.consumer = pl.next
-	return pl.value, true, nil
-}
-
-// MustRecv is Recv panicking on error, for pipeline code where an error is
-// a bug; the panic is recovered by the task wrapper.
-func (c *Channel[T]) MustRecv(t *core.Task) (T, bool) {
-	v, ok, err := c.Recv(t)
-	if err != nil {
-		panic(err)
-	}
-	return v, ok
-}
-
-// MustSend is Send panicking on error.
-func (c *Channel[T]) MustSend(t *core.Task, v T) {
-	if err := c.Send(t, v); err != nil {
-		panic(err)
-	}
-}

@@ -83,18 +83,6 @@ func TraceTo(sink trace.Sink) Option {
 	}
 }
 
-// TraceFlush returns the first sink error, if any. The collector
-// delivers synchronously, so once the program is quiescent (e.g. after
-// Run returns) every event is already in the sinks; mid-run, a running
-// task's staged events (at most stageCap) reach them at its next block
-// or at its end.
-func (r *Runtime) TraceFlush() error {
-	if r.events == nil {
-		return nil
-	}
-	return r.events.c.Flush()
-}
-
 // TraceClose closes every sink (flushing file sinks to disk).
 // Idempotent. The runtime must not record further events afterwards,
 // so call it only after Run has returned.

@@ -177,16 +177,6 @@ func (t *Task) AsyncNamed(name string, f TaskFunc, moved ...Movable) (*Task, err
 	return t.async(name, f, moved)
 }
 
-// MustAsync is Async for contexts where an error is a programming bug; it
-// panics on error.
-func (t *Task) MustAsync(f TaskFunc, moved ...Movable) *Task {
-	child, err := t.async("", f, moved)
-	if err != nil {
-		panic(err)
-	}
-	return child
-}
-
 func (t *Task) async(name string, f TaskFunc, moved []Movable) (*Task, error) {
 	r := t.rt
 	child := r.newTask(name, t)

@@ -61,10 +61,7 @@ type DialOptions struct {
 
 // Client is the Go client for a Front. One Client owns one TCP
 // connection; Submit is safe for concurrent use, and each submission
-// returns a *RemoteSession — the remote implementation of
-// serve.SessionHandle, so code written against the handle (the load
-// generator, operator tooling) drives local and remote sessions
-// identically.
+// returns a *RemoteSession.
 type Client struct {
 	nc     net.Conn
 	fr     *frameReader
@@ -128,8 +125,8 @@ type SubmitRequest struct {
 	Trace bool
 }
 
-// RemoteSession is a submitted-and-accepted remote session. It
-// implements serve.SessionHandle; accessors other than ID, Name, Tenant
+// RemoteSession is a submitted-and-accepted remote session, with the
+// accessors of a local *serve.Session; those other than ID, Name, Tenant
 // and Done are valid after Wait (or a receive from Done) returns.
 type RemoteSession struct {
 	c        *Client
@@ -533,9 +530,7 @@ func parseVerdict(s string) serve.Verdict {
 	}
 }
 
-// --- RemoteSession: the serve.SessionHandle surface ---
-
-var _ serve.SessionHandle = (*RemoteSession)(nil)
+// --- RemoteSession accessors ---
 
 // ID returns the client-assigned, connection-unique session id.
 func (s *RemoteSession) ID() uint64 { return s.id }

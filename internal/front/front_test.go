@@ -75,12 +75,6 @@ func TestFrontEndToEnd(t *testing.T) {
 	if clean.Tenant() != "gold" || clean.Name() != "Sieve" {
 		t.Fatalf("handle identity: tenant %q name %q", clean.Tenant(), clean.Name())
 	}
-
-	// Both handles satisfy the shared interface the local pool's do.
-	var h serve.SessionHandle = clean
-	if h.Verdict() != serve.VerdictClean {
-		t.Fatal("SessionHandle view disagrees")
-	}
 }
 
 // TestFrontRejections covers the synchronous refusal paths: bad API key

@@ -85,8 +85,6 @@ type Node struct {
 	deps    []string
 	retry   Retry
 	timeout time.Duration
-	runtime []core.Option  // per-node core options (mode override etc.)
-	submit  []serve.Option // per-node submit-scope serve options
 	future  *Future
 
 	// run state, owned by the run scheduler (guarded by run.mu).
@@ -105,21 +103,12 @@ type Node struct {
 // Name returns the node's graph-unique name.
 func (n *Node) Name() string { return n.name }
 
-// Deps returns a copy of the node's declared dependency names.
-func (n *Node) Deps() []string { return append([]string(nil), n.deps...) }
-
 // Future returns the node's output cell. It resolves when the node
 // reaches its terminal state: fulfilled with the body's output on a
 // clean verdict, failed with the node's error otherwise. Readable from
 // anywhere — including other sessions — without touching this node's
 // runtime.
 func (n *Node) Future() *Future { return n.future }
-
-// BodyRuns returns how many times the node's body has started
-// executing. For a healthy graph this is exactly the attempt count of a
-// node that ran and zero for a cascade-canceled node; the loadgen
-// harness asserts both (the "no double-run" invariant).
-func (n *Node) BodyRuns() int64 { return n.bodyRuns.Load() }
 
 // NodeOption configures one node at declaration.
 type NodeOption func(*Node)
@@ -145,21 +134,6 @@ func WithRetry(r Retry) NodeOption {
 // retried while the node's budget lasts, terminal otherwise.
 func WithTimeout(d time.Duration) NodeOption {
 	return func(n *Node) { n.timeout = d }
-}
-
-// WithRuntime appends core options to the node's session runtimes.
-// They are passed at submit scope, so they land after (and override)
-// the pool's base runtime options: WithRuntime(core.WithMode(m)) runs a
-// trusted bulk stage Unverified while the rest of the graph stays Full.
-func WithRuntime(opts ...core.Option) NodeOption {
-	return func(n *Node) { n.runtime = append(n.runtime, opts...) }
-}
-
-// WithSubmit appends submit-scope serve options (e.g. serve.WithTenant)
-// to every attempt's Pool.Submit call — the graph layer adds policy on
-// top of the unified serve.Option surface rather than forking it.
-func WithSubmit(opts ...serve.Option) NodeOption {
-	return func(n *Node) { n.submit = append(n.submit, opts...) }
 }
 
 // Graph is a DAG of dependent sessions. Build with New + Node (deps

@@ -10,16 +10,17 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/obs"
 	"repro/internal/serve"
 )
 
 func newTestPool(t *testing.T, max int) *serve.Pool {
 	t.Helper()
-	pool := serve.NewPool(serve.Config{
-		MaxSessions: max,
-		QueueDepth:  64,
-		Runtime:     []core.Option{core.WithMode(core.Full)},
-	})
+	pool := serve.New(
+		serve.WithMaxSessions(max),
+		serve.WithQueueDepth(64),
+		serve.WithRuntime(core.WithMode(core.Full)),
+	)
 	t.Cleanup(pool.Close)
 	return pool
 }
@@ -60,9 +61,19 @@ func blockUntilCanceled(root *core.Task) error {
 	return err
 }
 
+// installRegistry makes a fresh registry the process-wide one for the
+// test, so the graph_* counters it reads start at zero.
+func installRegistry(t *testing.T) *obs.Registry {
+	t.Helper()
+	reg := obs.NewRegistry()
+	obs.Install(reg)
+	t.Cleanup(func() { obs.Install(nil) })
+	return reg
+}
+
 func TestDiamondDataflow(t *testing.T) {
+	reg := installRegistry(t)
 	pool := newTestPool(t, 4)
-	before := graph.Stats()
 
 	g := graph.New("diamond")
 	g.MustNode("src", constNode(21))
@@ -119,17 +130,63 @@ func TestDiamondDataflow(t *testing.T) {
 		t.Fatalf("critical path %v, want 3 hops ending at sink", res.CriticalPath)
 	}
 
-	after := graph.Stats()
-	if after.GraphsRun-before.GraphsRun != 1 || after.GraphsOK-before.GraphsOK != 1 {
-		t.Fatalf("graph counters did not advance: before=%+v after=%+v", before, after)
+	snap := reg.Snapshot()
+	if runs := snap.Vectors["graph_runs_total"]; runs["result=ok"] != 1 || len(runs) != 1 {
+		t.Fatalf("graph_runs_total %v, want one ok run", runs)
 	}
-	if after.NodesSucceeded-before.NodesSucceeded != 4 {
-		t.Fatalf("nodes_succeeded advanced by %d, want 4", after.NodesSucceeded-before.NodesSucceeded)
+	if nodes := snap.Vectors["graph_nodes_total"]; nodes["state=succeeded"] != 4 {
+		t.Fatalf("graph_nodes_total %v, want 4 succeeded", nodes)
 	}
 
 	// Graphs are single-shot.
 	if _, err := g.Run(t.Context(), pool); err == nil {
 		t.Fatal("second Run did not error")
+	}
+}
+
+// TestGraphObsCounters checks the graph_* registry families against one
+// run's own result: a diamond whose left arm is doomed (two attempts,
+// then terminal failure) cancels the sink, and graph_runs_total{result},
+// graph_nodes_total{state} and the retry counters advance by exactly
+// the counts the GraphResult reports.
+func TestGraphObsCounters(t *testing.T) {
+	reg := installRegistry(t)
+	pool := newTestPool(t, 4)
+	boom := errors.New("boom")
+
+	g := graph.New("doomed-diamond")
+	g.MustNode("src", constNode(1))
+	g.MustNode("left", func(_ *core.Task, _ graph.Inputs) (any, error) {
+		return nil, boom
+	}, graph.After("src"), graph.WithRetry(graph.Retry{MaxAttempts: 2}))
+	g.MustNode("right", constNode(2), graph.After("src"))
+	g.MustNode("sink", constNode(3), graph.After("left", "right"))
+
+	res, err := g.Run(t.Context(), pool)
+	if !errors.Is(err, boom) {
+		t.Fatalf("Run error %v, want boom", err)
+	}
+	if res.Succeeded != 2 || res.Failed != 1 || res.Canceled != 1 || res.Retries != 1 {
+		t.Fatalf("result %d/%d/%d, %d retries; want 2 succeeded, 1 failed, 1 canceled, 1 retry",
+			res.Succeeded, res.Failed, res.Canceled, res.Retries)
+	}
+
+	snap := reg.Snapshot()
+	runs := snap.Vectors["graph_runs_total"]
+	if runs["result=failed"] != 1 || len(runs) != 1 {
+		t.Errorf("graph_runs_total %v, want exactly one failed run", runs)
+	}
+	nodes := snap.Vectors["graph_nodes_total"]
+	for state, want := range map[string]int{"succeeded": res.Succeeded, "failed": res.Failed, "canceled": res.Canceled} {
+		if got := nodes["state="+state]; got != int64(want) {
+			t.Errorf("graph_nodes_total{state=%s} = %d, want %d (vec: %v)", state, got, want, nodes)
+		}
+	}
+	if got := snap.Counters["graph_retries_total"]; got != res.Retries {
+		t.Errorf("graph_retries_total = %d, want %d", got, res.Retries)
+	}
+	if got := snap.Counters["graph_admission_retries_total"]; got != res.AdmissionRetries {
+		t.Errorf("graph_admission_retries_total = %d, want %d", got, res.AdmissionRetries)
 	}
 }
 
@@ -290,7 +347,7 @@ func TestGraphContextCancelIsTerminal(t *testing.T) {
 // the prompt typed ErrPoolClosed and terminate the node — never hang the
 // graph on a closed pool.
 func TestRetryDuringPoolDrainGetsPromptPoolClosed(t *testing.T) {
-	pool := serve.NewPool(serve.Config{MaxSessions: 2, QueueDepth: 8})
+	pool := serve.New(serve.WithMaxSessions(2), serve.WithQueueDepth(8))
 	failed := make(chan struct{})
 	g := graph.New("drain")
 	g.MustNode("a", func(_ *core.Task, _ graph.Inputs) (any, error) {
@@ -327,7 +384,7 @@ func TestRetryDuringPoolDrainGetsPromptPoolClosed(t *testing.T) {
 // (admitted but slotless) must release cleanly — the body never runs and
 // the held slot's accounting is intact for later submissions.
 func TestCancelWhileQueuedNeverRunsBody(t *testing.T) {
-	pool := serve.NewPool(serve.Config{MaxSessions: 1, QueueDepth: 8})
+	pool := serve.New(serve.WithMaxSessions(1), serve.WithQueueDepth(8))
 	defer pool.Close()
 	gate := make(chan struct{})
 	hold, err := pool.Submit(t.Context(), "hold", func(_ *core.Task) error { <-gate; return nil })

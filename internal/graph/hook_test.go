@@ -109,7 +109,7 @@ func TestCancelDuringRetryBackoff(t *testing.T) {
 // cascade-canceled, and Run returns while Close still waits for the
 // session holding the slot.
 func TestQueuedNodeCanceledByPoolClose(t *testing.T) {
-	pool := serve.NewPool(serve.Config{MaxSessions: 1, QueueDepth: 8})
+	pool := serve.New(serve.WithMaxSessions(1), serve.WithQueueDepth(8))
 	gate := make(chan struct{})
 	release := sync.OnceFunc(func() { close(gate) })
 	defer release()

@@ -7,47 +7,12 @@ import (
 	"repro/internal/obs"
 )
 
-// GraphStats is the package's cumulative orchestration accounting,
-// process-wide across every Graph.Run. The same figures feed the obs
-// registry when one is installed (graph_nodes_total{state},
-// graph_retries_total, graph_admission_retries_total,
-// graph_runs_total{result}, and the graph_node_latency_seconds window);
-// the struct exists so harnesses can assert them with no registry and
-// zero setup.
-type GraphStats struct {
-	GraphsRun        int64 `json:"graphs_run"`
-	GraphsOK         int64 `json:"graphs_ok"`
-	NodesSucceeded   int64 `json:"nodes_succeeded"`
-	NodesFailed      int64 `json:"nodes_failed"`
-	NodesCanceled    int64 `json:"nodes_canceled"`
-	Retries          int64 `json:"retries"`
-	AdmissionRetries int64 `json:"admission_retries"`
-}
-
-var cum struct {
-	graphsRun, graphsOK         atomic.Int64
-	nodesSucceeded, nodesFailed atomic.Int64
-	nodesCanceled               atomic.Int64
-	retries, admissionRetries   atomic.Int64
-}
-
-// Stats snapshots the cumulative counters.
-func Stats() GraphStats {
-	return GraphStats{
-		GraphsRun:        cum.graphsRun.Load(),
-		GraphsOK:         cum.graphsOK.Load(),
-		NodesSucceeded:   cum.nodesSucceeded.Load(),
-		NodesFailed:      cum.nodesFailed.Load(),
-		NodesCanceled:    cum.nodesCanceled.Load(),
-		Retries:          cum.retries.Load(),
-		AdmissionRetries: cum.admissionRetries.Load(),
-	}
-}
-
-// graphMetrics is the obs-registry mirror, resolved once at install so
-// terminal transitions cost pre-resolved counter increments — the
-// standard zero-cost-off pattern: with no registry installed every
-// count site below is one atomic pointer load and a branch.
+// graphMetrics is the package's process-wide orchestration accounting
+// (each run's own figures are in its GraphResult): the obs registry's
+// graph families, resolved once at install so terminal transitions cost
+// pre-resolved counter increments — the standard zero-cost-off pattern:
+// with no registry installed every count site below is one atomic
+// pointer load and a branch.
 type graphMetrics struct {
 	nodes            [nodeStateCount]*obs.Counter // graph_nodes_total{state}, terminal states only
 	retries          *obs.Counter
@@ -84,14 +49,6 @@ func init() {
 // first-submit-to-terminal span (zero for cascade-canceled nodes, which
 // never ran and contribute no latency sample).
 func countNode(s NodeState, dur time.Duration) {
-	switch s {
-	case NodeSucceeded:
-		cum.nodesSucceeded.Add(1)
-	case NodeFailed:
-		cum.nodesFailed.Add(1)
-	case NodeCanceled:
-		cum.nodesCanceled.Add(1)
-	}
 	if m := gmet(); m != nil {
 		if c := m.nodes[s]; c != nil {
 			c.Inc()
@@ -103,14 +60,12 @@ func countNode(s NodeState, dur time.Duration) {
 }
 
 func countRetry() {
-	cum.retries.Add(1)
 	if m := gmet(); m != nil {
 		m.retries.Inc()
 	}
 }
 
 func countAdmissionRetry() {
-	cum.admissionRetries.Add(1)
 	if m := gmet(); m != nil {
 		m.admissionRetries.Inc()
 	}
@@ -118,15 +73,15 @@ func countAdmissionRetry() {
 
 // countGraph records one finished Graph.Run.
 func countGraph(res *GraphResult) {
-	cum.graphsRun.Add(1)
+	m := gmet()
+	if m == nil {
+		return
+	}
 	result := "failed"
 	if res.OK() {
 		result = "ok"
-		cum.graphsOK.Add(1)
 	} else if res.Failed == 0 {
 		result = "canceled"
 	}
-	if m := gmet(); m != nil {
-		m.runs.With(result).Inc()
-	}
+	m.runs.With(result).Inc()
 }

@@ -137,10 +137,7 @@ func (r *run) launchLocked(n *Node) *Node {
 func (r *run) startAll(launched []*Node) {
 	for _, n := range launched {
 		a := &attempts{r: r, n: n, name: r.g.name + "/" + n.name, inputs: r.gather(n)}
-		a.opts = append(append(make([]serve.Option, 0, len(n.submit)+2), n.submit...), serve.WithOnDone(a.done))
-		if len(n.runtime) > 0 {
-			a.opts = append(a.opts, serve.WithRuntime(n.runtime...))
-		}
+		a.hook = serve.WithOnDone(a.done)
 		a.next()
 	}
 }
@@ -173,7 +170,7 @@ type attempts struct {
 	n      *Node
 	name   string // session name
 	inputs Inputs
-	opts   []serve.Option // the node's submit options plus the hook
+	hook   serve.Option // WithOnDone(done), built once per node
 
 	attempt int
 	actx    context.Context    // this attempt's scope: r.ctx plus the node timeout
@@ -206,7 +203,7 @@ func (a *attempts) next() {
 // is classified like a verdict. On acceptance the session's hook owns
 // the next step, so nothing here touches a after Submit succeeds.
 func (a *attempts) submit() {
-	_, err := a.r.pool.Submit(a.actx, a.name, a.body, a.opts...)
+	_, err := a.r.pool.Submit(a.actx, a.name, a.body, a.hook)
 	switch {
 	case err == nil:
 	case errors.Is(err, serve.ErrPoolSaturated):

@@ -94,9 +94,6 @@ func (v *CounterVec) With(values ...string) *Counter {
 	return &e.c
 }
 
-// Labels returns the family's label names.
-func (v *CounterVec) Labels() []string { return v.labels }
-
 // snapshot returns the family's populated series, sorted by label
 // values, as (rendered "k=v,..." key, raw values, count) triples.
 func (v *CounterVec) snapshot() []vecSeries {

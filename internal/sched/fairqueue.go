@@ -78,14 +78,6 @@ func (q *FairQueue[T]) Push(tenant string, item T) {
 	q.size++
 }
 
-// TenantLen returns how many items the tenant has queued.
-func (q *FairQueue[T]) TenantLen(tenant string) int {
-	if t := q.tenants[tenant]; t != nil {
-		return len(t.items) - t.head
-	}
-	return 0
-}
-
 // Len returns the total number of queued items.
 func (q *FairQueue[T]) Len() int { return q.size }
 

@@ -37,7 +37,7 @@ func cancellableProg(root *core.Task) error {
 }
 
 func TestSubmitCtxCancelMidFlight(t *testing.T) {
-	pool := NewPool(Config{MaxSessions: 2, Runtime: []core.Option{core.WithMode(core.Full)}})
+	pool := New(WithMaxSessions(2), WithRuntime(core.WithMode(core.Full)))
 	defer pool.Close()
 	ctx, cancel := context.WithCancel(t.Context())
 	s, err := pool.Submit(ctx, "victim", cancellableProg)
@@ -63,7 +63,7 @@ func TestSubmitCtxCancelMidFlight(t *testing.T) {
 }
 
 func TestSubmitCtxCancelWhileQueued(t *testing.T) {
-	pool := NewPool(Config{MaxSessions: 1, QueueDepth: 2})
+	pool := New(WithMaxSessions(1), WithQueueDepth(2))
 	defer pool.Close()
 	gate := make(chan struct{})
 	first, err := pool.Submit(t.Context(), "first", func(tk *core.Task) error { <-gate; return nil })
@@ -100,7 +100,7 @@ func TestSubmitCtxCancelWhileQueued(t *testing.T) {
 }
 
 func TestSubmitRejectsDeadContext(t *testing.T) {
-	pool := NewPool(Config{MaxSessions: 1})
+	pool := New(WithMaxSessions(1))
 	defer pool.Close()
 	ctx, cancel := context.WithCancel(t.Context())
 	cancel()
@@ -116,7 +116,7 @@ func TestPerSessionRuntimeOptionOverride(t *testing.T) {
 	// The pool's base options are a default, not a cage: a per-Submit
 	// option lands after the base list, so it wins. Same omitted-set
 	// program, two verdicts.
-	pool := NewPool(Config{MaxSessions: 2, Runtime: []core.Option{core.WithMode(core.Full)}})
+	pool := New(WithMaxSessions(2), WithRuntime(core.WithMode(core.Full)))
 	defer pool.Close()
 	omit := func(root *core.Task) error {
 		core.NewPromise[int](root) // owned, never set
@@ -151,11 +151,11 @@ func TestPerSessionRuntimeOptionOverride(t *testing.T) {
 // goroutine.
 func TestCancelMidFlightStealHeavyExactAccounting(t *testing.T) {
 	before := runtime.NumGoroutine()
-	pool := NewPool(Config{
-		MaxSessions: 16,
-		QueueDepth:  16,
-		Runtime:     []core.Option{core.WithMode(core.Full), core.TraceTo(trace.NewMemSink(4096))},
-	})
+	pool := New(
+		WithMaxSessions(16),
+		WithQueueDepth(16),
+		WithRuntime(core.WithMode(core.Full), core.TraceTo(trace.NewMemSink(4096))),
+	)
 
 	// A spawn-join fan: enough concurrent small tasks per session that the
 	// scheduler's thieves redistribute them across workers while the

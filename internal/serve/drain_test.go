@@ -19,7 +19,7 @@ import (
 // graph layer leans on this: a node retry that fires mid-drain must
 // terminate its node immediately instead of wedging Graph.Run.
 func TestSubmitDuringDrainPromptErrPoolClosed(t *testing.T) {
-	pool := NewPool(Config{MaxSessions: 1, QueueDepth: 4})
+	pool := New(WithMaxSessions(1), WithQueueDepth(4))
 	gate := make(chan struct{})
 	hold, err := pool.Submit(t.Context(), "hold", func(_ *core.Task) error { <-gate; return nil })
 	if err != nil {
@@ -82,7 +82,7 @@ func TestSubmitDuringDrainPromptErrPoolClosed(t *testing.T) {
 // capacity must be immediately usable. This is the serve-level half of
 // the graph harness's "canceled nodes have zero body runs" invariant.
 func TestQueuedCancelReleasesCapacityAndNeverRuns(t *testing.T) {
-	pool := NewPool(Config{MaxSessions: 1, QueueDepth: 4})
+	pool := New(WithMaxSessions(1), WithQueueDepth(4))
 	defer pool.Close()
 	gate := make(chan struct{})
 	hold, err := pool.Submit(t.Context(), "hold", func(_ *core.Task) error { <-gate; return nil })
@@ -143,7 +143,7 @@ func TestQueuedCancelReleasesCapacityAndNeverRuns(t *testing.T) {
 // fewer than 256 goroutines.
 func TestQueuedSessionsHoldNoGoroutines(t *testing.T) {
 	const queued = 256
-	pool := NewPool(Config{MaxSessions: 1, QueueDepth: queued})
+	pool := New(WithMaxSessions(1), WithQueueDepth(queued))
 	defer pool.Close()
 	gate := make(chan struct{})
 	release := sync.OnceFunc(func() { close(gate) })
@@ -204,7 +204,7 @@ func (c *dyingCtx) Err() error {
 // runtime that runs nothing, and SchedStats must read zero submitted,
 // zero in flight — not one job for a root that never ran.
 func TestCanceledBeforeRootExactAccounting(t *testing.T) {
-	pool := NewPool(Config{MaxSessions: 1})
+	pool := New(WithMaxSessions(1))
 	defer pool.Close()
 	ran := false
 	s, err := pool.Submit(&dyingCtx{Context: context.Background(), done: make(chan struct{})}, "dying",

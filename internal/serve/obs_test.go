@@ -20,7 +20,7 @@ import (
 // stats write must be race-free (the done-channel receive orders the
 // read). Run under -race by the tier-1 suite.
 func TestSessionStatsNonBlockingRace(t *testing.T) {
-	pool := NewPool(Config{MaxSessions: 2, Runtime: []core.Option{core.WithMode(core.Full)}})
+	pool := New(WithMaxSessions(2), WithRuntime(core.WithMode(core.Full)))
 	defer pool.Close()
 	gate := make(chan struct{})
 	s, err := pool.Submit(t.Context(), "gated", func(tk *core.Task) error {
@@ -77,11 +77,11 @@ func TestSessionStatsNonBlockingRace(t *testing.T) {
 // surfacing itself, white-box, so a lossy run is guaranteed to show up
 // at the pool level and not just per session.
 func TestPoolStatsEventsDroppedAggregate(t *testing.T) {
-	pool := NewPool(Config{
-		MaxSessions: 4,
-		QueueDepth:  8,
-		Runtime:     []core.Option{core.WithMode(core.Full), core.TraceTo(trace.NewMemSink(4096))},
-	})
+	pool := New(
+		WithMaxSessions(4),
+		WithQueueDepth(8),
+		WithRuntime(core.WithMode(core.Full), core.TraceTo(trace.NewMemSink(4096))),
+	)
 	defer pool.Close()
 
 	const n = 8
@@ -122,7 +122,7 @@ func TestPoolStatsEventsDroppedAggregate(t *testing.T) {
 // must land within 2x of the p99 computed from the sessions' own
 // reported durations (the figure loadgen prints).
 func TestPoolObserveWindowedQuantiles(t *testing.T) {
-	pool := NewPool(Config{MaxSessions: 8, QueueDepth: 64})
+	pool := New(WithMaxSessions(8), WithQueueDepth(64))
 	defer pool.Close()
 
 	const n = 64
@@ -176,13 +176,13 @@ func TestServeMetricsRegistry(t *testing.T) {
 	obs.Install(reg)
 	t.Cleanup(func() { obs.Install(nil) })
 
-	// NewPool AFTER Install: the pool's windows must be the registry's
+	// New AFTER Install: the pool's windows must be the registry's
 	// named recorders, so scrape and Observe read the same buckets.
-	pool := NewPool(Config{
-		MaxSessions: 2,
-		QueueDepth:  2,
-		Runtime:     []core.Option{core.WithMode(core.Full), core.TraceTo(trace.NewMemSink(512))},
-	})
+	pool := New(
+		WithMaxSessions(2),
+		WithQueueDepth(2),
+		WithRuntime(core.WithMode(core.Full), core.TraceTo(trace.NewMemSink(512))),
+	)
 	defer pool.Close()
 
 	// One clean and one deadlock session under tenant-a, one clean

@@ -45,7 +45,7 @@ func (h *hookProbe) await(t *testing.T) *Session {
 // runs until release is called, with one queue place behind it.
 func holdPool(t *testing.T) (pool *Pool, hold *Session, release func()) {
 	t.Helper()
-	pool = NewPool(Config{MaxSessions: 1, QueueDepth: 1})
+	pool = New(WithMaxSessions(1), WithQueueDepth(1))
 	gate := make(chan struct{})
 	release = sync.OnceFunc(func() { close(gate) })
 	hold, err := pool.Submit(t.Context(), "hold", func(_ *core.Task) error { <-gate; return nil })
@@ -60,7 +60,7 @@ func holdPool(t *testing.T) (pool *Pool, hold *Session, release func()) {
 // after it is done, and a hook that is still running delays neither the
 // session's Wait nor the next session's start.
 func TestOnDoneAfterRun(t *testing.T) {
-	pool := NewPool(Config{MaxSessions: 1, QueueDepth: 1})
+	pool := New(WithMaxSessions(1), WithQueueDepth(1))
 	defer pool.Close()
 	probe := newHookProbe()
 	unblock := make(chan struct{})

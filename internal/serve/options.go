@@ -1,31 +1,26 @@
 package serve
 
 import (
-	"time"
-
 	"repro/internal/chaos"
 	"repro/internal/core"
 )
 
-// Option configures serving behaviour. One option family covers both
-// scopes of the serving API:
+// Option configures serving behaviour. Every option but WithRuntime acts
+// at one scope and is inert at the other:
 //
-//   - Pool scope: New(opts...) — every option applies; sizing options
-//     (WithMaxSessions, WithQueueDepth, WithIdleTimeout, WithTenantWeight)
-//     fix the pool's admission geometry for its lifetime.
-//   - Submit scope: Pool.Submit(ctx, name, main, opts...) — the
-//     per-session options (WithRuntime, WithTenant, WithDeadlineAdmission)
-//     override their pool-scope counterparts for that session alone;
-//     submit wins. Pool-sizing options are inert at submit scope: a
-//     session cannot resize the pool it is entering. WithOnDone exists
-//     only at submit scope and is inert at pool scope.
+//   - Pool scope, New(opts...): WithMaxSessions, WithQueueDepth,
+//     WithTenantWeight, WithChaos and WithDeadlineAdmission fix the
+//     pool's admission geometry and policy for its lifetime.
+//   - Submit scope, Pool.Submit(ctx, name, main, opts...): WithTenant
+//     and WithOnDone are per session.
+//   - WithRuntime acts at both: the pool-scope list is the base every
+//     session starts from, and a submit-scope list lands after it, so a
+//     per-session core option wins (the usual later-wins rule of a
+//     core.Option list).
 //
-// Precedence, lowest to highest: built-in defaults < pool scope < submit
-// scope; within WithRuntime's core.Option list the usual later-wins rule
-// applies, and the submit-scope list lands after the pool-scope list, so
-// a per-session core option overrides the pool's base. The executor
-// injection is always appended last by the pool — sessions run on the
-// shared scheduler by construction, at either scope.
+// The pool leads every runtime option list with the detector
+// core.EnvDetector resolves and always appends its executor injection
+// last, so sessions run on the shared scheduler by construction.
 // TestOptionPrecedenceTable pins this table.
 //
 // An Option takes the resolved state by value and returns it updated, so
@@ -33,15 +28,18 @@ import (
 // pointer to them ever reaches an unknown function.
 type Option func(options) options
 
-// options is the resolved option state. The Config part is only
-// meaningful at pool scope; the submit part rides on top at either scope
-// (at pool scope it sets the pool-wide default).
+// options is the resolved option state: the pool-scope settings New
+// reads, then the submit-scope ones Submit reads.
 type options struct {
-	cfg       Config
-	runtime   []core.Option
-	tenant    string
-	admission *bool
-	onDone    func(*Session)
+	maxSessions   int
+	queueDepth    int
+	tenantWeights map[string]int
+	chaos         *chaos.Injector
+	admission     bool
+
+	runtime []core.Option // both scopes
+	tenant  string
+	onDone  func(*Session)
 }
 
 func resolve(opts []Option) (o options) {
@@ -56,7 +54,7 @@ func resolve(opts []Option) (o options) {
 // WithMaxSessions bounds how many sessions run concurrently (pool scope;
 // <= 0 selects the default of 8).
 func WithMaxSessions(n int) Option {
-	return func(o options) options { o.cfg.MaxSessions = n; return o }
+	return func(o options) options { o.maxSessions = n; return o }
 }
 
 // WithQueueDepth bounds how many admitted-but-waiting sessions may queue
@@ -65,13 +63,7 @@ func WithMaxSessions(n int) Option {
 // cannot monopolize the waiting room and starve the others' admission —
 // the queue-side half of the WDRR fairness story.
 func WithQueueDepth(n int) Option {
-	return func(o options) options { o.cfg.QueueDepth = n; return o }
-}
-
-// WithIdleTimeout sets the shared scheduler's worker idle timeout (pool
-// scope; zero selects sched.NewElastic's default).
-func WithIdleTimeout(d time.Duration) Option {
-	return func(o options) options { o.cfg.IdleTimeout = d; return o }
+	return func(o options) options { o.queueDepth = n; return o }
 }
 
 // WithTenantWeight sets a tenant's weighted-fair share (pool scope;
@@ -81,10 +73,10 @@ func WithIdleTimeout(d time.Duration) Option {
 // sessions for every one of a weight-1 tenant.
 func WithTenantWeight(tenant string, weight int) Option {
 	return func(o options) options {
-		if o.cfg.TenantWeights == nil {
-			o.cfg.TenantWeights = make(map[string]int)
+		if o.tenantWeights == nil {
+			o.tenantWeights = make(map[string]int)
 		}
-		o.cfg.TenantWeights[tenant] = weight
+		o.tenantWeights[tenant] = weight
 		return o
 	}
 }
@@ -98,11 +90,10 @@ func WithRuntime(opts ...core.Option) Option {
 }
 
 // WithTenant names the fairness tenant a session is accounted and
-// queued under. At pool scope it sets the default tenant for sessions
-// submitted without one ("default" otherwise); at submit scope it
-// overrides that default. The tenant decides the session's WDRR queue,
-// its weight, and its label on the per-tenant metrics (bounded by the
-// cardinality guard — see internal/obs.LabelGuard).
+// queued under (submit scope; a session without one is DefaultTenant's).
+// The tenant decides the session's WDRR queue, its weight, and its label
+// on the per-tenant metrics (bounded by the cardinality guard — see
+// internal/obs.LabelGuard).
 func WithTenant(name string) Option {
 	return func(o options) options { o.tenant = name; return o }
 }
@@ -112,47 +103,29 @@ func WithTenant(name string) Option {
 // injector's PoolSaturate rate — the chaos harness's way of exercising
 // saturation-retry paths on demand. Nil is the (default) no-op.
 func WithChaos(in *chaos.Injector) Option {
-	return func(o options) options { o.cfg.Chaos = in; return o }
+	return func(o options) options { o.chaos = in; return o }
 }
 
-// WithDeadlineAdmission toggles deadline-aware admission control. When
-// enabled, a Submit whose ctx deadline cannot be met — less time remains
-// than the pool's observed queue-wait p99 plus execution p99
-// (Pool.Observe) — is rejected synchronously with ErrDeadlineInfeasible
-// instead of being admitted to miss its deadline in the queue. Pool
-// scope sets the default; submit scope overrides it per session (submit
-// wins), e.g. to force one critical request through a shedding pool.
+// WithDeadlineAdmission toggles deadline-aware admission control (pool
+// scope). When enabled, a Submit whose ctx deadline cannot be met — less
+// time remains than the pool's observed queue-wait p99 plus execution
+// p99 (Pool.Observe) — is rejected synchronously with
+// ErrDeadlineInfeasible instead of being admitted to miss its deadline
+// in the queue.
 func WithDeadlineAdmission(on bool) Option {
-	return func(o options) options { o.admission = &on; return o }
+	return func(o options) options { o.admission = on; return o }
 }
 
 // WithOnDone registers fn as the session's completion hook (submit
-// scope; inert at pool scope). fn runs exactly once per accepted
-// session, on the goroutine that completed it: the session's own
-// scheduler job after a run, the ctx watch when its ctx aborts it in the
-// queue, or the Close caller when Close fails it there. By then the
-// session is done — Wait returns and every accessor is valid — and its
-// slot is released, so neither Wait callers nor the next session wait
-// for fn. The pool's mutex is never held, so fn may Submit; Close waits
-// for it to return. A hook runs on a shared scheduler worker, so fn
-// should hand long waits to a timer rather than block on them.
+// scope). fn runs exactly once per accepted session, on the goroutine
+// that completed it: the session's own scheduler job after a run, the
+// ctx watch when its ctx aborts it in the queue, or the Close caller
+// when Close fails it there. By then the session is done — Wait returns
+// and every accessor is valid — and its slot is released, so neither
+// Wait callers nor the next session wait for fn. The pool's mutex is
+// never held, so fn may Submit; Close waits for it to return. A hook
+// runs on a shared scheduler worker, so fn should hand long waits to a
+// timer rather than block on them.
 func WithOnDone(fn func(*Session)) Option {
 	return func(o options) options { o.onDone = fn; return o }
-}
-
-// New creates a serving pool from the unified option surface. It is
-// equivalent to NewPool with the corresponding Config — Config remains
-// the resolved, documented form of the pool-scope options, and the
-// struct literal is still accepted where construction is data-driven.
-func New(opts ...Option) *Pool {
-	o := resolve(opts)
-	cfg := o.cfg
-	cfg.Runtime = append(cfg.Runtime, o.runtime...)
-	if o.tenant != "" {
-		cfg.DefaultTenant = o.tenant
-	}
-	if o.admission != nil {
-		cfg.DeadlineAdmission = *o.admission
-	}
-	return NewPool(cfg)
 }

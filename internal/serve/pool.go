@@ -71,56 +71,19 @@ var ErrPoolClosed = errors.New("serve: pool closed")
 // explicit WithTenant.
 const DefaultTenant = "default"
 
-// Config is the resolved form of the pool-scope options (see Option for
-// the functional surface; New and NewPool build identical pools). The
-// zero value is usable: 8 concurrent sessions, no queue, default
-// scheduler idle timeout, Full verification, one "default" tenant.
-type Config struct {
-	// MaxSessions is the number of sessions allowed to run concurrently.
-	// <= 0 selects 8.
-	MaxSessions int
-	// QueueDepth is how many admitted-but-waiting sessions may be parked
-	// PER FAIRNESS TENANT behind the running ones before Submit starts
-	// rejecting that tenant. 0 means queue nothing: saturate-and-reject.
-	// The bound is per tenant so one backlogged tenant cannot fill the
-	// waiting room and deny the others admission.
-	QueueDepth int
-	// IdleTimeout is the shared scheduler's worker idle timeout
-	// (sched.NewElastic); zero selects that constructor's default.
-	IdleTimeout time.Duration
-	// Runtime is the base option set applied to every session's runtime,
-	// before per-Submit options. The pool puts the detector that
-	// core.EnvDetector resolves ahead of it, so a WithDetector here or at
-	// Submit wins, and always appends its own executor injection last, so
-	// a WithExecutor here or at Submit is overridden — sessions run on the
-	// shared pool by construction.
-	Runtime []core.Option
-	// TenantWeights are the WDRR weights of the fairness tenants (see
-	// WithTenantWeight). Tenants absent from the map weigh 1.
-	TenantWeights map[string]int
-	// DeadlineAdmission enables deadline-aware admission control (see
-	// WithDeadlineAdmission); per-Submit options override it.
-	DeadlineAdmission bool
-	// DefaultTenant is the fairness tenant of sessions submitted without
-	// WithTenant; empty selects "default".
-	DefaultTenant string
-	// Chaos, when non-nil, injects admission faults: each Submit may be
-	// forced into an ErrPoolSaturated rejection at the injector's
-	// PoolSaturate rate, exercising callers' saturation-retry paths
-	// without actually filling the pool. Nil in production.
-	Chaos *chaos.Injector
-}
-
-// Pool runs sessions. Create with New (options) or NewPool (resolved
-// Config), submit with Submit, shut down with Close.
+// Pool runs sessions. Create with New, submit with Submit, shut down
+// with Close.
 type Pool struct {
-	cfg  Config
-	exec *sched.Elastic
+	maxSessions int
+	queueDepth  int
+	admission   bool            // deadline-aware admission (WithDeadlineAdmission)
+	chaos       *chaos.Injector // nil unless WithChaos
+	exec        *sched.Elastic
 
 	// runtimeOpts is the detector resolved from the environment, then
-	// cfg.Runtime, then the executor injection, built once: every session
-	// without submit-scope runtime options shares it (see
-	// runtimeOptions).
+	// the pool-scope WithRuntime list, then the executor injection, built
+	// once: every session without submit-scope runtime options shares it
+	// (see runtimeOptions).
 	runtimeOpts []core.Option
 
 	mu           sync.Mutex
@@ -146,7 +109,7 @@ type Pool struct {
 	// Windowed latency recorders behind Pool.Observe: queue wait
 	// (admission latency) and execution time of recently completed
 	// sessions. Always present — Observe works with no registry
-	// installed — but when one IS installed at NewPool time the windows
+	// installed — but when one IS installed at New time the windows
 	// are the registry's named recorders, so the scrape endpoint and
 	// Observe read the same buckets. Deadline-aware admission consumes
 	// the same windows: reject iff remaining < queueWait.p99 + exec.p99.
@@ -154,32 +117,30 @@ type Pool struct {
 	execLat   *obs.Window
 }
 
-// NewPool creates a serving pool with its own shared scheduler from a
-// resolved Config. New(opts...) is the functional-options form of the
-// same constructor.
-func NewPool(cfg Config) *Pool {
-	if cfg.MaxSessions <= 0 {
-		cfg.MaxSessions = 8
-	}
-	if cfg.QueueDepth < 0 {
-		cfg.QueueDepth = 0
-	}
-	if cfg.DefaultTenant == "" {
-		cfg.DefaultTenant = DefaultTenant
+// New creates a serving pool with its own shared scheduler. Every
+// option is optional: the bare pool runs 8 sessions at a time, queues
+// none, verifies in Full mode and admits every deadline.
+func New(opts ...Option) *Pool {
+	o := resolve(opts)
+	if o.maxSessions <= 0 {
+		o.maxSessions = 8
 	}
 	p := &Pool{
-		cfg:          cfg,
-		exec:         sched.NewElastic(cfg.IdleTimeout),
+		maxSessions:  o.maxSessions,
+		queueDepth:   o.queueDepth,
+		admission:    o.admission,
+		chaos:        o.chaos,
+		exec:         sched.NewElastic(0),
 		fq:           sched.NewFairQueue[*Session](),
 		tenantQueued: make(map[string]int),
 	}
 	// Resolve DEADLOCK_DETECTOR once here rather than in every session's
 	// NewRuntime; leading the list, it yields to any other WithDetector.
-	p.runtimeOpts = make([]core.Option, 0, len(cfg.Runtime)+2)
+	p.runtimeOpts = make([]core.Option, 0, len(o.runtime)+2)
 	p.runtimeOpts = append(p.runtimeOpts, core.WithDetector(core.EnvDetector()))
-	p.runtimeOpts = append(p.runtimeOpts, cfg.Runtime...)
+	p.runtimeOpts = append(p.runtimeOpts, o.runtime...)
 	p.runtimeOpts = append(p.runtimeOpts, core.WithExecutor(p.exec))
-	for tenant, w := range cfg.TenantWeights {
+	for tenant, w := range o.tenantWeights {
 		p.fq.SetWeight(tenant, w)
 	}
 	if reg := obs.Installed(); reg != nil {
@@ -206,9 +167,8 @@ func NewPool(cfg Config) *Pool {
 // opts are submit-scope serving options: WithRuntime appends core
 // options after the pool's base list (so a per-session option wins),
 // WithTenant picks the fairness tenant (queueing, WDRR weight, metrics
-// label), WithDeadlineAdmission overrides the pool's admission-check
-// default for this session, and WithOnDone registers a hook that runs
-// once the session has completed, however it completed. Submit never
+// label), and WithOnDone registers a hook that runs once the session
+// has completed, however it completed. Submit never
 // blocks on session execution: if a slot is free and no one is waiting,
 // the session's job goes to the scheduler right away; if its tenant's
 // queue has room it waits there for a WDRR admission grant; otherwise
@@ -225,11 +185,7 @@ func (p *Pool) Submit(ctx context.Context, name string, main core.TaskFunc, opts
 		p.reject(rejectDeadCtx)
 		return nil, context.Cause(ctx)
 	}
-	admission := p.cfg.DeadlineAdmission
-	if o.admission != nil {
-		admission = *o.admission
-	}
-	if admission {
+	if p.admission {
 		if err := p.admissible(ctx); err != nil {
 			p.reject(rejectDeadline)
 			p.rejectedDeadline.Add(1)
@@ -238,7 +194,7 @@ func (p *Pool) Submit(ctx context.Context, name string, main core.TaskFunc, opts
 	}
 	tenant := o.tenant
 	if tenant == "" {
-		tenant = p.cfg.DefaultTenant
+		tenant = DefaultTenant
 	}
 
 	id := p.nextID.Add(1)
@@ -265,16 +221,16 @@ func (p *Pool) Submit(ctx context.Context, name string, main core.TaskFunc, opts
 		p.reject(rejectClosed)
 		return nil, ErrPoolClosed
 	}
-	if p.cfg.Chaos.Fire(chaos.PoolSaturate) {
+	if p.chaos.Fire(chaos.PoolSaturate) {
 		p.mu.Unlock()
 		p.reject(rejectSaturated)
 		return nil, fmt.Errorf("%w: injected: %w", ErrPoolSaturated, chaos.ErrInjected)
 	}
-	runNow := p.running < p.cfg.MaxSessions && p.queued == 0
+	runNow := p.running < p.maxSessions && p.queued == 0
 	switch {
 	case runNow:
 		p.running++ // slot free, nobody waiting: run immediately
-	case p.tenantQueued[tenant] < p.cfg.QueueDepth:
+	case p.tenantQueued[tenant] < p.queueDepth:
 		s.waiting = true
 		p.fq.Push(tenant, s)
 		p.queued++
@@ -320,9 +276,9 @@ func (p *Pool) reject(reason string) {
 }
 
 // runtimeOptions is a session's runtime option list: the pool's base
-// (the resolved detector and cfg.Runtime), then the submit-scope
-// options, then the executor injection, always last. A session with no
-// submit-scope options shares the pool's list.
+// (the resolved detector and the pool-scope WithRuntime list), then the
+// submit-scope options, then the executor injection, always last. A
+// session with no submit-scope options shares the pool's list.
 func (p *Pool) runtimeOptions(extra []core.Option) []core.Option {
 	if len(extra) == 0 {
 		return p.runtimeOpts
@@ -357,7 +313,7 @@ func (p *Pool) dispatchLocked() (granted []*Session) {
 	if p.closed {
 		return nil
 	}
-	for p.running < p.cfg.MaxSessions {
+	for p.running < p.maxSessions {
 		s, ok := p.fq.Pop()
 		if !ok {
 			break

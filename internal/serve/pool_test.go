@@ -67,11 +67,11 @@ func deadlockProg(root *core.Task) error {
 // returns.
 func TestPoolMixedSessionsIsolationAndDrain(t *testing.T) {
 	before := runtime.NumGoroutine()
-	pool := NewPool(Config{
-		MaxSessions: 8,
-		QueueDepth:  32,
-		Runtime:     []core.Option{core.WithMode(core.Full), core.TraceTo(trace.NewMemSink(4096))},
-	})
+	pool := New(
+		WithMaxSessions(8),
+		WithQueueDepth(32),
+		WithRuntime(core.WithMode(core.Full), core.TraceTo(trace.NewMemSink(4096))),
+	)
 
 	const n = 24
 	var sessions [n]*Session
@@ -150,7 +150,7 @@ func TestPoolMixedSessionsIsolationAndDrain(t *testing.T) {
 }
 
 func TestPoolAdmissionQueueAndReject(t *testing.T) {
-	pool := NewPool(Config{MaxSessions: 2, QueueDepth: 1})
+	pool := New(WithMaxSessions(2), WithQueueDepth(1))
 	gate := make(chan struct{})
 	block := func(t *core.Task) error { <-gate; return nil }
 
@@ -213,7 +213,7 @@ func TestPoolCloseFailsQueuedSessionsPromptly(t *testing.T) {
 	// until every running session finished, then RUN. Close must instead
 	// fail it with ErrPoolClosed promptly, while running sessions still
 	// drain normally.
-	pool := NewPool(Config{MaxSessions: 1, QueueDepth: 4})
+	pool := New(WithMaxSessions(1), WithQueueDepth(4))
 	gate := make(chan struct{})
 	first, err := pool.Submit(t.Context(), "first", func(t *core.Task) error { <-gate; return nil })
 	if err != nil {
@@ -264,7 +264,7 @@ func TestPoolCloseFailsQueuedSessionsPromptly(t *testing.T) {
 }
 
 func TestClassify(t *testing.T) {
-	pool := NewPool(Config{MaxSessions: 2})
+	pool := New(WithMaxSessions(2))
 	defer pool.Close()
 
 	cases := []struct {
@@ -303,7 +303,7 @@ func TestPoolWaitThenSubmitFindsFreedSlot(t *testing.T) {
 	// Regression: the session used to release its slot only after
 	// signalling Done, so Wait-then-Submit on a full, queueless pool could
 	// race the release and get a spurious ErrPoolSaturated.
-	pool := NewPool(Config{MaxSessions: 1, QueueDepth: 0})
+	pool := New(WithMaxSessions(1), WithQueueDepth(0))
 	defer pool.Close()
 	for i := 0; i < 200; i++ {
 		s, err := pool.Submit(t.Context(), "", func(t *core.Task) error { return nil })
@@ -320,7 +320,7 @@ func TestPoolWaitThenSubmitFindsFreedSlot(t *testing.T) {
 }
 
 func TestSessionSchedStats(t *testing.T) {
-	pool := NewPool(Config{MaxSessions: 1})
+	pool := New(WithMaxSessions(1))
 	defer pool.Close()
 	s, err := pool.Submit(t.Context(), "acct", cleanProg)
 	if err != nil {
@@ -345,7 +345,7 @@ func TestSessionSchedStats(t *testing.T) {
 // and the root Task, and nothing else — no options object, no option
 // list, no closure around the session job or its root.
 func TestNoopSessionAllocs(t *testing.T) {
-	pool := NewPool(Config{MaxSessions: 1, IdleTimeout: time.Hour})
+	pool := New(WithMaxSessions(1))
 	defer pool.Close()
 	ctx := context.Background()
 	noop := func(*core.Task) error { return nil }
@@ -375,7 +375,7 @@ func TestListing1SessionAllocs(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("the race detector makes sync.Pool drop a share of Puts, so the hop log is reallocated")
 	}
-	pool := NewPool(Config{MaxSessions: 1, IdleTimeout: time.Hour})
+	pool := New(WithMaxSessions(1))
 	defer pool.Close()
 	ctx := context.Background()
 	run := func() {
@@ -482,7 +482,7 @@ func TestClassifyPrecedence(t *testing.T) {
 // it started and finished wherever they ran, so after Wait the session
 // reports exactly its own task count submitted and nothing in flight.
 func TestSessionAccountingExactAcrossSteals(t *testing.T) {
-	pool := NewPool(Config{MaxSessions: 2, IdleTimeout: time.Second})
+	pool := New(WithMaxSessions(2))
 	defer pool.Close()
 	fan := func(n int) core.TaskFunc {
 		return func(root *core.Task) error {

@@ -19,10 +19,11 @@ func omitProg(root *core.Task) error {
 	return nil
 }
 
-// TestOptionPrecedenceTable pins the documented option precedence:
-// built-in defaults < pool scope < submit scope, with the submit-scope
-// WithRuntime list landing after the pool-scope base (later core.Option
-// wins). See the Option doc comment for the table this test enforces.
+// TestOptionPrecedenceTable pins the documented option scopes: the
+// built-in defaults, a pool-scope WithRuntime base over them, and a
+// submit-scope WithRuntime list landing after that base (later
+// core.Option wins), with the tenant chosen at submit scope. See the
+// Option doc comment for the table this test enforces.
 func TestOptionPrecedenceTable(t *testing.T) {
 	submit := func(p *Pool, opts ...Option) *Session {
 		t.Helper()
@@ -51,15 +52,11 @@ func TestOptionPrecedenceTable(t *testing.T) {
 	p.Close()
 
 	// Row 2: pool scope overrides defaults — Unverified base mode hides
-	// the omission; WithTenant at pool scope renames the default tenant;
-	// a pool-scope detector overrides the environment's.
-	p = New(WithRuntime(core.WithMode(core.Unverified), core.WithDetector(core.DetectGlobalLock)), WithTenant("base"))
+	// the omission; a pool-scope detector overrides the environment's.
+	p = New(WithRuntime(core.WithMode(core.Unverified), core.WithDetector(core.DetectGlobalLock)))
 	s = submit(p)
 	if v := s.Verdict(); v != VerdictClean {
 		t.Errorf("pool scope: verdict %v, want clean", v)
-	}
-	if tn := s.Tenant(); tn != "base" {
-		t.Errorf("pool scope: tenant %q, want base", tn)
 	}
 	if d := s.Runtime().Detector(); d != core.DetectGlobalLock {
 		t.Errorf("pool scope: detector %v, want globallock", d)
@@ -67,8 +64,7 @@ func TestOptionPrecedenceTable(t *testing.T) {
 
 	// Row 3: submit scope overrides pool scope — a per-session Full mode
 	// lands after the pool's Unverified base and wins, and so does a
-	// per-session detector; a per-session tenant overrides the pool
-	// default.
+	// per-session detector; the session is queued under its own tenant.
 	s = submit(p, WithRuntime(core.WithMode(core.Full), core.WithDetector(core.DetectLockFree)), WithTenant("gold"))
 	if v := s.Verdict(); v != VerdictPolicy {
 		t.Errorf("submit scope: verdict %v, want policy (submit wins)", v)
@@ -181,9 +177,7 @@ func TestPoolWDRRAdmissionOrder(t *testing.T) {
 // TestDeadlineAdmissionSheds exercises deadline-aware admission: once
 // the latency windows are warm, a Submit whose deadline is below
 // queue-wait p99 + exec p99 is rejected with ErrDeadlineInfeasible
-// (typed, with the numbers), a generous deadline is admitted, and a
-// submit-scope WithDeadlineAdmission(false) forces one session through
-// a shedding pool.
+// (typed, with the numbers), and a generous deadline is admitted.
 func TestDeadlineAdmissionSheds(t *testing.T) {
 	p := New(
 		WithMaxSessions(2),
@@ -230,14 +224,6 @@ func TestDeadlineAdmissionSheds(t *testing.T) {
 	if st := p.Stats(); st.RejectedDeadline != 1 {
 		t.Fatalf("RejectedDeadline = %d, want 1", st.RejectedDeadline)
 	}
-
-	// Same infeasible deadline, admission disabled at submit scope:
-	// submit wins, the session runs (and gets canceled by its own ctx).
-	s, err = p.Submit(ctx, "forced", slow, WithDeadlineAdmission(false))
-	if err != nil {
-		t.Fatalf("submit-scope admission override ignored: %v", err)
-	}
-	s.Wait()
 
 	// Feasible deadline admits.
 	ctx2, cancel2 := context.WithTimeout(t.Context(), 10*time.Second)

@@ -119,35 +119,14 @@ func isCancellation(err error) bool {
 	return ok && (x.Is(context.Canceled) || x.Is(context.DeadlineExceeded) || x.Is(ErrPoolClosed))
 }
 
-// SessionHandle is the transport-neutral view of one submitted session.
-// *Session (local, from Pool.Submit) and the front-end's remote session
-// handle both implement it, so callers — the load generator, operator
-// tooling — can drive a session the same way whether it runs in-process
-// or across the framed-TCP front. Accessors other than ID, Name, Tenant
-// and Done are valid only after Wait (or a receive from Done) returns.
-type SessionHandle interface {
-	ID() uint64
-	Name() string
-	Tenant() string
-	Done() <-chan struct{}
-	Wait() error
-	Err() error
-	Verdict() Verdict
-	QueueLatency() time.Duration
-	Duration() time.Duration
-}
-
-var _ SessionHandle = (*Session)(nil)
-
-// Session is one submitted program, the local SessionHandle. The handle
-// is returned by Submit before the program runs; Wait blocks until it
-// has finished. All other accessors are valid only after Wait (or a
-// receive from Done) returns.
+// Session is one submitted program. The handle is returned by Submit
+// before the program runs; Wait blocks until it has finished. All other
+// accessors are valid only after Wait (or a receive from Done) returns.
 type Session struct {
 	pool   *Pool
 	id     uint64
 	name   string
-	tenant string // fairness tenant (WithTenant, or the pool default)
+	tenant string // fairness tenant (WithTenant, or DefaultTenant)
 	tlabel string // tenant as bounded for metric labels (obs.LabelGuard)
 
 	// ctx is the session's cancellation scope, covering both the

@@ -18,7 +18,7 @@ import (
 func TestSessionStamps(t *testing.T) {
 	const callers, perCaller = 4, 24
 	const n = callers * perCaller
-	pool := NewPool(Config{MaxSessions: 2, QueueDepth: n})
+	pool := New(WithMaxSessions(2), WithQueueDepth(n))
 	defer pool.Close()
 
 	bodies := []core.TaskFunc{func(*core.Task) error { return nil }, cleanProg, deadlockProg}

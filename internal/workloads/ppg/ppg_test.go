@@ -45,11 +45,11 @@ func TestSingleSessionMatchesSequential(t *testing.T) {
 
 func TestGraphMatchesSequential(t *testing.T) {
 	cfg := Small()
-	pool := serve.NewPool(serve.Config{
-		MaxSessions: 6,
-		QueueDepth:  32,
-		Runtime:     []core.Option{core.WithMode(core.Full)},
-	})
+	pool := serve.New(
+		serve.WithMaxSessions(6),
+		serve.WithQueueDepth(32),
+		serve.WithRuntime(core.WithMode(core.Full)),
+	)
 	defer pool.Close()
 	g, check := BuildGraph(cfg)
 	if want := cfg.Iters * (cfg.Blocks + 1); g.Len() != want {
@@ -145,11 +145,11 @@ func sameBits(t *testing.T, what string, got, want []float64) {
 func TestGraphBuildsBlocksOnce(t *testing.T) {
 	cfg := Small()
 	want := RunSequential(cfg)
-	pool := serve.NewPool(serve.Config{
-		MaxSessions: 6,
-		QueueDepth:  64,
-		Runtime:     []core.Option{core.WithMode(core.Full)},
-	})
+	pool := serve.New(
+		serve.WithMaxSessions(6),
+		serve.WithQueueDepth(64),
+		serve.WithRuntime(core.WithMode(core.Full)),
+	)
 	defer pool.Close()
 	calls, last := countBuilds(t)
 

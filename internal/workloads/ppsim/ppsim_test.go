@@ -32,11 +32,11 @@ func TestSingleSessionMatchesSequential(t *testing.T) {
 
 func TestGraphMatchesSequential(t *testing.T) {
 	cfg := Small()
-	pool := serve.NewPool(serve.Config{
-		MaxSessions: 4,
-		QueueDepth:  16,
-		Runtime:     []core.Option{core.WithMode(core.Full)},
-	})
+	pool := serve.New(
+		serve.WithMaxSessions(4),
+		serve.WithQueueDepth(16),
+		serve.WithRuntime(core.WithMode(core.Full)),
+	)
 	defer pool.Close()
 	g, check := BuildGraph(cfg)
 	if g.Len() != cfg.Epochs+1 {
