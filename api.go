@@ -63,7 +63,7 @@ type (
 	// AnyPromise is the payload-independent view of a promise.
 	AnyPromise = core.AnyPromise
 	// Movable is anything whose promises move to a child at spawn
-	// (the paper's PromiseCollection).
+	// (the paper's PromiseCollection); AppendPromises lists them.
 	Movable = core.Movable
 	// Group aggregates Movables.
 	Group = core.Group

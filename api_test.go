@@ -134,7 +134,7 @@ func TestFacadeGroupAndMovable(t *testing.T) {
 		a := repro.NewPromise[int](tk)
 		b := repro.NewPromise[int](tk)
 		var m repro.Movable = repro.Group{a, b}
-		if len(m.Promises()) != 2 {
+		if len(m.AppendPromises(nil)) != 2 {
 			return errors.New("group size")
 		}
 		if _, err := tk.Async(func(c *repro.Task) error {

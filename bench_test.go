@@ -23,11 +23,13 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/collections"
 	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/obs"
 	"repro/internal/sched"
 	"repro/internal/serve"
+	"repro/internal/testutil"
 	"repro/internal/trace"
 	"repro/internal/workloads"
 )
@@ -419,6 +421,81 @@ func TestFastPathAllocs(t *testing.T) {
 					}
 				}); got > 1 {
 					t.Errorf("Set/Get round-trip: %v allocs/op, want <= 1 (the promise itself)", got)
+				}
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestMoveCompositeAllocs pins the allocations of a spawn that moves a
+// fresh promise or composite and then joins the child with Wait; each
+// count includes building the composite. The spawn path appends the
+// moved promises straight into the child's owned list, so a composite
+// adds no slice of its own: Group{p} costs one moved promise plus the
+// Group's backing array and its interface box.
+func TestMoveCompositeAllocs(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("the race detector keeps slices.Grow's scratch make, one object more per composite move")
+	}
+	for _, mode := range []core.Mode{core.Ownership, core.Full} {
+		t.Run(mode.String(), func(t *testing.T) {
+			rt := core.NewRuntime(core.WithMode(mode))
+			if err := rt.Run(func(task *core.Task) error {
+				for _, row := range []struct {
+					label string
+					want  float64
+					step  func() (core.TaskFunc, core.Movable)
+				}{
+					{"promise", 7, func() (core.TaskFunc, core.Movable) {
+						p := core.NewPromise[int](task)
+						return func(c *core.Task) error { return p.Set(c, 1) }, p
+					}},
+					{"group1", 9, func() (core.TaskFunc, core.Movable) {
+						p := core.NewPromise[int](task)
+						return func(c *core.Task) error { return p.Set(c, 1) }, core.Group{p}
+					}},
+					{"group2", 10, func() (core.TaskFunc, core.Movable) {
+						p, q := core.NewPromise[int](task), core.NewPromise[int](task)
+						return func(c *core.Task) error {
+							if err := p.Set(c, 1); err != nil {
+								return err
+							}
+							return q.Set(c, 2)
+						}, core.Group{p, q}
+					}},
+					{"channel", 10, func() (core.TaskFunc, core.Movable) {
+						ch := collections.NewChannel[int](task)
+						return ch.Close, ch
+					}},
+					{"column", 16, func() (core.TaskFunc, core.Movable) {
+						b := collections.NewBarrier(task, 1, 2)
+						return func(c *core.Task) error {
+							if err := b.Await(c, 0, 0); err != nil {
+								return err
+							}
+							return b.Await(c, 0, 1)
+						}, b.Column(0)
+					}},
+				} {
+					spawn := func() {
+						body, m := row.step()
+						c, err := task.Async(body, m)
+						if err == nil {
+							err = c.Wait()
+						}
+						if err != nil {
+							t.Errorf("%s: %v", row.label, err)
+						}
+					}
+					for i := 0; i < 50; i++ { // warm up
+						spawn()
+					}
+					if got := testing.AllocsPerRun(500, spawn); got != row.want {
+						t.Errorf("%s: %v allocs/op, want %v", row.label, got, row.want)
+					}
 				}
 				return nil
 			}); err != nil {

@@ -10,7 +10,9 @@ import (
 // rounds (plus, for AllToOne's leader, the release promises).
 type column struct{ ps []core.AnyPromise }
 
-func (c column) Promises() []core.AnyPromise { return c.ps }
+func (c column) AppendPromises(dst []core.AnyPromise) []core.AnyPromise {
+	return append(dst, c.ps...)
+}
 
 // Barrier is an all-to-all promise dependence pattern: for each round,
 // party i fulfils its own arrival promise and then awaits the arrival

@@ -83,21 +83,21 @@ func TestAllToOneLeaderColumn(t *testing.T) {
 		}
 		// Leader column carries the release promises (one per round);
 		// others carry their arrivals.
-		if n := len(a.Column(0).Promises()); n != 3 {
+		if n := len(a.Column(0).AppendPromises(nil)); n != 3 {
 			return fmt.Errorf("leader column has %d promises, want 3", n)
 		}
-		if n := len(a.Column(1).Promises()); n != 3 {
+		if n := len(a.Column(1).AppendPromises(nil)); n != 3 {
 			return fmt.Errorf("party column has %d promises, want 3", n)
 		}
 		// Clean up ownership by running the protocol once per round with
 		// all parties inline is impossible from one task; instead complete
 		// the promises directly.
-		for _, ap := range a.Column(0).Promises() {
+		for _, ap := range a.Column(0).AppendPromises(nil) {
 			rp := ap.(*core.Promise[struct{}])
 			rp.MustSet(tk, struct{}{})
 		}
 		for p := 1; p < 4; p++ {
-			for _, ap := range a.Column(p).Promises() {
+			for _, ap := range a.Column(p).AppendPromises(nil) {
 				ap.(*core.Promise[struct{}]).MustSet(tk, struct{}{})
 			}
 		}

@@ -20,8 +20,8 @@ type payload[T any] struct {
 // the sending end (by owning the current producer promise) and one task
 // uses the receiving end. The sending end moves between tasks by moving
 // the Channel in an Async call — Channel implements core.Movable, and its
-// Promises method reports the one promise that must travel, whatever link
-// the chain has reached.
+// AppendPromises method lists the one promise that must travel, whatever
+// link the chain has reached.
 type Channel[T any] struct {
 	// linkLabel names every link after the first ("<label>[+]"). It is
 	// built once, by NewChannelNamed, so a Send allocates only its link.
@@ -42,11 +42,11 @@ func NewChannelNamed[T any](t *core.Task, label string) *Channel[T] {
 	return &Channel[T]{linkLabel: label + "[+]", producer: p, consumer: p}
 }
 
-// Promises implements core.Movable: moving the channel moves the current
-// producer promise, i.e. the sending end. The receiving end needs no
-// ownership (gets are free for any task) and so moves implicitly.
-func (c *Channel[T]) Promises() []core.AnyPromise {
-	return []core.AnyPromise{c.producer}
+// AppendPromises implements core.Movable: moving the channel moves the
+// current producer promise, i.e. the sending end. The receiving end needs
+// no ownership (gets are free for any task) and so moves implicitly.
+func (c *Channel[T]) AppendPromises(dst []core.AnyPromise) []core.AnyPromise {
+	return append(dst, c.producer)
 }
 
 // Send delivers v to the nth Recv, fulfilling the current producer promise

@@ -24,53 +24,31 @@ type SpawnSpec struct {
 // AsyncBatch spawns one child per spec in a single call, amortizing the
 // fixed per-spawn costs across the batch. Semantics match issuing the
 // AsyncNamed calls in spec order, with one difference in failure shape:
-// ownership of EVERY spec's moved set is validated before ANY child is
-// created, so a batch with one invalid move starts nothing (per-spawn
-// code would have started the children preceding the bad one). A promise
-// listed by two specs is moved by the earlier one; the later listing is
-// skipped, exactly like a duplicate within one spawn.
+// ownership of EVERY spec's moved set is validated before ANY promise
+// moves or child starts, so a batch with one invalid move starts nothing
+// (per-spawn code would have started the children preceding the bad
+// one). A promise listed by two specs is moved by the earlier one; the
+// later listing is skipped, exactly like a duplicate within one spawn.
 func (t *Task) AsyncBatch(specs []SpawnSpec) ([]*Task, error) {
 	if len(specs) == 0 {
 		return nil, nil
 	}
 	r := t.rt
-	// Each spec's moved set is expanded once, for both passes. Only a
-	// batch that moves composites keeps the expansions, so a batch of
-	// plain promise moves allocates nothing for them.
-	var sets []movedSet
-	if r.mode >= Ownership {
-		for i := range specs {
-			if len(specs[i].Moved) == 0 {
-				continue
-			}
-			ms := expandMoved(specs[i].Moved)
-			if err := t.validateMoved(ms); err != nil {
-				r.alarm(err)
-				return nil, err
-			}
-			if ms.exp {
-				if sets == nil {
-					sets = make([]movedSet, len(specs))
-				}
-				sets[i] = ms
-			}
-		}
-	}
 	children := make([]*Task, len(specs))
 	for i := range specs {
 		children[i] = r.newTask(specs[i].Name, t)
 		children[i].body = specs[i].Body
 	}
 	if r.mode >= Ownership {
-		for i := range specs {
-			if len(specs[i].Moved) == 0 {
-				continue
+		for i, c := range children {
+			c.owned = appendMoved(specs[i].Moved)
+			if err := t.validateMoved(c.owned); err != nil {
+				r.alarm(err)
+				return nil, err
 			}
-			ms := movedSet{args: specs[i].Moved}
-			if sets != nil && sets[i].exp {
-				ms = sets[i]
-			}
-			t.transferMoved(children[i], ms)
+		}
+		for _, c := range children {
+			t.transferMoved(c)
 		}
 	}
 	r.startTaskBatch(t, children)

@@ -71,47 +71,52 @@ func TestAsyncBatchEmpty(t *testing.T) {
 
 // TestAsyncBatchInvalidMoveStartsNothing: the batch-specific failure
 // shape — ownership of every spec is validated before ANY child is
-// created, so one bad move aborts the whole fan-out with zero bodies run
+// started, so one bad move aborts the whole fan-out with zero bodies run
 // (the per-spawn equivalent would have started the preceding children).
+// The bad spec moves a foreign promise, or a Group whose first member the
+// parent owns and whose second is foreign.
 func TestAsyncBatchInvalidMoveStartsNothing(t *testing.T) {
 	for _, mode := range []Mode{Ownership, Full} {
-		t.Run(mode.String(), func(t *testing.T) {
-			rt := NewRuntime(WithMode(mode))
-			var ran atomic.Int32
-			err := run(t, rt, func(tk *Task) error {
-				good := NewPromiseNamed[int](tk, "good")
-				stranger := NewPromiseNamed[int](tk, "stranger")
-				// Move stranger away first so the last spec's move is invalid.
-				if _, e := tk.AsyncNamed("keeper", func(c *Task) error {
-					return stranger.Set(c, 0)
-				}, stranger); e != nil {
-					return e
-				}
-				children, e := tk.AsyncBatch([]SpawnSpec{
-					{Name: "ok", Body: func(c *Task) error { ran.Add(1); return good.Set(c, 1) }, Moved: []Movable{good}},
-					{Name: "bad", Body: func(c *Task) error { ran.Add(1); return nil }, Moved: []Movable{stranger}},
+		for _, composite := range []bool{false, true} {
+			name := mode.String()
+			if composite {
+				name += "-group"
+			}
+			t.Run(name, func(t *testing.T) {
+				rt := NewRuntime(WithMode(mode))
+				var ran atomic.Int32
+				err := run(t, rt, func(tk *Task) error {
+					good := NewPromiseNamed[int](tk, "good")
+					// The keeper holds foreign, so the last spec's move is invalid.
+					m, e := newRejectedMove(tk)
+					if e != nil {
+						return e
+					}
+					var bad Movable = m.foreign
+					if composite {
+						bad = m.group()
+					}
+					children, e := tk.AsyncBatch([]SpawnSpec{
+						{Name: "ok", Body: func(c *Task) error { ran.Add(1); return good.Set(c, 1) }, Moved: []Movable{good}},
+						{Name: "bad", Body: func(c *Task) error { ran.Add(1); return nil }, Moved: []Movable{bad}},
+					})
+					if children != nil {
+						return errors.New("failed batch returned children")
+					}
+					// Nothing started: main still owns good and must fulfil it.
+					if se := good.Set(tk, 2); se != nil {
+						return se
+					}
+					return m.check(tk, e)
 				})
-				var ow *OwnershipError
-				if !errors.As(e, &ow) || ow.Op != "move" {
-					return fmt.Errorf("AsyncBatch = %v, want move OwnershipError", e)
+				if err != nil {
+					t.Fatal(err)
 				}
-				if children != nil {
-					return errors.New("failed batch returned children")
+				if n := ran.Load(); n != 0 {
+					t.Fatalf("%d bodies ran, want 0", n)
 				}
-				// Nothing started: main still owns good and must fulfil it.
-				if se := good.Set(tk, 2); se != nil {
-					return se
-				}
-				_, ge := stranger.Get(tk)
-				return ge
 			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if n := ran.Load(); n != 0 {
-				t.Fatalf("%d bodies ran, want 0", n)
-			}
-		})
+		}
 	}
 }
 

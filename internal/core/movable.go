@@ -1,31 +1,32 @@
 package core
 
+import "slices"
+
 // Movable is anything that can be handed from a parent task to a child at
 // spawn time. A *Promise[T] is Movable (it moves itself); composite
 // objects built from many promises — the paper's PromiseCollection — are
-// Movable by returning all constituent promises that must travel with the
+// Movable by listing all constituent promises that must travel with the
 // object. See collections.Channel for the paper's Listing 4 example: moving
 // the channel moves its current producer promise, so the sending end of
 // the channel moves between tasks without breaking the abstraction.
 type Movable interface {
-	// Promises returns the promises that must move when this object moves.
-	Promises() []AnyPromise
+	// AppendPromises appends the promises that must move when this
+	// object moves to dst and returns the extended slice. The spawn path
+	// appends straight into the child's owned list, so an implementation
+	// should grow dst at most once, by its own count, rather than build a
+	// slice of its own.
+	AppendPromises(dst []AnyPromise) []AnyPromise
 }
 
 // Group is a Movable aggregating other Movables, for passing several
 // promises or collections to Async as one argument.
 type Group []Movable
 
-// Promises returns the union of the members' promises. A member that is
-// a promise itself is appended directly, without its one-element slice.
-func (g Group) Promises() []AnyPromise {
-	out := make([]AnyPromise, 0, len(g))
+// AppendPromises appends the union of the members' promises to dst.
+func (g Group) AppendPromises(dst []AnyPromise) []AnyPromise {
+	dst = slices.Grow(dst, len(g))
 	for _, m := range g {
-		if ap, ok := m.(AnyPromise); ok {
-			out = append(out, ap)
-		} else {
-			out = append(out, m.Promises()...)
-		}
+		dst = m.AppendPromises(dst)
 	}
-	return out
+	return dst
 }

@@ -174,6 +174,85 @@ func TestFailedMoveDoesNotStartChild(t *testing.T) {
 	if started {
 		t.Fatal("child ran despite rejected transfer")
 	}
+
+	// A composite whose second member is foreign: the spawn path lists
+	// both into the would-be child's owned list before validating, and
+	// the rejection must leave the first member exactly as it was.
+	rt = NewRuntime(WithMode(Ownership))
+	err = run(t, rt, func(tk *Task) error {
+		m, e := newRejectedMove(tk)
+		if e != nil {
+			return e
+		}
+		child, e := tk.Async(func(c *Task) error { started = true; return nil }, m.group())
+		if child != nil {
+			return errors.New("child returned despite failed move")
+		}
+		return m.check(tk, e)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if started {
+		t.Fatal("child ran despite rejected composite transfer")
+	}
+}
+
+// rejectedMove is a parent's view of a composite move that must fail:
+// mine is the parent's own promise, foreign is held by a live keeper
+// task until check releases it.
+type rejectedMove struct {
+	mine, foreign *Promise[int]
+	release       *Promise[struct{}]
+}
+
+func newRejectedMove(tk *Task) (*rejectedMove, error) {
+	m := &rejectedMove{
+		mine:    NewPromiseNamed[int](tk, "mine"),
+		foreign: NewPromiseNamed[int](tk, "foreign"),
+		release: NewPromiseNamed[struct{}](tk, "release"),
+	}
+	_, err := tk.AsyncNamed("keeper", func(c *Task) error {
+		if _, e := m.release.Get(c); e != nil {
+			return e
+		}
+		return m.foreign.Set(c, 0)
+	}, m.foreign)
+	return m, err
+}
+
+// group is the composite the parent tries to move.
+func (m *rejectedMove) group() Group { return Group{m.mine, m.foreign} }
+
+// check verifies the spawn's error err and that mine is still tk's:
+// owned, listed, and settable (so its owned-list index is intact). It
+// then releases the keeper and waits for foreign.
+func (m *rejectedMove) check(tk *Task, err error) error {
+	var oe *OwnershipError
+	if !errors.As(err, &oe) || oe.Op != "move" {
+		return fmt.Errorf("move of Group{mine, foreign} returned %v, want move OwnershipError", err)
+	}
+	if oe.PromiseLabel != "foreign" || oe.OwnerName != "keeper" {
+		return fmt.Errorf("error blames %q owned by %q, want foreign owned by keeper", oe.PromiseLabel, oe.OwnerName)
+	}
+	if m.mine.Owner() != tk {
+		return errors.New("rejected move changed mine's owner")
+	}
+	listed := false
+	for _, ap := range tk.OwnedPromises() {
+		listed = listed || ap == AnyPromise(m.mine)
+	}
+	if !listed {
+		return errors.New("mine missing from the parent's OwnedPromises")
+	}
+	if e := m.mine.Set(tk, 1); e != nil {
+		return e
+	}
+	if e := m.release.Set(tk, struct{}{}); e != nil {
+		return e
+	}
+	_, e := m.foreign.Get(tk)
+	return e
 }
 
 func TestOmittedSetDetectedWithBlame(t *testing.T) {
@@ -379,7 +458,7 @@ func TestGroupMovesAllMembers(t *testing.T) {
 		a := NewPromise[int](tk)
 		b := NewPromise[int](tk)
 		g := Group{a, b}
-		if n := len(g.Promises()); n != 2 {
+		if n := len(g.AppendPromises(nil)); n != 2 {
 			return fmt.Errorf("group has %d promises", n)
 		}
 		if _, e := tk.Async(func(c *Task) error {

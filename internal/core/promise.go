@@ -170,9 +170,9 @@ func (p *Promise[T]) Done() <-chan struct{} { return p.s.wake.wait() }
 
 func (p *Promise[T]) state() *pstate { return &p.s }
 
-// Promises makes a single promise Movable, so it can be passed directly to
-// Task.Async.
-func (p *Promise[T]) Promises() []AnyPromise { return []AnyPromise{p} }
+// AppendPromises makes a single promise Movable, so it can be passed
+// directly to Task.Async.
+func (p *Promise[T]) AppendPromises(dst []AnyPromise) []AnyPromise { return append(dst, p) }
 
 // awaitState is the policy-checked blocking wait shared by Get, Await and
 // their context-accepting forms: fast path, deadlock verification,

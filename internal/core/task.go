@@ -34,12 +34,12 @@ type Task struct {
 	// back-index (noteDischarged).
 	//
 	// The backing array deliberately lives in its own small heap object
-	// (lazily, at the first noteOwned): seeding it inline in the Task
-	// block was tried and reverted — owner-side interface writes into
-	// the large long-lived Task object measured ~50% slower end to end
-	// on the churn-heavy verified workloads (Sieve) than writes into a
-	// dedicated small slice, and tasks that never own a promise pay
-	// nothing at all.
+	// (built by the spawn that moves promises in, or lazily at the first
+	// noteOwned): seeding it inline in the Task block was tried and
+	// reverted — owner-side interface writes into the large long-lived
+	// Task object measured ~50% slower end to end on the churn-heavy
+	// verified workloads (Sieve) than writes into a dedicated small
+	// slice, and tasks that never own a promise pay nothing at all.
 	owned []AnyPromise
 
 	// done is signalled at termination, after err is written. Tasks
@@ -181,75 +181,38 @@ func (t *Task) async(name string, f TaskFunc, moved []Movable) (*Task, error) {
 	r := t.rt
 	child := r.newTask(name, t)
 	if r.mode >= Ownership && len(moved) > 0 {
-		ms := expandMoved(moved)
-		if err := t.validateMoved(ms); err != nil {
+		child.owned = appendMoved(moved)
+		if err := t.validateMoved(child.owned); err != nil {
 			r.alarm(err)
 			return nil, err
 		}
-		t.transferMoved(child, ms)
+		t.transferMoved(child)
 	}
 	r.startTask(child, f)
 	return child, nil
 }
 
-// movedSet is a spawn's moved arguments with every composite Movable
-// expanded exactly once, so validation and transfer walk the same
-// promises without calling Promises() twice. In the common case every
-// argument is a promise itself (a *Promise[T] is its own AnyPromise) and
-// the arguments are walked in place; otherwise flat holds the expansion.
-type movedSet struct {
-	args []Movable
-	flat []AnyPromise
-	exp  bool // flat is in use (it may be empty)
-}
-
-// expandMoved expands the composites of moved, reusing a lone
-// composite's own Promises() slice.
-func expandMoved(moved []Movable) movedSet {
-	composites := 0
+// appendMoved expands a spawn's moved arguments into what becomes the
+// child's owned list. More than one argument sizes the list to the
+// argument count up front, so plain promise moves never grow it by
+// doubling.
+func appendMoved(moved []Movable) []AnyPromise {
+	var ps []AnyPromise
+	if len(moved) > 1 {
+		ps = make([]AnyPromise, 0, len(moved))
+	}
 	for _, m := range moved {
-		if _, ok := m.(AnyPromise); !ok {
-			composites++
-		}
+		ps = m.AppendPromises(ps)
 	}
-	switch {
-	case composites == 0:
-		return movedSet{args: moved}
-	case len(moved) == 1:
-		return movedSet{flat: moved[0].Promises(), exp: true}
-	}
-	flat := make([]AnyPromise, 0, len(moved)-composites)
-	for _, m := range moved {
-		if ap, ok := m.(AnyPromise); ok {
-			flat = append(flat, ap)
-		} else {
-			flat = append(flat, m.Promises()...)
-		}
-	}
-	return movedSet{flat: flat, exp: true}
+	return ps
 }
 
-func (ms movedSet) len() int {
-	if ms.exp {
-		return len(ms.flat)
-	}
-	return len(ms.args)
-}
-
-func (ms movedSet) at(i int) AnyPromise {
-	if ms.exp {
-		return ms.flat[i]
-	}
-	return ms.args[i].(AnyPromise)
-}
-
-// validateMoved checks that t currently owns every promise in the moved
-// set (rule 2's precondition). Validation is separate from transfer —
-// validate everything, then transfer everything — so a rejected spawn
-// leaves ownership untouched.
-func (t *Task) validateMoved(ms movedSet) error {
-	for i, n := 0, ms.len(); i < n; i++ {
-		ap := ms.at(i)
+// validateMoved checks that t currently owns every promise in ps (rule
+// 2's precondition). Validation is separate from transfer — validate
+// everything, then transfer everything — so a rejected spawn leaves
+// ownership untouched.
+func (t *Task) validateMoved(ps []AnyPromise) error {
+	for _, ap := range ps {
 		if owner := ap.state().owner.Load(); owner != t {
 			return ownershipError("move", t, ap, owner)
 		}
@@ -257,35 +220,34 @@ func (t *Task) validateMoved(ms movedSet) error {
 	return nil
 }
 
-// transferMoved moves every promise in the moved set from t to child
-// (rule 2). The caller must have validated the set first. A promise
-// that t no longer owns is skipped silently: that happens exactly when
-// the same promise is listed twice — within one spawn (directly or
+// transferMoved moves every promise listed in child's owned list from t
+// to child (rule 2). The caller must have validated the list first. An
+// entry that t no longer owns is compacted away: that happens exactly
+// when the same promise is listed twice — within one spawn (directly or
 // through overlapping collections) or across the specs of one
-// AsyncBatch, where the first listing wins. A child that owns nothing
-// yet gets an owned list sized to the set, so it does not grow by
-// doubling as the promises arrive.
-func (t *Task) transferMoved(child *Task, ms movedSet) {
+// AsyncBatch, where the first listing wins.
+func (t *Task) transferMoved(child *Task) {
 	r := t.rt
-	n := ms.len()
-	if child.owned == nil && n > 1 {
-		child.owned = make([]AnyPromise, 0, n)
-	}
-	for i := 0; i < n; i++ {
-		ap := ms.at(i)
+	ps := child.owned
+	n := 0
+	for _, ap := range ps {
 		s := ap.state()
 		if s.owner.Load() != t {
 			continue
 		}
 		s.owner.Store(child)
 		t.noteDischarged(ap)
-		child.noteOwned(ap)
+		s.ownedIdx = n
+		ps[n] = ap
+		n++
 		if r.events != nil {
 			// Arg carries the destination task ID so the offline
 			// verifier can track ownership without parsing the detail.
 			r.logEventArg(EvMove, t, s, child.id, "to "+child.displayName())
 		}
 	}
+	clear(ps[n:])
+	child.owned = ps[:n]
 }
 
 func invokeTask(f TaskFunc, t *Task) (err error) {

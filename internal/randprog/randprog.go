@@ -22,6 +22,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -183,12 +184,12 @@ type movableIdx struct {
 	idxs  []int
 }
 
-func (m movableIdx) Promises() []core.AnyPromise {
-	out := make([]core.AnyPromise, len(m.idxs))
-	for i, idx := range m.idxs {
-		out[i] = m.proms[idx]
+func (m movableIdx) AppendPromises(dst []core.AnyPromise) []core.AnyPromise {
+	dst = slices.Grow(dst, len(m.idxs))
+	for _, idx := range m.idxs {
+		dst = append(dst, m.proms[idx])
 	}
-	return out
+	return dst
 }
 
 // Main returns the root TaskFunc implementing the program; pass it to

@@ -1,9 +1,8 @@
 // Package testutil provides helpers shared by the test suites: safe
-// program execution with hang protection, and error-shape assertions.
+// program execution with hang protection.
 package testutil
 
 import (
-	"errors"
 	"testing"
 	"time"
 
@@ -35,18 +34,6 @@ func MustSucceed(t *testing.T, rt *core.Runtime, main core.TaskFunc) {
 	if err := Run(t, rt, main); err != nil {
 		t.Fatalf("program failed: %v", err)
 	}
-}
-
-// WantDeadlock runs main and fails the test unless a DeadlockError was
-// reported. It returns the deadlock for further inspection.
-func WantDeadlock(t *testing.T, rt *core.Runtime, main core.TaskFunc) *core.DeadlockError {
-	t.Helper()
-	err := Run(t, rt, main)
-	var dl *core.DeadlockError
-	if !errors.As(err, &dl) {
-		t.Fatalf("expected a deadlock, got: %v", err)
-	}
-	return dl
 }
 
 // AllModes lists every runtime mode, for table-driven tests.

@@ -84,11 +84,6 @@ func (c *Collector) deliverLocked(batch []Event) {
 	}
 }
 
-// Flush returns the first sink error, if any. Delivery is synchronous,
-// so once it returns every event whose Emit or EmitStamped has returned
-// is in the sinks.
-func (c *Collector) Flush() error { return c.Err() }
-
 // Close closes every sink. Idempotent; returns the first recorded error.
 // Events emitted afterwards are counted by Dropped, not delivered.
 func (c *Collector) Close() error {

@@ -47,8 +47,9 @@ func TestConcurrentEmit(t *testing.T) {
 	}
 }
 
-// TestConcurrentEmitWithFlushes interleaves mid-run Flushes with
-// concurrent writers: nothing may be lost or double-delivered.
+// TestConcurrentEmitWithFlushes interleaves mid-run Err reads, which
+// take the delivery mutex, with concurrent writers: nothing may be lost
+// or double-delivered.
 func TestConcurrentEmitWithFlushes(t *testing.T) {
 	mem := NewMemSink(0)
 	c := New(mem)
@@ -57,14 +58,14 @@ func TestConcurrentEmitWithFlushes(t *testing.T) {
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	wg.Add(1)
-	go func() { // concurrent flusher
+	go func() { // concurrent Err reader
 		defer wg.Done()
 		for {
 			select {
 			case <-stop:
 				return
 			default:
-				if err := c.Flush(); err != nil {
+				if err := c.Err(); err != nil {
 					t.Error(err)
 					return
 				}

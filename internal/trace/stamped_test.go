@@ -25,7 +25,7 @@ func TestEmitStampedDeliversAll(t *testing.T) {
 			c.Emit(Event{Kind: KindNewPromise, TaskID: 7})
 		}
 	}
-	if err := c.Flush(); err != nil {
+	if err := c.Err(); err != nil {
 		t.Fatal(err)
 	}
 	if d := c.Dropped(); d != 0 {
