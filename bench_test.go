@@ -438,7 +438,7 @@ func TestFastPathAllocs(t *testing.T) {
 // Group's backing array and its interface box.
 func TestMoveCompositeAllocs(t *testing.T) {
 	if testutil.RaceEnabled {
-		t.Skip("the race detector keeps slices.Grow's scratch make, one object more per composite move")
+		t.Skip("the race detector keeps slices.Grow's scratch make, one object more per multi-member Group move")
 	}
 	for _, mode := range []core.Mode{core.Ownership, core.Full} {
 		t.Run(mode.String(), func(t *testing.T) {
@@ -469,6 +469,22 @@ func TestMoveCompositeAllocs(t *testing.T) {
 					{"channel", 10, func() (core.TaskFunc, core.Movable) {
 						ch := collections.NewChannel[int](task)
 						return ch.Close, ch
+					}},
+					// StreamCluster's worker move: its result promise, then
+					// its barrier column, so the column's append sizes the
+					// child's owned list once (Group{column, p} reads one
+					// more and keeps twice the capacity).
+					{"group-column", 38, func() (core.TaskFunc, core.Movable) {
+						p := core.NewPromise[int](task)
+						b := collections.NewBarrier(task, 1, 8)
+						return func(c *core.Task) error {
+							for r := 0; r < 8; r++ {
+								if err := b.Await(c, 0, r); err != nil {
+									return err
+								}
+							}
+							return p.Set(c, 1)
+						}, core.Group{p, b.Column(0)}
 					}},
 					{"column", 16, func() (core.TaskFunc, core.Movable) {
 						b := collections.NewBarrier(task, 1, 2)

@@ -41,7 +41,7 @@ func (t *Task) AsyncBatch(specs []SpawnSpec) ([]*Task, error) {
 	}
 	if r.mode >= Ownership {
 		for i, c := range children {
-			c.owned = appendMoved(specs[i].Moved)
+			c.owned = Group(specs[i].Moved).AppendPromises(nil)
 			if err := t.validateMoved(c.owned); err != nil {
 				r.alarm(err)
 				return nil, err

@@ -13,8 +13,8 @@ type Movable interface {
 	// AppendPromises appends the promises that must move when this
 	// object moves to dst and returns the extended slice. The spawn path
 	// appends straight into the child's owned list, so an implementation
-	// should grow dst at most once, by its own count, rather than build a
-	// slice of its own.
+	// should append all its promises at once (growing dst at most once)
+	// rather than build a slice of its own.
 	AppendPromises(dst []AnyPromise) []AnyPromise
 }
 
@@ -22,9 +22,16 @@ type Movable interface {
 // promises or collections to Async as one argument.
 type Group []Movable
 
-// AppendPromises appends the union of the members' promises to dst.
+// AppendPromises appends the union of the members' promises to dst, in
+// member order. More than one member first grows dst by the member count,
+// so promise members never grow it by doubling. A composite member's
+// append grows dst to exactly what it needs when that exceeds twice the
+// capacity, so a Group sizes dst exactly when its one multi-promise member
+// comes last: Group{p, column}, not Group{column, p}.
 func (g Group) AppendPromises(dst []AnyPromise) []AnyPromise {
-	dst = slices.Grow(dst, len(g))
+	if len(g) > 1 {
+		dst = slices.Grow(dst, len(g))
+	}
 	for _, m := range g {
 		dst = m.AppendPromises(dst)
 	}

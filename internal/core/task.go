@@ -181,7 +181,7 @@ func (t *Task) async(name string, f TaskFunc, moved []Movable) (*Task, error) {
 	r := t.rt
 	child := r.newTask(name, t)
 	if r.mode >= Ownership && len(moved) > 0 {
-		child.owned = appendMoved(moved)
+		child.owned = Group(moved).AppendPromises(nil)
 		if err := t.validateMoved(child.owned); err != nil {
 			r.alarm(err)
 			return nil, err
@@ -190,21 +190,6 @@ func (t *Task) async(name string, f TaskFunc, moved []Movable) (*Task, error) {
 	}
 	r.startTask(child, f)
 	return child, nil
-}
-
-// appendMoved expands a spawn's moved arguments into what becomes the
-// child's owned list. More than one argument sizes the list to the
-// argument count up front, so plain promise moves never grow it by
-// doubling.
-func appendMoved(moved []Movable) []AnyPromise {
-	var ps []AnyPromise
-	if len(moved) > 1 {
-		ps = make([]AnyPromise, 0, len(moved))
-	}
-	for _, m := range moved {
-		ps = m.AppendPromises(ps)
-	}
-	return ps
 }
 
 // validateMoved checks that t currently owns every promise in ps (rule

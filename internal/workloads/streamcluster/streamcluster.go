@@ -259,7 +259,7 @@ func runChunkAllToAll(t *core.Task, cfg Config, points [][]float64, base, per, p
 				}
 			}
 			return results[w].Set(c, local)
-		}, core.Group{bar.Column(w), results[w]}); err != nil {
+		}, core.Group{results[w], bar.Column(w)}); err != nil {
 			return err
 		}
 	}
@@ -310,7 +310,7 @@ func runChunkAllToOne(t *core.Task, cfg Config, points [][]float64, base, per, p
 				}
 			}
 			return results[w].Set(c, struct{}{})
-		}, core.Group{ato.Column(w), results[w]}); err != nil {
+		}, core.Group{results[w], ato.Column(w)}); err != nil {
 			return err
 		}
 	}
