@@ -512,7 +512,7 @@ func earlyAccept(t *testing.T, fw *frameWriter, fr *frameReader, id uint64, work
 }
 
 // TestMergedWriteFailureSpillsVerdict: a session that finished before
-// the read loop answered it sends its accept and verdict in one write.
+// anything sent its accept sends its accept and verdict in one write.
 // When that write times out on a stalled client, the verdict lands in
 // the spill log under the session's name and the conn is cut; when it
 // succeeds, front_verdicts_with_accept_total counts it. A session
@@ -535,22 +535,17 @@ func TestMergedWriteFailureSpillsVerdict(t *testing.T) {
 			inflight: make(map[uint64]context.CancelCauseFunc),
 		}, client
 	}
-	// merged runs one session to completion, lets its hook take the
-	// first turn, and then takes the read loop's turn on c.
+	// merged runs one session whose accept nothing has sent, so its
+	// completion hook writes the accept and the verdict together on c.
 	merged := func(c *frontConn, id uint64) {
 		t.Helper()
 		pv := &pendingVerdict{c: c, id: id, name: fmt.Sprintf("gold/Noop#%d", id), cancel: func(error) {}}
+		pv.refs.Store(1)
 		f.sessWG.Add(1)
-		s, err := f.pool.Submit(t.Context(), pv.name, noop(workloads.ScaleSmall), serve.WithOnDone(pv.turn))
-		if err != nil {
+		if _, err := f.pool.Submit(t.Context(), pv.name, noop(workloads.ScaleSmall), serve.WithOnDone(pv.turn)); err != nil {
 			t.Fatal(err)
 		}
-		for deadline := time.Now().Add(5 * time.Second); pv.turns.Load() != 1; time.Sleep(time.Millisecond) {
-			if time.Now().After(deadline) {
-				t.Fatal("completion hook never took its turn")
-			}
-		}
-		pv.acceptTurn(s)
+		f.sessWG.Wait()
 	}
 	counted := func() int64 {
 		return reg.Snapshot().Counters["front_verdicts_with_accept_total"]
@@ -592,8 +587,8 @@ func TestMergedWriteFailureSpillsVerdict(t *testing.T) {
 		t.Fatalf("front_verdicts_with_accept_total = %d after one merged write, want 1", n)
 	}
 
-	// Whichever turn comes second, a verdict the stalled pipe cannot take
-	// is spilled under the name handleSubmit built.
+	// Whoever sends the accept, a verdict the stalled pipe cannot take is
+	// spilled under the name handleSubmit built.
 	named, _ := conn(50 * time.Millisecond)
 	named.handleSubmit(submitMsg{ID: 42, Workload: "Noop"})
 	f.sessWG.Wait()

@@ -20,11 +20,16 @@ type frontMetrics struct {
 	rejected     *obs.CounterVec // label: reason (closed set, see wire.go)
 	verdicts     *obs.CounterVec // label: verdict
 	// verdictsWithAccept counts the verdicts written in one Write with
-	// their accept, because the session finished before the read loop
-	// answered its submit. Divided by the sum of front_verdicts_total it
-	// is the merged share: the fraction of verdicts that cost no write
-	// of their own.
+	// their accept: the session finished before anything else sent the
+	// accept. Divided by the sum of front_verdicts_total it is the merged
+	// share: the fraction of verdicts that cost no write of their own.
 	verdictsWithAccept *obs.Counter
+	// acceptsExpired counts the deferred accepts that went alone: the
+	// session's workload was marked short, but the session outlived the
+	// shortBody timer. A high rate against front_sessions_submitted_total
+	// means the short flag misjudges a workload whose bodies alternate
+	// between short and long.
+	acceptsExpired *obs.Counter
 
 	// Fault-tolerance families. The retry-reason label space is the
 	// closed classification set in retry.go.
@@ -51,6 +56,7 @@ func init() {
 			verdicts:     reg.CounterVec("front_verdicts_total", "verdict"),
 
 			verdictsWithAccept: reg.Counter("front_verdicts_with_accept_total"),
+			acceptsExpired:     reg.Counter("front_accepts_expired_total"),
 
 			retries:          reg.CounterVec("front_retries_total", "reason"),
 			heartbeatsMissed: reg.Counter("front_heartbeats_missed_total"),

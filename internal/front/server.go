@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -38,13 +37,15 @@ const defaultServerWriteTimeout = 30 * time.Second
 // past the cap the oldest entries go (the counter still counts).
 const spillCap = 1024
 
-// shortBody is the longest last run for which the read loop, having
-// submitted a session of the same workload and scale, yields once before
-// it answers, so the session can finish and its verdict share the
-// accept's write. The yield holds the accept back for as long as the body
-// runs without blocking; a body that computes for longer than this gets
-// its accept at once. Listing 1 and a no-op body run for tens of
-// microseconds.
+// shortBody is the longest last run for which the front defers a
+// session's accept to the session's completion hook, so the verdict
+// shares the accept's write. The front arms a shortBody timer for such a
+// session instead of answering from the read loop; if the session is
+// still running when the timer fires, the timer sends the accept alone
+// and the hook later sends the verdict alone. So a body that runs longer,
+// computing or blocked, gets its accept at most shortBody late, and a
+// workload not marked short gets it at once. Listing 1 and a no-op body
+// run for tens of microseconds.
 const shortBody = 100 * time.Microsecond
 
 // Config configures a Front. The serving pool behind it is configured
@@ -109,9 +110,9 @@ type SpilledVerdict struct {
 
 // Front is the network serving front-end: it owns a listener, a serving
 // pool, and one goroutine per connection. An in-flight session holds no
-// goroutine: its verdict frame is written by its completion hook, or by
-// the conn's read loop in the same write as the accept if the session
-// finished first. New starts it; Shutdown drains it.
+// goroutine: its verdict frame is written by its completion hook, in the
+// same write as the accept when nothing has sent the accept yet. New
+// starts it; Shutdown drains it.
 type Front struct {
 	cfg  Config
 	reg  Registry
@@ -121,7 +122,7 @@ type Front struct {
 	// short holds, per registered workload and scale, whether the body
 	// of its last session that ran took under shortBody. The map is
 	// built by New from the registry and then only read; a workload
-	// missing from it never gets the yield.
+	// missing from it always gets its accept at once.
 	short map[string]*[workloads.ScalePaper + 1]atomic.Bool
 
 	mu       sync.Mutex
@@ -238,9 +239,10 @@ func (f *Front) acceptLoop() {
 }
 
 // serve runs one connection: handshake, then the submit/cancel read
-// loop. Accept/reject frames are sent synchronously from this loop, so
-// they reach the client in submission order and always precede the
-// session's verdict frame (see pendingVerdict).
+// loop. Rejects, and the accepts of workloads not marked short, are sent
+// synchronously from this loop; a short workload's accept is deferred to
+// its session's completion hook or its shortBody timer. Either way the
+// accept precedes the session's verdict frame (see pendingVerdict).
 func (c *frontConn) serve() {
 	defer c.nc.Close()
 	// When the read loop exits — client gone, or server cutting conns at
@@ -336,11 +338,14 @@ func (c *frontConn) handshake() error {
 	return c.fw.send(frameHelloAck, helloAckMsg{Version: ProtocolVersion, Tenant: tenant}.appendBody)
 }
 
-// handleSubmit admits one wire submission into the pool and answers it
-// synchronously. Rejections carry the machine-readable reason the
-// metrics count; an accepted session's verdict frame follows its accept,
-// in the same write when the session has finished by then (see
-// pendingVerdict).
+// handleSubmit admits one wire submission into the pool. Rejections are
+// answered at once and carry the machine-readable reason the metrics
+// count. An accepted session of a workload not marked short gets its
+// accept at once, with its verdict in the same write when the session
+// has finished by then. A short workload's accept is deferred: the
+// session's completion hook sends it with the verdict, or a shortBody
+// timer sends it alone if the session outlives the bound (see
+// pendingVerdict). The read loop does not wait for either.
 func (c *frontConn) handleSubmit(req submitMsg) {
 	f := c.f
 	reject := func(reason, detail string) {
@@ -394,10 +399,18 @@ func (c *frontConn) handleSubmit(req submitMsg) {
 	c.mu.Lock()
 	c.inflight[req.ID] = cancel
 	c.mu.Unlock()
-	s, err := f.pool.Submit(ctx, pv.name, prog(scale), opts...)
-	if err != nil {
+	answer := uint32(pvAdmitted | pvExpired)
+	pv.refs.Store(1)
+	if pv.short != nil && pv.short.Load() {
+		// Armed before Submit: the session can finish, and its hook stop
+		// the timer, before Submit returns.
+		answer = pvAdmitted
+		pv.refs.Store(2)
+		pv.timer = time.AfterFunc(shortBody, pv.expire)
+	}
+	if _, err := f.pool.Submit(ctx, pv.name, prog(scale), opts...); err != nil {
 		pv.retire(err)
-		f.sessWG.Done()
+		pv.release(1 + pv.stopTimer()) // the hook's share: it never runs
 		switch {
 		case errors.Is(err, serve.ErrDeadlineInfeasible):
 			reject(RejectDeadline, err.Error())
@@ -413,72 +426,133 @@ func (c *frontConn) handleSubmit(req submitMsg) {
 	if m := fmet(); m != nil {
 		m.submitted.Inc()
 	}
-	if pv.short != nil && pv.short.Load() {
-		// A dispatched session's worker is readied to run next on this P.
-		// The workload's last body ran for under shortBody, so one yield
-		// likely lets this one finish first and its verdict share the
-		// accept's write. A body that computes for longer must not hold
-		// its accept back until the scheduler preempts it.
-		runtime.Gosched()
-	}
-	pv.acceptTurn(s)
+	pv.mark(answer)
 }
 
+// pendingVerdict states, the bits of pendingVerdict.state. The accept may
+// go alone once the session is admitted and expired; answered marks that
+// the accept is claimed, alone or riding with the verdict.
+const (
+	pvAdmitted = 1 << iota // Pool.Submit returned the session
+	pvExpired              // no merge is waited for: not short, or the timer fired
+	pvAnswered             // the accept is claimed
+)
+
 // pendingVerdict is an accepted session whose verdict frame is still
-// owed. Two events each take one turn: the read loop answering the
-// submit (acceptTurn) and the session completing (turn, its
-// serve.WithOnDone hook). The second delivers the verdict. The read loop
-// takes its turn under the frameWriter's mutex. If it comes first, it
-// writes the accept alone before releasing the mutex, so the hook's
-// verdict goes out after it. If it comes second, the session has
-// finished, and it writes the accept and the verdict together in one
-// Write. So the accept always precedes the verdict on the wire, and no
-// goroutine waits for the session.
+// owed. Its accept is sent by exactly one of two parties, which claim it
+// on an atomic state word:
+//
+//   - the session's completion hook (turn), which sends the accept and
+//     the verdict in one Write unless the accept was claimed before it;
+//   - acceptAlone, called by whichever of the read loop (its Submit
+//     returned) and the shortBody timer (it fired) comes second, or by
+//     the read loop alone for a workload not marked short.
+//
+// acceptAlone claims the accept only while it holds the frameWriter's
+// mutex and writes it before letting go, so a hook that finds the accept
+// claimed writes its verdict, under the same mutex, after it. So the
+// accept always precedes the verdict on the wire, and no goroutine waits
+// for the session. A short session that finishes inside shortBody has
+// its timer stopped by the hook before it fires, and costs no goroutine
+// and one Write.
 type pendingVerdict struct {
 	c      *frontConn
 	id     uint64
 	name   string         // server-side session name (tenant/workload#id)
 	sink   *trace.MemSink // the session's event window; nil if untraced
 	cancel context.CancelCauseFunc
-	turns  atomic.Int32
 	short  *atomic.Bool // the workload's shortBody flag; nil if unknown
+	timer  *time.Timer  // the deferred accept's timer; nil if not deferred
+	state  atomic.Uint32
+	// refs counts the parties still to finish before the front's
+	// in-flight count drops: the hook, and a timer that was not stopped.
+	refs atomic.Int32
 
-	// acceptSent records that the accept frame was written. The read
-	// loop sets it under the frameWriter's mutex, so a hook reads it only
+	// acceptSent records that the accept frame was written. acceptAlone
+	// sets it under the frameWriter's mutex, so a hook reads it only
 	// after its own verdict write has taken that mutex.
 	acceptSent bool
 }
 
-// turn is the session's completion hook. As the second turn it delivers
-// the verdict alone: the accept is already on the wire.
+// turn is the session's completion hook: it delivers the verdict, with
+// the accept in the same Write unless that was sent already.
 func (pv *pendingVerdict) turn(s *serve.Session) {
-	if pv.turns.Add(1) == 2 {
-		pv.deliver(s, false)
+	stopped := pv.stopTimer()
+	pv.deliver(s)
+	pv.release(1 + stopped)
+}
+
+// expire is the shortBody timer: the session outlived the bound, so its
+// accept goes alone once Submit has returned it.
+func (pv *pendingVerdict) expire() {
+	pv.mark(pvExpired)
+	pv.release(1)
+}
+
+// mark sets bits in the state and sends the accept alone if that makes
+// the session both admitted and expired with its accept unclaimed. Of
+// the read loop and the timer, only the second to mark sees both bits.
+func (pv *pendingVerdict) mark(bits uint32) {
+	if pv.set(bits)|bits == pvAdmitted|pvExpired {
+		pv.acceptAlone()
 	}
 }
 
-// acceptTurn is the read loop's turn: it writes the accept, and with it
-// the verdict if the session has already finished.
-func (pv *pendingVerdict) acceptTurn(s *serve.Session) {
+// set sets bits in the state and returns the state before. It is a CAS
+// loop and not atomic.Uint32.Or: with go1.24.0 on amd64, mark's use of
+// Or's result, inlined into handleSubmit, overwrote the receiver with
+// that result.
+func (pv *pendingVerdict) set(bits uint32) uint32 {
+	for {
+		old := pv.state.Load()
+		if old|bits == old || pv.state.CompareAndSwap(old, old|bits) {
+			return old
+		}
+	}
+}
+
+// acceptAlone claims the accept and writes it by itself, both under the
+// frameWriter's mutex, unless the hook claimed it first.
+func (pv *pendingVerdict) acceptAlone() {
 	fw := pv.c.fw
 	fw.mu.Lock()
-	if pv.turns.Add(1) == 1 {
-		pv.acceptSent = fw.sendLocked(frameAccept, acceptMsg{ID: pv.id}.appendBody) == nil
-		fw.mu.Unlock()
-		return
+	defer fw.mu.Unlock()
+	if pv.set(pvAnswered)&pvAnswered != 0 {
+		return // the hook's verdict carries the accept
 	}
-	// The hook has taken its turn, so nothing else writes this session's
-	// frames: build the verdict outside the lock.
-	fw.mu.Unlock()
-	pv.deliver(s, true)
+	pv.acceptSent = fw.sendLocked(frameAccept, acceptMsg{ID: pv.id}.appendBody) == nil
+	if pv.timer != nil {
+		if m := fmet(); m != nil {
+			m.acceptsExpired.Inc()
+		}
+	}
 }
 
-// deliver builds the finished session's verdict frame, retires the
-// session, and writes (or spills) the frame, after its accept in the
-// same write when withAccept is set.
-func (pv *pendingVerdict) deliver(s *serve.Session, withAccept bool) {
-	c := pv.c
-	defer c.f.sessWG.Done()
+// stopTimer stops the deferred accept's timer. It returns 1 when that
+// kept the timer from firing, so its caller releases the timer's share,
+// and 0 when there is no timer or it fired.
+func (pv *pendingVerdict) stopTimer() int32 {
+	if pv.timer != nil && pv.timer.Stop() {
+		return 1
+	}
+	return 0
+}
+
+// release drops n of the parties pv waits for; the last one takes the
+// session off the front's in-flight count.
+func (pv *pendingVerdict) release(n int32) {
+	if pv.refs.Add(-n) == 0 {
+		pv.c.f.sessWG.Done()
+	}
+}
+
+// deliver claims the accept if nothing has sent it, builds the finished
+// session's verdict frame, retires the session, and writes (or spills)
+// the frame, after its accept in the same write when it claimed it.
+func (pv *pendingVerdict) deliver(s *serve.Session) {
+	// Claimed first, so a timer firing while the verdict is built finds
+	// the accept taken and the two still share one write.
+	withAccept := pv.set(pvAnswered)&pvAnswered == 0
 	v := verdictMsg{
 		ID:         pv.id,
 		Verdict:    s.Verdict().String(),
@@ -497,8 +571,9 @@ func (pv *pendingVerdict) deliver(s *serve.Session, withAccept bool) {
 	if m := fmet(); m != nil {
 		m.verdicts.With(v.Verdict).Inc()
 	}
-	// The next submit of this workload yields only if this body was
-	// short. A session canceled before it ran says nothing about it.
+	// The next submit of this workload defers its accept only if this
+	// body was short. A session canceled before it ran says nothing about
+	// it.
 	if pv.short != nil && s.Verdict() != serve.VerdictCanceled {
 		if short := s.Duration() < shortBody; short != pv.short.Load() {
 			pv.short.Store(short)

@@ -38,7 +38,8 @@
 //	C→S  hello{version, key}            once, first frame on the conn
 //	S→C  helloAck{version, tenant}      or errors and closes
 //	C→S  submit{id, workload, ...}      any time after the ack
-//	S→C  accept{id} | reject{id, ...}   synchronous answer, in order
+//	S→C  accept{id} | reject{id, ...}   admission answer (accept may be
+//	                                    deferred, see below)
 //	S→C  verdict{id, ...}               when the session completes, never
 //	                                    before its accept
 //	C→S  cancel{id}                     best-effort, any time
@@ -46,15 +47,16 @@
 //	*→*  ping{seq} / pong{seq}          keepalive, either direction
 //
 // The submit id is chosen by the client and scopes the conversation: all
-// server frames about a session carry it back. Accept/reject are sent
-// from the read loop before the next submit is read, so they arrive in
-// submission order; verdicts arrive in completion order, interleaved.
-// A session that has finished by the time the read loop answers its
-// submit gets its accept and verdict in one Write, accept first. (When
-// the workload's last body was short, the loop yields once after the
-// submit, so such a body usually has finished.) Any other session's
-// verdict is written by its completion hook after the accept. Either way
-// the client reads the accept first.
+// server frames about a session carry it back. A reject, and the accept
+// of a workload not marked short, are sent from the read loop before the
+// next submit is read. A workload whose last body ran for under
+// shortBody (100 µs) has its accept deferred: its session's completion
+// hook writes the accept and the verdict in one Write, accept first, and
+// if the session outlives shortBody a timer writes the accept alone and
+// the hook the verdict after it. So accepts of short sessions arrive in
+// completion order, not submission order, and the client matches every
+// frame to its session by id. Verdicts arrive in completion order,
+// interleaved. Either way the client reads a session's accept first.
 //
 // A traced verdict's trace bytes are a stream in internal/trace's binary
 // format, which the client decodes and verifies on its own
@@ -420,14 +422,13 @@ func (d *decoder) done(typ byte) error {
 }
 
 // frameWriter serializes frames onto one conn. Writes come from the read
-// loop (accept/reject/pong, in order, and a verdict whose session
-// finished before its accept went out, sent with that accept) and from
-// session completion hooks (completion order), so every write takes the
-// mutex: a frame is never interleaved inside another. Frames are encoded
-// under the mutex into buf, which is reused across sends. The read loop
-// also holds the mutex while it takes its pendingVerdict turn, so a hook
-// that finishes the session meanwhile writes its verdict after the
-// accept.
+// loop (reject/pong, and accepts not deferred), from shortBody timers (a
+// deferred accept sent alone) and from session completion hooks (a
+// verdict, with its accept when nothing sent that yet), so every write
+// takes the mutex: a frame is never interleaved inside another. Frames
+// are encoded under the mutex into buf, which is reused across sends. An
+// accept sent alone is claimed while its writer holds the mutex, so a
+// hook that finds it claimed writes its verdict after the accept.
 //
 // When nc and timeout are set, every Write arms a write deadline: a peer
 // that has stopped draining its socket fails the write with
