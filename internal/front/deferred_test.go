@@ -203,9 +203,9 @@ func TestStraddlingBodyAnswersOnce(t *testing.T) {
 	if err := fw.send(framePing, pingMsg{Seq: 7}.appendBody); err != nil {
 		t.Fatal(err)
 	}
-	typ, body2, err := fr.read()
+	typ, pong, err := fr.read()
 	var p pingMsg
-	if err != nil || typ != framePong || p.decode(body2) != nil || p.Seq != 7 {
+	if err != nil || typ != framePong || p.decode(pong) != nil || p.Seq != 7 {
 		t.Fatalf("after the last verdict: frame %d, %+v, %v; want pong 7", typ, p, err)
 	}
 }
