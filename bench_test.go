@@ -35,18 +35,27 @@ import (
 )
 
 // benchProgram runs one registered workload under the given runtime
-// configuration for b.N iterations.
+// configuration for b.N iterations, preparing each run's inputs with the
+// timer stopped.
 func benchProgram(b *testing.B, name string, scale workloads.Scale, opts ...core.Option) {
 	b.Helper()
 	entry, ok := workloads.ByName(name)
 	if !ok {
 		b.Fatalf("unknown workload %q", name)
 	}
-	prog := entry.Prog(scale)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		body, err := entry.Prepare(scale)
+		if err != nil {
+			b.Fatal(err)
+		}
 		rt := core.NewRuntime(opts...)
-		if err := rt.Run(prog()); err != nil {
+		b.StartTimer()
+		if err := rt.Run(func(t *core.Task) error {
+			_, err := body(t)
+			return err
+		}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -372,7 +372,11 @@ func main() {
 	for _, e := range entries {
 		fmt.Fprintf(os.Stderr, "[%s] measuring %s (scale=%s, reps=%d)...\n",
 			time.Now().Format("15:04:05"), e.Name, *scaleFlag, opts.Reps)
-		row, err := harness.MeasureRow(harness.Spec{Name: e.Name, Prog: e.Prog(scale)}, opts, verified...)
+		spec := harness.Spec{Name: e.Name, Prepare: func() (harness.Body, error) { return e.Prepare(scale) }}
+		if e.Want != nil {
+			spec.Want = e.Want(scale)
+		}
+		row, err := harness.MeasureRow(spec, opts, verified...)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "benchtable: %v\n", err)
 			os.Exit(1)

@@ -26,6 +26,7 @@ import (
 	"repro/internal/hist"
 	"repro/internal/obs"
 	"repro/internal/serve"
+	"repro/internal/workloads"
 	"repro/internal/workloads/ppg"
 	"repro/internal/workloads/ppsim"
 )
@@ -89,24 +90,10 @@ func buildGraphShape(cfg config, shape string, seed int64) builtGraph {
 		})
 		return builtGraph{g: rd.Graph, rd: rd}
 	case "ppsim":
-		c := ppsim.Small()
-		switch cfg.scale {
-		case "default":
-			c = ppsim.Default()
-		case "paper":
-			c = ppsim.Paper()
-		}
-		g, check := ppsim.BuildGraph(c)
+		g, check := ppsim.BuildGraph(workloads.Pick(workloads.ParseScale(cfg.scale), ppsim.Small(), ppsim.Default(), ppsim.Paper()))
 		return builtGraph{g: g, check: check}
 	case "ppg":
-		c := ppg.Small()
-		switch cfg.scale {
-		case "default":
-			c = ppg.Default()
-		case "paper":
-			c = ppg.Paper()
-		}
-		g, check := ppg.BuildGraph(c)
+		g, check := ppg.BuildGraph(workloads.Pick(workloads.ParseScale(cfg.scale), ppg.Small(), ppg.Default(), ppg.Paper()))
 		return builtGraph{g: g, check: check}
 	default:
 		panic("unknown graph shape " + shape)

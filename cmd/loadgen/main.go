@@ -129,6 +129,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/hist"
 	"repro/internal/obs"
+	"repro/internal/randprog"
 	"repro/internal/serve"
 	"repro/internal/workloads"
 )
@@ -163,11 +164,11 @@ type config struct {
 	failProb, flakyProb          float64
 }
 
-// scenario is one entry of the mix: a named program factory with a weight.
+// scenario is one entry of the mix: a named session body with a weight.
 type scenario struct {
 	name   string
 	weight int
-	prog   func() core.TaskFunc
+	prog   core.TaskFunc
 	// want is what every session of this scenario must classify as;
 	// anything else is a false verdict.
 	want serve.Verdict
@@ -176,28 +177,7 @@ type scenario struct {
 // injected is the Deadlock scenario: -mix can name it and -inject swaps
 // it in for a draw.
 var injected = scenario{name: "Deadlock", weight: 1,
-	prog: func() core.TaskFunc { return deadlockProg }, want: serve.VerdictDeadlock}
-
-// deadlockProg is the paper's Listing 1: root owns p and waits on q, the
-// child owns q and waits on p. Under Full mode the detector reports the
-// cycle the moment it closes and both waits abort, so the session
-// terminates with a DeadlockError — the expected verdict.
-func deadlockProg(root *core.Task) error {
-	p := core.NewPromiseNamed[int](root, "p")
-	q := core.NewPromiseNamed[int](root, "q")
-	if _, e := root.AsyncNamed("t2", func(t2 *core.Task) error {
-		if _, e := p.Get(t2); e != nil {
-			return e
-		}
-		return q.Set(t2, 1)
-	}, q); e != nil {
-		return e
-	}
-	if _, e := q.Get(root); e != nil {
-		return e
-	}
-	return p.Set(root, 1)
-}
+	prog: randprog.Listing1, want: serve.VerdictDeadlock}
 
 // weighted is one "name[:weight]" entry of a -mix, -deadline or -tenants
 // list.
@@ -237,7 +217,7 @@ func parseMix(spec string, scale workloads.Scale) ([]scenario, error) {
 	var out []scenario
 	if spec == "all" {
 		for _, e := range workloads.All() {
-			out = append(out, scenario{name: e.Name, weight: 1, prog: e.Prog(scale), want: serve.VerdictClean})
+			out = append(out, scenario{name: e.Name, weight: 1, prog: e.Session(scale), want: serve.VerdictClean})
 		}
 		return out, nil
 	}
@@ -252,7 +232,7 @@ func parseMix(spec string, scale workloads.Scale) ([]scenario, error) {
 			if !ok {
 				return nil, fmt.Errorf("unknown scenario %q", w.name)
 			}
-			sc = scenario{name: e.Name, prog: e.Prog(scale), want: serve.VerdictClean}
+			sc = scenario{name: e.Name, prog: e.Session(scale), want: serve.VerdictClean}
 		}
 		sc.weight = w.weight
 		out = append(out, sc)
@@ -687,7 +667,7 @@ func runClosed(cfg config, led *ledger) error {
 				if dl > 0 {
 					ctx, cancel = context.WithTimeout(ctx, dl)
 				}
-				sess, err := pool.Submit(ctx, sc.name, sc.prog())
+				sess, err := pool.Submit(ctx, sc.name, sc.prog)
 				if err != nil {
 					cancel()
 					if cfg.verbose {

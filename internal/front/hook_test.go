@@ -190,8 +190,13 @@ func TestTracedSieveOverFront(t *testing.T) {
 		twins = map[*core.Runtime]*trace.MemSink{}
 		runs  = map[string][]*core.Runtime{}
 		progs = map[string]func(workloads.Scale) core.TaskFunc{
-			"Sieve":    DefaultRegistry()["Sieve"],
-			"Sieve200": func(workloads.Scale) core.TaskFunc { return sieve.Main(sieve.Config{N: 200}) },
+			"Sieve": DefaultRegistry()["Sieve"],
+			"Sieve200": func(workloads.Scale) core.TaskFunc {
+				return func(t *core.Task) error {
+					_, err := sieve.Run(t, sieve.Config{N: 200})
+					return err
+				}
+			},
 		}
 	)
 	twin := func(rt *core.Runtime) {
@@ -399,9 +404,10 @@ func TestOversizedTraceVerdictIsCut(t *testing.T) {
 }
 
 // TestBlockingBodyGetsEarlyAccept: a body that blocks must not hold its
-// accept back, whether or not the read loop yields after submitting it:
-// a 200 ms sleep gets its accept well before its verdict, with one P and
-// with two, on its first run and after it.
+// accept back, whether the front sends the accept at once or defers it
+// to the completion hook behind a shortBody timer: a 200 ms sleep gets
+// its accept well before its verdict, with one P and with two, on its
+// first run and after it.
 func TestBlockingBodyGetsEarlyAccept(t *testing.T) {
 	const body = 200 * time.Millisecond
 	reg := Registry{"Sleep": func(workloads.Scale) core.TaskFunc {
@@ -420,12 +426,12 @@ func TestBlockingBodyGetsEarlyAccept(t *testing.T) {
 	}
 }
 
-// TestComputeBodyGetsEarlyAccept: the read loop yields after a submit
-// only when the workload's last body ran for under shortBody. A no-op
-// workload earns the yield by running. A body that computes
-// for 200 ms without blocking never earns it, so its accept is not held
-// until the scheduler preempts the body: with one P and with two it
-// arrives well before the verdict.
+// TestComputeBodyGetsEarlyAccept: the front defers a submit's accept to
+// the completion hook only when the workload's last body ran for under
+// shortBody. A no-op workload is marked short by running. A body that
+// computes for 200 ms without blocking is never marked short, so its
+// accept goes at once rather than waiting for the body or the shortBody
+// timer: with one P and with two it arrives well before the verdict.
 func TestComputeBodyGetsEarlyAccept(t *testing.T) {
 	const body = 200 * time.Millisecond
 	reg := Registry{

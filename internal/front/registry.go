@@ -2,6 +2,7 @@ package front
 
 import (
 	"repro/internal/core"
+	"repro/internal/randprog"
 	"repro/internal/workloads"
 )
 
@@ -16,31 +17,10 @@ type Registry map[string]func(scale workloads.Scale) core.TaskFunc
 func DefaultRegistry() Registry {
 	reg := make(Registry, 12)
 	for _, e := range workloads.All() {
-		prog := e.Prog
-		reg[e.Name] = func(scale workloads.Scale) core.TaskFunc {
-			return prog(scale)()
-		}
+		// Session prepares inside the session body, on the pool's worker,
+		// not on the connection's read loop that calls the factory.
+		reg[e.Name] = e.Session
 	}
-	reg["Deadlock"] = func(workloads.Scale) core.TaskFunc { return listing1 }
+	reg["Deadlock"] = func(workloads.Scale) core.TaskFunc { return randprog.Listing1 }
 	return reg
-}
-
-// listing1 is the paper's Listing 1: two promises, each task Gets the
-// other's before Setting its own — a guaranteed 2-cycle the detector
-// must convict.
-func listing1(root *core.Task) error {
-	p := core.NewPromise[int](root)
-	q := core.NewPromise[int](root)
-	if _, err := root.Async(func(t2 *core.Task) error {
-		if _, err := p.Get(t2); err != nil {
-			return err
-		}
-		return q.Set(t2, 1)
-	}, q); err != nil {
-		return err
-	}
-	if _, err := q.Get(root); err != nil {
-		return err
-	}
-	return p.Set(root, 1)
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/randprog"
 )
 
 // ErrDoomed is the injected failure a doomed random-DAG node returns
@@ -89,26 +90,6 @@ type RandDAG struct {
 
 // nodeName gives the stable per-index node name ("n000"...).
 func nodeName(i int) string { return fmt.Sprintf("n%03d", i) }
-
-// deadlockBody is the paper's Listing 1 cycle: the root owns p and
-// waits on q; the child owns q and waits on p. Under Full mode the
-// detector convicts it the instant the cycle closes.
-func deadlockBody(t *core.Task) error {
-	p := core.NewPromiseNamed[int](t, "p")
-	q := core.NewPromiseNamed[int](t, "q")
-	if _, err := t.AsyncNamed("t2", func(t2 *core.Task) error {
-		if _, e := p.Get(t2); e != nil {
-			return e
-		}
-		return q.Set(t2, 1)
-	}, q); err != nil {
-		return err
-	}
-	if _, err := q.Get(t); err != nil {
-		return err
-	}
-	return p.Set(t, 1)
-}
 
 // fanBody is the healthy per-node program: sum the node's inputs, fan
 // out width children in one AsyncBatch each fulfilling a promise with a
@@ -205,7 +186,7 @@ func Random(cfg RandConfig) *RandDAG {
 		fn := func(t *core.Task, in Inputs) (any, error) {
 			switch {
 			case doomDeadlock:
-				return nil, deadlockBody(t)
+				return nil, randprog.Listing1(t)
 			case doomed:
 				return nil, fmt.Errorf("%w: node %s", ErrDoomed, t.Name())
 			case flaky && ran.Add(1) <= failsLeft:

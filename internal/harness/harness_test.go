@@ -90,9 +90,11 @@ func TestMedian(t *testing.T) {
 	}
 }
 
-func trivialProg(d time.Duration) Program {
-	return func() core.TaskFunc {
-		return func(tk *core.Task) error {
+// trivial prepares a body that fulfils one promise from a child task,
+// after sleeping d, and returns its value, 1.
+func trivial(d time.Duration) func() (Body, error) {
+	return func() (Body, error) {
+		return func(tk *core.Task) (uint64, error) {
 			p := core.NewPromise[int](tk)
 			if _, err := tk.Async(func(c *core.Task) error {
 				if d > 0 {
@@ -100,18 +102,20 @@ func trivialProg(d time.Duration) Program {
 				}
 				return p.Set(c, 1)
 			}, p); err != nil {
-				return err
+				return 0, err
 			}
-			_, err := p.Get(tk)
-			return err
-		}
+			v, err := p.Get(tk)
+			return uint64(v), err
+		}, nil
 	}
 }
+
+func noCheck(uint64) error { return nil }
 
 func TestMeasureTimeRepetitions(t *testing.T) {
 	opts := Options{Warmups: 2, Reps: 5}
 	mk := func() *core.Runtime { return core.NewRuntime(core.WithMode(core.Unverified)) }
-	s, err := MeasureTime(mk, trivialProg(time.Millisecond), opts)
+	s, err := MeasureTime(mk, trivial(time.Millisecond), noCheck, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,15 +130,58 @@ func TestMeasureTimeRepetitions(t *testing.T) {
 func TestMeasureTimePropagatesFailure(t *testing.T) {
 	opts := Options{Warmups: 0, Reps: 2}
 	mk := func() *core.Runtime { return core.NewRuntime(core.WithMode(core.Full)) }
-	bad := func() core.TaskFunc {
-		return func(tk *core.Task) error {
+	bad := func() (Body, error) {
+		return func(tk *core.Task) (uint64, error) {
 			p := core.NewPromise[int](tk)
 			_, err := p.Get(tk) // self-deadlock
-			return err
+			return 0, err
+		}, nil
+	}
+	if _, err := MeasureTime(mk, bad, noCheck, opts); err == nil {
+		t.Fatal("failure not propagated")
+	}
+}
+
+// TestMeasureTimePreparesOffTheClock pins setup off the clock: a
+// program whose preparation sleeps 20 ms and whose body returns at once
+// must time every rep far below the sleep.
+func TestMeasureTimePreparesOffTheClock(t *testing.T) {
+	slow := func() (Body, error) {
+		time.Sleep(20 * time.Millisecond)
+		return func(*core.Task) (uint64, error) { return 0, nil }, nil
+	}
+	mk := func() *core.Runtime { return core.NewRuntime(core.WithMode(core.Unverified)) }
+	s, err := MeasureTime(mk, slow, noCheck, Options{Warmups: 1, Reps: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, sec := range s.Times {
+		if sec >= 0.010 {
+			t.Fatalf("rep %d took %.1f ms: preparation ran on the clock", i, sec*1000)
 		}
 	}
-	if _, err := MeasureTime(mk, bad, opts); err == nil {
-		t.Fatal("failure not propagated")
+}
+
+// TestMeasureRowChecksResults pins the checksum check: a row whose runs
+// miss Want, or, without Want, disagree with each other, fails.
+func TestMeasureRowChecksResults(t *testing.T) {
+	opts := Options{Warmups: 0, Reps: 2, MemInterval: time.Millisecond, MemReps: 1}
+	wrong := Spec{Name: "Wrong", Prepare: trivial(0), Want: func() uint64 { return 2 }}
+	if _, err := MeasureRow(wrong, opts); err == nil || !strings.Contains(err.Error(), "checksum") {
+		t.Fatalf("a wrong answer measured: err = %v", err)
+	}
+	var n uint64
+	drifting := Spec{Name: "Drifting", Prepare: func() (Body, error) {
+		n++
+		sum := n
+		return func(*core.Task) (uint64, error) { return sum, nil }, nil
+	}}
+	if _, err := MeasureRow(drifting, opts); err == nil || !strings.Contains(err.Error(), "checksum") {
+		t.Fatalf("disagreeing runs measured: err = %v", err)
+	}
+	right := Spec{Name: "Right", Prepare: trivial(0), Want: func() uint64 { return 1 }}
+	if _, err := MeasureRow(right, opts); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -142,7 +189,7 @@ func TestMeasureMemoryPositive(t *testing.T) {
 	opts := DefaultOptions()
 	opts.MemReps = 1
 	mk := func() *core.Runtime { return core.NewRuntime(core.WithMode(core.Unverified)) }
-	mb, err := MeasureMemory(mk, trivialProg(0), opts)
+	mb, err := MeasureMemory(mk, trivial(0), noCheck, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +199,7 @@ func TestMeasureMemoryPositive(t *testing.T) {
 }
 
 func TestCountEvents(t *testing.T) {
-	st, err := CountEvents(core.Unverified, trivialProg(0))
+	st, err := CountEvents(core.Unverified, trivial(0), noCheck)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +210,7 @@ func TestCountEvents(t *testing.T) {
 
 func TestMeasureRowEndToEnd(t *testing.T) {
 	opts := Options{Warmups: 1, Reps: 3, MemInterval: time.Millisecond, MemReps: 1}
-	row, err := MeasureRow(Spec{Name: "Trivial", Prog: trivialProg(0)}, opts)
+	row, err := MeasureRow(Spec{Name: "Trivial", Prepare: trivial(0)}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,10 +27,6 @@ func PaperOptions() Options {
 	return Options{Warmups: 5, Reps: 30, MemInterval: 10 * time.Millisecond, MemReps: 3}
 }
 
-// Program is a factory producing a fresh root TaskFunc per run; every run
-// must be independent (fresh promises, fresh data).
-type Program func() core.TaskFunc
-
 // TimeSample holds per-repetition wall-clock times, in seconds.
 type TimeSample struct {
 	Times []float64
@@ -42,22 +38,32 @@ func (s TimeSample) Mean() float64 { return Mean(s.Times) }
 // CI returns the 95% confidence half-width in seconds.
 func (s TimeSample) CI() float64 { return CI95(s.Times) }
 
-// MeasureTime runs prog under runtimes built by makeRT, discarding
-// warm-ups and timing reps repetitions.
-func MeasureTime(makeRT func() *core.Runtime, prog Program, opts Options) (TimeSample, error) {
+// MeasureTime runs prepared bodies under runtimes built by makeRT,
+// discarding warm-ups and timing reps repetitions. Each run's body is
+// prepared before the clock starts, and its checksum is checked after it
+// stops.
+func MeasureTime(makeRT func() *core.Runtime, prepare func() (Body, error), check func(uint64) error, opts Options) (TimeSample, error) {
 	var out TimeSample
 	for i := 0; i < opts.Warmups+opts.Reps; i++ {
 		rt := makeRT()
+		body, err := prepare()
+		if err != nil {
+			return out, fmt.Errorf("harness: prepare failed: %w", err)
+		}
 		// Collect garbage left by previous repetitions (and previous
 		// benchmarks in the same process) so each rep starts from a
 		// comparable heap; otherwise allocation-heavy programs inherit
 		// wildly different GC pacing from whatever ran before.
 		runtime.GC()
 		start := time.Now()
-		if err := rt.Run(prog()); err != nil {
+		sum, err := run(rt, body)
+		elapsed := time.Since(start).Seconds()
+		if err != nil {
 			return out, fmt.Errorf("harness: benchmark run failed: %w", err)
 		}
-		elapsed := time.Since(start).Seconds()
+		if err := check(sum); err != nil {
+			return out, err
+		}
 		if i >= opts.Warmups {
 			out.Times = append(out.Times, elapsed)
 		}
@@ -65,13 +71,15 @@ func MeasureTime(makeRT func() *core.Runtime, prog Program, opts Options) (TimeS
 	return out, nil
 }
 
-// MeasureMemory runs prog once per MemRep with a sampler reading the heap
-// every MemInterval, and returns the average sampled heap footprint of
-// the program itself, in megabytes: the post-GC heap level measured just
-// before the run is subtracted from every sample, so residue from earlier
-// benchmarks in the same process does not pollute the number. A small
-// floor keeps ratios stable for programs whose footprint is tiny.
-func MeasureMemory(makeRT func() *core.Runtime, prog Program, opts Options) (float64, error) {
+// MeasureMemory runs a prepared body once per MemRep with a sampler
+// reading the heap every MemInterval, and returns the average sampled
+// heap footprint of the run itself, in megabytes: the post-GC heap level
+// measured just before the run, after its body is prepared, is
+// subtracted from every sample, so neither the prepared inputs nor
+// residue from earlier benchmarks in the same process pollute the
+// number. A small floor keeps ratios stable for programs whose footprint
+// is tiny.
+func MeasureMemory(makeRT func() *core.Runtime, prepare func() (Body, error), check func(uint64) error, opts Options) (float64, error) {
 	reps := opts.MemReps
 	if reps < 1 {
 		reps = 1
@@ -82,6 +90,10 @@ func MeasureMemory(makeRT func() *core.Runtime, prog Program, opts Options) (flo
 	}
 	var perRun []float64
 	for r := 0; r < reps; r++ {
+		body, err := prepare()
+		if err != nil {
+			return 0, fmt.Errorf("harness: prepare failed: %w", err)
+		}
 		var ms runtime.MemStats
 		runtime.GC()
 		runtime.GC() // second pass collects finalizer-revived garbage
@@ -112,11 +124,14 @@ func MeasureMemory(makeRT func() *core.Runtime, prog Program, opts Options) (flo
 			}
 		}()
 		rt := makeRT()
-		err := rt.Run(prog())
+		sum, err := run(rt, body)
 		close(stop)
 		avg := <-samples
 		if err != nil {
 			return 0, fmt.Errorf("harness: memory run failed: %w", err)
+		}
+		if err := check(sum); err != nil {
+			return 0, err
 		}
 		const floorMB = 0.25 // ignore sub-floor noise
 		if avg < floorMB {
@@ -129,10 +144,24 @@ func MeasureMemory(makeRT func() *core.Runtime, prog Program, opts Options) (flo
 
 // CountEvents performs one run with event counting enabled and returns
 // the totals, used for the Tasks / Gets/ms / Sets/ms columns.
-func CountEvents(mode core.Mode, prog Program) (core.Stats, error) {
+func CountEvents(mode core.Mode, prepare func() (Body, error), check func(uint64) error) (core.Stats, error) {
+	body, err := prepare()
+	if err != nil {
+		return core.Stats{}, fmt.Errorf("harness: prepare failed: %w", err)
+	}
 	rt := core.NewRuntime(core.WithMode(mode), core.WithEventCounting(true))
-	if err := rt.Run(prog()); err != nil {
+	sum, err := run(rt, body)
+	if err != nil {
 		return core.Stats{}, fmt.Errorf("harness: counting run failed: %w", err)
 	}
-	return rt.Stats(), nil
+	return rt.Stats(), check(sum)
+}
+
+// run runs a prepared body as rt's root task and returns its checksum.
+func run(rt *core.Runtime, body Body) (sum uint64, err error) {
+	err = rt.Run(func(t *core.Task) (err error) {
+		sum, err = body(t)
+		return err
+	})
+	return sum, err
 }

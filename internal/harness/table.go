@@ -7,10 +7,39 @@ import (
 	"repro/internal/core"
 )
 
-// Spec names one benchmark and how to build a fresh program for it.
+// Body is one prepared run of a program: it runs under its root task and
+// returns the run's checksum. It runs once.
+type Body = func(*core.Task) (uint64, error)
+
+// Spec names one benchmark, how to prepare a run of it, and the checksum
+// every run must return.
 type Spec struct {
 	Name string
-	Prog Program
+	// Prepare builds the inputs and returns a fresh body; it is called
+	// before every run, off the clock.
+	Prepare func() (Body, error)
+	// Want computes the reference checksum; when it is nil, every run
+	// must agree with the first.
+	Want func() uint64
+}
+
+// checker returns a check of run checksums against Want, computed here
+// once, off the clock, or, when Want is nil, against the first checksum
+// it is given.
+func (s Spec) checker() func(sum uint64) error {
+	want, pinned := uint64(0), s.Want != nil
+	if pinned {
+		want = s.Want()
+	}
+	return func(sum uint64) error {
+		if !pinned {
+			want, pinned = sum, true
+		}
+		if sum != want {
+			return fmt.Errorf("harness: %s returned checksum %#x, want %#x", s.Name, sum, want)
+		}
+		return nil
+	}
 }
 
 // Row is one line of Table 1 plus the Figure 1 inputs. The json tags are
@@ -37,9 +66,12 @@ type Row struct {
 // MeasureRow produces the full Table-1 row for one benchmark: baseline vs
 // verified time, baseline vs verified memory, and event totals/rates.
 // verified selects the verified runtime's configuration (normally Full
-// with the lock-free detector; ablations pass other options).
+// with the lock-free detector; ablations pass other options). Every run
+// of the row must return the same checksum, Want's when it is set, or
+// the row fails.
 func MeasureRow(spec Spec, opts Options, verified ...core.Option) (Row, error) {
 	row := Row{Name: spec.Name}
+	check := spec.checker()
 	baseRT := func() *core.Runtime { return core.NewRuntime(core.WithMode(core.Unverified)) }
 	verOpts := verified
 	if len(verOpts) == 0 {
@@ -47,11 +79,11 @@ func MeasureRow(spec Spec, opts Options, verified ...core.Option) (Row, error) {
 	}
 	verRT := func() *core.Runtime { return core.NewRuntime(verOpts...) }
 
-	bt, err := MeasureTime(baseRT, spec.Prog, opts)
+	bt, err := MeasureTime(baseRT, spec.Prepare, check, opts)
 	if err != nil {
 		return row, fmt.Errorf("%s baseline: %w", spec.Name, err)
 	}
-	vt, err := MeasureTime(verRT, spec.Prog, opts)
+	vt, err := MeasureTime(verRT, spec.Prepare, check, opts)
 	if err != nil {
 		return row, fmt.Errorf("%s verified: %w", spec.Name, err)
 	}
@@ -61,11 +93,11 @@ func MeasureRow(spec Spec, opts Options, verified ...core.Option) (Row, error) {
 		row.TimeOverhead = row.VerifiedSec / row.BaselineSec
 	}
 
-	bm, err := MeasureMemory(baseRT, spec.Prog, opts)
+	bm, err := MeasureMemory(baseRT, spec.Prepare, check, opts)
 	if err != nil {
 		return row, fmt.Errorf("%s baseline memory: %w", spec.Name, err)
 	}
-	vm, err := MeasureMemory(verRT, spec.Prog, opts)
+	vm, err := MeasureMemory(verRT, spec.Prepare, check, opts)
 	if err != nil {
 		return row, fmt.Errorf("%s verified memory: %w", spec.Name, err)
 	}
@@ -74,7 +106,7 @@ func MeasureRow(spec Spec, opts Options, verified ...core.Option) (Row, error) {
 		row.MemOverhead = vm / bm
 	}
 
-	st, err := CountEvents(core.Unverified, spec.Prog)
+	st, err := CountEvents(core.Unverified, spec.Prepare, check)
 	if err != nil {
 		return row, err
 	}

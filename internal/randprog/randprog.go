@@ -270,3 +270,25 @@ func busyWork(n int) {
 		panic("impossible")
 	}
 }
+
+// Listing1 is the paper's Listing 1, the smallest program with a cycle
+// and the canonical deadlock of servers, load generators and graphs: two
+// promises, each task Gets the other's before Setting its own. Under
+// Full mode the detector reports the cycle the moment it closes and both
+// waits abort, so the run ends with a DeadlockError.
+func Listing1(root *core.Task) error {
+	p := core.NewPromise[int](root)
+	q := core.NewPromise[int](root)
+	if _, err := root.Async(func(t2 *core.Task) error {
+		if _, err := p.Get(t2); err != nil {
+			return err
+		}
+		return q.Set(t2, 1)
+	}, q); err != nil {
+		return err
+	}
+	if _, err := q.Get(root); err != nil {
+		return err
+	}
+	return p.Set(root, 1)
+}

@@ -113,128 +113,132 @@ func RunSequential(cfg Config) uint64 {
 	return checksum(board)
 }
 
-// Run executes the promise-parallel simulation under task t and returns
-// the final board checksum. Each worker owns the sending ends of its two
-// border channels (moved at spawn) plus a result promise; omitted sends
-// or a mis-wired exchange would be reported by the ownership policy.
+// Run prepares cfg and runs the body under task t.
 func Run(t *core.Task, cfg Config) (uint64, error) {
+	body, err := Prepare(cfg)
+	if err != nil {
+		return 0, err
+	}
+	return body(t)
+}
+
+// Prepare validates cfg and builds the initial board, then returns a
+// one-shot body that runs the promise-parallel simulation under its task
+// and returns the final board checksum. Each worker owns the sending ends
+// of its two border channels (moved at spawn) plus a result promise;
+// omitted sends or a mis-wired exchange would be reported by the
+// ownership policy.
+func Prepare(cfg Config) (func(*core.Task) (uint64, error), error) {
 	if cfg.Workers < 1 || cfg.Height < cfg.Workers {
-		return 0, fmt.Errorf("conway: bad config %+v", cfg)
+		return nil, fmt.Errorf("conway: bad config %+v", cfg)
 	}
 	board := randomBoard(cfg)
+	return func(t *core.Task) (uint64, error) {
+		// down[i] carries rows from worker i to worker i+1; up[i] the reverse.
+		down := make([]*collections.Channel[row], cfg.Workers-1)
+		up := make([]*collections.Channel[row], cfg.Workers-1)
+		for i := range down {
+			down[i] = collections.NewChannelNamed[row](t, fmt.Sprintf("down-%d", i))
+			up[i] = collections.NewChannelNamed[row](t, fmt.Sprintf("up-%d", i))
+		}
+		results := make([]*core.Promise[[]row], cfg.Workers)
+		for i := range results {
+			results[i] = core.NewPromiseNamed[[]row](t, fmt.Sprintf("band-%d", i))
+		}
 
-	// down[i] carries rows from worker i to worker i+1; up[i] the reverse.
-	down := make([]*collections.Channel[row], cfg.Workers-1)
-	up := make([]*collections.Channel[row], cfg.Workers-1)
-	for i := range down {
-		down[i] = collections.NewChannelNamed[row](t, fmt.Sprintf("down-%d", i))
-		up[i] = collections.NewChannelNamed[row](t, fmt.Sprintf("up-%d", i))
-	}
-	results := make([]*core.Promise[[]row], cfg.Workers)
-	for i := range results {
-		results[i] = core.NewPromiseNamed[[]row](t, fmt.Sprintf("band-%d", i))
-	}
-
-	rowsPer := cfg.Height / cfg.Workers
-	for w := 0; w < cfg.Workers; w++ {
-		w := w
-		lo := w * rowsPer
-		hi := lo + rowsPer
-		if w == cfg.Workers-1 {
-			hi = cfg.Height
-		}
-		mine := make([]row, hi-lo)
-		for i := range mine {
-			mine[i] = append(row(nil), board[lo+i]...)
-		}
-		moved := core.Group{results[w]}
-		if w > 0 {
-			moved = append(moved, up[w-1]) // I send upward on up[w-1]
-		}
-		if w < cfg.Workers-1 {
-			moved = append(moved, down[w]) // I send downward on down[w]
-		}
-		if _, err := t.AsyncNamed(fmt.Sprintf("conway-%d", w), func(c *core.Task) error {
-			band := mine
-			next := make([]row, len(band))
-			for i := range next {
-				next[i] = make(row, cfg.Width)
+		rowsPer := cfg.Height / cfg.Workers
+		for w := 0; w < cfg.Workers; w++ {
+			w := w
+			lo := w * rowsPer
+			hi := lo + rowsPer
+			if w == cfg.Workers-1 {
+				hi = cfg.Height
 			}
-			zero := make(row, cfg.Width)
-			for g := 0; g < cfg.Generations; g++ {
-				// Exchange borders with neighbors.
-				if w > 0 {
-					if err := up[w-1].Send(c, band[0]); err != nil {
-						return err
-					}
-				}
-				if w < cfg.Workers-1 {
-					if err := down[w].Send(c, band[len(band)-1]); err != nil {
-						return err
-					}
-				}
-				top, bot := zero, zero
-				if w > 0 {
-					v, ok, err := down[w-1].Recv(c)
-					if err != nil || !ok {
-						return fmt.Errorf("conway-%d gen %d: recv above: ok=%v err=%w", w, g, ok, err)
-					}
-					top = v
-				}
-				if w < cfg.Workers-1 {
-					v, ok, err := up[w].Recv(c)
-					if err != nil || !ok {
-						return fmt.Errorf("conway-%d gen %d: recv below: ok=%v err=%w", w, g, ok, err)
-					}
-					bot = v
-				}
-				ghost := make([]row, 0, len(band)+2)
-				ghost = append(ghost, top)
-				ghost = append(ghost, band...)
-				ghost = append(ghost, bot)
-				step(ghost, cfg.Width, next)
-				band, next = next, band
-				// The rows we sent are snapshots about to be overwritten:
-				// copy-on-send semantics via fresh next buffers each swap.
+			mine := make([]row, hi-lo)
+			for i := range mine {
+				mine[i] = append(row(nil), board[lo+i]...)
+			}
+			moved := core.Group{results[w]}
+			if w > 0 {
+				moved = append(moved, up[w-1]) // I send upward on up[w-1]
+			}
+			if w < cfg.Workers-1 {
+				moved = append(moved, down[w]) // I send downward on down[w]
+			}
+			if _, err := t.AsyncNamed(fmt.Sprintf("conway-%d", w), func(c *core.Task) error {
+				band := mine
+				next := make([]row, len(band))
 				for i := range next {
 					next[i] = make(row, cfg.Width)
 				}
-			}
-			// Discharge channel ownership, then publish the band.
-			if w > 0 {
-				if err := up[w-1].Close(c); err != nil {
-					return err
+				zero := make(row, cfg.Width)
+				for g := 0; g < cfg.Generations; g++ {
+					// Exchange borders with neighbors.
+					if w > 0 {
+						if err := up[w-1].Send(c, band[0]); err != nil {
+							return err
+						}
+					}
+					if w < cfg.Workers-1 {
+						if err := down[w].Send(c, band[len(band)-1]); err != nil {
+							return err
+						}
+					}
+					top, bot := zero, zero
+					if w > 0 {
+						v, ok, err := down[w-1].Recv(c)
+						if err != nil || !ok {
+							return fmt.Errorf("conway-%d gen %d: recv above: ok=%v err=%w", w, g, ok, err)
+						}
+						top = v
+					}
+					if w < cfg.Workers-1 {
+						v, ok, err := up[w].Recv(c)
+						if err != nil || !ok {
+							return fmt.Errorf("conway-%d gen %d: recv below: ok=%v err=%w", w, g, ok, err)
+						}
+						bot = v
+					}
+					ghost := make([]row, 0, len(band)+2)
+					ghost = append(ghost, top)
+					ghost = append(ghost, band...)
+					ghost = append(ghost, bot)
+					step(ghost, cfg.Width, next)
+					band, next = next, band
+					// The rows we sent are snapshots about to be overwritten:
+					// copy-on-send semantics via fresh next buffers each swap.
+					for i := range next {
+						next[i] = make(row, cfg.Width)
+					}
 				}
-			}
-			if w < cfg.Workers-1 {
-				if err := down[w].Close(c); err != nil {
-					return err
+				// Discharge channel ownership, then publish the band.
+				if w > 0 {
+					if err := up[w-1].Close(c); err != nil {
+						return err
+					}
 				}
+				if w < cfg.Workers-1 {
+					if err := down[w].Close(c); err != nil {
+						return err
+					}
+				}
+				return results[w].Set(c, band)
+			}, moved); err != nil {
+				return 0, err
 			}
-			return results[w].Set(c, band)
-		}, moved); err != nil {
-			return 0, err
 		}
-	}
 
-	final := make([]row, 0, cfg.Height)
-	for w := 0; w < cfg.Workers; w++ {
-		band, err := results[w].Get(t)
-		if err != nil {
-			return 0, err
+		final := make([]row, 0, cfg.Height)
+		for w := 0; w < cfg.Workers; w++ {
+			band, err := results[w].Get(t)
+			if err != nil {
+				return 0, err
+			}
+			final = append(final, band...)
 		}
-		final = append(final, band...)
-	}
-	// Drain the neighbors' closing messages so the channels are fully
-	// consumed (the close payloads have no owner obligations, but this
-	// keeps the chain garbage).
-	return checksum(final), nil
-}
-
-// Main returns a root TaskFunc for the harness.
-func Main(cfg Config) core.TaskFunc {
-	return func(t *core.Task) error {
-		_, err := Run(t, cfg)
-		return err
-	}
+		// Drain the neighbors' closing messages so the channels are fully
+		// consumed (the close payloads have no owner obligations, but this
+		// keeps the chain garbage).
+		return checksum(final), nil
+	}, nil
 }

@@ -80,106 +80,109 @@ func RunSequential(cfg Config) uint64 {
 	return checksum(cells)
 }
 
-// Run executes the promise-parallel simulation under task t and returns
-// the checksum of the final rod.
+// Run prepares cfg and runs the body under task t.
 func Run(t *core.Task, cfg Config) (uint64, error) {
-	if cfg.Tasks < 1 {
-		return 0, fmt.Errorf("heat: bad config %+v", cfg)
+	body, err := Prepare(cfg)
+	if err != nil {
+		return 0, err
 	}
-	total := cfg.CellsPerTask * cfg.Tasks
-
-	right := make([]*collections.Channel[float64], cfg.Tasks-1) // i -> i+1
-	left := make([]*collections.Channel[float64], cfg.Tasks-1)  // i+1 -> i
-	for i := range right {
-		right[i] = collections.NewChannelNamed[float64](t, fmt.Sprintf("right-%d", i))
-		left[i] = collections.NewChannelNamed[float64](t, fmt.Sprintf("left-%d", i))
-	}
-	results := make([]*core.Promise[[]float64], cfg.Tasks)
-	for i := range results {
-		results[i] = core.NewPromiseNamed[[]float64](t, fmt.Sprintf("chunk-%d", i))
-	}
-
-	for w := 0; w < cfg.Tasks; w++ {
-		w := w
-		lo := w * cfg.CellsPerTask
-		mine := make([]float64, cfg.CellsPerTask)
-		for i := range mine {
-			mine[i] = initialCell(lo+i, total)
-		}
-		moved := core.Group{results[w]}
-		if w > 0 {
-			moved = append(moved, left[w-1])
-		}
-		if w < cfg.Tasks-1 {
-			moved = append(moved, right[w])
-		}
-		if _, err := t.AsyncNamed(fmt.Sprintf("heat-%d", w), func(c *core.Task) error {
-			chunk := mine
-			next := make([]float64, len(chunk))
-			ghost := make([]float64, len(chunk)+2)
-			for it := 0; it < cfg.Iterations; it++ {
-				if w > 0 {
-					if err := left[w-1].Send(c, chunk[0]); err != nil {
-						return err
-					}
-				}
-				if w < cfg.Tasks-1 {
-					if err := right[w].Send(c, chunk[len(chunk)-1]); err != nil {
-						return err
-					}
-				}
-				var lg, rg float64 // fixed 0 boundary
-				if w > 0 {
-					v, ok, err := right[w-1].Recv(c)
-					if err != nil || !ok {
-						return fmt.Errorf("heat-%d it %d: recv left: ok=%v err=%w", w, it, ok, err)
-					}
-					lg = v
-				}
-				if w < cfg.Tasks-1 {
-					v, ok, err := left[w].Recv(c)
-					if err != nil || !ok {
-						return fmt.Errorf("heat-%d it %d: recv right: ok=%v err=%w", w, it, ok, err)
-					}
-					rg = v
-				}
-				ghost[0] = lg
-				copy(ghost[1:], chunk)
-				ghost[len(ghost)-1] = rg
-				diffuse(ghost, next)
-				chunk, next = next, chunk
-			}
-			if w > 0 {
-				if err := left[w-1].Close(c); err != nil {
-					return err
-				}
-			}
-			if w < cfg.Tasks-1 {
-				if err := right[w].Close(c); err != nil {
-					return err
-				}
-			}
-			return results[w].Set(c, chunk)
-		}, moved); err != nil {
-			return 0, err
-		}
-	}
-
-	final := make([]float64, 0, total)
-	for w := 0; w < cfg.Tasks; w++ {
-		chunk, err := results[w].Get(t)
-		if err != nil {
-			return 0, err
-		}
-		final = append(final, chunk...)
-	}
-	return checksum(final), nil
+	return body(t)
 }
 
-// Main returns a root TaskFunc for the harness.
-func Main(cfg Config) core.TaskFunc {
-	return func(t *core.Task) error {
-		_, err := Run(t, cfg)
-		return err
+// Prepare validates cfg and builds the initial rod, then returns a
+// one-shot body that runs the promise-parallel simulation under its task
+// and returns the checksum of the final rod.
+func Prepare(cfg Config) (func(*core.Task) (uint64, error), error) {
+	if cfg.Tasks < 1 {
+		return nil, fmt.Errorf("heat: bad config %+v", cfg)
 	}
+	total := cfg.CellsPerTask * cfg.Tasks
+	cells := make([]float64, total)
+	for i := range cells {
+		cells[i] = initialCell(i, total)
+	}
+	return func(t *core.Task) (uint64, error) {
+		right := make([]*collections.Channel[float64], cfg.Tasks-1) // i -> i+1
+		left := make([]*collections.Channel[float64], cfg.Tasks-1)  // i+1 -> i
+		for i := range right {
+			right[i] = collections.NewChannelNamed[float64](t, fmt.Sprintf("right-%d", i))
+			left[i] = collections.NewChannelNamed[float64](t, fmt.Sprintf("left-%d", i))
+		}
+		results := make([]*core.Promise[[]float64], cfg.Tasks)
+		for i := range results {
+			results[i] = core.NewPromiseNamed[[]float64](t, fmt.Sprintf("chunk-%d", i))
+		}
+
+		for w := 0; w < cfg.Tasks; w++ {
+			w := w
+			mine := cells[w*cfg.CellsPerTask : (w+1)*cfg.CellsPerTask]
+			moved := core.Group{results[w]}
+			if w > 0 {
+				moved = append(moved, left[w-1])
+			}
+			if w < cfg.Tasks-1 {
+				moved = append(moved, right[w])
+			}
+			if _, err := t.AsyncNamed(fmt.Sprintf("heat-%d", w), func(c *core.Task) error {
+				chunk := mine
+				next := make([]float64, len(chunk))
+				ghost := make([]float64, len(chunk)+2)
+				for it := 0; it < cfg.Iterations; it++ {
+					if w > 0 {
+						if err := left[w-1].Send(c, chunk[0]); err != nil {
+							return err
+						}
+					}
+					if w < cfg.Tasks-1 {
+						if err := right[w].Send(c, chunk[len(chunk)-1]); err != nil {
+							return err
+						}
+					}
+					var lg, rg float64 // fixed 0 boundary
+					if w > 0 {
+						v, ok, err := right[w-1].Recv(c)
+						if err != nil || !ok {
+							return fmt.Errorf("heat-%d it %d: recv left: ok=%v err=%w", w, it, ok, err)
+						}
+						lg = v
+					}
+					if w < cfg.Tasks-1 {
+						v, ok, err := left[w].Recv(c)
+						if err != nil || !ok {
+							return fmt.Errorf("heat-%d it %d: recv right: ok=%v err=%w", w, it, ok, err)
+						}
+						rg = v
+					}
+					ghost[0] = lg
+					copy(ghost[1:], chunk)
+					ghost[len(ghost)-1] = rg
+					diffuse(ghost, next)
+					chunk, next = next, chunk
+				}
+				if w > 0 {
+					if err := left[w-1].Close(c); err != nil {
+						return err
+					}
+				}
+				if w < cfg.Tasks-1 {
+					if err := right[w].Close(c); err != nil {
+						return err
+					}
+				}
+				return results[w].Set(c, chunk)
+			}, moved); err != nil {
+				return 0, err
+			}
+		}
+
+		final := make([]float64, 0, total)
+		for w := 0; w < cfg.Tasks; w++ {
+			chunk, err := results[w].Get(t)
+			if err != nil {
+				return 0, err
+			}
+			final = append(final, chunk...)
+		}
+		return checksum(final), nil
+	}, nil
 }

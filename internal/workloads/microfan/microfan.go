@@ -58,45 +58,39 @@ func RunSequential(cfg Config) uint64 {
 	return sum
 }
 
-// Run executes the fan-out waves under t's runtime and returns the
-// reduced sum.
-func Run(t *core.Task, cfg Config) (uint64, error) {
-	if cfg.Width <= 0 || cfg.Rounds <= 0 {
-		return 0, nil
-	}
-	proms := make([]*core.Promise[uint64], cfg.Width)
-	specs := make([]core.SpawnSpec, cfg.Width)
-	moved := make([][1]core.Movable, cfg.Width)
-	var sum uint64
-	for r := 0; r < cfg.Rounds; r++ {
-		for k := 0; k < cfg.Width; k++ {
-			idx := r*cfg.Width + k
-			p := core.NewPromise[uint64](t)
-			proms[k], moved[k][0] = p, p
-			specs[k] = core.SpawnSpec{
-				Name:  fmt.Sprintf("mf-%d-%d", r, k),
-				Body:  func(c *core.Task) error { return p.Set(c, leaf(idx, cfg.Work)) },
-				Moved: moved[k][:],
+// Prepare returns a one-shot body that executes the fan-out waves under
+// its task and returns the reduced sum; the waves have no input to build.
+func Prepare(cfg Config) (func(*core.Task) (uint64, error), error) {
+	return func(t *core.Task) (uint64, error) {
+		if cfg.Width <= 0 || cfg.Rounds <= 0 {
+			return 0, nil
+		}
+		proms := make([]*core.Promise[uint64], cfg.Width)
+		specs := make([]core.SpawnSpec, cfg.Width)
+		moved := make([][1]core.Movable, cfg.Width)
+		var sum uint64
+		for r := 0; r < cfg.Rounds; r++ {
+			for k := 0; k < cfg.Width; k++ {
+				idx := r*cfg.Width + k
+				p := core.NewPromise[uint64](t)
+				proms[k], moved[k][0] = p, p
+				specs[k] = core.SpawnSpec{
+					Name:  fmt.Sprintf("mf-%d-%d", r, k),
+					Body:  func(c *core.Task) error { return p.Set(c, leaf(idx, cfg.Work)) },
+					Moved: moved[k][:],
+				}
 			}
-		}
-		if _, err := t.AsyncBatch(specs); err != nil {
-			return 0, err
-		}
-		for k := 0; k < cfg.Width; k++ {
-			v, err := proms[k].Get(t)
-			if err != nil {
+			if _, err := t.AsyncBatch(specs); err != nil {
 				return 0, err
 			}
-			sum += v
+			for k := 0; k < cfg.Width; k++ {
+				v, err := proms[k].Get(t)
+				if err != nil {
+					return 0, err
+				}
+				sum += v
+			}
 		}
-	}
-	return sum, nil
-}
-
-// Main adapts Run to the registry's TaskFunc shape.
-func Main(cfg Config) core.TaskFunc {
-	return func(t *core.Task) error {
-		_, err := Run(t, cfg)
-		return err
-	}
+		return sum, nil
+	}, nil
 }

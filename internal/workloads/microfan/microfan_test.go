@@ -19,7 +19,7 @@ func TestSumMatchesSequentialAllModes(t *testing.T) {
 				var got uint64
 				testutil.MustSucceed(t, rt, func(tk *core.Task) error {
 					var err error
-					got, err = Run(tk, cfg)
+					got, err = runPrepared(tk, cfg)
 					return err
 				})
 				if want := RunSequential(cfg); got != want {
@@ -37,15 +37,24 @@ func TestPooledRuntime(t *testing.T) {
 	cfg := Config{Rounds: 6, Width: 32, Work: 32}
 	want := RunSequential(cfg)
 	rt := core.NewRuntime(core.WithMode(core.Full))
-	for run := 0; run < 3; run++ {
+	for i := 0; i < 3; i++ {
 		var got uint64
 		testutil.MustSucceed(t, rt, func(tk *core.Task) error {
 			var err error
-			got, err = Run(tk, cfg)
+			got, err = runPrepared(tk, cfg)
 			return err
 		})
 		if got != want {
-			t.Fatalf("run %d: sum = %d, want %d", run, got, want)
+			t.Fatalf("run %d: sum = %d, want %d", i, got, want)
 		}
 	}
+}
+
+// runPrepared prepares cfg and runs the body under tk.
+func runPrepared(tk *core.Task, cfg Config) (uint64, error) {
+	body, err := Prepare(cfg)
+	if err != nil {
+		return 0, err
+	}
+	return body(tk)
 }

@@ -14,6 +14,7 @@ package ppg
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"repro/internal/core"
@@ -294,12 +295,28 @@ func buildGraph(cfg Config, blocks []block) (*graph.Graph, func(*graph.GraphResu
 	return g, check
 }
 
-// Run executes all rounds inside a single session: per round, one child
-// task per block gradient (each fanning its chunks), merged in block
-// order — the same arithmetic order as the graph form. The blocks are
-// built once per call.
-func Run(t *core.Task, cfg Config) ([]float64, error) {
-	return run(t, cfg, newBlocks(cfg))
+// Prepare builds the blocks, then returns a one-shot body that executes
+// all rounds inside a single session: per round, one child task per block
+// gradient (each fanning its chunks), merged in block order — the same
+// arithmetic order as the graph form. The body returns the checksum of
+// the final iterate and only reads the blocks.
+func Prepare(cfg Config) (func(*core.Task) (uint64, error), error) {
+	blocks := newBlocks(cfg)
+	return func(t *core.Task) (uint64, error) {
+		z, err := run(t, cfg, blocks)
+		if err != nil {
+			return 0, err
+		}
+		return checksum(z), nil
+	}, nil
+}
+
+// checksum folds an iterate's bits into one number.
+func checksum(z []float64) (acc uint64) {
+	for _, v := range z {
+		acc = acc*1099511628211 + math.Float64bits(v)
+	}
+	return acc
 }
 
 func run(t *core.Task, cfg Config, blocks []block) ([]float64, error) {
@@ -337,14 +354,4 @@ func run(t *core.Task, cfg Config, blocks []block) ([]float64, error) {
 		z = descend(cfg, z, grads)
 	}
 	return z, nil
-}
-
-// Main returns a root TaskFunc for the harness. The blocks are built
-// here, before the TaskFunc exists, and every run of it reads them.
-func Main(cfg Config) core.TaskFunc {
-	blocks := newBlocks(cfg)
-	return func(t *core.Task) error {
-		_, err := run(t, cfg, blocks)
-		return err
-	}
 }

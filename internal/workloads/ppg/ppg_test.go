@@ -34,13 +34,18 @@ func TestSequentialIsFiniteAndMoves(t *testing.T) {
 func TestSingleSessionMatchesSequential(t *testing.T) {
 	cfg := Small()
 	rt := core.NewRuntime(core.WithMode(core.Full))
-	var got []float64
-	testutil.MustSucceed(t, rt, func(tk *core.Task) error {
-		var err error
-		got, err = Run(tk, cfg)
+	body, err := Prepare(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got uint64
+	testutil.MustSucceed(t, rt, func(tk *core.Task) (err error) {
+		got, err = body(tk)
 		return err
 	})
-	sameBits(t, "single session", got, RunSequential(cfg))
+	if want := checksum(RunSequential(cfg)); got != want {
+		t.Fatalf("single session: checksum %#x, want %#x", got, want)
+	}
 }
 
 func TestGraphMatchesSequential(t *testing.T) {
@@ -187,42 +192,41 @@ func TestGraphBuildsBlocksOnce(t *testing.T) {
 	}
 }
 
-// TestMainBuildsBlocksOnce pins one block build per Main call and none
-// in its TaskFunc, which runs twice over the same blocks. The blocks
-// Main kept must still give the reference bitwise afterwards, and
-// RunSequential and Run build once per call.
-func TestMainBuildsBlocksOnce(t *testing.T) {
+// TestPrepareBuildsBlocksOnce pins one block build per Prepare call and
+// none in its body. The blocks Prepare kept must still give the
+// reference bitwise after the body ran over them, and RunSequential
+// builds once per call.
+func TestPrepareBuildsBlocksOnce(t *testing.T) {
 	cfg := Small()
 	want := RunSequential(cfg)
 	calls, last := countBuilds(t)
 
-	prog := Main(cfg)
+	body, err := Prepare(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if n := calls.Load(); n != 1 {
-		t.Fatalf("Main built the blocks %d times, want 1", n)
+		t.Fatalf("Prepare built the blocks %d times, want 1", n)
 	}
 	kept := *last
-	for i := 0; i < 2; i++ {
-		testutil.MustSucceed(t, core.NewRuntime(core.WithMode(core.Full)), prog)
-	}
+	testutil.MustSucceed(t, core.NewRuntime(core.WithMode(core.Full)), func(tk *core.Task) error {
+		_, err := body(tk)
+		return err
+	})
 	if n := calls.Load(); n != 1 {
-		t.Fatalf("two runs of Main's TaskFunc built the blocks %d more times, want 0", n-1)
+		t.Fatalf("running the body built the blocks %d more times, want 0", n-1)
 	}
 	var got []float64
-	testutil.MustSucceed(t, core.NewRuntime(core.WithMode(core.Full)), func(tk *core.Task) error {
-		var err error
+	testutil.MustSucceed(t, core.NewRuntime(core.WithMode(core.Full)), func(tk *core.Task) (err error) {
 		got, err = run(tk, cfg, kept)
 		return err
 	})
-	sameBits(t, "Main's blocks after two runs", got, want)
+	sameBits(t, "Prepare's blocks after a run", got, want)
 
 	calls.Store(0)
 	RunSequential(cfg)
-	testutil.MustSucceed(t, core.NewRuntime(core.WithMode(core.Full)), func(tk *core.Task) error {
-		_, err := Run(tk, cfg)
-		return err
-	})
-	if n := calls.Load(); n != 2 {
-		t.Fatalf("one RunSequential and one Run built the blocks %d times, want 2", n)
+	if n := calls.Load(); n != 1 {
+		t.Fatalf("one RunSequential built the blocks %d times, want 1", n)
 	}
 }
 
@@ -233,7 +237,14 @@ func TestRunNamesEachRoundsBlocks(t *testing.T) {
 	cfg := Small()
 	mem := trace.NewMemSink(0)
 	rt := core.NewRuntime(core.TraceTo(mem))
-	testutil.MustSucceed(t, rt, Main(cfg))
+	body, err := Prepare(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	testutil.MustSucceed(t, rt, func(tk *core.Task) error {
+		_, err := body(tk)
+		return err
+	})
 	promises, tasks := map[string]bool{}, map[string]bool{}
 	for _, e := range mem.Snapshot() {
 		promises[e.PromiseLabel], tasks[e.TaskName] = true, true

@@ -259,27 +259,30 @@ func BuildGraph(cfg Config) (*graph.Graph, func(*graph.GraphResult) error) {
 	return g, check
 }
 
-// Run executes the whole simulation inside a single session: the same
-// epochs, shards, and seeds as the graph form, without crossing session
-// boundaries. Registry entry point and equivalence baseline.
-func Run(t *core.Task, cfg Config) (Pop, error) {
+// Prepare seeds the population, then returns a one-shot body that runs
+// the whole simulation inside a single session: the same epochs, shards,
+// and seeds as the graph form, without crossing session boundaries. The
+// body returns the checksum of the final census.
+func Prepare(cfg Config) (func(*core.Task) (uint64, error), error) {
 	p := initial(cfg)
-	for e := 0; e < cfg.Epochs; e++ {
-		var err error
-		if p, err = runEpoch(t, cfg, e, p); err != nil {
-			return Pop{}, err
+	return func(t *core.Task) (uint64, error) {
+		for e := 0; e < cfg.Epochs; e++ {
+			var err error
+			if p, err = runEpoch(t, cfg, e, p); err != nil {
+				return 0, err
+			}
 		}
-	}
-	if p.Total() != cfg.Agents {
-		return Pop{}, fmt.Errorf("ppsim: conservation broken: %v", p)
-	}
-	return p, nil
+		if p.Total() != cfg.Agents {
+			return 0, fmt.Errorf("ppsim: conservation broken: %v", p)
+		}
+		return p.checksum(), nil
+	}, nil
 }
 
-// Main returns a root TaskFunc for the harness.
-func Main(cfg Config) core.TaskFunc {
-	return func(t *core.Task) error {
-		_, err := Run(t, cfg)
-		return err
+// checksum folds a census into one number.
+func (p Pop) checksum() (acc uint64) {
+	for _, n := range p {
+		acc = acc*1099511628211 + uint64(n)
 	}
+	return acc
 }

@@ -19,14 +19,17 @@ func TestSequentialConservesAgents(t *testing.T) {
 func TestSingleSessionMatchesSequential(t *testing.T) {
 	cfg := Small()
 	rt := core.NewRuntime(core.WithMode(core.Full))
-	var got Pop
-	testutil.MustSucceed(t, rt, func(tk *core.Task) error {
-		var err error
-		got, err = Run(tk, cfg)
+	body, err := Prepare(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got uint64
+	testutil.MustSucceed(t, rt, func(tk *core.Task) (err error) {
+		got, err = body(tk)
 		return err
 	})
-	if want := RunSequential(cfg); got != want {
-		t.Fatalf("parallel census %v, want %v", got, want)
+	if want := RunSequential(cfg); got != want.checksum() {
+		t.Fatalf("parallel census checksum %#x, want %#x (census %v)", got, want.checksum(), want)
 	}
 }
 

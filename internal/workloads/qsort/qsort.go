@@ -125,51 +125,56 @@ func seqSort(a []int32) {
 	insertion(a)
 }
 
-// Run sorts under task t and returns the checksum of the sorted data.
-// Recursive halves run as tasks spawned through one finish scope; the
-// root blocks in RunFinish until the whole recursion tree has terminated.
+// Run prepares cfg and runs the body under task t.
 func Run(t *core.Task, cfg Config) (uint64, error) {
-	if cfg.Threshold < 2 {
-		return 0, fmt.Errorf("qsort: threshold %d too small", cfg.Threshold)
-	}
-	data := input(cfg)
-	err := collections.RunFinish(t, func(fs *collections.Finish) error {
-		var rec func(t *core.Task, a []int32) error
-		rec = func(t *core.Task, a []int32) error {
-			if len(a) <= cfg.Threshold {
-				seqSort(a)
-				return nil
-			}
-			m := partition(a)
-			if m == 0 || m == len(a) {
-				seqSort(a)
-				return nil
-			}
-			lo, hi := a[:m], a[m:]
-			if _, err := fs.Async(t, func(c *core.Task) error {
-				return rec(c, lo)
-			}); err != nil {
-				return err
-			}
-			return rec(t, hi)
-		}
-		return rec(t, data)
-	})
+	body, err := Prepare(cfg)
 	if err != nil {
 		return 0, err
 	}
-	for i := 1; i < len(data); i++ {
-		if data[i-1] > data[i] {
-			return 0, fmt.Errorf("qsort: not sorted at %d", i)
-		}
-	}
-	return checksum(data), nil
+	return body(t)
 }
 
-// Main returns a root TaskFunc for the harness.
-func Main(cfg Config) core.TaskFunc {
-	return func(t *core.Task) error {
-		_, err := Run(t, cfg)
-		return err
+// Prepare validates cfg and generates the input, then returns a one-shot
+// body that sorts it in place under its task and returns the checksum of
+// the sorted data. Recursive halves run as tasks spawned through one
+// finish scope; the root blocks in RunFinish until the whole recursion
+// tree has terminated.
+func Prepare(cfg Config) (func(*core.Task) (uint64, error), error) {
+	if cfg.Threshold < 2 {
+		return nil, fmt.Errorf("qsort: threshold %d too small", cfg.Threshold)
 	}
+	data := input(cfg)
+	return func(t *core.Task) (uint64, error) {
+		err := collections.RunFinish(t, func(fs *collections.Finish) error {
+			var rec func(t *core.Task, a []int32) error
+			rec = func(t *core.Task, a []int32) error {
+				if len(a) <= cfg.Threshold {
+					seqSort(a)
+					return nil
+				}
+				m := partition(a)
+				if m == 0 || m == len(a) {
+					seqSort(a)
+					return nil
+				}
+				lo, hi := a[:m], a[m:]
+				if _, err := fs.Async(t, func(c *core.Task) error {
+					return rec(c, lo)
+				}); err != nil {
+					return err
+				}
+				return rec(t, hi)
+			}
+			return rec(t, data)
+		})
+		if err != nil {
+			return 0, err
+		}
+		for i := 1; i < len(data); i++ {
+			if data[i-1] > data[i] {
+				return 0, fmt.Errorf("qsort: not sorted at %d", i)
+			}
+		}
+		return checksum(data), nil
+	}, nil
 }

@@ -34,8 +34,20 @@ func Paper() Config {
 	return Config{Seed: 1, Tasks: 2535, Promises: 5000, AwaitProb: 0.8, Work: 20000}
 }
 
-func program(cfg Config) *randprog.Program {
-	return randprog.Generate(randprog.Config{
+// Run prepares cfg and runs the body under task t.
+func Run(t *core.Task, cfg Config) (uint64, error) {
+	body, err := Prepare(cfg)
+	if err != nil {
+		return 0, err
+	}
+	return body(t)
+}
+
+// Prepare generates the program, then returns a one-shot body that runs
+// it under its task. The checksum is the task count (the program's
+// observable effect is pure synchronization).
+func Prepare(cfg Config) (func(*core.Task) (uint64, error), error) {
+	prog := randprog.Generate(randprog.Config{
 		Seed:      cfg.Seed,
 		Tasks:     cfg.Tasks,
 		Branch:    3,
@@ -44,22 +56,11 @@ func program(cfg Config) *randprog.Program {
 		AwaitProb: cfg.AwaitProb,
 		Work:      cfg.Work,
 	})
-}
-
-// Run executes the program under task t. The checksum is the task count
-// (the program's observable effect is pure synchronization).
-func Run(t *core.Task, cfg Config) (uint64, error) {
-	prog := program(cfg)
 	main := prog.Main()
-	if err := main(t); err != nil {
-		return 0, err
-	}
-	return uint64(prog.TaskCount()), nil
-}
-
-// Main returns a root TaskFunc for the harness.
-func Main(cfg Config) core.TaskFunc {
-	prog := program(cfg)
-	inner := prog.Main()
-	return func(t *core.Task) error { return inner(t) }
+	return func(t *core.Task) (uint64, error) {
+		if err := main(t); err != nil {
+			return 0, err
+		}
+		return uint64(prog.TaskCount()), nil
+	}, nil
 }

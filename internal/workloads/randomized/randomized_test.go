@@ -45,17 +45,32 @@ func TestPaperShape(t *testing.T) {
 func TestPromiseBudget(t *testing.T) {
 	cfg := Small()
 	rt := core.NewRuntime(core.WithMode(core.Full), core.WithEventCounting(true))
-	testutil.MustSucceed(t, rt, Main(cfg))
+	testutil.MustSucceed(t, rt, func(tk *core.Task) error {
+		_, err := Run(tk, cfg)
+		return err
+	})
 	st := rt.Stats()
 	if st.Sets != int64(cfg.Promises) {
 		t.Fatalf("sets = %d, want %d (every promise fulfilled exactly once)", st.Sets, cfg.Promises)
 	}
 }
 
-func TestMainIsReRunnable(t *testing.T) {
+// TestPrepareIsRepeatable runs three preparations of one configuration:
+// each generates the same program, so each run returns the task count.
+func TestPrepareIsRepeatable(t *testing.T) {
 	cfg := Small()
 	for i := 0; i < 3; i++ {
-		rt := core.NewRuntime(core.WithMode(core.Full))
-		testutil.MustSucceed(t, rt, Main(cfg))
+		body, err := Prepare(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got uint64
+		testutil.MustSucceed(t, core.NewRuntime(core.WithMode(core.Full)), func(tk *core.Task) (err error) {
+			got, err = body(tk)
+			return err
+		})
+		if got != uint64(cfg.Tasks) {
+			t.Fatalf("run %d: checksum %d, want %d", i, got, cfg.Tasks)
+		}
 	}
 }

@@ -46,15 +46,39 @@ func ParseScale(s string) Scale {
 	}
 }
 
+// Body is one prepared run of a workload: it runs under its root task and
+// returns the run's checksum. A body may consume its inputs (QSort sorts
+// in place), so it runs once.
+type Body = func(*core.Task) (uint64, error)
+
 // Entry is one registered benchmark.
 type Entry struct {
 	Name string
-	// Prog returns a factory producing fresh root TaskFuncs at the given
-	// scale.
-	Prog func(Scale) func() core.TaskFunc
+	// Prepare validates the scale's configuration and builds its inputs,
+	// returning a fresh body; every run prepares afresh.
+	Prepare func(Scale) (Body, error)
+	// Want returns the sequential reference of a body's checksum at a
+	// scale, or is nil where the package has none.
+	Want func(Scale) func() uint64
 }
 
-func pick[T any](s Scale, small, def, paper T) T {
+// Session returns a session body that prepares the scale's program and
+// runs it, so the preparation runs where the session does rather than
+// where it is submitted.
+func (e Entry) Session(s Scale) core.TaskFunc {
+	return func(t *core.Task) error {
+		body, err := e.Prepare(s)
+		if err != nil {
+			return err
+		}
+		_, err = body(t)
+		return err
+	}
+}
+
+// Pick returns the configuration of a package's three that scale s
+// selects.
+func Pick[C any](s Scale, small, def, paper C) C {
 	switch s {
 	case ScaleSmall:
 		return small
@@ -65,60 +89,40 @@ func pick[T any](s Scale, small, def, paper T) T {
 	}
 }
 
+// entry registers a workload package by its three configurations, its
+// Prepare and, unless nil, its RunSequential.
+func entry[C any](name string, small, def, paper C, prepare func(C) (Body, error), want func(C) uint64) Entry {
+	e := Entry{Name: name, Prepare: func(s Scale) (Body, error) { return prepare(Pick(s, small, def, paper)) }}
+	if want != nil {
+		e.Want = func(s Scale) func() uint64 { return func() uint64 { return want(Pick(s, small, def, paper)) } }
+	}
+	return e
+}
+
 // All returns the nine benchmarks in the paper's Table 1 order, followed
 // by the repository's MicroFan spawn-floor probe and the PPSim/PPG graph
 // workload families in their single-session form.
 func All() []Entry {
+	sc2 := func(cfg streamcluster.Config) streamcluster.Config {
+		cfg.Variant2 = true
+		return cfg
+	}
 	return []Entry{
-		{"Conway", func(s Scale) func() core.TaskFunc {
-			cfg := pick(s, conway.Small(), conway.Default(), conway.Paper())
-			return func() core.TaskFunc { return conway.Main(cfg) }
-		}},
-		{"Heat", func(s Scale) func() core.TaskFunc {
-			cfg := pick(s, heat.Small(), heat.Default(), heat.Paper())
-			return func() core.TaskFunc { return heat.Main(cfg) }
-		}},
-		{"QSort", func(s Scale) func() core.TaskFunc {
-			cfg := pick(s, qsort.Small(), qsort.Default(), qsort.Paper())
-			return func() core.TaskFunc { return qsort.Main(cfg) }
-		}},
-		{"Randomized", func(s Scale) func() core.TaskFunc {
-			cfg := pick(s, randomized.Small(), randomized.Default(), randomized.Paper())
-			return func() core.TaskFunc { return randomized.Main(cfg) }
-		}},
-		{"Sieve", func(s Scale) func() core.TaskFunc {
-			cfg := pick(s, sieve.Small(), sieve.Default(), sieve.Paper())
-			return func() core.TaskFunc { return sieve.Main(cfg) }
-		}},
-		{"SmithWaterman", func(s Scale) func() core.TaskFunc {
-			cfg := pick(s, smithwaterman.Small(), smithwaterman.Default(), smithwaterman.Paper())
-			return func() core.TaskFunc { return smithwaterman.Main(cfg) }
-		}},
-		{"Strassen", func(s Scale) func() core.TaskFunc {
-			cfg := pick(s, strassen.Small(), strassen.Default(), strassen.Paper())
-			return func() core.TaskFunc { return strassen.Main(cfg) }
-		}},
-		{"StreamCluster", func(s Scale) func() core.TaskFunc {
-			cfg := pick(s, streamcluster.Small(), streamcluster.Default(), streamcluster.Paper())
-			return func() core.TaskFunc { return streamcluster.Main(cfg) }
-		}},
-		{"StreamCluster2", func(s Scale) func() core.TaskFunc {
-			cfg := pick(s, streamcluster.Small(), streamcluster.Default(), streamcluster.Paper())
-			cfg.Variant2 = true
-			return func() core.TaskFunc { return streamcluster.Main(cfg) }
-		}},
-		{"MicroFan", func(s Scale) func() core.TaskFunc {
-			cfg := pick(s, microfan.Small(), microfan.Default(), microfan.Paper())
-			return func() core.TaskFunc { return microfan.Main(cfg) }
-		}},
-		{"PPSim", func(s Scale) func() core.TaskFunc {
-			cfg := pick(s, ppsim.Small(), ppsim.Default(), ppsim.Paper())
-			return func() core.TaskFunc { return ppsim.Main(cfg) }
-		}},
-		{"PPG", func(s Scale) func() core.TaskFunc {
-			cfg := pick(s, ppg.Small(), ppg.Default(), ppg.Paper())
-			return func() core.TaskFunc { return ppg.Main(cfg) }
-		}},
+		entry("Conway", conway.Small(), conway.Default(), conway.Paper(), conway.Prepare, conway.RunSequential),
+		entry("Heat", heat.Small(), heat.Default(), heat.Paper(), heat.Prepare, heat.RunSequential),
+		entry("QSort", qsort.Small(), qsort.Default(), qsort.Paper(), qsort.Prepare, qsort.RunSequential),
+		entry("Randomized", randomized.Small(), randomized.Default(), randomized.Paper(), randomized.Prepare, nil),
+		entry("Sieve", sieve.Small(), sieve.Default(), sieve.Paper(), sieve.Prepare, sieve.RunSequential),
+		entry("SmithWaterman", smithwaterman.Small(), smithwaterman.Default(), smithwaterman.Paper(),
+			smithwaterman.Prepare, smithwaterman.RunSequential),
+		entry("Strassen", strassen.Small(), strassen.Default(), strassen.Paper(), strassen.Prepare, strassen.RunSequential),
+		entry("StreamCluster", streamcluster.Small(), streamcluster.Default(), streamcluster.Paper(),
+			streamcluster.Prepare, streamcluster.RunSequential),
+		entry("StreamCluster2", sc2(streamcluster.Small()), sc2(streamcluster.Default()), sc2(streamcluster.Paper()),
+			streamcluster.Prepare, streamcluster.RunSequential),
+		entry("MicroFan", microfan.Small(), microfan.Default(), microfan.Paper(), microfan.Prepare, microfan.RunSequential),
+		entry("PPSim", ppsim.Small(), ppsim.Default(), ppsim.Paper(), ppsim.Prepare, nil),
+		entry("PPG", ppg.Small(), ppg.Default(), ppg.Paper(), ppg.Prepare, nil),
 	}
 }
 

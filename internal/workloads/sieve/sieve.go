@@ -53,81 +53,85 @@ func RunSequential(cfg Config) uint64 {
 	return count
 }
 
-// Run counts primes below cfg.N with the task pipeline and returns the
-// count. Every filter task is spawned through a finish scope so the root
+// Run prepares cfg and runs the body under task t.
+func Run(t *core.Task, cfg Config) (uint64, error) {
+	body, err := Prepare(cfg)
+	if err != nil {
+		return 0, err
+	}
+	return body(t)
+}
+
+// Prepare returns a one-shot body that counts primes below cfg.N with
+// the task pipeline and returns the count; the sieve has no input to
+// build. Every filter task is spawned through a finish scope so the root
 // joins the entire pipeline; each stage owns the sending end of its
 // outgoing channel and must Close it before terminating, or the ownership
 // policy reports it.
-func Run(t *core.Task, cfg Config) (uint64, error) {
-	if cfg.N < 2 {
-		return 0, nil
-	}
-	var count atomic.Int64
-	err := collections.RunFinish(t, func(fs *collections.Finish) error {
-		// filter consumes in; its first value is a new prime.
-		var filter func(c *core.Task, in *collections.Channel[int]) error
-		filter = func(c *core.Task, in *collections.Channel[int]) error {
-			prime, ok, err := in.Recv(c)
-			if err != nil {
-				return err
-			}
-			if !ok {
-				return nil
-			}
-			count.Add(1)
-			var out *collections.Channel[int]
-			for {
-				v, ok, err := in.Recv(c)
+func Prepare(cfg Config) (func(*core.Task) (uint64, error), error) {
+	return func(t *core.Task) (uint64, error) {
+		if cfg.N < 2 {
+			return 0, nil
+		}
+		var count atomic.Int64
+		err := collections.RunFinish(t, func(fs *collections.Finish) error {
+			// filter consumes in; its first value is a new prime.
+			var filter func(c *core.Task, in *collections.Channel[int]) error
+			filter = func(c *core.Task, in *collections.Channel[int]) error {
+				prime, ok, err := in.Recv(c)
 				if err != nil {
 					return err
 				}
 				if !ok {
-					if out != nil {
-						return out.Close(c)
-					}
 					return nil
 				}
-				if v%prime == 0 {
-					continue
-				}
-				if out == nil {
-					out = collections.NewChannelNamed[int](c, fmt.Sprintf("sieve-%d", prime))
-					next := out
-					if _, err := fs.Async(c, func(cc *core.Task) error {
-						return filter(cc, next)
-					}); err != nil {
+				count.Add(1)
+				var out *collections.Channel[int]
+				for {
+					v, ok, err := in.Recv(c)
+					if err != nil {
+						return err
+					}
+					if !ok {
+						if out != nil {
+							return out.Close(c)
+						}
+						return nil
+					}
+					if v%prime == 0 {
+						continue
+					}
+					if out == nil {
+						out = collections.NewChannelNamed[int](c, fmt.Sprintf("sieve-%d", prime))
+						next := out
+						if _, err := fs.Async(c, func(cc *core.Task) error {
+							return filter(cc, next)
+						}); err != nil {
+							return err
+						}
+					}
+					if err := out.Send(c, v); err != nil {
 						return err
 					}
 				}
-				if err := out.Send(c, v); err != nil {
+			}
+
+			first := collections.NewChannelNamed[int](t, "sieve-gen")
+			if _, err := fs.Async(t, func(c *core.Task) error {
+				return filter(c, first)
+			}); err != nil {
+				return err
+			}
+			for v := 2; v < cfg.N; v++ {
+				if err := first.Send(t, v); err != nil {
 					return err
 				}
 			}
+			return first.Close(t)
+		})
+		if err != nil {
+			return 0, err
 		}
-
-		first := collections.NewChannelNamed[int](t, "sieve-gen")
-		if _, err := fs.Async(t, func(c *core.Task) error {
-			return filter(c, first)
-		}); err != nil {
-			return err
-		}
-		for v := 2; v < cfg.N; v++ {
-			if err := first.Send(t, v); err != nil {
-				return err
-			}
-		}
-		return first.Close(t)
-	})
-	if err != nil {
-		return 0, err
-	}
-	return uint64(count.Load()), nil
-}
-
-// Main returns a root TaskFunc for the harness.
-func Main(cfg Config) core.TaskFunc {
-	return func(t *core.Task) error {
-		_, err := Run(t, cfg)
-		return err
-	}
+		return uint64(count.Load()), nil
+	}, nil
 }

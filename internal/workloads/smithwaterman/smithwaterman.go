@@ -139,88 +139,93 @@ func RunSequential(cfg Config) uint64 {
 	return uint64(best)
 }
 
-// Run computes the best local-alignment score with the tiled wavefront
-// and returns it. Tile (i,j)'s task gets the promises of tiles (i-1,j),
-// (i,j-1) and (i-1,j-1), computes, and sets its own promise.
+// Run prepares cfg and runs the body under task t.
 func Run(t *core.Task, cfg Config) (uint64, error) {
-	if cfg.Tile < 1 {
-		return 0, fmt.Errorf("smithwaterman: bad tile %d", cfg.Tile)
-	}
-	a, b := sequences(cfg)
-	tilesR := (len(a) + cfg.Tile - 1) / cfg.Tile
-	tilesC := (len(b) + cfg.Tile - 1) / cfg.Tile
-
-	// All tile promises are allocated in the root and moved at spawn.
-	proms := make([][]*core.Promise[tileEdge], tilesR)
-	for i := range proms {
-		proms[i] = make([]*core.Promise[tileEdge], tilesC)
-		for j := range proms[i] {
-			proms[i][j] = core.NewPromiseNamed[tileEdge](t, fmt.Sprintf("tile-%d-%d", i, j))
-		}
-	}
-
-	for i := 0; i < tilesR; i++ {
-		for j := 0; j < tilesC; j++ {
-			i, j := i, j
-			ra, rb := i*cfg.Tile, min((i+1)*cfg.Tile, len(a))
-			ca, cb := j*cfg.Tile, min((j+1)*cfg.Tile, len(b))
-			if _, err := t.AsyncNamed(fmt.Sprintf("sw-%d-%d", i, j), func(c *core.Task) error {
-				north := make([]int32, cb-ca) // zeros at the boundary
-				west := make([]int32, rb-ra)
-				var nw int32
-				var bestAbove int32
-				if i > 0 {
-					e, err := proms[i-1][j].Get(c)
-					if err != nil {
-						return err
-					}
-					north = e.south
-					if e.best > bestAbove {
-						bestAbove = e.best
-					}
-				}
-				if j > 0 {
-					e, err := proms[i][j-1].Get(c)
-					if err != nil {
-						return err
-					}
-					west = e.east
-					if e.best > bestAbove {
-						bestAbove = e.best
-					}
-				}
-				if i > 0 && j > 0 {
-					e, err := proms[i-1][j-1].Get(c)
-					if err != nil {
-						return err
-					}
-					nw = e.corner
-					if e.best > bestAbove {
-						bestAbove = e.best
-					}
-				}
-				edge := computeTile(a, b, ra, rb, ca, cb, north, west, nw)
-				if bestAbove > edge.best {
-					edge.best = bestAbove
-				}
-				return proms[i][j].Set(c, edge)
-			}, proms[i][j]); err != nil {
-				return 0, err
-			}
-		}
-	}
-
-	last, err := proms[tilesR-1][tilesC-1].Get(t)
+	body, err := Prepare(cfg)
 	if err != nil {
 		return 0, err
 	}
-	return uint64(last.best), nil
+	return body(t)
 }
 
-// Main returns a root TaskFunc for the harness.
-func Main(cfg Config) core.TaskFunc {
-	return func(t *core.Task) error {
-		_, err := Run(t, cfg)
-		return err
+// Prepare validates cfg and generates the two sequences, then returns a
+// one-shot body that computes the best local-alignment score with the
+// tiled wavefront under its task and returns it. Tile (i,j)'s task gets
+// the promises of tiles (i-1,j), (i,j-1) and (i-1,j-1), computes, and
+// sets its own promise.
+func Prepare(cfg Config) (func(*core.Task) (uint64, error), error) {
+	if cfg.Tile < 1 {
+		return nil, fmt.Errorf("smithwaterman: bad tile %d", cfg.Tile)
 	}
+	a, b := sequences(cfg)
+	return func(t *core.Task) (uint64, error) {
+		tilesR := (len(a) + cfg.Tile - 1) / cfg.Tile
+		tilesC := (len(b) + cfg.Tile - 1) / cfg.Tile
+
+		// All tile promises are allocated in the root and moved at spawn.
+		proms := make([][]*core.Promise[tileEdge], tilesR)
+		for i := range proms {
+			proms[i] = make([]*core.Promise[tileEdge], tilesC)
+			for j := range proms[i] {
+				proms[i][j] = core.NewPromiseNamed[tileEdge](t, fmt.Sprintf("tile-%d-%d", i, j))
+			}
+		}
+
+		for i := 0; i < tilesR; i++ {
+			for j := 0; j < tilesC; j++ {
+				i, j := i, j
+				ra, rb := i*cfg.Tile, min((i+1)*cfg.Tile, len(a))
+				ca, cb := j*cfg.Tile, min((j+1)*cfg.Tile, len(b))
+				if _, err := t.AsyncNamed(fmt.Sprintf("sw-%d-%d", i, j), func(c *core.Task) error {
+					north := make([]int32, cb-ca) // zeros at the boundary
+					west := make([]int32, rb-ra)
+					var nw int32
+					var bestAbove int32
+					if i > 0 {
+						e, err := proms[i-1][j].Get(c)
+						if err != nil {
+							return err
+						}
+						north = e.south
+						if e.best > bestAbove {
+							bestAbove = e.best
+						}
+					}
+					if j > 0 {
+						e, err := proms[i][j-1].Get(c)
+						if err != nil {
+							return err
+						}
+						west = e.east
+						if e.best > bestAbove {
+							bestAbove = e.best
+						}
+					}
+					if i > 0 && j > 0 {
+						e, err := proms[i-1][j-1].Get(c)
+						if err != nil {
+							return err
+						}
+						nw = e.corner
+						if e.best > bestAbove {
+							bestAbove = e.best
+						}
+					}
+					edge := computeTile(a, b, ra, rb, ca, cb, north, west, nw)
+					if bestAbove > edge.best {
+						edge.best = bestAbove
+					}
+					return proms[i][j].Set(c, edge)
+				}, proms[i][j]); err != nil {
+					return 0, err
+				}
+			}
+		}
+
+		last, err := proms[tilesR-1][tilesC-1].Get(t)
+		if err != nil {
+			return 0, err
+		}
+		return uint64(last.best), nil
+	}, nil
 }

@@ -111,106 +111,56 @@ func strassen(t *core.Task, a, b *mat, depth int) (*mat, error) {
 	a11, a12, a21, a22 := a.quadrant(0, 0), a.quadrant(0, 1), a.quadrant(1, 0), a.quadrant(1, 1)
 	b11, b12, b21, b22 := b.quadrant(0, 0), b.quadrant(0, 1), b.quadrant(1, 0), b.quadrant(1, 1)
 
-	mult := func(x, y *mat) (*collections.Future[*mat], error) {
-		return collections.Go(t, func(c *core.Task) (*mat, error) {
+	// Each sub-product's operands are formed just before its task spawns.
+	operands := [7]func() (x, y *mat){
+		func() (*mat, *mat) { return add(a11, a22), add(b11, b22) },
+		func() (*mat, *mat) { return add(a21, a22), b11 },
+		func() (*mat, *mat) { return a11, sub(b12, b22) },
+		func() (*mat, *mat) { return a22, sub(b21, b11) },
+		func() (*mat, *mat) { return add(a11, a12), b22 },
+		func() (*mat, *mat) { return sub(a21, a11), add(b11, b12) },
+		func() (*mat, *mat) { return sub(a12, a22), add(b21, b22) },
+	}
+	var m [7]*collections.Future[*mat]
+	for i, xy := range operands {
+		x, y := xy()
+		var err error
+		if m[i], err = collections.Go(t, func(c *core.Task) (*mat, error) {
 			return strassen(c, x, y, depth-1)
-		})
+		}); err != nil {
+			return nil, err
+		}
 	}
-	m1, err := mult(add(a11, a22), add(b11, b22))
-	if err != nil {
-		return nil, err
-	}
-	m2, err := mult(add(a21, a22), b11)
-	if err != nil {
-		return nil, err
-	}
-	m3, err := mult(a11, sub(b12, b22))
-	if err != nil {
-		return nil, err
-	}
-	m4, err := mult(a22, sub(b21, b11))
-	if err != nil {
-		return nil, err
-	}
-	m5, err := mult(add(a11, a12), b22)
-	if err != nil {
-		return nil, err
-	}
-	m6, err := mult(sub(a21, a11), add(b11, b12))
-	if err != nil {
-		return nil, err
-	}
-	m7, err := mult(sub(a12, a22), add(b21, b22))
-	if err != nil {
-		return nil, err
-	}
-
-	p1, err := m1.Get(t)
-	if err != nil {
-		return nil, err
-	}
-	p2, err := m2.Get(t)
-	if err != nil {
-		return nil, err
-	}
-	p3, err := m3.Get(t)
-	if err != nil {
-		return nil, err
-	}
-	p4, err := m4.Get(t)
-	if err != nil {
-		return nil, err
-	}
-	p5, err := m5.Get(t)
-	if err != nil {
-		return nil, err
-	}
-	p6, err := m6.Get(t)
-	if err != nil {
-		return nil, err
-	}
-	p7, err := m7.Get(t)
-	if err != nil {
-		return nil, err
+	var p [7]*mat
+	for i, f := range m {
+		var err error
+		if p[i], err = f.Get(t); err != nil {
+			return nil, err
+		}
 	}
 
 	// Asynchronous addition tasks combine the quadrants.
-	addTask := func(f func() *mat) (*collections.Future[*mat], error) {
-		return collections.Go(t, func(c *core.Task) (*mat, error) { return f(), nil })
+	combine := [4]func() *mat{
+		func() *mat { return add(sub(add(p[0], p[3]), p[4]), p[6]) },
+		func() *mat { return add(p[2], p[4]) },
+		func() *mat { return add(p[1], p[3]) },
+		func() *mat { return add(add(sub(p[0], p[1]), p[2]), p[5]) },
 	}
-	f11, err := addTask(func() *mat { return add(sub(add(p1, p4), p5), p7) })
-	if err != nil {
-		return nil, err
+	var f [4]*collections.Future[*mat]
+	for i, fn := range combine {
+		var err error
+		if f[i], err = collections.Go(t, func(*core.Task) (*mat, error) { return fn(), nil }); err != nil {
+			return nil, err
+		}
 	}
-	f12, err := addTask(func() *mat { return add(p3, p5) })
-	if err != nil {
-		return nil, err
+	var c [4]*mat
+	for i := range f {
+		var err error
+		if c[i], err = f[i].Get(t); err != nil {
+			return nil, err
+		}
 	}
-	f21, err := addTask(func() *mat { return add(p2, p4) })
-	if err != nil {
-		return nil, err
-	}
-	f22, err := addTask(func() *mat { return add(add(sub(p1, p2), p3), p6) })
-	if err != nil {
-		return nil, err
-	}
-	c11, err := f11.Get(t)
-	if err != nil {
-		return nil, err
-	}
-	c12, err := f12.Get(t)
-	if err != nil {
-		return nil, err
-	}
-	c21, err := f21.Get(t)
-	if err != nil {
-		return nil, err
-	}
-	c22, err := f22.Get(t)
-	if err != nil {
-		return nil, err
-	}
-	return assemble(c11, c12, c21, c22), nil
+	return assemble(c[0], c[1], c[2], c[3]), nil
 }
 
 func inputs(cfg Config) (*mat, *mat) {
@@ -239,42 +189,28 @@ func RunSequential(cfg Config) uint64 {
 	return quantize(naive(a, b))
 }
 
-// MaxAbsDiff multiplies with both algorithms and returns the largest
-// element-wise difference; used by tests to bound floating-point drift.
-func MaxAbsDiff(t *core.Task, cfg Config) (float64, error) {
-	a, b := inputs(cfg)
-	want := naive(a, b)
-	got, err := strassen(t, a, b, cfg.Depth)
-	if err != nil {
-		return 0, err
-	}
-	var worst float64
-	for i := range want.d {
-		if d := math.Abs(want.d[i] - got.d[i]); d > worst {
-			worst = d
-		}
-	}
-	return worst, nil
-}
-
-// Run multiplies the configured matrices under task t and returns the
-// quantized checksum of the product.
+// Run prepares cfg and runs the body under task t.
 func Run(t *core.Task, cfg Config) (uint64, error) {
-	if cfg.N&(cfg.N-1) != 0 || cfg.N < 8 {
-		return 0, fmt.Errorf("strassen: N must be a power of two >= 8, got %d", cfg.N)
-	}
-	a, b := inputs(cfg)
-	c, err := strassen(t, a, b, cfg.Depth)
+	body, err := Prepare(cfg)
 	if err != nil {
 		return 0, err
 	}
-	return quantize(c), nil
+	return body(t)
 }
 
-// Main returns a root TaskFunc for the harness.
-func Main(cfg Config) core.TaskFunc {
-	return func(t *core.Task) error {
-		_, err := Run(t, cfg)
-		return err
+// Prepare validates cfg and generates the two input matrices, then
+// returns a one-shot body that multiplies them under its task and returns
+// the quantized checksum of the product.
+func Prepare(cfg Config) (func(*core.Task) (uint64, error), error) {
+	if cfg.N&(cfg.N-1) != 0 || cfg.N < 8 {
+		return nil, fmt.Errorf("strassen: N must be a power of two >= 8, got %d", cfg.N)
 	}
+	a, b := inputs(cfg)
+	return func(t *core.Task) (uint64, error) {
+		c, err := strassen(t, a, b, cfg.Depth)
+		if err != nil {
+			return 0, err
+		}
+		return quantize(c), nil
+	}, nil
 }

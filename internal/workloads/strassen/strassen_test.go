@@ -1,6 +1,7 @@
 package strassen
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/core"
@@ -11,7 +12,7 @@ func TestStrassenCloseToNaive(t *testing.T) {
 	cfg := Small()
 	rt := core.NewRuntime(core.WithMode(core.Full))
 	testutil.MustSucceed(t, rt, func(tk *core.Task) error {
-		diff, err := MaxAbsDiff(tk, cfg)
+		diff, err := maxAbsDiff(tk, cfg)
 		if err != nil {
 			return err
 		}
@@ -130,4 +131,22 @@ func TestMatrixHelpers(t *testing.T) {
 			}
 		}
 	}
+}
+
+// maxAbsDiff multiplies with both algorithms and returns the largest
+// element-wise difference, bounding the floating-point drift.
+func maxAbsDiff(t *core.Task, cfg Config) (float64, error) {
+	a, b := inputs(cfg)
+	want := naive(a, b)
+	got, err := strassen(t, a, b, cfg.Depth)
+	if err != nil {
+		return 0, err
+	}
+	var worst float64
+	for i := range want.d {
+		if d := math.Abs(want.d[i] - got.d[i]); d > worst {
+			worst = d
+		}
+	}
+	return worst, nil
 }

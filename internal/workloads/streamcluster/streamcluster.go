@@ -198,34 +198,46 @@ func RunSequential(cfg Config) uint64 {
 	return checksum(centers)
 }
 
-// Run executes the promise-parallel clustering under task t and returns
-// the checksum of the final centers.
+// Run prepares cfg and runs the body under task t.
 func Run(t *core.Task, cfg Config) (uint64, error) {
+	body, err := Prepare(cfg)
+	if err != nil {
+		return 0, err
+	}
+	return body(t)
+}
+
+// Prepare validates cfg and generates the point stream, then returns a
+// one-shot body that runs the promise-parallel clustering under its task
+// and returns the checksum of the final centers.
+func Prepare(cfg Config) (func(*core.Task) (uint64, error), error) {
 	if cfg.Workers < 1 || cfg.Chunks < 1 || cfg.Points < cfg.Centers {
-		return 0, fmt.Errorf("streamcluster: bad config %+v", cfg)
+		return nil, fmt.Errorf("streamcluster: bad config %+v", cfg)
 	}
 	points := genPoints(cfg)
-	perChunk := cfg.Points / cfg.Chunks
-	centers := initialCenters(points, cfg.Centers)
-	partials := make([]*partial, cfg.Workers)
-	for w := range partials {
-		partials[w] = newPartial(cfg.Centers, cfg.Dims)
-	}
+	return func(t *core.Task) (uint64, error) {
+		perChunk := cfg.Points / cfg.Chunks
+		centers := initialCenters(points, cfg.Centers)
+		partials := make([]*partial, cfg.Workers)
+		for w := range partials {
+			partials[w] = newPartial(cfg.Centers, cfg.Dims)
+		}
 
-	for chunk := 0; chunk < cfg.Chunks; chunk++ {
-		base := chunk * perChunk
-		per := perChunk / cfg.Workers
-		var err error
-		if cfg.Variant2 {
-			err = runChunkAllToOne(t, cfg, points, base, per, perChunk, centers, partials, chunk)
-		} else {
-			err = runChunkAllToAll(t, cfg, points, base, per, perChunk, centers, partials, chunk)
+		for chunk := 0; chunk < cfg.Chunks; chunk++ {
+			base := chunk * perChunk
+			per := perChunk / cfg.Workers
+			var err error
+			if cfg.Variant2 {
+				err = runChunkAllToOne(t, cfg, points, base, per, perChunk, centers, partials, chunk)
+			} else {
+				err = runChunkAllToAll(t, cfg, points, base, per, perChunk, centers, partials, chunk)
+			}
+			if err != nil {
+				return 0, err
+			}
 		}
-		if err != nil {
-			return 0, err
-		}
-	}
-	return checksum(centers), nil
+		return checksum(centers), nil
+	}, nil
 }
 
 // runChunkAllToAll is the StreamCluster pattern: two all-to-all barrier
@@ -332,12 +344,4 @@ func awaitLeaderUpdate(c *core.Task, ato *collections.AllToOne, round int, cente
 	}
 	updateCenters(centers, partials)
 	return ato.Release(c, round)
-}
-
-// Main returns a root TaskFunc for the harness.
-func Main(cfg Config) core.TaskFunc {
-	return func(t *core.Task) error {
-		_, err := Run(t, cfg)
-		return err
-	}
 }

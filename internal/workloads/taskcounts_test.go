@@ -22,7 +22,7 @@ func TestPaperScaleTaskCounts(t *testing.T) {
 	}
 	t.Run("Sieve", func(t *testing.T) {
 		rt := core.NewRuntime(core.WithMode(core.Unverified))
-		if err := rt.Run(sieve.Main(sieve.Paper())); err != nil {
+		if err := rt.Run(session(sieve.Prepare(sieve.Paper()))); err != nil {
 			t.Fatal(err)
 		}
 		// Paper: 9594 ("almost 9594 tasks live simultaneously"). Ours is
@@ -37,7 +37,7 @@ func TestPaperScaleTaskCounts(t *testing.T) {
 		cfg := randomized.Paper()
 		cfg.Work = 0
 		rt := core.NewRuntime(core.WithMode(core.Unverified))
-		if err := rt.Run(randomized.Main(cfg)); err != nil {
+		if err := rt.Run(session(randomized.Prepare(cfg))); err != nil {
 			t.Fatal(err)
 		}
 		if got := rt.Stats().Tasks; got != 2535 {
@@ -48,11 +48,23 @@ func TestPaperScaleTaskCounts(t *testing.T) {
 		cfg := streamcluster.Paper()
 		cfg.Points = 6400 // the task count depends only on workers x chunks
 		rt := core.NewRuntime(core.WithMode(core.Unverified))
-		if err := rt.Run(streamcluster.Main(cfg)); err != nil {
+		if err := rt.Run(session(streamcluster.Prepare(cfg))); err != nil {
 			t.Fatal(err)
 		}
 		if got := rt.Stats().Tasks; got != 33 {
 			t.Fatalf("tasks = %d, want 33 (paper's Table 1)", got)
 		}
 	})
+}
+
+// session adapts a package's Prepare result to a root TaskFunc, failing
+// the run if the preparation failed.
+func session(body Body, err error) core.TaskFunc {
+	return func(t *core.Task) error {
+		if err != nil {
+			return err
+		}
+		_, err := body(t)
+		return err
+	}
 }
