@@ -258,11 +258,10 @@ func BenchmarkAblation_Detector(b *testing.B) {
 
 // BenchmarkAblation_Executor compares goroutine-per-task with the elastic
 // worker pool in Full mode: on the task-heavy QSort workload at small
-// scale, and on SmithWaterman at default scale, where a task's first
-// block outgrows its starting stack. On a 2-vCPU VM the SmithWaterman
-// rows measured 6-8x apart (medians of 12 runs: 123 and 147 ms with a
-// goroutine per task, 790 and 1199 ms on the pool); at small scale the
-// gap is about 1.2x.
+// scale, and on SmithWaterman at default scale, whose tile tasks block on
+// their neighbours, so each blocked tile holds a pool worker. On a 2-vCPU
+// VM the pool's SmithWaterman row read 64-82 ms against 70-92 ms with a
+// goroutine per task (six alternations of -benchtime 5x).
 func BenchmarkAblation_Executor(b *testing.B) {
 	b.Run("goroutine-per-task", func(b *testing.B) {
 		benchProgram(b, "QSort", workloads.ScaleSmall, core.WithMode(core.Full))
@@ -332,7 +331,7 @@ func BenchmarkMicro_SpawnNoMove(b *testing.B) {
 // amortized). The go variant (default executor) amortizes only the
 // accounting and ownership bookkeeping and still starts one goroutine
 // per child; the elastic variant additionally drains batch children
-// back-to-back from a worker's deque with no park/wake between them,
+// back-to-back from the pool's queue with no park/wake between them,
 // which is where batching beats the per-spawn context-switch floor —
 // that configuration is the tracked one.
 func BenchmarkMicro_SpawnBatch(b *testing.B) {

@@ -702,8 +702,8 @@ func runClosed(cfg config, led *ledger) error {
 	fmt.Printf("serve load report: %d sessions completed in %v (%.1f/s aggregate)\n\n",
 		ps.Completed, elapsed.Round(time.Millisecond), float64(ps.Completed)/elapsed.Seconds())
 	rows, total := stats.report(elapsed, ps.Completed)
-	fmt.Printf("pool: peak %d in-flight, %d rejected, %d canceled (%d deadline-injected), %d tasks, workers %d spawned / %d reused / %d thieves, %d steals, %d wakes, %d dropped events\n",
-		ps.Peak, ps.Rejected, ps.Canceled, total.Deadlined, ps.TasksRun, ps.WorkersSpawned, ps.WorkersReused, ps.WorkerThieves, ps.Steals, ps.Wakes, ps.EventsDropped)
+	fmt.Printf("pool: peak %d in-flight, %d rejected, %d canceled (%d deadline-injected), %d tasks, workers %d spawned / %d reused / %d thieves, %d wakes, %d dropped events\n",
+		ps.Peak, ps.Rejected, ps.Canceled, total.Deadlined, ps.TasksRun, ps.WorkersSpawned, ps.WorkersReused, ps.WorkerThieves, ps.Wakes, ps.EventsDropped)
 	fmt.Printf("goroutines: %d before, %d leaked after Close\n", goroutinesBefore, led.leaked)
 	// The windowed digest next to the lifetime percentiles: over a run
 	// shorter than the window span the two p99s must roughly agree (the

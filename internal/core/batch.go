@@ -3,7 +3,7 @@ package core
 // Vectorized spawn: submit a whole fan-out in one call.
 //
 // A per-spawn submit pays its fixed costs N times: N executor
-// submissions (each with its own deque push, wakeup gate, and searcher
+// submissions (each with its own queue push, lock, and searcher
 // check), N wait-group and idle-watch updates issued separately.
 // AsyncBatch collapses them: ownership transfer is validated
 // all-or-nothing across the batch, accounting is opened with one

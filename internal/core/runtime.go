@@ -94,7 +94,7 @@ type Job = interface{ Run() }
 // Executor runs spawned tasks in place of the default go statement.
 // Execute receives one task (Async); ExecuteBatch receives a whole
 // AsyncBatch fan-out in one call, so the executor can amortize its
-// submission bookkeeping (deque pushes, wakeups, searcher accounting)
+// submission bookkeeping (queue pushes, wakeups, searcher accounting)
 // across the batch. Each Job's Run runs its task. *sched.Elastic
 // satisfies Executor.
 type Executor interface {

@@ -188,7 +188,7 @@ func MeasureMicros(modes []core.Mode) ([]Micro, error) {
 			// The floor-breaking row: the amortized per-spawn cost of a
 			// 64-wide AsyncBatch. spawn-batch runs on the elastic scheduler with the vectorized
 			// submit — the serving configuration, and the place batching
-			// structurally wins: a worker drains its deque back-to-back, so
+			// structurally wins: a worker drains the queue back-to-back, so
 			// consecutive batch children run WITHOUT a park/wake context
 			// switch between them, which a goroutine per child cannot
 			// avoid. The pool is torn down after the measurement.

@@ -4,7 +4,7 @@
 // expvar-style JSON, net/http/pprof) on top.
 //
 // The design is built around one hard requirement: the instrumented
-// fast paths — spawn, Set/Get, deque push/pop, trace emit — must cost
+// fast paths — spawn, Set/Get, queue push/pop, trace emit — must cost
 // NOTHING when observability is off, and a single padded-atomic
 // increment when it is on. Three decisions follow:
 //

@@ -28,7 +28,7 @@ func (c *Counter) Add(n int64) { c.v.Add(n) }
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
-// Gauge is an instantaneous level (in-flight sessions, deque depth):
+// Gauge is an instantaneous level (in-flight sessions, queue depth):
 // same padded-atomic representation as Counter, but it moves both ways.
 type Gauge struct {
 	_ [64]byte

@@ -7,18 +7,13 @@ import (
 )
 
 // schedMetrics is the scheduler's resolved metric set, shared by every
-// Elastic instance in the process (the registry is process-wide; a
-// serving deployment runs one pool). Counters mirror the per-instance
-// SchedStats atomics where one exists; the deque-depth gauge mirrors
-// pending so a scrape sees backlog without reaching into an instance.
-// Same contract as core's set: nil pointer when observability is off,
-// one padded-atomic add per event when on.
+// Elastic in the process (a serving deployment runs one pool); the depth
+// gauge mirrors SchedStats.Pending. Same contract as core's set: nil
+// pointer when observability is off, one padded-atomic add per event.
 type schedMetrics struct {
-	steals  *obs.Counter
-	wakes   *obs.Counter
-	parks   *obs.Counter
-	unparks *obs.Counter
-	depth   *obs.Gauge // queued-but-unclaimed jobs across all deques
+	wakes *obs.Counter
+	parks *obs.Counter
+	depth *obs.Gauge // queued-but-unclaimed jobs
 }
 
 var schedMet atomic.Pointer[schedMetrics]
@@ -32,11 +27,9 @@ func init() {
 			return
 		}
 		schedMet.Store(&schedMetrics{
-			steals:  reg.Counter("sched_steals_total"),
-			wakes:   reg.Counter("sched_wakes_total"),
-			parks:   reg.Counter("sched_parks_total"),
-			unparks: reg.Counter("sched_unparks_total"),
-			depth:   reg.Gauge("sched_deque_depth"),
+			wakes: reg.Counter("sched_wakes_total"),
+			parks: reg.Counter("sched_parks_total"),
+			depth: reg.Gauge("sched_queue_depth"),
 		})
 	})
 }

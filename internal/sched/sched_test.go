@@ -203,9 +203,9 @@ func TestElasticExecuteBatchRunsEverything(t *testing.T) {
 	defer ex.Close()
 	var n atomic.Int32
 	var wg sync.WaitGroup
-	// Several batches, including one larger than a worker deque, so the
-	// multi-push spills across workers and spawned remainders.
-	for _, size := range []int{1, 64, dequeCap + 50} {
+	// Several batches, one of them hundreds of jobs long, so one push
+	// outgrows the queue's slice and the hand-off fans out across workers.
+	for _, size := range []int{1, 64, 306} {
 		fs := make([]Job, size)
 		wg.Add(size)
 		for i := range fs {
@@ -214,7 +214,7 @@ func TestElasticExecuteBatchRunsEverything(t *testing.T) {
 		ex.ExecuteBatch(fs)
 	}
 	wg.Wait()
-	if want := int32(1 + 64 + dequeCap + 50); n.Load() != want {
+	if want := int32(1 + 64 + 306); n.Load() != want {
 		t.Fatalf("ran %d, want %d", n.Load(), want)
 	}
 }

@@ -142,12 +142,12 @@ func TestPerSessionRuntimeOptionOverride(t *testing.T) {
 
 // TestCancelMidFlightStealHeavyExactAccounting is the ctx redesign's
 // serving-layer stress contract, run under -race by the tier-1 suite:
-// sessions spawning promise-joined task fans over the shared
-// work-stealing scheduler are cancelled at random points mid-flight, and
+// sessions spawning promise-joined task fans over the shared scheduler
+// are cancelled at random points mid-flight, and
 // afterwards (1) every session classifies as clean or canceled — never a
 // false deadlock or policy verdict, (2) no session dropped trace events,
 // (3) the per-session scheduler accounting is exact (submitted tasks all
-// finished, none lost across steals), and (4) Pool.Close releases every
+// finished, none lost between workers), and (4) Pool.Close releases every
 // goroutine.
 func TestCancelMidFlightStealHeavyExactAccounting(t *testing.T) {
 	before := runtime.NumGoroutine()
@@ -231,7 +231,7 @@ func TestCancelMidFlightStealHeavyExactAccounting(t *testing.T) {
 			t.Errorf("session %d: %d dropped trace events", i, st.EventsDropped)
 		}
 		// Exact accounting: every task the session submitted to the
-		// shared scheduler ran and finished, steals notwithstanding.
+		// shared scheduler ran and finished, whichever worker ran it.
 		submitted, inflight := s.SchedStats()
 		if inflight != 0 {
 			t.Errorf("session %d: %d tasks still in flight after Wait", i, inflight)

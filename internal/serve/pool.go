@@ -5,7 +5,8 @@
 //
 // The paper's runtime verifies one program; a server verifies thousands at
 // once. The Pool owns a single sched.Elastic, and every admitted session
-// is one job on it — the Session itself is the job, so submitting it
+// is one job in its FIFO queue, in line with the tasks of the sessions
+// already running — the Session itself is the job, so submitting it
 // allocates nothing. The job builds the session's core.Runtime and calls
 // RunContext, so the root task runs on that worker (as the paper's Init
 // runs the root on the thread that starts the program), while the tasks
@@ -16,8 +17,9 @@
 // detector and the ownership policy touch — task registries, promise
 // owners, error lists, event collectors — lives in the per-session
 // Runtime; the scheduler only donates goroutines. A session job blocked in
-// a Get or in RunContext's final wait is one more blocked job, for which
-// the Elastic grows a worker, so the paper's §6.3 unbounded-growth
+// a Get or in RunContext's final wait is one more blocked job: the worker
+// that claimed it passed the queue on to another worker first, growing
+// the pool if none was idle, so the paper's §6.3 unbounded-growth
 // requirement holds globally and one session's blocked tasks can never
 // starve another's.
 //
@@ -523,10 +525,10 @@ type PoolStats struct {
 	EventsDropped int64 `json:"events_dropped"` // sum over traced sessions; 0 when healthy
 
 	// Shared-scheduler counters (sched.SchedStats). Spawned+Reused is
-	// the submission total; Thieves are cascade-spawned workers beyond
-	// those; Steals measures cross-worker load redistribution — a steal
-	// moves only the job, never its session attribution, because a task
-	// is counted by its own session's runtime wherever it runs.
+	// the submission total; Thieves are the workers a claimer's hand-off
+	// started beyond those. Steals is always 0: the pool has one shared
+	// queue, and a task is counted by its own session's runtime whichever
+	// worker runs it.
 	WorkersSpawned int64 `json:"workers_spawned"`
 	WorkersReused  int64 `json:"workers_reused"`
 	WorkerThieves  int64 `json:"worker_thieves"`

@@ -477,10 +477,11 @@ func TestClassifyPrecedence(t *testing.T) {
 
 // TestSessionAccountingExactAcrossSteals: two sessions fan out skewed
 // bursts at once over one pool, one child at a time and as an AsyncBatch,
-// so the shared workers steal each other's queued tasks. A steal moves a
-// task, never its attribution: each session's runtime counts the tasks
-// it started and finished wherever they ran, so after Wait the session
-// reports exactly its own task count submitted and nothing in flight.
+// so the shared workers run each other's queued tasks. The worker that
+// runs a task never owns its attribution: each session's runtime counts
+// the tasks it started and finished wherever they ran, so after Wait the
+// session reports exactly its own task count submitted and nothing in
+// flight.
 func TestSessionAccountingExactAcrossSteals(t *testing.T) {
 	pool := New(WithMaxSessions(2))
 	defer pool.Close()
@@ -533,6 +534,6 @@ func TestSessionAccountingExactAcrossSteals(t *testing.T) {
 		}
 	}
 	after := pool.Executor().SchedStats()
-	t.Logf("%d steals over %d submissions", after.Steals-before.Steals,
-		after.Spawned+after.Reused-before.Spawned-before.Reused)
+	t.Logf("%d wakes and %d hand-off workers over %d submissions", after.Wakes-before.Wakes,
+		after.Thieves-before.Thieves, after.Spawned+after.Reused-before.Spawned-before.Reused)
 }

@@ -134,6 +134,11 @@ func Prepare(cfg Config) (func(*core.Task) (uint64, error), error) {
 	}
 	board := randomBoard(cfg)
 	return func(t *core.Task) (uint64, error) {
+		// The body is one-shot: the workers get copies of their rows, so
+		// the closure drops the board and it dies after the spawn loop
+		// instead of living for the whole run.
+		initial := board
+		board = nil
 		// down[i] carries rows from worker i to worker i+1; up[i] the reverse.
 		down := make([]*collections.Channel[row], cfg.Workers-1)
 		up := make([]*collections.Channel[row], cfg.Workers-1)
@@ -156,7 +161,7 @@ func Prepare(cfg Config) (func(*core.Task) (uint64, error), error) {
 			}
 			mine := make([]row, hi-lo)
 			for i := range mine {
-				mine[i] = append(row(nil), board[lo+i]...)
+				mine[i] = append(row(nil), initial[lo+i]...)
 			}
 			moved := core.Group{results[w]}
 			if w > 0 {
