@@ -370,7 +370,7 @@ type (
 	// Fault-tolerant client surface: retrying, reconnecting submission.
 
 	// FrontDialOptions tunes a FrontClient connection: write deadline,
-	// heartbeat cadence and miss tolerance, dial timeout.
+	// heartbeat cadence, client-side fault injection.
 	FrontDialOptions = front.DialOptions
 	// ResilientFrontClient submits to one front with typed-error retry
 	// classification, full-jitter backoff and automatic reconnect.

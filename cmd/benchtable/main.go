@@ -336,23 +336,21 @@ func main() {
 		opts.Warmups = *warmups
 	}
 
-	verified := []core.Option{core.WithMode(core.Full)}
-	switch *modeFlag {
-	case "full":
-	case "ownership":
-		verified = []core.Option{core.WithMode(core.Ownership)}
-	default:
+	// The verified side is a mode that checks something; Unverified is
+	// the baseline every row is measured against.
+	mode, err := core.ParseMode(*modeFlag)
+	if err != nil || mode == core.Unverified {
 		fmt.Fprintf(os.Stderr, "unknown mode %q\n", *modeFlag)
 		os.Exit(2)
 	}
-	switch *detector {
-	case "lockfree":
-	case "globallock":
-		verified = append(verified, core.WithDetector(core.DetectGlobalLock))
-	default:
-		fmt.Fprintf(os.Stderr, "unknown detector %q\n", *detector)
+	// The detector is always passed, so DEADLOCK_DETECTOR cannot run one
+	// detector under another's label.
+	kind, err := core.ParseDetector(*detector)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
+	verified := []core.Option{core.WithMode(mode), core.WithDetector(kind)}
 
 	entries := workloads.All()
 	if *benchFlag != "" {

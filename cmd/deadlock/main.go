@@ -57,16 +57,9 @@ func main() {
 	printEvents = *events
 	tracePath = *traceFlag
 
-	var mode core.Mode
-	switch *modeFlag {
-	case "unverified":
-		mode = core.Unverified
-	case "ownership":
-		mode = core.Ownership
-	case "full":
-		mode = core.Full
-	default:
-		fmt.Fprintf(os.Stderr, "unknown mode %q\n", *modeFlag)
+	mode, err := core.ParseMode(*modeFlag)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 

@@ -134,16 +134,9 @@ func main() {
 		fmt.Fprintf(os.Stderr, "frontd: %v\n", err)
 		os.Exit(2)
 	}
-	var mode core.Mode
-	switch *modeFlag {
-	case "full":
-		mode = core.Full
-	case "ownership":
-		mode = core.Ownership
-	case "unverified":
-		mode = core.Unverified
-	default:
-		fmt.Fprintf(os.Stderr, "frontd: unknown mode %q\n", *modeFlag)
+	mode, err := core.ParseMode(*modeFlag)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "frontd: %v\n", err)
 		os.Exit(2)
 	}
 

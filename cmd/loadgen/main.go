@@ -517,27 +517,18 @@ func parseConfig(args []string) (config, error) {
 		return cfg, err
 	}
 	cfg.mix = &mix{scenarios: scenarios, inject: cfg.inject, deadlines: deadlines}
-	switch cfg.mode {
-	case "full":
-		cfg.runtime = append(cfg.runtime, core.WithMode(core.Full))
-	case "ownership":
-		cfg.runtime = append(cfg.runtime, core.WithMode(core.Ownership))
-	case "unverified":
-		cfg.runtime = append(cfg.runtime, core.WithMode(core.Unverified))
-	default:
-		return cfg, fmt.Errorf("unknown mode %q", cfg.mode)
+	mode, err := core.ParseMode(cfg.mode)
+	if err != nil {
+		return cfg, err
 	}
-	switch cfg.detector {
-	case "lockfree":
-		// Explicit even though it is core's default: the DEADLOCK_DETECTOR
-		// env redirects option-less runtimes, and the report must label the
-		// detector that actually ran.
-		cfg.runtime = append(cfg.runtime, core.WithDetector(core.DetectLockFree))
-	case "globallock":
-		cfg.runtime = append(cfg.runtime, core.WithDetector(core.DetectGlobalLock))
-	default:
-		return cfg, fmt.Errorf("unknown detector %q", cfg.detector)
+	detector, err := core.ParseDetector(cfg.detector)
+	if err != nil {
+		return cfg, err
 	}
+	// The detector is explicit even when it is core's default: the
+	// DEADLOCK_DETECTOR env redirects option-less runtimes, and the report
+	// must label the detector that actually ran.
+	cfg.runtime = append(cfg.runtime, core.WithMode(mode), core.WithDetector(detector))
 	if cfg.chaosRate > 0 && cfg.rate <= 0 && cfg.graphShape == "" {
 		return cfg, errors.New("-chaos requires -open (network-edge faults) or -graph (admission faults)")
 	}

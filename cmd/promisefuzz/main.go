@@ -97,7 +97,7 @@ func configs() []struct {
 	}{
 		{"unverified", []core.Option{core.WithMode(core.Unverified)}},
 		{"ownership", []core.Option{core.WithMode(core.Ownership)}},
-		{"full/lockfree", []core.Option{core.WithMode(core.Full)}},
+		{"full/lockfree", []core.Option{core.WithMode(core.Full), core.WithDetector(core.DetectLockFree)}},
 		{"full/globallock", []core.Option{core.WithMode(core.Full), core.WithDetector(core.DetectGlobalLock)}},
 	}
 }
@@ -215,7 +215,7 @@ func fuzzCycles(base int64, trials, tasks, promises, maxCycle int, record string
 		name string
 		opts []core.Option
 	}{
-		{"full/lockfree", []core.Option{core.WithMode(core.Full)}},
+		{"full/lockfree", []core.Option{core.WithMode(core.Full), core.WithDetector(core.DetectLockFree)}},
 		{"full/globallock", []core.Option{core.WithMode(core.Full), core.WithDetector(core.DetectGlobalLock)}},
 	}
 	for i := 0; i < trials; i++ {
@@ -317,25 +317,22 @@ func replay(path string, verbose bool) int {
 	return 0
 }
 
-// optionsFor maps recorded trace metadata back to runtime options.
+// optionsFor maps recorded trace metadata back to runtime options. An
+// empty field (a trace recorded before the meta carried it) means Full
+// mode and the lock-free detector. The detector is always passed, so
+// DEADLOCK_DETECTOR cannot replay a trace under another detector.
 func optionsFor(mode, detector string) ([]core.Option, error) {
-	var opts []core.Option
-	switch mode {
-	case "unverified":
-		opts = append(opts, core.WithMode(core.Unverified))
-	case "ownership":
-		opts = append(opts, core.WithMode(core.Ownership))
-	case "full", "":
-		opts = append(opts, core.WithMode(core.Full))
-	default:
-		return nil, fmt.Errorf("unknown recorded mode %q", mode)
+	m, k := core.Full, core.DetectLockFree
+	var err error
+	if mode != "" {
+		if m, err = core.ParseMode(mode); err != nil {
+			return nil, fmt.Errorf("unknown recorded mode %q", mode)
+		}
 	}
-	switch detector {
-	case "lockfree", "":
-	case "globallock":
-		opts = append(opts, core.WithDetector(core.DetectGlobalLock))
-	default:
-		return nil, fmt.Errorf("unknown recorded detector %q", detector)
+	if detector != "" {
+		if k, err = core.ParseDetector(detector); err != nil {
+			return nil, fmt.Errorf("unknown recorded detector %q", detector)
+		}
 	}
-	return opts, nil
+	return []core.Option{core.WithMode(m), core.WithDetector(k)}, nil
 }

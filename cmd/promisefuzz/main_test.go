@@ -62,3 +62,36 @@ func TestLegacyLazyTrackingStillReplays(t *testing.T) {
 		}
 	}
 }
+
+// TestOptionsForNamesTheRecordedDetector: a replay runs the mode and
+// detector its trace names, whatever DEADLOCK_DETECTOR says, and an
+// empty field (a trace older than the field) means full and lockfree.
+func TestOptionsForNamesTheRecordedDetector(t *testing.T) {
+	t.Setenv("DEADLOCK_DETECTOR", "globallock")
+	for _, c := range []struct {
+		mode, detector string
+		wantMode       core.Mode
+		wantDetector   core.DetectorKind
+	}{
+		{"full", "lockfree", core.Full, core.DetectLockFree},
+		{"", "", core.Full, core.DetectLockFree},
+		{"ownership", "", core.Ownership, core.DetectLockFree},
+		{"full", "globallock", core.Full, core.DetectGlobalLock},
+	} {
+		opts, err := optionsFor(c.mode, c.detector)
+		if err != nil {
+			t.Fatalf("optionsFor(%q, %q): %v", c.mode, c.detector, err)
+		}
+		rt := core.NewRuntime(opts...)
+		if rt.Mode() != c.wantMode || rt.Detector() != c.wantDetector {
+			t.Errorf("optionsFor(%q, %q) runs %v/%v, want %v/%v",
+				c.mode, c.detector, rt.Mode(), rt.Detector(), c.wantMode, c.wantDetector)
+		}
+	}
+	if _, err := optionsFor("Full", ""); err == nil || err.Error() != `unknown recorded mode "Full"` {
+		t.Errorf("unknown mode: err = %v", err)
+	}
+	if _, err := optionsFor("full", "armus"); err == nil || err.Error() != `unknown recorded detector "armus"` {
+		t.Errorf("unknown detector: err = %v", err)
+	}
+}

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -19,11 +20,14 @@ const (
 )
 
 // listing1Default runs the paper's Listing 1 in Full mode with default
-// task and promise names and returns Run's report. t2 starts its
-// wait only once the root is parked on q, so t2's wait is the one that
-// closes the cycle on every run.
-func listing1Default() error {
-	return NewRuntime(WithMode(Full)).Run(func(root *Task) error {
+// task and promise names and returns Run's report.
+func listing1Default() error { return listing1On(NewRuntime(WithMode(Full))) }
+
+// listing1On runs Listing 1 on rt. t2 starts its wait only once the
+// root is parked on q, so t2's wait is the one that closes the cycle on
+// every run.
+func listing1On(rt *Runtime) error {
+	return rt.Run(func(root *Task) error {
 		p := NewPromise[int](root)
 		q := NewPromise[int](root)
 		if _, err := root.Async(func(t2 *Task) error {
@@ -59,6 +63,24 @@ func TestListing1AlarmText(t *testing.T) {
 	}
 }
 
+// TestListing1CycleSameUnderBothDetectors checks that the two detectors
+// report Listing 1's cycle identically, field for field: they walk the
+// same edge with the same traversal and build the report from the same
+// hop log.
+func TestListing1CycleSameUnderBothDetectors(t *testing.T) {
+	var cycles [2][]CycleNode
+	for i, kind := range detectorKinds() {
+		var dl *DeadlockError
+		if err := listing1On(NewRuntime(WithMode(Full), WithDetector(kind))); !errors.As(err, &dl) {
+			t.Fatalf("%v: err = %v, want DeadlockError", kind, err)
+		}
+		cycles[i] = dl.Cycle
+	}
+	if !slices.Equal(cycles[0], cycles[1]) {
+		t.Fatalf("Listing-1 cycle differs between detectors:\nlockfree:   %+v\ngloballock: %+v", cycles[0], cycles[1])
+	}
+}
+
 // TestListing1AlarmAllocs pins the allocations of that whole run —
 // runtime, tasks, promises, the detector's alarm and the rendered
 // report — so growth anywhere on the alarm path shows.
@@ -66,12 +88,9 @@ func TestListing1AlarmAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop a share of Puts, so the hop log is reallocated")
 	}
-	// The global-lock detector adds its waits-for map (allocated at the
-	// first wait) and that map's first entry.
-	want := 23
-	if EnvDetector() == DetectGlobalLock {
-		want = 25
-	}
+	// One ceiling for both detectors: they share the edge, the walk and
+	// the cycle report, and the global lock adds only a mutex.
+	const want = 23
 	got := testing.AllocsPerRun(200, func() {
 		if err := listing1Default(); err == nil {
 			t.Fatal("Listing 1 ran clean")

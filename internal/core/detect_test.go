@@ -3,6 +3,8 @@ package core
 import (
 	"errors"
 	"fmt"
+	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -122,14 +124,25 @@ func TestThreeTaskCycle(t *testing.T) {
 	}
 }
 
+// TestLongCycle reconstructs a 25-task cycle under each detector. The
+// last ring task closes the cycle on every run, and both detectors walk
+// the same edge with the same traversal, so their reports are equal
+// field for field.
 func TestLongCycle(t *testing.T) {
-	err := runCycleOfLength(t, 25, DetectLockFree)
-	var dl *DeadlockError
-	if !errors.As(err, &dl) {
-		t.Fatalf("err = %v, want DeadlockError", err)
+	var cycles [2][]CycleNode
+	for i, kind := range detectorKinds() {
+		err := runCycleOfLength(t, 25, kind)
+		var dl *DeadlockError
+		if !errors.As(err, &dl) {
+			t.Fatalf("%v: err = %v, want DeadlockError", kind, err)
+		}
+		if len(dl.Cycle) != 25 {
+			t.Fatalf("%v: reconstructed cycle has %d nodes, want 25", kind, len(dl.Cycle))
+		}
+		cycles[i] = dl.Cycle
 	}
-	if len(dl.Cycle) != 25 {
-		t.Fatalf("reconstructed cycle has %d nodes, want 25", len(dl.Cycle))
+	if !slices.Equal(cycles[0], cycles[1]) {
+		t.Fatalf("25-task cycle differs between detectors:\nlockfree:   %+v\ngloballock: %+v", cycles[0], cycles[1])
 	}
 }
 
@@ -200,6 +213,10 @@ func TestLongChainTraversalAllocs(t *testing.T) {
 // p_{(i+1) mod n}, then would set p_i. A deterministic staggering makes
 // task 0 the last to arrive in most schedules, but any arrival order must
 // be detected.
+// runCycleOfLength runs a ring of n tasks, ring-i owning p_i and
+// awaiting p_{i+1 mod n}. ring-(n-1) starts its wait only once every
+// other ring task is parked, so its wait closes the cycle on every run
+// and the report starts with it.
 func runCycleOfLength(t *testing.T, n int, kind DetectorKind) error {
 	rt := NewRuntime(WithMode(Full), WithDetector(kind))
 	return run(t, rt, func(root *Task) error {
@@ -210,6 +227,11 @@ func runCycleOfLength(t *testing.T, n int, kind DetectorKind) error {
 		for i := 0; i < n; i++ {
 			i := i
 			if _, e := root.AsyncNamed(fmt.Sprintf("ring-%d", i), func(c *Task) error {
+				if i == n-1 {
+					for _, p := range ps[1:] {
+						waitParked(&p.s)
+					}
+				}
 				if _, e := ps[(i+1)%n].Get(c); e != nil {
 					return e
 				}
@@ -452,33 +474,66 @@ func TestDeadlockAfterRecoveryDetectorStillWorks(t *testing.T) {
 	}
 }
 
+// waitParked spins until a task is parked on s's gate. A task links its
+// waiter record there only after its verifyAwait returned nil, so the
+// task's edge is published and the walk that follows sees it.
+func waitParked(s *pstate) {
+	for h := s.wake.head.Load(); h == nil || h == gateSignalled; h = s.wake.head.Load() {
+		runtime.Gosched()
+	}
+}
+
 func TestCycleUnblocksViaCascade(t *testing.T) {
 	// After the alarm, every other member of the cycle must terminate with
-	// a BrokenPromiseError — the program does not hang.
-	rt := NewRuntime(WithMode(Full))
-	err := run(t, rt, func(root *Task) error {
-		p := NewPromiseNamed[int](root, "p")
-		q := NewPromiseNamed[int](root, "q")
-		if _, e := root.AsyncNamed("t2", func(t2 *Task) error {
-			if _, e := p.Get(t2); e != nil {
+	// a BrokenPromiseError — the program does not hang. Each subtest lets
+	// one task close the cycle by starting its wait only once the other
+	// is parked, so exactly one DeadlockError is raised. (Two waits that
+	// close a cycle at once may both alarm, which Theorem 5.6 allows.)
+	for _, c := range []struct{ closer, taskName string }{{"root", "main"}, {"t2", "t2"}} {
+		t.Run(c.closer+"-closes", func(t *testing.T) {
+			var deadlocks atomic.Int32
+			rt := NewRuntime(WithMode(Full), WithAlarmHandler(func(err error) {
+				if _, ok := err.(*DeadlockError); ok {
+					deadlocks.Add(1)
+				}
+			}))
+			err := run(t, rt, func(root *Task) error {
+				p := NewPromiseNamed[int](root, "p")
+				q := NewPromiseNamed[int](root, "q")
+				if _, e := root.AsyncNamed("t2", func(t2 *Task) error {
+					if c.closer == "t2" {
+						waitParked(&q.s)
+					}
+					if _, e := p.Get(t2); e != nil {
+						return e
+					}
+					return q.Set(t2, 1)
+				}, q); e != nil {
+					return e
+				}
+				if c.closer == "root" {
+					waitParked(&p.s)
+				}
+				_, e := q.Get(root)
 				return e
+			})
+			// Run terminated (no t.Fatal from the timeout) and recorded the
+			// deadlock and the downstream broken promise.
+			var dl *DeadlockError
+			if !errors.As(err, &dl) {
+				t.Fatalf("no deadlock in %v", err)
 			}
-			return q.Set(t2, 1)
-		}, q); e != nil {
-			return e
-		}
-		_, e := q.Get(root)
-		return e
-	})
-	// Run terminated (no t.Fatal from the timeout) and recorded both the
-	// deadlock and the downstream broken promises.
-	var dl *DeadlockError
-	if !errors.As(err, &dl) {
-		t.Fatalf("no deadlock in %v", err)
-	}
-	var bp *BrokenPromiseError
-	if !errors.As(err, &bp) {
-		t.Fatalf("no broken-promise cascade in %v", err)
+			if n := deadlocks.Load(); n != 1 {
+				t.Fatalf("%d deadlock alarms, want 1: %v", n, err)
+			}
+			if got := dl.Cycle[0].TaskName(); got != c.taskName {
+				t.Fatalf("cycle starts with task %s, want the closing task %s", got, c.taskName)
+			}
+			var bp *BrokenPromiseError
+			if !errors.As(err, &bp) {
+				t.Fatalf("no broken-promise cascade in %v", err)
+			}
+		})
 	}
 }
 

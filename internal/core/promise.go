@@ -207,16 +207,17 @@ func awaitState(t *Task, s *pstate, ctx context.Context) error {
 		r.logEvent(EvBlock, t, s, "")
 	}
 	if r.mode == Full {
+		// Algorithm 2: publish the waits-for edge, then verify the
+		// dependence chain before committing to block; the global-lock
+		// comparator runs the same traversal under its mutex. The EvBlock
+		// above is deliberately logged BEFORE verification: the edge must
+		// be in the stream ahead of any alarm that traverses it, so the
+		// offline verifier can re-walk the cycle at the alarm's sequence
+		// point.
 		var err error
 		if r.detector == DetectGlobalLock {
 			err = r.gdet.beforeWait(t, s)
 		} else {
-			// Algorithm 2: publish the waits-for edge, then verify the
-			// dependence chain before committing to block. The EvBlock
-			// above is deliberately logged BEFORE verification: the edge
-			// must be in the stream ahead of any alarm that traverses it,
-			// so the offline verifier can re-walk the cycle at the
-			// alarm's sequence point.
 			err = t.verifyAwait(s)
 		}
 		if err != nil {

@@ -39,6 +39,17 @@ func (m Mode) String() string {
 	}
 }
 
+// ParseMode is the inverse of Mode.String: it maps "unverified",
+// "ownership" and "full" to their modes and rejects any other name.
+func ParseMode(s string) (Mode, error) {
+	for m := Unverified; m <= Full; m++ {
+		if m.String() == s {
+			return m, nil
+		}
+	}
+	return Full, fmt.Errorf("unknown mode %q", s)
+}
+
 // DetectorKind selects the deadlock-detection algorithm used in Full mode.
 type DetectorKind uint8
 
@@ -64,6 +75,18 @@ func (k DetectorKind) String() string {
 	default:
 		return "unknown"
 	}
+}
+
+// ParseDetector is the inverse of DetectorKind.String: it maps
+// "lockfree" and "globallock" to their detectors and rejects any other
+// name.
+func ParseDetector(s string) (DetectorKind, error) {
+	for k := DetectLockFree; k <= DetectGlobalLock; k++ {
+		if k.String() == s {
+			return k, nil
+		}
+	}
+	return DetectLockFree, fmt.Errorf("unknown detector %q", s)
 }
 
 // Option configures a Runtime.
@@ -143,7 +166,7 @@ type Runtime struct {
 	countEvents bool
 	onAlarm     func(error)
 	exec        Executor       // nil selects the built-in goroutine-per-task start
-	gdet        globalDetector // used only when mode == Full && detector == DetectGlobalLock
+	gdet        globalDetector // the comparator's mutex; taken only when mode == Full && detector == DetectGlobalLock
 	idle        *idleWatch
 	events      *tracer
 
@@ -178,7 +201,8 @@ type Runtime struct {
 
 // EnvDetector returns the detector a runtime built without WithDetector
 // uses: the paper's lock-free Algorithm 2, unless the DEADLOCK_DETECTOR
-// environment variable selects otherwise ("lockfree" or "globallock").
+// environment variable names another detector (ParseDetector; an unset
+// variable or an unknown name selects lockfree).
 // The env hook exists so the whole test suite — and anything else that
 // constructs runtimes without an explicit WithDetector — can be swept
 // under the ablation comparator by CI without a per-call-site flag. It
@@ -186,8 +210,10 @@ type Runtime struct {
 // runtimes (serve.Pool, once per session) resolves it once and passes
 // the result as a WithDetector option instead.
 func EnvDetector() DetectorKind {
-	if os.Getenv("DEADLOCK_DETECTOR") == "globallock" {
-		return DetectGlobalLock
+	if v := os.Getenv("DEADLOCK_DETECTOR"); v != "" {
+		if k, err := ParseDetector(v); err == nil {
+			return k
+		}
 	}
 	return DetectLockFree
 }

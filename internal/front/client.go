@@ -20,22 +20,22 @@ import (
 var ErrRefused = errors.New("front: server refused connection")
 
 // ErrHeartbeat is wrapped into the connection-lost error when the
-// client's heartbeat loop declared the server dead: HeartbeatMisses
+// client's heartbeat loop declared the server dead: heartbeatMisses
 // consecutive pings went unanswered.
 var ErrHeartbeat = errors.New("front: heartbeats unanswered")
 
-// Client write-deadline and heartbeat defaults (DialOptions zero
-// values).
+// The client's write-deadline default (the DialOptions zero value), its
+// consecutive unanswered-ping budget and its TCP dial bound.
 const (
 	defaultClientWriteTimeout = 10 * time.Second
-	defaultHeartbeatMisses    = 3
-	defaultDialTimeout        = 5 * time.Second
+	heartbeatMisses           = 3
+	dialTimeout               = 5 * time.Second
 )
 
 // DialOptions tunes one client connection's supervision. The zero
 // value is production-sane: a 10 s write deadline (a dead server can
 // stall a submit for at most that, never forever), heartbeats off, no
-// fault injection.
+// fault injection. The dial itself is bounded by 5 s.
 type DialOptions struct {
 	// WriteTimeout bounds every frame write (submit, cancel, ping). 0
 	// selects 10 s; negative disables the deadline entirely. A write
@@ -44,15 +44,10 @@ type DialOptions struct {
 	WriteTimeout time.Duration
 	// HeartbeatInterval, when positive, starts a keepalive loop: a ping
 	// every interval, and the connection is declared dead (all pending
-	// sessions fail with ErrHeartbeat) after HeartbeatMisses consecutive
-	// unanswered pings. Heartbeats also keep the connection alive past a
+	// sessions fail with ErrHeartbeat) after 3 consecutive unanswered
+	// pings. Heartbeats also keep the connection alive past a
 	// server-side idle reaper (front.Config.IdleTimeout).
 	HeartbeatInterval time.Duration
-	// HeartbeatMisses is the consecutive unanswered-ping budget; <= 0
-	// selects 3.
-	HeartbeatMisses int
-	// DialTimeout bounds the TCP dial; <= 0 selects 5 s.
-	DialTimeout time.Duration
 	// Chaos, when non-nil, wraps the connection with injected faults
 	// (resets, delays, partial writes) — the client-side half of the
 	// chaos harness.
@@ -92,7 +87,7 @@ type Client struct {
 type ClientStats struct {
 	// HeartbeatsMissed is how many heartbeat intervals elapsed with the
 	// previous ping still unanswered (the connection is cut at
-	// HeartbeatMisses consecutive).
+	// heartbeatMisses consecutive).
 	HeartbeatsMissed int64
 	// UnmatchedVerdicts counts verdict frames that matched no pending
 	// session — a verdict delivered twice for one id, or for an id this
@@ -156,11 +151,7 @@ func Dial(addr, key string) (*Client, error) {
 
 // DialOpts is Dial with explicit supervision options.
 func DialOpts(addr, key string, o DialOptions) (*Client, error) {
-	dialTO := o.DialTimeout
-	if dialTO <= 0 {
-		dialTO = defaultDialTimeout
-	}
-	raw, err := net.DialTimeout("tcp", addr, dialTO)
+	raw, err := net.DialTimeout("tcp", addr, dialTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("front: dial %s: %w", addr, err)
 	}
@@ -208,11 +199,7 @@ func DialOpts(addr, key string, o DialOptions) (*Client, error) {
 	c.tenant = ack.Tenant
 	go c.readLoop()
 	if o.HeartbeatInterval > 0 {
-		misses := o.HeartbeatMisses
-		if misses <= 0 {
-			misses = defaultHeartbeatMisses
-		}
-		go c.heartbeatLoop(o.HeartbeatInterval, misses)
+		go c.heartbeatLoop(o.HeartbeatInterval)
 	} else {
 		close(c.hbDone)
 	}
@@ -233,10 +220,10 @@ func (c *Client) fatal(err error) {
 }
 
 // heartbeatLoop sends a ping every interval and declares the
-// connection dead after `misses` consecutive unanswered ones. Any
+// connection dead after heartbeatMisses consecutive unanswered ones. Any
 // inbound pong (matched by sequence number) resets the debt. The loop
 // exits with the read loop.
-func (c *Client) heartbeatLoop(interval time.Duration, misses int) {
+func (c *Client) heartbeatLoop(interval time.Duration) {
 	defer close(c.hbDone)
 	t := time.NewTicker(interval)
 	defer t.Stop()
@@ -251,8 +238,8 @@ func (c *Client) heartbeatLoop(interval time.Duration, misses int) {
 			if m := fmet(); m != nil {
 				m.heartbeatsMissed.Inc()
 			}
-			if sent-c.pongSeq.Load() >= uint64(misses) {
-				c.fatal(fmt.Errorf("%w: %d consecutive pings (interval %v)", ErrHeartbeat, misses, interval))
+			if sent-c.pongSeq.Load() >= heartbeatMisses {
+				c.fatal(fmt.Errorf("%w: %d consecutive pings (interval %v)", ErrHeartbeat, heartbeatMisses, interval))
 				return
 			}
 		}

@@ -155,7 +155,7 @@ func TestWriteDeadlineNeverReadingListener(t *testing.T) {
 }
 
 // TestHeartbeatDeclaresDeadServer: a server that reads frames but never
-// answers pings is declared dead after HeartbeatMisses intervals, and
+// answers pings is declared dead after heartbeatMisses intervals, and
 // the pending submission fails with both the heartbeat cause and the
 // connection-lost sentinel.
 func TestHeartbeatDeclaresDeadServer(t *testing.T) {
@@ -163,10 +163,7 @@ func TestHeartbeatDeclaresDeadServer(t *testing.T) {
 		// Read and discard everything (keeps buffers empty), answer nothing.
 		io.Copy(io.Discard, nc)
 	})
-	c, err := DialOpts(addr, "k", DialOptions{
-		HeartbeatInterval: 20 * time.Millisecond,
-		HeartbeatMisses:   3,
-	})
+	c, err := DialOpts(addr, "k", DialOptions{HeartbeatInterval: 20 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +332,7 @@ func TestRetryThroughInjectedSaturation(t *testing.T) {
 // or a late success — never a hung dial.
 func TestShutdownVsReconnectRace(t *testing.T) {
 	f := newTestFront(t)
-	r, err := DialResilient(f.Addr(), "gold-key", DialOptions{DialTimeout: 500 * time.Millisecond})
+	r, err := DialResilient(f.Addr(), "gold-key", DialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
